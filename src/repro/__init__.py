@@ -26,11 +26,8 @@ Quickstart::
     print(verifier.finish().summary())
 """
 
+from . import core
 from .core import (
-    Anomaly,
-    AnomalySummary,
-    anomalies_of,
-    classify,
     BugDescriptor,
     CertifierKind,
     ClientFeed,
@@ -46,10 +43,8 @@ from .core import (
     MetricsRegistry,
     NaiveGlobalSorter,
     MechanismVerifier,
-    OnlineVerifier,
     OpKind,
     OpStatus,
-    ParallelVerifier,
     PG_READ_COMMITTED,
     PG_REPEATABLE_READ,
     PG_SERIALIZABLE,
@@ -73,10 +68,18 @@ from .core import (
     sorted_traces,
     supported_dbms,
     verify_traces,
-    verify_traces_parallel,
 )
 
 __version__ = "1.0.0"
+
+
+def __getattr__(name: str):
+    """The re-exports :mod:`repro.core` imports on demand (parallel,
+    online, anomalies) stay on demand here."""
+    if name in core._LAZY:
+        return getattr(core, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Anomaly",

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import closing
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -38,8 +39,6 @@ from .core.metrics import MetricsRegistry, render_stats, run_stats
 from .core.pipeline import pipeline_from_client_streams
 from .core.spec import IsolationLevel, IsolationSpec, profile, supported_dbms
 from .core.verifier import Verifier
-from .dbsim.engine import SimulatedDBMS
-from .dbsim.faults import FaultPlan
 
 
 def _build_workload(name: str, seed: int):
@@ -90,7 +89,9 @@ def _resolve_spec(dbms: str, level: str) -> IsolationSpec:
         raise SystemExit(str(exc))
 
 
-def _fault_plan(args) -> FaultPlan:
+def _fault_plan(args):
+    from .dbsim.faults import FaultPlan
+
     return FaultPlan(
         skip_lock_on_noop_update="noop-lock" in args.inject,
         stale_read_prob=0.05 if "stale-read" in args.inject else 0.0,
@@ -107,6 +108,7 @@ def _fault_plan(args) -> FaultPlan:
 
 
 def cmd_run(args) -> int:
+    from .dbsim.engine import SimulatedDBMS
     from .workloads import WorkloadRunner
 
     spec = _resolve_spec(args.dbms, args.level)
@@ -133,6 +135,20 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    """Exit 0 = verified clean, 1 = violations found, 2 = no verdict: the
+    capture is missing, unreadable or corrupt, or its traces break the
+    trace contract (a client stream not sorted by ``ts_bef``, an operation
+    after its transaction's terminal).  The capture is decoded on demand
+    while it is verified, so damage surfaces mid-run: one line on stderr,
+    no report (daemonic shard workers are reaped at exit)."""
+    try:
+        return _verify(args)
+    except (OSError, ValueError) as exc:
+        print(f"repro verify: {args.capture}: {exc}", file=sys.stderr)
+        return 2
+
+
+def _verify(args) -> int:
     import json
     import time
 
@@ -166,35 +182,38 @@ def cmd_verify(args) -> int:
             minimize_candidates=not args.naive_candidates,
             metrics=metrics,
         )
-    pipeline = pipeline_from_client_streams(streams, metrics=metrics)
-    if instrumented:
-        # Charge the pipeline's own sort/dispatch work (the time spent
-        # inside the batch iterator, between batches) to the
-        # "pipeline-sort" phase; everything inside process_batch() is the
-        # mechanisms' time.
-        wall_start = time.perf_counter()
-        sort_seconds = 0.0
-        batches = pipeline.iter_batches()
-        while True:
-            tick = time.perf_counter()
-            batch = next(batches, None)
-            sort_seconds += time.perf_counter() - tick
-            if batch is None:
-                break
-            verifier.process_batch(batch)
-        report = verifier.finish()
-        wall_seconds = time.perf_counter() - wall_start
-        document = run_stats(
-            report,
-            metrics=metrics,
-            pipeline_sort_seconds=sort_seconds,
-            wall_seconds=wall_seconds,
-        )
-    else:
-        for batch in pipeline.iter_batches():
-            verifier.process_batch(batch)
-        report = verifier.finish()
-        document = None
+    with closing(
+        pipeline_from_client_streams(streams, metrics=metrics)
+    ) as pipeline:
+        if instrumented:
+            # Charge the pipeline's own sort/dispatch work (the time
+            # spent inside the batch iterator, between batches -- capture
+            # decode included, since the feeds pull it on demand) to the
+            # "pipeline-sort" phase; everything inside process_batch() is
+            # the mechanisms' time.
+            wall_start = time.perf_counter()
+            sort_seconds = 0.0
+            batches = pipeline.iter_batches()
+            while True:
+                tick = time.perf_counter()
+                batch = next(batches, None)
+                sort_seconds += time.perf_counter() - tick
+                if batch is None:
+                    break
+                verifier.process_batch(batch)
+            report = verifier.finish()
+            wall_seconds = time.perf_counter() - wall_start
+            document = run_stats(
+                report,
+                metrics=metrics,
+                pipeline_sort_seconds=sort_seconds,
+                wall_seconds=wall_seconds,
+            )
+        else:
+            for batch in pipeline.iter_batches():
+                verifier.process_batch(batch)
+            report = verifier.finish()
+            document = None
     print(report.summary())
     if document is not None:
         if args.stats:

@@ -2,9 +2,13 @@
 
 Public surface of the paper's contribution: interval-based traces, the
 two-level pipeline, and the mechanism-mirrored verifier.
+
+The names of :data:`_LAZY` resolve on first access (PEP 562): a serial
+``repro verify`` never imports ``multiprocessing`` or the online layer.
 """
 
-from .anomalies import Anomaly, AnomalySummary, anomalies_of, classify
+from importlib import import_module
+
 from .intervals import INITIAL_INTERVAL, Interval
 from .io import (
     dump_client_streams,
@@ -37,15 +41,6 @@ from .metrics import (
     phase_breakdown,
     render_stats,
     run_stats,
-)
-from .online import OnlineVerifier
-from .parallel import (
-    GraphOnlyCertifier,
-    ParallelVerifier,
-    ShardResult,
-    ShardVerifier,
-    StreamSegment,
-    verify_traces_parallel,
 )
 from .sharding import ShardedState, ShardRouter, stable_hash
 from .pipeline import (
@@ -82,6 +77,30 @@ from .spec import (
 from .trace import KeyRange, OpKind, OpStatus, Trace, apply_delta, is_tombstone, tombstone
 from .verifier import Verifier, verify_traces
 from .versions import Version, VersionChain
+
+#: re-exported name -> the submodule that defines it, imported on demand.
+_LAZY = {
+    "Anomaly": "anomalies",
+    "AnomalySummary": "anomalies",
+    "anomalies_of": "anomalies",
+    "classify": "anomalies",
+    "OnlineVerifier": "online",
+    "GraphOnlyCertifier": "parallel",
+    "ParallelVerifier": "parallel",
+    "ShardResult": "parallel",
+    "ShardVerifier": "parallel",
+    "StreamSegment": "parallel",
+    "verify_traces_parallel": "parallel",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "Anomaly",

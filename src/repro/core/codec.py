@@ -30,13 +30,16 @@ whole traces) so other wire formats -- the parallel path's shard frames
 (:mod:`repro.core.parallel`) -- compose the same interning and packing
 without inventing another codec.
 
-``trace_id`` is deliberately not serialised (it is a process-local
-counter, exactly as in the JSONL format); decoding assigns fresh ids in
-stream order, preserving per-client monotonicity.
+``trace_id`` is deliberately not serialised, exactly as in the JSONL
+format: it is assigned at decode, in stream order.  Every ingest path
+(capture files, both service tiers) passes ``first_trace_id`` so the ids
+are the deterministic ``client_id << SEQ_BITS | seq`` stamps; without it
+decoding falls back to the process-local counter.
 """
 
 from __future__ import annotations
 
+import itertools
 import struct
 from pathlib import Path
 from typing import IO, Iterable, Iterator, List, Optional, Sequence, Union
@@ -423,9 +426,9 @@ def decode_batch(
 
     ``first_trace_id`` stamps deterministic ids during construction:
     record ``i`` gets ``first_trace_id + i`` instead of a fresh
-    process-local counter value.  The service's forwarding tier uses this
-    to materialise the session registry's ``client_id << SEQ_BITS | seq``
-    stamps without a second per-trace ``dataclasses.replace`` pass.
+    process-local counter value.  This is the one stamping site of the
+    ``client_id << SEQ_BITS | seq`` scheme: the capture-file reader and
+    both service tiers pass the client's cursor here.
     """
     data = bytes(payload)
     size = len(data)
@@ -579,6 +582,11 @@ def decode_batch(
             )
     except (IndexError, struct.error):
         raise CodecError("truncated batch payload") from None
+    except CodecError:
+        raise
+    except ValueError as exc:
+        # Invalid UTF-8, or an interval / key range its constructor refuses.
+        raise CodecError(f"malformed batch payload: {exc}") from None
     if pos != size:
         raise CodecError(
             f"trailing bytes after batch: {size - pos} of {size}"
@@ -661,12 +669,18 @@ def dump_traces_binary(
 def iter_binary_frames(
     source: Union[str, Path, IO[bytes]],
     metrics: Optional[MetricsRegistry] = None,
+    first_trace_id: Optional[int] = None,
 ) -> Iterator[List[Trace]]:
     """Stream decoded batches from a ``repro.traces/v1b`` file: the frame
     granularity is preserved, so batch consumers (``process_batch``) skip
-    the per-trace hop entirely."""
+    the per-trace hop entirely.  One frame is read and decoded per
+    ``next()``; a path is opened on the first and closed on exhaustion or
+    error.  ``first_trace_id`` stamps the stream's ids contiguously across
+    frames (see :func:`decode_batch`).  Damaged input raises a
+    :class:`CodecError` naming the file, frame index and byte offset."""
     own = isinstance(source, (str, Path))
     stream = open(source, "rb") if own else source
+    name = source if own else getattr(source, "name", "<stream>")
     metrics = metrics or NULL_REGISTRY
     m_frames = metrics.counter("codec.decode.frames")
     m_traces = metrics.counter("codec.decode.traces")
@@ -675,20 +689,33 @@ def iter_binary_frames(
         header = stream.read(len(MAGIC))
         if header != MAGIC:
             raise CodecError(
-                f"not a {MAGIC[:-1].decode('ascii')} file "
+                f"{name}: not a {MAGIC[:-1].decode('ascii')} file "
                 f"(header {header[:24]!r})"
             )
-        while True:
+        offset = len(MAGIC)
+        next_id = first_trace_id
+        for index in itertools.count():
             prefix = stream.read(_U32.size)
             if not prefix:
                 return
-            if len(prefix) < _U32.size:
-                raise CodecError("truncated frame length")
-            (length,) = _U32.unpack(prefix)
-            payload = stream.read(length)
-            if len(payload) < length:
-                raise CodecError("truncated frame payload")
-            batch = decode_batch(payload)
+            try:
+                if len(prefix) < _U32.size:
+                    raise CodecError("truncated frame length")
+                (length,) = _U32.unpack(prefix)
+                payload = stream.read(length)
+                if len(payload) < length:
+                    raise CodecError(
+                        f"truncated frame payload "
+                        f"({len(payload)} of {length} bytes)"
+                    )
+                batch = decode_batch(payload, first_trace_id=next_id)
+            except CodecError as exc:
+                raise CodecError(
+                    f"{name}: frame {index} at byte offset {offset}: {exc}"
+                ) from None
+            if next_id is not None:
+                next_id += len(batch)
+            offset += _U32.size + length
             m_frames.inc()
             m_traces.inc(len(batch))
             m_bytes.inc(_U32.size + length)
@@ -701,9 +728,12 @@ def iter_binary_frames(
 def load_traces_binary(
     source: Union[str, Path, IO[bytes]],
     metrics: Optional[MetricsRegistry] = None,
+    first_trace_id: Optional[int] = None,
 ) -> Iterator[Trace]:
     """Binary counterpart of :func:`repro.core.io.load_traces`."""
-    for batch in iter_binary_frames(source, metrics=metrics):
+    for batch in iter_binary_frames(
+        source, metrics=metrics, first_trace_id=first_trace_id
+    ):
         yield from batch
 
 

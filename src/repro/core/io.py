@@ -28,7 +28,7 @@ import json
 from pathlib import Path
 from typing import Dict, IO, Iterable, Iterator, List, Mapping, Optional, Union
 
-from .trace import Key, KeyRange, OpKind, OpStatus, Trace
+from .trace import SEQ_BITS, Key, KeyRange, OpKind, OpStatus, Trace, _trace_counter
 
 #: Extension that selects the binary codec (``repro.traces/v1b``).
 BINARY_SUFFIX = ".rtb"
@@ -106,11 +106,13 @@ def trace_to_dict(trace: Trace) -> dict:
     return payload
 
 
-def trace_from_dict(payload: Mapping) -> Trace:
-    """Rebuild a trace from its dictionary form."""
+def trace_from_dict(payload: Mapping, trace_id: Optional[int] = None) -> Trace:
+    """Rebuild a trace from its dictionary form (``trace_id`` stamps a
+    deterministic id instead of the process-local counter's next value)."""
     from .intervals import Interval
 
     return Trace(
+        trace_id=next(_trace_counter) if trace_id is None else trace_id,
         interval=Interval(float(payload["b"]), float(payload["a"])),
         kind=OpKind(payload["k"]),
         txn_id=str(payload["t"]),
@@ -164,27 +166,38 @@ def dump_traces(
 def load_traces(
     source: Union[str, Path, IO],
     fmt: Optional[str] = None,
+    first_trace_id: Optional[int] = None,
 ) -> Iterator[Trace]:
     """Stream traces back from a JSONL or binary file (resolved like
-    :func:`dump_traces`)."""
+    :func:`dump_traces`), decoding on demand: a path is opened by the
+    first ``next()`` and closed on exhaustion or error.  With
+    ``first_trace_id`` trace ``i`` of the stream is stamped
+    ``first_trace_id + i``.  Damaged input raises a :class:`ValueError`
+    naming the file and the line (JSONL) or frame and byte offset
+    (binary)."""
     if resolve_format(source, fmt) == "binary":
         from .codec import load_traces_binary
 
-        yield from load_traces_binary(source)
+        yield from load_traces_binary(source, first_trace_id=first_trace_id)
         return
     own = isinstance(source, (str, Path))
     stream = open(source, "r", encoding="utf-8") if own else source
+    name = source if own else getattr(source, "name", "<stream>")
+    next_id = first_trace_id
     try:
         for line_no, line in enumerate(stream, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             try:
-                yield trace_from_dict(json.loads(line))
-            except (ValueError, KeyError) as exc:
+                trace = trace_from_dict(json.loads(line), trace_id=next_id)
+            except (ValueError, KeyError, TypeError) as exc:
                 raise ValueError(
-                    f"malformed trace on line {line_no}: {exc}"
+                    f"{name}: malformed trace on line {line_no}: {exc}"
                 ) from exc
+            yield trace
+            if next_id is not None:
+                next_id += 1
     finally:
         if own:
             stream.close()
@@ -211,14 +224,35 @@ def dump_client_streams(
     return paths
 
 
+class ClientStream:
+    """One client's capture file as a re-iterable lazy trace stream.
+
+    Every ``iter()`` is a fresh :func:`load_traces` pass over the file
+    that holds one decoded frame (at most the writer's batch size, 512
+    traces) at a time and stamps trace ``seq`` of the client with the id
+    ``(client_id << SEQ_BITS) | seq`` -- so ties on ``ts_bef`` between
+    clients break by ``(client_id, arrival index)`` however the pipeline
+    interleaves the clients' decodes, and two passes yield equal traces.
+    """
+
+    def __init__(self, path: Path, client_id: int):
+        self.path = path
+        self.client_id = client_id
+
+    def __iter__(self) -> Iterator[Trace]:
+        return load_traces(self.path, first_trace_id=self.client_id << SEQ_BITS)
+
+
 def load_client_streams(
     directory: Union[str, Path], prefix: str = "client"
-) -> Dict[int, List[Trace]]:
-    """Read back the per-client layout written by
-    :func:`dump_client_streams` (either format; a client captured in both
-    is an error)."""
+) -> Dict[int, ClientStream]:
+    """Find the per-client layout written by :func:`dump_client_streams`
+    (either format; a client captured in both is an error).  Nothing is
+    decoded here: each value is a :class:`ClientStream` the pipeline pulls
+    from, so no caller ever holds the capture (``list(stream)`` for the
+    tests that want one)."""
     directory = Path(directory)
-    streams: Dict[int, List[Trace]] = {}
+    streams: Dict[int, ClientStream] = {}
     for pattern in (f"{prefix}-*.jsonl", f"{prefix}-*{BINARY_SUFFIX}"):
         for path in sorted(directory.glob(pattern)):
             client_id = int(path.stem.rsplit("-", 1)[1])
@@ -227,7 +261,7 @@ def load_client_streams(
                     f"client {client_id} captured in both formats under "
                     f"{directory}"
                 )
-            streams[client_id] = list(load_traces(path))
+            streams[client_id] = ClientStream(path, client_id)
     if not streams:
         raise FileNotFoundError(
             f"no {prefix}-*.jsonl or {prefix}-*{BINARY_SUFFIX} files "

@@ -117,6 +117,13 @@ class ClientFeed:
         self._consumed += len(batch)
         return batch, batch_ts
 
+    def close(self) -> None:
+        """Release the wrapped stream early (a lazy capture stream holds
+        its file open until exhausted); a no-op for plain sequences."""
+        close = getattr(self._iter, "close", None)
+        if close is not None:
+            close()
+
     def _raise_unsorted(self, batch_ts: List[float]) -> None:
         last_ts = self._last_ts
         for offset, ts in enumerate(batch_ts):
@@ -416,9 +423,9 @@ class TwoLevelPipeline:
         trace_id)`` -- exactly the heap's pop order over the same set.
 
         Runs are sorted by that key because a client's batch is created in
-        stream order (ids are assigned monotonically at construction and
-        re-assigned in stream order on decode), which the k-way merge and
-        the fast path both rely on.
+        stream order (ids are assigned monotonically at construction, and
+        stamped ``client_id << SEQ_BITS | seq`` at decode), which the k-way
+        merge and the fast path both rely on.
         """
         eligible: List[Tuple[_Run, int]] = []
         for run in runs:
@@ -476,6 +483,12 @@ class TwoLevelPipeline:
             self._fetch_round_runs(runs)
 
     # -- public API ---------------------------------------------------------
+
+    def close(self) -> None:
+        """Close every client feed: an abandoned or failed run must not
+        leave capture files open behind it."""
+        for buf in self._locals:
+            buf.feed.close()
 
     def __iter__(self) -> Iterator[Trace]:
         if self._run_merge:
@@ -564,13 +577,15 @@ class NaiveGlobalSorter:
 
 
 def pipeline_from_client_streams(
-    streams: Dict[int, Sequence[Trace]],
+    streams: Dict[int, Iterable[Trace]],
     batch_size: int = 64,
     optimized: bool = True,
     metrics: Optional[MetricsRegistry] = None,
     run_merge: Optional[bool] = None,
 ) -> TwoLevelPipeline:
-    """Convenience constructor from ``{client_id: [traces...]}``."""
+    """Convenience constructor from ``{client_id: traces}`` -- lists, or
+    the lazy streams of :func:`repro.core.io.load_client_streams`, which
+    each feed pulls ``batch_size`` traces at a time."""
     feeds = [
         ClientFeed(traces, batch_size=batch_size, client_id=client_id)
         for client_id, traces in sorted(streams.items())

@@ -167,6 +167,13 @@ def as_columns(value: Any) -> Dict[str, Value]:
 
 _trace_counter = itertools.count()
 
+#: Deterministic ingest ids: every trace read from a capture file or a
+#: service session is stamped ``(client_id << SEQ_BITS) | per-client
+#: sequence`` at decode, so cross-client ``ts_bef`` ties break by
+#: ``(client_id, arrival index)`` no matter how the clients' decodes
+#: interleave.  2^40 traces per client, ~8M clients in the id space above.
+SEQ_BITS = 40
+
 
 @dataclass(frozen=True, slots=True)
 class Trace:

@@ -2,8 +2,9 @@
 online verifier.
 
 Each connection pushes length-prefixed frames (``protocol``); accepted
-``TRACES`` frames are decoded with the binary codec, stamped with
-deterministic trace ids (``sessions``) and staged into the
+``TRACES`` frames are decoded with the binary codec -- which stamps the
+deterministic trace ids from the client's cursor (``sessions``) -- and
+staged into the
 :class:`~repro.core.online.OnlineVerifier`, whose watermark dispatches
 them to the verifier backend -- the serial :class:`~repro.core.verifier.
 Verifier` or a sharded :class:`~repro.core.parallel.ParallelVerifier`
@@ -415,7 +416,9 @@ class IngestGateway:
             tag, body = protocol.split_frame(payload)
 
             if tag == protocol.F_TRACES:
-                traces = decode_batch(body)
+                traces = decode_batch(
+                    body, first_trace_id=session.client.next_trace_id
+                )
                 dispatched = self._ingest_traces(session, client_id, traces)
                 if dispatched:
                     await self._notify_dispatch()
@@ -453,17 +456,18 @@ class IngestGateway:
     def _ingest_traces(
         self, session: Session, client_id: int, traces: List[Trace]
     ) -> int:
-        """Stamp and stage one accepted frame; returns dispatched count."""
-        stamped = self.registry.stamp(session, traces)
-        dispatched = self.online.feed_batch(client_id, stamped)
-        count = len(stamped)
+        """Stage one accepted frame (stamped at decode) and advance the
+        client's cursor; returns dispatched count."""
+        count = len(traces)
+        self.registry.stamp(session, count)
+        dispatched = self.online.feed_batch(client_id, traces)
         if count > self.frame_traces_max:
             self.frame_traces_max = count
         session.traces += count
         self.traces_total += count
         self._m_traces.inc(count)
         if count:
-            newest = stamped[-1].ts_bef
+            newest = traces[-1].ts_bef
             if self.max_ts_seen is None or newest > self.max_ts_seen:
                 self.max_ts_seen = newest
         return dispatched

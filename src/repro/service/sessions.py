@@ -6,31 +6,26 @@ a client may disconnect mid-stream and reconnect on a fresh session --
 its per-client cursor (how many traces it has pushed so far) survives in
 the registry and keeps trace-id assignment contiguous.
 
-Trace ids never travel on the wire (the codec assigns process-local ids
-on decode, in arrival order -- useless for determinism under concurrent
-sessions).  The registry instead stamps every accepted trace with::
+Trace ids never travel on the wire.  Every ingest path stamps them at
+decode (``decode_batch(first_trace_id=...)``) with::
 
     trace_id = (client_id << SEQ_BITS) | per_client_sequence
 
 which sorts lexicographically by ``(client_id, arrival index)`` -- the
-exact relative order :func:`repro.core.io.load_client_streams` produces
-when an offline ``verify`` loads the same streams from per-client files.
-Timestamp ties between clients therefore break identically online and
-offline, which is what makes the drained service report byte-identical
-to the offline run (see ``docs/service.md``).
+same ids :func:`repro.core.io.load_client_streams` stamps when an offline
+``verify`` reads the same streams from per-client files.  Timestamp ties
+between clients therefore break identically online and offline, which is
+what makes the drained service report byte-identical to the offline run
+(see ``docs/service.md``).  The registry owns the per-client cursor the
+stamps continue from.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from ..core.trace import Trace
-
-#: Sequence bits per client: 2^40 traces per client before overflow, with
-#: room for ~8M clients in the id space above.
-SEQ_BITS = 40
+from ..core.trace import SEQ_BITS
 
 
 @dataclass
@@ -45,6 +40,11 @@ class ClientRecord:
     #: connections); a client may only be driven by one session at a time.
     active_session: Optional[int] = None
     evicted: bool = False
+
+    @property
+    def next_trace_id(self) -> int:
+        """The id the client's next trace is stamped with."""
+        return (self.client_id << SEQ_BITS) + self.next_seq
 
 
 @dataclass
@@ -126,21 +126,16 @@ class SessionRegistry:
 
     # -- trace-id stamping -------------------------------------------------
 
-    def stamp(self, session: Session, traces: Sequence[Trace]) -> List[Trace]:
-        """Assign deterministic ids to one accepted frame of traces and
-        advance the client's cursor."""
+    def stamp(self, session: Session, count: int) -> None:
+        """Advance the client's cursor past one accepted frame of
+        ``count`` traces (decoded with ``first_trace_id=
+        session.client.next_trace_id``, so they already carry their
+        ids)."""
         record = session.client
         if record is None:
             raise ValueError("session has no bound client")
-        base = record.client_id << SEQ_BITS
-        seq = record.next_seq
-        stamped = [
-            dataclasses.replace(trace, trace_id=base + seq + offset)
-            for offset, trace in enumerate(traces)
-        ]
-        record.next_seq = seq + len(traces)
-        record.traces += len(traces)
-        return stamped
+        record.next_seq += count
+        record.traces += count
 
     # -- introspection -----------------------------------------------------
 

@@ -1,8 +1,18 @@
-"""Command-line interface: capture / verify round trips."""
+"""Command-line interface: capture / verify round trips, exit codes for
+damaged input, start-up imports and the flat-memory ingest bound."""
+
+import os
+import subprocess
+import sys
 
 import pytest
 
 from repro.__main__ import main
+from repro.core.codec import MAGIC, CodecError, decode_batch, dump_traces_binary
+from repro.core.io import dump_initial_db, dump_traces
+from repro.service.load import LoadConfig, initial_db, synthetic_stream
+
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 
 class TestRunVerify:
@@ -195,3 +205,246 @@ class TestNewWorkloadsAndFaults:
             main(["verify", str(capture), "--dbms", "postgresql", "--level", "SR"])
             == 0
         )
+
+
+# -- damaged input: exit 2, one located line, no report -------------------------
+
+FRAME = 32
+
+
+def write_capture(directory, traces=1200, clients=3, fmt="binary"):
+    """A clean synthetic capture with several small frames per client."""
+    cfg = LoadConfig(traces=traces, sessions=clients)
+    directory.mkdir()
+    for client in range(clients):
+        stream = synthetic_stream(cfg, client)
+        if fmt == "binary":
+            dump_traces_binary(stream, directory / f"client-{client}.rtb", batch_size=FRAME)
+        else:
+            dump_traces(stream, directory / f"client-{client}.jsonl")
+    dump_initial_db(initial_db(cfg), directory / "initial_db.json")
+    return cfg
+
+
+def frame_offsets(blob):
+    """Byte offset of every frame's length prefix."""
+    offsets, pos = [], len(MAGIC)
+    while pos < len(blob):
+        offsets.append(pos)
+        pos += 4 + int.from_bytes(blob[pos : pos + 4], "little")
+    return offsets
+
+
+def damage(path, how):
+    """Damage frame 2 of a binary file (or the last line of a JSONL one);
+    returns the text the error line must contain."""
+    blob = path.read_bytes()
+    if how == "jsonl-cut":
+        lines = blob.splitlines(keepends=True)
+        path.write_bytes(b"".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 2])
+        return f"line {len(lines)}"
+    start = frame_offsets(blob)[2]
+    if how == "prefix":
+        path.write_bytes(blob[: start + 2])
+    elif how == "payload":
+        path.write_bytes(blob[: start + 4 + 40])
+    else:
+        size = int.from_bytes(blob[start : start + 4], "little")
+        payload = bytearray(blob[start + 4 : start + 4 + size])
+        for pos in range(len(payload)):
+            # Flip bytes until one lands on a value tag: the first flip
+            # the decoder rejects as an unknown tag is the damage.
+            flipped = bytearray(payload)
+            flipped[pos] = 0x7F
+            try:
+                decode_batch(bytes(flipped))
+            except CodecError as exc:
+                if "unknown value tag 127" in str(exc):
+                    payload = flipped
+                    break
+        else:
+            raise AssertionError("no tag byte found")
+        path.write_bytes(blob[: start + 4] + bytes(payload) + blob[start + 4 + size :])
+    return f"frame 2 at byte offset {start}"
+
+
+PARALLEL = [[], ["--parallel", "2", "--parallel-backend", "inline"]]
+
+
+class TestDamagedCapture:
+    @pytest.mark.parametrize("extra", PARALLEL, ids=["serial", "parallel2"])
+    @pytest.mark.parametrize("how", ["prefix", "payload", "tag", "jsonl-cut"])
+    def test_exit_2_and_one_located_line(self, tmp_path, capsys, how, extra):
+        capture = tmp_path / "cap"
+        write_capture(capture, fmt="jsonl" if how == "jsonl-cut" else "binary")
+        victim = sorted(capture.glob("client-1.*"))[0]
+        where = damage(victim, how)
+        assert main(["verify", str(capture), *extra]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("repro verify: ")
+        assert str(victim) in err and where in err
+
+    @pytest.mark.parametrize("extra", PARALLEL, ids=["serial", "parallel2"])
+    def test_clean_capture_still_exits_0(self, tmp_path, capsys, extra):
+        capture = tmp_path / "cap"
+        cfg = write_capture(capture)
+        assert main(["verify", str(capture), *extra]) == 0
+        out, err = capsys.readouterr()
+        assert f": {cfg.actual_traces}\n" in out and err == ""
+
+    def test_missing_directory_and_empty_directory(self, tmp_path, capsys):
+        assert main(["verify", str(tmp_path / "nope")]) == 2
+        assert main(["verify", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 2 and "client-*.jsonl" in err
+
+    def test_non_monotone_client_stream(self, tmp_path, capsys):
+        capture = tmp_path / "cap"
+        cfg = write_capture(capture)
+        stream = list(synthetic_stream(cfg, 2))
+        stream[40], stream[41] = stream[41], stream[40]
+        dump_traces_binary(stream, capture / "client-2.rtb", batch_size=FRAME)
+        assert main(["verify", str(capture)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert str(capture) in err and "client 2 stream is not sorted" in err
+        assert "trace index 41" in err
+
+    def test_process_backend_workers_are_reaped(self, tmp_path):
+        """The forked shard workers must not outlive a run that dies on
+        a truncated capture: the whole process group is gone when the CLI
+        returns, well inside the timeout."""
+        capture = tmp_path / "cap"
+        write_capture(capture)
+        where = damage(capture / "client-0.rtb", "payload")
+        # A session of its own: the CLI's pid is the process group id.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "verify", str(capture), "--parallel", "2"],
+            env=dict(os.environ, PYTHONPATH=SRC),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            start_new_session=True,
+        )
+        out, err = proc.communicate(timeout=30)
+        assert proc.returncode == 2
+        assert out == ""
+        assert err.count("\n") == 1 and where in err
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+
+
+# -- start-up imports -------------------------------------------------------------
+
+
+def test_verify_path_imports_stay_lean():
+    """``repro verify`` (serial) must not pay for multiprocessing, the
+    simulated DBMS or the online/parallel layers; the lazy re-exports
+    still resolve on demand."""
+    script = (
+        "import sys, repro.__main__\n"
+        "heavy = ['multiprocessing', 'repro.dbsim', 'repro.core.parallel',\n"
+        "         'repro.core.online']\n"
+        "assert not [m for m in heavy if m in sys.modules], sys.modules.keys()\n"
+        "from repro.core import ParallelVerifier, OnlineVerifier\n"
+        "import repro, repro.core\n"
+        "assert repro.ParallelVerifier is ParallelVerifier\n"
+        "assert all(hasattr(repro, n) for n in repro.__all__)\n"
+        "assert all(hasattr(repro.core, n) for n in repro.core.__all__)\n"
+        "assert 'repro.core.parallel' in sys.modules\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
+    )
+    assert run.returncode == 0, run.stderr
+
+
+# -- flat memory: decoded-but-undispatched traces are bounded ---------------------
+
+
+class TestFlatMemory:
+    """Not an RSS test: count traces decoded from the capture minus traces
+    handed to the verifier, sampled at every dispatched batch.  What the
+    ingest spine holds is at most one decoded frame per client, the
+    pipeline's own buffers and the batch in flight -- whatever the length
+    of the history -- and every capture file is closed when the CLI
+    returns."""
+
+    CLIENTS = 4
+
+    def run_cli(self, monkeypatch, capture, extra):
+        import builtins
+
+        import repro.__main__ as cli
+        from repro.core import codec
+        from repro.core.parallel import ParallelVerifier
+        from repro.core.verifier import Verifier
+
+        seen = {"decoded": 0, "dispatched": 0, "peak": 0, "batch": 0}
+        handles, pipelines = [], []
+        plain_decode, plain_open = codec.decode_batch, builtins.open
+        plain_build = cli.pipeline_from_client_streams
+
+        def decode_batch(payload, **kwargs):
+            batch = plain_decode(payload, **kwargs)
+            seen["decoded"] += len(batch)
+            return batch
+
+        def tracking_open(file, *args, **kwargs):
+            handle = plain_open(file, *args, **kwargs)
+            if str(file).startswith(str(capture)):
+                handles.append(handle)
+            return handle
+
+        def build(*args, **kwargs):
+            pipelines.append(plain_build(*args, **kwargs))
+            return pipelines[-1]
+
+        def sampling(plain):
+            def process_batch(self, traces):
+                seen["peak"] = max(seen["peak"], seen["decoded"] - seen["dispatched"])
+                seen["batch"] = max(seen["batch"], len(traces))
+                seen["dispatched"] += len(traces)
+                return plain(self, traces)
+
+            return process_batch
+
+        monkeypatch.setattr(codec, "decode_batch", decode_batch)
+        monkeypatch.setattr(builtins, "open", tracking_open)
+        monkeypatch.setattr(cli, "pipeline_from_client_streams", build)
+        cls = ParallelVerifier if extra else Verifier
+        monkeypatch.setattr(cls, "process_batch", sampling(cls.process_batch))
+        code = main(["verify", str(capture), *extra])
+        monkeypatch.undo()
+        assert handles and all(handle.closed for handle in handles)
+        return code, seen, pipelines[0].stats.peak_buffered
+
+    @pytest.mark.parametrize("extra", PARALLEL, ids=["serial", "parallel2"])
+    def test_peak_does_not_grow_with_the_history(
+        self, tmp_path, monkeypatch, capsys, extra
+    ):
+        peaks = {}
+        for scale in (1, 4):
+            capture = tmp_path / f"cap{scale}"
+            cfg = write_capture(capture, traces=2000 * scale, clients=self.CLIENTS)
+            code, seen, peak_buffered = self.run_cli(monkeypatch, capture, extra)
+            assert code == 0
+            assert seen["decoded"] == seen["dispatched"] == cfg.actual_traces
+            bound = self.CLIENTS * FRAME + peak_buffered + seen["batch"]
+            assert seen["peak"] <= bound
+            # The bound is a constant below even the short history, so a
+            # loader that materialised the capture could not meet it.
+            assert bound < cfg.actual_traces // 2
+            peaks[scale] = (seen["peak"], bound)
+        assert abs(peaks[4][0] - peaks[1][0]) <= peaks[1][1]
+
+    @pytest.mark.parametrize("extra", PARALLEL, ids=["serial", "parallel2"])
+    def test_aborted_run_leaves_no_stream_open(
+        self, tmp_path, monkeypatch, capsys, extra
+    ):
+        capture = tmp_path / "cap"
+        write_capture(capture, clients=self.CLIENTS)
+        damage(capture / "client-3.rtb", "payload")
+        code, seen, _ = self.run_cli(monkeypatch, capture, extra)
+        assert code == 2
+        assert 0 < seen["dispatched"] < seen["decoded"]

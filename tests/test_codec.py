@@ -144,6 +144,33 @@ class TestMalformedInput:
         with pytest.raises(CodecError):
             list(load_traces_binary(io.BytesIO(blob[:-4])))
 
+    def test_damage_is_located_by_file_frame_and_offset(self, tmp_path):
+        """Frames before the damage decode; the error names the file,
+        the frame's index and the byte offset of its length prefix."""
+        path = tmp_path / "client-0.rtb"
+        dump_traces_binary(SAMPLE, path, batch_size=3)
+        blob = path.read_bytes()
+        second = len(MAGIC) + 4 + int.from_bytes(blob[len(MAGIC):][:4], "little")
+        path.write_bytes(blob[: second + 4 + 5])
+        frames = iter_binary_frames(path)
+        assert len(next(frames)) == 3
+        with pytest.raises(CodecError) as err:
+            next(frames)
+        message = str(err.value)
+        assert str(path) in message
+        assert f"frame 1 at byte offset {second}" in message
+        assert "truncated frame payload (5 of" in message
+
+    def test_undecodable_strings_are_codec_errors(self):
+        """Bytes that fail outside the record grammar (here: invalid
+        UTF-8 in the string table) still surface as a located CodecError,
+        not a bare UnicodeDecodeError."""
+        payload = bytearray(encode_batch(SAMPLE))
+        payload[2] = 0xFF  # first byte of the first interned string
+        blob = MAGIC + len(payload).to_bytes(4, "little") + bytes(payload)
+        with pytest.raises(CodecError, match="frame 0 at byte offset 17"):
+            list(load_traces_binary(io.BytesIO(blob)))
+
 
 class TestFileFraming:
     def test_dump_load_round_trip(self):
@@ -169,6 +196,17 @@ class TestFileFraming:
             assert writer.count == 2  # flushed one frame
         decoded = list(load_traces_binary(io.BytesIO(sink.getvalue())))
         assert_same_traces(decoded, SAMPLE[:2])
+
+    def test_first_trace_id_stamps_contiguously_across_frames(self):
+        sink = io.BytesIO()
+        dump_traces_binary(SAMPLE, sink, batch_size=3)
+        base = 7 << 40
+        decoded = list(
+            load_traces_binary(io.BytesIO(sink.getvalue()), first_trace_id=base)
+        )
+        assert [t.trace_id for t in decoded] == [
+            base + i for i in range(len(SAMPLE))
+        ]
 
     def test_empty_file_is_just_magic(self):
         sink = io.BytesIO()

@@ -1,5 +1,6 @@
-"""Trace persistence: JSONL round trips."""
+"""Trace persistence: JSONL round trips and the lazy capture loader."""
 
+import builtins
 import io
 
 import pytest
@@ -16,7 +17,7 @@ from repro.core.io import (
     trace_from_dict,
     trace_to_dict,
 )
-from repro.core.trace import OpStatus
+from repro.core.trace import SEQ_BITS, OpStatus
 
 
 def sample_traces():
@@ -88,6 +89,15 @@ class TestStreamRoundTrip:
         with pytest.raises(ValueError, match="line 2"):
             list(load_traces(buffer))
 
+    def test_malformed_line_names_the_file(self, tmp_path):
+        path = tmp_path / "client-4.jsonl"
+        path.write_text('{"k":"commit","t":"t1","b":0,"a":1}\n{"k":"comm')
+        stream = load_traces(path)
+        assert next(stream).txn_id == "t1"
+        with pytest.raises(ValueError) as err:
+            next(stream)
+        assert str(path) in str(err.value) and "line 2" in str(err.value)
+
 
 class TestCaptureLayout:
     def test_client_streams_round_trip(self, tmp_path):
@@ -99,7 +109,88 @@ class TestCaptureLayout:
         assert len(paths) == 2
         back = load_client_streams(tmp_path)
         assert sorted(back) == [0, 3]
-        assert back[3][0].txn_id == "t1"
+        assert list(back[3])[0].txn_id == "t1"
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "binary"])
+    def test_streams_are_reiterable_with_the_same_ids(self, tmp_path, fmt):
+        """Two passes over a returned stream yield equal traces (``Trace``
+        equality includes ``trace_id``), stamped ``client << SEQ_BITS |
+        seq`` whatever order the clients are read in."""
+        streams = {
+            c: [Trace.commit(float(i), i + 0.5, f"c{c}-{i}", client_id=c) for i in range(5)]
+            for c in (2, 10, 0)
+        }
+        dump_client_streams(streams, tmp_path, fmt=fmt)
+        back = load_client_streams(tmp_path)
+        assert sorted(back) == [0, 2, 10]
+        late_first = {c: list(back[c]) for c in (10, 2, 0)}
+        for client_id, stream in back.items():
+            again = list(stream)
+            assert again == late_first[client_id]
+            assert [t.trace_id for t in again] == [
+                (client_id << SEQ_BITS) + seq for seq in range(5)
+            ]
+            assert [t.txn_id for t in again] == [t.txn_id for t in streams[client_id]]
+
+    def test_loading_decodes_nothing_and_looks_one_frame_ahead(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.core import codec
+
+        decoded = []
+        plain = codec.decode_batch
+
+        def counting(payload, **kwargs):
+            batch = plain(payload, **kwargs)
+            decoded.append(len(batch))
+            return batch
+
+        monkeypatch.setattr(codec, "decode_batch", counting)
+        path = tmp_path / "client-1.rtb"
+        codec.dump_traces_binary(
+            [Trace.commit(float(i), i + 0.5, f"t{i}", client_id=1) for i in range(10)],
+            path,
+            batch_size=4,
+        )
+        stream = load_client_streams(tmp_path)[1]
+        assert decoded == []
+        traces = iter(stream)
+        assert decoded == []  # the file is not even opened before next()
+        next(traces)
+        assert decoded == [4]
+        assert len(list(traces)) == 9
+        assert decoded == [4, 4, 2]
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "binary"])
+    def test_file_closes_on_exhaustion_error_and_abandonment(
+        self, tmp_path, monkeypatch, fmt
+    ):
+        opened = []
+        real_open = builtins.open
+
+        def tracking_open(file, *args, **kwargs):
+            handle = real_open(file, *args, **kwargs)
+            if str(file).startswith(str(tmp_path)):
+                opened.append(handle)
+            return handle
+
+        dump_client_streams(
+            {0: [Trace.commit(float(i), i + 0.5, f"t{i}", client_id=0) for i in range(6)]},
+            tmp_path,
+            fmt=fmt,
+        )
+        stream = load_client_streams(tmp_path)[0]
+        monkeypatch.setattr(builtins, "open", tracking_open)
+        assert len(list(stream)) == 6
+        abandoned = iter(stream)
+        next(abandoned)
+        assert [h.closed for h in opened] == [True, False]
+        abandoned.close()
+        assert opened[1].closed
+        stream.path.write_bytes(stream.path.read_bytes()[:-3])
+        with pytest.raises(ValueError):
+            list(stream)
+        assert len(opened) == 3 and opened[2].closed
 
     def test_missing_capture_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -14,6 +14,12 @@ import os
 import subprocess
 import sys
 
+from repro import PG_SERIALIZABLE, OnlineVerifier, Verifier
+from repro import pipeline_from_client_streams
+from repro.core.codec import encode_batch
+from repro.core.io import dump_client_streams, load_client_streams
+from repro.core.report import report_fingerprint
+from repro.core.trace import SEQ_BITS, Trace
 from repro.service import (
     IngestGateway,
     MultiLoopGateway,
@@ -310,34 +316,171 @@ class TestPoisonIsolation:
         assert report_fingerprint(report) == offline_fingerprint(cfg)
 
 
+# -- one id scheme: offline files == N=1 gateway == N=2 tier, ties included ----
+
+
+def _tied_streams(clients=(0, 1, 2), txns=24):
+    """Every client runs on the same timestamp grid, so operation ``k``
+    of every client carries the same ``ts_bef``: cross-client order is
+    decided by the trace ids alone."""
+    streams = {}
+    for client in clients:
+        key = ("acct", client)
+        stream = streams[client] = []
+        for j in range(txns):
+            txn, t = f"c{client}x{j}", float(3 * j)
+            stream.append(
+                Trace.write(t, t + 0.5, txn, {key: {"v": j + 1}}, client_id=client)
+            )
+            stream.append(
+                Trace.commit(t + 1, t + 1.5, txn, client_id=client, op_index=1)
+            )
+    return streams
+
+
+def _order(traces):
+    return [(t.ts_bef, t.client_id, t.trace_id) for t in traces]
+
+
+class TestOneIdScheme:
+    """Offline capture files, the single-loop gateway and the two-worker
+    tier all stamp ``client_id << SEQ_BITS | seq`` at decode.  With equal
+    ``ts_bef`` on every client the dispatch order is then ``(ts_bef,
+    client_id, arrival)`` on all three, trace ids included, and the
+    reports are byte-identical."""
+
+    def _offline(self, directory, db):
+        dispatched = []
+        verifier = Verifier(spec=PG_SERIALIZABLE, initial_db=db)
+        pipeline = pipeline_from_client_streams(load_client_streams(directory))
+        for batch in pipeline.iter_batches():
+            dispatched.extend(batch)
+            verifier.process_batch(batch)
+        return _order(dispatched), report_fingerprint(verifier.finish())
+
+    def _served(self, streams, db, tmp_path, workers, monkeypatch):
+        dispatched = []
+        plain = OnlineVerifier._dispatch
+
+        def recording(self, batch):
+            dispatched.extend(batch)
+            return plain(self, batch)
+
+        monkeypatch.setattr(OnlineVerifier, "_dispatch", recording)
+        sockets = tmp_path / f"workers{workers}"
+        sockets.mkdir()
+        frames = {
+            client: [
+                protocol.traces_frame(encode_batch(stream[i : i + 10]))
+                for i in range(0, len(stream), 10)
+            ]
+            for client, stream in streams.items()
+        }
+
+        async def scenario():
+            gateway = create_gateway(
+                ServiceConfig(
+                    initial_db=db,
+                    ingest_unix=str(sockets / "ingest.sock"),
+                    status_unix=str(sockets / "status.sock"),
+                    acceptor_workers=workers,
+                )
+            )
+            await gateway.start()
+            try:
+                gate = asyncio.Barrier(len(streams))
+                stats = await asyncio.gather(
+                    *(
+                        drive_client(
+                            gateway.ingest_endpoint,
+                            client,
+                            iter(client_frames),
+                            start_gate=gate,
+                        )
+                        for client, client_frames in frames.items()
+                    )
+                )
+                report = await gateway.drain()
+            finally:
+                await gateway.aclose()
+            return stats, report
+
+        stats, report = asyncio.run(scenario())
+        monkeypatch.undo()
+        assert [s["errors"] for s in stats] == [[]] * len(stats)
+        return _order(dispatched), report_fingerprint(report)
+
+    def test_tied_timestamps_dispatch_identically_everywhere(
+        self, tmp_path, monkeypatch
+    ):
+        streams = _tied_streams()
+        db = {("acct", client): {"v": 0} for client in streams}
+        expected = [
+            (t.ts_bef, client, (client << SEQ_BITS) + seq)
+            for client, stream in streams.items()
+            for seq, t in enumerate(stream)
+        ]
+        expected.sort()
+        runs = {}
+        for fmt in ("binary", "jsonl"):
+            dump_client_streams(streams, tmp_path / fmt, fmt=fmt)
+            runs[fmt] = self._offline(tmp_path / fmt, db)
+        for workers in (1, 2):
+            runs[workers] = self._served(streams, db, tmp_path, workers, monkeypatch)
+        for name, (order, _fingerprint) in runs.items():
+            assert order == expected, name
+        assert len({fingerprint for _, fingerprint in runs.values()}) == 1
+
+
 # -- drain-fingerprint identity matrix (subprocess) ----------------------------
 
 _FINGERPRINT_SCRIPT = r"""
 import json, sys, tempfile
-from repro.service.load import LoadConfig, run_load_sync
+from repro.core.io import dump_client_streams, load_client_streams
+from repro.core.parallel import ParallelVerifier
+from repro.core.pipeline import pipeline_from_client_streams
+from repro.core.report import report_fingerprint
+from repro.service.load import LoadConfig, initial_db, run_load_sync, synthetic_stream
 
 workers = int(sys.argv[1])
 with tempfile.TemporaryDirectory(prefix="repro-svc-test-") as socket_dir:
-    doc = run_load_sync(
-        LoadConfig(
-            traces=640,
-            sessions=4,
-            shards=2,
-            workers=workers,
-            backend="inline",
-            frame_traces=16,
-            session_credit=4,
-            pending_budget=5_000,
-            gc_every=64,
-            poll_interval=0.1,
-            socket_dir=socket_dir,
-        )
+    cfg = LoadConfig(
+        traces=640,
+        sessions=4,
+        shards=2,
+        workers=workers,
+        backend="inline",
+        frame_traces=16,
+        session_credit=4,
+        pending_budget=5_000,
+        gc_every=64,
+        poll_interval=0.1,
+        socket_dir=socket_dir,
     )
+    doc = run_load_sync(cfg)
+    # The third leg: the same streams as capture files, stamped at decode
+    # by the lazy offline loader.
+    dump_client_streams(
+        {c: synthetic_stream(cfg, c) for c in range(cfg.sessions)},
+        socket_dir + "/capture",
+        fmt="binary",
+    )
+    verifier = ParallelVerifier(
+        spec=cfg.spec, initial_db=initial_db(cfg), shards=cfg.shards,
+        backend=cfg.backend, gc_every=cfg.gc_every,
+    )
+    pipeline = pipeline_from_client_streams(
+        load_client_streams(socket_dir + "/capture"), batch_size=cfg.frame_traces
+    )
+    for batch in pipeline.iter_batches():
+        verifier.process_batch(batch)
+    from_files = report_fingerprint(verifier.finish())
 print(
     json.dumps(
         {
             "online": doc["online_fingerprint"],
             "offline": doc["offline_fingerprint"],
+            "from_files": from_files,
             "match": doc["fingerprints_match"],
             "worker_traces": doc["worker_traces"],
             "traces_accepted": doc["traces_accepted"],
@@ -369,12 +512,14 @@ class TestFingerprintIdentity:
         """The whole matrix in one pass: the single-loop gateway (the
         pre-PR reference path, selected verbatim by ``create_gateway``)
         and the two-worker tier must both drain to the byte-identical
-        offline fingerprint -- hence to each other."""
+        offline fingerprint -- hence to each other -- and to the
+        fingerprint of the same streams read back from capture files,
+        now that all three stamp their trace ids at decode."""
         single = _run_load_subprocess(1)
         multi = _run_load_subprocess(2)
         for doc in (single, multi):
             assert doc["match"], doc
-            assert doc["online"] == doc["offline"]
+            assert doc["online"] == doc["offline"] == doc["from_files"]
             assert doc["client_errors"] == 0
             assert doc["report_ok"] is True
             assert sum(doc["worker_traces"]) == doc["traces_accepted"]
