@@ -37,6 +37,7 @@ from .core.io import (
 )
 from .core.metrics import MetricsRegistry, render_stats, run_stats
 from .core.pipeline import pipeline_from_client_streams
+from .core.runtime import CollectorWatch, relax_collector
 from .core.spec import IsolationLevel, IsolationSpec, profile, supported_dbms
 from .core.verifier import Verifier
 
@@ -182,7 +183,7 @@ def _verify(args) -> int:
             minimize_candidates=not args.naive_candidates,
             metrics=metrics,
         )
-    with closing(
+    with CollectorWatch(metrics), closing(
         pipeline_from_client_streams(streams, metrics=metrics)
     ) as pipeline:
         if instrumented:
@@ -472,4 +473,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 if __name__ == "__main__":
+    # This interpreter is ours: `python -m repro`, not a caller's process
+    # that happens to invoke main() (tests do, embedders may).
+    relax_collector()
     sys.exit(main())

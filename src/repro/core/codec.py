@@ -410,19 +410,183 @@ def encode_batch(traces: Sequence[Trace]) -> bytes:
     return encoder.finish()
 
 
+# -- the production decoder -------------------------------------------------------
+#
+# Plain functions over ``(data, strings, pos)`` that return ``(value,
+# next_pos)``; truncation surfaces as ``IndexError`` / ``struct.error`` for
+# the caller to name.  ``decode_batch`` and the shard workers' message
+# frames (:func:`repro.core.parallel.apply_message_frame`) read every
+# record through them; :class:`PayloadDecoder` above is the readable
+# reference the codec tests compare them against.
+
+_STATUS_OK = OpStatus.OK
+_STATUS_FAILED = CODE_TO_STATUS[1]
+
+
+def read_varint(data: bytes, pos: int):
+    byte = data[pos]
+    if byte < 0x80:
+        return byte, pos + 1
+    result = byte & 0x7F
+    shift = 7
+    while True:
+        pos += 1
+        byte = data[pos]
+        result |= (byte & 0x7F) << shift
+        if not byte & 0x80:
+            return result, pos + 1
+        shift += 7
+
+
+def read_zigzag(data: bytes, pos: int):
+    zz, pos = read_varint(data, pos)
+    return (zz >> 1) ^ -(zz & 1), pos
+
+
+def read_value(data: bytes, strings: List[str], pos: int):
+    tag = data[pos]
+    pos += 1
+    if tag == _V_STR:
+        index = data[pos]
+        if index < 0x80:
+            return strings[index], pos + 1
+        index, pos = read_varint(data, pos)
+        return strings[index], pos
+    if tag == _V_INT:
+        zz = data[pos]
+        if zz < 0x80:
+            return (zz >> 1) ^ -(zz & 1), pos + 1
+        zz, pos = read_varint(data, pos)
+        return (zz >> 1) ^ -(zz & 1), pos
+    if tag == _V_NONE:
+        return None, pos
+    if tag == _V_TRUE:
+        return True, pos
+    if tag == _V_FALSE:
+        return False, pos
+    if tag == _V_FLOAT:
+        return _D.unpack_from(data, pos)[0], pos + 8
+    if tag == _V_TUPLE:
+        count, pos = read_varint(data, pos)
+        parts = []
+        for _ in range(count):
+            part, pos = read_value(data, strings, pos)
+            parts.append(part)
+        return tuple(parts), pos
+    raise CodecError(f"unknown value tag {tag}")
+
+
+def read_sets(data: bytes, strings: List[str], pos: int):
+    count = data[pos]
+    if count < 0x80:
+        pos += 1
+    else:
+        count, pos = read_varint(data, pos)
+    out = {}
+    for _ in range(count):
+        key, pos = read_value(data, strings, pos)
+        n_cols = data[pos]
+        if n_cols < 0x80:
+            pos += 1
+        else:
+            n_cols, pos = read_varint(data, pos)
+        columns = {}
+        for _ in range(n_cols):
+            index = data[pos]
+            if index < 0x80:
+                pos += 1
+            else:
+                index, pos = read_varint(data, pos)
+            column = strings[index]
+            columns[column], pos = read_value(data, strings, pos)
+        out[key] = columns
+    return out, pos
+
+
+def read_strings(data: bytes, pos: int):
+    """The string table every payload opens with."""
+    n_strings, pos = read_varint(data, pos)
+    strings = []
+    for _ in range(n_strings):
+        length, pos = read_varint(data, pos)
+        end = pos + length
+        strings.append(data[pos:end].decode("utf-8"))
+        pos = end
+    return strings, pos
+
+
+def read_trace(data: bytes, strings: List[str], pos: int, trace_id: int):
+    """One trace record (what :meth:`PayloadEncoder.trace` wrote), stamped
+    with ``trace_id``."""
+    flags = data[pos]
+    index = data[pos + 1]
+    if index < 0x80:
+        pos += 2
+    else:
+        index, pos = read_varint(data, pos + 1)
+    txn_id = strings[index]
+    ts_bef, ts_aft = _DD.unpack_from(data, pos)
+    pos += 16
+    zz = data[pos]
+    if zz < 0x80:
+        pos += 1
+    else:
+        zz, pos = read_varint(data, pos)
+    client_id = (zz >> 1) ^ -(zz & 1)
+    op_index = data[pos]
+    if op_index < 0x80:
+        pos += 1
+    else:
+        op_index, pos = read_varint(data, pos)
+    if flags & _F_READS:
+        reads, pos = read_sets(data, strings, pos)
+    else:
+        reads = {}
+    if flags & _F_WRITES:
+        writes, pos = read_sets(data, strings, pos)
+    else:
+        writes = {}
+    predicate = None
+    if flags & _F_PREDICATE:
+        prefix, pos = read_value(data, strings, pos)
+        lo, pos = read_zigzag(data, pos)
+        hi, pos = read_zigzag(data, pos)
+        predicate = KeyRange(prefix=prefix, lo=lo, hi=hi)
+    return (
+        Trace(
+            interval=Interval(ts_bef, ts_aft),
+            kind=CODE_TO_KIND[flags & 0x03],
+            txn_id=txn_id,
+            client_id=client_id,
+            reads=reads,
+            writes=writes,
+            status=_STATUS_FAILED if flags & _F_STATUS else _STATUS_OK,
+            for_update=bool(flags & _F_FOR_UPDATE),
+            predicate=predicate,
+            op_index=op_index,
+            trace_id=trace_id,
+        ),
+        pos,
+    )
+
+
 def decode_batch(
     payload: Union[bytes, memoryview],
     first_trace_id: Optional[int] = None,
 ) -> List[Trace]:
     """Decode one frame payload back into traces.
 
-    This is the ingestion hot loop, so the record grammar is decoded
-    inline over local variables instead of through
-    :class:`PayloadDecoder` method calls -- the grammar itself is
-    identical (``PayloadDecoder.trace`` is the readable reference and the
-    equivalence is pinned by the codec tests).  Varints take a
-    single-byte fast path because ids, counts and table refs almost
-    always fit seven bits.
+    This is the ingestion hot loop, so the grammar is decoded by the
+    module-level helpers above over plain ``(data, strings, pos)``
+    arguments instead of through :class:`PayloadDecoder` method calls --
+    the grammar itself is identical (``PayloadDecoder.trace`` is the
+    readable reference and the equivalence is pinned by the codec tests).
+    Varints take a single-byte fast path because ids, counts and table
+    refs almost always fit seven bits.  The helpers are functions, not
+    closures over this call's locals: a closure that recurses through its
+    own cell is a reference cycle, and one per decoded frame would pin the
+    frame's payload and string table until a collector pass
+    (:mod:`repro.core.runtime`).
 
     ``first_trace_id`` stamps deterministic ids during construction:
     record ``i`` gets ``first_trace_id + i`` instead of a fresh
@@ -432,154 +596,19 @@ def decode_batch(
     """
     data = bytes(payload)
     size = len(data)
-    pos = 0
-
-    def _varint(pos: int):
-        byte = data[pos]
-        if byte < 0x80:
-            return byte, pos + 1
-        result = byte & 0x7F
-        shift = 7
-        while True:
-            pos += 1
-            byte = data[pos]
-            result |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                return result, pos + 1
-            shift += 7
-
-    def _value(pos: int):
-        tag = data[pos]
-        pos += 1
-        if tag == _V_STR:
-            index = data[pos]
-            if index < 0x80:
-                return strings[index], pos + 1
-            index, pos = _varint(pos)
-            return strings[index], pos
-        if tag == _V_INT:
-            zz = data[pos]
-            if zz < 0x80:
-                return (zz >> 1) ^ -(zz & 1), pos + 1
-            zz, pos = _varint(pos)
-            return (zz >> 1) ^ -(zz & 1), pos
-        if tag == _V_NONE:
-            return None, pos
-        if tag == _V_TRUE:
-            return True, pos
-        if tag == _V_FALSE:
-            return False, pos
-        if tag == _V_FLOAT:
-            return _D.unpack_from(data, pos)[0], pos + 8
-        if tag == _V_TUPLE:
-            count, pos = _varint(pos)
-            parts = []
-            for _ in range(count):
-                part, pos = _value(pos)
-                parts.append(part)
-            return tuple(parts), pos
-        raise CodecError(f"unknown value tag {tag}")
-
-    def _sets(pos: int):
-        count = data[pos]
-        if count < 0x80:
-            pos += 1
-        else:
-            count, pos = _varint(pos)
-        out = {}
-        for _ in range(count):
-            key, pos = _value(pos)
-            n_cols = data[pos]
-            if n_cols < 0x80:
-                pos += 1
-            else:
-                n_cols, pos = _varint(pos)
-            columns = {}
-            for _ in range(n_cols):
-                index = data[pos]
-                if index < 0x80:
-                    pos += 1
-                else:
-                    index, pos = _varint(pos)
-                column = strings[index]
-                columns[column], pos = _value(pos)
-            out[key] = columns
-        return out, pos
-
     try:
-        n_strings, pos = _varint(pos)
-        strings = []
-        for _ in range(n_strings):
-            length, pos = _varint(pos)
-            end = pos + length
-            strings.append(data[pos:end].decode("utf-8"))
-            pos = end
-        n_records, pos = _varint(pos)
+        strings, pos = read_strings(data, 0)
+        n_records, pos = read_varint(data, pos)
+        trace_ids = (
+            itertools.islice(_trace_counter, n_records)
+            if first_trace_id is None
+            else range(first_trace_id, first_trace_id + n_records)
+        )
         traces: List[Trace] = []
         append = traces.append
-        next_id = (
-            _trace_counter.__next__ if first_trace_id is None else None
-        )
-        unpack_dd = _DD.unpack_from
-        code_to_kind = CODE_TO_KIND
-        status_ok = OpStatus.OK
-        status_failed = CODE_TO_STATUS[1]
-        for record_index in range(n_records):
-            flags = data[pos]
-            index = data[pos + 1]
-            if index < 0x80:
-                pos += 2
-            else:
-                index, pos = _varint(pos + 1)
-            txn_id = strings[index]
-            ts_bef, ts_aft = unpack_dd(data, pos)
-            pos += 16
-            zz = data[pos]
-            if zz < 0x80:
-                pos += 1
-            else:
-                zz, pos = _varint(pos)
-            client_id = (zz >> 1) ^ -(zz & 1)
-            op_index = data[pos]
-            if op_index < 0x80:
-                pos += 1
-            else:
-                op_index, pos = _varint(pos)
-            if flags & _F_READS:
-                reads, pos = _sets(pos)
-            else:
-                reads = {}
-            if flags & _F_WRITES:
-                writes, pos = _sets(pos)
-            else:
-                writes = {}
-            predicate = None
-            if flags & _F_PREDICATE:
-                prefix, pos = _value(pos)
-                zz, pos = _varint(pos)
-                lo = (zz >> 1) ^ -(zz & 1)
-                zz, pos = _varint(pos)
-                hi = (zz >> 1) ^ -(zz & 1)
-                predicate = KeyRange(prefix=prefix, lo=lo, hi=hi)
-            append(
-                Trace(
-                    interval=Interval(ts_bef, ts_aft),
-                    kind=code_to_kind[flags & 0x03],
-                    txn_id=txn_id,
-                    client_id=client_id,
-                    reads=reads,
-                    writes=writes,
-                    status=status_failed if flags & _F_STATUS else status_ok,
-                    for_update=bool(flags & _F_FOR_UPDATE),
-                    predicate=predicate,
-                    op_index=op_index,
-                    trace_id=(
-                        next_id()
-                        if next_id is not None
-                        else first_trace_id + record_index
-                    ),
-                )
-            )
+        for trace_id in trace_ids:
+            trace, pos = read_trace(data, strings, pos, trace_id)
+            append(trace)
     except (IndexError, struct.error):
         raise CodecError("truncated batch payload") from None
     except CodecError:

@@ -24,6 +24,7 @@ import heapq
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .report import VerificationReport, Violation
+from .runtime import CollectorWatch
 from .spec import IsolationSpec, PG_SERIALIZABLE
 from .trace import Trace
 from .verifier import Verifier
@@ -56,6 +57,11 @@ class OnlineVerifier:
             spec=spec, initial_db=initial_db, **verifier_kwargs
         )
         self._on_violation = on_violation
+        #: interpreter-collector passes, counted into the backend's
+        #: registry until :meth:`finish` (nothing when it has none).
+        self._collector_watch = CollectorWatch(
+            getattr(self._verifier, "metrics", None)
+        )
         #: per-client staged traces (each client's stream is monotone).
         self._stages: Dict[int, List[Trace]] = {}
         #: watermark floor per client: last timestamp the client vouched
@@ -412,4 +418,5 @@ class OnlineVerifier:
             self._alerted += 1
             if self._on_violation is not None:
                 self._on_violation(violation)
+        self._collector_watch.close()
         return report

@@ -64,6 +64,7 @@ import multiprocessing
 import os
 import pickle
 import queue
+import struct
 import threading
 import time
 import traceback
@@ -75,7 +76,14 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .bus import DependencyBus
 from .certifier import SerializationCertifier
-from .codec import PayloadDecoder, PayloadEncoder
+from .codec import (
+    PayloadDecoder,
+    PayloadEncoder,
+    read_strings,
+    read_trace,
+    read_varint,
+    read_zigzag,
+)
 from .dependencies import Dependency, DepType
 from .gc import GarbageCollector
 from .intervals import Interval
@@ -88,6 +96,7 @@ from .report import (
     VerificationStats,
     Violation,
 )
+from .runtime import CollectorWatch, relax_collector
 from .sharding import ShardRouter
 from .spec import IsolationSpec, PG_SERIALIZABLE
 from .state import TxnStatus, VerifierState
@@ -118,6 +127,9 @@ MSG_TRACE = "t"
 
 _T_BEGIN = 0
 _T_TRACE = 1
+
+_DOUBLE = struct.Struct("<d")
+_DOUBLE_PAIR = struct.Struct("<dd")
 
 _DEPTYPE_TO_CODE = {
     DepType.WW: 0,
@@ -189,29 +201,35 @@ def apply_message_frame(
 ) -> Tuple[int, float]:
     """Decode one batch frame and feed it to a shard verifier.
 
-    Decoding happens once, here in the worker; runs of consecutive trace
-    messages are handed to :meth:`ShardVerifier.ingest_batch` so the
-    per-trace bookkeeping is amortized across the run.  Returns the
-    frame's ``(watermark, horizon)`` header.
+    Decoding happens once, here in the worker, through the codec's
+    production readers (the same record decoder ``decode_batch`` runs);
+    each trace is stamped with its global trace index.  Runs of
+    consecutive trace messages are handed to
+    :meth:`ShardVerifier.ingest_batch` so the per-trace bookkeeping is
+    amortized across the run.  Returns the frame's ``(watermark,
+    horizon)`` header.
     """
-    decoder = PayloadDecoder(payload)
-    watermark = decoder.zigzag()
-    horizon = decoder.double()
-    count = decoder.varint()
+    data = bytes(payload)
+    strings, pos = read_strings(data, 0)
+    watermark, pos = read_zigzag(data, pos)
+    (horizon,) = _DOUBLE.unpack_from(data, pos)
+    count, pos = read_varint(data, pos + 8)
     pending: List[Tuple[int, Trace]] = []
     for _ in range(count):
-        tag = decoder.u8()
+        tag = data[pos]
         if tag == _T_TRACE:
-            index = decoder.varint()
-            pending.append((index, decoder.trace()))
+            index, pos = read_varint(data, pos + 1)
+            trace, pos = read_trace(data, strings, pos, index)
+            pending.append((index, trace))
             continue
         if pending:
             shard.ingest_batch(pending)
             pending = []
-        txn_id = decoder.string()
-        client_id = decoder.zigzag()
-        ts_bef, ts_aft = decoder.double_pair()
-        shard.begin(txn_id, client_id, Interval(ts_bef, ts_aft))
+        txn_index, pos = read_varint(data, pos + 1)
+        client_id, pos = read_zigzag(data, pos)
+        ts_bef, ts_aft = _DOUBLE_PAIR.unpack_from(data, pos)
+        pos += 16
+        shard.begin(strings[txn_index], client_id, Interval(ts_bef, ts_aft))
     if pending:
         shard.ingest_batch(pending)
     return watermark, horizon
@@ -558,31 +576,34 @@ def _shard_worker_main(conn, shard_id: int, spec, initial_part, options) -> None
     then carries only the residue.  A budget of 0 restores the deferred
     behaviour (whole journal in the result frame).
     """
+    relax_collector()
     options = dict(options)
     segment_events = options.pop("stream_segment_events", 0)
     try:
         shard = ShardVerifier(
             shard_id=shard_id, spec=spec, initial_db=initial_part, **options
         )
-        while True:
-            frame = conn.recv_bytes()
-            if not frame:
-                break
-            watermark, horizon = apply_message_frame(shard, frame)
-            if segment_events and len(shard.events) >= segment_events:
-                hits, misses = _memo_counts(shard.metrics)
-                conn.send_bytes(
-                    encode_segment_frame(
-                        shard_id,
-                        watermark,
-                        horizon,
-                        shard.events,
-                        memo_hits=hits,
-                        memo_misses=misses,
+        with CollectorWatch(shard.metrics):
+            while True:
+                frame = conn.recv_bytes()
+                if not frame:
+                    break
+                watermark, horizon = apply_message_frame(shard, frame)
+                if segment_events and len(shard.events) >= segment_events:
+                    hits, misses = _memo_counts(shard.metrics)
+                    conn.send_bytes(
+                        encode_segment_frame(
+                            shard_id,
+                            watermark,
+                            horizon,
+                            shard.events,
+                            memo_hits=hits,
+                            memo_misses=misses,
+                        )
                     )
-                )
-                shard.events.clear()
-        conn.send_bytes(encode_shard_result(shard.finish_shard()))
+                    shard.events.clear()
+            result = shard.finish_shard()
+        conn.send_bytes(encode_shard_result(result))
     except BaseException:  # noqa: BLE001 - forwarded to the coordinator
         conn.send_bytes(encode_shard_error(traceback.format_exc()))
     finally:

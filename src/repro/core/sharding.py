@@ -48,9 +48,16 @@ class ShardRouter:
         if shards < 1:
             raise ValueError(f"shard count must be >= 1, got {shards}")
         self.shards = shards
+        #: key -> shard, filled on first routing (and warmed by
+        #: :meth:`partition_initial_db`).  Bounded by the key space the
+        #: shards already hold version chains for.
+        self._owners: Dict[Key, int] = {}
 
     def shard_of(self, key: Key) -> int:
-        return stable_hash(key) % self.shards
+        shard = self._owners.get(key)
+        if shard is None:
+            shard = self._owners[key] = stable_hash(key) % self.shards
+        return shard
 
     def partition_initial_db(
         self, initial_db: Optional[Mapping[Key, Mapping[str, object]]]

@@ -65,6 +65,7 @@ from ..core.metrics import NULL_REGISTRY
 from ..core.online import OnlineVerifier
 from ..core.parallel import _make_context
 from ..core.report import VerificationReport, report_fingerprint
+from ..core.runtime import relax_collector
 from . import protocol, status
 from .protocol import ServiceProtocolError
 from .sessions import SEQ_BITS, ClientDirectory
@@ -659,6 +660,7 @@ class _AcceptorWorker:
 
 def _acceptor_worker_main(worker_id, conn, shared, options) -> None:
     """Child-process entry point (fork context; see ``_make_context``)."""
+    relax_collector()
     try:
         asyncio.run(_AcceptorWorker(worker_id, conn, shared, options).run())
     except KeyboardInterrupt:  # pragma: no cover - interactive teardown

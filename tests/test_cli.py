@@ -362,13 +362,25 @@ def test_verify_path_imports_stay_lean():
 # -- flat memory: decoded-but-undispatched traces are bounded ---------------------
 
 
+#: Runs its argv as a child and prints the child's exit code and
+#: ``ru_maxrss`` (KiB; the largest process of the tree it waited for).  A
+#: child's ``ru_maxrss`` starts at its parent's resident size, so the
+#: measured command is spawned from this small launcher, not from pytest.
+RSS_LAUNCHER = (
+    "import os, subprocess, sys\n"
+    "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+    "_pid, status, usage = os.wait4(proc.pid, 0)\n"
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+)
+
+
 class TestFlatMemory:
-    """Not an RSS test: count traces decoded from the capture minus traces
-    handed to the verifier, sampled at every dispatched batch.  What the
-    ingest spine holds is at most one decoded frame per client, the
-    pipeline's own buffers and the batch in flight -- whatever the length
-    of the history -- and every capture file is closed when the CLI
-    returns."""
+    """Count traces decoded from the capture minus traces handed to the
+    verifier, sampled at every dispatched batch.  What the ingest spine
+    holds is at most one decoded frame per client, the pipeline's own
+    buffers and the batch in flight -- whatever the length of the history
+    -- and every capture file is closed when the CLI returns.  One leg
+    reads the real resident size of ``python -m repro verify``."""
 
     CLIENTS = 4
 
@@ -437,6 +449,26 @@ class TestFlatMemory:
             assert bound < cfg.actual_traces // 2
             peaks[scale] = (seen["peak"], bound)
         assert abs(peaks[4][0] - peaks[1][0]) <= peaks[1][1]
+
+    @pytest.mark.parametrize("extra", PARALLEL, ids=["serial", "parallel2"])
+    def test_resident_size_does_not_grow_with_the_history(self, tmp_path, extra):
+        """The CLI process runs with the interpreter's collector relaxed
+        (``repro.core.runtime``): anything the spine leaked into cycles
+        would now stay resident for the length of the run."""
+        peak_kib = {}
+        for scale in (1, 4):
+            capture = tmp_path / f"cap{scale}"
+            write_capture(capture, traces=2000 * scale, clients=self.CLIENTS)
+            run = subprocess.run(
+                [sys.executable, "-c", RSS_LAUNCHER,
+                 sys.executable, "-m", "repro", "verify", str(capture), *extra],
+                env=dict(os.environ, PYTHONPATH=SRC),
+                capture_output=True, text=True, timeout=120,
+            )
+            assert run.returncode == 0, run.stderr
+            code, peak_kib[scale] = map(int, run.stdout.split())
+            assert code == 0
+        assert peak_kib[4] <= 1.10 * peak_kib[1], peak_kib
 
     @pytest.mark.parametrize("extra", PARALLEL, ids=["serial", "parallel2"])
     def test_aborted_run_leaves_no_stream_open(

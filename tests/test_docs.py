@@ -44,6 +44,27 @@ def test_observability_doc_matches_the_schema():
         assert surface in text
 
 
+def test_observability_doc_lists_the_runtime_metrics():
+    """Every instrument a CollectorWatch registers is in the metric table,
+    and the pages that explain the policy name the function that applies it."""
+    from repro.core.metrics import MetricsRegistry, parse_metric_key
+    from repro.core.runtime import CollectorWatch
+
+    metrics = MetricsRegistry()
+    CollectorWatch(metrics).close()
+    text = (REPO_ROOT / "docs" / "observability.md").read_text()
+    names = {
+        parse_metric_key(key)[0]
+        for kind in metrics.snapshot().values()
+        for key in kind
+    }
+    assert len(names) == 4
+    for name in names:
+        assert f"`{name}" in text, f"metric {name} undocumented"
+    for page in ("architecture.md", "usage.md"):
+        assert "relax_collector()" in (REPO_ROOT / "docs" / page).read_text()
+
+
 def test_service_doc_matches_the_wire_protocol():
     """docs/service.md must document every control frame, every status
     query, and the service metric surface -- the page is the normative
