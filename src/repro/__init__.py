@@ -54,7 +54,6 @@ from .core import (
     SpanTracer,
     Trace,
     TwoLevelPipeline,
-    ShardRouter,
     VerificationReport,
     VerificationStats,
     Verifier,
@@ -75,7 +74,7 @@ __version__ = "1.0.0"
 
 def __getattr__(name: str):
     """The re-exports :mod:`repro.core` imports on demand (parallel,
-    online, anomalies) stay on demand here."""
+    sharding, online, anomalies) stay on demand here."""
     if name in core._LAZY:
         return getattr(core, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -4,7 +4,8 @@ Public surface of the paper's contribution: interval-based traces, the
 two-level pipeline, and the mechanism-mirrored verifier.
 
 The names of :data:`_LAZY` resolve on first access (PEP 562): a serial
-``repro verify`` never imports ``multiprocessing`` or the online layer.
+``repro verify`` never imports ``multiprocessing``, the online layer or
+the shard router.
 """
 
 from importlib import import_module
@@ -42,7 +43,6 @@ from .metrics import (
     render_stats,
     run_stats,
 )
-from .sharding import ShardedState, ShardRouter, stable_hash
 from .pipeline import (
     ClientFeed,
     NaiveGlobalSorter,
@@ -91,6 +91,9 @@ _LAZY = {
     "ShardVerifier": "parallel",
     "StreamSegment": "parallel",
     "verify_traces_parallel": "parallel",
+    "ShardedState": "sharding",
+    "ShardRouter": "sharding",
+    "stable_hash": "sharding",
 }
 
 

@@ -48,6 +48,7 @@ class SerializationCertifier(MechanismVerifier):
         self._spec = spec
         self._kind = spec.certifier
         registry = metrics if metrics is not None else NULL_REGISTRY
+        self._metered = registry.enabled
         #: dependencies certified (graph insertions driven by the bus).
         self._m_certified = registry.counter("sc.deps.certified")
         self._m_cycles = registry.counter("sc.cycles.reported")
@@ -66,7 +67,8 @@ class SerializationCertifier(MechanismVerifier):
     # -- dependency intake ---------------------------------------------------------
 
     def on_dependency(self, dep: Dependency) -> None:
-        self._m_certified.inc()
+        if self._metered:
+            self._m_certified.inc()
         graph = self._state.graph
         cycle = graph.add_dependency(dep)
         if cycle is not None:

@@ -24,9 +24,10 @@ Layout::
     payload := varint(n_strings) (varint(len) utf8)*   -- string table
                varint(n_records) record*
 
-The payload generator is reusable: :class:`PayloadEncoder` /
-:class:`PayloadDecoder` expose the primitive writers (varints, values,
-whole traces) so other wire formats -- the parallel path's shard frames
+The payload generator is reusable: the module-level ``write_*`` /
+``read_*`` functions (varints, values, whole traces) and the
+:class:`PayloadEncoder` / :class:`PayloadDecoder` objects over them let
+other wire formats -- the parallel path's shard frames
 (:mod:`repro.core.parallel`) -- compose the same interning and packing
 without inventing another codec.
 
@@ -80,169 +81,215 @@ _F_PREDICATE = 0x10
 _F_READS = 0x20
 _F_WRITES = 0x40
 
+_STATUS_OK = OpStatus.OK
+_STATUS_FAILED = CODE_TO_STATUS[1]
+#: op kinds by wire code (the 2-bit code is always mapped), and back by
+#: identity: enum ``__hash__`` is a Python call, ``id`` is not.
+_KINDS = tuple(CODE_TO_KIND[code] for code in range(4))
+_KIND_CODE_BY_ID = {id(kind): code for kind, code in KIND_TO_CODE.items()}
+
 
 class CodecError(ValueError):
     """Malformed or unsupported binary trace data."""
 
 
+# -- the one writer -----------------------------------------------------------------
+#
+# Plain functions over ``(body, index, strings)`` -- the frame's record
+# bytes, its interning map and its string table -- mirroring the
+# ``read_*`` functions below, single-byte varint fast paths included.
+# Every frame this package emits (capture files, service ``TRACES`` frames,
+# the shard pipes' message, segment and result frames) is written through
+# them; :class:`PayloadEncoder` is the object that owns the three buffers.
+
+
+def write_varint(body: bytearray, n: int) -> None:
+    while n > 0x7F:
+        body.append((n & 0x7F) | 0x80)
+        n >>= 7
+    body.append(n)
+
+
+def write_zigzag(body: bytearray, n: int) -> None:
+    write_varint(body, n * 2 if n >= 0 else -n * 2 - 1)
+
+
+def write_string(body: bytearray, index: dict, strings: List[bytes], s: str) -> None:
+    """An interned string reference (first sight appends to the table)."""
+    ref = index.get(s)
+    if ref is None:
+        ref = index[s] = len(strings)
+        strings.append(s.encode("utf-8"))
+    if ref < 0x80:
+        body.append(ref)
+    else:
+        write_varint(body, ref)
+
+
+def write_value(body: bytearray, index: dict, strings: List[bytes], value) -> None:
+    """A tagged dynamic value: None, bool, int, float, str or a tuple of
+    values -- everything a record key or column value may be."""
+    kind = type(value)
+    if kind is str:
+        body.append(_V_STR)
+        write_string(body, index, strings, value)
+    elif kind is int:
+        body.append(_V_INT)
+        zz = value * 2 if value >= 0 else -value * 2 - 1
+        if zz < 0x80:
+            body.append(zz)
+        else:
+            write_varint(body, zz)
+    elif value is None:
+        body.append(_V_NONE)
+    elif value is True:
+        body.append(_V_TRUE)
+    elif value is False:
+        body.append(_V_FALSE)
+    elif kind is float:
+        body.append(_V_FLOAT)
+        body += _D.pack(value)
+    elif isinstance(value, tuple):
+        body.append(_V_TUPLE)
+        write_varint(body, len(value))
+        for part in value:
+            write_value(body, index, strings, part)
+    elif isinstance(value, bool):  # bool subclasses snuck past `is`
+        body.append(_V_TRUE if value else _V_FALSE)
+    elif isinstance(value, int):
+        body.append(_V_INT)
+        write_zigzag(body, value)
+    elif isinstance(value, float):
+        body.append(_V_FLOAT)
+        body += _D.pack(value)
+    elif isinstance(value, str):
+        body.append(_V_STR)
+        write_string(body, index, strings, value)
+    else:
+        raise CodecError(
+            f"unsupported value type {type(value).__name__!r}: {value!r}"
+        )
+
+
+def write_sets(body: bytearray, index: dict, strings: List[bytes], sets) -> None:
+    write_varint(body, len(sets))
+    for key, columns in sets.items():
+        write_value(body, index, strings, key)
+        write_varint(body, len(columns))
+        for column, value in columns.items():
+            write_string(body, index, strings, column)
+            write_value(body, index, strings, value)
+
+
+def write_trace(body: bytearray, index: dict, strings: List[bytes], trace: Trace) -> None:
+    """One trace record (what :func:`read_trace` reads back)."""
+    reads = trace.reads
+    writes = trace.writes
+    predicate = trace.predicate
+    flags = _KIND_CODE_BY_ID[id(trace.kind)]
+    if trace.status is not _STATUS_OK:
+        flags |= _F_STATUS
+    if trace.for_update:
+        flags |= _F_FOR_UPDATE
+    if predicate is not None:
+        flags |= _F_PREDICATE
+    if reads:
+        flags |= _F_READS
+    if writes:
+        flags |= _F_WRITES
+    body.append(flags)
+    write_string(body, index, strings, trace.txn_id)
+    interval = trace.interval
+    body += _DD.pack(interval.ts_bef, interval.ts_aft)
+    client_id = trace.client_id
+    zz = client_id * 2 if client_id >= 0 else -client_id * 2 - 1
+    if zz < 0x80:
+        body.append(zz)
+    else:
+        write_varint(body, zz)
+    op_index = trace.op_index
+    if op_index < 0x80:
+        body.append(op_index)
+    else:
+        write_varint(body, op_index)
+    if reads:
+        write_sets(body, index, strings, reads)
+    if writes:
+        write_sets(body, index, strings, writes)
+    if predicate is not None:
+        write_value(body, index, strings, tuple(predicate.prefix))
+        write_zigzag(body, predicate.lo)
+        write_zigzag(body, predicate.hi)
+
+
 class PayloadEncoder:
     """Accumulates records into one frame payload.
 
-    Strings are interned into the frame's table as they are first written;
-    :meth:`finish` assembles ``table + body`` and resets the encoder for
-    the next frame.
+    Owns the buffers the module-level writers fill: :attr:`body` (record
+    bytes), :attr:`strings` (the frame's table, interned on first write)
+    and :attr:`index` (string -> table position).  The methods delegate to
+    those writers; per-record loops call the writers on the three buffers
+    directly.  :meth:`finish` assembles ``table + body`` and resets the
+    encoder for the next frame.
     """
 
-    __slots__ = ("_body", "_strings", "_index", "_records")
+    __slots__ = ("body", "strings", "index")
 
     def __init__(self) -> None:
-        self._body = bytearray()
-        self._strings: List[bytes] = []
-        self._index: dict = {}
-        self._records = 0
-
-    def __len__(self) -> int:
-        return self._records
+        self.body = bytearray()
+        self.strings: List[bytes] = []
+        self.index: dict = {}
 
     # -- primitives --------------------------------------------------------
 
     def varint(self, n: int) -> None:
-        body = self._body
-        while n > 0x7F:
-            body.append((n & 0x7F) | 0x80)
-            n >>= 7
-        body.append(n)
+        write_varint(self.body, n)
 
     def zigzag(self, n: int) -> None:
-        self.varint(n * 2 if n >= 0 else -n * 2 - 1)
+        write_zigzag(self.body, n)
 
     def u8(self, n: int) -> None:
-        self._body.append(n)
+        self.body.append(n)
 
     def double(self, value: float) -> None:
-        self._body += _D.pack(value)
+        self.body += _D.pack(value)
 
     def double_pair(self, a: float, b: float) -> None:
-        self._body += _DD.pack(a, b)
+        self.body += _DD.pack(a, b)
 
     def string(self, s: str) -> None:
         """Write an interned string reference."""
-        index = self._index.get(s)
-        if index is None:
-            index = len(self._strings)
-            self._index[s] = index
-            self._strings.append(s.encode("utf-8"))
-        self.varint(index)
+        write_string(self.body, self.index, self.strings, s)
 
     def raw(self, data: bytes) -> None:
         """Length-prefixed opaque bytes (no interning)."""
-        self.varint(len(data))
-        self._body += data
+        write_varint(self.body, len(data))
+        self.body += data
 
     def value(self, value) -> None:
-        """A tagged dynamic value: None, bool, int, float, str or a tuple
-        of values -- everything a record key or column value may be."""
-        if value is None:
-            self._body.append(_V_NONE)
-        elif value is True:
-            self._body.append(_V_TRUE)
-        elif value is False:
-            self._body.append(_V_FALSE)
-        elif type(value) is int:
-            self._body.append(_V_INT)
-            self.zigzag(value)
-        elif type(value) is float:
-            self._body.append(_V_FLOAT)
-            self._body += _D.pack(value)
-        elif type(value) is str:
-            self._body.append(_V_STR)
-            self.string(value)
-        elif isinstance(value, tuple):
-            self._body.append(_V_TUPLE)
-            self.varint(len(value))
-            for part in value:
-                self.value(part)
-        elif isinstance(value, bool):  # bool subclasses snuck past `is`
-            self._body.append(_V_TRUE if value else _V_FALSE)
-        elif isinstance(value, int):
-            self._body.append(_V_INT)
-            self.zigzag(value)
-        elif isinstance(value, float):
-            self._body.append(_V_FLOAT)
-            self._body += _D.pack(value)
-        elif isinstance(value, str):
-            self._body.append(_V_STR)
-            self.string(value)
-        else:
-            raise CodecError(
-                f"unsupported value type {type(value).__name__!r}: {value!r}"
-            )
-
-    def _sets(self, sets) -> None:
-        self.varint(len(sets))
-        for key, columns in sets.items():
-            self.value(key)
-            self.varint(len(columns))
-            for column, value in columns.items():
-                self.string(column)
-                self.value(value)
+        write_value(self.body, self.index, self.strings, value)
 
     # -- records -----------------------------------------------------------
 
     def trace(self, trace: Trace) -> None:
         """Append one trace record."""
-        flags = KIND_TO_CODE[trace.kind]
-        if trace.status is not OpStatus.OK:
-            flags |= _F_STATUS
-        if trace.for_update:
-            flags |= _F_FOR_UPDATE
-        if trace.predicate is not None:
-            flags |= _F_PREDICATE
-        if trace.reads:
-            flags |= _F_READS
-        if trace.writes:
-            flags |= _F_WRITES
-        self.u8(flags)
-        self.string(trace.txn_id)
-        interval = trace.interval
-        self.double_pair(interval.ts_bef, interval.ts_aft)
-        self.zigzag(trace.client_id)
-        self.varint(trace.op_index)
-        if trace.reads:
-            self._sets(trace.reads)
-        if trace.writes:
-            self._sets(trace.writes)
-        predicate = trace.predicate
-        if predicate is not None:
-            self.value(tuple(predicate.prefix))
-            self.zigzag(predicate.lo)
-            self.zigzag(predicate.hi)
-        self._records += 1
+        write_trace(self.body, self.index, self.strings, trace)
 
     # -- assembly ----------------------------------------------------------
 
     def finish(self) -> bytes:
         """Assemble ``string table + body`` and reset for the next frame."""
         head = bytearray()
-        strings = self._strings
-        n = len(strings)
-        while n > 0x7F:
-            head.append((n & 0x7F) | 0x80)
-            n >>= 7
-        head.append(n)
+        strings = self.strings
+        write_varint(head, len(strings))
         for encoded in strings:
-            m = len(encoded)
-            while m > 0x7F:
-                head.append((m & 0x7F) | 0x80)
-                m >>= 7
-            head.append(m)
+            write_varint(head, len(encoded))
             head += encoded
-        payload = bytes(head) + bytes(self._body)
-        self._body = bytearray()
-        self._strings = []
-        self._index = {}
-        self._records = 0
-        return payload
+        head += self.body
+        self.body = bytearray()
+        self.strings = []
+        self.index = {}
+        return bytes(head)
 
 
 class PayloadDecoder:
@@ -404,9 +451,10 @@ def encode_batch(traces: Sequence[Trace]) -> bytes:
     """Encode one batch of traces into a frame payload (no length prefix;
     file framing is the writer's job, pipe framing is the transport's)."""
     encoder = PayloadEncoder()
-    encoder.varint(len(traces))
+    body, index, strings = encoder.body, encoder.index, encoder.strings
+    write_varint(body, len(traces))
     for trace in traces:
-        encoder.trace(trace)
+        write_trace(body, index, strings, trace)
     return encoder.finish()
 
 
@@ -418,10 +466,6 @@ def encode_batch(traces: Sequence[Trace]) -> bytes:
 # frames (:func:`repro.core.parallel.apply_message_frame`) read every
 # record through them; :class:`PayloadDecoder` above is the readable
 # reference the codec tests compare them against.
-
-_STATUS_OK = OpStatus.OK
-_STATUS_FAILED = CODE_TO_STATUS[1]
-
 
 def read_varint(data: bytes, pos: int):
     byte = data[pos]
@@ -516,8 +560,8 @@ def read_strings(data: bytes, pos: int):
 
 
 def read_trace(data: bytes, strings: List[str], pos: int, trace_id: int):
-    """One trace record (what :meth:`PayloadEncoder.trace` wrote), stamped
-    with ``trace_id``."""
+    """One trace record (what :func:`write_trace` wrote), stamped with
+    ``trace_id``."""
     flags = data[pos]
     index = data[pos + 1]
     if index < 0x80:
@@ -552,19 +596,21 @@ def read_trace(data: bytes, strings: List[str], pos: int, trace_id: int):
         lo, pos = read_zigzag(data, pos)
         hi, pos = read_zigzag(data, pos)
         predicate = KeyRange(prefix=prefix, lo=lo, hi=hi)
+    # Positional, in field order: the one production construction site, so
+    # a record costs eleven slot stores and no keyword matching.
     return (
         Trace(
-            interval=Interval(ts_bef, ts_aft),
-            kind=CODE_TO_KIND[flags & 0x03],
-            txn_id=txn_id,
-            client_id=client_id,
-            reads=reads,
-            writes=writes,
-            status=_STATUS_FAILED if flags & _F_STATUS else _STATUS_OK,
-            for_update=bool(flags & _F_FOR_UPDATE),
-            predicate=predicate,
-            op_index=op_index,
-            trace_id=trace_id,
+            Interval(ts_bef, ts_aft),
+            _KINDS[flags & 0x03],
+            txn_id,
+            client_id,
+            reads,
+            writes,
+            _STATUS_FAILED if flags & _F_STATUS else _STATUS_OK,
+            bool(flags & _F_FOR_UPDATE),
+            predicate,
+            op_index,
+            trace_id,
         ),
         pos,
     )

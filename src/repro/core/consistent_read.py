@@ -67,6 +67,9 @@ class ConsistentReadVerifier(MechanismVerifier):
         self._chains_get = state.chains.get
         self._stats = state.stats
         registry = metrics if metrics is not None else NULL_REGISTRY
+        #: an uninstrumented run executes no instrument call per read or
+        #: per scan: every call below sits behind this one boolean.
+        self._metered = registry.enabled
         #: size of the (minimal) candidate version set per checked read --
         #: the quantity the Fig. 6 optimisation shrinks.
         self._m_candidates = registry.histogram("cr.candidate_set.size")
@@ -147,7 +150,8 @@ class ConsistentReadVerifier(MechanismVerifier):
             # free of bookkeeping (every pending read is checked exactly
             # once, early returns included).
             self._stats.reads_checked += len(pending_reads)
-            self._m_reads.inc(len(pending_reads))
+            if self._metered:
+                self._m_reads.inc(len(pending_reads))
             check = self._check_read
             for pending in pending_reads:
                 check(txn, pending)
@@ -226,6 +230,7 @@ class ConsistentReadVerifier(MechanismVerifier):
         else:
             raw_candidates = chain.committed_versions()
         snap_aft = snapshot.ts_aft
+        metered = self._metered
         if minimal and not own_delta and len(raw_candidates) == 1:
             # The dominant shape under the Fig. 6 minimal set: exactly one
             # candidate (the pivot) and no own writes.  Same checks and
@@ -235,10 +240,12 @@ class ConsistentReadVerifier(MechanismVerifier):
             version = raw_candidates[0]
             commit = version.commit
             if commit is not None and snap_aft <= commit.ts_bef:
-                self._m_candidates.observe(0)
+                if metered:
+                    self._m_candidates.observe(0)
                 self._diagnose_miss(txn, pending, snapshot, chain, observed)
                 return
-            self._m_candidates.observe(1)
+            if metered:
+                self._m_candidates.observe(1)
             image = version.image
             if observed.get(_TOMB):
                 matched = bool(image.get(_TOMB))
@@ -263,7 +270,8 @@ class ConsistentReadVerifier(MechanismVerifier):
             ):
                 stats.overlapped_pairs += 1
                 stats.deduced_overlapped_pairs += 1
-            self._m_unique.inc()
+            if metered:
+                self._m_unique.inc()
             if txn.committed and self._on_read_match is not None:
                 self._match_queue.append((version, txn.txn_id))
             return
@@ -282,7 +290,8 @@ class ConsistentReadVerifier(MechanismVerifier):
                     matches.append(version)
             elif reads_match(observed, version.image):
                 matches.append(version)
-        self._m_candidates.observe(n_candidates)
+        if metered:
+            self._m_candidates.observe(n_candidates)
         if not matches:
             self._diagnose_miss(txn, pending, snapshot, chain, observed)
             return
@@ -302,7 +311,8 @@ class ConsistentReadVerifier(MechanismVerifier):
         if overlapped:
             stats.overlapped_pairs += 1
         if len(matches) == 1:
-            self._m_unique.inc()
+            if metered:
+                self._m_unique.inc()
             version = matches[0]
             if overlapped:
                 stats.deduced_overlapped_pairs += 1
@@ -316,7 +326,8 @@ class ConsistentReadVerifier(MechanismVerifier):
             # More than one match: the read is legal but the exact version
             # read is uncertain (duplicate values, Fig. 13's SmallBank
             # residue).
-            self._m_ambiguous.inc()
+            if metered:
+                self._m_ambiguous.inc()
 
     # -- scan completeness (phantom rows) -----------------------------------------
 
@@ -327,7 +338,8 @@ class ConsistentReadVerifier(MechanismVerifier):
         consistent snapshot)."""
         if not self._flag_stale:
             return  # no CR claim: scan freshness is not promised
-        self._m_scans.inc()
+        if self._metered:
+            self._m_scans.inc()
         predicate = scan.trace.predicate
         snapshot = self._snapshot_interval(txn, (scan.trace, None, {}, {}))
         missing = []

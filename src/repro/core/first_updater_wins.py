@@ -57,6 +57,9 @@ class FirstUpdaterWinsVerifier(MechanismVerifier):
         #: reused deduction buffer for the per-commit batch.
         self._dep_batch: list = []
         registry = metrics if metrics is not None else NULL_REGISTRY
+        #: counters are bumped once per commit, and not at all by an
+        #: uninstrumented run.
+        self._metered = registry.enabled
         #: committed-writer pairs whose snapshot/commit interval orders
         #: were checked (Fig. 8 / Theorem 4).
         self._m_pairs = registry.counter("fuw.interval_pairs.checked")
@@ -85,14 +88,13 @@ class FirstUpdaterWinsVerifier(MechanismVerifier):
         their rolled-back updates cannot lose anybody's update."""
         state = self._state
         stats = state.stats
-        m_writes = self._m_writes
         chains = state.chains
         txn_id = txn.txn_id
         if not installed:
             return
+        pairs_before = stats.conflict_pairs
+        stats.writes_checked += len(installed)
         for version in installed:
-            stats.writes_checked += 1
-            m_writes.inc()
             # The chain exists: ``installed`` came out of it at commit.
             chain = chains[version.key]
             for other in chain.iter_committed():
@@ -101,6 +103,11 @@ class FirstUpdaterWinsVerifier(MechanismVerifier):
                     continue
                 self._check_pair(txn, version, other)
         batch = self._dep_batch
+        if self._metered:
+            # Every checked pair bumped ``conflict_pairs`` exactly once.
+            self._m_writes.inc(len(installed))
+            self._m_pairs.inc(stats.conflict_pairs - pairs_before)
+            self._m_deduced.inc(len(batch))
         if batch:
             if self._emit_many is not None:
                 self._emit_many(batch)
@@ -130,7 +137,6 @@ class FirstUpdaterWinsVerifier(MechanismVerifier):
         self_first = commit.can_precede(other_snapshot)
         overlapped = self._spans_overlap(snapshot, commit, other_snapshot, other_commit)
         self._state.stats.conflict_pairs += 1
-        self._m_pairs.inc()
         if overlapped:
             self._state.stats.overlapped_pairs += 1
         if not other_first and not self_first:
@@ -176,7 +182,6 @@ class FirstUpdaterWinsVerifier(MechanismVerifier):
             src, dst = other.txn_id, txn.txn_id
         else:
             src, dst = txn.txn_id, other.txn_id
-        self._m_deduced.inc()
         self._dep_batch.append(
             Dependency(
                 src=src,

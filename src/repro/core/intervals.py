@@ -35,7 +35,7 @@ NEG_INF = -math.inf
 POS_INF = math.inf
 
 
-@dataclass(frozen=True, order=True, slots=True)
+@dataclass(order=True, slots=True, unsafe_hash=True)
 class Interval:
     """An open time interval ``(ts_bef, ts_aft)`` observed at a client.
 
@@ -43,6 +43,12 @@ class Interval:
     the sort key used throughout the two-level pipeline and the verifier.
     ``slots=True`` because intervals are the single most-allocated object in
     a verification run and every mechanism predicate reads their fields.
+
+    Immutable by convention, not ``frozen``: one is built per decoded trace
+    on every hop, and the frozen-dataclass ``__init__`` stores each field
+    through ``object.__setattr__``.  Nothing may assign to an interval
+    after construction -- they are shared between traces, versions, lock
+    entries and reports, and hashed (``unsafe_hash``) by value.
     """
 
     ts_bef: float

@@ -58,6 +58,9 @@ class MutualExclusionVerifier(MechanismVerifier):
         #: reused deduction buffer for the terminal batch.
         self._dep_batch: list = []
         registry = metrics if metrics is not None else NULL_REGISTRY
+        #: counters are bumped once per write trace / per terminal, and
+        #: not at all by an uninstrumented run.
+        self._metered = registry.enabled
         #: conflicting lock pairs whose hidden-instant orders were
         #: enumerated at a terminal (Fig. 7 / Theorem 3).
         self._m_pairs = registry.counter("me.lock_pairs.checked")
@@ -78,7 +81,8 @@ class MutualExclusionVerifier(MechanismVerifier):
 
     def on_write(self, trace: Trace, txn: TxnState) -> None:
         writes = trace.writes
-        self._m_locks.inc(len(writes))
+        if self._metered:
+            self._m_locks.inc(len(writes))
         acquire = self._state.locks.acquire
         txn_id = txn.txn_id
         interval = trace.interval
@@ -114,10 +118,16 @@ class MutualExclusionVerifier(MechanismVerifier):
         )
         if not released:
             return
+        stats = self._state.stats
+        pairs_before = stats.conflict_pairs
         for entry, conflicts in released:
             for other in conflicts:
                 self._check_pair(entry, other)
         batch = self._dep_batch
+        if self._metered and stats.conflict_pairs != pairs_before:
+            # Every checked pair bumped ``conflict_pairs`` exactly once.
+            self._m_pairs.inc(stats.conflict_pairs - pairs_before)
+            self._m_deduced.inc(len(batch))
         if batch:
             if self._emit_many is not None:
                 self._emit_many(batch)
@@ -132,7 +142,6 @@ class MutualExclusionVerifier(MechanismVerifier):
         outcome = classify_pair(entry, other)
         overlapped = self._spans_overlap(entry, other)
         self._state.stats.conflict_pairs += 1
-        self._m_pairs.inc()
         if overlapped:
             self._state.stats.overlapped_pairs += 1
         if outcome is OrderOutcome.VIOLATION:
@@ -167,7 +176,6 @@ class MutualExclusionVerifier(MechanismVerifier):
             src, dst = entry.txn_id, other.txn_id
         else:
             src, dst = other.txn_id, entry.txn_id
-        self._m_deduced.inc()
         self._dep_batch.append(
             Dependency(
                 src=src,

@@ -83,6 +83,10 @@ from .codec import (
     read_trace,
     read_varint,
     read_zigzag,
+    write_string,
+    write_trace,
+    write_varint,
+    write_zigzag,
 )
 from .dependencies import Dependency, DepType
 from .gc import GarbageCollector
@@ -182,17 +186,19 @@ def encode_message_frame(
     encoder.zigzag(watermark)
     encoder.double(horizon)
     encoder.varint(len(messages))
+    # Per-message loop: the codec's writers on the encoder's own buffers.
+    body, index, strings = encoder.body, encoder.index, encoder.strings
     for message in messages:
         if message[0] == MSG_BEGIN:
-            encoder.u8(_T_BEGIN)
-            encoder.string(message[1])
-            encoder.zigzag(message[2])
+            body.append(_T_BEGIN)
+            write_string(body, index, strings, message[1])
+            write_zigzag(body, message[2])
             interval = message[3]
-            encoder.double_pair(interval.ts_bef, interval.ts_aft)
+            body += _DOUBLE_PAIR.pack(interval.ts_bef, interval.ts_aft)
         else:
-            encoder.u8(_T_TRACE)
-            encoder.varint(message[1])
-            encoder.trace(message[2])
+            body.append(_T_TRACE)
+            write_varint(body, message[1])
+            write_trace(body, index, strings, message[2])
     return encoder.finish()
 
 

@@ -22,11 +22,28 @@ This module provides the partitioning primitives:
 from __future__ import annotations
 
 import zlib
-from dataclasses import replace
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .state import TxnState, VerifierState
-from .trace import Key, Trace
+from .trace import Key, OpKind, Trace
+
+
+def _shard_part(trace: Trace, reads: Mapping, writes: Mapping) -> Trace:
+    """``trace`` restricted to one shard's keys -- built with the
+    constructor, positionally, like every other per-record construction."""
+    return Trace(
+        trace.interval,
+        trace.kind,
+        trace.txn_id,
+        trace.client_id,
+        reads,
+        writes,
+        trace.status,
+        trace.for_update,
+        trace.predicate,
+        trace.op_index,
+        trace.trace_id,
+    )
 
 
 def stable_hash(key: Key) -> int:
@@ -90,33 +107,39 @@ class ShardRouter:
         """
         if self.shards == 1:
             return {0: trace}
-        if trace.is_terminal:
+        kind = trace.kind
+        if kind is OpKind.COMMIT or kind is OpKind.ABORT:
             return {shard: trace for shard in range(self.shards)}
+        reads = trace.reads
+        writes = trace.writes
         if trace.predicate is not None:
-            out: Dict[int, Trace] = {}
-            for shard in range(self.shards):
-                reads = {
-                    key: obs
-                    for key, obs in trace.reads.items()
-                    if self.shard_of(key) == shard
-                }
-                out[shard] = replace(trace, reads=reads)
-            return out
-        if not trace.reads and not trace.writes:
+            shard_of = self.shard_of
+            return {
+                shard: _shard_part(
+                    trace,
+                    {k: obs for k, obs in reads.items() if shard_of(k) == shard},
+                    writes,
+                )
+                for shard in range(self.shards)
+            }
+        if not reads and not writes:
             return {shard: trace for shard in range(self.shards)}
+        if len(reads) + len(writes) == 1:
+            # The dominant shape: one key, one owner, the original object.
+            (key,) = reads or writes
+            return {self.shard_of(key): trace}
         by_shard: Dict[int, Tuple[Dict, Dict]] = {}
-        for key, obs in trace.reads.items():
+        for key, obs in reads.items():
             by_shard.setdefault(self.shard_of(key), ({}, {}))[0][key] = obs
-        for key, delta in trace.writes.items():
+        for key, delta in writes.items():
             by_shard.setdefault(self.shard_of(key), ({}, {}))[1][key] = delta
-        out = {}
-        for shard, (reads, writes) in by_shard.items():
-            if len(by_shard) == 1:
-                # Single-owner trace: forward the original object.
-                out[shard] = trace
-            else:
-                out[shard] = replace(trace, reads=reads, writes=writes)
-        return out
+        if len(by_shard) == 1:
+            # Single-owner trace: forward the original object.
+            return dict.fromkeys(by_shard, trace)
+        return {
+            shard: _shard_part(trace, part_reads, part_writes)
+            for shard, (part_reads, part_writes) in by_shard.items()
+        }
 
 
 class ShardedState:

@@ -21,7 +21,6 @@ from .locktable import LockTable
 from .report import BugDescriptor, VerificationStats
 from .trace import ColumnMap, Key, Trace, apply_delta
 from .versions import (
-    NULL_CHAIN_COUNTERS,
     Version,
     VersionChain,
     chain_frontier_enabled,
@@ -145,9 +144,9 @@ class VerifierState:
         self._chain_snap_cap = snap_memo_cap()
         self._chain_scan_max = direct_scan_max()
         #: (hits, misses, invalidations, local_invalidations,
-        #: frontier_hits) handles shared by every chain; replaced by
-        #: :meth:`attach_metrics` on instrumented runs.
-        self._chain_counters = NULL_CHAIN_COUNTERS
+        #: frontier_hits) handles shared by every chain; None until
+        #: :meth:`attach_metrics` on an instrumented run.
+        self._chain_counters: Optional[tuple] = None
         #: chains that could have prunable versions (two or more committed
         #: versions, or aborted residue).  The verifier marks chains here at
         #: commit/abort so version GC visits only candidates instead of
@@ -162,8 +161,8 @@ class VerifierState:
     def attach_metrics(self, registry) -> None:
         """Hand chain/lock memo counters out of a metrics registry
         (``chain.memo.*`` in docs/observability.md).  Optional -- states
-        built without a verifier (e.g. the parallel merge replay) keep the
-        no-op counters."""
+        built without a verifier (e.g. the parallel merge replay) keep
+        unmetered chains."""
         if registry is None or not getattr(registry, "enabled", False):
             return
         self._chain_counters = (
@@ -174,13 +173,7 @@ class VerifierState:
             registry.counter("chain.memo.frontier_hits"),
         )
         for chain in self.chains.values():
-            (
-                chain._c_hits,
-                chain._c_misses,
-                chain._c_invalidations,
-                chain._c_local_invalidations,
-                chain._c_frontier,
-            ) = self._chain_counters
+            chain._counters = self._chain_counters
 
     # -- accessors -----------------------------------------------------------
 

@@ -175,12 +175,18 @@ _trace_counter = itertools.count()
 SEQ_BITS = 40
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Trace:
     """One interval-based trace.
 
-    Instances are immutable so they can be shared freely between the
-    pipeline, the four verification mechanisms and reports.
+    Instances are immutable *by convention* so they can be shared freely
+    between the pipeline, the four verification mechanisms and reports:
+    nothing assigns to a trace after construction, and a trace handed to a
+    verifier must not be mutated afterwards.  Not ``frozen`` because the
+    frozen-dataclass ``__init__`` stores every field through
+    ``object.__setattr__`` and a trace is built once per hop for every
+    record of the input (``tests/test_record_model.py`` guards what
+    ``frozen`` used to).
     ``slots=True``: traces are read field-by-field by every mechanism hook,
     making attribute access on them the hottest load in the verifier.
     """

@@ -162,9 +162,9 @@ class Verifier:
         #: precompiled terminal dispatch: (mechanism, name, histogram,
         #: drain) with name/histogram None for untimed mechanisms.
         #: Computing this once keeps the per-terminal loop free of closures
-        #: and branches on mechanism flags (the histogram handles are
-        #: no-ops when the registry is disabled, so timing needs no enabled
-        #: check).  ``drain`` is the mechanism's deferred dependency-
+        #: and branches on mechanism flags (the histogram is None when the
+        #: registry is disabled: an uninstrumented terminal makes no
+        #: instrument call).  ``drain`` is the mechanism's deferred dependency-
         #: delivery hook (CR's unique-match queue): it runs right after the
         #: mechanism's timed window closes, before the next mechanism's
         #: hook, so attribution improves while delivery order is unchanged.
@@ -179,7 +179,7 @@ class Verifier:
                 self.metrics.histogram(
                     "mechanism.terminal.seconds", mechanism=m.name
                 )
-                if m.timed
+                if m.timed and self.metrics.enabled
                 else None,
                 _deferred_drain(m),
             )
@@ -395,7 +395,8 @@ class Verifier:
                 finally:
                     elapsed = time.perf_counter() - start
                     bucket[name] = bucket.get(name, 0.0) + elapsed
-                    hist.observe(elapsed)
+                    if hist is not None:
+                        hist.observe(elapsed)
             if drain is not None:
                 start = time.perf_counter()
                 drain()
@@ -453,7 +454,8 @@ class Verifier:
     # -- garbage collection fan-out -------------------------------------------------
 
     def _on_txn_pruned(self, txn_id: str) -> None:
-        self._m_txns_pruned.inc()
+        if self.metrics.enabled:
+            self._m_txns_pruned.inc()
         for mechanism in self._gc_hooks:
             mechanism.on_gc(txn_id)
 

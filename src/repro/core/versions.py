@@ -152,27 +152,10 @@ def direct_scan_max() -> int:
     return value if value >= 0 else _DIRECT_SCAN_MAX
 
 
-class _NullCounter:
-    """Stand-in for a metrics counter when a chain is built outside a
-    verifier (unit tests, ad-hoc use)."""
-
-    __slots__ = ()
-
-    def inc(self, amount: int = 1) -> None:
-        pass
-
-
-_NULL_COUNTER = _NullCounter()
-
-#: (hits, misses, invalidations, local_invalidations, frontier_hits)
-#: counter handles for unmetered chains.
-NULL_CHAIN_COUNTERS = (
-    _NULL_COUNTER,
-    _NULL_COUNTER,
-    _NULL_COUNTER,
-    _NULL_COUNTER,
-    _NULL_COUNTER,
-)
+#: positions in a metered chain's counter-handle tuple
+#: (``chain.memo.*`` in docs/observability.md).  Unmetered chains carry
+#: ``None`` and execute no counter call at all.
+_C_HITS, _C_MISSES, _C_INVALIDATIONS, _C_LOCAL_INVALIDATIONS, _C_FRONTIER = range(5)
 
 #: Optional oracle answering "is version a's txn known to precede version
 #: b's txn (ww) on this key?" -- returns True/False when deduced, None when
@@ -279,11 +262,7 @@ class VersionChain:
         "_prefix_memo",
         "_single_memo",
         "_frontier_entry",
-        "_c_hits",
-        "_c_misses",
-        "_c_invalidations",
-        "_c_local_invalidations",
-        "_c_frontier",
+        "_counters",
     )
 
     def __init__(
@@ -327,17 +306,9 @@ class VersionChain:
         #: frontier cache: (prefix, finished-or-None) for the whole-chain
         #: boundary; rebuilt lazily once per mutation.
         self._frontier_entry: Optional[tuple] = None
-        counters = counters or NULL_CHAIN_COUNTERS
-        if len(counters) == 3:
-            # Pre-frontier triple: pad with no-op handles.
-            counters = tuple(counters) + NULL_CHAIN_COUNTERS[3:]
-        (
-            self._c_hits,
-            self._c_misses,
-            self._c_invalidations,
-            self._c_local_invalidations,
-            self._c_frontier,
-        ) = counters
+        #: (hits, misses, invalidations, local_invalidations,
+        #: frontier_hits) counter handles of an instrumented run, else None.
+        self._counters: Optional[tuple] = counters
         if initial_image is not None:
             # One shared copy: neither the columns delta nor the image of a
             # version is ever mutated in place (images are rebuilt by
@@ -456,7 +427,8 @@ class VersionChain:
             self._snap_memo.clear()
             self._prefix_memo.clear()
             self._single_memo.clear()
-            self._c_invalidations.inc()
+            if self._counters is not None:
+                self._counters[_C_INVALIDATIONS].inc()
 
     def _invalidate_local(self, sort_key: Tuple[float, float, float, int]) -> None:
         """Frontier-local invalidation for a tail append (``sort_key`` is
@@ -491,7 +463,8 @@ class VersionChain:
             if stale:
                 for key in stale:
                     del snap_memo[key]
-                self._c_local_invalidations.inc(len(stale))
+                if self._counters is not None:
+                    self._counters[_C_LOCAL_INVALIDATIONS].inc(len(stale))
 
     def _insert_sorted(self, version: Version) -> None:
         sort_key = chain_sort_key(version)
@@ -558,6 +531,7 @@ class VersionChain:
         newly deduced ``ww`` orders.
         """
         chain = self._chain
+        counters = self._counters
         if self._use_index and len(chain) == 1:
             # Steady state under GC: one committed version.  It stands in
             # exactly one of three relations to the snapshot (future,
@@ -577,9 +551,11 @@ class VersionChain:
                 outcome = 2  # overlap
             cached = self._single_memo.get(outcome)
             if cached is not None:
-                self._c_hits.inc()
+                if counters is not None:
+                    counters[_C_HITS].inc()
                 return cached
-            self._c_misses.inc()
+            if counters is not None:
+                counters[_C_MISSES].inc()
             version = chain[0]
             if outcome == 0:
                 cached = CandidateClassification((), (version,), (), None)
@@ -606,7 +582,8 @@ class VersionChain:
                 ):
                     entry = self._frontier_entry
                     if entry is None:
-                        self._c_misses.inc()
+                        if counters is not None:
+                            counters[_C_MISSES].inc()
                         boundary = len(keys)
                         prefix = self._prefix_memo.get(boundary)
                         if prefix is None:
@@ -621,8 +598,8 @@ class VersionChain:
                             else None
                         )
                         entry = self._frontier_entry = (prefix, final)
-                    else:
-                        self._c_frontier.inc()
+                    elif counters is not None:
+                        counters[_C_FRONTIER].inc()
                     final = entry[1]
                     if final is not None:
                         return final
@@ -640,7 +617,8 @@ class VersionChain:
         memo_key = (snapshot.ts_bef, snapshot.ts_aft)
         entry = self._snap_memo.get(memo_key)
         if entry is not None:
-            self._c_hits.inc()
+            if counters is not None:
+                counters[_C_HITS].inc()
             n0 = entry[6]
             if n0 != len(chain):
                 # The entry survived frontier-local invalidations: every
@@ -771,7 +749,8 @@ class VersionChain:
         the tie (future first), so the caller delegates to it.  Rare by
         construction.
         """
-        self._c_misses.inc()
+        if self._counters is not None:
+            self._counters[_C_MISSES].inc()
         keys = self._keys
         ts_bef = snapshot.ts_bef
         if len(keys) <= 16:

@@ -7,6 +7,7 @@ the readable :class:`PayloadDecoder.trace` reference; and the binary file
 surface agrees with the JSONL one on whatever it is given.
 """
 
+import hashlib
 import io
 
 import pytest
@@ -18,6 +19,7 @@ from repro.core.codec import (
     BinaryTraceWriter,
     CodecError,
     PayloadDecoder,
+    PayloadEncoder,
     decode_batch,
     dump_traces_binary,
     encode_batch,
@@ -25,6 +27,8 @@ from repro.core.codec import (
     load_traces_binary,
     payload_stats,
 )
+from repro.core.intervals import Interval
+from repro.core.parallel import MSG_BEGIN, MSG_TRACE, encode_message_frame
 from repro.core.trace import KeyRange, OpStatus, Trace
 
 
@@ -115,6 +119,67 @@ class TestBatchRoundTrip:
         reference = [decoder.trace() for _ in range(decoder.varint())]
         assert decoder.exhausted
         assert_same_traces(decode_batch(payload), reference)
+
+
+#: every value tag (None/True/False/int/float/str/tuple, nested and empty),
+#: every record flag, all four kinds, multi-byte varints (client id, op
+#: index, a 2**40 value) and a predicate.
+GOLDEN = [
+    Trace.read(1.0, 1.5, "t1", {"x": None, "y": True, "z": False}, client_id=0),
+    Trace.read(
+        2.0, 2.25, "t1",
+        {("acct", 7, -3): {"bal": 10.5, "name": "ann", "n": 2**40}},
+        client_id=1000, op_index=300, for_update=True,
+    ),
+    Trace.write(
+        2.5, 2.75, "t2", {"x": {"v": -3}, ("a", ("b", 1)): {"w": ()}}, client_id=-1
+    ),
+    Trace.write(3.0, 3.5, "t2", {}, client_id=-1, op_index=1, status=OpStatus.FAILED),
+    Trace.read(
+        4.0, 4.5, "t3", {("idx", 3): {"v": 1}, ("idx", 4): {"v": 2}},
+        client_id=5, predicate=KeyRange(prefix=("idx",), lo=-2, hi=200),
+    ),
+    Trace.commit(5.0, 5.5, "t1", client_id=0, op_index=2),
+    Trace.abort(6.0, 6.5, "t2", client_id=-1, op_index=2),
+]
+
+
+class TestWireFormatPinned:
+    """``repro.traces/v1b`` bytes are what captures, ``capture_sha256`` and
+    the shard pipes are made of: the digests below were produced by the
+    writer this format shipped with and must never move."""
+
+    def test_golden_batch_bytes(self):
+        payload = encode_batch(GOLDEN)
+        assert len(payload) == 287
+        assert hashlib.sha256(payload).hexdigest() == (
+            "deb03990495d090794abba3f6b96c2f3cde6c7956bc0082d27c89171ae8aec98"
+        )
+        assert_same_traces(decode_batch(payload), GOLDEN)
+
+    def test_golden_message_frame_bytes(self):
+        messages = [(MSG_BEGIN, "t1", 0, Interval(1.0, 1.5))]
+        for index, trace in enumerate(GOLDEN):
+            if index == 3:
+                messages.append((MSG_BEGIN, "t2", -1, Interval(2.5, 2.75)))
+            messages.append((MSG_TRACE, index * 100, trace))
+        frame = encode_message_frame(messages, watermark=600, horizon=0.5)
+        assert len(frame) == 354
+        assert hashlib.sha256(frame).hexdigest() == (
+            "f018c6ad009e47c0bd1f0f44fc4854c9eefdabef4a5cb63bcb88dd677b28e61d"
+        )
+        assert hashlib.sha256(encode_message_frame([])).hexdigest() == (
+            "c0d82235221e28832fcc34addb1c1baf4eba4c66d049ae7085649bbfb6cdf22a"
+        )
+
+    def test_one_writer(self):
+        """The encoder object and the batch function emit the same bytes
+        (``PayloadEncoder.trace`` delegates to the module-level writer)."""
+        encoder = PayloadEncoder()
+        encoder.varint(len(GOLDEN))
+        for trace in GOLDEN:
+            encoder.trace(trace)
+        assert encoder.finish() == encode_batch(GOLDEN)
 
 
 class TestMalformedInput:
@@ -310,6 +375,8 @@ def test_fuzz_round_trip(batch):
     reference = [decoder.trace() for _ in range(decoder.varint())]
     assert decoder.exhausted
     assert_same_traces(decoded, reference)
+    # Re-encoding what was decoded reproduces the payload byte for byte.
+    assert encode_batch(decoded) == payload
 
 
 @settings(max_examples=60, deadline=None)

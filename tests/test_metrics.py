@@ -167,6 +167,120 @@ class TestDisabledRegistry:
         }
 
 
+#: ``verify --stats-json`` over the BlindW-RW+ capture below, as printed by
+#: the commit before per-event instrument calls were folded into
+#: per-terminal increments / put behind ``registry.enabled``: the folded
+#: counters must keep reading exactly these.
+OFF_MEANS_OFF_COUNTERS = {
+    "bus.deps.accepted{mechanism=CR,type=wr}": 2457,
+    "bus.deps.accepted{mechanism=FUW,type=ww}": 327,
+    "bus.deps.accepted{mechanism=ME,type=ww}": 327,
+    "bus.deps.accepted{mechanism=SC,type=rw}": 3189,
+    "bus.deps.accepted{mechanism=SC,type=so}": 1886,
+    "bus.deps.delivered{mechanism=CR,type=wr}": 2457,
+    "bus.deps.delivered{mechanism=FUW,type=ww}": 327,
+    "bus.deps.delivered{mechanism=ME,type=ww}": 327,
+    "bus.deps.delivered{mechanism=SC,type=rw}": 3189,
+    "bus.deps.delivered{mechanism=SC,type=so}": 1886,
+    "chain.memo.frontier_hits": 433,
+    "chain.memo.hits": 36384,
+    "chain.memo.invalidations": 2047,
+    "chain.memo.local_invalidations": 0,
+    "chain.memo.misses": 9447,
+    "cr.reads.ambiguous": 0,
+    "cr.reads.checked": 46562,
+    "cr.reads.unique_match": 46562,
+    "cr.scans.checked": 0,
+    "fuw.interval_pairs.checked": 327,
+    "fuw.writes.checked": 7144,
+    "fuw.ww.deduced": 327,
+    "me.lock_pairs.checked": 369,
+    "me.locks.acquired": 7404,
+    "me.ww.deduced": 327,
+    "sc.deps.certified": 8186,
+}
+OFF_MEANS_OFF_CANDIDATES = {
+    "count": 46562, "total": 46687.0, "min": 1, "max": 2,
+    "mean": 1.002684592586229,
+}
+
+
+class TestOffMeansOff:
+    """An uninstrumented run executes no instrument call per read, per
+    lock/writer pair or per dependency -- and an instrumented one prints
+    the numbers it always printed."""
+
+    @pytest.fixture(scope="class")
+    def capture(self, tmp_path_factory):
+        from repro.__main__ import main
+
+        capture = tmp_path_factory.mktemp("off-means-off") / "capture"
+        assert main(
+            [
+                "run", "--workload", "blindw-rw+", "--txns", "2000",
+                "--clients", "8", "--seed", "11", "--format", "binary",
+                "--out", str(capture),
+            ]
+        ) == 0
+        return capture
+
+    def test_disabled_run_makes_no_per_event_instrument_calls(
+        self, capture, monkeypatch
+    ):
+        from repro.core.io import load_client_streams, load_initial_db
+
+        calls = {"inc": 0, "observe": 0, "set": 0, "high_watermark": 0}
+
+        def stub(name):
+            def counted(self, *args):
+                calls[name] += 1
+
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(NullInstrument, name, stub(name))
+        verifier = Verifier(
+            spec=PG_SERIALIZABLE,
+            initial_db=load_initial_db(capture / "initial_db.json"),
+        )
+        batches = 0
+        for batch in pipeline_from_client_streams(
+            load_client_streams(capture)
+        ).iter_batches():
+            verifier.process_batch(batch)
+            batches += 1
+        stats = verifier.finish().stats
+        txns = stats.txns_committed + stats.txns_aborted
+        assert txns >= 2000 and stats.reads_checked > 4 * txns
+        # Per-terminal and per-batch calls would fit; per-read, per-pair
+        # or per-dependency calls would not.
+        assert sum(calls.values()) <= 4 * txns + 8 * batches, (calls, txns, batches)
+
+    def test_enabled_run_prints_the_same_numbers(self, capture, tmp_path):
+        from repro.__main__ import main
+
+        stats_path = tmp_path / "stats.json"
+        assert main(["verify", str(capture), "--stats-json", str(stats_path)]) == 0
+        metrics = json.loads(stats_path.read_text())["metrics"]
+        counters = metrics["counters"]
+        assert {
+            key: counters.get(key) for key in OFF_MEANS_OFF_COUNTERS
+        } == OFF_MEANS_OFF_COUNTERS
+        assert metrics["histograms"]["cr.candidate_set.size"] == (
+            OFF_MEANS_OFF_CANDIDATES
+        )
+        # What the folded increments must add up to, whatever the capture:
+        # every checked pair / matched read bumps ``conflict_pairs`` once.
+        stats = json.loads(stats_path.read_text())["stats"]
+        assert stats["conflict_pairs"] == (
+            counters["me.lock_pairs.checked"]
+            + counters["fuw.interval_pairs.checked"]
+            + counters["cr.reads.unique_match"]
+            + counters["cr.reads.ambiguous"]
+        )
+        assert counters["fuw.writes.checked"] == stats["writes_checked"]
+
+
 class TestEndToEndInstrumentation:
     def test_serial_counters_cover_every_mechanism(self, workload_run):
         report, metrics = _instrumented_verify(workload_run)
