@@ -168,7 +168,6 @@ def _verify(args) -> int:
             initial_db=initial_db,
             shards=args.parallel,
             backend=args.parallel_backend,
-            stream_merge=args.stream,
             gc_every=args.gc_every,
             exchange_dependencies=not args.no_exchange,
             minimize_candidates=not args.naive_candidates,
@@ -248,17 +247,13 @@ def cmd_serve(args) -> int:
         status_unix=args.status_unix,
         shards=args.parallel,
         backend=args.parallel_backend,
-        stream_merge=args.stream,
         gc_every=args.gc_every,
         session_credit=args.credit,
         pending_budget=args.budget,
+        acceptor_workers=max(1, args.workers),
         status_refresh=args.status_refresh,
         metrics=metrics,
     )
-    if args.workers is not None:
-        # None keeps ServiceConfig's default (the REPRO_SERVICE_WORKERS
-        # escape hatch).
-        config.acceptor_workers = max(1, args.workers)
 
     async def serve() -> int:
         gateway = create_gateway(config)
@@ -363,22 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="process",
         help="shard execution backend for --parallel",
     )
-    stream_group = verify_p.add_mutually_exclusive_group()
-    stream_group.add_argument(
-        "--stream",
-        dest="stream",
-        action="store_true",
-        default=None,
-        help="stream the parallel certifier merge (overlap certification "
-        "with shard compute; default unless REPRO_PARALLEL_STREAM=0)",
-    )
-    stream_group.add_argument(
-        "--no-stream",
-        dest="stream",
-        action="store_false",
-        help="defer the whole certifier merge to finish() (escape hatch; "
-        "byte-identical report)",
-    )
     verify_p.add_argument(
         "--stats",
         action="store_true",
@@ -419,11 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument(
         "--parallel-backend", choices=["process", "inline"], default="process"
     )
-    serve_stream = serve_p.add_mutually_exclusive_group()
-    serve_stream.add_argument(
-        "--stream", dest="stream", action="store_true", default=None
-    )
-    serve_stream.add_argument("--no-stream", dest="stream", action="store_false")
     serve_p.add_argument("--gc-every", type=int, default=512)
     serve_p.add_argument(
         "--credit", type=int, default=8,
@@ -434,9 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="service-wide pending-event ceiling",
     )
     serve_p.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="acceptor worker processes (default: REPRO_SERVICE_WORKERS "
-        "or 1 = single-loop gateway)",
+        "--workers", type=int, default=1, metavar="N",
+        help="acceptor worker processes (default 1 = single-loop gateway)",
     )
     serve_p.add_argument(
         "--status-refresh", type=float, default=0.25, metavar="SECONDS",

@@ -217,12 +217,11 @@ class GarbageCollector:
         pruned = 0
         for key in list(candidates):
             chain = candidates[key]
-            # Inline the indexed chain's O(1) garbage precheck (at least
-            # two committed versions definitely behind the horizon, or
-            # aborted residue to drop) so chains with nothing to prune do
-            # not even pay the ``prune_garbage`` call.  Linear chains keep
-            # the call (their precheck is the scan inside).
-            if chain._use_index and not chain._aborted:
+            # Inline the chain's O(1) garbage precheck (at least two
+            # committed versions definitely behind the horizon, or aborted
+            # residue to drop) so chains with nothing to prune do not even
+            # pay the ``prune_garbage`` call.
+            if not chain._aborted:
                 keys = chain._keys
                 if len(keys) < 2:
                     del candidates[key]

@@ -14,13 +14,13 @@ dependency cycles cross keys -- so the parallel path splits the work:
 * every dependency a worker's bus accepts, and every violation its
   mechanisms record, is **journaled** with the global index of the trace
   being processed and a per-shard sequence number;
-* at :meth:`ParallelVerifier.finish` the journals are merge-sorted by
-  ``(trace index, shard, sequence)`` and replayed into a single global
+* the journals are merge-sorted by ``(trace index, shard, sequence)`` and
+  replayed into a single global
   :class:`~repro.core.certifier.SerializationCertifier`, which certifies
   the complete cross-shard graph.
 
-By default the merge is **streamed** rather than deferred: workers flush
-journal *segments* back over their pipes during the run, each tagged with
+The merge is **streamed**: workers flush journal *segments* back over
+their pipes during the run, each tagged with
 the coordinator watermark of the last message frame they fully applied
 (and the GC horizon the coordinator computed when it flushed that frame).
 Trace indices reach a shard in increasing order, so once a shard has
@@ -29,10 +29,9 @@ index ``<= W``; the coordinator therefore replays the merged stream up to
 ``min`` over the shards' acked watermarks, incrementally, while workers
 are still computing.  Chunk ``n`` contains exactly the pending events
 with index ``<= W_n`` and later chunks only indices ``> W_n``, so the
-concatenation of chunks equals the deferred global sort -- the replayed
-certifier sees the identical event sequence and the reports match
-byte for byte (``stream_merge=False`` / ``REPRO_PARALLEL_STREAM=0``
-restores the defer-everything tail).  A
+concatenation of chunks equals one global sort of the complete journals
+-- the replayed certifier sees the same event sequence however the
+journals were cut into segments.  A
 :class:`~repro.core.gc.GarbageCollector` runs against the replay state,
 keeping coordinator memory flat instead of O(total journal) (Section
 V-D's asynchronous pruning, applied to the merged graph); its collections
@@ -61,7 +60,6 @@ from __future__ import annotations
 
 import heapq
 import multiprocessing
-import os
 import pickle
 import queue
 import struct
@@ -315,7 +313,7 @@ def encode_segment_frame(
     memo_hits: int = 0,
     memo_misses: int = 0,
 ) -> bytes:
-    """Encode a mid-run journal segment (streaming merge).
+    """Encode a mid-run journal segment.
 
     ``watermark``/``horizon`` echo the header of the last message frame
     the worker fully applied: after this segment the worker will never
@@ -449,8 +447,8 @@ class ShardResult:
 
     shard_id: int
     #: journaled events ``(trace_index, seq, kind, payload)`` in the exact
-    #: order the shard produced them.  Under the streaming merge this is
-    #: only the residue not already flushed as segments.
+    #: order the shard produced them: the residue not already flushed as
+    #: segments.
     events: List[Tuple[int, int, str, object]]
     stats: VerificationStats
     #: worker-side :meth:`MetricsRegistry.snapshot` (empty dicts when the
@@ -459,13 +457,13 @@ class ShardResult:
     metrics: Dict[str, Any] = field(default_factory=dict)
     wall_seconds: float = 0.0
     #: total events the shard journaled over its lifetime (flushed
-    #: segments included); ``len(events)`` when nothing streamed.
+    #: segments included).
     journal_total: int = 0
 
 
 @dataclass
 class StreamSegment:
-    """A mid-run journal flush from one shard (streaming merge)."""
+    """A mid-run journal flush from one shard."""
 
     shard_id: int
     #: trace-index watermark: the shard will never journal another event
@@ -576,15 +574,14 @@ def _shard_worker_main(conn, shard_id: int, spec, initial_part, options) -> None
     order and is decoded exactly once, here.  An empty frame ends the
     stream; the reply is an encoded result frame.
 
-    With a ``stream_segment_events`` budget, the journal is flushed back
-    as a segment frame whenever it grows past the budget, echoing the
-    watermark/horizon of the frame just applied; the final result frame
-    then carries only the residue.  A budget of 0 restores the deferred
-    behaviour (whole journal in the result frame).
+    The journal is flushed back as a segment frame whenever it grows past
+    the ``stream_segment_events`` budget, echoing the watermark/horizon of
+    the frame just applied; the final result frame then carries only the
+    residue.
     """
     relax_collector()
     options = dict(options)
-    segment_events = options.pop("stream_segment_events", 0)
+    segment_events = options.pop("stream_segment_events")
     try:
         shard = ShardVerifier(
             shard_id=shard_id, spec=spec, initial_db=initial_part, **options
@@ -595,7 +592,7 @@ def _shard_worker_main(conn, shard_id: int, spec, initial_part, options) -> None
                 if not frame:
                     break
                 watermark, horizon = apply_message_frame(shard, frame)
-                if segment_events and len(shard.events) >= segment_events:
+                if len(shard.events) >= segment_events:
                     hits, misses = _memo_counts(shard.metrics)
                     conn.send_bytes(
                         encode_segment_frame(
@@ -643,9 +640,9 @@ class _StreamMerger:
     into a global :class:`~repro.core.certifier.SerializationCertifier`.
     Each chunk is sorted by ``(index, shard, seq)``; chunk *n* holds all
     pending events with index ``<= W_n`` and later chunks only indices
-    ``> W_n``, so the concatenation of chunks is exactly the deferred
-    merge's global sort -- replay order, and therefore the report, is
-    identical.
+    ``> W_n``, so the concatenation of chunks is exactly the global sort
+    of the complete journals -- replay order, and therefore the report, is
+    identical however the journals were segmented.
 
     Transaction metadata is installed lazily from the coordinator's
     lifecycle registry the first time an event or commit boundary touches
@@ -653,8 +650,7 @@ class _StreamMerger:
     deduced, so their registry records are final by replay time.  A
     :class:`~repro.core.gc.GarbageCollector` prunes the replay state,
     keeping the coordinator's graph flat; a pruned transaction touched
-    again is simply re-ensured, reproducing the deferred path's
-    everything-installed guard behaviour.
+    again is simply re-ensured.
 
     Collections are a pure function of the trace stream, never of segment
     arrival timing: they fire at exact replayed-event-count thresholds
@@ -665,8 +661,8 @@ class _StreamMerger:
     *dispatched* the trace index the replay just reached (``horizon_log``)
     -- exactly the serial collector's ``S_e`` at that stream position.
     Machine load can therefore delay replay, but never change which
-    transactions get pruned, so the streamed report stays byte-identical
-    to the deferred one on every schedule.
+    transactions get pruned, so the report is byte-identical on every
+    schedule.
     """
 
     def __init__(
@@ -685,9 +681,8 @@ class _StreamMerger:
         state = VerifierState()
         self.state = state
         self.descriptor = state.descriptor
-        # Same wiring as the deferred merge: an uncounted bus (the shard
-        # journals already counted these dependencies) feeding the one
-        # place certification happens.
+        # An uncounted bus (the shard journals already counted these
+        # dependencies) feeding the one place certification happens.
         self._bus = DependencyBus(state, count_stats=False)
         self._certifier = SerializationCertifier(state, spec, metrics=metrics)
         self._bus.subscribe(
@@ -838,8 +833,8 @@ class _StreamMerger:
 
     def finalize(self) -> BugDescriptor:
         """Replay the remaining buffered suffix (the residue past the last
-        merged watermark, globally sorted -- the same order the deferred
-        merge would have produced) and install trailing commit nodes.
+        merged watermark, globally sorted) and install trailing commit
+        nodes.
 
         The residue goes through the same threshold-sliced replay as
         :meth:`advance`: a run where little streamed mid-run (slow segment
@@ -881,9 +876,11 @@ class _StreamMerger:
             state.note_terminal(txn_id, record.terminal_interval.ts_aft)
 
     def _replay(self, events: List[Tuple[int, int, int, str, object]]) -> None:
-        """One chunk of the deferred merge's replay loop: commit-boundary
-        node insertion, dependency batching, violation recording -- with
-        transaction metadata ensured on first touch."""
+        """Replay one merged chunk: commit-boundary node insertion (a
+        committing transaction's graph node exists before any dependency
+        or violation of that trace, mirroring the serial order),
+        dependency batching, violation recording -- with transaction
+        metadata ensured on first touch."""
         state = self.state
         bus = self._bus
         descriptor = self.descriptor
@@ -933,18 +930,12 @@ class ParallelVerifier:
         fallback -- same journals, same merge, byte-identical report).
     batch_size:
         Messages buffered per shard before a pipe send (process backend).
-    stream_merge:
-        Stream the certifier merge: workers flush watermark-tagged
-        journal segments during the run and the coordinator incrementally
-        merges, replays and garbage-collects them, overlapping global
-        certification with worker compute and surfacing violations
-        mid-run.  ``False`` restores the defer-everything merge tail
-        (byte-identical report).  Default: the ``REPRO_PARALLEL_STREAM``
-        environment variable (on unless set to ``0``).
     segment_events:
-        Journal-size budget (events) at which a worker flushes a segment;
-        also bounds the coordinator's buffered journal to
-        O(shards x segment_events) between merge advances.
+        Journal-size budget (events) at which a worker flushes a
+        watermark-tagged segment for the coordinator to merge, replay and
+        garbage-collect while the workers keep computing; also bounds the
+        coordinator's buffered journal to O(shards x segment_events)
+        between merge advances.
     metrics:
         Coordinator-side :class:`~repro.core.metrics.MetricsRegistry`.
         When enabled, each shard builds its own registry (registries do
@@ -965,17 +956,12 @@ class ParallelVerifier:
         batch_size: int = 256,
         gc_every: int = 512,
         session_order: bool = True,
-        stream_merge: Optional[bool] = None,
         segment_events: int = 1024,
         metrics: Optional[MetricsRegistry] = None,
         **verifier_kwargs,
     ):
         if backend not in ("process", "inline"):
             raise ValueError(f"unknown parallel backend {backend!r}")
-        if stream_merge is None:
-            env = os.environ.get("REPRO_PARALLEL_STREAM", "1").strip().lower()
-            stream_merge = env not in ("0", "false", "no", "off", "")
-        self.stream_merge = bool(stream_merge)
         self._segment_events = max(1, segment_events)
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         self.spec = spec
@@ -1059,9 +1045,7 @@ class ParallelVerifier:
         for shard in range(self.router.shards):
             parent_conn, child_conn = ctx.Pipe()
             options = self._shard_options(shard)
-            options["stream_segment_events"] = (
-                self._segment_events if self.stream_merge else 0
-            )
+            options["stream_segment_events"] = self._segment_events
             proc = ctx.Process(
                 target=_shard_worker_main,
                 args=(
@@ -1077,20 +1061,19 @@ class ParallelVerifier:
             child_conn.close()
             self._workers.append(proc)
             self._conns.append(parent_conn)
-        if self.stream_merge:
-            # Workers push segments whenever their journal fills; a
-            # dedicated drainer keeps every pipe's read side moving so a
-            # worker can never block sending a segment while the
-            # coordinator blocks sending it a frame (started only after
-            # every fork -- threads do not survive os.fork).
-            self._rx_queue = queue.SimpleQueue()
-            self._drainer = threading.Thread(
-                target=self._drain_main,
-                args=(list(self._conns), self._rx_queue),
-                name="parallel-segment-drainer",
-                daemon=True,
-            )
-            self._drainer.start()
+        # Workers push segments whenever their journal fills; a dedicated
+        # drainer keeps every pipe's read side moving so a worker can never
+        # block sending a segment while the coordinator blocks sending it a
+        # frame (started only after every fork -- threads do not survive
+        # os.fork).
+        self._rx_queue = queue.SimpleQueue()
+        self._drainer = threading.Thread(
+            target=self._drain_main,
+            args=(list(self._conns), self._rx_queue),
+            name="parallel-segment-drainer",
+            daemon=True,
+        )
+        self._drainer.start()
 
     @staticmethod
     def _drain_main(conns: List, rx: "queue.SimpleQueue") -> None:
@@ -1210,7 +1193,7 @@ class ParallelVerifier:
             self._handle_stream_payload(payload)
 
     def _maybe_flush_inline(self) -> None:
-        """Inline-backend streaming: shard verifiers run synchronously, so
+        """Inline backend: shard verifiers run synchronously, so
         whenever any journal passes the budget every shard is flushed at
         the same (fully caught-up) watermark."""
         if not any(
@@ -1239,10 +1222,9 @@ class ParallelVerifier:
                 client_id=trace.client_id, first_interval=trace.interval
             )
             self._txns[trace.txn_id] = record
-            if self.stream_merge:
-                heapq.heappush(
-                    self._active_heap, (trace.interval.ts_bef, trace.txn_id)
-                )
+            heapq.heappush(
+                self._active_heap, (trace.interval.ts_bef, trace.txn_id)
+            )
             begin = (MSG_BEGIN, trace.txn_id, trace.client_id, trace.interval)
             for shard in range(self.router.shards):
                 self._send(shard, begin)
@@ -1262,15 +1244,13 @@ class ParallelVerifier:
             else:
                 record.status = TxnStatus.ABORTED
                 self._txns_aborted += 1
-        if self.stream_merge:
-            self._horizon_log.append((index, self._horizon()))
+        self._horizon_log.append((index, self._horizon()))
         for shard, part in self.router.split(trace).items():
             self._send(shard, (MSG_TRACE, index, part))
-        if self.stream_merge:
-            if self._inline:
-                self._maybe_flush_inline()
-            else:
-                self._pump()
+        if self._inline:
+            self._maybe_flush_inline()
+        else:
+            self._pump()
 
     def process_batch(self, traces: Sequence[Trace]) -> None:
         """Batch intake: same per-trace routing as :meth:`process` (the
@@ -1285,7 +1265,6 @@ class ParallelVerifier:
         send = self._send
         active = TxnStatus.ACTIVE
         commit_kind = OpKind.COMMIT
-        streaming = self.stream_merge
         for trace in traces:
             txn_id = trace.txn_id
             record = txns.get(txn_id)
@@ -1294,10 +1273,9 @@ class ParallelVerifier:
                     client_id=trace.client_id, first_interval=trace.interval
                 )
                 txns[txn_id] = record
-                if streaming:
-                    heapq.heappush(
-                        self._active_heap, (trace.interval.ts_bef, txn_id)
-                    )
+                heapq.heappush(
+                    self._active_heap, (trace.interval.ts_bef, txn_id)
+                )
                 begin = (MSG_BEGIN, txn_id, trace.client_id, trace.interval)
                 for shard in shards:
                     send(shard, begin)
@@ -1317,15 +1295,13 @@ class ParallelVerifier:
                 else:
                     record.status = TxnStatus.ABORTED
                     self._txns_aborted += 1
-            if streaming:
-                self._horizon_log.append((index, self._horizon()))
+            self._horizon_log.append((index, self._horizon()))
             for shard, part in split(trace).items():
                 send(shard, (MSG_TRACE, index, part))
-        if streaming:
-            if self._inline:
-                self._maybe_flush_inline()
-            else:
-                self._pump()
+        if self._inline:
+            self._maybe_flush_inline()
+        else:
+            self._pump()
 
     def process_all(self, traces: Iterable[Trace]) -> "ParallelVerifier":
         for trace in traces:
@@ -1344,20 +1320,7 @@ class ParallelVerifier:
                 conn.send_bytes(b"")
             except (BrokenPipeError, OSError):
                 pass  # dead worker; its error frame surfaces below
-        if self.stream_merge:
-            results, errors = self._await_stream_replies()
-        else:
-            results = []
-            errors = []
-            for conn in self._conns:
-                reply = conn.recv_bytes()
-                self._m_tx_result_bytes.inc(len(reply))
-                status, payload = decode_shard_reply(reply)
-                if status == "ok":
-                    results.append(payload)
-                else:
-                    errors.append(payload)
-                conn.close()
+        results, errors = self._await_stream_replies()
         for proc in self._workers:
             proc.join()
         if errors:
@@ -1368,8 +1331,7 @@ class ParallelVerifier:
 
     def _await_stream_replies(self) -> Tuple[List[ShardResult], List[str]]:
         """Block until every worker's terminal reply arrived, replaying
-        any segments that are still in flight along the way (this tail of
-        overlap is what shrinks the deferred merge's serial finish)."""
+        any segments that are still in flight along the way."""
         rx = self._rx_queue
         want = self.router.shards
         while len(self._stream_results) + len(self._stream_errors) < want:
@@ -1407,15 +1369,19 @@ class ParallelVerifier:
     # -- merge: global certification over the journaled event stream ---------------
 
     def _merge(self, results: List[ShardResult]) -> VerificationReport:
+        """Only the journal residue past the last merged watermark remains
+        to replay; everything else was certified during the run."""
         if self.metrics.enabled:
             self._absorb_shard_metrics(results)
-            with self.metrics.timer("parallel.merge.seconds"):
-                if self.stream_merge:
-                    return self._finalize_stream(results)
-                return self._merge_events(results)
-        if self.stream_merge:
-            return self._finalize_stream(results)
-        return self._merge_events(results)
+        with self.metrics.timer("parallel.merge.seconds"):
+            merger = self._ensure_merger()
+            for result in results:
+                merger.add_residual(result.shard_id, result.events)
+            descriptor = merger.finalize()
+        stats = self._merge_stats([result.stats for result in results])
+        return VerificationReport(
+            descriptor=descriptor, stats=stats, isolation_level=self.spec.name
+        )
 
     def _absorb_shard_metrics(self, results: List[ShardResult]) -> None:
         for result in results:
@@ -1433,81 +1399,6 @@ class ParallelVerifier:
                 result.journal_total,
                 shard=result.shard_id,
             )
-
-    def _finalize_stream(self, results: List[ShardResult]) -> VerificationReport:
-        """Streamed finish: only the journal residue past the last merged
-        watermark remains to replay; everything else was certified during
-        the run."""
-        merger = self._ensure_merger()
-        for result in results:
-            merger.add_residual(result.shard_id, result.events)
-        descriptor = merger.finalize()
-        stats = self._merge_stats([result.stats for result in results])
-        return VerificationReport(
-            descriptor=descriptor, stats=stats, isolation_level=self.spec.name
-        )
-
-    def _merge_events(self, results: List[ShardResult]) -> VerificationReport:
-        events: List[Tuple[int, int, int, str, object]] = []
-        for result in results:
-            for index, seq, kind, payload in result.events:
-                events.append((index, result.shard_id, seq, kind, payload))
-        events.sort(key=lambda event: (event[0], event[1], event[2]))
-
-        state = VerifierState()
-        descriptor = state.descriptor
-        for txn_id, record in self._txns.items():
-            txn = state.ensure_txn(
-                txn_id, record.client_id, record.first_interval
-            )
-            # Every journaled dependency's endpoints were terminal when it
-            # was deduced (mechanisms only relate finished transactions),
-            # so installing final statuses up front replays faithfully.
-            txn.status = record.status
-            txn.terminal_interval = record.terminal_interval
-        # The merge bus gets no coordinator registry on purpose: its
-        # accept/deliver counters would double-count the shard-journaled
-        # dependencies the worker buses already counted.  The certifier
-        # *does* count here -- shards run the report-free GraphOnlyCertifier,
-        # so certification happens exactly once, in this pass.
-        bus = DependencyBus(state, count_stats=False)
-        certifier = SerializationCertifier(state, self.spec, metrics=self.metrics)
-        bus.subscribe(certifier.name, certifier.on_dependency, priority=0)
-
-        commits = iter(self._commits)
-        next_commit = next(commits, None)
-        # Runs of consecutive dependencies (no commit boundary, no
-        # violation) are handed to the bus as one batch; publish_many
-        # delivers in order, so the replay is operation-for-operation
-        # identical to publishing each event individually.
-        batch: List = []
-        for index, _shard, _seq, kind, payload in events:
-            # Mirror the serial order: a committing transaction's graph
-            # node exists before any dependency or violation of that trace.
-            if next_commit is not None and next_commit[0] <= index:
-                if batch:
-                    bus.publish_many(batch)
-                    batch.clear()
-                while next_commit is not None and next_commit[0] <= index:
-                    state.graph.add_txn(next_commit[1], next_commit[2])
-                    next_commit = next(commits, None)
-            if kind == _VIOLATION:
-                if batch:
-                    bus.publish_many(batch)
-                    batch.clear()
-                descriptor.record(payload)
-            else:
-                batch.append(payload)
-        if batch:
-            bus.publish_many(batch)
-        while next_commit is not None:
-            state.graph.add_txn(next_commit[1], next_commit[2])
-            next_commit = next(commits, None)
-
-        stats = self._merge_stats([result.stats for result in results])
-        return VerificationReport(
-            descriptor=descriptor, stats=stats, isolation_level=self.spec.name
-        )
 
     def _merge_stats(
         self, shard_stats: List[VerificationStats]
@@ -1546,22 +1437,14 @@ class ParallelVerifier:
     def violations_so_far(self) -> List[Violation]:
         """Violations visible before :meth:`finish`.
 
-        Streaming merge: the globally certified violations replayed so
-        far -- an append-only list that the final report extends in
-        place, so online alerting indexes stay stable across the finish
-        boundary.  Deferred merge: the per-shard mechanism findings
-        (inline backend only); cross-shard certifier findings exist only
-        after the merge."""
+        The globally certified violations replayed so far -- an
+        append-only list that the final report extends in place, so online
+        alerting indexes stay stable across the finish boundary."""
         if self._report is not None:
             return self._report.violations
-        if self.stream_merge:
-            if self._merger is None:
-                return []
-            return self._merger.descriptor.violations
-        merged = BugDescriptor()
-        for shard in self._inline:
-            merged.absorb(shard.state.descriptor)
-        return merged.violations
+        if self._merger is None:
+            return []
+        return self._merger.descriptor.violations
 
     def chain_memo_counts(self) -> Optional[Tuple[int, int]]:
         """Cumulative ``chain.memo`` (hits, misses) across every shard,
@@ -1584,9 +1467,9 @@ class ParallelVerifier:
         return hits, misses
 
     def coordinator_pending_events(self) -> int:
-        """Journal events buffered coordinator-side awaiting replay (zero
-        with the deferred merge): the component of the service-wide memory
-        budget this verifier owns beyond the staged traces."""
+        """Journal events buffered coordinator-side awaiting replay: the
+        component of the service-wide memory budget this verifier owns
+        beyond the staged traces."""
         if self._merger is None:
             return 0
         return self._merger.pending_events()
@@ -1594,9 +1477,9 @@ class ParallelVerifier:
     def live_structure_count(self) -> int:
         """Total retained structures across shard states (inline backend;
         the process backend's memory lives in the workers, so only the
-        coordinator-side registry is counted), plus -- when streaming --
-        the replay state and the buffered journal (the structures whose
-        flatness the streamed GC is responsible for)."""
+        coordinator-side registry is counted), plus the replay state and
+        the buffered journal (the structures whose flatness the streamed
+        GC is responsible for)."""
         if self._inline:
             total = sum(
                 shard.state.live_structure_count() for shard in self._inline

@@ -6,38 +6,32 @@ union in monotonically increasing ``ts_bef`` order (Theorem 1).  The paper's
 *two-level pipeline* achieves this with:
 
 * a **local buffer** per client that batches its stream asynchronously, and
-* a **global buffer** (min-heap) that fetches batches from the local buffers
-  round by round, dispatching every trace whose before-timestamp is below
-  the **watermark** -- the smallest before-timestamp still sitting in any
-  local buffer.
+* a **global buffer** that fetches batches from the local buffers round by
+  round, dispatching every trace below the **watermark** -- the smallest
+  trace still sitting in any local buffer.
 
 Two optimisations from the paper are implemented and individually
 switchable (they are compared in the Fig. 10 experiment):
 
 1. *laggard-first fetching*: fetch from the local buffer with the smallest
    head timestamp first, so one slow client cannot stall the watermark while
-   traces from fast clients pile up in the heap;
-2. *flow control*: fetch roughly as many traces into the heap as were
-   dispatched out of it, keeping the heap size stable.
+   traces from fast clients pile up in the global buffer;
+2. *flow control*: fetch roughly as many traces into the global buffer as
+   were dispatched out of it, keeping its size stable.
 
-The global buffer itself comes in two interchangeable shapes:
+The global buffer holds **sorted runs**: each client batch arrives already
+sorted (the paper's Tracer slices per-client streams, Section IV-C), so
+the fetch stage keeps whole batches as *runs* and every dispatch round
+splices the run prefixes below the watermark with one bisect per run and
+merges them in a single k-way pass.  When only one run has an eligible
+prefix -- the common case under flow control -- the spliced slice is
+dispatched wholesale with no comparison work at all.
 
-* the historical **per-trace heap** (``run_merge=False`` or
-  ``REPRO_PIPELINE_RUNS=0``): every fetched trace is pushed onto a min-heap
-  and popped individually -- the reference path, kept verbatim;
-* **sorted-run merging** (the default): each client batch arrives already
-  sorted (the paper's Tracer slices per-client streams, Section IV-C), so
-  the fetch stage keeps whole batches as *runs* and every dispatch round
-  splices the run prefixes below the watermark with one bisect per run and
-  merges them in a single k-way pass.  When only one run has an eligible
-  prefix -- the common case under flow control -- the spliced slice is
-  dispatched wholesale with no comparison work at all.
-
-Both shapes fetch the same batches in the same order and dispatch the same
-``ts_bef <= watermark`` set each round, and heap pop order over a fetched
-set equals ``(ts_bef, trace_id)`` merge order over its runs, so their
-outputs are identical trace-for-trace (ties included) -- the equivalence
-the property tests pin down.
+The watermark is a ``(ts_bef, trace_id)`` pair, the pipeline's sort key:
+a staged trace that ties the smallest buffered before-timestamp is held
+back while a lower-id trace with that timestamp still sits in a local
+buffer, so the output equals the global ``(ts_bef, trace_id)`` sort for
+every batch size.
 
 A :class:`NaiveGlobalSorter` baseline (collect everything, sort once) is
 provided for the same comparison.
@@ -46,9 +40,8 @@ provided for the same comparison.
 from __future__ import annotations
 
 import heapq
-import os
 import time
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -56,11 +49,6 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 from .intervals import POS_INF
 from .metrics import NULL_REGISTRY, MetricsRegistry
 from .trace import Trace
-
-
-def _env_run_merge() -> bool:
-    """``REPRO_PIPELINE_RUNS=0`` falls back to the per-trace heap path."""
-    return os.environ.get("REPRO_PIPELINE_RUNS", "1") != "0"
 
 
 class ClientFeed:
@@ -151,8 +139,8 @@ class PipelineStats:
     peak_heap_size: int = 0
     peak_buffered: int = 0
     fetches: int = 0
-    #: run-merge path only: k-way merge rounds and single-run fast-path
-    #: dispatches (both zero on the per-trace heap path).
+    #: runs that went through a k-way merge, and single-run fast-path
+    #: dispatches.
     runs_merged: int = 0
     fastpath_runs: int = 0
 
@@ -162,7 +150,8 @@ class PipelineStats:
 
 
 class _LocalBuffer:
-    """Per-client staging area between the client feed and the heap."""
+    """Per-client staging area between the client feed and the global
+    buffer."""
 
     __slots__ = ("feed", "pending", "pending_ts")
 
@@ -188,11 +177,11 @@ class _LocalBuffer:
 
 
 class _Run:
-    """One fetched client batch staged in the global buffer (run-merge
-    path).  ``ts`` is the parallel before-timestamp key array captured at
-    batch time; ``lo`` is the consumed-prefix cursor: splicing advances it
-    instead of copying the tail, so a run is sliced at most once per
-    dispatch round and dropped when fully consumed."""
+    """One fetched client batch staged in the global buffer.  ``ts`` is
+    the parallel before-timestamp key array captured at batch time; ``lo``
+    is the consumed-prefix cursor: splicing advances it instead of copying
+    the tail, so a run is sliced at most once per dispatch round and
+    dropped when fully consumed."""
 
     __slots__ = ("items", "ts", "lo")
 
@@ -206,14 +195,13 @@ class _Run:
 
 
 def _merge_slices(slices: List[Tuple[List[Trace], List[float], int, int]]) -> List[Trace]:
-    """K-way merge of sorted run slices by ``(ts_bef, trace_id)`` -- the
-    heap reference path's pop order over the same traces.
+    """K-way merge of sorted run slices by ``(ts_bef, trace_id)``.
 
     Each slice is ``(items, ts, lo, hi)``.  The loop gallops: whenever the
     leading slice is strictly below every other head timestamp, its whole
     leading chunk is located with one C-level bisect over the float key
     array and copied wholesale; exact timestamp ties fall back to
-    one-element steps where the heap's full ``(ts, id)`` comparison decides.
+    one-element steps where the full ``(ts, id)`` comparison decides.
     """
     heap = []
     for index, (items, ts, lo, hi) in enumerate(slices):
@@ -255,14 +243,11 @@ def _merge_slices(slices: List[Tuple[List[Trace], List[float], int, int]]) -> Li
 class TwoLevelPipeline:
     """Round-by-round trace dispatcher (Algorithm 1).
 
-    Iterating over the pipeline yields all client traces in monotonically
-    non-decreasing ``ts_bef`` order.  ``optimized=False`` disables the
-    laggard-first fetching and flow control (the "w/o Opt" configuration of
-    Fig. 10); the watermark protocol itself is always on, since it is what
-    makes the output order correct.  ``run_merge`` selects the global
-    buffer shape: sorted-run merging (the default) or the per-trace heap
-    reference path (``None`` defers to the ``REPRO_PIPELINE_RUNS``
-    environment escape hatch).
+    Iterating over the pipeline yields all client traces in ``(ts_bef,
+    trace_id)`` order.  ``optimized=False`` disables the laggard-first
+    fetching and flow control (the "w/o Opt" configuration of Fig. 10); the
+    watermark protocol itself is always on, since it is what makes the
+    output order correct.
     """
 
     def __init__(
@@ -270,14 +255,11 @@ class TwoLevelPipeline:
         feeds: Sequence[ClientFeed],
         optimized: bool = True,
         metrics: Optional[MetricsRegistry] = None,
-        run_merge: Optional[bool] = None,
     ):
         if not feeds:
             raise ValueError("pipeline needs at least one client feed")
         self._locals = [_LocalBuffer(feed) for feed in feeds]
-        self._heap: List[Tuple[float, int, Trace]] = []
         self._optimized = optimized
-        self._run_merge = _env_run_merge() if run_merge is None else bool(run_merge)
         self._last_dispatched_ts = -POS_INF
         self._last_round_dispatched = 0
         self.stats = PipelineStats()
@@ -293,40 +275,49 @@ class TwoLevelPipeline:
 
     # -- internals ---------------------------------------------------------
 
-    def _watermark(self) -> float:
-        return min(buf.head_ts for buf in self._locals)
+    def _watermark(self) -> Tuple[float, float]:
+        """``(ts_bef, trace_id)`` of the smallest trace still in a local
+        buffer; ``(+inf, +inf)`` when every buffer is empty."""
+        ts = trace_id = POS_INF
+        for buf in self._locals:
+            if buf.pending_ts:
+                head_ts = buf.pending_ts[0]
+                if head_ts < ts or (
+                    head_ts == ts and buf.pending[0].trace_id < trace_id
+                ):
+                    ts = head_ts
+                    trace_id = buf.pending[0].trace_id
+        return ts, trace_id
 
     def _buffered(self) -> int:
         return sum(len(buf.pending) for buf in self._locals)
 
-    def _push(self, trace: Trace) -> None:
-        if trace.ts_bef > self._max_pushed_ts:
-            self._max_pushed_ts = trace.ts_bef
-        heapq.heappush(self._heap, (trace.ts_bef, trace.trace_id, trace))
-
     def _observe_round(self, staged: int) -> None:
         """Per-round gauges/histograms (instrumented runs only): global
-        buffer size (heap entries or staged run traces), per-client staged
-        depth, and the watermark lag -- how far ahead of the watermark
-        fetched traces have piled up while a laggard client holds dispatch
-        back."""
+        buffer size (staged run traces), per-client staged depth, and the
+        watermark lag -- how far ahead of the watermark fetched traces have
+        piled up while a laggard client holds dispatch back."""
         self._m_heap.observe(staged)
         for index, buf in enumerate(self._locals):
             self._metrics.gauge(
                 "pipeline.client.depth", client=index
             ).high_watermark(len(buf.pending))
         if staged:
-            lag = self._max_pushed_ts - self._watermark()
+            lag = self._max_pushed_ts - self._watermark()[0]
             if lag > 0:
                 self._m_lag.high_watermark(lag)
 
-    def _fetch_round(self) -> None:
-        """One fetch stage: move staged traces into the heap and restage.
+    def _all_done(self) -> bool:
+        return all(buf.done for buf in self._locals)
+
+    def _fetch_round(self, runs: List[_Run]) -> None:
+        """One fetch stage: stage each fetched batch as one sorted run and
+        restage its local buffer.
 
         The unoptimised variant drains every local buffer each round.  The
         optimised variant fetches laggard-first and stops once it has moved
-        roughly as many traces as the previous round dispatched, keeping the
-        heap size bounded by the dispatch rate.
+        roughly as many traces as the previous round dispatched, keeping
+        the global buffer bounded by the dispatch rate.
         """
         self.stats.rounds += 1
         instrumented = self._metrics.enabled
@@ -339,76 +330,21 @@ class TwoLevelPipeline:
         if self._optimized:
             buffers.sort(key=lambda buf: buf.head_ts)
             budget = max(self._last_round_dispatched, 1)
-            fetched = 0
-            for buf in buffers:
-                take = buf.pending
-                buf.pending = []
-                buf.pending_ts = []
-                for trace in take:
-                    self._push(trace)
-                fetched += len(take)
-                self.stats.fetches += 1
-                buf.refill()
-                if fetched >= budget:
-                    break
         else:
-            for buf in buffers:
-                for trace in buf.pending:
-                    self._push(trace)
-                self.stats.fetches += 1
-                buf.pending = []
-                buf.pending_ts = []
-                buf.refill()
-        self.stats.observe(len(self._heap), self._buffered())
-        self._last_round_dispatched = 0
-        if instrumented:
-            self._m_fetch.observe(time.perf_counter() - fetch_start)
-            self._observe_round(len(self._heap))
-
-    def _all_done(self) -> bool:
-        return all(buf.done for buf in self._locals)
-
-    # -- run-merge internals ------------------------------------------------
-
-    def _fetch_round_runs(self, runs: List[_Run]) -> None:
-        """The run-merge fetch stage: identical fetch policy (laggard-first
-        order, flow-control budget, same refill points) to
-        :meth:`_fetch_round`, but each fetched batch is staged as one
-        sorted run instead of being heap-pushed trace by trace."""
-        self.stats.rounds += 1
-        instrumented = self._metrics.enabled
-        if instrumented:
-            fetch_start = time.perf_counter()
-        buffers = [buf for buf in self._locals if not buf.done]
+            budget = POS_INF
+        fetched = 0
         for buf in buffers:
+            take, take_ts = buf.pending, buf.pending_ts
+            buf.pending = []
+            buf.pending_ts = []
+            runs.append(_Run(take, take_ts))
+            if take_ts[-1] > self._max_pushed_ts:
+                self._max_pushed_ts = take_ts[-1]
+            fetched += len(take)
+            self.stats.fetches += 1
             buf.refill()
-        buffers = [buf for buf in self._locals if buf.pending]
-        if self._optimized:
-            buffers.sort(key=lambda buf: buf.head_ts)
-            budget = max(self._last_round_dispatched, 1)
-            fetched = 0
-            for buf in buffers:
-                take, take_ts = buf.pending, buf.pending_ts
-                buf.pending = []
-                buf.pending_ts = []
-                runs.append(_Run(take, take_ts))
-                if take_ts[-1] > self._max_pushed_ts:
-                    self._max_pushed_ts = take_ts[-1]
-                fetched += len(take)
-                self.stats.fetches += 1
-                buf.refill()
-                if fetched >= budget:
-                    break
-        else:
-            for buf in buffers:
-                take, take_ts = buf.pending, buf.pending_ts
-                buf.pending = []
-                buf.pending_ts = []
-                runs.append(_Run(take, take_ts))
-                if take_ts[-1] > self._max_pushed_ts:
-                    self._max_pushed_ts = take_ts[-1]
-                self.stats.fetches += 1
-                buf.refill()
+            if fetched >= budget:
+                break
         staged = sum(len(run) for run in runs)
         self.stats.observe(staged, self._buffered())
         self._last_round_dispatched = 0
@@ -416,20 +352,32 @@ class TwoLevelPipeline:
             self._m_fetch.observe(time.perf_counter() - fetch_start)
             self._observe_round(staged)
 
-    def _splice_runs(self, runs: List[_Run], bound: float) -> List[Trace]:
-        """Dispatch every staged trace with ``ts_bef <= bound``: one bisect
-        per run finds the eligible prefix, a single-run fast path extends
-        the output wholesale, and the k-way case merges by ``(ts_bef,
-        trace_id)`` -- exactly the heap's pop order over the same set.
+    def _splice_runs(
+        self, runs: List[_Run], bound: Tuple[float, float]
+    ) -> List[Trace]:
+        """Dispatch every staged trace below ``bound``, a ``(ts_bef,
+        trace_id)`` pair: one bisect per run finds the prefix strictly
+        below the bound's timestamp, traces tied with it join while their
+        id is smaller, a single-run fast path extends the output wholesale,
+        and the k-way case merges by ``(ts_bef, trace_id)``.
 
         Runs are sorted by that key because a client's batch is created in
         stream order (ids are assigned monotonically at construction, and
-        stamped ``client_id << SEQ_BITS | seq`` at decode), which the k-way
-        merge and the fast path both rely on.
+        stamped ``client_id << SEQ_BITS | seq`` at decode), which the tie
+        walk, the k-way merge and the fast path all rely on.
         """
+        bound_ts, bound_id = bound
         eligible: List[Tuple[_Run, int]] = []
         for run in runs:
-            hi = bisect_right(run.ts, bound, run.lo, len(run.items))
+            ts, items = run.ts, run.items
+            end = len(ts)
+            hi = bisect_left(ts, bound_ts, run.lo, end)
+            while (
+                hi < end
+                and ts[hi] == bound_ts
+                and items[hi].trace_id < bound_id
+            ):
+                hi += 1
             if hi > run.lo:
                 eligible.append((run, hi))
         if not eligible:
@@ -463,9 +411,22 @@ class TwoLevelPipeline:
         self._m_splice.observe(dispatched)
         return out
 
-    def _iter_run_batches(self) -> Iterator[List[Trace]]:
+    # -- public API ---------------------------------------------------------
+
+    def close(self) -> None:
+        """Close every client feed: an abandoned or failed run must not
+        leave capture files open behind it."""
+        for buf in self._locals:
+            buf.feed.close()
+
+    def __iter__(self) -> Iterator[Trace]:
+        for batch in self.iter_batches():
+            yield from batch
+
+    def iter_batches(self) -> Iterator[List[Trace]]:
         """Algorithm 1 over sorted runs: each yielded list is one dispatch
-        round's below-watermark splice, in dispatch order."""
+        round's below-watermark splice, in dispatch order -- the natural
+        unit for :meth:`Verifier.process_batch` feeding."""
         for buf in self._locals:
             buf.refill()
         runs: List[_Run] = []
@@ -476,77 +437,11 @@ class TwoLevelPipeline:
                 yield batch
             if self._all_done():
                 # Drain: every feed is exhausted, merge whatever is staged.
-                batch = self._splice_runs(runs, POS_INF)
+                batch = self._splice_runs(runs, (POS_INF, POS_INF))
                 if batch:
                     yield batch
                 return
-            self._fetch_round_runs(runs)
-
-    # -- public API ---------------------------------------------------------
-
-    def close(self) -> None:
-        """Close every client feed: an abandoned or failed run must not
-        leave capture files open behind it."""
-        for buf in self._locals:
-            buf.feed.close()
-
-    def __iter__(self) -> Iterator[Trace]:
-        if self._run_merge:
-            for batch in self._iter_run_batches():
-                yield from batch
-        else:
-            yield from self._iter_heap()
-
-    def iter_batches(self, max_batch: int = 2048) -> Iterator[List[Trace]]:
-        """Yield dispatched traces in batches (same order as iteration).
-
-        On the run-merge path each batch is a dispatch round's splice --
-        the natural unit for :meth:`Verifier.process_batch` feeding; the
-        per-trace reference path chunks its output at ``max_batch``.
-        """
-        if self._run_merge:
-            yield from self._iter_run_batches()
-            return
-        batch: List[Trace] = []
-        for trace in self._iter_heap():
-            batch.append(trace)
-            if len(batch) >= max_batch:
-                yield batch
-                batch = []
-        if batch:
-            yield batch
-
-    def _iter_heap(self) -> Iterator[Trace]:
-        """The historical per-trace reference path (``run_merge=False``),
-        kept verbatim: heap-push every fetched trace, pop below the
-        watermark."""
-        # Prime the local buffers so the first watermark is meaningful.
-        for buf in self._locals:
-            buf.refill()
-        self.stats.observe(len(self._heap), self._buffered())
-        while True:
-            watermark = self._watermark()
-            while self._heap and self._heap[0][0] <= watermark:
-                _, _, trace = heapq.heappop(self._heap)
-                if trace.ts_bef < self._last_dispatched_ts:
-                    raise AssertionError(
-                        "pipeline dispatched out of order"
-                    )  # pragma: no cover - guarded by Theorem 1
-                self._last_dispatched_ts = trace.ts_bef
-                self.stats.dispatched += 1
-                self._last_round_dispatched += 1
-                self._m_dispatched.inc()
-                yield trace
-            if self._all_done():
-                # Drain: nothing remains in any local buffer or client.
-                while self._heap:
-                    _, _, trace = heapq.heappop(self._heap)
-                    self._last_dispatched_ts = trace.ts_bef
-                    self.stats.dispatched += 1
-                    self._m_dispatched.inc()
-                    yield trace
-                return
-            self._fetch_round()
+            self._fetch_round(runs)
 
 
 class NaiveGlobalSorter:
@@ -581,7 +476,6 @@ def pipeline_from_client_streams(
     batch_size: int = 64,
     optimized: bool = True,
     metrics: Optional[MetricsRegistry] = None,
-    run_merge: Optional[bool] = None,
 ) -> TwoLevelPipeline:
     """Convenience constructor from ``{client_id: traces}`` -- lists, or
     the lazy streams of :func:`repro.core.io.load_client_streams`, which
@@ -590,9 +484,7 @@ def pipeline_from_client_streams(
         ClientFeed(traces, batch_size=batch_size, client_id=client_id)
         for client_id, traces in sorted(streams.items())
     ]
-    return TwoLevelPipeline(
-        feeds, optimized=optimized, metrics=metrics, run_merge=run_merge
-    )
+    return TwoLevelPipeline(feeds, optimized=optimized, metrics=metrics)
 
 
 def sorted_traces(streams: Dict[int, Sequence[Trace]]) -> List[Trace]:

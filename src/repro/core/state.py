@@ -20,14 +20,7 @@ from .intervals import Interval
 from .locktable import LockTable
 from .report import BugDescriptor, VerificationStats
 from .trace import ColumnMap, Key, Trace, apply_delta
-from .versions import (
-    Version,
-    VersionChain,
-    chain_frontier_enabled,
-    chain_index_enabled,
-    direct_scan_max,
-    snap_memo_cap,
-)
+from .versions import Version, VersionChain
 
 
 class TxnStatus(enum.Enum):
@@ -113,8 +106,6 @@ class VerifierState:
         self,
         initial_db: Optional[Mapping[Key, Mapping[str, object]]] = None,
         incremental_graph: bool = True,
-        chain_index: Optional[bool] = None,
-        chain_frontier: Optional[bool] = None,
     ):
         self.chains: Dict[Key, VersionChain] = {}
         self.locks = LockTable()
@@ -126,26 +117,8 @@ class VerifierState:
         #: monotone dispatch order makes this a watermark over all clients.
         self.watermark: float = float("-inf")
         self._initial_db = dict(initial_db or {})
-        #: indexed-chain / frontier toggles, resolved to concrete booleans
-        #: once per state (``None`` defers to the ``REPRO_CR_INDEX`` /
-        #: ``REPRO_CR_FRONTIER`` process defaults).  Chains are built in the
-        #: hot loop; handing them resolved flags keeps ``os.environ`` reads
-        #: out of it.
-        self.chain_index = (
-            chain_index_enabled() if chain_index is None else bool(chain_index)
-        )
-        self.chain_frontier = self.chain_index and (
-            chain_frontier_enabled()
-            if chain_frontier is None
-            else bool(chain_frontier)
-        )
-        #: memo knobs resolved once per state (chains are built in the hot
-        #: loop; reading the environment per chain would tax it).
-        self._chain_snap_cap = snap_memo_cap()
-        self._chain_scan_max = direct_scan_max()
-        #: (hits, misses, invalidations, local_invalidations,
-        #: frontier_hits) handles shared by every chain; None until
-        #: :meth:`attach_metrics` on an instrumented run.
+        #: (hits, misses, invalidations) handles shared by every chain;
+        #: None until :meth:`attach_metrics` on an instrumented run.
         self._chain_counters: Optional[tuple] = None
         #: chains that could have prunable versions (two or more committed
         #: versions, or aborted residue).  The verifier marks chains here at
@@ -169,8 +142,6 @@ class VerifierState:
             registry.counter("chain.memo.hits"),
             registry.counter("chain.memo.misses"),
             registry.counter("chain.memo.invalidations"),
-            registry.counter("chain.memo.local_invalidations"),
-            registry.counter("chain.memo.frontier_hits"),
         )
         for chain in self.chains.values():
             chain._counters = self._chain_counters
@@ -188,13 +159,7 @@ class VerifierState:
         if existing is None:
             initial = self._initial_db.get(key)
             existing = VersionChain(
-                key,
-                initial_image=initial,
-                use_index=self.chain_index,
-                counters=self._chain_counters,
-                use_frontier=self.chain_frontier,
-                snap_cap=self._chain_snap_cap,
-                scan_max=self._chain_scan_max,
+                key, initial_image=initial, counters=self._chain_counters
             )
             self.chains[key] = existing
         return existing

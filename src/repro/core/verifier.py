@@ -85,17 +85,6 @@ class Verifier:
         run with (``docs/observability.md``).  ``None`` (the default)
         wires every layer to the shared disabled registry: zero side
         effects, report output byte-identical to an uninstrumented build.
-    chain_index:
-        Whether version chains keep the bisect-maintained key index and
-        classification memo (``docs/architecture.md``).  ``None`` (the
-        default) defers to the ``REPRO_CR_INDEX`` environment escape
-        hatch; ignored when ``state`` is injected (the state owns its
-        chains).
-    chain_frontier:
-        Whether indexed chains take the committed-version frontier fast
-        path with frontier-local memo invalidation.  ``None`` (the
-        default) defers to ``REPRO_CR_FRONTIER``; ignored when ``state``
-        is injected, and moot when the chain index is off.
     """
 
     def __init__(
@@ -111,8 +100,6 @@ class Verifier:
         state: Optional[VerifierState] = None,
         mechanism_overrides=None,
         metrics: Optional[MetricsRegistry] = None,
-        chain_index: Optional[bool] = None,
-        chain_frontier: Optional[bool] = None,
     ):
         """``session_order`` adds same-client program-order edges to the
         dependency graph (strong-session guarantee).  Sound for every
@@ -125,10 +112,7 @@ class Verifier:
         self._session_tail: dict = {}
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         self.state = state if state is not None else VerifierState(
-            initial_db=initial_db,
-            incremental_graph=incremental_graph,
-            chain_index=chain_index,
-            chain_frontier=chain_frontier,
+            initial_db=initial_db, incremental_graph=incremental_graph
         )
         self.state.attach_metrics(self.metrics)
         self.bus = DependencyBus(self.state, metrics=self.metrics)

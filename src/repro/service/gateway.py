@@ -39,8 +39,7 @@ from __future__ import annotations
 
 import asyncio
 import json
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Set, Tuple, Union
 
 from ..core.codec import CodecError, decode_batch
@@ -54,16 +53,6 @@ from .protocol import ServiceProtocolError
 from .sessions import Session, SessionRegistry
 
 Key = object
-
-
-def _default_workers() -> int:
-    """``REPRO_SERVICE_WORKERS`` escape hatch: 1 keeps this module's
-    single-loop gateway (the reference oracle); N > 1 selects the
-    multi-loop ingest tier (``workers``)."""
-    try:
-        return max(1, int(os.environ.get("REPRO_SERVICE_WORKERS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass
@@ -83,7 +72,6 @@ class ServiceConfig:
     #: 0 = serial verifier; N > 0 = N key-partitioned shards.
     shards: int = 0
     backend: str = "process"
-    stream_merge: Optional[bool] = None
     gc_every: int = 512
     #: TRACES frames a session may have in flight (the hard per-session
     #: buffer cap; WELCOME announces it).
@@ -97,11 +85,10 @@ class ServiceConfig:
     #: handshake, so size for the connection *burst*, not the steady
     #: state.
     listen_backlog: int = 1024
-    #: acceptor processes in front of the verifier loop.  1 (the
-    #: default, overridable via ``REPRO_SERVICE_WORKERS``) runs the
-    #: single-loop gateway below, verbatim; N > 1 selects the
-    #: stamp-and-forward multi-loop tier (``repro.service.workers``).
-    acceptor_workers: int = field(default_factory=_default_workers)
+    #: acceptor processes in front of the verifier loop.  1 runs the
+    #: single-loop gateway below; N > 1 selects the stamp-and-forward
+    #: multi-loop tier (``repro.service.workers``).
+    acceptor_workers: int = 1
     #: multi-loop only: minimum seconds between status-document renders
     #: (the snapshot cache's staleness bound).
     status_refresh: float = 0.25
@@ -122,7 +109,6 @@ def build_backend(config: ServiceConfig):
             initial_db=config.initial_db,
             shards=config.shards,
             backend=config.backend,
-            stream_merge=config.stream_merge,
             gc_every=config.gc_every,
             metrics=config.metrics,
         )

@@ -57,7 +57,7 @@ class RunResult:
         merged.sort(key=Trace.sort_key)
         return merged
 
-    def pipeline_batches(self, batch_size: int = 64, max_batch: int = 2048):
+    def pipeline_batches(self, batch_size: int = 64):
         """Pipeline-sorted dispatch batches over the run's client streams,
         ready for ``Verifier.process_batch`` / ``ParallelVerifier.
         process_batch`` -- the batched ingestion spine's native feed."""
@@ -65,7 +65,7 @@ class RunResult:
 
         return pipeline_from_client_streams(
             self.client_streams, batch_size=batch_size
-        ).iter_batches(max_batch=max_batch)
+        ).iter_batches()
 
 
 class WorkloadRunner:

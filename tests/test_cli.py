@@ -1,7 +1,10 @@
 """Command-line interface: capture / verify round trips, exit codes for
-damaged input, start-up imports and the flat-memory ingest bound."""
+damaged input, start-up imports, the flat-memory ingest bound, and no
+configuration read from the environment."""
 
 import os
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -385,6 +388,19 @@ RSS_LAUNCHER = (
     "_pid, status, usage = os.wait4(proc.pid, 0)\n"
     "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
 )
+
+
+def test_no_path_switch_is_read_from_the_environment():
+    """Each layer has one production path; what varies is a CLI flag or a
+    constructor argument a reviewer can see.  A ``REPRO_*`` name under
+    ``src/repro`` is how an unreviewed second path used to be selected."""
+    found = [
+        f"{path.relative_to(SRC)}:{number}: {line.strip()}"
+        for path in sorted(pathlib.Path(SRC, "repro").rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if re.search(r"REPRO_[A-Z0-9_]+", line)
+    ]
+    assert not found, "\n".join(found)
 
 
 class TestFlatMemory:

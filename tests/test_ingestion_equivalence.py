@@ -1,11 +1,9 @@
 """Batched ingestion spine equivalences, pinned at the report level.
 
-The ISSUE 4 escape hatches must be real escapes: the per-trace heap path
-(``run_merge=False`` / ``REPRO_PIPELINE_RUNS=0``), the batched
-``process_batch`` entry point, and both serialisation formats have to
-produce *identical* verification reports over the same workload run.
-``tools/bench_baseline.py`` asserts the same equivalences before it
-records any timing; these tests keep them under the regular suite.
+The pipeline's dispatch batches fed through ``process_batch``, the globally
+sorted history (``sorted_traces``, the ordering oracle) fed trace by trace
+through ``process``, and both serialisation formats have to produce
+*identical* verification reports over the same workload run.
 """
 
 import dataclasses
@@ -21,6 +19,7 @@ from repro.core.io import (
     load_client_streams,
     load_traces,
 )
+from repro.core.pipeline import sorted_traces
 
 
 def report_fingerprint(report):
@@ -36,10 +35,10 @@ def report_fingerprint(report):
     }
 
 
-def verify_batched(run, streams=None, run_merge=None):
+def verify_batched(run, streams=None):
     verifier = Verifier(spec=PG_SERIALIZABLE, initial_db=run.initial_db)
     pipeline = pipeline_from_client_streams(
-        run.client_streams if streams is None else streams, run_merge=run_merge
+        run.client_streams if streams is None else streams
     )
     for batch in pipeline.iter_batches():
         verifier.process_batch(batch)
@@ -47,9 +46,10 @@ def verify_batched(run, streams=None, run_merge=None):
 
 
 def verify_per_trace(run):
-    """The pre-batching consumption shape, trace by trace."""
+    """The pre-batching consumption shape: the sorted history, trace by
+    trace."""
     verifier = Verifier(spec=PG_SERIALIZABLE, initial_db=run.initial_db)
-    for trace in pipeline_from_client_streams(run.client_streams, run_merge=False):
+    for trace in sorted_traces(run.client_streams):
         verifier.process(trace)
     return verifier.finish()
 
@@ -59,12 +59,6 @@ class TestPathEquivalence:
         batched = report_fingerprint(verify_batched(blindw_rw_run))
         reference = report_fingerprint(verify_per_trace(blindw_rw_run))
         assert batched == reference
-
-    def test_env_escape_hatch_same_report(self, blindw_rw_run, monkeypatch):
-        monkeypatch.setenv("REPRO_PIPELINE_RUNS", "0")
-        hatch = report_fingerprint(verify_batched(blindw_rw_run))
-        monkeypatch.delenv("REPRO_PIPELINE_RUNS")
-        assert hatch == report_fingerprint(verify_batched(blindw_rw_run))
 
     def test_smallbank_paths_agree(self, smallbank_run):
         batched = report_fingerprint(verify_batched(smallbank_run))

@@ -1,18 +1,23 @@
 """Streaming certifier merge: equivalence, mid-run surfacing, edge cases.
 
-The contract pinned here is the tentpole's acceptance bar:
+The contract pinned here:
 
-* streaming the merge (``stream_merge=True``) is *observationally
+* how the shard journals are cut into segments is *observationally
   invisible* -- report fingerprints and mechanism/bus counters are
-  identical to the defer-everything merge on clean and fault-injected
-  histories, for both backends and at 1 and 4 shards;
+  identical for every ``segment_events`` budget, from a flush after every
+  frame down to a budget that never flushes mid-run (the whole journal
+  arrives in the result frames and is replayed at ``finish()``: the
+  deferred schedule), on clean and fault-injected histories, for both
+  backends and at 1 and 4 shards; one shard is identical to the serial
+  verifier;
 * violations certified by the global replay surface *during* the run via
   ``violations_so_far()`` (and through :class:`OnlineVerifier` alerts),
   and the mid-run list is a stable prefix of the final report;
 * the segment protocol's edge cases hold: an empty segment still
   advances a shard's watermark, same-trace-index events from different
-  shards replay in shard order (the deferred sort's tie-break), and a
-  worker dying mid-stream surfaces its traceback at ``finish()``.
+  shards replay in shard order (the global sort's tie-break), and a
+  worker dying mid-stream surfaces its traceback at ``finish()``;
+* the coordinator's buffered journal stays within its budget.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import PG_SERIALIZABLE, pipeline_from_client_streams
+from repro import PG_SERIALIZABLE, Verifier, pipeline_from_client_streams
 from repro.core.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.core.parallel import (
     ParallelVerifier,
@@ -40,12 +45,16 @@ from tests.test_parallel import (
 )
 
 
+#: a budget no test journal reaches: nothing is flushed mid-run and the
+#: whole merge happens at ``finish()``.
+DEFERRED = 10**9
+
+
 def stream_report(
     run,
     shards,
     backend,
     *,
-    stream=True,
     segment_events=16,
     gc_every=64,
     metrics=None,
@@ -55,7 +64,6 @@ def stream_report(
         initial_db=run.initial_db,
         shards=shards,
         backend=backend,
-        stream_merge=stream,
         segment_events=segment_events,
         gc_every=gc_every,
         metrics=metrics,
@@ -89,19 +97,35 @@ class TestStreamedEqualsDeferred:
     @pytest.mark.parametrize("backend", ["inline", "process"])
     @pytest.mark.parametrize("shards", [1, 4])
     def test_clean_run_identical(self, blindw_rw_run, backend, shards):
-        streamed = stream_report(blindw_rw_run, shards, backend)
-        deferred = stream_report(
-            blindw_rw_run, shards, backend, stream=False
-        )
-        assert report_fingerprint(streamed) == report_fingerprint(deferred)
-        assert streamed.ok
+        reports = [
+            stream_report(
+                blindw_rw_run, shards, backend, segment_events=segment_events
+            )
+            for segment_events in (1, 7, 1024, DEFERRED)
+        ]
+        assert reports[0].ok
+        fingerprints = {report_fingerprint(report) for report in reports}
+        assert len(fingerprints) == 1
+        if shards == 1:
+            serial = Verifier(
+                spec=PG_SERIALIZABLE,
+                initial_db=blindw_rw_run.initial_db,
+                gc_every=64,
+            )
+            for trace in pipeline_from_client_streams(
+                blindw_rw_run.client_streams
+            ):
+                serial.process(trace)
+            report = serial.finish()
+            assert report_fingerprint(report) in fingerprints
+            assert {r.summary() for r in reports} == {report.summary()}
 
     @pytest.mark.parametrize("backend", ["inline", "process"])
     @pytest.mark.parametrize("fault", sorted(FAULT_CASES))
     def test_fault_cases_identical(self, fault, backend):
         run = fault_run(fault)
         streamed = stream_report(run, 4, backend, segment_events=8)
-        deferred = stream_report(run, 4, backend, stream=False)
+        deferred = stream_report(run, 4, backend, segment_events=DEFERRED)
         assert report_fingerprint(streamed) == report_fingerprint(deferred)
 
     def test_mechanism_counters_identical(self):
@@ -113,7 +137,12 @@ class TestStreamedEqualsDeferred:
         stream_report(
             run, 2, "inline", segment_events=8, metrics=streamed_metrics
         )
-        stream_report(run, 2, "inline", stream=False, metrics=deferred_metrics)
+        stream_report(
+            run, 2, "inline", segment_events=DEFERRED, metrics=deferred_metrics
+        )
+        segments = "parallel.stream.segments"
+        assert streamed_metrics.snapshot()["counters"][segments] > 0
+        assert deferred_metrics.snapshot()["counters"][segments] == 0
         assert mechanism_counters(streamed_metrics) == mechanism_counters(
             deferred_metrics
         )
@@ -139,7 +168,9 @@ class TestStreamedEqualsDeferred:
         streamed = stream_report(
             run, 2, "inline", segment_events=segment_events, gc_every=24
         )
-        deferred = stream_report(run, 2, "inline", stream=False, gc_every=24)
+        deferred = stream_report(
+            run, 2, "inline", segment_events=DEFERRED, gc_every=24
+        )
         assert report_fingerprint(streamed) == report_fingerprint(deferred)
 
 
@@ -151,7 +182,6 @@ class TestMidRunSurfacing:
             initial_db=run.initial_db,
             shards=2,
             backend="inline",
-            stream_merge=True,
             segment_events=4,
             gc_every=32,
         )
@@ -164,8 +194,7 @@ class TestMidRunSurfacing:
             mid_run = [violation_key(v) for v in seen]
         report = verifier.finish()
         assert not report.ok
-        # The streamed replay certified real findings mid-run -- the
-        # deferred path would report 0 here until finish().
+        # The streamed replay certified real findings mid-run.
         assert counts[-1] > 0
         # Monotone: the certified list only ever grows.
         assert all(a <= b for a, b in zip(counts, counts[1:]))
@@ -183,7 +212,6 @@ class TestMidRunSurfacing:
             initial_db=run.initial_db,
             shards=2,
             backend="inline",
-            stream_merge=True,
             segment_events=4,
         )
         alerts = []
@@ -207,6 +235,33 @@ class TestMidRunSurfacing:
         assert counters["parallel.stream.segments"] > 0
         assert counters["parallel.stream.replayed"] > 0
         assert counters["parallel.stream.gc.frontier.scanned"] > 0
+
+    def test_buffered_journal_stays_within_budget(self):
+        """A shard flushes at ``segment_events``, segments from every
+        shard can sit buffered between merge advances, and the merged
+        watermark can trail a couple of flush cadences behind the fastest
+        shard: the coordinator's buffered journal must stay within 4 x
+        shards x segment_events on a run that flushes many segments."""
+        shards, segment_events = 2, 256
+        run = run_workload(
+            BlindW.rw(keys=2048), PG_SERIALIZABLE, clients=24, txns=2500, seed=5
+        )
+        metrics = MetricsRegistry()
+        verifier = ParallelVerifier(
+            spec=PG_SERIALIZABLE,
+            initial_db=run.initial_db,
+            shards=shards,
+            backend="process",
+            segment_events=segment_events,
+            metrics=metrics,
+        )
+        for batch in pipeline_from_client_streams(run.client_streams).iter_batches():
+            verifier.process_batch(batch)
+        assert verifier.finish().ok
+        snapshot = metrics.snapshot()
+        assert snapshot["counters"]["parallel.stream.segments"] >= 8
+        lag_peak = snapshot["gauges"]["parallel.stream.lag.peak"]
+        assert 0 < lag_peak <= 4 * shards * segment_events
 
 
 def dep(src, dst, key):
@@ -269,7 +324,7 @@ class TestSegmentEdgeCases:
 
     def test_watermark_tie_replays_in_shard_order(self):
         """Same trace index on two shards: the merge must use the shard id
-        as the tie-break, exactly like the deferred global sort."""
+        as the tie-break, exactly like one global sort of the journals."""
         merger = make_merger(2)
         replayed = []
         merger._replay = lambda events: replayed.extend(events)
@@ -295,7 +350,6 @@ class TestSegmentEdgeCases:
             initial_db=blindw_rw_run.initial_db,
             shards=2,
             backend="process",
-            stream_merge=True,
             segment_events=8,
         )
         traces = list(

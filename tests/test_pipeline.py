@@ -174,76 +174,68 @@ def test_property_monotone_and_complete(gaps_per_client, batch_size, optimized):
     assert sorted(t.trace_id for t in out) == expected
 
 
-class TestRunMerge:
-    """Sorted-run merging must be output-identical to the per-trace heap
-    reference (``run_merge=False``), edge cases included."""
+def dispatched_ids(streams, **kwargs):
+    return [
+        t.trace_id
+        for batch in pipeline_from_client_streams(streams, **kwargs).iter_batches()
+        for t in batch
+    ]
 
-    @staticmethod
-    def both_paths(streams, **kwargs):
-        merged = [
-            t.trace_id
-            for batch in pipeline_from_client_streams(
-                streams, run_merge=True, **kwargs
-            ).iter_batches()
-            for t in batch
-        ]
-        reference = [
-            t.trace_id
-            for t in pipeline_from_client_streams(
-                streams, run_merge=False, **kwargs
-            )
-        ]
-        return merged, reference
+
+def sorted_ids(streams):
+    return [t.trace_id for t in sorted_traces(streams)]
+
+
+class TestRunMerge:
+    """Sorted-run merging must dispatch exactly ``sorted_traces(streams)``
+    -- the global ``(ts_bef, trace_id)`` sort -- edge cases included."""
 
     def test_empty_client_stream(self):
         streams = {0: make_stream(0, [1, 2, 3]), 1: [], 2: make_stream(2, [1.5])}
-        merged, reference = self.both_paths(streams)
-        assert merged == reference
-        assert len(merged) == 4
+        assert dispatched_ids(streams) == sorted_ids(streams)
+        assert len(sorted_ids(streams)) == 4
 
     def test_all_streams_empty(self):
-        assert list(pipeline_from_client_streams({0: [], 1: []}, run_merge=True)) == []
+        assert list(pipeline_from_client_streams({0: [], 1: []})) == []
 
     def test_watermark_ties_all_clients_one_ts(self):
         """Every client's every trace shares one before-timestamp: the
-        merge must fall back to trace-id arbitration and still match the
-        heap's pop order exactly."""
+        whole order is trace-id arbitration."""
         streams = {c: make_stream(c, [7.0] * 9) for c in range(4)}
-        merged, reference = self.both_paths(streams, batch_size=4)
-        assert merged == reference
-        assert len(merged) == 36
+        assert dispatched_ids(streams, batch_size=4) == sorted_ids(streams)
+        assert len(sorted_ids(streams)) == 36
 
     def test_final_batch_exactly_batch_size(self):
         """A client whose stream length is an exact batch-size multiple:
         the feed reports exhaustion only on the trailing empty batch, and
-        the run path must drain it identically."""
+        the pipeline must still drain it."""
         streams = {
             0: make_stream(0, [float(i) for i in range(12)]),  # 3 * 4 exactly
             1: make_stream(1, [0.5, 5.5]),
         }
-        merged, reference = self.both_paths(streams, batch_size=4)
-        assert merged == reference
-        assert len(merged) == 14
+        assert dispatched_ids(streams, batch_size=4) == sorted_ids(streams)
+        assert len(sorted_ids(streams)) == 14
 
-    def test_env_escape_hatch(self, monkeypatch):
-        streams = interleaved_streams(seed=11)
-        monkeypatch.setenv("REPRO_PIPELINE_RUNS", "0")
-        hatch = pipeline_from_client_streams(streams)
-        assert hatch._run_merge is False
-        hatch_out = [t.trace_id for t in hatch]
-        monkeypatch.delenv("REPRO_PIPELINE_RUNS")
-        default = pipeline_from_client_streams(streams)
-        assert default._run_merge is True
-        assert [t.trace_id for t in default] == hatch_out
+    @pytest.mark.parametrize("optimized", [True, False])
+    @pytest.mark.parametrize("batch_size", [1, 2, 3, 64])
+    @pytest.mark.parametrize(
+        "stamps",
+        [{1: [5, 6, 7], 2: [3, 4, 5]}, {1: [3, 4, 5], 2: [5, 6, 7]}],
+        ids=["low-id-tie-buffered", "mirror"],
+    )
+    def test_cross_client_tie_with_the_watermark(self, stamps, batch_size, optimized):
+        """A staged trace that ties the smallest buffered before-timestamp
+        must wait for a lower-id trace with that timestamp still sitting
+        in another client's local buffer: the watermark is a ``(ts_bef,
+        trace_id)`` pair, so the order is the same at every batch size."""
+        streams = {c: make_stream(c, ts) for c, ts in stamps.items()}
+        assert dispatched_ids(
+            streams, batch_size=batch_size, optimized=optimized
+        ) == sorted_ids(streams)
 
     def test_iter_batches_matches_iteration(self):
         streams = interleaved_streams(seed=13)
-        flat = [
-            t.trace_id
-            for batch in pipeline_from_client_streams(streams).iter_batches()
-            for t in batch
-        ]
-        assert flat == [
+        assert dispatched_ids(streams) == [
             t.trace_id for t in pipeline_from_client_streams(streams)
         ]
 
@@ -253,12 +245,6 @@ class TestRunMerge:
         total = sum(len(b) for b in pipeline.iter_batches())
         assert pipeline.stats.dispatched == total
         assert pipeline.stats.runs_merged + pipeline.stats.fastpath_runs > 0
-        reference = pipeline_from_client_streams(
-            streams, batch_size=8, run_merge=False
-        )
-        list(reference)
-        assert reference.stats.runs_merged == 0
-        assert reference.stats.fastpath_runs == 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -272,35 +258,28 @@ class TestRunMerge:
         min_size=1,
         max_size=6,
     ),
-    st.integers(1, 16),
+    st.sampled_from([1, 2, 3, 64]),
+    st.booleans(),
     st.booleans(),
 )
-def test_property_run_merge_equals_reference(gaps_per_client, batch_size, optimized):
-    """The run-merge path's dispatch order is trace-for-trace identical
-    (ties included) to the per-trace heap reference over any set of
-    monotone client streams."""
+def test_property_run_merge_equals_reference(
+    gaps_per_client, batch_size, optimized, reverse_ids
+):
+    """The dispatch order is trace-for-trace identical (ties included) to
+    ``sorted_traces`` over any set of monotone client streams, whichever
+    client holds the lower ids."""
     streams = {}
-    for client, gaps in enumerate(gaps_per_client):
+    clients = list(enumerate(gaps_per_client))
+    for client, gaps in reversed(clients) if reverse_ids else clients:
         t = 0.0
         stamps = []
         for gap in gaps:
             t += gap
             stamps.append(t)
         streams[client] = make_stream(client, stamps)
-    merged = [
-        t.trace_id
-        for batch in pipeline_from_client_streams(
-            streams, batch_size=batch_size, optimized=optimized, run_merge=True
-        ).iter_batches()
-        for t in batch
-    ]
-    reference = [
-        t.trace_id
-        for t in pipeline_from_client_streams(
-            streams, batch_size=batch_size, optimized=optimized, run_merge=False
-        )
-    ]
-    assert merged == reference
+    assert dispatched_ids(
+        streams, batch_size=batch_size, optimized=optimized
+    ) == sorted_ids(streams)
 
 
 class TestRandomizedEquivalence:

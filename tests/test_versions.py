@@ -1,13 +1,14 @@
 """Version chains and the Fig. 6 candidate version set (Theorem 2)."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import PG_REPEATABLE_READ, PG_SERIALIZABLE
 from repro.core.intervals import Interval
-from repro.core.versions import (
-    VersionChain,
-    _chain_sort_key,
-    chain_sort_key,
-)
+from repro.core.versions import VersionChain, chain_sort_key
+from repro.workloads import BlindW, SmallBank, run_workload
+from tests import fig6_oracle
+from tests.conftest import verify_run
 
 
 def chain_with(*specs, initial=None):
@@ -121,8 +122,8 @@ class TestClassification:
         assert all(v.txn_id != "future" for v in result.candidates)
 
     def test_garbage_excluded(self):
-        result = self.chain.classify(self.snapshot)
-        assert [v.txn_id for v in result.garbage] == ["garbage"]
+        garbage = self.chain.garbage(self.snapshot)
+        assert [v.txn_id for v in garbage] == ["garbage"]
 
     def test_candidates_minimal(self):
         result = self.chain.classify(self.snapshot)
@@ -219,11 +220,8 @@ class TestPruning:
 
 class TestChainSortKey:
     """The key function is part of the chain's public contract: it drives
-    both the bisect index and the linear fallback, and must be a *total*
-    order for binary search to be sound."""
-
-    def test_public_name_and_private_alias(self):
-        assert _chain_sort_key is chain_sort_key
+    the bisect index, and must be a *total* order for binary search to be
+    sound."""
 
     def test_same_instant_batch_commit_orders_by_seq(self):
         # One transaction's batch commit installs several versions at the
@@ -291,9 +289,8 @@ def test_candidate_set_property(specs, snap_start, snap_width):
         chain.commit_txn(f"t{i}", commit)
     snapshot = Interval(snap_start, snap_start + snap_width)
     result = chain.classify(snapshot)
-    partition = (
-        set(result.candidates) | set(result.future) | set(result.garbage)
-    )
+    garbage = chain.garbage(snapshot)
+    partition = set(result.candidates) | set(result.future) | set(garbage)
     assert partition == set(chain.committed_versions())
     # Future versions are *definitely* invisible.
     for version in result.future:
@@ -305,45 +302,35 @@ def test_candidate_set_property(specs, snap_start, snap_width):
     # The pivot is a candidate and is the latest definitely-before version.
     if result.pivot is not None:
         assert result.pivot in result.candidates
-        for version in result.garbage:
+        for version in garbage:
             assert (
                 version.effective_install.ts_aft
                 <= result.pivot.effective_install.ts_aft
             )
 
 
-# -- indexed vs. linear equivalence (the PR 3 chain-index contract) ----------
+# -- the chain against the Fig. 6 linear scan (tests/fig6_oracle.py) ----------
 
-def _classification_shape(result):
-    """Comparable projection of a classification (versions by txn id --
-    the two chains under comparison hold distinct Version objects)."""
-    return (
-        tuple(v.txn_id for v in result.candidates),
-        tuple(v.txn_id for v in result.future),
-        tuple(v.txn_id for v in result.garbage),
-        result.pivot.txn_id if result.pivot is not None else None,
+def _commit(chain, txn_id, start, width, gap, cwidth):
+    """Stage and commit one version.  Interval endpoints come from a coarse
+    half-integer grid so exact boundary collisions (snapshot touching an
+    install endpoint -- the "boundary sliver" candidates, and zero-width
+    intervals tangent to each other) occur constantly rather than with
+    float-collision probability."""
+    chain.stage_write(
+        txn_id, {"v": txn_id}, Interval(start / 2, (start + width) / 2)
+    )
+    chain.commit_txn(
+        txn_id,
+        Interval((start + width + gap) / 2, (start + width + gap + cwidth) / 2),
     )
 
 
-def _build_pair(specs):
-    """The same committed versions in an indexed and a linear chain.
-
-    Interval endpoints come from a coarse half-integer grid so exact
-    boundary collisions (snapshot touching an install endpoint -- the
-    "boundary sliver" candidates) occur constantly rather than with
-    float-collision probability.
-    """
-    indexed = VersionChain("x", use_index=True)
-    linear = VersionChain("x", use_index=False)
-    for i, (start, width, gap, cwidth) in enumerate(specs):
-        install = Interval(start / 2, (start + width) / 2)
-        commit = Interval(
-            (start + width + gap) / 2, (start + width + gap + cwidth) / 2
-        )
-        for chain in (indexed, linear):
-            chain.stage_write(f"t{i}", {"v": i}, install)
-            chain.commit_txn(f"t{i}", commit)
-    return indexed, linear
+def _build(specs):
+    chain = VersionChain("x")
+    for i, spec in enumerate(specs):
+        _commit(chain, f"t{i}", *spec)
+    return chain
 
 
 _grid = st.integers(0, 60)
@@ -359,25 +346,12 @@ _width = st.integers(0, 8)
     _width,
 )
 def test_indexed_classification_matches_linear(specs, snap_start, snap_width):
-    """The bisect-indexed partition must agree with the linear reference
-    scan on every layout, including zero-width intervals and snapshots
-    exactly tangent to install boundaries."""
-    indexed, linear = _build_pair(specs)
+    """The boundary partition over the key index must agree with the
+    linear scan on every layout, including zero-width intervals and
+    snapshots exactly tangent to install boundaries."""
+    chain = _build(specs)
     snapshot = Interval(snap_start / 2, (snap_start + snap_width) / 2)
-    left = indexed.classify(snapshot)
-    right = linear.classify(snapshot)
-    assert [v.txn_id for v in left.candidates] == [
-        v.txn_id for v in right.candidates
-    ]
-    assert [v.txn_id for v in left.future] == [
-        v.txn_id for v in right.future
-    ]
-    assert [v.txn_id for v in left.garbage] == [
-        v.txn_id for v in right.garbage
-    ]
-    assert (left.pivot.txn_id if left.pivot else None) == (
-        right.pivot.txn_id if right.pivot else None
-    )
+    fig6_oracle.check(chain, snapshot)
 
 
 @settings(max_examples=60, deadline=None)
@@ -388,38 +362,23 @@ def test_indexed_classification_matches_linear(specs, snap_start, snap_width):
     st.lists(st.tuples(_grid, _width), min_size=1, max_size=6),
 )
 def test_indexed_memo_survives_interleaved_mutation(specs, snapshots):
-    """Classify / mutate / re-classify: the indexed chain's memo must be
-    invalidated by every chain mutation, never serving a stale partition.
-    min_size=6 keeps the chain above the direct-scan threshold so the
-    bisect path (not the short-chain fallback) is exercised."""
-    indexed, linear = _build_pair(specs)
+    """Classify / mutate / re-classify: nothing the chain keeps between
+    calls may survive a mutation and serve a stale partition."""
+    chain = _build(specs)
     next_id = len(specs)
     for start, width in snapshots:
         snapshot = Interval(start / 2, (start + width) / 2)
-        # Classify twice: the second indexed call may be a memo hit.
         for _ in range(2):
-            left = indexed.classify(snapshot)
-            right = linear.classify(snapshot)
-            assert [v.txn_id for v in left.candidates] == [
-                v.txn_id for v in right.candidates
-            ]
-            assert (left.pivot.txn_id if left.pivot else None) == (
-                right.pivot.txn_id if right.pivot else None
-            )
-        # Mutate both chains identically, invalidating the memo.
-        install = Interval(start / 2, (start + width + 1) / 2)
-        commit = Interval((start + width + 1) / 2, (start + width + 2) / 2)
-        for chain in (indexed, linear):
-            chain.stage_write(f"m{next_id}", {"v": next_id}, install)
-            chain.commit_txn(f"m{next_id}", commit)
+            fig6_oracle.check(chain, snapshot)
+        _commit(chain, f"m{next_id}", start, width + 1, 0, 1)
         next_id += 1
 
 
 def test_single_version_fast_path_matches_linear():
-    """Length-1 chains take a dedicated memoised path in indexed mode
-    (the dominant shape under steady-state GC); all three outcomes --
-    future, pivot, overlap -- must agree with the linear scan, and the
-    memo must be dropped when the chain grows."""
+    """Length-1 chains take a dedicated cached path (the dominant shape
+    under steady-state GC); all three outcomes -- future, pivot, overlap
+    -- must agree with the linear scan, and the cache must be dropped when
+    the chain grows."""
     cases = [
         Interval(10, 11),   # snapshot after commit: version is the pivot
         Interval(0.1, 0.2),  # snapshot before install: version is future
@@ -428,40 +387,44 @@ def test_single_version_fast_path_matches_linear():
         Interval(0.1, 1),   # tangent at install start (boundary sliver)
     ]
     for snapshot in cases:
-        indexed = VersionChain("x", use_index=True)
-        linear = VersionChain("x", use_index=False)
-        for chain in (indexed, linear):
-            chain.stage_write("t0", {"v": 0}, Interval(1, 2))
-            chain.commit_txn("t0", Interval(8, 9))
-        left = indexed.classify(snapshot)
-        right = linear.classify(snapshot)
-        assert _classification_shape(left) == _classification_shape(right)
-        # Memo hit: identical object on re-classification.
-        assert indexed.classify(snapshot) is left
-        # Growing the chain invalidates the single-version memo.
-        for chain in (indexed, linear):
-            chain.stage_write("t1", {"v": 1}, Interval(20, 21))
-            chain.commit_txn("t1", Interval(22, 23))
-        left = indexed.classify(snapshot)
-        right = linear.classify(snapshot)
-        assert _classification_shape(left) == _classification_shape(right)
+        chain = VersionChain("x")
+        chain.stage_write("t0", {"v": 0}, Interval(1, 2))
+        chain.commit_txn("t0", Interval(8, 9))
+        fig6_oracle.check(chain, snapshot)
+        # Cached: identical object on re-classification.
+        assert chain.classify(snapshot) is chain.classify(snapshot)
+        # Growing the chain drops the single-version outcomes.
+        chain.stage_write("t1", {"v": 1}, Interval(20, 21))
+        chain.commit_txn("t1", Interval(22, 23))
+        fig6_oracle.check(chain, snapshot)
 
 
-# -- three-path equivalence (the ISSUE 8 frontier contract) ------------------
-
-def _build_triple():
-    """The same key on all three classification paths: the linear
-    reference scan, the bisect-indexed chain with the frontier fast path
-    disabled (``REPRO_CR_FRONTIER=0``), and the full frontier default."""
-    return (
-        VersionChain("x", use_index=False),
-        VersionChain("x", use_index=True, use_frontier=False),
-        VersionChain("x", use_index=True, use_frontier=True),
-    )
+def test_zero_width_tangency():
+    """A zero-width snapshot touching a zero-width version satisfies both
+    precedence predicates at once; Fig. 6 tests *future* first.  The
+    tangent versions sort last among the definitely-before ones, with and
+    without neighbours sharing their after-timestamp."""
+    chain = VersionChain("x")
+    for txn_id, install, commit in (
+        ("old", (0, 1), (1, 2)),
+        ("wide", (2, 3), (3, 5)),       # ends at the tangent point
+        ("point-a", (4, 4), (5, 5)),    # zero-width at the tangent point
+        ("point-b", (4, 5), (5, 5)),
+        ("later", (6, 7), (7, 8)),
+    ):
+        chain.stage_write(txn_id, {"v": txn_id}, Interval(*install))
+        chain.commit_txn(txn_id, Interval(*commit))
+    snapshot = Interval(5, 5)
+    fig6_oracle.check(chain, snapshot)
+    result = chain.classify(snapshot)
+    assert [v.txn_id for v in result.future] == ["point-a", "point-b", "later"]
+    assert result.pivot.txn_id == "wide"
+    for point in (1, 2, 3, 4, 6, 7, 8):
+        fig6_oracle.check(chain, Interval(point, point))
 
 
 _interleave_op = st.tuples(
-    st.sampled_from(["install", "abort", "classify", "classify"]),
+    st.sampled_from(["install", "abort", "prune", "classify", "classify"]),
     _grid,
     _width,
     _width,
@@ -470,43 +433,52 @@ _interleave_op = st.tuples(
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(_interleave_op, min_size=2, max_size=24))
-def test_three_paths_classify_identically_under_interleaving(ops):
-    """Random read/install/abort interleavings must classify identically
-    on all three chain paths -- the escape-hatch contract the bench
-    enforces at workload scale, here driven through every mutation shape
-    the verifier can produce.  The half-integer grid makes boundary
-    slivers (snapshots exactly tangent to install/commit endpoints)
-    constant rather than float-collision-rare, and repeated classify ops
-    against a mutating chain exercise memo/frontier invalidation."""
-    chains = _build_triple()
+@given(
+    st.lists(_interleave_op, min_size=2, max_size=24),
+    st.sampled_from([None, "by-seq", "unknown"]),
+)
+def test_classify_matches_scan_under_interleaving(ops, oracle_kind):
+    """Random read/install/abort/prune interleavings must classify exactly
+    as the scan does -- every mutation shape the verifier can produce
+    (tail appends, mid-chain inserts, GC prunes that return a chain to one
+    version), with and without a ww-order oracle to collapse the
+    pivot-overlap set."""
+    order_oracle = {
+        None: None,
+        "by-seq": lambda a, b: a.seq < b.seq,
+        "unknown": lambda a, b: None,
+    }[oracle_kind]
+    chain = VersionChain("x")
     next_id = 0
     for kind, start, width, gap, cwidth in ops:
         if kind == "classify":
             snapshot = Interval(start / 2, (start + width) / 2)
-            reference, indexed, frontier = (
-                chain.classify(snapshot) for chain in chains
-            )
-            assert _classification_shape(indexed) == _classification_shape(
-                reference
-            )
-            assert _classification_shape(frontier) == _classification_shape(
-                reference
-            )
+            fig6_oracle.check(chain, snapshot, order_oracle)
+        elif kind == "prune":
+            horizon = Interval(start / 2, start / 2)
+            pinned = {v.txn_id for v in chain.committed_versions()[::3]}
+            doomed = {
+                id(v)
+                for v in fig6_oracle.classify(
+                    chain.committed_versions(), horizon
+                ).garbage
+                if v.txn_id not in pinned
+            }
+            survivors = [
+                v for v in chain.committed_versions() if id(v) not in doomed
+            ]
+            pruned = chain.prune_garbage(horizon, lambda t: t not in pinned)
+            assert pruned == len(doomed)
+            assert chain.committed_versions() == survivors
+            assert not chain.aborted_versions()
         else:
-            install = Interval(start / 2, (start + width) / 2)
-            commit = Interval(
-                (start + width + gap) / 2,
-                (start + width + gap + cwidth) / 2,
-            )
             txn_id = f"i{next_id}"
             next_id += 1
-            for chain in chains:
-                chain.stage_write(txn_id, {"v": next_id}, install)
-                if kind == "install":
-                    chain.commit_txn(txn_id, commit)
-                else:
-                    chain.abort_txn(txn_id)
+            if kind == "install":
+                _commit(chain, txn_id, start, width, gap, cwidth)
+            else:
+                chain.stage_write(txn_id, {"v": txn_id}, Interval(start / 2, start))
+                chain.abort_txn(txn_id)
 
 
 @settings(max_examples=60, deadline=None)
@@ -520,24 +492,79 @@ def test_frontier_fast_path_matches_linear_on_boundary_slivers(
     specs, snapshots
 ):
     """Beyond-frontier snapshots (everything committed before the read)
-    are the frontier fast path's own regime; sweep snapshots across the
-    same grid the chain was built on so tangency -- where the fast path
-    must decline in favour of the general partition -- is hit constantly.
-    min_size=6 keeps the chain above the direct-scan threshold."""
-    linear = VersionChain("x", use_index=False)
-    frontier = VersionChain("x", use_index=True, use_frontier=True)
-    for i, (start, width, gap, cwidth) in enumerate(specs):
-        install = Interval(start / 2, (start + width) / 2)
-        commit = Interval(
-            (start + width + gap) / 2, (start + width + gap + cwidth) / 2
-        )
-        for chain in (linear, frontier):
-            chain.stage_write(f"t{i}", {"v": i}, install)
-            chain.commit_txn(f"t{i}", commit)
+    are where the walk back from the tail stops at once; sweep snapshots
+    across the same grid the chain was built on so tangency with the last
+    committed version is hit constantly."""
+    chain = _build(specs)
+    frontier = max(v.effective_install.ts_aft for v in chain.committed_versions())
     for start, width in snapshots:
-        snapshot = Interval(start / 2, (start + width) / 2)
-        # Twice: the second call may serve the frontier entry or a memo.
-        for _ in range(2):
-            assert _classification_shape(
-                frontier.classify(snapshot)
-            ) == _classification_shape(linear.classify(snapshot))
+        for base in (start / 2, frontier, frontier + start / 2):
+            fig6_oracle.check(chain, Interval(base, base + width / 2))
+
+
+# -- the same comparison at workload scale ------------------------------------
+
+WORKLOADS = {
+    "blindw-rw": lambda: run_workload(
+        BlindW.rw(keys=256), PG_SERIALIZABLE, clients=8, txns=200, seed=5
+    ),
+    "blindw-rw-plus": lambda: run_workload(
+        BlindW.rw_plus(keys=256), PG_SERIALIZABLE, clients=8, txns=150, seed=7
+    ),
+    "smallbank": lambda: run_workload(
+        SmallBank(scale_factor=0.1), PG_SERIALIZABLE, clients=8, txns=150,
+        seed=11,
+    ),
+}
+
+
+class TestWorkloadScan:
+    """Every classification a whole verification run asks for -- reads,
+    scans, with the verifier's own ww-order oracle -- and every GC prune
+    must match the linear scan, so nothing the chain deduces can differ
+    from what the specification deduces."""
+
+    @pytest.fixture
+    def checked_chains(self, monkeypatch):
+        calls = {"classify": 0, "prune": 0}
+        plain_classify = VersionChain.classify
+        plain_prune = VersionChain.prune_garbage
+
+        def classify(chain, snapshot, order_oracle=None):
+            calls["classify"] += 1
+            got = plain_classify(chain, snapshot, order_oracle)
+            fig6_oracle.assert_same(
+                got, fig6_oracle.classify(chain._chain, snapshot, order_oracle)
+            )
+            return got
+
+        def prune_garbage(chain, horizon, can_prune_txn):
+            garbage = fig6_oracle.classify(chain._chain, horizon).garbage
+            survivors = [
+                v for v in chain._chain
+                if v not in garbage
+                or not (can_prune_txn(v.txn_id) or v.is_initial)
+            ]
+            pruned = plain_prune(chain, horizon, can_prune_txn)
+            calls["prune"] += pruned
+            assert chain._chain == survivors
+            return pruned
+
+        monkeypatch.setattr(VersionChain, "classify", classify)
+        monkeypatch.setattr(VersionChain, "prune_garbage", prune_garbage)
+        return calls
+
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_every_classification_matches_the_scan(self, name, checked_chains):
+        run = WORKLOADS[name]()
+        report = verify_run(run, PG_SERIALIZABLE, gc_every=64)
+        assert report.ok
+        assert checked_chains["classify"] > 200
+        assert checked_chains["prune"] > 0
+
+    def test_matches_the_scan_under_weaker_spec(self, checked_chains):
+        """The claimed level changes which deductions fire (fewer
+        mechanisms under RR, so a sparser ww-order oracle)."""
+        run = WORKLOADS["blindw-rw"]()
+        assert verify_run(run, PG_REPEATABLE_READ, gc_every=64).ok
+        assert checked_chains["classify"] > 200
