@@ -10,6 +10,7 @@ its own benchmark group.
 import pytest
 
 from repro import PG_SERIALIZABLE
+from repro.core.metrics import MetricsRegistry
 
 from conftest import verify_full
 
@@ -20,14 +21,19 @@ def shares(report):
     return {name: buckets.get(name, 0.0) / total for name in ("CR", "ME", "FUW", "SC")}
 
 
+def timed(run):
+    """The per-mechanism timers are an instrument: on with a registry."""
+    return verify_full(run, PG_SERIALIZABLE, metrics=MetricsRegistry())
+
+
 def test_breakdown_sc_is_minor(blindw_rw_run):
-    report = verify_full(blindw_rw_run, PG_SERIALIZABLE)
+    report = timed(blindw_rw_run)
     assert report.ok
     assert shares(report)["SC"] < 0.5
 
 
 def test_breakdown_all_mechanisms_exercised(smallbank_run):
-    report = verify_full(smallbank_run, PG_SERIALIZABLE)
+    report = timed(smallbank_run)
     split = shares(report)
     for mechanism in ("CR", "ME", "FUW"):
         assert split[mechanism] > 0.0, mechanism
@@ -35,7 +41,8 @@ def test_breakdown_all_mechanisms_exercised(smallbank_run):
 
 @pytest.mark.benchmark(group="breakdown")
 def test_breakdown_instrumentation_overhead(benchmark, blindw_rw_run):
-    """The per-mechanism timers run on every commit; this benchmark keeps
-    their overhead visible relative to the fig11/fig14 numbers."""
-    report = benchmark(lambda: verify_full(blindw_rw_run, PG_SERIALIZABLE))
+    """The per-mechanism timers run on every commit of an instrumented
+    run; this benchmark keeps their overhead visible relative to the
+    fig11/fig14 numbers."""
+    report = benchmark(lambda: timed(blindw_rw_run))
     assert report.ok

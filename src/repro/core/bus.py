@@ -14,7 +14,7 @@ callbacks threaded through the :class:`~repro.core.verifier.Verifier`; the
   ``deps_*`` fields of :class:`~repro.core.report.VerificationStats`) and
   per producing mechanism and edge type in the bus's
   :class:`~repro.core.metrics.MetricsRegistry` (``bus.deps.accepted`` /
-  ``delivered`` / ``deferred`` / ``dropped``), which is the Fig. 13
+  ``delivered`` / ``dropped``), which is the Fig. 13
   deduction-breakdown data; :attr:`DependencyBus.counts`,
   :attr:`DependencyBus.accepted` and :attr:`DependencyBus.dropped` remain
   as read-only views over the registry for compatibility;
@@ -24,10 +24,7 @@ callbacks threaded through the :class:`~repro.core.verifier.Verifier`; the
   recursive callbacks;
 * **taps** -- passive observers of the accepted-dependency stream, used by
   the parallel path to journal per-shard dependencies for the merged
-  global certification pass (see :mod:`repro.core.parallel`);
-* **batching** -- :meth:`publish_deferred` + :meth:`flush` queue accepted
-  dependencies and deliver them later in publication order, the delivery
-  mode used when dependencies cross a process boundary in batches.
+  global certification pass (see :mod:`repro.core.parallel`).
 """
 
 from __future__ import annotations
@@ -82,12 +79,12 @@ class DependencyBus:
         #: breakdown (``counts``) must exist even when the run is not
         #: instrumented, so a disabled (or absent) registry is replaced by
         #: a bus-private enabled one -- same cost, just not exported.
-        if metrics is not None and metrics.enabled:
-            self.metrics = metrics
-        else:
-            self.metrics = MetricsRegistry()
+        #: whether the run is instrumented: only then do ``timed``
+        #: subscribers read a clock.
+        self._timing = metrics is not None and metrics.enabled
+        self.metrics = metrics if self._timing else MetricsRegistry()
         #: per-(metric, mechanism, type) counter handles for the cold
-        #: metrics (dropped, deferred), resolved once per triple.  Keyed by
+        #: metric (dropped), resolved once per triple.  Keyed by
         #: ``(metric, id(mechanism), id(type))``: enum members are process
         #: singletons, and identity keys hash at C level where enum
         #: ``__hash__`` is a Python call on every event.
@@ -99,7 +96,6 @@ class DependencyBus:
         self._pair_handles: Dict[
             Tuple[int, int], Tuple[object, object]
         ] = {}
-        self._pending: List[Dependency] = []
 
     # -- wiring ------------------------------------------------------------
 
@@ -112,8 +108,11 @@ class DependencyBus:
     ) -> None:
         """Register a delivery target.  Lower ``priority`` is delivered
         first; ``timed=True`` accumulates the callback's wall time into
-        ``stats.mechanism_seconds[name]`` (the time-breakdown experiment).
+        ``stats.mechanism_seconds[name]`` (the time-breakdown experiment)
+        when the bus was given an enabled registry, and costs nothing
+        otherwise.
         """
+        timed = timed and self._timing
         self._subscribers.append((priority, self._sub_seq, name, callback, timed))
         self._sub_seq += 1
         self._subscribers.sort(key=lambda entry: (entry[0], entry[1]))
@@ -202,39 +201,6 @@ class DependencyBus:
 
     # -- publication -------------------------------------------------------
 
-    def _accept(self, dep: Dependency) -> Optional[Tuple[object, object]]:
-        """Guard + accepted counter; returns the ``(accepted, delivered)``
-        handle pair when the dependency is live, ``None`` when dropped."""
-        nodes = self._graph_nodes
-        txns = self._txns
-        src = dep.src
-        dst = dep.dst
-        if (src not in nodes and src not in txns) or (
-            dst not in nodes and dst not in txns
-        ):
-            self._count("bus.deps.dropped", dep)
-            return None
-        if self._count_stats:
-            stats = self._state.stats
-            if dep.dep_type is DepType.WR:
-                stats.deps_wr += 1
-            elif dep.dep_type is DepType.WW:
-                stats.deps_ww += 1
-            elif dep.dep_type is DepType.SO:
-                stats.deps_so += 1
-            else:
-                stats.deps_rw += 1
-        pair = self._pair(dep)
-        pair[0].inc()
-        for fn in self._taps:
-            fn(dep)
-        return pair
-
-    def _deliver(self, dep: Dependency) -> None:
-        self._pair(dep)[1].inc()
-        for fn in self._dispatch:
-            fn(dep)
-
     def publish(self, dep: Dependency) -> bool:
         """Publish one dependency with immediate (depth-first) delivery.
 
@@ -243,9 +209,9 @@ class DependencyBus:
         outer publication returns -- the exchange semantics of Section V-A.
         Returns whether the dependency survived the garbage guard.
 
-        The body is :meth:`_accept` inlined (and counters bumped through
-        the handle's ``value`` slot directly): one publication per deduced
-        dependency makes this the bus's hottest entry point.
+        Counters are bumped through the handle's ``value`` slot directly:
+        one publication per deduced dependency makes this the bus's
+        hottest entry point.
         """
         nodes = self._graph_nodes
         txns = self._txns
@@ -324,35 +290,6 @@ class DependencyBus:
                 fn(dep)
             accepted += 1
         return accepted
-
-    def publish_deferred(self, dep: Dependency) -> bool:
-        """Accept (guard + count) now, deliver at the next :meth:`flush`."""
-        if self._accept(dep) is None:
-            return False
-        self._count("bus.deps.deferred", dep)
-        self._pending.append(dep)
-        return True
-
-    def flush(self) -> int:
-        """Deliver all deferred dependencies in publication order.
-
-        Subscribers may publish further dependencies while a batch drains;
-        immediate publications are delivered depth-first as usual, deferred
-        ones are appended to the same batch and drained in turn.
-        """
-        delivered = 0
-        index = 0
-        while index < len(self._pending):
-            dep = self._pending[index]
-            index += 1
-            self._deliver(dep)
-            delivered += 1
-        self._pending.clear()
-        return delivered
-
-    @property
-    def pending(self) -> int:
-        return len(self._pending)
 
 
 @register_mechanism("RW-DERIVE", order=30)

@@ -24,7 +24,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from .intervals import Interval
 from .report import Mechanism
-from .topo import IncrementalTopology
+from .topo import IncrementalTopology, unlink
 
 
 class DepType(enum.Enum):
@@ -95,7 +95,8 @@ class DependencyGraph:
         #: edge.  Maintained on node/edge mutation so garbage collection
         #: (Definition 4 needs in-degree zero as its entry condition) can
         #: seed its candidate worklist without re-scanning the whole node
-        #: table -- see :meth:`GarbageCollector._prune_graph`.
+        #: table -- see :meth:`GarbageCollector._prune_graph`, which relies on
+        #: it being *exactly* that set.
         self._zero_in: Set[str] = set()
 
     # -- nodes ----------------------------------------------------------------
@@ -201,30 +202,26 @@ class DependencyGraph:
     # -- pruning (Definition 4 support) ----------------------------------------
 
     def remove_txn(self, txn_id: str) -> List[str]:
-        """Remove a garbage transaction and its outgoing edges.
+        """Remove a garbage transaction and its incident edges.
 
         Returns the successors whose in-degree dropped to zero -- the nodes
         the removal promoted into the pruning frontier, which the garbage
         collector feeds straight back into its candidate worklist."""
         if txn_id not in self._nodes:
             return []
-        successors = self.successors(txn_id)
-        for succ in successors:
-            types = self._edge_types.pop((txn_id, succ), set())
-            self.edge_count -= len(types)
-        for pred in self.predecessors(txn_id):
-            types = self._edge_types.pop((pred, txn_id), set())
-            self.edge_count -= len(types)
         if self._incremental:
-            self._topo.remove_node(txn_id)
+            successors, predecessors, promoted = self._topo.remove_node(txn_id)
         else:
-            for succ in self._raw_succ.pop(txn_id, set()):
-                self._raw_pred[succ].discard(txn_id)
-            for pred in self._raw_pred.pop(txn_id, set()):
-                self._raw_succ[pred].discard(txn_id)
+            successors, predecessors, promoted = unlink(
+                self._raw_succ, self._raw_pred, txn_id
+            )
+        edge_types = self._edge_types
+        for succ in successors:
+            self.edge_count -= len(edge_types.pop((txn_id, succ), ()))
+        for pred in predecessors:
+            self.edge_count -= len(edge_types.pop((pred, txn_id), ()))
         del self._nodes[txn_id]
         self._zero_in.discard(txn_id)
-        promoted = [succ for succ in successors if self.in_degree(succ) == 0]
         self._zero_in.update(promoted)
         return promoted
 
@@ -235,19 +232,6 @@ class DependencyGraph:
     @property
     def frontier_size(self) -> int:
         return len(self._zero_in)
-
-    def _refresh_rw_flags(self, txn_id: str) -> None:
-        node = self._nodes.get(txn_id)
-        if node is None:
-            return
-        node.has_in_rw = any(
-            DepType.RW in self._edge_types.get((pred, txn_id), ())
-            for pred in self._topo.predecessors(txn_id)
-        )
-        node.has_out_rw = any(
-            DepType.RW in self._edge_types.get((txn_id, succ), ())
-            for succ in self._topo.successors(txn_id)
-        )
 
     # -- whole-graph queries (used by baselines and tests) ----------------------
 

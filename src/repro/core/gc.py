@@ -1,38 +1,47 @@
 """Garbage collection of mirrored verifier structures.
 
 Long-running workloads grow every mirrored structure without bound; the
-paper prunes asynchronously (Sections V-A, V-B, V-D).  This module
-implements the three pruning rules behind the flat memory curves of
-Figs. 10 and 14:
+paper prunes asynchronously (Sections V-A, V-B, V-D).  A collection is one
+pass driven by the horizon ``S_e`` -- the earliest snapshot timestamp any
+unverified trace can still reference -- over the three rules behind the
+flat memory curves of Figs. 10 and 14:
 
 * **garbage transactions** (Definition 4 / Theorem 5): in-degree zero in
-  the dependency graph and finished before the earliest snapshot timestamp
-  ``S_e`` any unverified trace can still reference -- provably never part
-  of a future cycle;
-* **garbage lock entries**: released definitely before ``S_e`` by a pruned
-  transaction -- they can only ever order *before* future locks, never
-  conflict;
-* **garbage versions** (Fig. 6 applied at the GC horizon): definitely
-  overwritten before any live snapshot; cumulative images keep surviving
-  versions self-contained.
+  the dependency graph and finished before ``S_e`` -- provably never part
+  of a future cycle.  The worklist starts from the zero-in-degree frontier
+  the graph maintains and grows only by the successors each removal
+  promotes;
+* **garbage versions** (Fig. 6 applied at the horizon): definitely
+  overwritten before any live snapshot.  Chains are sorted by effective
+  after-timestamp, so the definitely-before versions are a prefix; when
+  its last member -- the pivot -- is alone at its timestamp and its
+  neighbour does not overlap it, everything under the pivot is garbage and
+  leaves as one slice.  Cumulative images keep the survivors
+  self-contained;
+* **transaction metadata and lock entries** (Section V-B): a terminal
+  after-timestamp behind ``S_e`` and no node left in the graph.  Entries
+  come off a terminal-timestamp heap, and a lock's release interval *is*
+  its owner's terminal interval, so the pop that retires a transaction
+  retires its locks with it -- they can only ever order *before* future
+  locks, never conflict.
 
-Collections are indexed rather than exhaustive: graph pruning seeds its
-worklist from the zero-in-degree frontier the graph maintains (Definition 4
-requires in-degree zero, so only frontier members can be garbage), and
-transaction-metadata pruning pops a terminal-timestamp heap instead of
-sweeping the whole transaction table.  Both indexes make a collection cost
-O(candidates), not O(live state) -- the property the Fig. 10/14 flat-memory
-runs depend on once steady state is mostly non-garbage.
+Every step is indexed: a collection costs O(structures retired +
+candidates looked at), not O(live state) -- finished locks and
+transactions still ahead of the horizon are never visited -- the property
+the Fig. 10/14 flat-memory runs depend on once steady state is mostly
+non-garbage.  ``tests/gc_oracle.py`` holds the exhaustive sweeps these
+steps replaced; the tests compare the retired sets after every collection.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from typing import Callable, List, Optional
 
 from .intervals import Interval
 from .metrics import NULL_REGISTRY, MetricsRegistry
-from .state import VerifierState
+from .state import TxnStatus, VerifierState
 
 
 class GarbageCollector:
@@ -93,47 +102,19 @@ class GarbageCollector:
             return
         with self._m_collect.time():
             self._prune_graph(horizon_ts)
-            # Lock and version pruning share the releasability predicate
-            # and neither mutates the graph or transaction table, so one
-            # memo serves both: a transaction's verdict is computed once
-            # per collection instead of once per lock entry / version.
-            can_prune = self._make_can_prune()
-            self._prune_locks(horizon_ts, can_prune)
-            self._prune_versions(horizon_ts, can_prune)
+            self._prune_versions(horizon_ts)
             self._prune_txn_states(horizon_ts)
 
-    def _make_can_prune(self):
+    def _releasable(self, txn_id: str) -> bool:
+        """Whether nothing mirrored still needs the transaction: no node
+        in the dependency graph, and finished (or already retired)."""
         state = self._state
-        cache: dict = {}
-
-        def can_prune(txn_id: str) -> bool:
-            verdict = cache.get(txn_id)
-            if verdict is None:
-                if txn_id in state.graph:
-                    verdict = False
-                else:
-                    txn = state.get_txn(txn_id)
-                    verdict = txn is None or txn.finished
-                cache[txn_id] = verdict
-            return verdict
-
-        return can_prune
+        if txn_id in state.graph:
+            return False
+        txn = state.txns.get(txn_id)
+        return txn is None or txn.status is not TxnStatus.ACTIVE
 
     # -- Definition 4 / Theorem 5 -------------------------------------------------
-
-    def _garbage(self, txn_id: str, horizon_ts: float) -> bool:
-        """Definition 4 body checks for an in-degree-zero node."""
-        state = self._state
-        node = state.graph.node(txn_id)
-        txn = state.get_txn(txn_id)
-        commit = node.commit_interval
-        if commit is None and txn is not None:
-            commit = txn.terminal_interval
-        if commit is None or commit.ts_aft > horizon_ts:
-            return False
-        if txn is not None and not txn.finished:
-            return False
-        return True
 
     def _prune_graph(self, horizon_ts: float) -> None:
         """Frontier-indexed pruning.
@@ -141,129 +122,149 @@ class GarbageCollector:
         Only zero-in-degree nodes can be garbage, and the graph maintains
         exactly that set, so the worklist starts from the frontier snapshot
         and grows only by the successors each removal promotes to in-degree
-        zero.  Nodes that fail the horizon checks stay in the frontier and
-        are retried (against a larger horizon) next collection.  Reaches the
-        same fixpoint as :meth:`_prune_graph_scan` without touching nodes
-        that still have predecessors.
+        zero (each at most once: nothing adds edges meanwhile).  Nodes that
+        fail the Definition 4 body -- finished, committed before the
+        horizon -- stay in the frontier and are retried against a larger
+        horizon next collection.  Reaches the same fixpoint as a
+        scan-to-fixpoint over every node without touching nodes that still
+        have predecessors.
         """
         state = self._state
         graph = state.graph
+        # The node and transaction tables themselves (both are mutated in
+        # place only): the loop body runs once per frontier member.
+        nodes = graph._nodes
+        txns = state.txns
+        on_pruned = self._on_txn_pruned
+        active = TxnStatus.ACTIVE
         worklist: List[str] = graph.zero_in_degree_frontier()
         self._m_frontier.set(len(worklist))
-        scanned = 0
+        scanned = pruned = 0
         while worklist:
             txn_id = worklist.pop()
             scanned += 1
-            # A promoted successor may appear both in the initial snapshot
-            # and in a removal's promotion list; membership re-check makes
-            # duplicates harmless.
-            if txn_id not in graph or graph.in_degree(txn_id) != 0:
-                continue
-            if not self._garbage(txn_id, horizon_ts):
+            commit = nodes[txn_id].commit_interval
+            txn = txns.get(txn_id)
+            if txn is not None:
+                if txn.status is active:
+                    continue
+                if commit is None:
+                    commit = txn.terminal_interval
+            if commit is None or commit.ts_aft > horizon_ts:
                 continue
             worklist.extend(graph.remove_txn(txn_id))
-            if self._on_txn_pruned is not None:
-                self._on_txn_pruned(txn_id)
-            state.stats.gc_txns_pruned += 1
+            if on_pruned is not None:
+                on_pruned(txn_id)
+            pruned += 1
+        state.stats.gc_txns_pruned += pruned
         self._m_scanned.inc(scanned)
-
-    def _prune_graph_scan(self, horizon_ts: float) -> None:
-        """Scan-to-fixpoint reference implementation (pre-frontier).
-
-        Kept as the oracle the equivalence tests compare
-        :meth:`_prune_graph` against; not called on any production path.
-        """
-        state = self._state
-        graph = state.graph
-        # Removing a garbage node deletes its outgoing edges, which can turn
-        # successors into garbage; iterate to a fixpoint.
-        changed = True
-        while changed:
-            changed = False
-            for txn_id in graph.nodes():
-                if graph.in_degree(txn_id) != 0:
-                    continue
-                if not self._garbage(txn_id, horizon_ts):
-                    continue
-                graph.remove_txn(txn_id)
-                if self._on_txn_pruned is not None:
-                    self._on_txn_pruned(txn_id)
-                state.stats.gc_txns_pruned += 1
-                changed = True
-
-    # -- lock table -----------------------------------------------------------------
-
-    def _prune_locks(self, horizon_ts: float, can_prune=None) -> None:
-        state = self._state
-        if can_prune is None:
-            can_prune = self._make_can_prune()
-        state.stats.gc_locks_pruned += state.locks.prune(horizon_ts, can_prune)
 
     # -- version chains ----------------------------------------------------------------
 
-    def _prune_versions(self, horizon_ts: float, can_prune=None) -> None:
+    def _prune_versions(self, horizon_ts: float) -> None:
+        """Fig. 6 at a zero-width snapshot ``[S_e, S_e]``.
+
+        Only chains the verifier marked as candidates (two or more
+        committed versions, or aborted residue) can prune anything.  The
+        versions definitely before the horizon are the chain prefix below
+        ``(S_e, S_e)`` in key order, found with one bisect; its last member
+        is the pivot.  When the pivot's neighbour ends before the pivot
+        begins and strictly before it ends (so the pivot is alone at its
+        after-timestamp) -- the steady state, a two-version chain --
+        nothing overlaps the pivot, the garbage is the whole prefix under
+        it, and it goes as one slice once every owner is releasable.
+        Pivot-overlap chains, tied pivots and prefixes with a pinned owner
+        take :meth:`VersionChain.prune_garbage`.
+        """
         state = self._state
-        horizon = Interval(horizon_ts, horizon_ts)
-        if can_prune is None:
-            can_prune = self._make_can_prune()
-        # Only chains the verifier marked as candidates (two or more
-        # committed versions, or aborted residue) can prune anything;
-        # everything else is skipped without even a length check.  A chain
-        # GC'd back to a single version leaves the candidate set until its
-        # next commit re-marks it.
         candidates = state.gc_version_candidates
         if not candidates:
             return
+        nodes = state.graph._nodes
+        txns = state.txns
+        active = TxnStatus.ACTIVE
+        bound = (horizon_ts, horizon_ts)
+        horizon = Interval(horizon_ts, horizon_ts)
         pruned = 0
         for key in list(candidates):
             chain = candidates[key]
-            # Inline the chain's O(1) garbage precheck (at least two
-            # committed versions definitely behind the horizon, or aborted
-            # residue to drop) so chains with nothing to prune do not even
-            # pay the ``prune_garbage`` call.
-            if not chain._aborted:
-                keys = chain._keys
-                if len(keys) < 2:
-                    del candidates[key]
+            if chain._aborted:
+                chain._aborted.clear()
+            keys = chain._keys
+            if len(keys) < 2:
+                # Back to a single version: out of the candidate set until
+                # its next commit re-marks it.
+                del candidates[key]
+                continue
+            if keys[1][0] > horizon_ts:
+                continue
+            boundary = bisect_left(keys, bound)
+            if boundary < 2:
+                continue
+            garbage = boundary - 1
+            pivot = keys[garbage]
+            below = keys[garbage - 1][0]
+            versions = chain._chain
+            if below <= pivot[1] and below < pivot[0]:
+                for version in versions[:garbage]:
+                    owner = version.txn_id
+                    if owner in nodes:
+                        break
+                    txn = txns.get(owner)
+                    if txn is not None and txn.status is active:
+                        break
+                else:
+                    chain.drop_prefix(garbage)
+                    pruned += garbage
+                    if len(keys) < 2:
+                        del candidates[key]
                     continue
-                if keys[1][0] > horizon_ts:
-                    continue
-            pruned += chain.prune_garbage(horizon, can_prune)
-            if len(chain) < 2:
+            pruned += chain.prune_garbage(horizon, self._releasable)
+            if len(chain._keys) < 2:
                 del candidates[key]
         state.stats.gc_versions_pruned += pruned
 
-    # -- transaction metadata -------------------------------------------------------------
+    # -- transaction metadata and lock entries ------------------------------------------------
 
     def _prune_txn_states(self, horizon_ts: float) -> None:
-        """Drop metadata for transactions no mirrored structure references.
+        """Retire the transactions no mirrored structure references, and
+        their locks with them.
 
         A transaction state is still needed while it is active, while its
         node sits in the dependency graph (certifier concurrency checks), or
         while a version it installed could pair with a future FUW check --
-        bounded by its terminal after-timestamp against the horizon.
+        bounded by its terminal after-timestamp against the horizon.  Its
+        lock entries were released in that same terminal interval, so the
+        same test retires them (:meth:`LockTable.drop_owner`).
 
         Candidates come off the terminal-timestamp heap the state maintains
         (:meth:`VerifierState.note_terminal`): only entries strictly behind
         the horizon are popped, so a collection never looks at transactions
-        that cannot be pruned yet.  Entries whose node is still in the graph
-        are re-pushed and retried once graph pruning releases them.
+        -- or locks -- that cannot be pruned yet.  Entries whose node is
+        still in the graph are re-pushed and retried once graph pruning
+        releases them.
         """
         state = self._state
         heap = state.terminal_heap
+        txns = state.txns
+        nodes = state.graph._nodes
+        drop_locks = state.locks.drop_owner
+        heappop = heapq.heappop
         retained: List = []
+        locks_pruned = 0
         while heap and heap[0][0] < horizon_ts:
-            entry = heapq.heappop(heap)
+            entry = heappop(heap)
             txn_id = entry[1]
-            txn = state.txns.get(txn_id)
-            if txn is None:
+            if txn_id not in txns:
                 # Already pruned (or never materialised here): drop entry.
                 continue
-            if txn_id in state.graph:
+            if txn_id in nodes:
                 retained.append(entry)
                 continue
-            del state.txns[txn_id]
+            del txns[txn_id]
+            locks_pruned += drop_locks(txn_id)
         for entry in retained:
             heapq.heappush(heap, entry)
+        state.stats.gc_locks_pruned += locks_pruned
         self._m_retained.inc(len(retained))
         self._m_heap.set(len(heap))

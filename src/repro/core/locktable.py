@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
@@ -61,9 +61,13 @@ class OrderOutcome(enum.Enum):
     UNCERTAIN = "uncertain"
 
 
-@dataclass(slots=True)
+@dataclass(eq=False, slots=True)
 class LockEntry:
-    """One lock acquisition observed in the traces."""
+    """One lock acquisition observed in the traces.
+
+    Entries compare by identity (as versions do): two acquisitions are
+    distinct entries whatever their fields, and chain membership
+    operations (``list.index`` / ``list.remove``) are C-level scans."""
 
     key: Key
     txn_id: str
@@ -184,7 +188,7 @@ class LockTable:
             keys.append(sort_key)
             chain.append(entry)
         else:
-            position = _bisect_keys(keys, sort_key)
+            position = bisect_left(keys, sort_key)
             keys.insert(position, sort_key)
             chain.insert(position, entry)
         txn_entries = self._by_txn.get(txn_id)
@@ -256,79 +260,50 @@ class LockTable:
 
     # -- garbage collection ---------------------------------------------------------
 
-    def prune(self, horizon_ts: float, can_prune_txn) -> int:
-        """Drop finished locks that were released definitely before the
-        earliest still-relevant timestamp and whose owner is releasable.
+    def drop_owner(self, txn_id: str) -> int:
+        """Drop the finished locks of a transaction the collector retires;
+        returns how many went.
 
-        Such a lock can only produce FIRST_BEFORE_SECOND outcomes against
-        any future lock (its release precedes every future acquire), so it
-        can never witness a violation again; the corresponding ``ww`` edges
-        are covered by the dependency-graph pruning rule (Theorem 5).
+        A lock is released in its owner's terminal interval, so "released
+        definitely before the horizon by a releasable owner" is exactly the
+        rule that retires the owner's metadata (Section V-B): such a lock
+        can only produce FIRST_BEFORE_SECOND outcomes against any future
+        lock (its release precedes every future acquire), so it can never
+        witness a violation again, and the ``ww`` edges it ordered are
+        covered by the dependency-graph rule (Theorem 5).  Entries never
+        released (specs without a lock manager mirror acquisitions only)
+        stay.  Each entry leaves by position -- one bisect on the chain's
+        sort keys; the finished sublist has none, but a retired entry is
+        among its oldest, so that identity scan stops near the front -- and
+        a chain it empties goes whole.
         """
-        pruned = 0
-        dropped: set = set()
-        #: txn -> number of its entries dropped, so the ownership index is
-        #: rebuilt only for affected transactions instead of swept whole.
-        dropped_of_txn: Dict[str, int] = {}
-        # Only finished entries are prunable, so the walk is driven by the
-        # (far smaller) finished sublists instead of every chain.
-        for key in list(self._finished):
-            finished = self._finished[key]
-            removed = 0
-            for entry in finished:
-                if entry.release.ts_aft < horizon_ts and can_prune_txn(
-                    entry.txn_id
-                ):
-                    dropped.add(id(entry))
-                    owner = entry.txn_id
-                    dropped_of_txn[owner] = dropped_of_txn.get(owner, 0) + 1
-                    removed += 1
-            if not removed:
+        entries = self._by_txn.pop(txn_id, None)
+        if not entries:
+            return 0
+        by_key = self._by_key
+        key_sort = self._key_sort
+        finished_map = self._finished
+        dropped = 0
+        for entry in entries:
+            if not entry.finished:
                 continue
-            pruned += removed
-            chain = self._by_key[key]
-            kept = [e for e in chain if id(e) not in dropped]
-            if kept:
-                self._by_key[key] = kept
-                self._key_sort[key] = [lock_sort_key(e) for e in kept]
-                kept_finished = [
-                    e for e in finished if id(e) not in dropped
-                ]
-                if kept_finished:
-                    self._finished[key] = kept_finished
-                else:
-                    del self._finished[key]
-            else:
-                del self._by_key[key]
-                self._key_sort.pop(key, None)
-                del self._finished[key]
-        for txn_id, count in dropped_of_txn.items():
-            entries = self._by_txn.get(txn_id)
-            if entries is None:
+            dropped += 1
+            key = entry.key
+            chain = by_key[key]
+            if len(chain) == 1:
+                del by_key[key], key_sort[key], finished_map[key]
                 continue
-            if count >= len(entries):
-                # Every lock of the transaction was dropped (the common
-                # case: pruning is keyed on the owner being releasable).
-                del self._by_txn[txn_id]
+            keys = key_sort[key]
+            position = bisect_left(keys, (entry.acquire.ts_aft, entry.seq))
+            del chain[position], keys[position]
+            finished = finished_map[key]
+            if len(finished) == 1:
+                del finished_map[key]
             else:
-                self._by_txn[txn_id] = [
-                    entry for entry in entries if id(entry) not in dropped
-                ]
-        return pruned
-
-
-def _bisect_keys(keys: List[Tuple[float, int]], sort_key: Tuple[float, int]) -> int:
-    """bisect_left over the per-key sort list (keys are a total order, so
-    left/right bisection coincide; a fresh entry's seq exceeds all
-    existing ones, placing equal timestamps after -- insertion order)."""
-    lo, hi = 0, len(keys)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if keys[mid] < sort_key:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
+                finished.remove(entry)
+        if dropped != len(entries):
+            self._by_txn[txn_id] = [e for e in entries if not e.finished]
+        return dropped
 
 
 def _insert_open(open_entries: List[LockEntry], entry: LockEntry) -> None:

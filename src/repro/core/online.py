@@ -8,10 +8,12 @@ happen and the operator is alerted the moment a violation is detected
 
 :class:`OnlineVerifier` implements the push side of the two-level pipeline:
 each client feeds its own monotone stream; traces are staged per client,
-and whenever the watermark (the smallest head timestamp across client
-stages) advances, everything older is dispatched to the verifier in sorted
-order.  New violations fire the ``on_violation`` callback immediately after
-the dispatching call that detected them.
+and whenever a client's progress mark -- the ``(ts_bef, trace_id)`` pair
+it vouched never to send anything below -- moves, everything the other
+clients' marks cover is dispatched to the verifier in the offline
+pipeline's order, through the same merge kernel.  New violations fire the
+``on_violation`` callback immediately after the dispatching call that
+detected them.
 
 A client that stops sending would freeze the watermark; deployments send
 periodic heartbeats (empty progress marks) for idle clients --
@@ -20,9 +22,11 @@ periodic heartbeats (empty progress marks) for idle clients --
 
 from __future__ import annotations
 
-import heapq
+import operator
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from .intervals import POS_INF
+from .pipeline import merge_runs, prefix_below
 from .report import VerificationReport, Violation
 from .runtime import CollectorWatch
 from .spec import IsolationSpec, PG_SERIALIZABLE
@@ -30,6 +34,27 @@ from .trace import Trace
 from .verifier import Verifier
 
 ViolationCallback = Callable[[Violation], None]
+
+_client_id = operator.attrgetter("client_id")
+
+#: a ``(ts_bef, trace_id)`` progress mark, the pipeline's sort key.
+Mark = Tuple[float, float]
+
+
+class _Stage:
+    """One client's staged (undispatched) traces with their parallel
+    ``ts_bef`` array, and its progress floor: the client will never send a
+    trace whose ``(ts_bef, trace_id)`` is below it.  A staged or dispatched
+    trace raises the floor to its own pair (a client's stream is monotone
+    and its ids ascend); a heartbeat at ``now`` raises it to ``(now,
+    -inf)`` -- the client may still send *any* id at exactly ``now``."""
+
+    __slots__ = ("items", "ts", "floor")
+
+    def __init__(self) -> None:
+        self.items: List[Trace] = []
+        self.ts: List[float] = []
+        self.floor: Mark = (-POS_INF, -POS_INF)
 
 
 class OnlineVerifier:
@@ -62,12 +87,8 @@ class OnlineVerifier:
         self._collector_watch = CollectorWatch(
             getattr(self._verifier, "metrics", None)
         )
-        #: per-client staged traces (each client's stream is monotone).
-        self._stages: Dict[int, List[Trace]] = {}
-        #: watermark floor per client: last timestamp the client vouched
-        #: that it will never send anything older than.
-        self._floors: Dict[int, float] = {}
-        self._heap: List[Tuple[float, int, Trace]] = []
+        #: per-client stage (each client's stream is monotone).
+        self._stages: Dict[int, _Stage] = {}
         self._alerted = 0
         self._dispatched = 0
         #: timestamp of the newest trace already handed to the backend --
@@ -82,33 +103,38 @@ class OnlineVerifier:
         """Announce a client before its first trace so the watermark can
         account for it (unregistered clients are registered on first
         feed)."""
-        self._stages.setdefault(client_id, [])
-        self._floors.setdefault(client_id, float("-inf"))
+        self._stage(client_id)
+
+    def _stage(self, client_id: int) -> _Stage:
+        stage = self._stages.get(client_id)
+        if stage is None:
+            stage = self._stages[client_id] = _Stage()
+        return stage
+
+    def _late_join(self, client_id: int, ts: float) -> ValueError:
+        return ValueError(
+            f"client {client_id} pushed trace at {ts} "
+            f"behind the dispatched watermark {self._emitted}; sessions "
+            f"must join before verification passes their first timestamp"
+        )
 
     def feed(self, trace: Trace) -> int:
         """Push one trace from its client; returns how many traces the
         resulting watermark advance dispatched to the verifier."""
         if self._finished:
             raise RuntimeError("online verifier already finished")
-        stage = self._stages.setdefault(trace.client_id, [])
-        floor = self._floors.setdefault(trace.client_id, float("-inf"))
-        if trace.ts_bef < floor:
+        stage = self._stage(trace.client_id)
+        ts = trace.ts_bef
+        if ts < stage.floor[0]:
             raise ValueError(
-                f"client {trace.client_id} pushed trace at {trace.ts_bef} "
-                f"behind its progress mark {floor}"
+                f"client {trace.client_id} pushed trace at {ts} "
+                f"behind its progress mark {stage.floor[0]}"
             )
-        if trace.ts_bef < self._emitted:
-            raise ValueError(
-                f"client {trace.client_id} pushed trace at {trace.ts_bef} "
-                f"behind the dispatched watermark {self._emitted}; sessions "
-                f"must join before verification passes their first timestamp"
-            )
-        if stage and trace.ts_bef < stage[-1].ts_bef:
-            raise ValueError(
-                f"client {trace.client_id} stream is not monotone"
-            )
-        stage.append(trace)
-        self._floors[trace.client_id] = trace.ts_bef
+        if ts < self._emitted:
+            raise self._late_join(trace.client_id, ts)
+        stage.items.append(trace)
+        stage.ts.append(ts)
+        stage.floor = (ts, trace.trace_id)
         return self._advance()
 
     def feed_batch(self, client_id: int, traces: Sequence[Trace]) -> int:
@@ -117,20 +143,39 @@ class OnlineVerifier:
         :meth:`feed` per trace, but the run is validated and staged first
         and the watermark advances once, so a thousand-trace frame costs
         one dispatch pass instead of a thousand.  Returns the number of
-        traces the advance dispatched."""
+        traces the advance dispatched.
+
+        The run is validated with C-level passes, as
+        :meth:`ClientFeed.next_batch_ts` validates a batch; the per-trace
+        scan only runs on the failure path, to name the offender."""
         if self._finished:
             raise RuntimeError("online verifier already finished")
         if not traces:
             return 0
-        stage = self._stages.setdefault(client_id, [])
-        floor = self._floors.setdefault(client_id, float("-inf"))
-        if traces[0].ts_bef < self._emitted:
-            raise ValueError(
-                f"client {client_id} pushed trace at {traces[0].ts_bef} "
-                f"behind the dispatched watermark {self._emitted}; sessions "
-                f"must join before verification passes their first timestamp"
-            )
-        last = stage[-1].ts_bef if stage else floor
+        stage = self._stage(client_id)
+        stamps = [trace.interval.ts_bef for trace in traces]
+        if stamps[0] < self._emitted:
+            raise self._late_join(client_id, stamps[0])
+        if (
+            stamps[0] < stage.floor[0]
+            or stamps != sorted(stamps)
+            or set(map(_client_id, traces)) != {client_id}
+        ):
+            self._raise_invalid(client_id, traces, stage)
+        return self._stage_run(stage, traces, stamps)
+
+    def _stage_run(
+        self, stage: _Stage, traces: Sequence[Trace], stamps: List[float]
+    ) -> int:
+        stage.items.extend(traces)
+        stage.ts.extend(stamps)
+        stage.floor = (stamps[-1], traces[-1].trace_id)
+        return self._advance()
+
+    @staticmethod
+    def _raise_invalid(client_id: int, traces: Sequence[Trace], stage: _Stage) -> None:
+        floor = stage.floor[0]
+        last = stage.ts[-1] if stage.ts else floor
         for trace in traces:
             if trace.client_id != client_id:
                 raise ValueError(
@@ -146,9 +191,7 @@ class OnlineVerifier:
             if ts < last:
                 raise ValueError(f"client {client_id} stream is not monotone")
             last = ts
-        stage.extend(traces)
-        self._floors[client_id] = last
-        return self._advance()
+        raise AssertionError("unreachable")  # pragma: no cover
 
     def feed_validated(self, client_id: int, traces: Sequence[Trace]) -> int:
         """Push a pre-validated run of traces from one client.
@@ -165,24 +208,16 @@ class OnlineVerifier:
             raise RuntimeError("online verifier already finished")
         if not traces:
             return 0
-        stage = self._stages.setdefault(client_id, [])
-        floor = self._floors.setdefault(client_id, float("-inf"))
-        first = traces[0].ts_bef
-        if first < self._emitted:
+        stage = self._stage(client_id)
+        stamps = [trace.interval.ts_bef for trace in traces]
+        if stamps[0] < self._emitted:
+            raise self._late_join(client_id, stamps[0])
+        if stamps[0] < stage.floor[0]:
             raise ValueError(
-                f"client {client_id} pushed trace at {first} "
-                f"behind the dispatched watermark {self._emitted}; sessions "
-                f"must join before verification passes their first timestamp"
+                f"client {client_id} pushed trace at {stamps[0]} "
+                f"behind its progress mark {stage.floor[0]}"
             )
-        last = stage[-1].ts_bef if stage else floor
-        if first < max(floor, last):
-            raise ValueError(
-                f"client {client_id} pushed trace at {first} "
-                f"behind its progress mark {max(floor, last)}"
-            )
-        stage.extend(traces)
-        self._floors[client_id] = traces[-1].ts_bef
-        return self._advance()
+        return self._stage_run(stage, traces, stamps)
 
     def evict_client(self, client_id: int) -> int:
         """Forget a client entirely: drop its staged traces and remove it
@@ -192,19 +227,18 @@ class OnlineVerifier:
         eviction itself may advance the watermark and dispatch other
         clients' traces."""
         stage = self._stages.pop(client_id, None)
-        self._floors.pop(client_id, None)
-        dropped = len(stage) if stage else 0
+        dropped = len(stage.items) if stage is not None else 0
         if not self._finished and self._stages:
             self._advance()
         return dropped
 
     def heartbeat(self, client_id: int, now: float) -> int:
-        """An idle client vouches that all its future traces begin after
-        ``now``; unblocks the watermark without sending data."""
+        """An idle client vouches that none of its future traces begins
+        before ``now``; unblocks the watermark without sending data."""
         if self._finished:
             raise RuntimeError("online verifier already finished")
-        self.register_client(client_id)
-        self._floors[client_id] = max(self._floors[client_id], now)
+        stage = self._stage(client_id)
+        stage.floor = max(stage.floor, (now, -POS_INF))
         return self._advance()
 
     # -- dispatch -------------------------------------------------------------------
@@ -212,9 +246,10 @@ class OnlineVerifier:
     def _watermark(self) -> float:
         """Smallest timestamp any client could still produce: its staged
         head if it has one, else its progress floor."""
-        marks = []
-        for client_id, stage in self._stages.items():
-            marks.append(stage[0].ts_bef if stage else self._floors[client_id])
+        marks = [
+            stage.ts[0] if stage.ts else stage.floor[0]
+            for stage in self._stages.values()
+        ]
         return min(marks) if marks else float("-inf")
 
     def _dispatch(self, batch: List[Trace]) -> None:
@@ -235,53 +270,42 @@ class OnlineVerifier:
         self._alert_new()
 
     def _advance(self) -> int:
+        """Dispatch every staged trace the other clients' floors cover.
+
+        A trace may go once it sorts below every *other* client's floor
+        (its own client's later traces follow it anyway), so each stage's
+        bound is the smallest floor among the others: the smallest floor
+        overall, or the second smallest for the client that holds the
+        smallest.  That is the fixpoint of a k-way merge that stops at the
+        first idle client's mark, computed as the offline pipeline
+        computes a round: one :func:`prefix_below` per stage, one
+        :func:`merge_runs` over the eligible prefixes -- so the dispatch
+        order is the pipeline's ``(ts_bef, trace_id)`` order exactly,
+        timestamp ties with an idle client's floor included.
+        """
         stages = self._stages
-        if not stages:
-            return 0
-        floors = self._floors
-        # K-way merge to a fixpoint: the globally smallest staged trace
-        # dispatches whenever its timestamp is covered by every client's
-        # progress mark (staged head, or idle floor once the stage is
-        # empty).  Dispatching it raises its client's mark -- and with it
-        # possibly the watermark -- so the merge keeps going until an
-        # idle client's floor bounds progress.  Staged entries sort ahead
-        # of equal floors and tie-break on trace id, so the dispatch
-        # order is the offline pipeline's ``(ts_bef, trace_id)`` order
-        # exactly.
-        cursors = {client_id: 0 for client_id in stages}
-        entries = []
+        lowest = second = (POS_INF, POS_INF)
+        holder = None
         for client_id, stage in stages.items():
-            if stage:
-                entries.append(
-                    (stage[0].ts_bef, 0, stage[0].trace_id, client_id)
-                )
-            else:
-                entries.append((floors[client_id], 1, 0, client_id))
-        heapq.heapify(entries)
-        batch: List[Trace] = []
-        while entries:
-            _ts, idle, _tid, client_id = entries[0]
-            if idle:
-                break
-            stage = stages[client_id]
-            cursor = cursors[client_id]
-            batch.append(stage[cursor])
-            cursor += 1
-            cursors[client_id] = cursor
-            if cursor < len(stage):
-                head = stage[cursor]
-                heapq.heapreplace(
-                    entries, (head.ts_bef, 0, head.trace_id, client_id)
-                )
-            else:
-                heapq.heapreplace(
-                    entries, (floors[client_id], 1, 0, client_id)
-                )
-        for client_id, cursor in cursors.items():
-            if cursor:
-                del stages[client_id][:cursor]
-        if batch:
-            self._dispatch(batch)
+            floor = stage.floor
+            if floor < lowest:
+                second, lowest, holder = lowest, floor, client_id
+            elif floor < second:
+                second = floor
+        runs = []
+        for client_id, stage in stages.items():
+            items = stage.items
+            if not items:
+                continue
+            bound = second if client_id == holder else lowest
+            hi = prefix_below(items, stage.ts, 0, bound)
+            if hi:
+                runs.append((items[:hi], stage.ts[:hi]))
+                del items[:hi], stage.ts[:hi]
+        if not runs:
+            return 0
+        batch = runs[0][0] if len(runs) == 1 else merge_runs(runs)
+        self._dispatch(batch)
         return len(batch)
 
     def _current_violations(self) -> List[Violation]:
@@ -306,7 +330,7 @@ class OnlineVerifier:
     @property
     def pending(self) -> int:
         """Traces staged but not yet dispatched (waiting on the watermark)."""
-        return sum(len(s) for s in self._stages.values()) + len(self._heap)
+        return sum(len(stage.items) for stage in self._stages.values())
 
     @property
     def dispatched(self) -> int:
@@ -314,7 +338,8 @@ class OnlineVerifier:
 
     def staged_count(self, client_id: int) -> int:
         """Traces currently staged (undispatched) for one client."""
-        return len(self._stages.get(client_id, ()))
+        stage = self._stages.get(client_id)
+        return len(stage.items) if stage is not None else 0
 
     @property
     def watermark(self) -> float:
@@ -326,9 +351,9 @@ class OnlineVerifier:
         staged head if any, else its progress floor (+inf for unknown
         clients -- they cannot hold the watermark back)."""
         stage = self._stages.get(client_id)
-        if stage:
-            return stage[0].ts_bef
-        return self._floors.get(client_id, float("inf"))
+        if stage is None:
+            return float("inf")
+        return stage.ts[0] if stage.ts else stage.floor[0]
 
     @property
     def violations_so_far(self) -> List[Violation]:
@@ -399,16 +424,15 @@ class OnlineVerifier:
         """Drain everything staged (all clients are declared done) and
         return the final report."""
         self._finished = True
-        remaining: List[Trace] = list(
-            trace for _, _, trace in self._heap
-        )
-        self._heap.clear()
-        for stage in self._stages.values():
-            remaining.extend(stage)
-            stage.clear()
-        remaining.sort(key=Trace.sort_key)
-        if remaining:
-            self._dispatch(remaining)
+        runs = [
+            (stage.items, stage.ts)
+            for stage in self._stages.values()
+            if stage.items
+        ]
+        if runs:
+            self._dispatch(merge_runs(runs))
+            for stage in self._stages.values():
+                stage.items, stage.ts = [], []
         report = self._verifier.finish()
         # Backends that defer global certification to finish (the parallel
         # merge pass) surface their remaining violations only now.

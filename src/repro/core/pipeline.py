@@ -39,7 +39,7 @@ provided for the same comparison.
 
 from __future__ import annotations
 
-import heapq
+import operator
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -49,6 +49,9 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 from .intervals import POS_INF
 from .metrics import NULL_REGISTRY, MetricsRegistry
 from .trace import Trace
+
+
+_trace_id = operator.attrgetter("trace_id")
 
 
 class ClientFeed:
@@ -194,50 +197,40 @@ class _Run:
         return len(self.items) - self.lo
 
 
-def _merge_slices(slices: List[Tuple[List[Trace], List[float], int, int]]) -> List[Trace]:
-    """K-way merge of sorted run slices by ``(ts_bef, trace_id)``.
+def prefix_below(
+    items: List[Trace], ts: List[float], lo: int, bound: Tuple[float, float]
+) -> int:
+    """End of the prefix of a sorted run (from ``lo``) strictly below
+    ``bound``, a ``(ts_bef, trace_id)`` pair: one bisect finds the traces
+    below the bound's timestamp, and traces tied with it join while their
+    id is smaller."""
+    bound_ts, bound_id = bound
+    end = len(ts)
+    hi = bisect_left(ts, bound_ts, lo, end)
+    while hi < end and ts[hi] == bound_ts and items[hi].trace_id < bound_id:
+        hi += 1
+    return hi
 
-    Each slice is ``(items, ts, lo, hi)``.  The loop gallops: whenever the
-    leading slice is strictly below every other head timestamp, its whole
-    leading chunk is located with one C-level bisect over the float key
-    array and copied wholesale; exact timestamp ties fall back to
-    one-element steps where the full ``(ts, id)`` comparison decides.
+
+def merge_runs(runs: List[Tuple[List[Trace], List[float]]]) -> List[Trace]:
+    """K-way merge of sorted runs -- ``(traces, their ts_bef)`` pairs -- by
+    ``(ts_bef, trace_id)``.
+
+    The runs are concatenated and the positions stable-sorted on the
+    timestamp array: Timsort finds the pre-sorted runs and gallops through
+    them, so the merge is one C-level pass with no per-trace Python step.
+    Stability keeps each run's own order; only when a timestamp repeats can
+    two runs tie, and then the full ``(ts_bef, trace_id)`` pair is the key.
     """
-    heap = []
-    for index, (items, ts, lo, hi) in enumerate(slices):
-        heap.append((ts[lo], items[lo].trace_id, index, lo))
-    heapq.heapify(heap)
-    out: List[Trace] = []
-    append = out.append
-    extend = out.extend
-    heapreplace = heapq.heapreplace
-    heappop = heapq.heappop
-    while len(heap) > 1:
-        t, _tid, index, pos = heap[0]
-        items, ts, _lo, hi = slices[index]
-        # Second-smallest head: the smaller child of the heap root.
-        second = heap[1] if len(heap) == 2 or heap[1] < heap[2] else heap[2]
-        second_ts = second[0]
-        nxt = pos + 1
-        if t == second_ts or nxt >= hi or ts[nxt] >= second_ts:
-            # Single step: a timestamp tie (the root already won the
-            # trace_id comparison) or a chunk of one -- not worth a bisect.
-            append(items[pos])
-            pos = nxt
-        else:
-            # Everything strictly below the next head is safe wholesale;
-            # a tied suffix stays behind for per-element id arbitration.
-            cut = bisect_left(ts, second_ts, nxt, hi)
-            extend(items[pos:cut])
-            pos = cut
-        if pos < hi:
-            heapreplace(heap, (ts[pos], items[pos].trace_id, index, pos))
-        else:
-            heappop(heap)
-    _, _, index, pos = heap[0]
-    items, _, _, hi = slices[index]
-    extend(items[pos:hi])
-    return out
+    items: List[Trace] = []
+    stamps: List[float] = []
+    for run_items, run_ts in runs:
+        items += run_items
+        stamps += run_ts
+    key = stamps.__getitem__
+    if len(set(stamps)) != len(stamps):
+        key = list(zip(stamps, map(_trace_id, items))).__getitem__
+    return [items[i] for i in sorted(range(len(items)), key=key)]
 
 
 class TwoLevelPipeline:
@@ -356,28 +349,18 @@ class TwoLevelPipeline:
         self, runs: List[_Run], bound: Tuple[float, float]
     ) -> List[Trace]:
         """Dispatch every staged trace below ``bound``, a ``(ts_bef,
-        trace_id)`` pair: one bisect per run finds the prefix strictly
-        below the bound's timestamp, traces tied with it join while their
-        id is smaller, a single-run fast path extends the output wholesale,
-        and the k-way case merges by ``(ts_bef, trace_id)``.
+        trace_id)`` pair: :func:`prefix_below` per run, a single-run fast
+        path that extends the output wholesale, and :func:`merge_runs` for
+        the k-way case.
 
         Runs are sorted by that key because a client's batch is created in
         stream order (ids are assigned monotonically at construction, and
         stamped ``client_id << SEQ_BITS | seq`` at decode), which the tie
         walk, the k-way merge and the fast path all rely on.
         """
-        bound_ts, bound_id = bound
         eligible: List[Tuple[_Run, int]] = []
         for run in runs:
-            ts, items = run.ts, run.items
-            end = len(ts)
-            hi = bisect_left(ts, bound_ts, run.lo, end)
-            while (
-                hi < end
-                and ts[hi] == bound_ts
-                and items[hi].trace_id < bound_id
-            ):
-                hi += 1
+            hi = prefix_below(run.items, run.ts, run.lo, bound)
             if hi > run.lo:
                 eligible.append((run, hi))
         if not eligible:
@@ -391,9 +374,9 @@ class TwoLevelPipeline:
         else:
             slices = []
             for run, hi in eligible:
-                slices.append((run.items, run.ts, run.lo, hi))
+                slices.append((run.items[run.lo : hi], run.ts[run.lo : hi]))
                 run.lo = hi
-            out = _merge_slices(slices)
+            out = merge_runs(slices)
             self.stats.runs_merged += len(eligible)
             self._m_runs_merged.inc(len(eligible))
         consumed = any(run.lo >= len(run.items) for run, _ in eligible)

@@ -17,9 +17,31 @@ the garbage-transaction pruning of Definition 4) is O(degree).
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Set
+from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 Node = Hashable
+
+
+def unlink(
+    out: Dict[Node, Set[Node]], in_: Dict[Node, Set[Node]], node: Node
+) -> Tuple[Set[Node], Set[Node], List[Node]]:
+    """Drop ``node`` and its incident edges from a pair of adjacency maps.
+
+    Returns the node's successor and predecessor sets -- the popped sets
+    themselves, not copies -- and the successors the removal left without
+    a predecessor (what garbage-transaction pruning promotes into its
+    frontier)."""
+    successors = out.pop(node)
+    predecessors = in_.pop(node)
+    orphaned: List[Node] = []
+    for succ in successors:
+        preds = in_[succ]
+        preds.discard(node)
+        if not preds:
+            orphaned.append(succ)
+    for pred in predecessors:
+        out[pred].discard(node)
+    return successors, predecessors, orphaned
 
 
 class IncrementalTopology:
@@ -71,16 +93,14 @@ class IncrementalTopology:
         self._out[node] = set()
         self._in[node] = set()
 
-    def remove_node(self, node: Node) -> None:
+    def remove_node(self, node: Node) -> Tuple[Set[Node], Set[Node], List[Node]]:
         """Delete a node and all incident edges; order indices of the other
-        nodes are untouched, so the invariant is preserved."""
+        nodes are untouched, so the invariant is preserved.  Returns what
+        :func:`unlink` reports (three empties for an unknown node)."""
         if node not in self._ord:
-            return
-        for succ in self._out.pop(node):
-            self._in[succ].discard(node)
-        for pred in self._in.pop(node):
-            self._out[pred].discard(node)
+            return set(), set(), []
         del self._ord[node]
+        return unlink(self._out, self._in, node)
 
     def has_edge(self, u: Node, v: Node) -> bool:
         return v in self._out.get(u, ())

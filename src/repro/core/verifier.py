@@ -143,15 +143,14 @@ class Verifier:
         #: re-resolving ``on_read``/``on_write`` attributes per operation.
         self._read_hook_fns = tuple(m.on_read for m in self._read_hooks)
         self._write_hook_fns = tuple(m.on_write for m in self._write_hooks)
-        #: precompiled terminal dispatch: (mechanism, name, histogram,
-        #: drain) with name/histogram None for untimed mechanisms.
-        #: Computing this once keeps the per-terminal loop free of closures
-        #: and branches on mechanism flags (the histogram is None when the
-        #: registry is disabled: an uninstrumented terminal makes no
-        #: instrument call).  ``drain`` is the mechanism's deferred dependency-
-        #: delivery hook (CR's unique-match queue): it runs right after the
-        #: mechanism's timed window closes, before the next mechanism's
-        #: hook, so attribution improves while delivery order is unchanged.
+        #: precompiled terminal dispatch: (mechanism, histogram, drain),
+        #: the histogram None for untimed mechanisms.  Computing this once
+        #: keeps the per-terminal loop free of closures and branches on
+        #: mechanism flags.  ``drain`` is the mechanism's deferred
+        #: dependency-delivery hook (CR's unique-match queue): it runs
+        #: right after the mechanism's timed window closes, before the next
+        #: mechanism's hook, so attribution improves while delivery order
+        #: is unchanged.
         def _deferred_drain(m):
             enable = getattr(m, "enable_deferred_matches", None)
             return enable() if enable is not None else None
@@ -159,11 +158,10 @@ class Verifier:
         self._terminal_dispatch = tuple(
             (
                 m,
-                m.name if m.timed else None,
                 self.metrics.histogram(
                     "mechanism.terminal.seconds", mechanism=m.name
                 )
-                if m.timed and self.metrics.enabled
+                if m.timed
                 else None,
                 _deferred_drain(m),
             )
@@ -367,10 +365,20 @@ class Verifier:
         and billed to the ``RW-DERIVE`` bucket: same delivery order, same
         reports, but the CR bucket now answers "how long did the CR checks
         themselves run".  Other nesting (e.g. a commit-hook publication the
-        certifier consumes inline) still double-counts by design."""
+        certifier consumes inline) still double-counts by design.
+
+        Timing (``stats.mechanism_seconds`` and the
+        ``mechanism.terminal.seconds`` histograms) is an instrument: an
+        uninstrumented run reads no clock here."""
+        if not self.metrics.enabled:
+            for mechanism, _hist, drain in self._terminal_dispatch:
+                mechanism.on_terminal(txn, trace, installed)
+                if drain is not None:
+                    drain()
+            return
         bucket = self.state.stats.mechanism_seconds
-        for mechanism, name, hist, drain in self._terminal_dispatch:
-            if name is None:
+        for mechanism, hist, drain in self._terminal_dispatch:
+            if hist is None:
                 mechanism.on_terminal(txn, trace, installed)
             else:
                 start = time.perf_counter()
@@ -378,9 +386,9 @@ class Verifier:
                     mechanism.on_terminal(txn, trace, installed)
                 finally:
                     elapsed = time.perf_counter() - start
+                    name = mechanism.name
                     bucket[name] = bucket.get(name, 0.0) + elapsed
-                    if hist is not None:
-                        hist.observe(elapsed)
+                    hist.observe(elapsed)
             if drain is not None:
                 start = time.perf_counter()
                 drain()

@@ -303,16 +303,21 @@ class VersionChain:
     def _insert_sorted(self, version: Version) -> None:
         sort_key = chain_sort_key(version)
         keys = self._keys
+        chain = self._chain
         if not keys or sort_key > keys[-1]:
             # Commits arrive roughly in timestamp order, so the common
-            # case is an append at the tail.
-            position = len(keys)
+            # case is an append at the tail: one image, built on a copy of
+            # the predecessor's.
+            image = dict(chain[-1].image) if chain else {}
+            apply_delta(image, version.columns)
+            version.image = image
             keys.append(sort_key)
-            self._chain.append(version)
-        else:
-            position = bisect_left(keys, sort_key)
-            keys.insert(position, sort_key)
-            self._chain.insert(position, version)
+            chain.append(version)
+            self._invalidate()
+            return
+        position = bisect_left(keys, sort_key)
+        keys.insert(position, sort_key)
+        chain.insert(position, version)
         self._invalidate()
         self._recompute_images(position)
 
@@ -513,6 +518,14 @@ class VersionChain:
 
     # -- garbage collection ----------------------------------------------------------
 
+    def drop_prefix(self, count: int) -> None:
+        """Drop the ``count`` oldest committed versions in place -- the
+        collector's prefix rule (:meth:`GarbageCollector._prune_versions`),
+        which has already established that they are garbage."""
+        del self._chain[:count], self._keys[:count]
+        if self._single_memo:
+            self._invalidate()
+
     def prune_garbage(
         self,
         horizon: Interval,
@@ -527,6 +540,12 @@ class VersionChain:
         ``can_prune_txn`` (i.e. no other mechanism still needs it).  The
         cumulative images of surviving versions already fold in the pruned
         history, so reads verify identically afterwards.
+
+        This is the general form, for any chain shape.  The collector
+        takes the steady state itself -- a lone pivot nothing overlaps,
+        under which the garbage is a chain prefix it hands to
+        :meth:`drop_prefix` (:meth:`GarbageCollector._prune_versions`) -- and comes here for
+        pivot-overlap chains, tied pivots and pinned installers.
         """
         if self._aborted:
             self._aborted.clear()

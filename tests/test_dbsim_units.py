@@ -217,7 +217,11 @@ class TestYcsbVariants:
         run = run_workload(
             BlindW.rw(keys=64), PG_SERIALIZABLE, clients=4, txns=100, seed=6
         )
-        report = verify_run(run, PG_SERIALIZABLE)
+        from repro.core.metrics import MetricsRegistry
+
+        report = verify_run(run, PG_SERIALIZABLE, metrics=MetricsRegistry())
         buckets = report.stats.mechanism_seconds
         assert set(buckets) >= {"CR", "ME", "FUW"}
         assert all(v >= 0 for v in buckets.values())
+        # The timers are an instrument: off without a registry.
+        assert verify_run(run, PG_SERIALIZABLE).stats.mechanism_seconds == {}

@@ -133,28 +133,71 @@ class TestRelease:
 
 
 class TestPrune:
+    """Locks leave with their owner: ``drop_owner`` is the table's half,
+    the collector decides when (the owner's terminal interval behind the
+    horizon, no node left in the graph)."""
+
     def test_prunes_old_finished(self):
         table = LockTable()
         table.acquire("a", "x", LockMode.EXCLUSIVE, Interval(0, 1))
         table.release_all("a", Interval(2, 3), committed=True)
-        pruned = table.prune(horizon_ts=100.0, can_prune_txn=lambda t: True)
-        assert pruned == 1
+        assert table.drop_owner("a") == 1
         assert table.live_entry_count() == 0
+        assert table.locked_key_count() == 0
         assert table.entries_of("a") == []
 
     def test_keeps_active(self):
         table = LockTable()
         table.acquire("a", "x", LockMode.EXCLUSIVE, Interval(0, 1))
-        assert table.prune(100.0, lambda t: True) == 0
+        assert table.drop_owner("a") == 0
+        assert [e.txn_id for e in table.entries_for("x")] == ["a"]
+        assert len(table.entries_of("a")) == 1
+
+    def test_drops_only_the_owners_entries(self):
+        table = LockTable()
+        table.acquire("a", "x", LockMode.SHARED, Interval(0, 1))
+        table.acquire("b", "x", LockMode.EXCLUSIVE, Interval(4, 5))
+        table.acquire("a", "x", LockMode.EXCLUSIVE, Interval(2, 3))  # upgrade
+        table.acquire("a", "y", LockMode.EXCLUSIVE, Interval(2, 3))
+        table.release_all("a", Interval(3, 4), committed=True)
+        table.release_all("b", Interval(6, 7), committed=True)
+        assert table.drop_owner("a") == 3
+        assert [e.txn_id for e in table.entries_for("x")] == ["b"]
+        assert table.entries_for("y") == []
+        assert table.drop_owner("a") == 0
+        assert table.drop_owner("b") == 1
+        assert table.live_entry_count() == 0
+
+    @staticmethod
+    def _released_at(release):
+        from repro.core.gc import GarbageCollector
+        from repro.core.state import TxnStatus, VerifierState
+
+        state = VerifierState()
+        state.locks.acquire("a", "x", LockMode.EXCLUSIVE, Interval(0, 1))
+        state.locks.release_all("a", release, committed=True)
+        txn = state.ensure_txn("a", client_id=0, interval=Interval(0, 1))
+        txn.status = TxnStatus.COMMITTED
+        txn.terminal_interval = release
+        state.note_terminal("a", release.ts_aft)
+        return state, GarbageCollector(state)
 
     def test_keeps_recent(self):
-        table = LockTable()
-        table.acquire("a", "x", LockMode.EXCLUSIVE, Interval(0, 1))
-        table.release_all("a", Interval(2, 3), committed=True)
-        assert table.prune(horizon_ts=2.5, can_prune_txn=lambda t: True) == 0
+        state, collector = self._released_at(Interval(2, 3))
+        collector.collect(horizon_ts=2.5)
+        assert state.stats.gc_locks_pruned == 0
+        assert state.locks.live_entry_count() == 1
+        collector.collect(horizon_ts=100.0)
+        assert state.stats.gc_locks_pruned == 1
+        assert state.locks.live_entry_count() == 0
 
     def test_respects_pin(self):
-        table = LockTable()
-        table.acquire("a", "x", LockMode.EXCLUSIVE, Interval(0, 1))
-        table.release_all("a", Interval(2, 3), committed=True)
-        assert table.prune(100.0, lambda t: False) == 0
+        """An owner whose node is still in the graph keeps its locks."""
+        from repro.core.dependencies import Dependency, DepType
+
+        state, collector = self._released_at(Interval(2, 3))
+        state.ensure_txn("open", client_id=1, interval=Interval(0, 1))
+        state.graph.add_dependency(Dependency("open", "a", DepType.WW))
+        collector.collect(horizon_ts=100.0)
+        assert state.stats.gc_locks_pruned == 0
+        assert state.locks.live_entry_count() == 1

@@ -159,34 +159,6 @@ class TestDependencyBus:
         bus.publish(_dep(dep_type=DepType.WW))
         assert seen == [DepType.WW, DepType.RW]
 
-    def test_deferred_batch_flush(self):
-        state, bus = _bus_fixture()
-        delivered = []
-        bus.subscribe("sink", delivered.append)
-        bus.publish_deferred(_dep(dep_type=DepType.WW))
-        bus.publish_deferred(_dep(dep_type=DepType.WR))
-        # Accepted (guarded + counted) immediately, delivered on flush.
-        assert state.stats.deps_ww == 1
-        assert bus.pending == 2
-        assert delivered == []
-        assert bus.flush() == 2
-        assert [d.dep_type for d in delivered] == [DepType.WW, DepType.WR]
-        assert bus.pending == 0
-
-    def test_flush_drains_deferrals_made_during_flush(self):
-        _, bus = _bus_fixture()
-        delivered = []
-
-        def deferring_sink(dep):
-            delivered.append(dep.dep_type)
-            if dep.dep_type is DepType.WW:
-                bus.publish_deferred(_dep(dep_type=DepType.RW))
-
-        bus.subscribe("sink", deferring_sink)
-        bus.publish_deferred(_dep(dep_type=DepType.WW))
-        assert bus.flush() == 2
-        assert delivered == [DepType.WW, DepType.RW]
-
     def test_taps_observe_accepted_only(self):
         _, bus = _bus_fixture()
         tapped = []

@@ -257,6 +257,41 @@ class TestOffMeansOff:
         # or per-dependency calls would not.
         assert sum(calls.values()) <= 4 * txns + 8 * batches, (calls, txns, batches)
 
+    def test_disabled_run_reads_no_clock_per_terminal_or_dependency(
+        self, capture, monkeypatch
+    ):
+        """``stats.mechanism_seconds`` is an instrument too: without a
+        registry neither the terminal dispatch nor the bus's timed
+        delivery calls ``time.perf_counter`` (it was ~10 reads per
+        terminal and 2 per dependency for a bucket no report prints)."""
+        import time
+
+        from repro.core.io import load_client_streams, load_initial_db
+
+        reads = [0]
+        plain = time.perf_counter
+
+        def perf_counter():
+            reads[0] += 1
+            return plain()
+
+        verifier = Verifier(
+            spec=PG_SERIALIZABLE,
+            initial_db=load_initial_db(capture / "initial_db.json"),
+        )
+        batches = list(
+            pipeline_from_client_streams(load_client_streams(capture)).iter_batches()
+        )
+        monkeypatch.setattr(time, "perf_counter", perf_counter)
+        for batch in batches:
+            verifier.process_batch(batch)
+        stats = verifier.finish().stats
+        monkeypatch.undo()
+        assert stats.txns_committed + stats.txns_aborted >= 2000
+        assert stats.deps_total > 2000
+        assert reads[0] == 0
+        assert stats.mechanism_seconds == {}
+
     def test_enabled_run_prints_the_same_numbers(self, capture, tmp_path):
         from repro.__main__ import main
 

@@ -1,6 +1,7 @@
 """Push-based online verification."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import PG_SERIALIZABLE, Trace
 from repro.core.online import OnlineVerifier
@@ -167,3 +168,170 @@ class TestOnlineWithRicherTraces:
             online.feed(trace)
         report = online.finish()
         assert report.ok, [str(v) for v in report.violations[:4]]
+
+
+# -- dispatch order == the offline pipeline's, ties included ---------------------
+
+
+class _Recorder:
+    """A verifier-shaped backend that only records the dispatch order."""
+
+    def __init__(self):
+        self.ids = []
+        self.violations = []
+
+    def process_batch(self, batch):
+        self.ids.extend(trace.trace_id for trace in batch)
+
+    def violations_so_far(self):
+        return self.violations
+
+    def live_structure_count(self):
+        return 0
+
+    def finish(self):
+        from repro.core.report import BugDescriptor, VerificationReport, VerificationStats
+
+        return VerificationReport(
+            descriptor=BugDescriptor(), stats=VerificationStats(),
+            isolation_level="none",
+        )
+
+
+def make_stream(client_id, timestamps):
+    return [
+        Trace.commit(ts, ts + 0.5, f"t{client_id}-{i}", client_id=client_id)
+        for i, ts in enumerate(timestamps)
+    ]
+
+
+def sorted_ids(streams):
+    from repro.core.pipeline import sorted_traces
+
+    return [trace.trace_id for trace in sorted_traces(streams)]
+
+
+def fed_round_robin(streams, frame, first=None):
+    """Feed every stream in ``frame``-sized runs, round robin (``first``
+    client leading), heartbeating nobody; returns the dispatch order."""
+    recorder = _Recorder()
+    online = OnlineVerifier(verifier=recorder)
+    order = sorted(streams, key=lambda c: (c != first, c))
+    for client_id in order:
+        online.register_client(client_id)
+    cursors = {client_id: 0 for client_id in order}
+    while cursors:
+        for client_id in list(cursors):
+            lo = cursors[client_id]
+            run = streams[client_id][lo : lo + frame]
+            if not run:
+                del cursors[client_id]
+                # Nothing more from this client: leave watermark accounting.
+                online.heartbeat(client_id, float("inf"))
+                continue
+            online.feed_batch(client_id, run)
+            cursors[client_id] = lo + frame
+    online.finish()
+    return recorder.ids
+
+
+class TestDispatchOrderIsThePipelines:
+    @pytest.mark.parametrize("first", [1, 2])
+    @pytest.mark.parametrize("frame", [1, 2, 3, 64])
+    @pytest.mark.parametrize(
+        "stamps",
+        [{1: [5, 6, 7], 2: [3, 4, 5]}, {1: [3, 4, 5], 2: [5, 6, 7]}],
+        ids=["low-id-tie-buffered", "mirror"],
+    )
+    def test_cross_client_tie_with_a_floor(self, stamps, frame, first):
+        """The pipeline's 16-case table, fed online: a staged trace that
+        ties another client's floor waits while that client could still
+        send a lower id at the same timestamp."""
+        streams = {c: make_stream(c, ts) for c, ts in stamps.items()}
+        assert fed_round_robin(streams, frame, first) == sorted_ids(streams)
+
+    def test_idle_client_at_the_tied_timestamp(self):
+        """ROADMAP's counter-example: client 1 idle at 5 (a heartbeat, no
+        data yet), client 2 pushes [3, 4, 5].  (5, c2) must wait: client 1
+        may still send its own trace at 5, which sorts first."""
+        streams = {1: make_stream(1, [5, 6, 7]), 2: make_stream(2, [3, 4, 5])}
+        recorder = _Recorder()
+        online = OnlineVerifier(verifier=recorder)
+        online.heartbeat(1, 5.0)
+        assert online.feed_batch(2, streams[2]) == 2
+        assert online.pending == 1
+        online.feed_batch(1, streams[1])
+        online.heartbeat(2, float("inf"))
+        online.heartbeat(1, float("inf"))
+        assert online.pending == 0
+        assert recorder.ids == sorted_ids(streams)
+
+    def test_one_timestamp_everywhere(self):
+        streams = {c: make_stream(c, [7.0] * 9) for c in range(4)}
+        assert fed_round_robin(streams, 4) == sorted_ids(streams)
+
+    def test_batch_validation_messages(self):
+        online = OnlineVerifier(verifier=_Recorder())
+        online.register_client(9)  # silent: nothing dispatches
+        online.feed_batch(0, make_stream(0, [1.0, 2.0]))
+        with pytest.raises(ValueError, match="pushed on client 0's stream"):
+            online.feed_batch(0, make_stream(1, [3.0]))
+        with pytest.raises(ValueError, match="behind its progress mark 2.0"):
+            online.feed_batch(0, make_stream(0, [1.5]))
+        with pytest.raises(ValueError, match="stream is not monotone"):
+            online.feed_batch(0, make_stream(0, [3.0, 2.5]))
+        assert online.pending == 2
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(  # per-client lists of inter-arrival gaps (zero gaps = ties)
+        st.lists(
+            st.one_of(st.just(0.0), st.floats(0.0, 5.0, allow_nan=False)),
+            min_size=0,
+            max_size=25,
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    st.sampled_from([1, 2, 3, 64]),
+    st.booleans(),
+    st.randoms(use_true_random=False),
+)
+def test_property_online_order_equals_reference(
+    gaps_per_client, frame, reverse_ids, rng
+):
+    """Fed online in any interleaving of frames and heartbeats, the
+    dispatch order is trace-for-trace ``sorted_traces`` -- the pipeline's
+    property (``tests/test_pipeline.py``), whichever client holds the
+    lower ids."""
+    streams = {}
+    clients = list(enumerate(gaps_per_client))
+    for client, gaps in reversed(clients) if reverse_ids else clients:
+        t = 0.0
+        stamps = []
+        for gap in gaps:
+            t += gap
+            stamps.append(t)
+        streams[client] = make_stream(client, stamps)
+    recorder = _Recorder()
+    online = OnlineVerifier(verifier=recorder)
+    for client_id in streams:
+        online.register_client(client_id)
+    cursors = {client_id: 0 for client_id in streams}
+    while cursors:
+        client_id = rng.choice(sorted(cursors))
+        lo = cursors[client_id]
+        run = streams[client_id][lo : lo + frame]
+        if not run:
+            del cursors[client_id]
+            online.heartbeat(client_id, float("inf"))
+        elif rng.random() < 0.2:
+            # A truthful heartbeat: nothing older than the next trace.
+            online.heartbeat(client_id, run[0].ts_bef)
+        else:
+            online.feed_batch(client_id, run)
+            cursors[client_id] = lo + frame
+    assert recorder.ids == sorted_ids(streams)
+    online.finish()
+    assert recorder.ids == sorted_ids(streams)

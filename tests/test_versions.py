@@ -7,7 +7,7 @@ from repro import PG_REPEATABLE_READ, PG_SERIALIZABLE
 from repro.core.intervals import Interval
 from repro.core.versions import VersionChain, chain_sort_key
 from repro.workloads import BlindW, SmallBank, run_workload
-from tests import fig6_oracle
+from tests import fig6_oracle, gc_oracle
 from tests.conftest import verify_run
 
 
@@ -526,9 +526,8 @@ class TestWorkloadScan:
 
     @pytest.fixture
     def checked_chains(self, monkeypatch):
-        calls = {"classify": 0, "prune": 0}
+        calls = {"classify": 0}
         plain_classify = VersionChain.classify
-        plain_prune = VersionChain.prune_garbage
 
         def classify(chain, snapshot, order_oracle=None):
             calls["classify"] += 1
@@ -538,21 +537,11 @@ class TestWorkloadScan:
             )
             return got
 
-        def prune_garbage(chain, horizon, can_prune_txn):
-            garbage = fig6_oracle.classify(chain._chain, horizon).garbage
-            survivors = [
-                v for v in chain._chain
-                if v not in garbage
-                or not (can_prune_txn(v.txn_id) or v.is_initial)
-            ]
-            pruned = plain_prune(chain, horizon, can_prune_txn)
-            calls["prune"] += pruned
-            assert chain._chain == survivors
-            return pruned
-
         monkeypatch.setattr(VersionChain, "classify", classify)
-        monkeypatch.setattr(VersionChain, "prune_garbage", prune_garbage)
-        return calls
+        # Every collection's version prune -- the prefix slice and the
+        # general path alike -- against the scan's garbage over all chains.
+        with gc_oracle.checked():
+            yield calls
 
     @pytest.mark.parametrize("name", sorted(WORKLOADS))
     def test_every_classification_matches_the_scan(self, name, checked_chains):
@@ -560,7 +549,7 @@ class TestWorkloadScan:
         report = verify_run(run, PG_SERIALIZABLE, gc_every=64)
         assert report.ok
         assert checked_chains["classify"] > 200
-        assert checked_chains["prune"] > 0
+        assert report.stats.gc_versions_pruned > 0
 
     def test_matches_the_scan_under_weaker_spec(self, checked_chains):
         """The claimed level changes which deductions fire (fewer
