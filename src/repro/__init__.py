@@ -51,7 +51,6 @@ from .core import (
     READ_COMMITTED,
     SERIALIZABLE,
     SNAPSHOT_ISOLATION,
-    SpanTracer,
     Trace,
     TwoLevelPipeline,
     VerificationReport,
@@ -101,7 +100,6 @@ __all__ = [
     "MetricsRegistry",
     "NaiveGlobalSorter",
     "OnlineVerifier",
-    "SpanTracer",
     "ParallelVerifier",
     "ShardRouter",
     "OpKind",

@@ -250,8 +250,6 @@ def cmd_serve(args) -> int:
         gc_every=args.gc_every,
         session_credit=args.credit,
         pending_budget=args.budget,
-        acceptor_workers=max(1, args.workers),
-        status_refresh=args.status_refresh,
         metrics=metrics,
     )
 
@@ -280,6 +278,16 @@ def cmd_serve(args) -> int:
         return 0 if report.ok else 1
 
     return asyncio.run(serve())
+
+
+def _workers(text: str) -> int:
+    """``serve --workers``: N > 1 gets the pointer, not a bare choice error."""
+    count = int(text)
+    if count > 1:
+        from .service.gateway import ONE_LOOP_ONLY
+
+        raise argparse.ArgumentTypeError(ONE_LOOP_ONLY)
+    return count
 
 
 def cmd_profiles(args) -> int:
@@ -407,13 +415,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget", type=int, default=200_000,
         help="service-wide pending-event ceiling",
     )
+    # Leftover of the retired multi-loop tier: the ledger driver still
+    # passes `--workers 1` (benchmarks/ledger/service.py:142), so the
+    # spelling parses until a `benchmark` PR drops it there.
     serve_p.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="acceptor worker processes (default 1 = single-loop gateway)",
-    )
-    serve_p.add_argument(
-        "--status-refresh", type=float, default=0.25, metavar="SECONDS",
-        help="multi-worker status snapshot-cache refresh interval",
+        "--workers", type=_workers, choices=[1], default=1,
+        help=argparse.SUPPRESS,
     )
     serve_p.add_argument(
         "--stats", action="store_true",

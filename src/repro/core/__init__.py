@@ -36,7 +36,6 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
     NullInstrument,
-    SpanTracer,
     metric_key,
     parse_metric_key,
     phase_breakdown,
@@ -135,7 +134,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "NullInstrument",
-    "SpanTracer",
     "metric_key",
     "parse_metric_key",
     "phase_breakdown",

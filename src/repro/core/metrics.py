@@ -1,4 +1,4 @@
-"""Observability: a process-local metrics registry and a span tracer.
+"""Observability: a process-local metrics registry.
 
 Leopard's headline claim is *efficiency* (Figs. 10-12 measure pipeline
 sorting throughput, verification latency and memory under load), so the
@@ -13,10 +13,6 @@ verifiers and the sharded parallel path.  This module is that substrate:
   (or the shared :data:`NULL_REGISTRY`) hands out one immutable no-op
   instrument, so disabled instrumentation has zero side effects and
   near-zero cost;
-* :class:`SpanTracer` -- a structured begin/end event tracer.  ``with
-  tracer.span("verify"):`` emits two JSONL-serialisable events carrying a
-  monotonic timestamp, nesting depth and (on the end event) the span
-  duration;
 * :func:`run_stats` -- the one stats schema every surface emits: the CLI's
   ``verify --stats`` / ``--stats-json``, the ``benchmarks/`` stats hook and
   :meth:`OnlineVerifier.snapshot` all produce this dict, so a reading of
@@ -31,9 +27,8 @@ structures, not bytes.
 
 from __future__ import annotations
 
-import json
 import time
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 __all__ = [
     "Counter",
@@ -42,7 +37,6 @@ __all__ = [
     "MetricsRegistry",
     "NULL_REGISTRY",
     "NullInstrument",
-    "SpanTracer",
     "metric_key",
     "parse_metric_key",
     "phase_breakdown",
@@ -303,106 +297,6 @@ class MetricsRegistry:
 #: shared disabled registry: the default wiring target of every
 #: instrumented component, so un-instrumented runs stay no-ops.
 NULL_REGISTRY = MetricsRegistry(enabled=False)
-
-
-# -- span tracing -----------------------------------------------------------
-
-
-class _Span:
-    """Context manager emitting begin/end events into its tracer."""
-
-    __slots__ = ("_tracer", "name", "attrs", "_start", "_depth")
-
-    def __init__(self, tracer: "SpanTracer", name: str, attrs: Dict[str, Any]):
-        self._tracer = tracer
-        self.name = name
-        self.attrs = attrs
-        self._start = 0.0
-        self._depth = 0
-
-    def __enter__(self) -> "_Span":
-        self._depth = self._tracer._enter()
-        self._start = time.perf_counter()
-        event = {
-            "ev": "begin",
-            "span": self.name,
-            "depth": self._depth,
-            "ts": self._start,
-        }
-        if self.attrs:
-            event.update(self.attrs)
-        self._tracer._emit(event)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        end = time.perf_counter()
-        event = {
-            "ev": "end",
-            "span": self.name,
-            "depth": self._depth,
-            "ts": end,
-            "dur": end - self._start,
-        }
-        self._tracer._emit(event)
-        self._tracer._exit()
-
-
-class _NullSpan:
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        pass
-
-
-_NULL_SPAN = _NullSpan()
-
-
-class SpanTracer:
-    """Structured JSONL event tracer (begin/end spans with durations).
-
-    Events accumulate in :attr:`events` (plain dicts) and can additionally
-    stream to a ``sink`` callable or be dumped with :meth:`write_jsonl`.
-    Spans nest: the ``depth`` field records the nesting level at begin and
-    end, and well-formedness (every begin matched by an end at the same
-    depth, properly nested) is what the test suite pins down.  A tracer
-    built with ``enabled=False`` emits nothing.
-    """
-
-    def __init__(self, enabled: bool = True, sink=None):
-        self.enabled = enabled
-        self.events: List[Dict[str, Any]] = []
-        self._sink = sink
-        self._depth = 0
-
-    def span(self, name: str, **attrs):
-        if not self.enabled:
-            return _NULL_SPAN
-        return _Span(self, name, attrs)
-
-    def _enter(self) -> int:
-        depth = self._depth
-        self._depth += 1
-        return depth
-
-    def _exit(self) -> None:
-        self._depth -= 1
-
-    def _emit(self, event: Dict[str, Any]) -> None:
-        self.events.append(event)
-        if self._sink is not None:
-            self._sink(event)
-
-    def to_jsonl(self) -> str:
-        return "\n".join(json.dumps(event) for event in self.events)
-
-    def write_jsonl(self, path) -> None:
-        from pathlib import Path
-
-        text = self.to_jsonl()
-        Path(path).write_text(text + ("\n" if text else ""), encoding="utf-8")
 
 
 # -- the shared stats schema ------------------------------------------------

@@ -193,32 +193,6 @@ class OnlineVerifier:
             last = ts
         raise AssertionError("unreachable")  # pragma: no cover
 
-    def feed_validated(self, client_id: int, traces: Sequence[Trace]) -> int:
-        """Push a pre-validated run of traces from one client.
-
-        The multi-loop service's acceptor workers already enforce the
-        per-trace contract (ownership, monotonicity, the floor) before
-        forwarding, so the hot verifier loop only re-checks the O(1)
-        endpoints -- the late-join guard against the dispatched watermark
-        and the batch-head floor -- then stages the run and advances.
-        Behaviour is otherwise identical to :meth:`feed_batch`; callers
-        that cannot vouch for the run must use :meth:`feed_batch`.
-        """
-        if self._finished:
-            raise RuntimeError("online verifier already finished")
-        if not traces:
-            return 0
-        stage = self._stage(client_id)
-        stamps = [trace.interval.ts_bef for trace in traces]
-        if stamps[0] < self._emitted:
-            raise self._late_join(client_id, stamps[0])
-        if stamps[0] < stage.floor[0]:
-            raise ValueError(
-                f"client {client_id} pushed trace at {stamps[0]} "
-                f"behind its progress mark {stage.floor[0]}"
-            )
-        return self._stage_run(stage, traces, stamps)
-
     def evict_client(self, client_id: int) -> int:
         """Forget a client entirely: drop its staged traces and remove it
         from watermark accounting.  The gateway evicts sessions that sent

@@ -12,8 +12,8 @@ re-walks the long-lived mirrored state each time it reaches an older
 generation (545 / 49 / 4 passes, 10-17 % of a 35k-trace ``repro verify``).
 
 :func:`relax_collector` is the one policy, applied by the entry point of
-each process the package *owns* -- ``python -m repro``, a shard worker,
-an acceptor worker -- and by nothing else.  Importing :mod:`repro` or
+each process the package *owns* -- ``python -m repro`` and a shard
+worker, its two call sites -- and by nothing else.  Importing :mod:`repro` or
 building a verifier inside someone else's interpreter leaves their
 collector exactly as they configured it; an embedding caller that wants
 the policy calls this function itself (``docs/usage.md``).

@@ -11,11 +11,9 @@ Wire protocol and operations guide: ``docs/service.md``.
 
 from .gateway import IngestGateway, ServiceConfig, create_gateway
 from .protocol import ServiceProtocolError
-from .workers import MultiLoopGateway
 
 __all__ = [
     "IngestGateway",
-    "MultiLoopGateway",
     "ServiceConfig",
     "ServiceProtocolError",
     "create_gateway",

@@ -85,16 +85,11 @@ class ServiceConfig:
     #: handshake, so size for the connection *burst*, not the steady
     #: state.
     listen_backlog: int = 1024
-    #: acceptor processes in front of the verifier loop.  1 runs the
-    #: single-loop gateway below; N > 1 selects the stamp-and-forward
-    #: multi-loop tier (``repro.service.workers``).
+    #: Leftover of the retired multi-loop tier: the ledger driver still
+    #: spells ``acceptor_workers=1`` (benchmarks/ledger/traced.py:221), so
+    #: the field stays until a `benchmark` PR drops that; `create_gateway`
+    #: refuses any other value.
     acceptor_workers: int = 1
-    #: multi-loop only: minimum seconds between status-document renders
-    #: (the snapshot cache's staleness bound).
-    status_refresh: float = 0.25
-    #: multi-loop only: seconds between each worker's stats flush to the
-    #: coordinator.
-    stats_interval: float = 0.2
     metrics: Optional[MetricsRegistry] = None
 
 
@@ -122,15 +117,17 @@ def build_backend(config: ServiceConfig):
     )
 
 
-def create_gateway(config: ServiceConfig):
-    """Gateway factory: the single-loop :class:`IngestGateway` for
-    ``acceptor_workers=1`` (the reference oracle, kept verbatim), the
-    multi-loop :class:`~repro.service.workers.MultiLoopGateway` above
-    that.  Both expose the same lifecycle, endpoints and status schema."""
-    if config.acceptor_workers > 1:
-        from .workers import MultiLoopGateway
+#: What ``acceptor_workers != 1`` and ``serve --workers N`` are told.
+ONE_LOOP_ONLY = (
+    "repro serve is one ingest loop: the multi-loop tier (--workers N / "
+    "acceptor_workers > 1) was retired, see docs/service.md section 8"
+)
 
-        return MultiLoopGateway(config)
+
+def create_gateway(config: ServiceConfig) -> "IngestGateway":
+    """Gateway factory: the one :class:`IngestGateway`."""
+    if config.acceptor_workers != 1:
+        raise ValueError(ONE_LOOP_ONLY)
     return IngestGateway(config)
 
 
@@ -548,17 +545,6 @@ class IngestGateway:
             pass
 
     # -- status connections ------------------------------------------------
-
-    def status_document(self) -> Dict[str, object]:
-        """The ``status`` response body.  Rendered inline -- the
-        single-loop gateway is the reference oracle and stays verbatim;
-        the multi-loop gateway overrides this with a snapshot cache."""
-        return status.status_document(self)
-
-    def worker_trace_counts(self) -> List[int]:
-        """Traces accepted per acceptor worker (one entry here: the
-        single loop is its own acceptor)."""
-        return [self.traces_total]
 
     async def _handle_status(self, reader, writer) -> None:
         """Line-JSON query loop: one request line in, one response line

@@ -54,10 +54,6 @@ class LoadConfig:
     traces: int = 100_000
     sessions: int = 16
     shards: int = 0
-    #: acceptor workers (1 = the single-loop reference gateway).
-    workers: int = 1
-    #: multi-loop status snapshot-cache refresh (staleness bound).
-    status_refresh: float = 0.25
     backend: str = "process"
     frame_traces: int = 512
     session_credit: int = 8
@@ -336,8 +332,6 @@ async def run_load(cfg: LoadConfig) -> Dict[str, object]:
             gc_every=cfg.gc_every,
             session_credit=cfg.session_credit,
             pending_budget=cfg.pending_budget,
-            acceptor_workers=cfg.workers,
-            status_refresh=cfg.status_refresh,
             # Instrumented so the status endpoint's chain_memo block (and
             # the chain.memo.hit_rate gauge) carries real numbers during
             # the soak; the documented registry overhead is <5%.
@@ -345,7 +339,7 @@ async def run_load(cfg: LoadConfig) -> Dict[str, object]:
         )
     )
     await gateway.start()
-    polls = {"count": 0, "pending_max": 0, "chain_memo": None, "cache_age_max": None}
+    polls = {"count": 0, "pending_max": 0, "chain_memo": None}
     stop_polling = asyncio.Event()
 
     async def poll_loop() -> None:
@@ -358,12 +352,6 @@ async def run_load(cfg: LoadConfig) -> Dict[str, object]:
                 memo = doc.get("verifier", {}).get("chain_memo")
                 if memo is not None:
                     polls["chain_memo"] = memo
-                cache = doc.get("cache")
-                if cache is not None:
-                    age = float(cache.get("age_seconds", 0.0))
-                    polls["cache_age_max"] = max(
-                        polls["cache_age_max"] or 0.0, age
-                    )
             except (ConnectionError, OSError, ValueError):
                 pass
             try:
@@ -405,7 +393,6 @@ async def run_load(cfg: LoadConfig) -> Dict[str, object]:
 
     total = cfg.actual_traces
     accepted = sum(int(s["acked"] or 0) for s in client_stats)
-    worker_traces = gateway.worker_trace_counts()
     offline_start = time.perf_counter()
     offline = offline_fingerprint(cfg)
     offline_seconds = time.perf_counter() - offline_start
@@ -416,23 +403,12 @@ async def run_load(cfg: LoadConfig) -> Dict[str, object]:
         "traces_accepted": accepted,
         "sessions": cfg.sessions,
         "shards": cfg.shards,
-        "workers": cfg.workers,
-        # v2: where did the ingest work land, and what did a frame cost?
-        "worker_traces": worker_traces,
         "ingest_latency": _latency_summary(all_latencies),
         "session_latency": [
             {"client": s["client"], **(_latency_summary(s["latencies"]) or {})}
             for s in client_stats
             if s["latencies"]
         ],
-        "status_cache": (
-            None
-            if cfg.workers <= 1
-            else {
-                "refresh_interval": cfg.status_refresh,
-                "age_max": polls["cache_age_max"],
-            }
-        ),
         "frame_traces": cfg.frame_traces,
         "session_credit": cfg.session_credit,
         "pending_budget": cfg.pending_budget,

@@ -22,8 +22,8 @@ stamps continue from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from ..core.trace import SEQ_BITS
 
@@ -164,146 +164,9 @@ class SessionRegistry:
         return self._clients.get(client_id)
 
 
-# -- multi-worker client directory --------------------------------------------
-
-
-@dataclass
-class DirectoryEntry:
-    """Coordinator-side cursor for one client under the multi-loop
-    gateway: the authoritative ``next_seq``/``floor`` that survive
-    reconnects across acceptor workers."""
-
-    client_id: int
-    next_seq: int = 0
-    traces: int = 0
-    sessions: int = 0
-    #: last stamped timestamp applied (or heartbeat mark) -- the value a
-    #: resuming session's worker validates its first frame against.
-    floor: float = float("-inf")
-    active_session: Optional[int] = None
-    active_worker: Optional[int] = None
-    #: every worker that has ever driven this client (tests assert a
-    #: reconnect really landed elsewhere).
-    workers: Set[int] = field(default_factory=set)
-    evicted: bool = False
-    evict_reason: Optional[str] = None
-    #: FIFO of ``(worker, session)`` binds waiting for the active
-    #: session to detach.
-    pending: List[Tuple[int, int]] = field(default_factory=list)
-
-
-class ClientDirectory:
-    """Cross-worker client bookkeeping for the multi-loop gateway.
-
-    A client may only be driven by one session at a time, but that
-    session can live on any acceptor worker.  A ``bind`` for a client
-    that is still active is *queued* rather than refused: the reconnect
-    race (new connection lands on worker B before worker A's DETACH
-    crosses its pipe) would otherwise refuse a perfectly sequential
-    resume.  Because each worker's pipe is FIFO, the DETACH arrives
-    after every batch its session forwarded -- so when the queued bind
-    is granted, the cursor handed out is exact.
-    """
-
-    def __init__(self) -> None:
-        self._clients: Dict[int, DirectoryEntry] = {}
-
-    def bind(
-        self, client_id: int, worker: int, session: int
-    ) -> Tuple[str, object]:
-        """Returns ``("bound", entry)``, ``("queued", entry)`` or
-        ``("refused", reason)``."""
-        entry = self._clients.get(client_id)
-        if entry is None:
-            entry = DirectoryEntry(client_id=client_id)
-            self._clients[client_id] = entry
-        if entry.evicted:
-            return (
-                "refused",
-                f"client {client_id} was evicted for a poison frame; "
-                f"its stream cannot resume",
-            )
-        if entry.active_session is not None:
-            entry.pending.append((worker, session))
-            return ("queued", entry)
-        self._grant(entry, worker, session)
-        return ("bound", entry)
-
-    def _grant(self, entry: DirectoryEntry, worker: int, session: int) -> None:
-        entry.active_session = session
-        entry.active_worker = worker
-        entry.workers.add(worker)
-        entry.sessions += 1
-
-    def detach(
-        self, client_id: int, session: int
-    ) -> Optional[Tuple[int, int, DirectoryEntry]]:
-        """Clear the active session; if a bind is queued, grant it and
-        return ``(worker, session, entry)`` so the gateway can reply."""
-        entry = self._clients.get(client_id)
-        if entry is None:
-            return None
-        if entry.active_session == session:
-            entry.active_session = None
-            entry.active_worker = None
-        if entry.active_session is None and entry.pending and not entry.evicted:
-            worker, queued = entry.pending.pop(0)
-            self._grant(entry, worker, queued)
-            return (worker, queued, entry)
-        return None
-
-    def note_traces(self, client_id: int, next_seq: int, floor: float) -> None:
-        entry = self._clients.get(client_id)
-        if entry is None:
-            return
-        entry.traces += max(0, next_seq - entry.next_seq)
-        entry.next_seq = max(entry.next_seq, next_seq)
-        entry.floor = max(entry.floor, floor)
-
-    def note_mark(self, client_id: int, ts: float) -> None:
-        entry = self._clients.get(client_id)
-        if entry is not None and ts > entry.floor:
-            entry.floor = ts
-
-    def evict(self, client_id: int, reason: str) -> List[Tuple[int, int]]:
-        """Mark a client poisoned and drain its queued binds; returns
-        the ``(worker, session)`` pairs that must be refused."""
-        entry = self._clients.get(client_id)
-        if entry is None:
-            entry = DirectoryEntry(client_id=client_id)
-            self._clients[client_id] = entry
-        entry.evicted = True
-        entry.evict_reason = reason
-        refused = entry.pending
-        entry.pending = []
-        return refused
-
-    def fail_all_pending(self) -> List[Tuple[int, int, int]]:
-        """Drain every queued bind (drain-time refusal); returns
-        ``(worker, session, client_id)`` triples."""
-        failed: List[Tuple[int, int, int]] = []
-        for entry in self._clients.values():
-            for worker, session in entry.pending:
-                failed.append((worker, session, entry.client_id))
-            entry.pending = []
-        return failed
-
-    @property
-    def clients(self) -> int:
-        return len(self._clients)
-
-    def client_record(self, client_id: int) -> Optional[DirectoryEntry]:
-        return self._clients.get(client_id)
-
-    def records(self) -> List[DirectoryEntry]:
-        return sorted(self._clients.values(), key=lambda e: e.client_id)
-
-
 __all__ = [
     "SEQ_BITS",
-    "ClientDirectory",
     "ClientRecord",
-    "DirectoryEntry",
     "Session",
     "SessionRegistry",
 ]

@@ -112,15 +112,19 @@ async def handle_query(gateway, line: bytes) -> Dict[str, object]:
     if q == "ping":
         return {"ok": True, "q": q, "pong": True}
     if q == "status":
-        # Via the gateway so the multi-loop tier can serve its snapshot
-        # cache; the single-loop gateway renders inline as before.
-        return {"ok": True, "q": q, **gateway.status_document()}
+        return {"ok": True, "q": q, **status_document(gateway)}
     if q == "violations":
         try:
             offset = int(request.get("offset", 0))
             limit = min(int(request.get("limit", VIOLATIONS_LIMIT)), VIOLATIONS_LIMIT)
+            if offset < 0 or limit < 0:
+                raise ValueError("negative window")
         except (TypeError, ValueError):
-            return {"ok": False, "q": q, "error": "offset/limit must be integers"}
+            return {
+                "ok": False,
+                "q": q,
+                "error": "offset/limit must be non-negative integers",
+            }
         return {"ok": True, "q": q, **violations_document(gateway, offset, limit)}
     if q == "metrics":
         registry = gateway.metrics

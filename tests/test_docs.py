@@ -98,3 +98,12 @@ def test_service_doc_matches_the_wire_protocol():
     # load-bearing operational promises -- keep them on the page.
     for promise in ("Laggards", "byte-identical"):
         assert promise in text
+    # The status schema: section 4 names every field a gateway serves.
+    from repro.service import ServiceConfig, create_gateway
+
+    document = status.status_document(create_gateway(ServiceConfig()))
+    assert set(document) == {"service", "budget", "lag", "verifier"}
+    schema = text[text.index("## 4.") : text.index("## 5.")]
+    for section in ("service", "budget", "lag"):
+        for field in document[section]:
+            assert f"`{field}`" in schema, f"status field {section}.{field}"

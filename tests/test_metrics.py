@@ -13,7 +13,6 @@ from repro import (
     MetricsRegistry,
     OnlineVerifier,
     PG_SERIALIZABLE,
-    SpanTracer,
     Verifier,
     pipeline_from_client_streams,
     run_stats,
@@ -442,62 +441,6 @@ class TestBusDelegation:
         # private enabled one for its Fig. 13 counters.
         assert bus.accepted == 1
         assert bus.metrics.enabled
-
-
-class TestSpanTracer:
-    def test_spans_are_well_formed_and_nested(self):
-        tracer = SpanTracer()
-        with tracer.span("verify", workload="blindw"):
-            with tracer.span("pipeline-sort"):
-                pass
-            with tracer.span("mechanisms"):
-                pass
-        events = tracer.events
-        assert [e["ev"] for e in events] == [
-            "begin", "begin", "end", "begin", "end", "end",
-        ]
-        assert events[0]["span"] == "verify"
-        assert events[0]["workload"] == "blindw"
-        # Matching begin/end pairs share a depth; children are one deeper.
-        assert events[0]["depth"] == events[-1]["depth"] == 0
-        assert events[1]["depth"] == events[2]["depth"] == 1
-        # End events carry non-negative durations within the parent's.
-        assert events[2]["dur"] >= 0.0
-        assert events[-1]["dur"] >= events[2]["dur"]
-
-    def test_jsonl_round_trip(self, tmp_path):
-        tracer = SpanTracer()
-        with tracer.span("outer"):
-            with tracer.span("inner"):
-                pass
-        path = tmp_path / "trace.jsonl"
-        tracer.write_jsonl(path)
-        lines = path.read_text().splitlines()
-        assert len(lines) == 4
-        parsed = [json.loads(line) for line in lines]
-        depth = 0
-        for event in parsed:
-            if event["ev"] == "begin":
-                assert event["depth"] == depth
-                depth += 1
-            else:
-                depth -= 1
-                assert event["depth"] == depth
-        assert depth == 0
-
-    def test_disabled_tracer_emits_nothing(self):
-        tracer = SpanTracer(enabled=False)
-        with tracer.span("anything"):
-            pass
-        assert tracer.events == []
-        assert tracer.to_jsonl() == ""
-
-    def test_sink_streams_events(self):
-        seen = []
-        tracer = SpanTracer(sink=seen.append)
-        with tracer.span("s"):
-            pass
-        assert len(seen) == 2 and seen is not tracer.events
 
 
 class TestStatsDocument:

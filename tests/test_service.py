@@ -3,12 +3,25 @@ poison isolation, and online/offline report identity."""
 
 import asyncio
 import os
+import subprocess
+import sys
 
 import pytest
 
+from repro import PG_SERIALIZABLE, OnlineVerifier, Verifier
+from repro import pipeline_from_client_streams
+from repro.__main__ import main
 from repro.core.codec import encode_batch
-from repro.core.trace import Trace
-from repro.service import IngestGateway, ServiceConfig, ServiceProtocolError
+from repro.core.io import dump_client_streams, load_client_streams
+from repro.core.parallel import ParallelVerifier
+from repro.core.report import report_fingerprint
+from repro.core.trace import SEQ_BITS, Trace
+from repro.service import (
+    IngestGateway,
+    ServiceConfig,
+    ServiceProtocolError,
+    create_gateway,
+)
 from repro.service import protocol
 from repro.service.load import (
     LoadConfig,
@@ -17,6 +30,7 @@ from repro.service.load import (
     iter_frames,
     offline_fingerprint,
     query_status,
+    run_load_sync,
     synthetic_stream,
 )
 
@@ -555,10 +569,20 @@ class TestStatusQueries:
 
     def test_violations_empty_and_windowed(self, tmp_path):
         _, ask = self._boot(tmp_path, _quick_cfg(tmp_path))
-        (resp,) = asyncio.run(
-            ask('{"q": "violations", "offset": 0, "limit": 10}')
+        resp, *refused = asyncio.run(
+            ask(
+                '{"q": "violations", "offset": 0, "limit": 10}',
+                # A negative bound would slice from the tail while echoing
+                # the offset back: refused like a non-integer.
+                '{"q": "violations", "offset": -3}',
+                '{"q": "violations", "limit": -1}',
+                '{"q": "violations", "offset": "x"}',
+            )
         )
         assert resp["ok"] and resp["total"] == 0 and resp["violations"] == []
+        for answer in refused:
+            assert answer["ok"] is False and answer["q"] == "violations"
+            assert "non-negative integers" in answer["error"]
 
     def test_refuses_connections_while_draining(self, tmp_path):
         cfg = _quick_cfg(tmp_path, sessions=1)
@@ -596,3 +620,213 @@ class TestSyntheticWorkload:
                 last = trace.ts_bef
                 assert trace.ts_bef not in seen
                 seen.add(trace.ts_bef)
+
+
+# -- one id scheme: offline files == the gateway, ties included ----------------
+
+
+def _tied_streams(clients=(0, 1, 2), txns=24):
+    """Every client runs on the same timestamp grid, so operation ``k``
+    of every client carries the same ``ts_bef``: cross-client order is
+    decided by the trace ids alone."""
+    streams = {}
+    for client in clients:
+        key = ("acct", client)
+        stream = streams[client] = []
+        for j in range(txns):
+            txn, t = f"c{client}x{j}", float(3 * j)
+            stream.append(
+                Trace.write(t, t + 0.5, txn, {key: {"v": j + 1}}, client_id=client)
+            )
+            stream.append(
+                Trace.commit(t + 1, t + 1.5, txn, client_id=client, op_index=1)
+            )
+    return streams
+
+
+def _order(traces):
+    return [(t.ts_bef, t.client_id, t.trace_id) for t in traces]
+
+
+class TestOneIdScheme:
+    """Offline capture files and the gateway both stamp ``client_id <<
+    SEQ_BITS | seq`` at decode.  With equal ``ts_bef`` on every client the
+    dispatch order is then ``(ts_bef, client_id, arrival)`` on both, trace
+    ids included, and the reports are byte-identical."""
+
+    def _offline(self, directory, db):
+        dispatched = []
+        verifier = Verifier(spec=PG_SERIALIZABLE, initial_db=db)
+        pipeline = pipeline_from_client_streams(load_client_streams(directory))
+        for batch in pipeline.iter_batches():
+            dispatched.extend(batch)
+            verifier.process_batch(batch)
+        return _order(dispatched), report_fingerprint(verifier.finish())
+
+    def _served(self, streams, db, tmp_path, monkeypatch):
+        dispatched = []
+        plain = OnlineVerifier._dispatch
+
+        def recording(self, batch):
+            dispatched.extend(batch)
+            return plain(self, batch)
+
+        monkeypatch.setattr(OnlineVerifier, "_dispatch", recording)
+        frames = {
+            client: [
+                protocol.traces_frame(encode_batch(stream[i : i + 10]))
+                for i in range(0, len(stream), 10)
+            ]
+            for client, stream in streams.items()
+        }
+
+        async def scenario():
+            gateway = create_gateway(
+                ServiceConfig(
+                    initial_db=db,
+                    ingest_unix=str(tmp_path / "ingest.sock"),
+                    status_unix=str(tmp_path / "status.sock"),
+                )
+            )
+            await gateway.start()
+            try:
+                gate = asyncio.Barrier(len(streams))
+                stats = await asyncio.gather(
+                    *(
+                        drive_client(
+                            gateway.ingest_endpoint,
+                            client,
+                            iter(client_frames),
+                            start_gate=gate,
+                        )
+                        for client, client_frames in frames.items()
+                    )
+                )
+                report = await gateway.drain()
+            finally:
+                await gateway.aclose()
+            return stats, report
+
+        stats, report = asyncio.run(scenario())
+        assert [s["errors"] for s in stats] == [[]] * len(stats)
+        return _order(dispatched), report_fingerprint(report)
+
+    def test_tied_timestamps_dispatch_identically_everywhere(
+        self, tmp_path, monkeypatch
+    ):
+        streams = _tied_streams()
+        db = {("acct", client): {"v": 0} for client in streams}
+        expected = [
+            (t.ts_bef, client, (client << SEQ_BITS) + seq)
+            for client, stream in streams.items()
+            for seq, t in enumerate(stream)
+        ]
+        expected.sort()
+        runs = {}
+        for fmt in ("binary", "jsonl"):
+            dump_client_streams(streams, tmp_path / fmt, fmt=fmt)
+            runs[fmt] = self._offline(tmp_path / fmt, db)
+        runs["served"] = self._served(streams, db, tmp_path, monkeypatch)
+        for name, (order, _fingerprint) in runs.items():
+            assert order == expected, name
+        assert len({fingerprint for _, fingerprint in runs.values()}) == 1
+
+
+# -- one loop: drain identity, lean imports, the refused tier ------------------
+
+#: A serial gateway that starts, ingests one TRACES frame and drains must
+#: not have loaded what only ``--parallel`` needs.
+_LEAN_SERVE_SCRIPT = r"""
+import asyncio, sys, tempfile
+from repro.core.codec import encode_batch
+from repro.core.trace import Trace
+from repro.service import ServiceConfig, create_gateway, protocol
+
+async def scenario(sockets):
+    gateway = create_gateway(
+        ServiceConfig(ingest_unix=sockets + "/i.sock", status_unix=sockets + "/s.sock")
+    )
+    await gateway.start()
+    try:
+        reader, writer = await asyncio.open_unix_connection(gateway.ingest_endpoint)
+        batch = [Trace.write(1.0, 1.5, "t", {"k": {"v": 1}}, client_id=0),
+                 Trace.commit(2.0, 2.5, "t", client_id=0, op_index=1)]
+        writer.write(protocol.SERVICE_MAGIC + protocol.hello_frame(0)
+                     + protocol.traces_frame(encode_batch(batch)) + protocol.bye_frame())
+        await writer.drain()
+        while (payload := await protocol.read_frame(reader)) is not None:
+            tag, body = protocol.split_frame(payload)
+            if tag == protocol.S_BYE:
+                assert protocol.parse_control(tag, body) == {"traces_accepted": 2}
+        writer.close()
+        await writer.wait_closed()
+        report = await gateway.drain()
+    finally:
+        await gateway.aclose()
+    assert report.ok and gateway.traces_total == 2
+
+with tempfile.TemporaryDirectory(prefix="repro-svc-test-") as sockets:
+    asyncio.run(scenario(sockets))
+heavy = ["repro.core.parallel", "repro.core.sharding", "multiprocessing", "ctypes"]
+assert not [m for m in heavy if m in sys.modules], sorted(sys.modules)
+"""
+
+
+class TestOneLoop:
+    def test_drain_equals_offline_and_capture_files(self, tmp_path):
+        """The drained gateway, the offline run over the same streams
+        and the run over the same streams read back from capture files
+        fingerprint identically (2 inline shards): all three stamp their
+        trace ids at decode."""
+        cfg = _quick_cfg(tmp_path, poll_interval=0.1)
+        doc = run_load_sync(cfg)
+        assert doc["fingerprints_match"], doc
+        assert doc["traces_accepted"] == doc["traces"]
+        assert doc["client_errors"] == 0
+        assert doc["report_ok"] is True
+        dump_client_streams(
+            {c: synthetic_stream(cfg, c) for c in range(cfg.sessions)},
+            tmp_path / "capture",
+            fmt="binary",
+        )
+        verifier = ParallelVerifier(
+            spec=cfg.spec,
+            initial_db=initial_db(cfg),
+            shards=cfg.shards,
+            backend=cfg.backend,
+            gc_every=cfg.gc_every,
+        )
+        pipeline = pipeline_from_client_streams(
+            load_client_streams(tmp_path / "capture"), batch_size=cfg.frame_traces
+        )
+        for batch in pipeline.iter_batches():
+            verifier.process_batch(batch)
+        assert report_fingerprint(verifier.finish()) == doc["online_fingerprint"]
+
+    def test_serial_gateway_imports_stay_lean(self):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        child = subprocess.run(
+            [sys.executable, "-c", _LEAN_SERVE_SCRIPT],
+            env=dict(os.environ, PYTHONPATH=os.path.abspath(src)),
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert child.returncode == 0, child.stderr
+
+    def test_more_than_one_acceptor_is_refused(self, capsys):
+        """The multi-loop tier is retired: the library refuses it, the
+        CLI exits 2, and both point at docs/service.md; ``--workers 0``
+        is no longer coerced to 1."""
+        assert type(create_gateway(ServiceConfig(acceptor_workers=1))) is IngestGateway
+        with pytest.raises(ValueError, match=r"docs/service\.md"):
+            create_gateway(ServiceConfig(acceptor_workers=2))
+        for argv, told in (
+            (["serve", "--workers", "2"], "docs/service.md"),
+            (["serve", "--workers", "0"], "invalid choice"),
+            (["serve", "--workers", "-3"], "invalid choice"),
+        ):
+            with pytest.raises(SystemExit) as refusal:
+                main(argv)
+            assert refusal.value.code == 2
+            assert told in capsys.readouterr().err

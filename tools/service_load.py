@@ -8,16 +8,14 @@ the identical streams offline -- asserting the online/offline report
 fingerprints match and that peak pending-event memory stayed under the
 configured budget.  The resulting ``repro.service-load/v2`` JSON document
 records the measured ingest ceiling in traces/sec plus per-session
-ingest-latency percentiles and per-worker accepted-trace counts (the
-soak-run playbook lives in ``docs/service.md``; v1 documents from older
-runs stay readable -- every v2 gate is applied only when its field is
-present).
+ingest-latency percentiles (the soak-run playbook lives in
+``docs/service.md``).
 
 Usage::
 
     PYTHONPATH=src python tools/service_load.py --quick         # CI smoke
     PYTHONPATH=src python tools/service_load.py \
-        --traces 1000000 --sessions 200 --shards 2 --workers 2  # soak
+        --traces 1000000 --sessions 200 --shards 2              # soak
     PYTHONPATH=src python tools/service_load.py --quick --out SERVICE.json
 
 Exit status is non-zero when the fingerprints diverge, the budget is
@@ -48,18 +46,6 @@ def main(argv=None) -> int:
         "--shards", type=int, default=0, help="0 = serial verifier"
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="acceptor worker processes (1 = single-loop gateway)",
-    )
-    parser.add_argument(
-        "--status-refresh",
-        type=float,
-        default=0.25,
-        help="multi-worker status snapshot-cache refresh interval",
-    )
-    parser.add_argument(
         "--backend", choices=["process", "inline"], default="process"
     )
     parser.add_argument("--frame-traces", type=int, default=512)
@@ -82,8 +68,6 @@ def main(argv=None) -> int:
             traces=args.traces,
             sessions=args.sessions,
             shards=args.shards,
-            workers=max(1, args.workers),
-            status_refresh=args.status_refresh,
             backend=args.backend,
             frame_traces=args.frame_traces,
             session_credit=args.credit,
@@ -117,24 +101,6 @@ def main(argv=None) -> int:
             f"accepted {document['traces_accepted']} of "
             f"{document['traces']} traces"
         )
-    # v2 invariants (skipped for v1 documents, which lack the fields).
-    worker_traces = document.get("worker_traces")
-    if worker_traces is not None and sum(worker_traces) != document[
-        "traces_accepted"
-    ]:
-        failures.append(
-            f"per-worker trace counts {worker_traces} do not sum to the "
-            f"{document['traces_accepted']} accepted traces"
-        )
-    cache = document.get("status_cache")
-    if cache is not None and cache.get("age_max") is not None:
-        # Allow one poll of slack: age is sampled when the query lands,
-        # an instant before the refresh would have triggered.
-        if cache["age_max"] > cache["refresh_interval"] * 1.5 + 0.1:
-            failures.append(
-                f"status cache staleness {cache['age_max']}s exceeded the "
-                f"{cache['refresh_interval']}s refresh interval"
-            )
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     return 1 if failures else 0
