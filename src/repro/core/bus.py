@@ -314,12 +314,14 @@ class VersionOrderDeriver(MechanismVerifier):
     def __init__(self, state: "VerifierState", bus: DependencyBus):
         self._state = state
         self._bus = bus
-        #: the bus guard's endpoint tables: reader sets accumulate
-        #: transaction ids that GC has long pruned, and a derived edge with
-        #: a pruned endpoint is dropped by the guard anyway (Theorem 5), so
-        #: the derivation loops test liveness *before* constructing the
+        #: the bus guard's endpoint tables.  A version outlives its
+        #: installer's metadata, and an edge with a pruned endpoint is
+        #: dropped by the guard anyway (Theorem 5), so :meth:`on_read_match`
+        #: tests the installer's liveness *before* constructing the
         #: dependency -- same outcome, no allocation or publication for
-        #: edges that cannot survive.
+        #: edges that cannot survive.  Readers need no such test: metadata
+        #: GC takes a transaction out of the reader sets it joined in the
+        #: step that retires it (``TxnState.matched_versions``).
         self._graph_nodes = bus._graph_nodes
         self._txns = bus._txns
 
@@ -351,6 +353,7 @@ class VersionOrderDeriver(MechanismVerifier):
         which produce no wr edge but still anti-depend on the first
         overwriter."""
         version.readers.add(reader)
+        self._txns[reader].matched_versions.append(version)
         if version.txn_id != INIT_TXN and self._live(version.txn_id):
             self._bus.publish(
                 Dependency(
@@ -400,8 +403,6 @@ class VersionOrderDeriver(MechanismVerifier):
             for reader in version.readers:
                 if reader == dep.dst or reader == version.txn_id:
                     continue
-                if not self._live(reader):
-                    continue
                 self._bus.publish(
                     Dependency(
                         src=reader,
@@ -430,8 +431,6 @@ class VersionOrderDeriver(MechanismVerifier):
                 continue
             for reader in predecessor.readers:
                 if reader == version.txn_id:
-                    continue
-                if not self._live(reader):
                     continue
                 self._bus.publish(
                     Dependency(

@@ -40,10 +40,11 @@ decoding falls back to the process-local counter.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import struct
 from pathlib import Path
-from typing import IO, Iterable, Iterator, List, Optional, Sequence, Union
+from typing import IO, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .intervals import Interval
 from .metrics import NULL_REGISTRY, MetricsRegistry
@@ -616,56 +617,88 @@ def read_trace(data: bytes, strings: List[str], pos: int, trace_id: int):
     )
 
 
+def _open_payload(payload: Union[bytes, memoryview]):
+    """One frame payload opened for :func:`decode_run`: its bytes, its
+    string table, its record count and the position of the first record."""
+    data = bytes(payload)
+    try:
+        strings, pos = read_strings(data, 0)
+        n_records, pos = read_varint(data, pos)
+    except (IndexError, struct.error, ValueError) as exc:
+        raise _payload_error(exc) from None
+    return data, strings, n_records, pos
+
+
+def decode_run(data: bytes, strings: List[str], pos: int, trace_ids: Iterable[int]):
+    """Decode one record per id in ``trace_ids`` from ``data`` at ``pos``;
+    returns ``(traces, next_pos)``.
+
+    This is the ingestion hot loop -- the one record loop of the module:
+    :func:`decode_batch` runs it once over a whole frame, the capture
+    reader (:func:`load_traces_binary`) once per :data:`RUN` records as
+    the pipeline pulls them.  The grammar is decoded by the module-level
+    helpers above over plain ``(data, strings, pos)`` arguments instead of
+    through :class:`PayloadDecoder` method calls -- the grammar itself is
+    identical (``PayloadDecoder.trace`` is the readable reference and the
+    equivalence is pinned by the codec tests).  Varints take a single-byte
+    fast path because ids, counts and table refs almost always fit seven
+    bits.  The helpers are functions, not closures over this call's
+    locals: a closure that recurses through its own cell is a reference
+    cycle, and one per decoded frame would pin the frame's payload and
+    string table until a collector pass (:mod:`repro.core.runtime`).
+    """
+    traces: List[Trace] = []
+    append = traces.append
+    try:
+        for trace_id in trace_ids:
+            trace, pos = read_trace(data, strings, pos, trace_id)
+            append(trace)
+    except (IndexError, struct.error, ValueError) as exc:
+        raise _payload_error(exc) from None
+    return traces, pos
+
+
+def _payload_error(exc: Exception) -> "CodecError":
+    """What a failure inside a frame payload is reported as."""
+    if isinstance(exc, CodecError):
+        return exc
+    if isinstance(exc, (IndexError, struct.error)):
+        return CodecError("truncated batch payload")
+    # Invalid UTF-8, or an interval / key range its constructor refuses.
+    return CodecError(f"malformed batch payload: {exc}")
+
+
+def _trace_ids(first_trace_id: Optional[int], count: int) -> Iterable[int]:
+    """``count`` ids from ``first_trace_id`` up (``None``: fresh values of
+    the process-local counter)."""
+    if first_trace_id is None:
+        return itertools.islice(_trace_counter, count)
+    return range(first_trace_id, first_trace_id + count)
+
+
+def _check_consumed(data: bytes, pos: int) -> None:
+    if pos != len(data):
+        raise CodecError(
+            f"trailing bytes after batch: {len(data) - pos} of {len(data)}"
+        )
+
+
 def decode_batch(
     payload: Union[bytes, memoryview],
     first_trace_id: Optional[int] = None,
 ) -> List[Trace]:
-    """Decode one frame payload back into traces.
-
-    This is the ingestion hot loop, so the grammar is decoded by the
-    module-level helpers above over plain ``(data, strings, pos)``
-    arguments instead of through :class:`PayloadDecoder` method calls --
-    the grammar itself is identical (``PayloadDecoder.trace`` is the
-    readable reference and the equivalence is pinned by the codec tests).
-    Varints take a single-byte fast path because ids, counts and table
-    refs almost always fit seven bits.  The helpers are functions, not
-    closures over this call's locals: a closure that recurses through its
-    own cell is a reference cycle, and one per decoded frame would pin the
-    frame's payload and string table until a collector pass
-    (:mod:`repro.core.runtime`).
+    """Decode one frame payload back into traces, eagerly (service
+    ``TRACES`` frames; whole-frame consumers of a capture file).
 
     ``first_trace_id`` stamps deterministic ids during construction:
     record ``i`` gets ``first_trace_id + i`` instead of a fresh
-    process-local counter value.  This is the one stamping site of the
-    ``client_id << SEQ_BITS | seq`` scheme: the capture-file reader and
-    both service tiers pass the client's cursor here.
+    process-local counter value.  This and the capture reader are the
+    stamping sites of the ``client_id << SEQ_BITS | seq`` scheme: both
+    pass the client's cursor to :func:`decode_run`.
     """
-    data = bytes(payload)
-    size = len(data)
-    try:
-        strings, pos = read_strings(data, 0)
-        n_records, pos = read_varint(data, pos)
-        trace_ids = (
-            itertools.islice(_trace_counter, n_records)
-            if first_trace_id is None
-            else range(first_trace_id, first_trace_id + n_records)
-        )
-        traces: List[Trace] = []
-        append = traces.append
-        for trace_id in trace_ids:
-            trace, pos = read_trace(data, strings, pos, trace_id)
-            append(trace)
-    except (IndexError, struct.error):
-        raise CodecError("truncated batch payload") from None
-    except CodecError:
-        raise
-    except ValueError as exc:
-        # Invalid UTF-8, or an interval / key range its constructor refuses.
-        raise CodecError(f"malformed batch payload: {exc}") from None
-    if pos != size:
-        raise CodecError(
-            f"trailing bytes after batch: {size - pos} of {size}"
-        )
+    data, strings, n_records, pos = _open_payload(payload)
+    traces, pos = decode_run(data, strings, pos, _trace_ids(first_trace_id, n_records))
+    _check_consumed(data, pos)
     return traces
 
 
@@ -741,18 +774,26 @@ def dump_traces_binary(
         return writer.count
 
 
-def iter_binary_frames(
+#: Records the capture reader decodes per step: the pipeline's client
+#: batch (:class:`repro.core.pipeline.ClientFeed`), so each pull of the
+#: pipeline costs one pass of the record loop and a client's look-ahead is
+#: at most one run of decoded traces, however large the writer's frames.
+RUN = 64
+
+
+def _iter_runs(
     source: Union[str, Path, IO[bytes]],
-    metrics: Optional[MetricsRegistry] = None,
-    first_trace_id: Optional[int] = None,
-) -> Iterator[List[Trace]]:
-    """Stream decoded batches from a ``repro.traces/v1b`` file: the frame
-    granularity is preserved, so batch consumers (``process_batch``) skip
-    the per-trace hop entirely.  One frame is read and decoded per
-    ``next()``; a path is opened on the first and closed on exhaustion or
-    error.  ``first_trace_id`` stamps the stream's ids contiguously across
-    frames (see :func:`decode_batch`).  Damaged input raises a
-    :class:`CodecError` naming the file, frame index and byte offset."""
+    metrics: Optional[MetricsRegistry],
+    first_trace_id: Optional[int],
+) -> Iterator[Tuple[List[Trace], bool]]:
+    """The reader behind :func:`iter_binary_frames` and
+    :func:`load_traces_binary`: ``(run, last)`` pairs, where ``run`` is
+    the next :data:`RUN` records of the current frame (fewer at its end;
+    an empty frame is one empty run) and ``last`` says the frame ends with
+    it.  A frame is read when the one before is used up and held as bytes
+    plus string table; one run is decoded per ``next()``.  The frame-level
+    checks (record count, trailing bytes) run before a frame's last run is
+    handed out."""
     own = isinstance(source, (str, Path))
     stream = open(source, "rb") if own else source
     name = source if own else getattr(source, "name", "<stream>")
@@ -783,21 +824,53 @@ def iter_binary_frames(
                         f"truncated frame payload "
                         f"({len(payload)} of {length} bytes)"
                     )
-                batch = decode_batch(payload, first_trace_id=next_id)
+                data, strings, remaining, pos = _open_payload(payload)
+                while True:
+                    count = min(RUN, remaining)
+                    run, pos = decode_run(
+                        data, strings, pos, _trace_ids(next_id, count)
+                    )
+                    remaining -= count
+                    last = not remaining
+                    if last:
+                        _check_consumed(data, pos)
+                    if next_id is not None:
+                        next_id += count
+                    m_traces.inc(count)
+                    yield run, last
+                    if last:
+                        break
             except CodecError as exc:
                 raise CodecError(
                     f"{name}: frame {index} at byte offset {offset}: {exc}"
                 ) from None
-            if next_id is not None:
-                next_id += len(batch)
             offset += _U32.size + length
             m_frames.inc()
-            m_traces.inc(len(batch))
             m_bytes.inc(_U32.size + length)
-            yield batch
     finally:
         if own:
             stream.close()
+
+
+def iter_binary_frames(
+    source: Union[str, Path, IO[bytes]],
+    metrics: Optional[MetricsRegistry] = None,
+    first_trace_id: Optional[int] = None,
+) -> Iterator[List[Trace]]:
+    """Stream decoded batches from a ``repro.traces/v1b`` file: the frame
+    granularity is preserved, so batch consumers (``process_batch``) skip
+    the per-trace hop entirely.  One frame is read and decoded per
+    ``next()``; a path is opened on the first and closed on exhaustion or
+    error.  ``first_trace_id`` stamps the stream's ids contiguously across
+    frames (see :func:`decode_batch`).  Damaged input raises a
+    :class:`CodecError` naming the file, frame index and byte offset."""
+    frame: List[Trace] = []
+    with contextlib.closing(_iter_runs(source, metrics, first_trace_id)) as runs:
+        for run, last in runs:
+            frame += run
+            if last:
+                yield frame
+                frame = []
 
 
 def load_traces_binary(
@@ -805,11 +878,16 @@ def load_traces_binary(
     metrics: Optional[MetricsRegistry] = None,
     first_trace_id: Optional[int] = None,
 ) -> Iterator[Trace]:
-    """Binary counterpart of :func:`repro.core.io.load_traces`."""
-    for batch in iter_binary_frames(
-        source, metrics=metrics, first_trace_id=first_trace_id
-    ):
-        yield from batch
+    """Binary counterpart of :func:`repro.core.io.load_traces`: the traces
+    of :func:`iter_binary_frames` one by one, decoded on demand.  What is
+    held of the current frame is its bytes and string table; its records
+    are decoded :data:`RUN` at a time as the consumer reaches them, so the
+    decoded look-ahead is at most one run.  Damage anywhere in a frame
+    raises the same located :class:`CodecError`, after the runs in front
+    of it were yielded."""
+    with contextlib.closing(_iter_runs(source, metrics, first_trace_id)) as runs:
+        for run, _ in runs:
+            yield from run
 
 
 def payload_stats(payload: bytes) -> dict:

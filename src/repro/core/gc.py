@@ -255,7 +255,8 @@ class GarbageCollector:
         while heap and heap[0][0] < horizon_ts:
             entry = heappop(heap)
             txn_id = entry[1]
-            if txn_id not in txns:
+            txn = txns.get(txn_id)
+            if txn is None:
                 # Already pruned (or never materialised here): drop entry.
                 continue
             if txn_id in nodes:
@@ -263,6 +264,10 @@ class GarbageCollector:
                 continue
             del txns[txn_id]
             locks_pruned += drop_locks(txn_id)
+            # From here on the bus guard drops every edge that names the
+            # transaction, so the reader sets it joined let go of it too.
+            for version in txn.matched_versions:
+                version.readers.discard(txn_id)
         for entry in retained:
             heapq.heappush(heap, entry)
         state.stats.gc_locks_pruned += locks_pruned

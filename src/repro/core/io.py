@@ -228,11 +228,13 @@ class ClientStream:
     """One client's capture file as a re-iterable lazy trace stream.
 
     Every ``iter()`` is a fresh :func:`load_traces` pass over the file
-    that holds one decoded frame (at most the writer's batch size, 512
-    traces) at a time and stamps trace ``seq`` of the client with the id
-    ``(client_id << SEQ_BITS) | seq`` -- so ties on ``ts_bef`` between
-    clients break by ``(client_id, arrival index)`` however the pipeline
-    interleaves the clients' decodes, and two passes yield equal traces.
+    that holds one frame as bytes and at most one decoded run of it
+    (:data:`repro.core.codec.RUN` traces, the pipeline's client batch;
+    JSONL decodes line by line) at a time and stamps trace ``seq`` of the
+    client with the id ``(client_id << SEQ_BITS) | seq`` -- so ties on
+    ``ts_bef`` between clients break by ``(client_id, arrival index)``
+    however the pipeline interleaves the clients' decodes, and two passes
+    yield equal traces.
     """
 
     def __init__(self, path: Path, client_id: int):

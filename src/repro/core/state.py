@@ -71,6 +71,9 @@ class TxnState:
     staged_versions: List[Version] = field(default_factory=list)
     #: running merge of own writes per key (for own-read visibility).
     own_images: Dict[Key, Dict[str, object]] = field(default_factory=dict)
+    #: versions whose ``readers`` set holds this transaction's id (one per
+    #: uniquely matched read): metadata GC takes the id back out of them.
+    matched_versions: List[Version] = field(default_factory=list)
     op_count: int = 0
 
     @property

@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import enum
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, Mapping, Optional, Tuple
+from typing import Any, Dict, Hashable, Optional, Tuple
 
 from .intervals import Interval
 

@@ -11,7 +11,14 @@ import sys
 import pytest
 
 from repro.__main__ import main
-from repro.core.codec import MAGIC, CodecError, decode_batch, dump_traces_binary
+from repro.core.codec import (
+    MAGIC,
+    RUN,
+    CodecError,
+    decode_batch,
+    dump_traces_binary,
+    read_strings,
+)
 from repro.core.io import dump_initial_db, dump_traces
 from repro.service.load import LoadConfig, initial_db, synthetic_stream
 
@@ -213,16 +220,18 @@ class TestNewWorkloadsAndFaults:
 # -- damaged input: exit 2, one located line, no report -------------------------
 
 FRAME = 32
+#: frames of more than one run, so damage can sit behind a frame's first.
+LONG_FRAME = 2 * RUN + 22
 
 
-def write_capture(directory, traces=1200, clients=3, fmt="binary"):
+def write_capture(directory, traces=1200, clients=3, fmt="binary", frame=FRAME):
     """A clean synthetic capture with several small frames per client."""
     cfg = LoadConfig(traces=traces, sessions=clients)
     directory.mkdir()
     for client in range(clients):
         stream = synthetic_stream(cfg, client)
         if fmt == "binary":
-            dump_traces_binary(stream, directory / f"client-{client}.rtb", batch_size=FRAME)
+            dump_traces_binary(stream, directory / f"client-{client}.rtb", batch_size=frame)
         else:
             dump_traces(stream, directory / f"client-{client}.jsonl")
     dump_initial_db(initial_db(cfg), directory / "initial_db.json")
@@ -240,23 +249,30 @@ def frame_offsets(blob):
 
 def damage(path, how):
     """Damage frame 2 of a binary file (or the last line of a JSONL one);
-    returns the text the error line must contain."""
+    returns the text the error line must contain.  ``tag-late``,
+    ``trailing`` and ``count`` sit in or behind the frame's last record,
+    which the reader reaches only after it has yielded the runs in front."""
     blob = path.read_bytes()
     if how == "jsonl-cut":
         lines = blob.splitlines(keepends=True)
         path.write_bytes(b"".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 2])
         return f"line {len(lines)}"
     start = frame_offsets(blob)[2]
+    where = f"frame 2 at byte offset {start}"
     if how == "prefix":
         path.write_bytes(blob[: start + 2])
-    elif how == "payload":
+        return where
+    if how == "payload":
         path.write_bytes(blob[: start + 4 + 40])
-    else:
-        size = int.from_bytes(blob[start : start + 4], "little")
-        payload = bytearray(blob[start + 4 : start + 4 + size])
-        for pos in range(len(payload)):
-            # Flip bytes until one lands on a value tag: the first flip
-            # the decoder rejects as an unknown tag is the damage.
+        return where
+    size = int.from_bytes(blob[start : start + 4], "little")
+    payload = bytearray(blob[start + 4 : start + 4 + size])
+    if how in ("tag", "tag-late"):
+        # Flip bytes until one lands on a value tag: the first flip (from
+        # the front, or from the back) the decoder rejects as an unknown
+        # tag is the damage.
+        positions = range(len(payload))
+        for pos in positions if how == "tag" else reversed(positions):
             flipped = bytearray(payload)
             flipped[pos] = 0x7F
             try:
@@ -267,19 +283,34 @@ def damage(path, how):
                     break
         else:
             raise AssertionError("no tag byte found")
-        path.write_bytes(blob[: start + 4] + bytes(payload) + blob[start + 4 + size :])
-    return f"frame 2 at byte offset {start}"
+    elif how == "utf8":
+        payload[2] = 0xFF  # first byte of the first interned string
+    elif how == "trailing":
+        payload.append(0)
+    else:
+        assert how == "count"
+        _, pos = read_strings(bytes(payload), 0)
+        assert payload[pos] & 0x7F < 0x7F  # room in the varint's low byte
+        payload[pos] += 1
+    path.write_bytes(
+        blob[:start]
+        + len(payload).to_bytes(4, "little")
+        + bytes(payload)
+        + blob[start + 4 + size :]
+    )
+    return where
 
 
 PARALLEL = [[], ["--parallel", "2", "--parallel-backend", "inline"]]
 
 
 class TestDamagedCapture:
-    @pytest.mark.parametrize("extra", PARALLEL, ids=["serial", "parallel2"])
-    @pytest.mark.parametrize("how", ["prefix", "payload", "tag", "jsonl-cut"])
-    def test_exit_2_and_one_located_line(self, tmp_path, capsys, how, extra):
+    @staticmethod
+    def check(tmp_path, capsys, how, extra, frame):
         capture = tmp_path / "cap"
-        write_capture(capture, fmt="jsonl" if how == "jsonl-cut" else "binary")
+        write_capture(
+            capture, fmt="jsonl" if how == "jsonl-cut" else "binary", frame=frame
+        )
         victim = sorted(capture.glob("client-1.*"))[0]
         where = damage(victim, how)
         assert main(["verify", str(capture), *extra]) == 2
@@ -287,6 +318,21 @@ class TestDamagedCapture:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("repro verify: ")
         assert str(victim) in err and where in err
+
+    @pytest.mark.parametrize("extra", PARALLEL, ids=["serial", "parallel2"])
+    @pytest.mark.parametrize(
+        "how",
+        ["prefix", "payload", "tag", "jsonl-cut", "utf8", "trailing", "count"],
+    )
+    def test_exit_2_and_one_located_line(self, tmp_path, capsys, how, extra):
+        self.check(tmp_path, capsys, how, extra, FRAME)
+
+    @pytest.mark.parametrize("extra", PARALLEL, ids=["serial", "parallel2"])
+    @pytest.mark.parametrize("how", ["tag-late", "trailing", "count"])
+    def test_damage_behind_a_frames_first_run(self, tmp_path, capsys, how, extra):
+        """The reader has yielded the damaged frame's first run by the
+        time it meets the damage: still exit 2, located, no report."""
+        self.check(tmp_path, capsys, how, extra, LONG_FRAME)
 
     @pytest.mark.parametrize("extra", PARALLEL, ids=["serial", "parallel2"])
     def test_clean_capture_still_exits_0(self, tmp_path, capsys, extra):
@@ -406,12 +452,14 @@ def test_no_path_switch_is_read_from_the_environment():
 class TestFlatMemory:
     """Count traces decoded from the capture minus traces handed to the
     verifier, sampled at every dispatched batch.  What the ingest spine
-    holds is at most one decoded frame per client, the pipeline's own
-    buffers and the batch in flight -- whatever the length of the history
-    -- and every capture file is closed when the CLI returns.  One leg
-    reads the real resident size of ``python -m repro verify``."""
+    holds is at most one decoded run per client -- not one frame: the
+    captures here have the writer's 512-record frames -- plus the
+    pipeline's own buffers and the batch in flight, whatever the length of
+    the history, and every capture file is closed when the CLI returns.
+    One leg reads the real resident size of ``python -m repro verify``."""
 
     CLIENTS = 4
+    WRITER_FRAME = 512
 
     def run_cli(self, monkeypatch, capture, extra):
         import builtins
@@ -423,13 +471,13 @@ class TestFlatMemory:
 
         seen = {"decoded": 0, "dispatched": 0, "peak": 0, "batch": 0}
         handles, pipelines = [], []
-        plain_decode, plain_open = codec.decode_batch, builtins.open
+        plain_decode, plain_open = codec.decode_run, builtins.open
         plain_build = cli.pipeline_from_client_streams
 
-        def decode_batch(payload, **kwargs):
-            batch = plain_decode(payload, **kwargs)
-            seen["decoded"] += len(batch)
-            return batch
+        def decode_run(*args):
+            run, pos = plain_decode(*args)
+            seen["decoded"] += len(run)
+            return run, pos
 
         def tracking_open(file, *args, **kwargs):
             handle = plain_open(file, *args, **kwargs)
@@ -450,7 +498,7 @@ class TestFlatMemory:
 
             return process_batch
 
-        monkeypatch.setattr(codec, "decode_batch", decode_batch)
+        monkeypatch.setattr(codec, "decode_run", decode_run)
         monkeypatch.setattr(builtins, "open", tracking_open)
         monkeypatch.setattr(cli, "pipeline_from_client_streams", build)
         cls = ParallelVerifier if extra else Verifier
@@ -467,15 +515,23 @@ class TestFlatMemory:
         peaks = {}
         for scale in (1, 4):
             capture = tmp_path / f"cap{scale}"
-            cfg = write_capture(capture, traces=2000 * scale, clients=self.CLIENTS)
+            cfg = write_capture(
+                capture,
+                traces=3000 * scale,
+                clients=self.CLIENTS,
+                frame=self.WRITER_FRAME,
+            )
             code, seen, peak_buffered = self.run_cli(monkeypatch, capture, extra)
             assert code == 0
             assert seen["decoded"] == seen["dispatched"] == cfg.actual_traces
-            bound = self.CLIENTS * FRAME + peak_buffered + seen["batch"]
+            bound = self.CLIENTS * RUN + peak_buffered + seen["batch"]
             assert seen["peak"] <= bound
-            # The bound is a constant below even the short history, so a
-            # loader that materialised the capture could not meet it.
+            # The bound is a constant below even the short history -- and
+            # below one frame per client -- so neither a loader that
+            # materialised the capture nor one that decoded whole frames
+            # could meet it.
             assert bound < cfg.actual_traces // 2
+            assert bound < self.CLIENTS * self.WRITER_FRAME
             peaks[scale] = (seen["peak"], bound)
         assert abs(peaks[4][0] - peaks[1][0]) <= peaks[1][1]
 

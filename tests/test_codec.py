@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from repro import MetricsRegistry
 from repro.core.codec import (
     MAGIC,
+    RUN,
     BinaryTraceWriter,
     CodecError,
     PayloadDecoder,
@@ -26,8 +27,10 @@ from repro.core.codec import (
     iter_binary_frames,
     load_traces_binary,
     payload_stats,
+    read_strings,
 )
 from repro.core.intervals import Interval
+from repro.core.io import load_traces
 from repro.core.parallel import MSG_BEGIN, MSG_TRACE, encode_message_frame
 from repro.core.trace import KeyRange, OpStatus, Trace
 
@@ -226,6 +229,37 @@ class TestMalformedInput:
         assert f"frame 1 at byte offset {second}" in message
         assert "truncated frame payload (5 of" in message
 
+    @pytest.mark.parametrize(
+        "how, message",
+        [
+            ("trailing", "trailing bytes after batch: 1 of"),
+            ("count+1", "truncated batch payload"),
+            ("count-1", "trailing bytes after batch"),
+        ],
+    )
+    def test_frame_level_checks_survive_decoding_in_runs(self, how, message):
+        """The record-count and trailing-byte checks close a frame the
+        reader decoded piecemeal: the runs in front of the frame's last
+        are yielded, then -- in place of the last -- the located error,
+        the one eager ``decode_batch`` raises for the same payload."""
+        count = 2 * RUN + 5
+        traces = [Trace.commit(float(i), i + 0.5, f"t{i}") for i in range(count)]
+        payload = bytearray(encode_batch(traces))
+        if how == "trailing":
+            payload.append(0)
+        else:
+            _, pos = read_strings(bytes(payload), 0)
+            assert payload[pos : pos + 2] == bytes([count & 0x7F | 0x80, count >> 7])
+            payload[pos] += 1 if how == "count+1" else -1
+        with pytest.raises(CodecError, match=message):
+            decode_batch(bytes(payload))
+        blob = MAGIC + len(payload).to_bytes(4, "little") + bytes(payload)
+        reader = load_traces_binary(io.BytesIO(blob))
+        assert_same_traces([next(reader) for _ in range(2 * RUN)], traces[: 2 * RUN])
+        with pytest.raises(CodecError, match=message) as err:
+            next(reader)
+        assert "frame 0 at byte offset 17" in str(err.value)
+
     def test_undecodable_strings_are_codec_errors(self):
         """Bytes that fail outside the record grammar (here: invalid
         UTF-8 in the string table) still surface as a located CodecError,
@@ -386,3 +420,65 @@ def test_fuzz_file_round_trip(batch, batch_size):
     assert dump_traces_binary(batch, sink, batch_size=batch_size) == len(batch)
     decoded = list(load_traces_binary(io.BytesIO(sink.getvalue())))
     assert_same_traces(decoded, batch)
+
+
+def _frame_payloads(blob):
+    """The payload of every frame of a ``repro.traces/v1b`` blob."""
+    payloads, pos = [], len(MAGIC)
+    while pos < len(blob):
+        size = int.from_bytes(blob[pos : pos + 4], "little")
+        payloads.append(blob[pos + 4 : pos + 4 + size])
+        pos += 4 + size
+    return payloads
+
+
+#: frame sizes below, equal to, between multiples of and far above the run.
+_FRAME_SIZES = (1, RUN - 1, RUN, RUN + 1, 2 * RUN + RUN // 2, 512)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(_traces(), min_size=1, max_size=6),
+    st.integers(0, 3 * RUN + 5),
+    st.sampled_from(_FRAME_SIZES),
+    st.one_of(st.none(), st.integers(0, 2**50)),
+)
+def test_run_granular_reader_equals_frame_by_frame_decode(
+    seed_traces, count, frame_size, first_trace_id
+):
+    """``load_traces`` -- records decoded RUN at a time as they are pulled
+    -- yields what eager per-frame ``decode_batch`` yields: same order,
+    same fields, same ids, wherever the frame boundaries fall relative to
+    the run; ids from the process-local counter (``None``) are handed out
+    in the same stream order."""
+    batch = (seed_traces * (count // len(seed_traces) + 1))[:count]
+    sink = io.BytesIO()
+    dump_traces_binary(batch, sink, batch_size=frame_size)
+    blob = sink.getvalue()
+    lazy = list(
+        load_traces(io.BytesIO(blob), fmt="binary", first_trace_id=first_trace_id)
+    )
+    eager = []
+    for payload in _frame_payloads(blob):
+        eager += decode_batch(
+            payload,
+            first_trace_id=(
+                None if first_trace_id is None else first_trace_id + len(eager)
+            ),
+        )
+    assert_same_traces(lazy, eager)
+    assert_same_traces(lazy, batch)
+    if first_trace_id is None:
+        for decoded in (lazy, eager):
+            first = decoded[0].trace_id if decoded else 0
+            assert [t.trace_id for t in decoded] == list(
+                range(first, first + count)
+            )
+    else:
+        assert lazy == eager  # Trace equality includes trace_id
+        assert [t.trace_id for t in lazy] == list(
+            range(first_trace_id, first_trace_id + count)
+        )
+    assert [len(b) for b in iter_binary_frames(io.BytesIO(blob))] == [
+        min(frame_size, count - start) for start in range(0, count, frame_size)
+    ]

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from repro import PG_SERIALIZABLE, Trace, Verifier
+from repro import PG_SERIALIZABLE, Trace, Verifier, pipeline_from_client_streams
 from repro.core.gc import GarbageCollector
 from repro.core.state import VerifierState
 from repro.workloads import BlindW, run_workload
@@ -116,6 +116,53 @@ class TestMemoryBoundedness:
                 verifier.process(trace)
             sizes[n] = verifier.state.live_structure_count()
         assert sizes[1600] < sizes[400] * 2
+
+    @staticmethod
+    def _reader_ids(state):
+        return [
+            reader
+            for chain in state.chains.values()
+            for version in chain.committed_versions()
+            for reader in version.readers
+        ]
+
+    def test_reader_sets_do_not_grow_on_keys_never_overwritten(self):
+        """A read-only history (YCSB-C, a long-lived service) matches
+        every read to the one version its key will ever have: what that
+        version's reader set holds is the transactions still alive, not
+        everyone who ever read it."""
+        retained = {}
+        with gc_oracle.checked() as totals:
+            for n in (400, 1200):
+                verifier = Verifier(
+                    spec=PG_SERIALIZABLE, initial_db=INIT, gc_every=32
+                )
+                for i in range(n):
+                    key, txn, t = f"k{i % 4}", f"r{i}", float(i)
+                    verifier.process(Trace.read(t, t + 0.1, txn, {key: -1}))
+                    verifier.process(Trace.commit(t + 0.2, t + 0.3, txn))
+                state = verifier.state
+                readers = self._reader_ids(state)
+                assert readers and len(readers) <= len(state.txns) < 100
+                assert all(reader in state.txns for reader in readers)
+                retained[n] = len(readers)
+        assert totals[0].metadata > 1400
+        assert retained[1200] <= retained[400] + 32
+
+    def test_no_retired_reader_after_the_final_collection(self):
+        run = run_workload(
+            BlindW.rw_plus(keys=128), PG_SERIALIZABLE, clients=8, txns=300, seed=7
+        )
+        verifier = Verifier(spec=PG_SERIALIZABLE, initial_db=run.initial_db)
+        for batch in pipeline_from_client_streams(run.client_streams).iter_batches():
+            verifier.process_batch(batch)
+        report = verifier.finish()
+        assert report.ok and report.stats.deps_wr > 100  # reads were matched
+        state = verifier.state
+        assert all(
+            reader in state.txns or reader in state.graph
+            for reader in self._reader_ids(state)
+        )
 
 
 class TestFrontierEquivalence:

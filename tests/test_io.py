@@ -100,6 +100,26 @@ class TestStreamRoundTrip:
 
 
 class TestCaptureLayout:
+    @pytest.fixture
+    def track_opens(self, tmp_path, monkeypatch):
+        """Call it to start recording every file opened under ``tmp_path``;
+        returns the list the handles are appended to."""
+        real_open = builtins.open
+
+        def start():
+            opened = []
+
+            def tracking_open(file, *args, **kwargs):
+                handle = real_open(file, *args, **kwargs)
+                if str(file).startswith(str(tmp_path)):
+                    opened.append(handle)
+                return handle
+
+            monkeypatch.setattr(builtins, "open", tracking_open)
+            return opened
+
+        return start
+
     def test_client_streams_round_trip(self, tmp_path):
         streams = {
             0: [Trace.commit(0.0, 0.1, "t0", client_id=0)],
@@ -132,55 +152,75 @@ class TestCaptureLayout:
             ]
             assert [t.txn_id for t in again] == [t.txn_id for t in streams[client_id]]
 
-    def test_loading_decodes_nothing_and_looks_one_frame_ahead(
+    def test_loading_decodes_nothing_and_looks_one_run_ahead(
         self, tmp_path, monkeypatch
     ):
+        """Nothing is decoded before the first ``next()``, and pulling
+        ``k`` traces out of a 512-record frame decodes ``k`` rounded up to
+        the run -- the frame stays bytes until the pipeline reaches it."""
         from repro.core import codec
 
         decoded = []
-        plain = codec.decode_batch
+        plain = codec.decode_run
 
-        def counting(payload, **kwargs):
-            batch = plain(payload, **kwargs)
-            decoded.append(len(batch))
-            return batch
+        def counting(*args):
+            run, pos = plain(*args)
+            decoded.append(len(run))
+            return run, pos
 
-        monkeypatch.setattr(codec, "decode_batch", counting)
+        monkeypatch.setattr(codec, "decode_run", counting)
+        run, frame = codec.RUN, 512
+        total = frame + run + 3
         path = tmp_path / "client-1.rtb"
         codec.dump_traces_binary(
-            [Trace.commit(float(i), i + 0.5, f"t{i}", client_id=1) for i in range(10)],
+            [Trace.commit(float(i), i + 0.5, f"t{i}", client_id=1) for i in range(total)],
             path,
-            batch_size=4,
+            batch_size=frame,
         )
         stream = load_client_streams(tmp_path)[1]
         assert decoded == []
         traces = iter(stream)
         assert decoded == []  # the file is not even opened before next()
-        next(traces)
-        assert decoded == [4]
-        assert len(list(traces)) == 9
-        assert decoded == [4, 4, 2]
+        pulled = 0
+        for k in (1, run, run + 1, 3 * run, frame - 1, frame, frame + 1):
+            for _ in range(k - pulled):
+                next(traces)
+            pulled = k
+            assert sum(decoded) == -(-k // run) * run
+        assert len(list(traces)) == total - pulled
+        # Runs never span a frame: 8 full runs, then the 67-record tail.
+        assert decoded == [run] * (frame // run) + [run, 3]
+
+    def test_feed_closed_mid_frame_closes_the_file(self, tmp_path, track_opens):
+        """A reader parked between two runs of a frame holds the file
+        open; ``ClientFeed.close()`` is what lets go of it."""
+        from repro.core import codec
+        from repro.core.pipeline import ClientFeed
+
+        codec.dump_traces_binary(
+            [Trace.commit(float(i), i + 0.5, f"t{i}", client_id=0) for i in range(600)],
+            tmp_path / "client-0.rtb",
+        )
+        stream = load_client_streams(tmp_path)[0]
+        opened = track_opens()
+        feed = ClientFeed(stream, client_id=0)
+        assert len(feed.next_batch()) == codec.RUN
+        assert [handle.closed for handle in opened] == [False]
+        feed.close()
+        assert opened[0].closed
+        assert feed.next_batch() == []
 
     @pytest.mark.parametrize("fmt", ["jsonl", "binary"])
     def test_file_closes_on_exhaustion_error_and_abandonment(
-        self, tmp_path, monkeypatch, fmt
+        self, tmp_path, track_opens, fmt
     ):
-        opened = []
-        real_open = builtins.open
-
-        def tracking_open(file, *args, **kwargs):
-            handle = real_open(file, *args, **kwargs)
-            if str(file).startswith(str(tmp_path)):
-                opened.append(handle)
-            return handle
-
         dump_client_streams(
             {0: [Trace.commit(float(i), i + 0.5, f"t{i}", client_id=0) for i in range(6)]},
             tmp_path,
             fmt=fmt,
         )
         stream = load_client_streams(tmp_path)[0]
-        monkeypatch.setattr(builtins, "open", tracking_open)
+        opened = track_opens()
         assert len(list(stream)) == 6
         abandoned = iter(stream)
         next(abandoned)
