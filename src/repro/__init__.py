@@ -21,8 +21,8 @@ Quickstart::
     db = SimulatedDBMS(spec=PG_SERIALIZABLE, seed=7)
     run = WorkloadRunner(db, BlindW.rw(keys=512), clients=8).run(txns=2000)
     verifier = Verifier(spec=PG_SERIALIZABLE, initial_db=run.initial_db)
-    for trace in pipeline_from_client_streams(run.client_streams):
-        verifier.process(trace)
+    for batch in pipeline_from_client_streams(run.client_streams).iter_batches():
+        verifier.process_batch(batch)
     print(verifier.finish().summary())
 """
 

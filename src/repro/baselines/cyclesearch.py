@@ -52,8 +52,22 @@ class NaiveCycleSearchChecker:
         return self._verifier.state.graph
 
     def process(self, trace: Trace) -> None:
-        self._verifier.process(trace)
-        if trace.kind is not OpKind.COMMIT or self._cycle_found:
+        self.process_batch((trace,))
+
+    def process_batch(self, traces: Iterable[Trace]) -> None:
+        """Feed the deduction in runs that end at a commit, searching the
+        whole graph after each (every ``check_every``-th) one."""
+        run = []
+        for trace in traces:
+            run.append(trace)
+            if trace.kind is OpKind.COMMIT:
+                self._verifier.process_batch(run)
+                run = []
+                self._after_commit()
+        self._verifier.process_batch(run)
+
+    def _after_commit(self) -> None:
+        if self._cycle_found:
             return
         self._commits_since_check += 1
         if self._commits_since_check < self._check_every:
@@ -72,8 +86,7 @@ class NaiveCycleSearchChecker:
             )
 
     def process_all(self, traces: Iterable[Trace]) -> "NaiveCycleSearchChecker":
-        for trace in traces:
-            self.process(trace)
+        self.process_batch(traces)
         return self
 
     def finish(self) -> VerificationReport:

@@ -32,7 +32,7 @@ from ..core.spec import (
     PG_REPEATABLE_READ,
     PG_SERIALIZABLE,
 )
-from ..core.verifier import Verifier
+from ..core.verifier import Verifier, batches
 from ..dbsim.faults import FaultPlan
 from ..workloads import (
     BlindW,
@@ -56,6 +56,10 @@ def _scaled(n: int, scale: float, floor: int = 50) -> int:
     return max(floor, int(n * scale))
 
 
+#: traces between live-structure samples (Figs. 10 and 14's memory axis).
+_MEMORY_SAMPLE_EVERY = 200
+
+
 def _verify(
     run: RunResult,
     spec: IsolationSpec,
@@ -65,11 +69,12 @@ def _verify(
     """Feed a run through the pipeline + verifier; returns
     ``(report, elapsed_seconds, peak_structures, verifier)``."""
     verifier = Verifier(spec=spec, initial_db=run.initial_db, **verifier_kwargs)
-    memory = MemorySeries(sample_every=200)
+    memory = MemorySeries(sample_every=1)
     start = time.perf_counter()
-    for trace in pipeline_from_client_streams(run.client_streams):
-        verifier.process(trace)
-        if sample_memory:
+    pipeline = pipeline_from_client_streams(run.client_streams)
+    for batch in batches(pipeline, _MEMORY_SAMPLE_EVERY):
+        verifier.process_batch(batch)
+        if sample_memory and len(batch) == _MEMORY_SAMPLE_EVERY:
             memory.observe(verifier.state.live_structure_count)
     report = verifier.finish()
     elapsed = time.perf_counter() - start
@@ -268,8 +273,7 @@ def fig11_verification(scale: float = 1.0, seed: int = 0) -> ExperimentTable:
                 spec=PG_SERIALIZABLE, initial_db=run.initial_db
             )
             start = time.perf_counter()
-            for trace in pipeline_from_client_streams(run.client_streams):
-                checker.process(trace)
+            checker.process_all(pipeline_from_client_streams(run.client_streams))
             checker.finish()
             naive_time = time.perf_counter() - start
         return run, leopard_time, naive_time

@@ -90,7 +90,6 @@ _LAZY = {
     "ShardVerifier": "parallel",
     "StreamSegment": "parallel",
     "verify_traces_parallel": "parallel",
-    "ShardedState": "sharding",
     "ShardRouter": "sharding",
     "stable_hash": "sharding",
 }
@@ -145,7 +144,6 @@ __all__ = [
     "ShardVerifier",
     "StreamSegment",
     "verify_traces_parallel",
-    "ShardedState",
     "ShardRouter",
     "stable_hash",
     "OnlineVerifier",

@@ -3,9 +3,8 @@
 The four mechanisms continuously exchange the dependencies they deduce:
 CR produces ``wr``, ME/FUW produce ``ww``, and ``rw`` anti-dependencies are
 derived from the two (Fig. 9); everything flows into the serialization
-certifier.  Historically this exchange was an ad-hoc web of ``_emit``
-callbacks threaded through the :class:`~repro.core.verifier.Verifier`; the
-:class:`DependencyBus` makes it an explicit, single choke point:
+certifier.  The :class:`DependencyBus` is the single choke point of that
+exchange:
 
 * **guard** -- dependencies whose endpoints were already pruned as garbage
   (Definition 4) are dropped at publication: by Theorem 5 they cannot join
@@ -16,12 +15,12 @@ callbacks threaded through the :class:`~repro.core.verifier.Verifier`; the
   :class:`~repro.core.metrics.MetricsRegistry` (``bus.deps.accepted`` /
   ``delivered`` / ``dropped``), which is the Fig. 13
   deduction-breakdown data; :attr:`DependencyBus.counts`,
-  :attr:`DependencyBus.accepted` and :attr:`DependencyBus.dropped` remain
-  as read-only views over the registry for compatibility;
+  :attr:`DependencyBus.accepted` and :attr:`DependencyBus.dropped` are
+  read-only views over the registry;
 * **subscribers** -- delivery happens in a fixed priority order (the
-  certifier first, then the Fig. 9 rw-derivation), so re-entrant
-  publication from inside a delivery behaves exactly like the historical
-  recursive callbacks;
+  certifier first, then the Fig. 9 rw-derivation), and a re-entrant
+  publication from inside a delivery is fully processed before the outer
+  one returns;
 * **taps** -- passive observers of the accepted-dependency stream, used by
   the parallel path to journal per-shard dependencies for the merged
   global certification pass (see :mod:`repro.core.parallel`).
@@ -246,50 +245,10 @@ class DependencyBus:
         return True
 
     def publish_many(self, deps) -> int:
-        """Publish a batch with immediate delivery in order; returns how
-        many survived the garbage guard.  Equivalent to calling
-        :meth:`publish` per dependency, but the batch shape lets callers
-        (the mechanism terminal loop, the parallel merge replay) hand over
-        whole deduction groups without per-event call overhead; the guard
-        and counter state are bound once per batch instead of per event."""
-        nodes = self._graph_nodes
-        txns = self._txns
-        count_stats = self._count_stats
-        stats = self._state.stats
-        pair_handles = self._pair_handles
-        taps = self._taps
-        dispatch = self._dispatch
-        accepted = 0
-        for dep in deps:
-            src = dep.src
-            dst = dep.dst
-            if (src not in nodes and src not in txns) or (
-                dst not in nodes and dst not in txns
-            ):
-                self._count("bus.deps.dropped", dep)
-                continue
-            dep_type = dep.dep_type
-            if count_stats:
-                if dep_type is DepType.WR:
-                    stats.deps_wr += 1
-                elif dep_type is DepType.WW:
-                    stats.deps_ww += 1
-                elif dep_type is DepType.SO:
-                    stats.deps_so += 1
-                else:
-                    stats.deps_rw += 1
-            pair = pair_handles.get((id(dep.source), id(dep_type)))
-            if pair is None:
-                pair = self._pair(dep)
-            pair[0].value += 1
-            pair[1].value += 1
-            if taps:
-                for fn in taps:
-                    fn(dep)
-            for fn in dispatch:
-                fn(dep)
-            accepted += 1
-        return accepted
+        """Publish dependencies in order (the parallel merge replay hands
+        over whole deduction groups); returns how many survived the
+        garbage guard."""
+        return sum(map(self.publish, deps))
 
 
 @register_mechanism("RW-DERIVE", order=30)

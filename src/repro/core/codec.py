@@ -24,7 +24,7 @@ Layout::
     payload := varint(n_strings) (varint(len) utf8)*   -- string table
                varint(n_records) record*
 
-The payload generator is reusable: the module-level ``write_*`` /
+The payload grammar is reusable: the module-level ``write_*`` /
 ``read_*`` functions (varints, values, whole traces) and the
 :class:`PayloadEncoder` / :class:`PayloadDecoder` objects over them let
 other wire formats -- the parallel path's shard frames
@@ -54,7 +54,6 @@ from .trace import (
     KIND_TO_CODE,
     KeyRange,
     OpStatus,
-    STATUS_TO_CODE,
     Trace,
     _trace_counter,
 )
@@ -255,9 +254,6 @@ class PayloadEncoder:
     def double(self, value: float) -> None:
         self.body += _D.pack(value)
 
-    def double_pair(self, a: float, b: float) -> None:
-        self.body += _DD.pack(a, b)
-
     def string(self, s: str) -> None:
         """Write an interned string reference."""
         write_string(self.body, self.index, self.strings, s)
@@ -293,158 +289,6 @@ class PayloadEncoder:
         return bytes(head)
 
 
-class PayloadDecoder:
-    """Streaming reader over one frame payload (table read up front)."""
-
-    __slots__ = ("_data", "_pos", "_strings")
-
-    def __init__(self, data: Union[bytes, memoryview]) -> None:
-        self._data = bytes(data)
-        self._pos = 0
-        count = self.varint()
-        strings: List[str] = []
-        for _ in range(count):
-            length = self.varint()
-            end = self._pos + length
-            strings.append(self._data[self._pos : end].decode("utf-8"))
-            self._pos = end
-        self._strings = strings
-
-    @property
-    def exhausted(self) -> bool:
-        return self._pos >= len(self._data)
-
-    # -- primitives --------------------------------------------------------
-
-    def varint(self) -> int:
-        data = self._data
-        pos = self._pos
-        shift = 0
-        result = 0
-        try:
-            while True:
-                byte = data[pos]
-                pos += 1
-                result |= (byte & 0x7F) << shift
-                if not byte & 0x80:
-                    break
-                shift += 7
-        except IndexError:
-            raise CodecError("truncated varint") from None
-        self._pos = pos
-        return result
-
-    def zigzag(self) -> int:
-        zz = self.varint()
-        return (zz >> 1) ^ -(zz & 1)
-
-    def u8(self) -> int:
-        try:
-            byte = self._data[self._pos]
-        except IndexError:
-            raise CodecError("truncated record") from None
-        self._pos += 1
-        return byte
-
-    def double(self) -> float:
-        end = self._pos + 8
-        if end > len(self._data):
-            raise CodecError("truncated double")
-        (value,) = _D.unpack_from(self._data, self._pos)
-        self._pos = end
-        return value
-
-    def double_pair(self):
-        end = self._pos + 16
-        if end > len(self._data):
-            raise CodecError("truncated doubles")
-        pair = _DD.unpack_from(self._data, self._pos)
-        self._pos = end
-        return pair
-
-    def string(self) -> str:
-        index = self.varint()
-        try:
-            return self._strings[index]
-        except IndexError:
-            raise CodecError(f"string table index {index} out of range") from None
-
-    def raw(self) -> bytes:
-        length = self.varint()
-        end = self._pos + length
-        if end > len(self._data):
-            raise CodecError("truncated raw bytes")
-        data = self._data[self._pos : end]
-        self._pos = end
-        return data
-
-    def value(self):
-        tag = self.u8()
-        if tag == _V_NONE:
-            return None
-        if tag == _V_TRUE:
-            return True
-        if tag == _V_FALSE:
-            return False
-        if tag == _V_INT:
-            return self.zigzag()
-        if tag == _V_FLOAT:
-            end = self._pos + 8
-            if end > len(self._data):
-                raise CodecError("truncated float")
-            (value,) = _D.unpack_from(self._data, self._pos)
-            self._pos = end
-            return value
-        if tag == _V_STR:
-            return self.string()
-        if tag == _V_TUPLE:
-            return tuple(self.value() for _ in range(self.varint()))
-        raise CodecError(f"unknown value tag {tag}")
-
-    def _sets(self) -> dict:
-        out = {}
-        for _ in range(self.varint()):
-            key = self.value()
-            columns = {}
-            for _ in range(self.varint()):
-                column = self.string()
-                columns[column] = self.value()
-            out[key] = columns
-        return out
-
-    # -- records -----------------------------------------------------------
-
-    def trace(self) -> Trace:
-        flags = self.u8()
-        kind = CODE_TO_KIND.get(flags & 0x03)
-        if kind is None:  # pragma: no cover - 2-bit code is always mapped
-            raise CodecError(f"unknown op kind code {flags & 0x03}")
-        txn_id = self.string()
-        ts_bef, ts_aft = self.double_pair()
-        client_id = self.zigzag()
-        op_index = self.varint()
-        reads = self._sets() if flags & _F_READS else {}
-        writes = self._sets() if flags & _F_WRITES else {}
-        predicate = None
-        if flags & _F_PREDICATE:
-            prefix = self.value()
-            lo = self.zigzag()
-            hi = self.zigzag()
-            predicate = KeyRange(prefix=prefix, lo=lo, hi=hi)
-        return Trace(
-            interval=Interval(ts_bef, ts_aft),
-            kind=kind,
-            txn_id=txn_id,
-            client_id=client_id,
-            reads=reads,
-            writes=writes,
-            status=CODE_TO_STATUS[1 if flags & _F_STATUS else 0],
-            for_update=bool(flags & _F_FOR_UPDATE),
-            predicate=predicate,
-            op_index=op_index,
-        )
-
-
 # -- batch API ------------------------------------------------------------------
 
 
@@ -459,14 +303,14 @@ def encode_batch(traces: Sequence[Trace]) -> bytes:
     return encoder.finish()
 
 
-# -- the production decoder -------------------------------------------------------
+# -- the one reader -----------------------------------------------------------------
 #
 # Plain functions over ``(data, strings, pos)`` that return ``(value,
 # next_pos)``; truncation surfaces as ``IndexError`` / ``struct.error`` for
-# the caller to name.  ``decode_batch`` and the shard workers' message
-# frames (:func:`repro.core.parallel.apply_message_frame`) read every
-# record through them; :class:`PayloadDecoder` above is the readable
-# reference the codec tests compare them against.
+# the caller to name (:func:`_payload_error`).  Every frame this package
+# reads -- capture files, service ``TRACES`` frames, the shard pipes'
+# message, segment and result frames -- is read through them;
+# :class:`PayloadDecoder` is the object that owns the three values.
 
 def read_varint(data: bytes, pos: int):
     byte = data[pos]
@@ -560,6 +404,27 @@ def read_strings(data: bytes, pos: int):
     return strings, pos
 
 
+def _read_u8(data: bytes, pos: int):
+    return data[pos], pos + 1
+
+
+def _read_double(data: bytes, pos: int):
+    return _D.unpack_from(data, pos)[0], pos + 8
+
+
+def _read_string(data: bytes, strings: List[str], pos: int):
+    index, pos = read_varint(data, pos)
+    return strings[index], pos
+
+
+def _read_raw(data: bytes, pos: int):
+    length, pos = read_varint(data, pos)
+    end = pos + length
+    if end > len(data):
+        raise IndexError(end)
+    return data[pos:end], end
+
+
 def read_trace(data: bytes, strings: List[str], pos: int, trace_id: int):
     """One trace record (what :func:`write_trace` wrote), stamped with
     ``trace_id``."""
@@ -636,13 +501,9 @@ def decode_run(data: bytes, strings: List[str], pos: int, trace_ids: Iterable[in
     This is the ingestion hot loop -- the one record loop of the module:
     :func:`decode_batch` runs it once over a whole frame, the capture
     reader (:func:`load_traces_binary`) once per :data:`RUN` records as
-    the pipeline pulls them.  The grammar is decoded by the module-level
-    helpers above over plain ``(data, strings, pos)`` arguments instead of
-    through :class:`PayloadDecoder` method calls -- the grammar itself is
-    identical (``PayloadDecoder.trace`` is the readable reference and the
-    equivalence is pinned by the codec tests).  Varints take a single-byte
-    fast path because ids, counts and table refs almost always fit seven
-    bits.  The helpers are functions, not closures over this call's
+    the pipeline pulls them.  Varints take a single-byte fast path because
+    ids, counts and table refs almost always fit seven bits.  The readers
+    are functions, not closures over this call's
     locals: a closure that recurses through its own cell is a reference
     cycle, and one per decoded frame would pin the frame's payload and
     string table until a collector pass (:mod:`repro.core.runtime`).
@@ -666,6 +527,55 @@ def _payload_error(exc: Exception) -> "CodecError":
         return CodecError("truncated batch payload")
     # Invalid UTF-8, or an interval / key range its constructor refuses.
     return CodecError(f"malformed batch payload: {exc}")
+
+
+class PayloadDecoder:
+    """Reads one frame payload field by field: the mirror of
+    :class:`PayloadEncoder`.
+
+    Owns what the module-level readers take and return: :attr:`data` (the
+    payload), :attr:`strings` (its table, read up front) and :attr:`pos`
+    (the next unread byte).  The methods delegate to those readers and
+    report a payload that ends early as :class:`CodecError`; per-record
+    loops call the readers on the three values directly.
+    """
+
+    __slots__ = ("data", "strings", "pos")
+
+    def __init__(self, data: Union[bytes, memoryview]) -> None:
+        self.data = bytes(data)
+        self.pos = 0
+        self.strings: List[str] = self._read(read_strings)
+
+    def _read(self, reader, *args):
+        try:
+            value, self.pos = reader(self.data, *args, self.pos)
+        except (IndexError, struct.error, ValueError) as exc:
+            raise _payload_error(exc) from None
+        return value
+
+    def varint(self) -> int:
+        return self._read(read_varint)
+
+    def zigzag(self) -> int:
+        return self._read(read_zigzag)
+
+    def u8(self) -> int:
+        return self._read(_read_u8)
+
+    def double(self) -> float:
+        return self._read(_read_double)
+
+    def string(self) -> str:
+        """An interned string reference, resolved."""
+        return self._read(_read_string, self.strings)
+
+    def raw(self) -> bytes:
+        """Length-prefixed opaque bytes."""
+        return self._read(_read_raw)
+
+    def value(self):
+        return self._read(read_value, self.strings)
 
 
 def _trace_ids(first_trace_id: Optional[int], count: int) -> Iterable[int]:
@@ -888,13 +798,3 @@ def load_traces_binary(
     with contextlib.closing(_iter_runs(source, metrics, first_trace_id)) as runs:
         for run, _ in runs:
             yield from run
-
-
-def payload_stats(payload: bytes) -> dict:
-    """Cheap introspection used by benchmarks and tests."""
-    decoder = PayloadDecoder(payload)
-    return {
-        "bytes": len(payload),
-        "strings": len(decoder._strings),
-        "traces": decoder.varint(),
-    }

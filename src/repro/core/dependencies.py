@@ -229,10 +229,6 @@ class DependencyGraph:
         """Snapshot of the zero-in-degree frontier (pruning candidates)."""
         return list(self._zero_in)
 
-    @property
-    def frontier_size(self) -> int:
-        return len(self._zero_in)
-
     # -- whole-graph queries (used by baselines and tests) ----------------------
 
     def find_cycle(self) -> Optional[List[str]]:
@@ -267,6 +263,3 @@ class DependencyGraph:
                     colour[node] = BLACK
                     stack.pop()
         return None
-
-    def verify_acyclic_invariant(self) -> bool:
-        return self._topo.verify_invariant()

@@ -58,6 +58,8 @@ class GarbageCollector:
         if every < 1:
             raise ValueError("GC period must be positive")
         self._state = state
+        #: the period and the traces seen since the last collection: the
+        #: countdown itself runs in the verifier's dispatch loop.
         self._every = every
         self._since_last = 0
         self._on_txn_pruned = on_txn_pruned
@@ -76,16 +78,6 @@ class GarbageCollector:
         #: heap entries popped but re-pushed because the transaction's node
         #: still sits in the dependency graph.
         self._m_retained = registry.counter(f"{metric_prefix}.frontier.retained")
-
-    def maybe_collect(self) -> bool:
-        """Called once per processed trace; runs a collection every
-        ``every`` traces."""
-        self._since_last += 1
-        if self._since_last < self._every:
-            return False
-        self._since_last = 0
-        self.collect()
-        return True
 
     def collect(self, horizon_ts: Optional[float] = None) -> None:
         """Run one collection.

@@ -31,7 +31,7 @@ from .report import VerificationReport, Violation
 from .runtime import CollectorWatch
 from .spec import IsolationSpec, PG_SERIALIZABLE
 from .trace import Trace
-from .verifier import Verifier
+from .verifier import RefusedTrace, Verifier
 
 ViolationCallback = Callable[[Violation], None]
 
@@ -68,9 +68,9 @@ class OnlineVerifier:
         verifier=None,
         **verifier_kwargs,
     ):
-        """``verifier`` injects any verifier-shaped backend (``process`` /
-        ``finish`` plus either a ``violations_so_far()`` accessor or the
-        serial ``state.descriptor``) -- the parallel path plugs in a
+        """``verifier`` injects any verifier-shaped backend
+        (``process_batch`` / ``violations_so_far`` / ``finish``) -- the
+        parallel path plugs in a
         :class:`~repro.core.parallel.ParallelVerifier` this way.  When
         omitted, a serial :class:`Verifier` is built from the remaining
         arguments."""
@@ -89,6 +89,10 @@ class OnlineVerifier:
         )
         #: per-client stage (each client's stream is monotone).
         self._stages: Dict[int, _Stage] = {}
+        #: clients evicted because the backend refused one of their traces
+        #: (:class:`~repro.core.verifier.RefusedTrace`), with the reason,
+        #: in eviction order; their streams never resume.
+        self.refused: Dict[int, str] = {}
         self._alerted = 0
         self._dispatched = 0
         #: timestamp of the newest trace already handed to the backend --
@@ -108,42 +112,23 @@ class OnlineVerifier:
     def _stage(self, client_id: int) -> _Stage:
         stage = self._stages.get(client_id)
         if stage is None:
+            if client_id in self.refused:
+                raise ValueError(
+                    f"client {client_id} was evicted: {self.refused[client_id]}"
+                )
             stage = self._stages[client_id] = _Stage()
         return stage
 
-    def _late_join(self, client_id: int, ts: float) -> ValueError:
-        return ValueError(
-            f"client {client_id} pushed trace at {ts} "
-            f"behind the dispatched watermark {self._emitted}; sessions "
-            f"must join before verification passes their first timestamp"
-        )
-
     def feed(self, trace: Trace) -> int:
-        """Push one trace from its client; returns how many traces the
-        resulting watermark advance dispatched to the verifier."""
-        if self._finished:
-            raise RuntimeError("online verifier already finished")
-        stage = self._stage(trace.client_id)
-        ts = trace.ts_bef
-        if ts < stage.floor[0]:
-            raise ValueError(
-                f"client {trace.client_id} pushed trace at {ts} "
-                f"behind its progress mark {stage.floor[0]}"
-            )
-        if ts < self._emitted:
-            raise self._late_join(trace.client_id, ts)
-        stage.items.append(trace)
-        stage.ts.append(ts)
-        stage.floor = (ts, trace.trace_id)
-        return self._advance()
+        """Push one trace from its client: a run of one."""
+        return self.feed_batch(trace.client_id, (trace,))
 
     def feed_batch(self, client_id: int, traces: Sequence[Trace]) -> int:
-        """Push a whole run of traces from one client -- the service
-        gateway's per-frame entry point.  Equivalent to calling
-        :meth:`feed` per trace, but the run is validated and staged first
-        and the watermark advances once, so a thousand-trace frame costs
-        one dispatch pass instead of a thousand.  Returns the number of
-        traces the advance dispatched.
+        """Push a run of traces from one client -- the service gateway's
+        per-frame entry point.  The run is validated and staged first and
+        the watermark advances once, so a thousand-trace frame costs one
+        dispatch pass.  Returns the number of traces the advance
+        dispatched.
 
         The run is validated with C-level passes, as
         :meth:`ClientFeed.next_batch_ts` validates a batch; the per-trace
@@ -155,18 +140,17 @@ class OnlineVerifier:
         stage = self._stage(client_id)
         stamps = [trace.interval.ts_bef for trace in traces]
         if stamps[0] < self._emitted:
-            raise self._late_join(client_id, stamps[0])
+            raise ValueError(
+                f"client {client_id} pushed trace at {stamps[0]} "
+                f"behind the dispatched watermark {self._emitted}; sessions "
+                f"must join before verification passes their first timestamp"
+            )
         if (
             stamps[0] < stage.floor[0]
             or stamps != sorted(stamps)
             or set(map(_client_id, traces)) != {client_id}
         ):
             self._raise_invalid(client_id, traces, stage)
-        return self._stage_run(stage, traces, stamps)
-
-    def _stage_run(
-        self, stage: _Stage, traces: Sequence[Trace], stamps: List[float]
-    ) -> int:
         stage.items.extend(traces)
         stage.ts.extend(stamps)
         stage.floor = (stamps[-1], traces[-1].trace_id)
@@ -226,22 +210,38 @@ class OnlineVerifier:
         ]
         return min(marks) if marks else float("-inf")
 
-    def _dispatch(self, batch: List[Trace]) -> None:
-        """Feed one dispatch batch to the backend (batch entry point when
-        it has one; both bundled verifiers do), then alert on anything
-        new.  Alerts keep their documented granularity -- they fire
-        inside the ``feed`` / ``heartbeat`` call whose watermark advance
-        detected them."""
-        process_batch = getattr(self._verifier, "process_batch", None)
-        if process_batch is not None:
-            process_batch(batch)
-        else:
-            process = self._verifier.process
-            for trace in batch:
-                process(trace)
-        self._dispatched += len(batch)
-        self._emitted = batch[-1].ts_bef
+    def _dispatch(self, batch: List[Trace]) -> int:
+        """Feed one dispatch batch to the backend, then alert on anything
+        new; returns how many traces the backend executed.  Alerts keep
+        their documented granularity -- they fire inside the ``feed`` /
+        ``heartbeat`` call whose watermark advance detected them.
+
+        A trace the backend refuses costs its own client its stream and
+        nothing else: the client is evicted (:attr:`refused`), what it had
+        staged or still had in this batch is dropped, and the rest of the
+        batch goes on in order -- the backend was left as the traces in
+        front of the refused one left it."""
+        done = 0
+        while batch:
+            try:
+                self._verifier.process_batch(batch)
+            except RefusedTrace as refusal:
+                offender = refusal.trace.client_id
+                self.refused[offender] = str(refusal)
+                self._stages.pop(offender, None)
+                at = next(
+                    i for i, trace in enumerate(batch) if trace is refusal.trace
+                )
+                executed = batch[:at]
+                batch = [t for t in batch[at + 1 :] if t.client_id != offender]
+            else:
+                executed, batch = batch, None
+            if executed:
+                done += len(executed)
+                self._emitted = executed[-1].ts_bef
+        self._dispatched += done
         self._alert_new()
+        return done
 
     def _advance(self) -> int:
         """Dispatch every staged trace the other clients' floors cover.
@@ -278,21 +278,15 @@ class OnlineVerifier:
                 del items[:hi], stage.ts[:hi]
         if not runs:
             return 0
-        batch = runs[0][0] if len(runs) == 1 else merge_runs(runs)
-        self._dispatch(batch)
-        return len(batch)
-
-    def _current_violations(self) -> List[Violation]:
-        """Violations detected so far, across verifier backends: the
-        parallel verifier exposes ``violations_so_far()``, the serial one
-        its shared descriptor."""
-        getter = getattr(self._verifier, "violations_so_far", None)
-        if callable(getter):
-            return getter()
-        return self._verifier.state.descriptor.violations
+        evicted = len(self.refused)
+        done = self._dispatch(runs[0][0] if len(runs) == 1 else merge_runs(runs))
+        if len(self.refused) > evicted:
+            # An evicted client's floor no longer holds anything back.
+            done += self._advance()
+        return done
 
     def _alert_new(self) -> None:
-        violations = self._current_violations()
+        violations = self._verifier.violations_so_far()
         while self._alerted < len(violations):
             violation = violations[self._alerted]
             self._alerted += 1
@@ -310,11 +304,6 @@ class OnlineVerifier:
     def dispatched(self) -> int:
         return self._dispatched
 
-    def staged_count(self, client_id: int) -> int:
-        """Traces currently staged (undispatched) for one client."""
-        stage = self._stages.get(client_id)
-        return len(stage.items) if stage is not None else 0
-
     @property
     def watermark(self) -> float:
         """The current dispatch bound (-inf before any client vouched)."""
@@ -331,7 +320,7 @@ class OnlineVerifier:
 
     @property
     def violations_so_far(self) -> List[Violation]:
-        return self._current_violations()
+        return self._verifier.violations_so_far()
 
     def live_structure_count(self) -> int:
         counter = getattr(self._verifier, "live_structure_count", None)
@@ -384,7 +373,7 @@ class OnlineVerifier:
                 if float("-inf") < watermark < float("inf")
                 else None
             ),
-            "violations": len(self._current_violations()),
+            "violations": len(self._verifier.violations_so_far()),
             "alerted": self._alerted,
             "live_structures": self.live_structure_count(),
             "metrics": (
@@ -410,11 +399,6 @@ class OnlineVerifier:
         report = self._verifier.finish()
         # Backends that defer global certification to finish (the parallel
         # merge pass) surface their remaining violations only now.
-        violations = report.violations
-        while self._alerted < len(violations):
-            violation = violations[self._alerted]
-            self._alerted += 1
-            if self._on_violation is not None:
-                self._on_violation(violation)
+        self._alert_new()
         self._collector_watch.close()
         return report

@@ -70,7 +70,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing import connection as _mp_connection
 from operator import itemgetter
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .bus import DependencyBus
 from .certifier import SerializationCertifier
@@ -103,7 +103,7 @@ from .sharding import ShardRouter
 from .spec import IsolationSpec, PG_SERIALIZABLE
 from .state import TxnStatus, VerifierState
 from .trace import Key, OpKind, Trace
-from .verifier import Verifier
+from .verifier import RefusedTrace, Verifier, batches
 
 #: journaled event kinds: a dependency accepted by the shard's bus, or a
 #: violation recorded by one of the shard's mechanisms.
@@ -519,45 +519,34 @@ class ShardVerifier(Verifier):
         self.state.ensure_txn(txn_id, client_id, interval)
 
     def ingest(self, trace_index: int, trace: Trace) -> None:
-        self._trace_index = trace_index
+        """One routed trace (the inline backend's feed): a run of one."""
+        self.ingest_batch(((trace_index, trace),))
+
+    def ingest_batch(self, pairs: Iterable[Tuple[int, Trace]]) -> None:
+        """Run ``(trace_index, trace)`` pairs through the verifier's
+        dispatch loop, each trace's events journaled under its index."""
         if self.metrics.enabled:
             start = time.perf_counter()
-            self.process(trace)
+            self._execute(self._indexed(pairs))
             self._wall_seconds += time.perf_counter() - start
         else:
-            self.process(trace)
+            self._execute(self._indexed(pairs))
 
-    def ingest_batch(self, pairs: Sequence[Tuple[int, Trace]]) -> None:
-        """Ingest a decoded run of ``(trace_index, trace)`` pairs.
-
-        The journal tags events with the index of the trace being
-        processed, so the index advances between traces; everything else
-        (the process call, the timing) is amortized across the run.
-        """
-        process = self.process
-        if self.metrics.enabled:
-            start = time.perf_counter()
-            for self._trace_index, trace in pairs:
-                process(trace)
-            self._wall_seconds += time.perf_counter() - start
-        else:
-            for self._trace_index, trace in pairs:
-                process(trace)
+    def _indexed(self, pairs: Iterable[Tuple[int, Trace]]) -> Iterator[Trace]:
+        """The traces of ``pairs``; the journal's trace index moves to
+        each trace's own as the loop pulls it."""
+        for self._trace_index, trace in pairs:
+            yield trace
 
     def finish_shard(self) -> ShardResult:
-        if self.metrics.enabled:
-            start = time.perf_counter()
-            self.finish()
-            self._wall_seconds += time.perf_counter() - start
-            snapshot = self.metrics.snapshot()
-        else:
-            self.finish()
-            snapshot = {}
+        start = time.perf_counter()
+        self.finish()
+        self._wall_seconds += time.perf_counter() - start
         return ShardResult(
             shard_id=self.shard_id,
             events=self.events,
             stats=self.state.stats,
-            metrics=snapshot,
+            metrics=self.metrics.snapshot() if self.metrics.enabled else {},
             wall_seconds=self._wall_seconds,
             journal_total=self._seq,
         )
@@ -1213,49 +1202,15 @@ class ParallelVerifier:
     # -- trace intake -------------------------------------------------------------
 
     def process(self, trace: Trace) -> None:
-        if self._finished:
-            raise RuntimeError("verifier already finished")
-        self._ensure_workers()
-        record = self._txns.get(trace.txn_id)
-        if record is None:
-            record = _TxnRecord(
-                client_id=trace.client_id, first_interval=trace.interval
-            )
-            self._txns[trace.txn_id] = record
-            heapq.heappush(
-                self._active_heap, (trace.interval.ts_bef, trace.txn_id)
-            )
-            begin = (MSG_BEGIN, trace.txn_id, trace.client_id, trace.interval)
-            for shard in range(self.router.shards):
-                self._send(shard, begin)
-        elif record.status is not TxnStatus.ACTIVE:
-            raise ValueError(
-                f"trace for already-terminated transaction {trace.txn_id}"
-            )
-        self._ts_watermark = trace.interval.ts_bef
-        index = self._trace_index
-        self._trace_index += 1
-        if trace.is_terminal:
-            record.terminal_interval = trace.interval
-            if trace.kind is OpKind.COMMIT:
-                record.status = TxnStatus.COMMITTED
-                self._txns_committed += 1
-                self._commits.append((index, trace.txn_id, trace.interval))
-            else:
-                record.status = TxnStatus.ABORTED
-                self._txns_aborted += 1
-        self._horizon_log.append((index, self._horizon()))
-        for shard, part in self.router.split(trace).items():
-            self._send(shard, (MSG_TRACE, index, part))
-        if self._inline:
-            self._maybe_flush_inline()
-        else:
-            self._pump()
+        """Route one dispatched trace: a batch of one."""
+        self.process_batch((trace,))
 
-    def process_batch(self, traces: Sequence[Trace]) -> None:
-        """Batch intake: same per-trace routing as :meth:`process` (the
-        reference form) with the loop invariants -- registry, router,
-        worker liveness -- resolved once per batch."""
+    def process_batch(self, traces: Iterable[Trace]) -> None:
+        """The routing loop: register each trace's transaction (its first
+        trace broadcasts a begin), stamp the trace with its global index,
+        record the dispatch-time GC horizon and send every shard its part.
+        A refused trace raises before it changed anything, so the
+        coordinator is left as the traces in front of it left it."""
         if self._finished:
             raise RuntimeError("verifier already finished")
         self._ensure_workers()
@@ -1265,47 +1220,47 @@ class ParallelVerifier:
         send = self._send
         active = TxnStatus.ACTIVE
         commit_kind = OpKind.COMMIT
-        for trace in traces:
-            txn_id = trace.txn_id
-            record = txns.get(txn_id)
-            if record is None:
-                record = _TxnRecord(
-                    client_id=trace.client_id, first_interval=trace.interval
-                )
-                txns[txn_id] = record
-                heapq.heappush(
-                    self._active_heap, (trace.interval.ts_bef, txn_id)
-                )
-                begin = (MSG_BEGIN, txn_id, trace.client_id, trace.interval)
-                for shard in shards:
-                    send(shard, begin)
-            elif record.status is not active:
-                raise ValueError(
-                    f"trace for already-terminated transaction {txn_id}"
-                )
-            self._ts_watermark = trace.interval.ts_bef
-            index = self._trace_index
-            self._trace_index = index + 1
-            if trace.is_terminal:
-                record.terminal_interval = trace.interval
-                if trace.kind is commit_kind:
-                    record.status = TxnStatus.COMMITTED
-                    self._txns_committed += 1
-                    self._commits.append((index, txn_id, trace.interval))
-                else:
-                    record.status = TxnStatus.ABORTED
-                    self._txns_aborted += 1
-            self._horizon_log.append((index, self._horizon()))
-            for shard, part in split(trace).items():
-                send(shard, (MSG_TRACE, index, part))
-        if self._inline:
-            self._maybe_flush_inline()
-        else:
-            self._pump()
+        try:
+            for trace in traces:
+                txn_id = trace.txn_id
+                record = txns.get(txn_id)
+                if record is None:
+                    record = _TxnRecord(
+                        client_id=trace.client_id, first_interval=trace.interval
+                    )
+                    txns[txn_id] = record
+                    heapq.heappush(
+                        self._active_heap, (trace.interval.ts_bef, txn_id)
+                    )
+                    begin = (MSG_BEGIN, txn_id, trace.client_id, trace.interval)
+                    for shard in shards:
+                        send(shard, begin)
+                elif record.status is not active:
+                    raise RefusedTrace(trace)
+                self._ts_watermark = trace.interval.ts_bef
+                index = self._trace_index
+                self._trace_index = index + 1
+                if trace.is_terminal:
+                    record.terminal_interval = trace.interval
+                    if trace.kind is commit_kind:
+                        record.status = TxnStatus.COMMITTED
+                        self._txns_committed += 1
+                        self._commits.append((index, txn_id, trace.interval))
+                    else:
+                        record.status = TxnStatus.ABORTED
+                        self._txns_aborted += 1
+                self._horizon_log.append((index, self._horizon()))
+                for shard, part in split(trace).items():
+                    send(shard, (MSG_TRACE, index, part))
+        finally:
+            if self._inline:
+                self._maybe_flush_inline()
+            else:
+                self._pump()
 
     def process_all(self, traces: Iterable[Trace]) -> "ParallelVerifier":
-        for trace in traces:
-            self.process(trace)
+        for batch in batches(traces):
+            self.process_batch(batch)
         return self
 
     # -- completion ---------------------------------------------------------------

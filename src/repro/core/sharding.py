@@ -8,15 +8,12 @@ the serialization certifier is global (cycles cross keys), so the parallel
 path (:mod:`repro.core.parallel`) runs it once over the merged dependency
 stream.
 
-This module provides the partitioning primitives:
-
-* :func:`stable_hash` / :class:`ShardRouter` -- deterministic key-to-shard
-  assignment (stable across processes and runs, unlike the salted builtin
-  ``hash``) and per-trace routing: data operations are *split* so each
-  shard receives only its keys, while terminals, predicate scans and
-  keyless traces broadcast to every shard;
-* :class:`ShardedState` -- a facade over N :class:`VerifierState`
-  partitions with key-routed chain access and aggregated accounting.
+This module provides the partitioning primitives, :func:`stable_hash` and
+:class:`ShardRouter`: deterministic key-to-shard assignment (stable across
+processes and runs, unlike the salted builtin ``hash``) and per-trace
+routing -- data operations are *split* so each shard receives only its
+keys, while terminals, predicate scans and keyless traces broadcast to
+every shard.
 """
 
 from __future__ import annotations
@@ -24,7 +21,6 @@ from __future__ import annotations
 import zlib
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from .state import TxnState, VerifierState
 from .trace import Key, OpKind, Trace
 
 
@@ -140,50 +136,3 @@ class ShardRouter:
             shard: _shard_part(trace, part_reads, part_writes)
             for shard, (part_reads, part_writes) in by_shard.items()
         }
-
-
-class ShardedState:
-    """Facade over N hash-partitioned :class:`VerifierState` instances.
-
-    The facade is intentionally thin: mechanisms never see it (each shard
-    verifier owns exactly one partition), but the orchestration layer uses
-    it for key-routed access and whole-run accounting, and the inline
-    parallel backend exposes it for memory instrumentation.
-    """
-
-    def __init__(
-        self,
-        shards: int,
-        initial_db: Optional[Mapping[Key, Mapping[str, object]]] = None,
-        incremental_graph: bool = True,
-    ):
-        self.router = ShardRouter(shards)
-        parts = self.router.partition_initial_db(initial_db)
-        self.partitions: List[VerifierState] = [
-            VerifierState(initial_db=part, incremental_graph=incremental_graph)
-            for part in parts
-        ]
-
-    @property
-    def shards(self) -> int:
-        return self.router.shards
-
-    def partition(self, shard: int) -> VerifierState:
-        return self.partitions[shard]
-
-    def partition_for(self, key: Key) -> VerifierState:
-        return self.partitions[self.router.shard_of(key)]
-
-    def chain(self, key: Key):
-        """Version chain of ``key`` in its owning partition."""
-        return self.partition_for(key).chain(key)
-
-    def get_txn(self, txn_id: str) -> Optional[TxnState]:
-        """Transaction state as seen by shard 0 (begin/terminal controls
-        broadcast, so every shard tracks every transaction's lifecycle)."""
-        return self.partitions[0].get_txn(txn_id)
-
-    def live_structure_count(self) -> int:
-        """Total retained structures across all partitions (the memory
-        axis of the scaling experiments)."""
-        return sum(part.live_structure_count() for part in self.partitions)

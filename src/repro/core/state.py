@@ -89,11 +89,6 @@ class TxnState:
         the interval of the transaction's first operation."""
         return self.first_interval
 
-    def note_operation(self, trace: Trace) -> None:
-        if self.first_interval is None:
-            self.first_interval = trace.interval
-        self.op_count += 1
-
     def own_delta_for(self, key: Key) -> Dict[str, object]:
         image = self.own_images.get(key)
         return dict(image) if image else _EMPTY_DELTA
@@ -167,13 +162,6 @@ class VerifierState:
             self.chains[key] = existing
         return existing
 
-    def txn(self, trace: Trace) -> TxnState:
-        state = self.txns.get(trace.txn_id)
-        if state is None:
-            state = TxnState(txn_id=trace.txn_id, client_id=trace.client_id)
-            self.txns[trace.txn_id] = state
-        return state
-
     def ensure_txn(
         self,
         txn_id: str,
@@ -202,9 +190,6 @@ class VerifierState:
         heap (the metadata-GC index).  Every path that moves a transaction
         out of ACTIVE calls this, or its metadata is never pruned."""
         heapq.heappush(self.terminal_heap, (ts_aft, txn_id))
-
-    def active_txns(self) -> List[TxnState]:
-        return [t for t in self.txns.values() if not t.finished]
 
     def earliest_unverified_snapshot(self) -> float:
         """``S_e`` of Definition 4: the earliest snapshot-generation

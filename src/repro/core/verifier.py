@@ -25,7 +25,8 @@ certifier per shard through the same seam.
 from __future__ import annotations
 
 import time
-from typing import Iterable, List, Mapping, Optional, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, List, Mapping, Optional
 
 from .bus import DependencyBus
 from .dependencies import Dependency, DepType
@@ -36,7 +37,7 @@ from .mechanism import (
     build_mechanisms,
 )
 from .metrics import NULL_REGISTRY, MetricsRegistry
-from .report import Mechanism, VerificationReport
+from .report import Mechanism, VerificationReport, Violation
 from .spec import IsolationSpec, PG_SERIALIZABLE
 from .state import TxnState, TxnStatus, VerifierState
 from .trace import Key, OpKind, OpStatus, Trace
@@ -49,6 +50,34 @@ from . import certifier as _certifier  # noqa: F401
 from . import consistent_read as _consistent_read  # noqa: F401
 from . import first_updater_wins as _first_updater_wins  # noqa: F401
 from . import mutual_exclusion as _mutual_exclusion  # noqa: F401
+
+
+_LOOP_CONSTANTS = (
+    OpStatus.OK, OpKind.READ, OpKind.WRITE, OpKind.COMMIT, TxnStatus.ACTIVE
+)
+
+#: traces per batch when a caller hands over a plain trace stream
+#: (``process_all``): the pipeline's client batch.
+BATCH = 64
+
+
+def batches(traces: Iterable[Trace], size: int = BATCH) -> Iterator[List[Trace]]:
+    """Cut a trace stream into lists of ``size`` (the last one shorter)."""
+    traces = iter(traces)
+    while batch := list(islice(traces, size)):
+        yield batch
+
+
+class RefusedTrace(ValueError):
+    """A trace for a transaction that already terminated.  Carries the
+    trace, so a caller feeding many clients' traces at once (the online
+    layer) can tell whose stream broke and go on with the others'."""
+
+    def __init__(self, trace: Trace):
+        super().__init__(
+            f"trace for already-terminated transaction {trace.txn_id}"
+        )
+        self.trace = trace
 
 
 class Verifier:
@@ -75,8 +104,7 @@ class Verifier:
         must be: an engine may not serve inconsistent data even to a
         transaction that later rolls back).
     state:
-        Inject a pre-built :class:`VerifierState` (the sharded facade hands
-        each shard verifier its partition this way); default builds one.
+        Inject a pre-built :class:`VerifierState`; default builds one.
     mechanism_overrides:
         Per-name factory substitutions applied on top of the registry
         (``{"SC": factory}`` swaps the certifier without re-registering).
@@ -130,19 +158,9 @@ class Verifier:
             context, overrides=mechanism_overrides
         )
         base = MechanismVerifier
-        self._read_hooks = [
-            m for m in self.mechanisms if type(m).on_read is not base.on_read
-        ]
-        self._write_hooks = [
-            m for m in self.mechanisms if type(m).on_write is not base.on_write
-        ]
         self._gc_hooks = [
             m for m in self.mechanisms if type(m).on_gc is not base.on_gc
         ]
-        #: pre-bound hook methods: the per-trace loop calls these without
-        #: re-resolving ``on_read``/``on_write`` attributes per operation.
-        self._read_hook_fns = tuple(m.on_read for m in self._read_hooks)
-        self._write_hook_fns = tuple(m.on_write for m in self._write_hooks)
         #: precompiled terminal dispatch: (mechanism, histogram, drain),
         #: the histogram None for untimed mechanisms.  Computing this once
         #: keeps the per-terminal loop free of closures and branches on
@@ -177,6 +195,27 @@ class Verifier:
                 metrics=self.metrics,
             )
         self._finished = False
+        #: what the dispatch loop binds on entry, as one unpack: a batch
+        #: of one (``process``, an inline shard's ``ingest``) pays the
+        #: entry once per trace.  Hooks are the overridden ones only,
+        #: pre-bound; the common assemblies have exactly one read hook
+        #: (CR) and one write hook (ME), and a directly bound hook skips
+        #: the tuple iteration per operation.
+        reads = tuple(
+            m.on_read for m in self.mechanisms
+            if type(m).on_read is not base.on_read
+        )
+        writes = tuple(
+            m.on_write for m in self.mechanisms
+            if type(m).on_write is not base.on_write
+        )
+        self._loop = (
+            self.state, self.state.stats, self.state.txns,
+            self.state.chains.get, self.state.chain,
+            reads[0] if len(reads) == 1 else None, reads,
+            writes[0] if len(writes) == 1 else None, writes,
+            self._on_commit, self._on_abort, self._gc,
+        )
         if not exchange_dependencies:
             # Ablation: mechanisms stop sharing deduced ww orders, so CR's
             # candidate sets cannot be shrunk by other mechanisms' findings.
@@ -192,161 +231,101 @@ class Verifier:
     # -- trace intake -----------------------------------------------------------
 
     def process(self, trace: Trace) -> None:
-        """Execute one dispatched trace against the mirrored state.
+        """Execute one dispatched trace: a batch of one."""
+        self.process_batch((trace,))
 
-        This is the hottest function in the serial verifier; the cheap
-        per-trace bookkeeping (watermark, first-interval capture, the GC
-        countdown) is inlined rather than delegated."""
-        if self._finished:
-            raise RuntimeError("verifier already finished")
-        state = self.state
-        state.stats.traces_processed += 1
-        ts_bef = trace.ts_bef
-        if ts_bef > state.watermark:
-            state.watermark = ts_bef
-        # Inline VerifierState.txn.
-        txn_id = trace.txn_id
-        txn = state.txns.get(txn_id)
-        if txn is None:
-            txn = TxnState(txn_id=txn_id, client_id=trace.client_id)
-            state.txns[txn_id] = txn
-        if txn.status is not TxnStatus.ACTIVE:
-            raise ValueError(
-                f"trace for already-terminated transaction {trace.txn_id}"
-            )
-        # Inline TxnState.note_operation.
-        if txn.first_interval is None:
-            txn.first_interval = trace.interval
-        txn.op_count += 1
-        kind = trace.kind
-        if kind is OpKind.READ:
-            if trace.status is OpStatus.OK:
-                for hook in self._read_hook_fns:
-                    hook(trace, txn)
-        elif kind is OpKind.WRITE:
-            if trace.status is OpStatus.OK:
-                for hook in self._write_hook_fns:
-                    hook(trace, txn)
-                txn_id = txn.txn_id
-                interval = trace.interval
-                staged = txn.staged_versions.append
-                chains = state.chains
-                for key, columns in trace.writes.items():
-                    chain = chains.get(key)
-                    if chain is None:
-                        chain = state.chain(key)
-                    staged(chain.stage_write(txn_id, columns, interval))
-                    txn.merge_own_write(key, columns)
-        elif kind is OpKind.COMMIT:
-            self._on_commit(trace, txn)
-        elif kind is OpKind.ABORT:
-            self._on_abort(trace, txn)
-        gc = self._gc
-        if gc is not None:
-            # Inline GarbageCollector.maybe_collect (a call per trace).
-            gc._since_last += 1
-            if gc._since_last >= gc._every:
-                gc._since_last = 0
-                gc.collect()
+    def process_batch(self, traces: Iterable[Trace]) -> None:
+        """Execute dispatched traces, in order, against the mirrored
+        state: the public name of :meth:`_execute`.  One call per dispatch
+        batch -- the seam external instruments wrap -- so a subclass that
+        feeds the loop trace by trace (the inline shards of
+        :mod:`repro.core.parallel`) calls :meth:`_execute` itself."""
+        self._execute(traces)
 
-    def process_batch(self, traces: Sequence[Trace]) -> None:
-        """Execute one dispatched batch against the mirrored state.
-
-        Semantically identical to calling :meth:`process` per trace (the
-        equivalence tests pin this); the batched ingestion spine lands
-        here, so the loop invariants -- state, hook tuples, the GC
-        countdown -- are bound once per batch instead of re-resolved
-        through ``self`` on every trace.  :meth:`process` is the readable
-        single-trace reference for the loop body.
+    def _execute(self, traces: Iterable[Trace]) -> None:
+        """The dispatch loop (Algorithm 2), the hottest code in the
+        verifier.  The loop invariants -- state tables, hook tuples, the
+        watermark, the GC countdown -- live in locals and are written back
+        when the loop leaves, by exhaustion or by a raise: a refused trace
+        (:class:`RefusedTrace`) leaves the verifier exactly as feeding the
+        traces in front of it alone would, so the caller may go on with
+        the traces behind it.
         """
         if self._finished:
             raise RuntimeError("verifier already finished")
-        state = self.state
-        stats = state.stats
-        txns_get = state.txns.get
-        txns = state.txns
-        chains_get = state.chains.get
-        state_chain = state.chain
-        read_hooks = self._read_hook_fns
-        write_hooks = self._write_hook_fns
-        # The common assemblies have exactly one read hook (CR) and one
-        # write hook (ME); dispatching through a bound local skips the
-        # tuple iteration per operation.
-        read_hook = read_hooks[0] if len(read_hooks) == 1 else None
-        write_hook = write_hooks[0] if len(write_hooks) == 1 else None
-        on_commit = self._on_commit
-        on_abort = self._on_abort
-        gc = self._gc
-        ok = OpStatus.OK
-        read_kind, write_kind = OpKind.READ, OpKind.WRITE
-        commit_kind = OpKind.COMMIT
-        active = TxnStatus.ACTIVE
+        (
+            state, stats, txns, chains_get, state_chain,
+            read_hook, read_hooks, write_hook, write_hooks,
+            on_commit, on_abort, gc,
+        ) = self._loop
+        ok, read_kind, write_kind, commit_kind, active = _LOOP_CONSTANTS
+        txns_get = txns.get
         new_txn = TxnState
+        # The only mid-run reader of the watermark is the collector
+        # (synced right before it fires).
         watermark = state.watermark
-        stats.traces_processed += len(traces)
-        # GC countdown as a plain local, pre-sliced so collections fire at
-        # exactly the trace indices the per-trace reference fires them at;
-        # the residue is written back after the loop.
+        # GC countdown: traces until the next collection (-1: no GC).
         remaining = (gc._every - gc._since_last) if gc is not None else -1
-        for trace in traces:
-            interval = trace.interval
-            ts_bef = interval.ts_bef
-            if ts_bef > watermark:
-                # Kept in a local and written back lazily: the only mid-run
-                # reader is the collector (synced right before it fires).
-                watermark = ts_bef
-            txn_id = trace.txn_id
-            txn = txns_get(txn_id)
-            if txn is None:
-                txn = new_txn(txn_id=txn_id, client_id=trace.client_id)
-                txns[txn_id] = txn
-            if txn.status is not active:
-                raise ValueError(
-                    f"trace for already-terminated transaction {trace.txn_id}"
-                )
-            if txn.first_interval is None:
-                txn.first_interval = interval
-            txn.op_count += 1
-            kind = trace.kind
-            if kind is read_kind:
-                if trace.status is ok:
-                    if read_hook is not None:
-                        read_hook(trace, txn)
-                    else:
-                        for hook in read_hooks:
-                            hook(trace, txn)
-            elif kind is write_kind:
-                if trace.status is ok:
-                    if write_hook is not None:
-                        write_hook(trace, txn)
-                    else:
-                        for hook in write_hooks:
-                            hook(trace, txn)
-                    staged = txn.staged_versions.append
-                    for key, columns in trace.writes.items():
-                        chain = chains_get(key)
-                        if chain is None:
-                            chain = state_chain(key)
-                        staged(chain.stage_write(txn_id, columns, interval))
-                        txn.merge_own_write(key, columns)
-            elif kind is commit_kind:
-                on_commit(trace, txn)
-            else:
-                on_abort(trace, txn)
-            if remaining > 0:
-                remaining -= 1
-                if not remaining:
-                    state.watermark = watermark
-                    gc._since_last = 0
-                    gc.collect()
-                    remaining = gc._every
-        state.watermark = watermark
-        if gc is not None:
-            gc._since_last = gc._every - remaining
+        accepted = 0
+        try:
+            for trace in traces:
+                txn_id = trace.txn_id
+                txn = txns_get(txn_id)
+                if txn is None:
+                    txn = new_txn(txn_id=txn_id, client_id=trace.client_id)
+                    txns[txn_id] = txn
+                elif txn.status is not active:
+                    raise RefusedTrace(trace)
+                accepted += 1
+                interval = trace.interval
+                ts_bef = interval.ts_bef
+                if ts_bef > watermark:
+                    watermark = ts_bef
+                if txn.first_interval is None:
+                    txn.first_interval = interval
+                txn.op_count += 1
+                kind = trace.kind
+                if kind is read_kind:
+                    if trace.status is ok:
+                        if read_hook is not None:
+                            read_hook(trace, txn)
+                        else:
+                            for hook in read_hooks:
+                                hook(trace, txn)
+                elif kind is write_kind:
+                    if trace.status is ok:
+                        if write_hook is not None:
+                            write_hook(trace, txn)
+                        else:
+                            for hook in write_hooks:
+                                hook(trace, txn)
+                        staged = txn.staged_versions.append
+                        for key, columns in trace.writes.items():
+                            chain = chains_get(key)
+                            if chain is None:
+                                chain = state_chain(key)
+                            staged(chain.stage_write(txn_id, columns, interval))
+                            txn.merge_own_write(key, columns)
+                elif kind is commit_kind:
+                    on_commit(trace, txn)
+                else:
+                    on_abort(trace, txn)
+                if remaining > 0:
+                    remaining -= 1
+                    if not remaining:
+                        state.watermark = watermark
+                        gc._since_last = 0
+                        gc.collect()
+                        remaining = gc._every
+        finally:
+            stats.traces_processed += accepted
+            state.watermark = watermark
+            if gc is not None:
+                gc._since_last = gc._every - remaining
 
     def process_all(self, traces: Iterable[Trace]) -> "Verifier":
-        for trace in traces:
-            self.process(trace)
+        for batch in batches(traces):
+            self.process_batch(batch)
         return self
 
     # -- terminal handling ---------------------------------------------------------
@@ -437,12 +416,6 @@ class Verifier:
                     state.gc_version_candidates[key] = chain
         self._dispatch_terminal(txn, trace, [])
 
-    # -- dependency exchange (Section V-A / Fig. 9) ------------------------------------
-
-    def _emit(self, dep: Dependency) -> None:
-        """Historical emission entry point; now a bus publication."""
-        self.bus.publish(dep)
-
     # -- garbage collection fan-out -------------------------------------------------
 
     def _on_txn_pruned(self, txn_id: str) -> None:
@@ -452,6 +425,11 @@ class Verifier:
             mechanism.on_gc(txn_id)
 
     # -- completion -----------------------------------------------------------------
+
+    def violations_so_far(self) -> List[Violation]:
+        """Violations recorded up to now (an append-only list the report
+        shares); the online layer alerts from it."""
+        return self.state.descriptor.violations
 
     def finish(self) -> VerificationReport:
         """Finalise the run and return the report.  Transactions still

@@ -219,9 +219,6 @@ class VersionChain:
         mutate it."""
         return self._chain
 
-    def pending_versions(self, txn_id: str) -> List[Version]:
-        return list(self._pending.get(txn_id, ()))
-
     def aborted_versions(self) -> List[Version]:
         return list(self._aborted)
 
@@ -239,9 +236,6 @@ class VersionChain:
         if idx < len(chain) and chain[idx] is version:
             return idx
         raise ValueError(f"{version} is not in chain")
-
-    def index_of(self, version: Version) -> int:
-        return self._position(version)
 
     def successor_of(self, version: Version) -> Optional[Version]:
         """The next committed version in chain order, or None for the tail."""

@@ -27,7 +27,12 @@ Backpressure is two-layered (documented in ``docs/service.md``):
 A poison frame (malformed bytes, unsorted stream, wrong client id) kills
 only its own session: the client is evicted from watermark accounting so
 the other sessions keep dispatching, and the ``ERROR`` frame sent back
-carries the session id and byte offset of the offending frame.
+carries the session id and byte offset of the offending frame.  A trace
+the verifier refuses at dispatch (its transaction already terminated) is
+the same offence found later, possibly while *another* session's frame
+advanced the watermark: the client it came from is evicted, its own
+session gets the ``ERROR``, and the session that happened to be feeding
+carries on.
 
 Graceful drain: stop accepting connections, wait for live sessions,
 flush every staged trace through ``finish()`` and publish the final
@@ -179,6 +184,12 @@ class IngestGateway:
         self._status_server: Optional[asyncio.base_events.Server] = None
         self._tasks: Set[asyncio.Task] = set()
         self._status_tasks: Set[asyncio.Task] = set()
+        #: client id -> (session, writer, task) of the connection driving
+        #: it, so an offence found during someone else's dispatch can be
+        #: answered on the offender's own connection.
+        self._live: Dict[int, Tuple[Session, asyncio.StreamWriter, asyncio.Task]] = {}
+        #: how many of ``online.refused`` have been evicted here.
+        self._refusals_settled = 0
         self._dispatch_cond: Optional[asyncio.Condition] = None
         self._drain_lock: Optional[asyncio.Lock] = None
         self._draining = False
@@ -250,6 +261,7 @@ class IngestGateway:
             if tasks:
                 await asyncio.gather(*tasks, return_exceptions=True)
             report = self.online.finish()
+            self._settle_refusals(None)
             self._final_report = report
             self._fingerprint = report_fingerprint(report)
             self.drained.set()
@@ -337,8 +349,9 @@ class IngestGateway:
         except (ServiceProtocolError, CodecError, ValueError) as exc:
             await self._poison(session, writer, exc)
         except asyncio.CancelledError:
-            # Deliberate teardown (aclose); end the task cleanly so the
-            # streams machinery does not log the cancellation.
+            # Deliberate teardown (aclose, or an eviction decided in
+            # another session's task); end the task cleanly so the streams
+            # machinery does not log the cancellation.
             pass
         except (asyncio.IncompleteReadError, ConnectionError):
             # Abrupt transport loss mid-frame: same contract as a
@@ -346,6 +359,7 @@ class IngestGateway:
             # resume from its cursor.
             pass
         finally:
+            self._live.pop(session.client_id, None)
             self.registry.close(session)
             self._m_closed.inc()
             self._m_active.set(self.registry.active)
@@ -377,6 +391,7 @@ class IngestGateway:
             )
         client_id = protocol.parse_control(tag, body)["client_id"]
         self.registry.bind(session, client_id)
+        self._live[client_id] = (session, writer, asyncio.current_task())
         self.online.register_client(client_id)
         writer.write(protocol.welcome_frame(session.session_id, cfg.session_credit))
         await writer.drain()
@@ -403,6 +418,7 @@ class IngestGateway:
                     body, first_trace_id=session.client.next_trace_id
                 )
                 dispatched = self._ingest_traces(session, client_id, traces)
+                self._settle_refusals(session)
                 if dispatched:
                     await self._notify_dispatch()
                 self._note_pending()
@@ -415,13 +431,17 @@ class IngestGateway:
                 now = protocol.parse_control(tag, body)["now"]
                 self.heartbeats_total += 1
                 self._m_heartbeats.inc()
-                if self.online.heartbeat(client_id, now):
+                dispatched = self.online.heartbeat(client_id, now)
+                self._settle_refusals(session)
+                if dispatched:
                     await self._notify_dispatch()
                 self._note_pending()
             elif tag == protocol.F_BYE:
                 # The stream is complete: an infinite floor takes the
                 # client out of watermark accounting for good.
-                if self.online.heartbeat(client_id, float("inf")):
+                dispatched = self.online.heartbeat(client_id, float("inf"))
+                self._settle_refusals(session)
+                if dispatched:
                     await self._notify_dispatch()
                 self._note_pending()
                 writer.write(protocol.bye_ack_frame(session.traces))
@@ -499,47 +519,83 @@ class IngestGateway:
         writer.write(protocol.resume_frame())
         await writer.drain()
 
-    async def _poison(self, session: Session, writer, exc: Exception) -> None:
-        """One bad frame kills one session: evict its client from
-        watermark accounting (nobody else stalls on its floor), refuse the
-        stream forever, and report session id + byte offset back."""
+    def _evict(
+        self,
+        session: Optional[Session],
+        client_id: Optional[int],
+        writer,
+        exc: Exception,
+    ) -> None:
+        """Record an offence against ``client_id``, evict it from
+        watermark accounting (nobody else stalls on its floor), refuse its
+        stream forever, and queue the ``ERROR`` frame -- session id and
+        byte offset in the offender's *own* stream -- on its connection
+        (``session`` and ``writer`` are None when it has none)."""
         if isinstance(exc, ServiceProtocolError) and exc.session_id is not None:
             err = exc
         else:
-            reason = exc.reason if isinstance(exc, ServiceProtocolError) else str(exc)
             err = ServiceProtocolError(
-                reason,
-                session_id=session.session_id,
-                byte_offset=session.frame_offset,
+                exc.reason if isinstance(exc, ServiceProtocolError) else str(exc),
+                session_id=session.session_id if session is not None else None,
+                byte_offset=session.frame_offset if session is not None else None,
             )
-        session.error = str(err)
+        if session is not None:
+            session.error = str(err)
         self.errors_total += 1
         self._m_errors.inc()
         self.errors.append(
             {
                 "session": err.session_id,
-                "client": session.client_id,
+                "client": client_id,
                 "byte_offset": err.byte_offset,
                 "error": err.reason,
             }
         )
         del self.errors[:-100]
-        client_id = session.client_id
         if client_id is not None:
             self.registry.evict(client_id)
             self.online.evict_client(client_id)
             self.evictions_total += 1
             self._m_evictions.inc()
+            self._note_pending()
+        if writer is not None:
+            try:
+                writer.write(
+                    protocol.error_frame(
+                        err.session_id or 0, err.byte_offset or 0, err.reason
+                    )
+                )
+            except (ConnectionError, OSError):
+                pass
+
+    def _settle_refusals(self, feeding: Optional[Session]) -> None:
+        """Evict every client the online layer dropped since the last call
+        because the verifier refused one of its traces.  The dispatch that
+        found the offence ran inside whichever session moved the
+        watermark; each offender is answered on its own connection, which
+        is then closed.  Raises the refusal when the offender is
+        ``feeding`` itself, for its own poison handling."""
+        refused = self.online.refused
+        while self._refusals_settled < len(refused):
+            client_id = list(refused)[self._refusals_settled]
+            self._refusals_settled += 1
+            session, writer, task = self._live.get(client_id, (None, None, None))
+            if feeding is not None and session is feeding:
+                # Its own poison handling settles whatever is left.
+                raise ValueError(refused[client_id])
+            self._evict(session, client_id, writer, ValueError(refused[client_id]))
+            if task is not None:
+                task.cancel()
+
+    async def _poison(self, session: Session, writer, exc: Exception) -> None:
+        """One bad frame kills one session: its own."""
+        self._evict(session, session.client_id, writer, exc)
+        self._settle_refusals(None)
+        if session.client_id is not None:
             # The eviction may have advanced the watermark for everyone
             # else -- wake any budget-gated session.
             await self._notify_dispatch()
-            self._note_pending()
         try:
-            writer.write(
-                protocol.error_frame(
-                    err.session_id or 0, err.byte_offset or 0, err.reason
-                )
-            )
             await writer.drain()
         except (ConnectionError, OSError):
             pass

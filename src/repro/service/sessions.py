@@ -160,9 +160,6 @@ class SessionRegistry:
             for s in sorted(self._sessions.values(), key=lambda s: s.session_id)
         ]
 
-    def client_record(self, client_id: int) -> Optional[ClientRecord]:
-        return self._clients.get(client_id)
-
 
 __all__ = [
     "SEQ_BITS",

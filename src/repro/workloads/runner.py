@@ -57,16 +57,6 @@ class RunResult:
         merged.sort(key=Trace.sort_key)
         return merged
 
-    def pipeline_batches(self, batch_size: int = 64):
-        """Pipeline-sorted dispatch batches over the run's client streams,
-        ready for ``Verifier.process_batch`` / ``ParallelVerifier.
-        process_batch`` -- the batched ingestion spine's native feed."""
-        from ..core.pipeline import pipeline_from_client_streams
-
-        return pipeline_from_client_streams(
-            self.client_streams, batch_size=batch_size
-        ).iter_batches()
-
 
 class WorkloadRunner:
     """Runs a workload on a simulated DBMS and collects traces.

@@ -2,6 +2,7 @@
 damaged input, start-up imports, the flat-memory ingest bound, and no
 configuration read from the environment."""
 
+import ast
 import os
 import pathlib
 import re
@@ -447,6 +448,94 @@ def test_no_path_switch_is_read_from_the_environment():
         if re.search(r"REPRO_[A-Z0-9_]+", line)
     ]
     assert not found, "\n".join(found)
+
+
+def _core_ast(module):
+    return ast.parse(pathlib.Path(SRC, "repro", "core", module).read_text())
+
+
+def _method(tree, cls, name):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == cls:
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name == name:
+                    return item
+    raise AssertionError(f"{cls}.{name} not found")
+
+
+def _statements(function):
+    """The body without its docstring."""
+    body = function.body
+    if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]
+    return body
+
+
+def _calls(node):
+    """Names and attribute names called anywhere under ``node``."""
+    return [
+        call.func.attr if isinstance(call.func, ast.Attribute) else call.func.id
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, (ast.Attribute, ast.Name))
+    ]
+
+
+def test_each_layer_of_the_spine_has_one_loop_body():
+    """A scalar entry point is its batch form over a batch of one -- a
+    body of at most three statements that goes through it -- so there is no
+    second copy of a loop to keep in step; the codec reads trace records
+    in one place."""
+    adapters = [
+        ("verifier.py", "Verifier", "process", "process_batch"),
+        ("parallel.py", "ParallelVerifier", "process", "process_batch"),
+        ("parallel.py", "ShardVerifier", "ingest", "ingest_batch"),
+        ("online.py", "OnlineVerifier", "feed", "feed_batch"),
+        ("bus.py", "DependencyBus", "publish_many", "publish"),
+    ]
+    for module, cls, scalar, batch in adapters:
+        body = _statements(_method(_core_ast(module), cls, scalar))
+        assert len(body) <= 3, f"{cls}.{scalar} grew a body of its own"
+        used = {
+            node.attr
+            for statement in body
+            for node in ast.walk(statement)
+            if isinstance(node, ast.Attribute)
+        }
+        assert batch in used, f"{cls}.{scalar} does not go through {batch}"
+    # One place refuses a trace per verifier: the one loop.  The shard
+    # verifiers reach the serial loop; none calls the scalar entry point.
+    for module in ("verifier.py", "parallel.py"):
+        assert _calls(_core_ast(module)).count("RefusedTrace") == 1, module
+    parallel = pathlib.Path(SRC, "repro", "core", "parallel.py").read_text()
+    assert "self.process(" not in parallel
+
+    # codec.py: ``read_trace`` is the one site that builds a ``Trace`` and
+    # ``decode_run`` its one caller; ``PayloadDecoder`` reads fields only,
+    # each through a module-level reader.
+    codec = _core_ast("codec.py")
+    assert _calls(codec).count("Trace") == 1
+    callers = [
+        node.name
+        for node in ast.walk(codec)
+        if isinstance(node, ast.FunctionDef) and "read_trace" in _calls(node)
+    ]
+    assert callers == ["decode_run"]
+    decoder = next(
+        node for node in ast.walk(codec)
+        if isinstance(node, ast.ClassDef) and node.name == "PayloadDecoder"
+    )
+    fields = [
+        item for item in decoder.body
+        if isinstance(item, ast.FunctionDef)
+        and item.name not in ("__init__", "_read")
+    ]
+    assert {item.name for item in fields} == {
+        "varint", "zigzag", "u8", "double", "string", "raw", "value",
+    }
+    for item in fields:
+        (statement,) = _statements(item)
+        assert isinstance(statement, ast.Return) and _calls(statement) == ["_read"]
 
 
 class TestFlatMemory:

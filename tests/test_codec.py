@@ -2,9 +2,9 @@
 
 Three equivalences are pinned here: encode/decode round-trips every trace
 field exactly (``trace_id`` excepted -- it is process-local by design);
-the inlined hot-loop :func:`decode_batch` decodes the identical grammar as
-the readable :class:`PayloadDecoder.trace` reference; and the binary file
-surface agrees with the JSONL one on whatever it is given.
+:func:`decode_batch` decodes the grammar ``tests/codec_oracle.py`` spells
+out field by field; and the binary file surface agrees with the JSONL one
+on whatever it is given.
 """
 
 import hashlib
@@ -26,13 +26,15 @@ from repro.core.codec import (
     encode_batch,
     iter_binary_frames,
     load_traces_binary,
-    payload_stats,
     read_strings,
+    read_varint,
 )
 from repro.core.intervals import Interval
 from repro.core.io import load_traces
 from repro.core.parallel import MSG_BEGIN, MSG_TRACE, encode_message_frame
 from repro.core.trace import KeyRange, OpStatus, Trace
+
+from tests.codec_oracle import decode_reference
 
 
 def trace_fields(trace):
@@ -111,17 +113,15 @@ class TestBatchRoundTrip:
             Trace.write(float(i), float(i) + 0.1, "same-txn", {"same-key": i})
             for i in range(50)
         ]
-        stats = payload_stats(encode_batch(repeated))
-        assert stats["traces"] == 50
+        payload = encode_batch(repeated)
+        strings, pos = read_strings(payload, 0)
+        assert read_varint(payload, pos)[0] == 50
         # "same-txn", "same-key" and the default column name, each once.
-        assert stats["strings"] == 3
+        assert len(strings) == 3
 
     def test_fast_decoder_matches_reference(self):
         payload = encode_batch(SAMPLE)
-        decoder = PayloadDecoder(payload)
-        reference = [decoder.trace() for _ in range(decoder.varint())]
-        assert decoder.exhausted
-        assert_same_traces(decode_batch(payload), reference)
+        assert_same_traces(decode_batch(payload), decode_reference(payload))
 
 
 #: every value tag (None/True/False/int/float/str/tuple, nested and empty),
@@ -183,6 +183,56 @@ class TestWireFormatPinned:
         for trace in GOLDEN:
             encoder.trace(trace)
         assert encoder.finish() == encode_batch(GOLDEN)
+
+
+class TestPayloadDecoder:
+    """The field-by-field reader the shard frames are read with."""
+
+    FIELDS = (
+        ("u8", 7),
+        ("varint", 300),
+        ("zigzag", -70_000),
+        ("double", -2.5),
+        ("string", "txn-1"),
+        ("raw", b"\x00opaque\xff"),
+        ("value", ("k", 1, None, True, 2.5, ("nested", ()))),
+        ("string", "txn-1"),
+    )
+
+    def _payload(self):
+        encoder = PayloadEncoder()
+        for name, value in self.FIELDS:
+            getattr(encoder, name)(value)
+        return encoder.finish()
+
+    def test_mirrors_the_encoder(self):
+        decoder = PayloadDecoder(memoryview(self._payload()))
+        assert decoder.strings == ["txn-1", "k", "nested"]
+        for name, value in self.FIELDS:
+            assert decoder.pos < len(decoder.data)
+            assert getattr(decoder, name)() == value
+        assert decoder.pos == len(decoder.data)
+
+    def test_a_payload_that_ends_early_is_a_codec_error(self):
+        payload = self._payload()
+        for cut in range(len(payload)):
+            with pytest.raises(CodecError):
+                decoder = PayloadDecoder(payload[:cut])
+                for name, _ in self.FIELDS:
+                    getattr(decoder, name)()
+
+    def test_bad_table_reference_and_unknown_tag(self):
+        encoder = PayloadEncoder()
+        encoder.varint(9)  # read back as a string reference: no such entry
+        encoder.u8(99)  # read back as a value: no such tag
+        payload = encoder.finish()
+        decoder = PayloadDecoder(payload)
+        with pytest.raises(CodecError):
+            decoder.string()
+        decoder = PayloadDecoder(payload)
+        decoder.varint()
+        with pytest.raises(CodecError, match="unknown value tag 99"):
+            decoder.value()
 
 
 class TestMalformedInput:
@@ -405,10 +455,7 @@ def test_fuzz_round_trip(batch):
     payload = encode_batch(batch)
     decoded = decode_batch(payload)
     assert_same_traces(decoded, batch)
-    decoder = PayloadDecoder(payload)
-    reference = [decoder.trace() for _ in range(decoder.varint())]
-    assert decoder.exhausted
-    assert_same_traces(decoded, reference)
+    assert_same_traces(decoded, decode_reference(payload))
     # Re-encoding what was decoded reproduces the payload byte for byte.
     assert encode_batch(decoded) == payload
 

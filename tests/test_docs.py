@@ -40,7 +40,7 @@ def test_observability_doc_matches_the_schema():
     assert "repro.stats/v1" in text
     for phase in PHASES:
         assert phase in text
-    for surface in ("--stats-json", "snapshot()", "REPRO_BENCH_STATS_DIR"):
+    for surface in ("--stats-json", "snapshot()"):
         assert surface in text
 
 

@@ -1,9 +1,7 @@
-"""Batched ingestion spine equivalences, pinned at the report level.
-
-The pipeline's dispatch batches fed through ``process_batch``, the globally
-sorted history (``sorted_traces``, the ordering oracle) fed trace by trace
-through ``process``, and both serialisation formats have to produce
-*identical* verification reports over the same workload run.
+"""Format equivalence, pinned at the report level: both serialisation
+formats have to produce *identical* verification reports over the same
+workload run.  (How the dispatch stream is cut into batches is
+``tests/test_cut_invariance.py``'s subject.)
 """
 
 import dataclasses
@@ -19,7 +17,6 @@ from repro.core.io import (
     load_client_streams,
     load_traces,
 )
-from repro.core.pipeline import sorted_traces
 
 
 def report_fingerprint(report):
@@ -43,27 +40,6 @@ def verify_batched(run, streams=None):
     for batch in pipeline.iter_batches():
         verifier.process_batch(batch)
     return verifier.finish()
-
-
-def verify_per_trace(run):
-    """The pre-batching consumption shape: the sorted history, trace by
-    trace."""
-    verifier = Verifier(spec=PG_SERIALIZABLE, initial_db=run.initial_db)
-    for trace in sorted_traces(run.client_streams):
-        verifier.process(trace)
-    return verifier.finish()
-
-
-class TestPathEquivalence:
-    def test_batched_equals_per_trace_reference(self, blindw_rw_run):
-        batched = report_fingerprint(verify_batched(blindw_rw_run))
-        reference = report_fingerprint(verify_per_trace(blindw_rw_run))
-        assert batched == reference
-
-    def test_smallbank_paths_agree(self, smallbank_run):
-        batched = report_fingerprint(verify_batched(smallbank_run))
-        reference = report_fingerprint(verify_per_trace(smallbank_run))
-        assert batched == reference
 
 
 class TestFormatEquivalence:

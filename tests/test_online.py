@@ -3,9 +3,15 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import PG_SERIALIZABLE, Trace
+from repro import PG_SERIALIZABLE, Trace, Verifier
 from repro.core.online import OnlineVerifier
+from repro.core.parallel import ParallelVerifier
+from repro.core.pipeline import sorted_traces
+from repro.core.report import report_fingerprint
+from repro.core.trace import SEQ_BITS
+from repro.core.verifier import RefusedTrace
 from repro.workloads import BlindW, run_workload
+from tests import gc_oracle
 from tests.conftest import verify_run
 
 INIT = {"x": {"v": 0}}
@@ -206,8 +212,6 @@ def make_stream(client_id, timestamps):
 
 
 def sorted_ids(streams):
-    from repro.core.pipeline import sorted_traces
-
     return [trace.trace_id for trace in sorted_traces(streams)]
 
 
@@ -335,3 +339,132 @@ def test_property_online_order_equals_reference(
     assert recorder.ids == sorted_ids(streams)
     online.finish()
     assert recorder.ids == sorted_ids(streams)
+
+
+# -- a refused trace costs its own client its stream, and nothing else ---------------
+
+
+def refusal_streams():
+    """Two clients; client 1 reads in transaction ``a`` after committing
+    it.  Ids are the ``client_id << SEQ_BITS | seq`` stamps every ingest
+    path hands out."""
+    streams = {
+        1: [
+            Trace.write(1.0, 1.1, "a", {"x": 1}, client_id=1),
+            Trace.commit(2.0, 2.1, "a", client_id=1, op_index=1),
+            Trace.read(3.0, 3.1, "a", {"x": 1}, client_id=1, op_index=2),
+            Trace.commit(9.0, 9.1, "a2", client_id=1),
+        ],
+        2: [
+            Trace.write(1.5, 1.6, "b", {"y": 1}, client_id=2),
+            Trace.read(3.5, 3.6, "b", {"y": 1}, client_id=2, op_index=1),
+            Trace.commit(4.0, 4.1, "b", client_id=2, op_index=2),
+            Trace.write(10.0, 10.1, "b2", {"y": 2}, client_id=2),
+        ],
+    }
+    for client_id, stream in streams.items():
+        for seq, trace in enumerate(stream):
+            trace.trace_id = (client_id << SEQ_BITS) | seq
+    return streams
+
+
+REFUSAL_DB = {"x": {"v": 0}, "y": {"v": 0}}
+REFUSAL = "trace for already-terminated transaction a"
+
+
+def refusal_backend(kind):
+    if kind == "serial":
+        return Verifier(spec=PG_SERIALIZABLE, initial_db=REFUSAL_DB, gc_every=2)
+    return ParallelVerifier(
+        spec=PG_SERIALIZABLE, initial_db=REFUSAL_DB, shards=2,
+        backend="inline", gc_every=2, segment_events=1,
+    )
+
+
+class TestRefusedTrace:
+    @pytest.mark.parametrize("order", [(2, 1), (1, 2)], ids=["c2-c1", "c1-c2"])
+    @pytest.mark.parametrize("kind", ["serial", "inline-2"])
+    def test_offender_evicted_batch_mates_unaffected(self, kind, order):
+        streams = refusal_streams()
+        backend = refusal_backend(kind)
+        online = OnlineVerifier(verifier=backend)
+        for client_id in streams:
+            online.register_client(client_id)
+        with gc_oracle.checked():
+            # Neither call raises: the second one's advance meets the
+            # refusal and deals with it whoever is feeding.
+            assert online.feed_batch(order[0], streams[order[0]]) == 0
+            assert online.feed_batch(order[1], streams[order[1]]) == 6
+            assert online.refused == {1: REFUSAL}
+            assert online.dispatched == 6 and online.pending == 0
+            assert online.watermark == 10.0  # client 2's floor alone
+            if kind == "serial":
+                stats = backend.state.stats
+                assert stats.traces_processed == 6
+                # ``b`` committed with its read checked; ``a``'s is not.
+                assert (stats.txns_committed, stats.reads_checked) == (2, 1)
+                assert backend.state.watermark == 10.0
+            # The stream is gone for good; everyone else carries on.
+            with pytest.raises(ValueError, match="client 1 was evicted"):
+                online.feed_batch(1, streams[1][3:])
+            with pytest.raises(ValueError, match="client 1 was evicted"):
+                online.heartbeat(1, 20.0)
+            online.feed(Trace.commit(11.0, 11.1, "b2", client_id=2, op_index=1))
+            report = online.finish()
+        assert report.stats.traces_processed == online.dispatched == 7
+        assert report.stats.txns_committed == 3  # a, b, b2 -- not a2
+        reference = refusal_backend(kind)
+        survivors = refusal_streams()
+        reference.process_batch(
+            sorted_traces({1: survivors[1][:2], 2: survivors[2]})
+        )
+        reference.process(Trace.commit(11.0, 11.1, "b2", client_id=2, op_index=1))
+        assert report_fingerprint(report) == report_fingerprint(reference.finish())
+
+    def test_the_rest_of_the_batch_runs_in_order(self):
+        """Against a backend that only records: everything but the
+        offender's suffix is executed, in ``(ts_bef, trace_id)`` order --
+        traces behind the refusal in the same dispatch batch included --
+        and a second offender in the same batch is handled the same way."""
+
+        class Refuser(_Recorder):
+            def __init__(self, bad):
+                super().__init__()
+                self.bad = bad
+
+            def process_batch(self, batch):
+                for trace in batch:
+                    if trace.trace_id in self.bad:
+                        raise RefusedTrace(trace)
+                    self.ids.append(trace.trace_id)
+
+        streams = {c: make_stream(c, [1.0 + c / 10, 2.0, 3.0, 4.0]) for c in range(4)}
+        bad = {streams[1][1].trace_id, streams[3][2].trace_id}
+        recorder = Refuser(bad)
+        online = OnlineVerifier(verifier=recorder)
+        for client_id in streams:
+            online.register_client(client_id)
+        for client_id in (0, 1, 2):
+            assert online.feed_batch(client_id, streams[client_id]) == 0
+        # 16 staged; the floors at 4.0 hold back the last trace of every
+        # client but 0 (lowest ids).  Of the 13 that go, client 1 loses 2
+        # and client 3 loses 1.
+        assert online.feed_batch(3, streams[3]) == 13 - 3
+        assert online.pending == 1  # client 2's last; 1's and 3's dropped
+        assert list(online.refused) == [1, 3]
+        expected = {0: streams[0], 1: streams[1][:1], 2: streams[2], 3: streams[3][:2]}
+        online.heartbeat(0, float("inf"))
+        online.heartbeat(2, float("inf"))
+        assert recorder.ids == sorted_ids(expected)
+        assert online.dispatched == len(recorder.ids) == 11
+
+    def test_refusal_at_finish(self):
+        streams = refusal_streams()
+        online = OnlineVerifier(spec=PG_SERIALIZABLE, initial_db=REFUSAL_DB)
+        online.register_client(1)
+        online.register_client(2)
+        online.feed_batch(1, streams[1])
+        online.feed_batch(2, streams[2][:1])
+        report = online.finish()
+        assert online.refused == {1: REFUSAL}
+        assert report.stats.traces_processed == online.dispatched == 3

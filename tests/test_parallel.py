@@ -26,7 +26,7 @@ from repro.core.parallel import (
     ShardVerifier,
     verify_traces_parallel,
 )
-from repro.core.sharding import ShardedState, ShardRouter, stable_hash
+from repro.core.sharding import ShardRouter, stable_hash
 from repro.core.trace import KeyRange, Trace
 from repro.dbsim.faults import FaultPlan
 from repro.workloads import BlindW, run_workload
@@ -158,26 +158,6 @@ class TestShardRouter:
     def test_rejects_bad_shard_count(self):
         with pytest.raises(ValueError):
             ShardRouter(0)
-
-
-class TestShardedState:
-    def test_chain_routed_to_owner_partition(self):
-        sharded = ShardedState(4, initial_db={"kv1": {"v": 0}})
-        chain = sharded.chain("kv1")
-        owner = sharded.router.shard_of("kv1")
-        assert sharded.partition(owner).chains["kv1"] is chain
-        for shard in range(4):
-            if shard != owner:
-                assert "kv1" not in sharded.partition(shard).chains
-
-    def test_live_structure_count_aggregates(self):
-        sharded = ShardedState(2)
-        sharded.chain("a")
-        sharded.chain("b")
-        total = sum(
-            part.live_structure_count() for part in sharded.partitions
-        )
-        assert sharded.live_structure_count() == total
 
 
 class TestSingleShardEquivalence:

@@ -27,6 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import PG_SERIALIZABLE, Verifier, pipeline_from_client_streams
+from repro.core.codec import CodecError
 from repro.core.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.core.parallel import (
     ParallelVerifier,
@@ -295,6 +296,18 @@ class TestSegmentEdgeCases:
         assert segment.watermark == 7
         assert segment.horizon == 12.5
         assert segment.events == events
+
+    def test_truncated_reply_is_a_codec_error(self):
+        """A worker reply cut anywhere is refused as malformed wire data,
+        never as a bare ``IndexError`` out of the reader."""
+        events = [
+            (0, 0, _DEP, dep("t1", "t2", "k0")),
+            (3, 1, _DEP, dep("t2", "t3", ("range", 4))),
+        ]
+        payload = encode_segment_frame(1, 7, 12.5, events)
+        for cut in range(len(payload)):
+            with pytest.raises(CodecError):
+                decode_shard_reply(payload[:cut])
 
     def test_pre_first_flush_header_round_trips(self):
         # Before the first applied frame a worker echoes the sentinel

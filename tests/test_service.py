@@ -33,6 +33,7 @@ from repro.service.load import (
     run_load_sync,
     synthetic_stream,
 )
+from tests.test_online import REFUSAL, REFUSAL_DB, refusal_streams
 
 
 # -- protocol frames -----------------------------------------------------------
@@ -527,6 +528,119 @@ class TestPoisonFrames:
 
         error = asyncio.run(scenario())
         assert error is not None and "evicted" in error["message"]
+
+
+class TestRefusedAtDispatch:
+    """A trace the verifier refuses is found at dispatch, inside whichever
+    session's frame moved the watermark -- possibly not the offender's.
+    It costs the offender its stream and nobody else anything."""
+
+    @staticmethod
+    async def _open(path, client_id):
+        reader, writer = await asyncio.open_unix_connection(path)
+        writer.write(protocol.SERVICE_MAGIC + protocol.hello_frame(client_id))
+        await writer.drain()
+        tag, body = protocol.split_frame(await protocol.read_frame(reader))
+        assert tag == protocol.S_WELCOME
+        return reader, writer, protocol.parse_control(tag, body)["session_id"]
+
+    @staticmethod
+    async def _reply(reader):
+        payload = await asyncio.wait_for(protocol.read_frame(reader), timeout=10)
+        if payload is None:
+            return None, None
+        tag, body = protocol.split_frame(payload)
+        return tag, protocol.parse_control(tag, body)
+
+    @pytest.mark.parametrize("first", [2, 1], ids=["c2-c1", "c1-c2"])
+    @pytest.mark.parametrize("shards", [0, 2], ids=["serial", "inline-2"])
+    def test_offender_evicted_feeder_unharmed(self, tmp_path, shards, first):
+        streams = refusal_streams()
+        frames = {
+            c: protocol.traces_frame(encode_batch(streams[c])) for c in streams
+        }
+
+        async def scenario():
+            gateway = IngestGateway(
+                ServiceConfig(
+                    spec=PG_SERIALIZABLE,
+                    initial_db=REFUSAL_DB,
+                    ingest_unix=os.path.join(str(tmp_path), "ingest.sock"),
+                    status_unix=os.path.join(str(tmp_path), "status.sock"),
+                    shards=shards,
+                    backend="inline",
+                    gc_every=2,
+                )
+            )
+            await gateway.start()
+            path = gateway.ingest_endpoint
+            try:
+                conns = {c: await self._open(path, c) for c in (1, 2)}
+                second = 3 - first
+                # The first frame waits on the other client's floor ...
+                conns[first][1].write(frames[first])
+                assert (await self._reply(conns[first][0]))[0] == protocol.S_CREDIT
+                # ... the second one's advance dispatches both, and meets
+                # client 1's read in the committed transaction ``a``.
+                conns[second][1].write(frames[second])
+                error = await self._reply(conns[1][0])
+                assert await self._reply(conns[1][0]) == (None, None)  # closed
+                if second == 2:  # the feeder was not the offender: credited
+                    assert (await self._reply(conns[2][0]))[0] == protocol.S_CREDIT
+                # Client 2's session is alive and its stream complete.
+                conns[2][1].write(protocol.bye_frame())
+                bye = await self._reply(conns[2][0])
+                # Client 1 may not come back.
+                reader, writer = await asyncio.open_unix_connection(path)
+                writer.write(protocol.SERVICE_MAGIC + protocol.hello_frame(1))
+                rejoin = await self._reply(reader)
+                writer.close()
+                for _, writer, _ in conns.values():
+                    writer.close()
+                report = await gateway.drain()
+            finally:
+                await gateway.aclose()
+            return gateway, conns, error, bye, rejoin, report
+
+        gateway, conns, error, bye, rejoin, report = asyncio.run(scenario())
+        # The ERROR went to client 1, with an offset into its own stream:
+        # the frame being processed when it was the one feeding, the next
+        # frame boundary when client 2's frame found the offence.
+        offset = len(protocol.SERVICE_MAGIC) + len(protocol.hello_frame(1))
+        if first == 1:
+            offset += len(frames[1])
+        session = conns[1][2]
+        assert error == (
+            protocol.S_ERROR,
+            {"session_id": session, "byte_offset": offset, "message": REFUSAL},
+        )
+        assert gateway.errors[0] == {
+            "session": session, "client": 1, "byte_offset": offset, "error": REFUSAL,
+        }
+        assert (gateway.errors_total, gateway.evictions_total) == (2, 1)
+        assert "evicted" in gateway.errors[1]["error"]  # the refused rejoin
+        assert rejoin[0] == protocol.S_ERROR and "evicted" in rejoin[1]["message"]
+        assert bye == (protocol.S_BYE, {"traces_accepted": 4})
+        # What ran is what the report says ran: everything but client 1's
+        # suffix, ``b`` committed and checked, ``a2`` never seen.
+        assert gateway.online.dispatched == report.stats.traces_processed == 6
+        assert report.stats.txns_committed == 2
+        assert gateway.online.pending == 0
+
+        survivors = refusal_streams()
+        survivors[1] = survivors[1][:2]
+        if shards:
+            offline = ParallelVerifier(
+                spec=PG_SERIALIZABLE, initial_db=REFUSAL_DB, shards=shards,
+                backend="inline", gc_every=2,
+            )
+        else:
+            offline = Verifier(
+                spec=PG_SERIALIZABLE, initial_db=REFUSAL_DB, gc_every=2
+            )
+        for batch in pipeline_from_client_streams(survivors).iter_batches():
+            offline.process_batch(batch)
+        assert gateway.fingerprint == report_fingerprint(offline.finish())
 
 
 # -- status endpoint -----------------------------------------------------------
