@@ -275,7 +275,7 @@ class VersionOrderDeriver(MechanismVerifier):
         self._bus = bus
         #: the bus guard's endpoint tables.  A version outlives its
         #: installer's metadata, and an edge with a pruned endpoint is
-        #: dropped by the guard anyway (Theorem 5), so :meth:`on_read_match`
+        #: dropped by the guard anyway (Theorem 5), so :meth:`on_read_matches`
         #: tests the installer's liveness *before* constructing the
         #: dependency -- same outcome, no allocation or publication for
         #: edges that cannot survive.  Readers need no such test: metadata
@@ -303,45 +303,51 @@ class VersionOrderDeriver(MechanismVerifier):
             return True
         return self._state.ww_order(earlier, later) is True
 
-    # -- CR hook: a read was uniquely matched to a version ------------------
+    # -- CR hook: reads were uniquely matched to versions -------------------
+
+    def on_read_matches(self, matches) -> None:
+        """For each ``(version, reader)`` pair, in order: record the
+        reader, emit the wr dependency, and derive the rw anti-dependency
+        towards the version's confirmed successor.  The rw derivation also
+        applies to reads of the initial database state, which produce no wr
+        edge but still anti-depend on the first overwriter.  CR hands over
+        one finished transaction's matches per call."""
+        txns = self._txns
+        nodes = self._graph_nodes
+        chains_get = self._state.chains.get
+        publish = self._bus.publish
+        wr = DepType.WR
+        deduced_by = Mechanism.CONSISTENT_READ
+        for version, reader in matches:
+            version.readers.add(reader)
+            txns[reader].matched_versions.append(version)
+            installer = version.txn_id
+            key = version.key
+            if installer != INIT_TXN and (installer in nodes or installer in txns):
+                publish(Dependency(installer, reader, wr, key, deduced_by))
+            chain = chains_get(key)
+            if chain is None or chain.iter_committed()[-1] is version:
+                # The version is its chain's tail: nothing overwrote it yet.
+                continue
+            successor = chain.successor_of(version)
+            if (
+                successor.txn_id != reader
+                and self._live(successor.txn_id)
+                and self._order_confirmed(version, successor)
+            ):
+                publish(
+                    Dependency(
+                        src=reader,
+                        dst=successor.txn_id,
+                        dep_type=DepType.RW,
+                        key=key,
+                        source=Mechanism.SERIALIZATION_CERTIFIER,
+                    )
+                )
 
     def on_read_match(self, version: Version, reader: str) -> None:
-        """Record the reader, emit the wr dependency, and derive the rw
-        anti-dependency towards the version's confirmed successor.  The rw
-        derivation also applies to reads of the initial database state,
-        which produce no wr edge but still anti-depend on the first
-        overwriter."""
-        version.readers.add(reader)
-        self._txns[reader].matched_versions.append(version)
-        if version.txn_id != INIT_TXN and self._live(version.txn_id):
-            self._bus.publish(
-                Dependency(
-                    src=version.txn_id,
-                    dst=reader,
-                    dep_type=DepType.WR,
-                    key=version.key,
-                    source=Mechanism.CONSISTENT_READ,
-                )
-            )
-        chain = self._state.chains.get(version.key)
-        if chain is None:
-            return
-        successor = chain.successor_of(version)
-        if (
-            successor is not None
-            and successor.txn_id != reader
-            and self._live(successor.txn_id)
-            and self._order_confirmed(version, successor)
-        ):
-            self._bus.publish(
-                Dependency(
-                    src=reader,
-                    dst=successor.txn_id,
-                    dep_type=DepType.RW,
-                    key=version.key,
-                    source=Mechanism.SERIALIZATION_CERTIFIER,
-                )
-            )
+        """One unique match: a batch of one."""
+        self.on_read_matches(((version, reader),))
 
     # -- bus hook: a deduced ww edge confirms version adjacency --------------
 
@@ -353,19 +359,22 @@ class VersionOrderDeriver(MechanismVerifier):
         chain = self._state.chains.get(dep.key)
         if chain is None:
             return
-        for version in list(chain.iter_committed()):
-            if version.txn_id != dep.src:
-                continue
-            successor = chain.successor_of(version)
-            if successor is None or successor.txn_id != dep.dst:
+        # No subscriber or tap mutates a chain during a publication, so
+        # the adjacent pairs are walked in place.
+        versions = chain.iter_committed()
+        src = dep.src
+        dst = dep.dst
+        for idx in range(len(versions) - 1):
+            version = versions[idx]
+            if version.txn_id != src or versions[idx + 1].txn_id != dst:
                 continue
             for reader in version.readers:
-                if reader == dep.dst or reader == version.txn_id:
+                if reader == dst or reader == src:
                     continue
                 self._bus.publish(
                     Dependency(
                         src=reader,
-                        dst=dep.dst,
+                        dst=dst,
                         dep_type=DepType.RW,
                         key=dep.key,
                         source=Mechanism.SERIALIZATION_CERTIFIER,

@@ -366,6 +366,13 @@ def read_value(data: bytes, strings: List[str], pos: int):
 
 
 def read_sets(data: bytes, strings: List[str], pos: int):
+    """A read or write set: ``{key: {column: value}}``.
+
+    Two shapes make up nearly all of a capture's values -- a string-table
+    ref and a small int, each a one- or two-byte varint -- as keys, as
+    the parts of tuple keys and as column values.  They are resolved in
+    this loop; every other tag, and every longer varint, goes to
+    :func:`read_value` / :func:`read_varint` from the same position."""
     count = data[pos]
     if count < 0x80:
         pos += 1
@@ -373,7 +380,42 @@ def read_sets(data: bytes, strings: List[str], pos: int):
         count, pos = read_varint(data, pos)
     out = {}
     for _ in range(count):
-        key, pos = read_value(data, strings, pos)
+        tag = data[pos]
+        if tag == _V_TUPLE and data[pos + 1] < 0x80:
+            parts = []
+            n_parts = data[pos + 1]
+            pos += 2
+            for _ in range(n_parts):
+                tag = data[pos]
+                if tag != _V_STR and tag != _V_INT:
+                    part, pos = read_value(data, strings, pos)
+                else:
+                    low = data[pos + 1]
+                    if low < 0x80:
+                        pos += 2
+                    elif data[pos + 2] < 0x80:
+                        low = (low & 0x7F) | (data[pos + 2] << 7)
+                        pos += 3
+                    else:
+                        low, pos = read_varint(data, pos + 1)
+                    part = (
+                        strings[low] if tag == _V_STR
+                        else (low >> 1) ^ -(low & 1)
+                    )
+                parts.append(part)
+            key = tuple(parts)
+        elif tag != _V_STR and tag != _V_INT:
+            key, pos = read_value(data, strings, pos)
+        else:
+            low = data[pos + 1]
+            if low < 0x80:
+                pos += 2
+            elif data[pos + 2] < 0x80:
+                low = (low & 0x7F) | (data[pos + 2] << 7)
+                pos += 3
+            else:
+                low, pos = read_varint(data, pos + 1)
+            key = strings[low] if tag == _V_STR else (low >> 1) ^ -(low & 1)
         n_cols = data[pos]
         if n_cols < 0x80:
             pos += 1
@@ -384,10 +426,27 @@ def read_sets(data: bytes, strings: List[str], pos: int):
             index = data[pos]
             if index < 0x80:
                 pos += 1
+            elif data[pos + 1] < 0x80:
+                index = (index & 0x7F) | (data[pos + 1] << 7)
+                pos += 2
             else:
                 index, pos = read_varint(data, pos)
             column = strings[index]
-            columns[column], pos = read_value(data, strings, pos)
+            tag = data[pos]
+            if tag != _V_STR and tag != _V_INT:
+                columns[column], pos = read_value(data, strings, pos)
+                continue
+            low = data[pos + 1]
+            if low < 0x80:
+                pos += 2
+            elif data[pos + 2] < 0x80:
+                low = (low & 0x7F) | (data[pos + 2] << 7)
+                pos += 3
+            else:
+                low, pos = read_varint(data, pos + 1)
+            columns[column] = (
+                strings[low] if tag == _V_STR else (low >> 1) ^ -(low & 1)
+            )
         out[key] = columns
     return out, pos
 
@@ -397,7 +456,11 @@ def read_strings(data: bytes, pos: int):
     n_strings, pos = read_varint(data, pos)
     strings = []
     for _ in range(n_strings):
-        length, pos = read_varint(data, pos)
+        length = data[pos]
+        if length < 0x80:
+            pos += 1
+        else:
+            length, pos = read_varint(data, pos)
         end = pos + length
         strings.append(data[pos:end].decode("utf-8"))
         pos = end

@@ -10,7 +10,12 @@ Reads are checked when their transaction's terminal trace arrives.  By
 Theorem 1 the dispatch order is monotone in before-timestamps, and every
 write whose version could fall in the candidate set has a before-timestamp
 smaller than the reader's terminal before-timestamp, so deferral makes the
-check complete without ever waiting on a timeout.
+check complete without ever waiting on a timeout.  Deferral is one entry
+per read trace, and the check is one pass per finished transaction
+(:meth:`ConsistentReadVerifier.on_terminal`): it binds the snapshot, the
+chain table and the counters once, reads a chain holding a single committed
+version directly and asks :meth:`VersionChain.classify` only about longer
+ones.
 
 Besides detecting violations the mechanism *deduces* ``wr`` dependencies:
 when exactly one candidate matches, the write that installed it must have
@@ -19,22 +24,20 @@ happened before the read even if their trace intervals overlap.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Optional
 
 from .dependencies import Dependency
 from .intervals import Interval
 from .mechanism import MechanismContext, MechanismVerifier, register_mechanism
 from .report import Mechanism, Violation, ViolationKind
 from .spec import CRLevel, IsolationSpec
-from .state import PendingRead, PendingScan, TxnState, VerifierState
+from .state import TxnState, VerifierState
 from .trace import (
     TOMBSTONE_COLUMN as _TOMB,
     Trace,
     apply_delta,
     is_tombstone,
-    reads_match,
 )
-from .versions import Version
 
 EmitFn = Callable[[Dependency], None]
 
@@ -50,7 +53,7 @@ class ConsistentReadVerifier(MechanismVerifier):
         state: VerifierState,
         spec: IsolationSpec,
         emit: EmitFn,
-        on_read_match=None,
+        on_read_matches=None,
         minimal: bool = True,
         check_aborted_reads: bool = True,
         metrics=None,
@@ -60,10 +63,8 @@ class ConsistentReadVerifier(MechanismVerifier):
         self._state = state
         self._spec = spec
         self._emit = emit
-        #: stable per-state handles pre-bound for the per-read hot path
-        #: (the dict and stats objects live as long as the state; only
-        #: ``state.ww_order`` stays dynamically resolved -- the
-        #: exchange-dependencies ablation swaps it after assembly).
+        #: stable per-state handles pre-bound for the read pass (the dict
+        #: and stats objects live as long as the state).
         self._chains_get = state.chains.get
         self._stats = state.stats
         registry = metrics if metrics is not None else NULL_REGISTRY
@@ -81,12 +82,13 @@ class ConsistentReadVerifier(MechanismVerifier):
         #: every committed version is a candidate, weakening the check).
         self._minimal = minimal
         #: transaction-level CR: snapshots are generated at the first
-        #: operation (Definition 2), hoisted out of the per-read check.
+        #: operation (Definition 2), bound once per read pass.
         self._txn_snapshot = spec.cr is CRLevel.TRANSACTION
-        #: called with (version, reader_txn_id) when a read is uniquely
-        #: matched to a version; the Fig. 9 deriver uses it to record the
-        #: wr dependency and derive the rw anti-dependency.
-        self._on_read_match = on_read_match
+        #: called with a list of ``(version, reader_txn_id)`` pairs, one
+        #: per read uniquely matched to a version; the Fig. 9 deriver uses
+        #: it to record the wr dependencies and derive the rw
+        #: anti-dependencies.
+        self._on_read_matches = on_read_matches
         #: stale/future reads are violations only when the spec claims CR;
         #: dirty reads and reads of never-written values are always bugs.
         self._flag_stale = spec.uses_cr
@@ -94,9 +96,9 @@ class ConsistentReadVerifier(MechanismVerifier):
         #: must be by default: an engine may not serve inconsistent data
         #: even to a transaction that later rolls back).
         self._check_aborted = check_aborted_reads
-        #: uniquely-matched reads awaiting delivery to the deriver as
-        #: ``(version, reader_txn_id)`` pairs.  By default they are drained
-        #: at the end of :meth:`on_terminal`; the verifier flips
+        #: the finished transaction's unique matches, awaiting delivery to
+        #: the deriver.  By default they are drained at the end of
+        #: :meth:`on_terminal`; the verifier flips
         #: :meth:`enable_deferred_matches` so it can drain them *after*
         #: CR's timed window closes -- the derivation (and the certifier
         #: work it triggers) is then billed to the deriver instead of
@@ -113,10 +115,10 @@ class ConsistentReadVerifier(MechanismVerifier):
             ctx.state,
             ctx.spec,
             ctx.bus.publish,
-            on_read_match=(
-                deriver.on_read_match
+            on_read_matches=(
+                deriver.on_read_matches
                 if deriver is not None
-                else ctx.options.get("on_read_match")
+                else ctx.options.get("on_read_matches")
             ),
             minimal=ctx.options.get("minimize_candidates", True),
             check_aborted_reads=ctx.options.get("check_aborted_reads", True),
@@ -126,41 +128,174 @@ class ConsistentReadVerifier(MechanismVerifier):
     # -- trace handlers ---------------------------------------------------------
 
     def on_read(self, trace: Trace, txn: TxnState) -> None:
-        """Defer the read until the transaction finishes, capturing the
-        own-write context visible at this point of the program."""
-        append = txn.pending_reads.append
-        own_delta_for = txn.own_delta_for
-        for key, observed in trace.reads.items():
-            append((trace, key, observed, own_delta_for(key)))
-        if trace.predicate is not None:
-            txn.pending_scans.append(
-                PendingScan(
-                    trace=trace, observed_keys=frozenset(trace.reads)
-                )
-            )
+        """Defer the read trace until the transaction finishes.  The entry
+        is ``(trace, own)``: ``own`` is None unless the transaction already
+        wrote one of the keys it is reading, and then maps each such key to
+        a copy of its own-write image as of this point of the program."""
+        own = None
+        own_images = txn.own_images
+        if own_images:
+            own = {
+                key: dict(image)
+                for key in trace.reads
+                if (image := own_images.get(key))
+            } or None
+        txn.pending_reads.append((trace, own))
 
     def on_terminal(self, txn: TxnState, trace=None, installed=None) -> None:
+        """The read pass: every deferred read of the finished transaction,
+        in program order, in one loop.  A chain holding one committed
+        version -- the steady state under GC -- is read directly; only
+        longer chains are classified (Fig. 6)."""
+        pending = txn.pending_reads
+        if not pending:
+            return
         if not txn.committed and not self._check_aborted:
             # Ablation: aborted transactions' reads go unchecked.
-            txn.pending_reads.clear()
+            pending.clear()
             return
-        pending_reads = txn.pending_reads
-        if pending_reads:
-            # Per-read counters batched here so the check itself stays
-            # free of bookkeeping (every pending read is checked exactly
-            # once, early returns included).
-            self._stats.reads_checked += len(pending_reads)
-            if self._metered:
-                self._m_reads.inc(len(pending_reads))
-            check = self._check_read
-            for pending in pending_reads:
-                check(txn, pending)
-            pending_reads.clear()
-        if txn.pending_scans:
-            for scan in txn.pending_scans:
-                self._check_scan(txn, scan)
-            txn.pending_scans.clear()
-        if self._match_queue and not self._defer_matches:
+        state = self._state
+        chains_get = self._chains_get
+        # Resolved per pass: the exchange-dependencies ablation swaps
+        # ``state.ww_order`` after assembly.
+        ww_order = state.ww_order
+        minimal = self._minimal
+        metered = self._metered
+        observe = self._m_candidates.observe
+        # Dependencies are defined between *committed* transactions
+        # (Section II-A): an aborted reader's checks still run, but it
+        # contributes no graph node.
+        queue = (
+            self._match_queue
+            if txn.committed and self._on_read_matches is not None
+            else None
+        )
+        reader = txn.txn_id
+        # Transaction-level CR generates the snapshot at the first
+        # operation (Definition 2); statement-level CR, and the fallback
+        # when no CR is claimed, during the read operation itself.
+        snapshot = txn.first_interval if self._txn_snapshot else None
+        per_statement = snapshot is None
+        if not per_statement:
+            snap_bef = snapshot.ts_bef
+            snap_aft = snapshot.ts_aft
+        checked = conflicts = overlaps = deduced = unique = ambiguous = 0
+        scans = []
+        for read, own in pending:
+            if per_statement:
+                snapshot = read.interval
+                snap_bef = snapshot.ts_bef
+                snap_aft = snapshot.ts_aft
+            if read.predicate is not None:
+                # Scan completeness runs after every read of the
+                # transaction, so violations keep their report order.
+                scans.append((read, snapshot))
+            checked += len(read.reads)
+            for key, observed in read.reads.items():
+                own_delta = own.get(key) if own is not None else None
+                if own_delta is not None and all(
+                    column in own_delta for column in observed
+                ):
+                    # First CR case: columns covered by the transaction's
+                    # own earlier writes must reflect them exactly.
+                    if any(
+                        own_delta[column] != value
+                        for column, value in observed.items()
+                    ):
+                        self._violation(
+                            ViolationKind.OWN_WRITE_LOST,
+                            txn,
+                            read,
+                            key,
+                            f"read {dict(observed)!r} but the transaction "
+                            f"previously wrote {own_delta!r}",
+                        )
+                    continue
+                chain = chains_get(key)
+                if chain is None:
+                    chain = state.chain(key)
+                versions = chain._chain  # iter_committed(), minus the call
+                if not versions and observed.get(_TOMB):
+                    # The row never existed and the read observed its
+                    # absence.
+                    continue
+                if minimal and len(versions) > 1:
+                    candidates = chain.classify(snapshot, ww_order).candidates
+                else:
+                    # One committed version is the candidate unless it is
+                    # definitely invisible, which the test below decides:
+                    # two float comparisons, no history touched.  (The
+                    # naive ablation takes every committed version and
+                    # skips that test.)
+                    candidates = versions
+                n_candidates = n_matches = 0
+                overlapped = False
+                for version in candidates:
+                    commit = version.commit
+                    if (
+                        minimal
+                        and commit is not None
+                        and snap_aft <= commit.ts_bef
+                    ):
+                        # Committed entirely after the snapshot was
+                        # generated: can never be visible.
+                        continue
+                    n_candidates += 1
+                    image = version.image
+                    if own_delta is not None:
+                        image = dict(image)
+                        apply_delta(image, own_delta)
+                    # ``reads_match`` inlined: it runs once per candidate
+                    # per read.
+                    if observed.get(_TOMB):
+                        matched = bool(image.get(_TOMB))
+                    elif image.get(_TOMB):
+                        matched = False
+                    else:
+                        matched = True
+                        image_get = image.get
+                        for column, value in observed.items():
+                            if image_get(column) != value:
+                                matched = False
+                                break
+                    if matched:
+                        n_matches += 1
+                        match = version
+                        at = commit if commit is not None else version.install
+                        if not (at.ts_aft <= snap_bef or snap_aft <= at.ts_bef):
+                            overlapped = True
+                if metered:
+                    observe(n_candidates)
+                if not n_matches:
+                    self._diagnose_miss(txn, read, key, snapshot, chain)
+                    continue
+                conflicts += 1
+                if overlapped:
+                    overlaps += 1
+                if n_matches == 1:
+                    unique += 1
+                    if overlapped:
+                        deduced += 1
+                    if queue is not None:
+                        queue.append((match, reader))
+                else:
+                    # More than one match: the read is legal but the exact
+                    # version read is uncertain (duplicate values, Fig. 13's
+                    # SmallBank residue).
+                    ambiguous += 1
+        pending.clear()
+        stats = self._stats
+        stats.reads_checked += checked
+        stats.conflict_pairs += conflicts
+        stats.overlapped_pairs += overlaps
+        stats.deduced_overlapped_pairs += deduced
+        if metered:
+            self._m_reads.inc(checked)
+            self._m_unique.inc(unique)
+            self._m_ambiguous.inc(ambiguous)
+        for read, snapshot in scans:
+            self._check_scan(txn, read, snapshot)
+        if queue and not self._defer_matches:
             self.drain_matches()
 
     def enable_deferred_matches(self):
@@ -172,166 +307,16 @@ class ConsistentReadVerifier(MechanismVerifier):
         return self.drain_matches
 
     def drain_matches(self) -> None:
-        """Deliver queued unique matches to the deriver, in check order."""
+        """Hand the queued unique matches to the deriver as one batch, in
+        check order."""
         queue = self._match_queue
         if queue:
-            deliver = self._on_read_match
-            for version, reader in queue:
-                deliver(version, reader)
+            self._on_read_matches(queue)
             queue.clear()
-
-    # -- the CR check -------------------------------------------------------------
-
-    def _snapshot_interval(self, txn: TxnState, pending: PendingRead) -> Interval:
-        if self._spec.cr is CRLevel.TRANSACTION and txn.first_interval is not None:
-            return txn.first_interval
-        # Statement-level CR, and the fallback when no CR is claimed: the
-        # snapshot is generated during the read operation itself.
-        return pending[0].interval
-
-    def _check_read(self, txn: TxnState, pending: PendingRead) -> None:
-        # Counters are batch-incremented by :meth:`on_terminal`.
-        trace, key, observed, own_delta = pending
-        # Inline _snapshot_interval for the per-read hot path.
-        if self._txn_snapshot and txn.first_interval is not None:
-            snapshot = txn.first_interval
-        else:
-            snapshot = trace.interval
-
-        # First CR case: columns covered by the transaction's own earlier
-        # writes must reflect them exactly.
-        own_covered = own_delta and all(col in own_delta for col in observed)
-        if own_covered:
-            if all(own_delta[col] == val for col, val in observed.items()):
-                return
-            self._violation(
-                ViolationKind.OWN_WRITE_LOST,
-                txn,
-                pending,
-                f"read {dict(observed)!r} but the transaction previously "
-                f"wrote {own_delta!r}",
-            )
-            return
-
-        state = self._state
-        chain = self._chains_get(key)
-        if chain is None:
-            chain = state.chain(key)
-        if not chain._chain and observed.get(_TOMB):
-            # The row never existed and the read observed its absence.
-            # (``chain._chain``/``_TOMB`` dodge the ``__len__`` and
-            # ``is_tombstone`` calls on this per-read path.)
-            return
-        minimal = self._minimal
-        if minimal:
-            raw_candidates = chain.classify(
-                snapshot, state.ww_order
-            ).candidates
-        else:
-            raw_candidates = chain.committed_versions()
-        snap_aft = snapshot.ts_aft
-        metered = self._metered
-        if minimal and not own_delta and len(raw_candidates) == 1:
-            # The dominant shape under the Fig. 6 minimal set: exactly one
-            # candidate (the pivot) and no own writes.  Same checks and
-            # bookkeeping as the general pass below, without the list and
-            # loop machinery; ``reads_match`` is inlined (tombstone guards,
-            # then per-column comparison).
-            version = raw_candidates[0]
-            commit = version.commit
-            if commit is not None and snap_aft <= commit.ts_bef:
-                if metered:
-                    self._m_candidates.observe(0)
-                self._diagnose_miss(txn, pending, snapshot, chain, observed)
-                return
-            if metered:
-                self._m_candidates.observe(1)
-            image = version.image
-            if observed.get(_TOMB):
-                matched = bool(image.get(_TOMB))
-            elif image.get(_TOMB):
-                matched = False
-            else:
-                matched = True
-                image_get = image.get
-                for column, value in observed.items():
-                    if image_get(column) != value:
-                        matched = False
-                        break
-            if not matched:
-                self._diagnose_miss(txn, pending, snapshot, chain, observed)
-                return
-            stats = self._stats
-            stats.conflict_pairs += 1
-            installed = commit if commit is not None else version.install
-            if not (
-                installed.ts_aft <= snapshot.ts_bef
-                or snap_aft <= installed.ts_bef
-            ):
-                stats.overlapped_pairs += 1
-                stats.deduced_overlapped_pairs += 1
-            if metered:
-                self._m_unique.inc()
-            if txn.committed and self._on_read_match is not None:
-                self._match_queue.append((version, txn.txn_id))
-            return
-        # One pass: visibility filter (minimal mode only, inlined
-        # _definitely_invisible) and observation matching together.
-        n_candidates = 0
-        matches = []
-        for version in raw_candidates:
-            if minimal:
-                commit = version.commit
-                if commit is not None and snap_aft <= commit.ts_bef:
-                    continue
-            n_candidates += 1
-            if own_delta:
-                if self._matches_with_own(version, observed, own_delta):
-                    matches.append(version)
-            elif reads_match(observed, version.image):
-                matches.append(version)
-        if metered:
-            self._m_candidates.observe(n_candidates)
-        if not matches:
-            self._diagnose_miss(txn, pending, snapshot, chain, observed)
-            return
-        stats = self._stats
-        stats.conflict_pairs += 1
-        # Inlined Interval.overlaps over the (usually single-element) match
-        # list: three method calls per read otherwise.
-        snap_bef = snapshot.ts_bef
-        overlapped = False
-        for v in matches:
-            installed = v.effective_install
-            if not (
-                installed.ts_aft <= snap_bef or snap_aft <= installed.ts_bef
-            ):
-                overlapped = True
-                break
-        if overlapped:
-            stats.overlapped_pairs += 1
-        if len(matches) == 1:
-            if metered:
-                self._m_unique.inc()
-            version = matches[0]
-            if overlapped:
-                stats.deduced_overlapped_pairs += 1
-            # Dependencies are defined between *committed* transactions
-            # (Section II-A); an aborted reader's checks still ran above,
-            # but it contributes no graph node.  Queued rather than
-            # delivered inline; see :meth:`drain_matches`.
-            if txn.committed and self._on_read_match is not None:
-                self._match_queue.append((version, txn.txn_id))
-        else:
-            # More than one match: the read is legal but the exact version
-            # read is uncertain (duplicate values, Fig. 13's SmallBank
-            # residue).
-            if metered:
-                self._m_ambiguous.inc()
 
     # -- scan completeness (phantom rows) -----------------------------------------
 
-    def _check_scan(self, txn: TxnState, scan: PendingScan) -> None:
+    def _check_scan(self, txn: TxnState, trace: Trace, snapshot: Interval) -> None:
         """Every row *definitely visible* at the scan's snapshot and
         matching its predicate must appear in the result set; a miss is a
         phantom-class CR violation (the scan did not evaluate against a
@@ -340,11 +325,11 @@ class ConsistentReadVerifier(MechanismVerifier):
             return  # no CR claim: scan freshness is not promised
         if self._metered:
             self._m_scans.inc()
-        predicate = scan.trace.predicate
-        snapshot = self._snapshot_interval(txn, (scan.trace, None, {}, {}))
+        predicate = trace.predicate
+        observed_keys = trace.reads
         missing = []
         for key, chain in self._state.chains.items():
-            if key in scan.observed_keys or not predicate.matches(key):
+            if key in observed_keys or not predicate.matches(key):
                 continue
             classification = chain.classify(snapshot)
             # The row must appear iff its visible version is live in every
@@ -357,7 +342,7 @@ class ConsistentReadVerifier(MechanismVerifier):
             ):
                 missing.append((key, classification.pivot.txn_id))
         for key in self._state.initial_only_keys():
-            if predicate.matches(key) and key not in scan.observed_keys:
+            if predicate.matches(key) and key not in observed_keys:
                 missing.append((key, "__init__"))
         for key, writer in missing:
             self._state.descriptor.record(
@@ -371,41 +356,23 @@ class ConsistentReadVerifier(MechanismVerifier):
                         f"by {writer} was committed before the snapshot "
                         f"{snapshot}"
                     ),
-                    evidence={"scan_interval": scan.trace.interval},
+                    evidence={"scan_interval": trace.interval},
                 )
             )
-
-    @staticmethod
-    def _definitely_invisible(version: Version, snapshot: Interval) -> bool:
-        """A committed version whose commit interval lies entirely after the
-        snapshot-generation interval can never be visible (the snapshot was
-        complete before the version existed)."""
-        return version.commit is not None and snapshot.precedes(version.commit)
-
-    @staticmethod
-    def _matches_with_own(
-        version: Version, observed, own_delta: Dict[str, object]
-    ) -> bool:
-        if not own_delta:
-            return version.matches(observed)
-        from .trace import reads_match
-
-        image = dict(version.image)
-        apply_delta(image, own_delta)
-        return reads_match(observed, image)
 
     # -- diagnosis ----------------------------------------------------------------
 
     def _diagnose_miss(
         self,
         txn: TxnState,
-        pending: PendingRead,
+        trace: Trace,
+        key,
         snapshot: Interval,
         chain,
-        observed,
     ) -> None:
         """No candidate matched: name the violation as precisely as the
         traces allow."""
+        observed = trace.reads[key]
         if is_tombstone(observed):
             # The read claims the row was absent, yet a live version is in
             # the candidate set (or the row never died): a missing-row
@@ -414,7 +381,8 @@ class ConsistentReadVerifier(MechanismVerifier):
                 self._violation(
                     ViolationKind.PHANTOM,
                     txn,
-                    pending,
+                    trace,
+                    key,
                     "read observed the row as absent although a visible "
                     "version was committed before the snapshot",
                 )
@@ -427,7 +395,8 @@ class ConsistentReadVerifier(MechanismVerifier):
                     self._violation(
                         ViolationKind.FUTURE_READ,
                         txn,
-                        pending,
+                        trace,
+                        key,
                         f"read version installed by {version.txn_id} whose "
                         f"installation {version.install} lies after the "
                         f"snapshot {snapshot}",
@@ -438,7 +407,8 @@ class ConsistentReadVerifier(MechanismVerifier):
                     self._violation(
                         ViolationKind.STALE_READ,
                         txn,
-                        pending,
+                        trace,
+                        key,
                         f"read an overwritten (garbage) version installed "
                         f"by {version.txn_id}",
                         other=version.txn_id,
@@ -450,7 +420,8 @@ class ConsistentReadVerifier(MechanismVerifier):
             self._violation(
                 ViolationKind.DIRTY_READ,
                 txn,
-                pending,
+                trace,
+                key,
                 f"read uncommitted/aborted data written by {version.txn_id}",
                 other=version.txn_id,
             )
@@ -458,7 +429,8 @@ class ConsistentReadVerifier(MechanismVerifier):
         self._violation(
             ViolationKind.UNKNOWN_VERSION,
             txn,
-            pending,
+            trace,
+            key,
             f"observed {dict(observed)!r}, which no traced write produced",
         )
 
@@ -466,7 +438,8 @@ class ConsistentReadVerifier(MechanismVerifier):
         self,
         kind: ViolationKind,
         txn: TxnState,
-        pending: PendingRead,
+        trace: Trace,
+        key,
         details: str,
         other: Optional[str] = None,
     ) -> None:
@@ -476,11 +449,11 @@ class ConsistentReadVerifier(MechanismVerifier):
                 mechanism=Mechanism.CONSISTENT_READ,
                 kind=kind,
                 txns=txns,
-                key=pending[1],
+                key=key,
                 details=details,
                 evidence={
-                    "read_interval": pending[0].interval,
-                    "observed": dict(pending[2]),
+                    "read_interval": trace.interval,
+                    "observed": dict(trace.reads[key]),
                 },
             )
         )

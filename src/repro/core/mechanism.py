@@ -96,7 +96,7 @@ class MechanismContext:
     options: Dict[str, Any] = field(default_factory=dict)
     #: cross-mechanism wiring surface: factories built earlier in the
     #: dispatch order stash collaborators here for later ones (e.g. the
-    #: Fig. 9 deriver exposes ``on_read_match`` for CR).
+    #: Fig. 9 deriver exposes ``on_read_matches`` for CR).
     shared: Dict[str, Any] = field(default_factory=dict)
     #: observability registry (``docs/observability.md``).  Defaults to the
     #: shared disabled registry, so mechanisms may resolve instrument

@@ -335,34 +335,7 @@ class OnlineVerifier:
         Documented in ``docs/observability.md``."""
         registry = getattr(self._verifier, "metrics", None)
         watermark = self._watermark()
-        # Classification-memo effectiveness gauge (docs/observability.md):
-        # the hit rate answers "is the frontier/memo layer actually
-        # absorbing the read traffic" without shipping the whole registry.
-        memo = {"hits": 0, "misses": 0, "hit_rate": 0.0}
-        if registry is not None and registry.enabled:
-            # Sharded backends own the memo counters in their workers; the
-            # coordinator's registry only absorbs them at finish.  The
-            # backend accessor surfaces the mid-run values the workers ship
-            # with every journal segment, so a status poll during the soak
-            # sees real numbers instead of zeros.
-            counts = getattr(self._verifier, "chain_memo_counts", None)
-            live = counts() if callable(counts) else None
-            if live is not None:
-                memo["hits"], memo["misses"] = live
-            else:
-                memo["hits"] = sum(
-                    registry.counters_with_name("chain.memo.hits").values()
-                )
-                memo["misses"] = sum(
-                    registry.counters_with_name("chain.memo.misses").values()
-                )
-            lookups = memo["hits"] + memo["misses"]
-            memo["hit_rate"] = (
-                round(memo["hits"] / lookups, 4) if lookups else 0.0
-            )
-            registry.gauge("chain.memo.hit_rate").set(memo["hit_rate"])
         return {
-            "chain_memo": memo,
             "clients": len(self._stages),
             "pending": self.pending,
             "dispatched": self._dispatched,

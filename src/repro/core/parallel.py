@@ -310,8 +310,6 @@ def encode_segment_frame(
     watermark: int,
     horizon: float,
     events: Sequence[Tuple[int, int, str, object]],
-    memo_hits: int = 0,
-    memo_misses: int = 0,
 ) -> bytes:
     """Encode a mid-run journal segment.
 
@@ -321,44 +319,14 @@ def encode_segment_frame(
     ``horizon`` was Definition 4's ``S_e`` at the coordinator when that
     frame was flushed (so pruning the merged graph at it is no more
     aggressive than a serial collector at the same stream position).
-
-    ``memo_hits``/``memo_misses`` piggyback the shard's *cumulative*
-    classification-memo counters: worker registries only cross the pipe
-    inside the final :class:`ShardResult`, so without the echo a status
-    poll mid-run reports ``chain_memo`` as zero at ``shards >= 2``.
     """
     encoder = PayloadEncoder()
     encoder.u8(2)  # segment
     encoder.varint(shard_id)
     encoder.zigzag(watermark)
     encoder.double(horizon)
-    encoder.varint(memo_hits)
-    encoder.varint(memo_misses)
     _encode_events(encoder, events)
     return encoder.finish()
-
-
-def _memo_counts(registry) -> Tuple[int, int]:
-    """Cumulative ``chain.memo`` hit/miss totals from a live registry."""
-    if registry is None or not registry.enabled:
-        return 0, 0
-    hits = sum(registry.counters_with_name("chain.memo.hits").values())
-    misses = sum(registry.counters_with_name("chain.memo.misses").values())
-    return hits, misses
-
-
-def _memo_counts_from_snapshot(snapshot) -> Tuple[int, int]:
-    """The same totals out of a shipped registry snapshot dict."""
-    counters = snapshot.get("counters", {}) if isinstance(snapshot, dict) else {}
-    hits = 0
-    misses = 0
-    for key, value in counters.items():
-        name = key.split("{", 1)[0]
-        if name == "chain.memo.hits":
-            hits += value
-        elif name == "chain.memo.misses":
-            misses += value
-    return hits, misses
 
 
 def encode_shard_error(trace_back: str) -> bytes:
@@ -379,15 +347,11 @@ def decode_shard_reply(payload: bytes):
         shard_id = decoder.varint()
         watermark = decoder.zigzag()
         horizon = decoder.double()
-        memo_hits = decoder.varint()
-        memo_misses = decoder.varint()
         return "segment", StreamSegment(
             shard_id=shard_id,
             watermark=watermark,
             horizon=horizon,
             events=_decode_events(decoder),
-            memo_hits=memo_hits,
-            memo_misses=memo_misses,
         )
     shard_id = decoder.varint()
     wall_seconds = decoder.double()
@@ -476,11 +440,6 @@ class StreamSegment:
     #: is the fallback for a standalone merger with no log.
     horizon: float
     events: List[Tuple[int, int, str, object]]
-    #: cumulative classification-memo counters at flush time (the shard's
-    #: registry stays worker-side until the final result, so segments
-    #: carry the running totals for mid-run status visibility).
-    memo_hits: int = 0
-    memo_misses: int = 0
 
 
 class ShardVerifier(Verifier):
@@ -582,15 +541,9 @@ def _shard_worker_main(conn, shard_id: int, spec, initial_part, options) -> None
                     break
                 watermark, horizon = apply_message_frame(shard, frame)
                 if len(shard.events) >= segment_events:
-                    hits, misses = _memo_counts(shard.metrics)
                     conn.send_bytes(
                         encode_segment_frame(
-                            shard_id,
-                            watermark,
-                            horizon,
-                            shard.events,
-                            memo_hits=hits,
-                            memo_misses=misses,
+                            shard_id, watermark, horizon, shard.events
                         )
                     )
                     shard.events.clear()
@@ -989,11 +942,6 @@ class ParallelVerifier:
         self._drainer: Optional[threading.Thread] = None
         self._stream_results: Dict[int, ShardResult] = {}
         self._stream_errors: List[str] = []
-        #: latest cumulative ``chain.memo`` (hits, misses) per shard --
-        #: refreshed from segment echoes mid-run and from the final
-        #: :class:`ShardResult` snapshots, so :meth:`chain_memo_counts`
-        #: stays live while the worker registries are out of reach.
-        self._shard_memo: Dict[int, Tuple[int, int]] = {}
         self._m_segments = self.metrics.counter("parallel.stream.segments")
         self._m_stream_bytes = self.metrics.counter("parallel.stream.bytes")
         self._m_overlap = self.metrics.histogram("parallel.merge.overlap.seconds")
@@ -1152,10 +1100,6 @@ class ParallelVerifier:
         if status == "segment":
             self._m_segments.inc()
             self._m_stream_bytes.inc(len(payload))
-            if value.memo_hits or value.memo_misses:
-                self._shard_memo[value.shard_id] = (
-                    value.memo_hits, value.memo_misses
-                )
             merger = self._ensure_merger()
             merger.offer(
                 value.shard_id, value.watermark, value.horizon, value.events
@@ -1341,9 +1285,6 @@ class ParallelVerifier:
     def _absorb_shard_metrics(self, results: List[ShardResult]) -> None:
         for result in results:
             self.metrics.merge_snapshot(result.metrics)
-            self._shard_memo[result.shard_id] = _memo_counts_from_snapshot(
-                result.metrics
-            )
             self.metrics.set_gauge(
                 "parallel.shard.seconds",
                 result.wall_seconds,
@@ -1400,26 +1341,6 @@ class ParallelVerifier:
         if self._merger is None:
             return []
         return self._merger.descriptor.violations
-
-    def chain_memo_counts(self) -> Optional[Tuple[int, int]]:
-        """Cumulative ``chain.memo`` (hits, misses) across every shard,
-        live.  Inline shards are read directly from their registries;
-        process shards report the totals their latest segment (or final
-        result) echoed.  ``None`` when the run is not instrumented, so
-        the online snapshot falls back to the coordinator registry."""
-        if not self.metrics.enabled:
-            return None
-        if self._inline:
-            hits = 0
-            misses = 0
-            for shard in self._inline:
-                shard_hits, shard_misses = _memo_counts(shard.metrics)
-                hits += shard_hits
-                misses += shard_misses
-            return hits, misses
-        hits = sum(pair[0] for pair in self._shard_memo.values())
-        misses = sum(pair[1] for pair in self._shard_memo.values())
-        return hits, misses
 
     def coordinator_pending_events(self) -> int:
         """Journal events buffered coordinator-side awaiting replay: the

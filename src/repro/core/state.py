@@ -19,7 +19,7 @@ from .dependencies import DependencyGraph
 from .intervals import Interval
 from .locktable import LockTable
 from .report import BugDescriptor, VerificationStats
-from .trace import ColumnMap, Key, Trace, apply_delta
+from .trace import Key, Trace, apply_delta
 from .versions import Version, VersionChain
 
 
@@ -29,31 +29,17 @@ class TxnStatus(enum.Enum):
     ABORTED = "aborted"
 
 
-#: shared empty own-write delta handed to reads whose transaction wrote
-#: nothing to the key yet (the overwhelmingly common case) -- treated as
-#: read-only by every consumer, so one allocation serves all of them.
-_EMPTY_DELTA: Dict[str, object] = {}
-
-
-#: A read deferred until its transaction's terminal trace, stored as a
-#: plain ``(trace, key, observed, own_delta)`` tuple -- one is allocated
-#: per key observation on the ingest hot path, where a dataclass would
-#: double the construction cost.  ``own_delta`` is the merge of the
-#: transaction's own earlier writes to the key at the moment of the read
-#: (first CR case: a transaction sees its own changes).  Deferral
-#: guarantees that every write trace able to influence the read's candidate
-#: version set has already been dispatched (its before-timestamp is
-#: provably smaller than the reader's terminal before-timestamp).
-PendingRead = Tuple[Trace, Optional[Key], ColumnMap, Dict[str, object]]
-
-
-@dataclass(slots=True)
-class PendingScan:
-    """A predicate read deferred until its transaction's terminal trace,
-    for the scan-completeness (phantom) check."""
-
-    trace: Trace
-    observed_keys: frozenset
+#: A read trace deferred until its transaction's terminal trace, as a plain
+#: ``(trace, own)`` tuple.  ``own`` is None unless the transaction had
+#: already written one of the keys the trace reads; then it maps each such
+#: key to a copy of the transaction's merged own writes to it at the moment
+#: of the read (first CR case: a transaction sees its own changes).  A
+#: predicate read is an entry whose ``trace.predicate`` is set; the keys it
+#: observed are ``trace.reads``.  Deferral guarantees that every write
+#: trace able to influence a read's candidate version set has already been
+#: dispatched (its before-timestamp is provably smaller than the reader's
+#: terminal before-timestamp).
+PendingRead = Tuple[Trace, Optional[Dict[Key, Dict[str, object]]]]
 
 
 @dataclass(slots=True)
@@ -66,7 +52,6 @@ class TxnState:
     status: TxnStatus = TxnStatus.ACTIVE
     terminal_interval: Optional[Interval] = None
     pending_reads: List[PendingRead] = field(default_factory=list)
-    pending_scans: List["PendingScan"] = field(default_factory=list)
     #: keys written, with the staged Version objects.
     staged_versions: List[Version] = field(default_factory=list)
     #: running merge of own writes per key (for own-read visibility).
@@ -88,10 +73,6 @@ class TxnState:
         """Transaction-level snapshot generation interval (Definition 2):
         the interval of the transaction's first operation."""
         return self.first_interval
-
-    def own_delta_for(self, key: Key) -> Dict[str, object]:
-        image = self.own_images.get(key)
-        return dict(image) if image else _EMPTY_DELTA
 
     def merge_own_write(self, key: Key, columns: Mapping[str, object]) -> None:
         apply_delta(self.own_images.setdefault(key, {}), columns)
@@ -115,9 +96,6 @@ class VerifierState:
         #: monotone dispatch order makes this a watermark over all clients.
         self.watermark: float = float("-inf")
         self._initial_db = dict(initial_db or {})
-        #: (hits, misses, invalidations) handles shared by every chain;
-        #: None until :meth:`attach_metrics` on an instrumented run.
-        self._chain_counters: Optional[tuple] = None
         #: chains that could have prunable versions (two or more committed
         #: versions, or aborted residue).  The verifier marks chains here at
         #: commit/abort so version GC visits only candidates instead of
@@ -128,21 +106,6 @@ class VerifierState:
         #: finish; transaction-metadata GC pops entries behind the horizon
         #: instead of sweeping the whole ``txns`` table each collection.
         self.terminal_heap: List[Tuple[float, str]] = []
-
-    def attach_metrics(self, registry) -> None:
-        """Hand chain/lock memo counters out of a metrics registry
-        (``chain.memo.*`` in docs/observability.md).  Optional -- states
-        built without a verifier (e.g. the parallel merge replay) keep
-        unmetered chains."""
-        if registry is None or not getattr(registry, "enabled", False):
-            return
-        self._chain_counters = (
-            registry.counter("chain.memo.hits"),
-            registry.counter("chain.memo.misses"),
-            registry.counter("chain.memo.invalidations"),
-        )
-        for chain in self.chains.values():
-            chain._counters = self._chain_counters
 
     # -- accessors -----------------------------------------------------------
 
@@ -156,9 +119,7 @@ class VerifierState:
         existing = self.chains.get(key)
         if existing is None:
             initial = self._initial_db.get(key)
-            existing = VersionChain(
-                key, initial_image=initial, counters=self._chain_counters
-            )
+            existing = VersionChain(key, initial_image=initial)
             self.chains[key] = existing
         return existing
 

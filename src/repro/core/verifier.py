@@ -142,7 +142,6 @@ class Verifier:
         self.state = state if state is not None else VerifierState(
             initial_db=initial_db, incremental_graph=incremental_graph
         )
-        self.state.attach_metrics(self.metrics)
         self.bus = DependencyBus(self.state, metrics=self.metrics)
         context = MechanismContext(
             state=self.state,

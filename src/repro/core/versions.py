@@ -19,12 +19,12 @@ pivot, pivot-overlap, garbage -- and returns the minimal candidate version
 set of Theorem 2: exactly the versions possibly visible to that read.
 
 There is one classification path.  A chain holding a single committed
-version (the steady state under GC: most classify calls on every measured
-workload, see ``docs/architecture.md``) stands in one of three relations
-to the snapshot, and the three outcome objects are cached until the chain
-mutates (``chain.memo.hits`` / ``misses`` / ``invalidations``).  Every
-longer chain is partitioned at the *boundary* between the versions
-definitely before the snapshot and the rest: chain order's primary key is
+version (the steady state under GC) stands in one of three relations to
+the snapshot; CR's read pass decides those itself
+(:mod:`repro.core.consistent_read`), so only scans and own-write reads ask
+here about such a chain.  Every longer chain is partitioned at the
+*boundary* between the versions definitely before the snapshot and the
+rest: chain order's primary key is
 the effective after-timestamp, so that set is a prefix, and because
 commits arrive in roughly timestamp order the boundary sits at or next to
 the tail -- it is found by walking back from it.  The verbatim Fig. 6
@@ -70,11 +70,6 @@ def chain_sort_key(version: "Version") -> Tuple[float, float, float, int]:
 
 #: candidate tuples are ordered by staging sequence.
 _seq_of = operator.attrgetter("seq")
-
-#: positions in a metered chain's counter-handle tuple
-#: (``chain.memo.*`` in docs/observability.md).  Unmetered chains carry
-#: ``None`` and execute no counter call at all.
-_C_HITS, _C_MISSES, _C_INVALIDATIONS = range(3)
 
 #: Optional oracle answering "is version a's txn known to precede version
 #: b's txn (ww) on this key?" -- returns True/False when deduced, None when
@@ -138,10 +133,9 @@ class CandidateClassification:
     chain order.  The remaining category, garbage, is read only by the
     collector and built by :meth:`VersionChain.garbage` on demand.
 
-    Treated as read-only by every consumer (the single-version outcomes
-    are shared across calls); not ``frozen`` because the frozen-dataclass
-    ``__init__`` goes through ``object.__setattr__`` and this object is
-    built once per checked read on the hot path."""
+    Treated as read-only by every consumer; not ``frozen`` because the
+    frozen-dataclass ``__init__`` goes through ``object.__setattr__`` and
+    this object is built once per classified read."""
 
     candidates: Tuple[Version, ...]
     future: Tuple[Version, ...]
@@ -164,15 +158,12 @@ class VersionChain:
         "_pending",
         "_aborted",
         "_keys",
-        "_single_memo",
-        "_counters",
     )
 
     def __init__(
         self,
         key: Key,
         initial_image: Optional[Mapping[str, object]] = None,
-        counters=None,
     ):
         self.key = key
         self._chain: List[Version] = []
@@ -181,13 +172,6 @@ class VersionChain:
         #: ``chain_sort_key`` of every committed version, in chain order:
         #: ``(eff.ts_aft, eff.ts_bef, install.ts_aft, seq)``.
         self._keys: List[Tuple[float, float, float, int]] = []
-        #: the three possible classifications of a length-1 chain (future /
-        #: pivot / overlap), shared across every snapshot that lands in the
-        #: same relation to the version; cleared when the chain mutates.
-        self._single_memo: Dict[int, CandidateClassification] = {}
-        #: (hits, misses, invalidations) counter handles of an instrumented
-        #: run, else None.
-        self._counters: Optional[tuple] = counters
         if initial_image is not None:
             # One shared copy: neither the columns delta nor the image of a
             # version is ever mutated in place (images are rebuilt by
@@ -286,14 +270,6 @@ class VersionChain:
         self._aborted.extend(dropped)
         return dropped
 
-    def _invalidate(self) -> None:
-        """The chain mutated: the cached single-version outcomes are
-        stale."""
-        if self._single_memo:
-            self._single_memo.clear()
-            if self._counters is not None:
-                self._counters[_C_INVALIDATIONS].inc()
-
     def _insert_sorted(self, version: Version) -> None:
         sort_key = chain_sort_key(version)
         keys = self._keys
@@ -307,12 +283,10 @@ class VersionChain:
             version.image = image
             keys.append(sort_key)
             chain.append(version)
-            self._invalidate()
             return
         position = bisect_left(keys, sort_key)
         keys.insert(position, sort_key)
         chain.insert(position, version)
-        self._invalidate()
         self._recompute_images(position)
 
     def _recompute_images(self, start: int) -> None:
@@ -348,40 +322,17 @@ class VersionChain:
         """
         chain = self._chain
         keys = self._keys
-        counters = self._counters
         n = len(keys)
         if n == 1:
-            # Steady state under GC: one committed version.  It stands in
-            # exactly one of three relations to the snapshot (future,
-            # pivot, overlap), each with a fixed classification that is
-            # oracle-independent (no pivot-overlap set to collapse), so
-            # the three outcome objects are kept until the chain mutates
-            # and repeat reads of a stable key cost two float comparisons.
-            k = keys[0]
-            if snapshot.ts_aft <= k[1]:
-                outcome = 0  # snapshot precedes installation: future
-            elif k[0] <= snapshot.ts_bef:
-                outcome = 1  # definitely before the snapshot: the pivot
-            else:
-                outcome = 2  # overlap
-            cached = self._single_memo.get(outcome)
-            if cached is not None:
-                if counters is not None:
-                    counters[_C_HITS].inc()
-                return cached
-            if counters is not None:
-                counters[_C_MISSES].inc()
+            # One committed version stands in exactly one of three
+            # relations to the snapshot, each oracle-independent (no
+            # pivot-overlap set to collapse).
             version = chain[0]
-            if outcome == 0:
-                cached = CandidateClassification((), (version,), None)
-            elif outcome == 1:
-                cached = CandidateClassification((version,), (), version)
-            else:
-                cached = CandidateClassification((version,), (), None)
-            self._single_memo[outcome] = cached
-            return cached
-        if counters is not None:
-            counters[_C_MISSES].inc()
+            aft, bef = keys[0][:2]
+            if snapshot.ts_aft <= bef:
+                return CandidateClassification((), (version,), None)
+            pivot = version if aft <= snapshot.ts_bef else None
+            return CandidateClassification((version,), (), pivot)
         boundary, pivot_idx = self._boundary(snapshot)
         future: List[Version] = []
         candidates: List[Version] = []
@@ -517,8 +468,6 @@ class VersionChain:
         collector's prefix rule (:meth:`GarbageCollector._prune_versions`),
         which has already established that they are garbage."""
         del self._chain[:count], self._keys[:count]
-        if self._single_memo:
-            self._invalidate()
 
     def prune_garbage(
         self,
@@ -565,5 +514,4 @@ class VersionChain:
             key for key, v in zip(keys, self._chain) if v not in prunable
         ]
         self._chain = [v for v in self._chain if v not in prunable]
-        self._invalidate()
         return len(prunable)

@@ -332,14 +332,14 @@ async def run_load(cfg: LoadConfig) -> Dict[str, object]:
             gc_every=cfg.gc_every,
             session_credit=cfg.session_credit,
             pending_budget=cfg.pending_budget,
-            # Instrumented so the status endpoint's chain_memo block (and
-            # the chain.memo.hit_rate gauge) carries real numbers during
-            # the soak; the documented registry overhead is <5%.
+            # Instrumented so the status endpoint's metrics block carries
+            # real numbers during the soak; the documented registry
+            # overhead is <5%.
             metrics=MetricsRegistry(),
         )
     )
     await gateway.start()
-    polls = {"count": 0, "pending_max": 0, "chain_memo": None}
+    polls = {"count": 0, "pending_max": 0}
     stop_polling = asyncio.Event()
 
     async def poll_loop() -> None:
@@ -349,9 +349,6 @@ async def run_load(cfg: LoadConfig) -> Dict[str, object]:
                 polls["count"] += 1
                 pending = doc.get("budget", {}).get("pending", 0)
                 polls["pending_max"] = max(polls["pending_max"], pending)
-                memo = doc.get("verifier", {}).get("chain_memo")
-                if memo is not None:
-                    polls["chain_memo"] = memo
             except (ConnectionError, OSError, ValueError):
                 pass
             try:
@@ -421,9 +418,6 @@ async def run_load(cfg: LoadConfig) -> Dict[str, object]:
         "budget_stalls": gateway.stalls_total,
         "status_polls": polls["count"],
         "status_pending_max": polls["pending_max"],
-        # Last classification-memo snapshot the status endpoint served
-        # during ingest (None when no poll landed mid-run).
-        "chain_memo": polls["chain_memo"],
         "client_errors": sum(len(s["errors"]) for s in client_stats),
         "online_fingerprint": drain_doc.get("fingerprint"),
         "offline_fingerprint": offline,

@@ -538,6 +538,53 @@ def test_each_layer_of_the_spine_has_one_loop_body():
         assert isinstance(statement, ast.Return) and _calls(statement) == ["_read"]
 
 
+def test_consistent_reads_are_checked_in_one_pass():
+    """CR has one matching body: the loop over a finished transaction's
+    pending entries in ``on_terminal``.  It asks ``classify`` only about
+    chains longer than one version, no other method takes a pending entry,
+    and the deriver's scalar hook is its batch form over a batch of one."""
+    tree = _core_ast("consistent_read.py")
+    methods = {
+        item.name: item
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name == "ConsistentReadVerifier"
+        for item in node.body
+        if isinstance(item, ast.FunctionDef)
+    }
+    touching = {
+        name
+        for name, method in methods.items()
+        for node in ast.walk(method)
+        if isinstance(node, ast.Attribute) and node.attr == "pending_reads"
+    }
+    assert touching == {"on_read", "on_terminal"}
+    for name, method in methods.items():
+        assert not {"pending", "entry"} & {a.arg for a in method.args.args}, name
+    pass_ = methods["on_terminal"]
+    over_pending = [
+        node for node in ast.walk(pass_)
+        if isinstance(node, ast.For) and ast.unparse(node.iter) == "pending"
+    ]
+    assert len(over_pending) == 1
+    guarded = [
+        node for node in ast.walk(over_pending[0])
+        if isinstance(node, ast.If) and "classify" in _calls(ast.Module(node.body, []))
+    ]
+    assert _calls(tree).count("classify") == 2  # the read pass, the scan check
+    assert [ast.unparse(node.test) for node in guarded] == [
+        "minimal and len(versions) > 1"
+    ]
+    # One place decides whether an observation matches an image.
+    assert _calls(tree).count("reads_match") == 0
+    assert sum(
+        isinstance(node, ast.Compare) and "image_get(column)" in ast.unparse(node)
+        for node in ast.walk(tree)
+    ) == 1
+
+    scalar = _statements(_method(_core_ast("bus.py"), "VersionOrderDeriver", "on_read_match"))
+    assert len(scalar) <= 3 and "on_read_matches" in _calls(ast.Module(scalar, []))
+
+
 class TestFlatMemory:
     """Count traces decoded from the capture minus traces handed to the
     verifier, sampled at every dispatched batch.  What the ingest spine

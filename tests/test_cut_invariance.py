@@ -29,6 +29,7 @@ from repro.core.parallel import ParallelVerifier, ShardVerifier
 from repro.core.pipeline import pipeline_from_client_streams, sorted_traces
 from repro.core.report import report_fingerprint
 from repro.core.state import VerifierState
+from repro.core.trace import KeyRange
 from repro.core.verifier import RefusedTrace
 from repro.dbsim.faults import FaultPlan
 from repro.workloads import BlindW, run_workload
@@ -123,6 +124,45 @@ class TestVerifier:
     def test_any_cut(self, run, stream, points):
         points = [p % (len(stream) + 1) for p in points]
         assert serial(run, cut_at(stream, points)) == serial(run, [stream])
+
+    def test_pending_entries_are_per_read_trace(self):
+        """CR defers one entry per read trace -- a multi-key read, a read
+        of the transaction's own write, a scan -- and the pass over them
+        concludes the same whether the transaction's reads arrived in one
+        batch or one per batch."""
+        rows = {("row", i): {"v": i} for i in range(4)}
+        reads = [
+            Trace.read(1, 2, "t1", {("row", 0): 0, ("row", 1): 1, ("row", 2): 7}),
+            Trace.write(3, 4, "t1", {("row", 1): 5}, op_index=1),
+            Trace.read(5, 6, "t1", {("row", 1): 5, ("row", 3): 3}, op_index=2),
+            Trace.read(
+                7, 8, "t1", {("row", 0): 0}, op_index=3,
+                predicate=KeyRange(("row",), 0, 3),
+            ),
+        ]
+        terminal = Trace.commit(9, 10, "t1", op_index=4)
+
+        def feed(batches):
+            verifier = Verifier(
+                spec=PG_SERIALIZABLE, initial_db=rows, gc_every=GC_EVERY
+            )
+            for batch in batches:
+                verifier.process_batch(batch)
+            pending = verifier.state.txns["t1"].pending_reads
+            assert [entry[0] for entry in pending] == [reads[0], reads[2], reads[3]]
+            assert [entry[1] for entry in pending] == [
+                None, {("row", 1): {"v": 5}}, None,
+            ]
+            verifier.process(terminal)
+            assert not verifier.state.txns["t1"].pending_reads
+            report = verifier.finish()
+            return report_fingerprint(report), stats_of(report)
+
+        whole = feed([reads])
+        assert feed(cut(reads, 1)) == whole
+        _, stats = whole
+        assert stats["reads_checked"] == 6 and stats["deps_wr"] == 0
+        assert stats["conflict_pairs"] == 4  # one own-write read, one miss
 
     def test_smallbank_run(self, smallbank_run):
         """Duplicate values and multi-key transactions: CR's deferred

@@ -180,9 +180,9 @@ class TestVersionOrderDeriver:
         verifier = Verifier(spec=PG_SERIALIZABLE)
         deriver = verifier.mechanism("RW-DERIVE")
         assert isinstance(deriver, VersionOrderDeriver)
-        # CR's unique-match hook is wired to the deriver.
+        # CR's unique-match hook is wired to the deriver's batch form.
         cr = verifier.mechanism("CR")
-        assert cr._on_read_match == deriver.on_read_match
+        assert cr._on_read_matches == deriver.on_read_matches
 
     def test_rw_derived_for_read_overwrite(self):
         # gc_every=0: keep the graph intact so the edge can be inspected
@@ -200,3 +200,39 @@ class TestVersionOrderDeriver:
         assert report.ok
         assert report.stats.deps_rw >= 1
         assert DepType.RW in verifier.state.graph.edge_types("t2", "t3")
+
+    def test_ww_edges_derive_rw_per_adjacent_pair_in_chain_order(self):
+        """A deduced ww edge confirms a version adjacency: every reader of
+        the earlier version anti-depends on the later installer.  Two ww
+        edges on one key, three readers: publications follow chain order,
+        then the version's reader set; a ww edge between non-adjacent
+        versions, a reader that is the overwriter itself and a keyless
+        edge derive nothing."""
+        from repro.core.intervals import Interval
+
+        state = VerifierState()
+        for txn_id in ("a", "b", "c", "r1", "r2", "r3"):
+            state.ensure_txn(txn_id, 0)
+        bus = DependencyBus(state)
+        deriver = VersionOrderDeriver(state, bus)
+        chain = state.chain("k")
+        # Overlapping commits: nothing but a ww edge orders them.
+        for at, txn_id in enumerate(("a", "b", "c")):
+            chain.stage_write(txn_id, {"v": txn_id}, Interval(at, at + 1))
+            chain.commit_txn(txn_id, Interval(10 + at, 20 + at))
+        by_a, by_b, _ = chain.committed_versions()
+        by_a.readers.update(("r1", "r2", "b"))
+        by_b.readers.add("r3")
+        derived = []
+        bus.tap(lambda dep: derived.append((dep.src, dep.dep_type, dep.dst, dep.key)))
+
+        deriver.on_dependency(_dep("a", "c"))           # not adjacent
+        deriver.on_dependency(_dep("a", "b", key=None))  # no key
+        deriver.on_dependency(_dep("a", "b", dep_type=DepType.WR))
+        assert derived == []
+        deriver.on_dependency(_dep("a", "b"))
+        deriver.on_dependency(_dep("b", "c"))
+        assert derived == [
+            (reader, DepType.RW, "b", "k") for reader in by_a.readers if reader != "b"
+        ] + [("r3", DepType.RW, "c", "k")]
+        assert len(derived) == 3

@@ -169,10 +169,7 @@ class TestDisabledRegistry:
 #: ``verify --stats-json`` over the BlindW-RW+ capture below, as printed by
 #: the commit before per-event instrument calls were folded into
 #: per-terminal increments / put behind ``registry.enabled``: the folded
-#: counters must keep reading exactly these.  (The ``chain.memo`` rows were
-#: re-read when the chain was reduced to one classification path: every
-#: mutation of a chain with cached outcomes is an invalidation, every
-#: partition of a longer chain a miss.)
+#: counters must keep reading exactly these.
 OFF_MEANS_OFF_COUNTERS = {
     "bus.deps.accepted{mechanism=CR,type=wr}": 2457,
     "bus.deps.accepted{mechanism=FUW,type=ww}": 327,
@@ -184,9 +181,6 @@ OFF_MEANS_OFF_COUNTERS = {
     "bus.deps.delivered{mechanism=ME,type=ww}": 327,
     "bus.deps.delivered{mechanism=SC,type=rw}": 3189,
     "bus.deps.delivered{mechanism=SC,type=so}": 1886,
-    "chain.memo.hits": 36384,
-    "chain.memo.invalidations": 5649,
-    "chain.memo.misses": 10178,
     "cr.reads.ambiguous": 0,
     "cr.reads.checked": 46562,
     "cr.reads.unique_match": 46562,

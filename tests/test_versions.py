@@ -7,7 +7,7 @@ from repro import PG_REPEATABLE_READ, PG_SERIALIZABLE
 from repro.core.intervals import Interval
 from repro.core.versions import VersionChain, chain_sort_key
 from repro.workloads import BlindW, SmallBank, run_workload
-from tests import fig6_oracle, gc_oracle
+from tests import cr_oracle, fig6_oracle, gc_oracle
 from tests.conftest import verify_run
 
 
@@ -375,10 +375,10 @@ def test_indexed_memo_survives_interleaved_mutation(specs, snapshots):
 
 
 def test_single_version_fast_path_matches_linear():
-    """Length-1 chains take a dedicated cached path (the dominant shape
-    under steady-state GC); all three outcomes -- future, pivot, overlap
-    -- must agree with the linear scan, and the cache must be dropped when
-    the chain grows."""
+    """Length-1 chains take a dedicated branch (scans and own-write reads
+    still ask about them); all three outcomes -- future, pivot, overlap
+    -- must agree with the linear scan, before and after the chain
+    grows."""
     cases = [
         Interval(10, 11),   # snapshot after commit: version is the pivot
         Interval(0.1, 0.2),  # snapshot before install: version is future
@@ -391,9 +391,6 @@ def test_single_version_fast_path_matches_linear():
         chain.stage_write("t0", {"v": 0}, Interval(1, 2))
         chain.commit_txn("t0", Interval(8, 9))
         fig6_oracle.check(chain, snapshot)
-        # Cached: identical object on re-classification.
-        assert chain.classify(snapshot) is chain.classify(snapshot)
-        # Growing the chain drops the single-version outcomes.
         chain.stage_write("t1", {"v": 1}, Interval(20, 21))
         chain.commit_txn("t1", Interval(22, 23))
         fig6_oracle.check(chain, snapshot)
@@ -522,15 +519,17 @@ class TestWorkloadScan:
     """Every classification a whole verification run asks for -- reads,
     scans, with the verifier's own ww-order oracle -- and every GC prune
     must match the linear scan, so nothing the chain deduces can differ
-    from what the specification deduces."""
+    from what the specification deduces.  CR's read pass decides
+    one-version chains itself, so every read it checks is compared with
+    the per-read reference over the same scan (``tests/cr_oracle.py``) and
+    those decisions are counted next to the ``classify`` calls."""
 
     @pytest.fixture
     def checked_chains(self, monkeypatch):
-        calls = {"classify": 0}
         plain_classify = VersionChain.classify
 
         def classify(chain, snapshot, order_oracle=None):
-            calls["classify"] += 1
+            decided["classify"] += 1
             got = plain_classify(chain, snapshot, order_oracle)
             fig6_oracle.assert_same(
                 got, fig6_oracle.classify(chain._chain, snapshot, order_oracle)
@@ -540,15 +539,15 @@ class TestWorkloadScan:
         monkeypatch.setattr(VersionChain, "classify", classify)
         # Every collection's version prune -- the prefix slice and the
         # general path alike -- against the scan's garbage over all chains.
-        with gc_oracle.checked():
-            yield calls
+        with gc_oracle.checked(), cr_oracle.checked() as decided:
+            yield decided
 
     @pytest.mark.parametrize("name", sorted(WORKLOADS))
     def test_every_classification_matches_the_scan(self, name, checked_chains):
         run = WORKLOADS[name]()
         report = verify_run(run, PG_SERIALIZABLE, gc_every=64)
         assert report.ok
-        assert checked_chains["classify"] > 200
+        assert checked_chains["classify"] + checked_chains["one_version"] > 200
         assert report.stats.gc_versions_pruned > 0
 
     def test_matches_the_scan_under_weaker_spec(self, checked_chains):
@@ -556,4 +555,4 @@ class TestWorkloadScan:
         mechanisms under RR, so a sparser ww-order oracle)."""
         run = WORKLOADS["blindw-rw"]()
         assert verify_run(run, PG_REPEATABLE_READ, gc_every=64).ok
-        assert checked_chains["classify"] > 200
+        assert checked_chains["classify"] + checked_chains["one_version"] > 200
