@@ -61,7 +61,6 @@ from .core import (
     pipeline_from_client_streams,
     profile,
     profiles_for,
-    register_mechanism,
     run_stats,
     sorted_traces,
     supported_dbms,
@@ -122,7 +121,6 @@ __all__ = [
     "profiles_for",
     "sorted_traces",
     "supported_dbms",
-    "register_mechanism",
     "run_stats",
     "verify_traces",
     "verify_traces_parallel",

@@ -21,14 +21,7 @@ from .io import (
 )
 from .bus import DependencyBus, VersionOrderDeriver
 from .dependencies import Dependency, DependencyGraph, DepType
-from .mechanism import (
-    MechanismContext,
-    MechanismVerifier,
-    build_mechanisms,
-    register_mechanism,
-    registered_mechanisms,
-    unregister_mechanism,
-)
+from .mechanism import MechanismVerifier
 from .metrics import (
     NULL_REGISTRY,
     Counter,
@@ -121,12 +114,7 @@ __all__ = [
     "DependencyGraph",
     "DepType",
     "VersionOrderDeriver",
-    "MechanismContext",
     "MechanismVerifier",
-    "build_mechanisms",
-    "register_mechanism",
-    "registered_mechanisms",
-    "unregister_mechanism",
     "NULL_REGISTRY",
     "Counter",
     "Gauge",

@@ -9,31 +9,26 @@ exchange:
 * **guard** -- dependencies whose endpoints were already pruned as garbage
   (Definition 4) are dropped at publication: by Theorem 5 they cannot join
   any future cycle, and inserting them would resurrect zombie graph nodes;
-* **counters** -- accepted dependencies are tallied globally (the
-  ``deps_*`` fields of :class:`~repro.core.report.VerificationStats`) and
-  per producing mechanism and edge type in the bus's
-  :class:`~repro.core.metrics.MetricsRegistry` (``bus.deps.accepted`` /
-  ``delivered`` / ``dropped``), which is the Fig. 13
-  deduction-breakdown data; :attr:`DependencyBus.counts`,
-  :attr:`DependencyBus.accepted` and :attr:`DependencyBus.dropped` are
-  read-only views over the registry;
-* **subscribers** -- delivery happens in a fixed priority order (the
-  certifier first, then the Fig. 9 rw-derivation), and a re-entrant
-  publication from inside a delivery is fully processed before the outer
-  one returns;
-* **taps** -- passive observers of the accepted-dependency stream, used by
-  the parallel path to journal per-shard dependencies for the merged
-  global certification pass (see :mod:`repro.core.parallel`).
+* **counters** -- accepted dependencies are tallied per type in the
+  ``deps_*`` fields of :class:`~repro.core.report.VerificationStats`, and,
+  on an instrumented run only, per producing mechanism and edge type in the
+  run's :class:`~repro.core.metrics.MetricsRegistry` (``bus.deps.accepted``
+  / ``bus.deps.dropped``; :attr:`DependencyBus.counts` is a view over the
+  former);
+* **one delivery line** -- fixed once, at assembly
+  (:meth:`DependencyBus.connect`): a shard's journal (if any), then the
+  certifier, then the Fig. 9 rw derivation.  A re-entrant publication from
+  inside a delivery is fully processed before the outer one returns.
 """
 
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 from .dependencies import Dependency, DepType
-from .mechanism import MechanismContext, MechanismVerifier, register_mechanism
-from .metrics import MetricsRegistry, parse_metric_key
+from .mechanism import MechanismVerifier
+from .metrics import NULL_REGISTRY, MetricsRegistry, parse_metric_key
 from .report import Mechanism
 from .trace import INIT_TXN
 from .versions import Version
@@ -42,7 +37,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .state import VerifierState
 
 DeliverFn = Callable[[Dependency], None]
-TapFn = Callable[[Dependency], None]
 
 
 class DependencyBus:
@@ -66,61 +60,42 @@ class DependencyBus:
         #: (the merge path of the parallel verifier re-publishes already
         #: counted dependencies and disables this).
         self._count_stats = count_stats
-        #: (priority, insertion_seq, name, callback, timed)
-        self._subscribers: List[Tuple[int, int, str, DeliverFn, bool]] = []
-        self._sub_seq = 0
-        #: delivery-order callables compiled from ``_subscribers`` (timed
-        #: subscribers are wrapped once here instead of branching and
-        #: unpacking per event).
-        self._dispatch: Tuple[DeliverFn, ...] = ()
-        self._taps: List[TapFn] = []
-        #: the single source of truth for the bus counters.  The Fig. 13
-        #: breakdown (``counts``) must exist even when the run is not
-        #: instrumented, so a disabled (or absent) registry is replaced by
-        #: a bus-private enabled one -- same cost, just not exported.
-        #: whether the run is instrumented: only then do ``timed``
-        #: subscribers read a clock.
-        self._timing = metrics is not None and metrics.enabled
-        self.metrics = metrics if self._timing else MetricsRegistry()
-        #: per-(metric, mechanism, type) counter handles for the cold
-        #: metric (dropped), resolved once per triple.  Keyed by
-        #: ``(metric, id(mechanism), id(type))``: enum members are process
-        #: singletons, and identity keys hash at C level where enum
-        #: ``__hash__`` is a Python call on every event.
+        #: the delivery line, in delivery order (:meth:`connect`).
+        self._line: Tuple[DeliverFn, ...] = ()
+        self.metrics = metrics if metrics is not None else NULL_REGISTRY
+        #: whether the run is instrumented: only then does a publication
+        #: touch a counter or the certifier's delivery read a clock.
+        self._metered = self.metrics.enabled
+        #: counter handles resolved once per (metric, mechanism, type).
+        #: Keyed by ``(metric, id(mechanism), id(type))``: enum members are
+        #: process singletons, and identity keys hash at C level where enum
+        #: ``__hash__`` is a Python call.
         self._handles: Dict[Tuple[str, int, int], object] = {}
-        #: per-(mechanism, type) ``(accepted, delivered)`` handle pairs
-        #: (same identity keying): every surviving publication bumps both,
-        #: so the hot path fetches them with a single dict lookup per event
-        #: instead of two :meth:`_count` calls.
-        self._pair_handles: Dict[
-            Tuple[int, int], Tuple[object, object]
-        ] = {}
 
     # -- wiring ------------------------------------------------------------
 
-    def subscribe(
+    def connect(
         self,
-        name: str,
-        callback: DeliverFn,
-        priority: int = 0,
-        timed: bool = False,
+        certifier: MechanismVerifier,
+        deriver: Optional[MechanismVerifier] = None,
+        journal: Optional[DeliverFn] = None,
     ) -> None:
-        """Register a delivery target.  Lower ``priority`` is delivered
-        first; ``timed=True`` accumulates the callback's wall time into
-        ``stats.mechanism_seconds[name]`` (the time-breakdown experiment)
-        when the bus was given an enabled registry, and costs nothing
-        otherwise.
-        """
-        timed = timed and self._timing
-        self._subscribers.append((priority, self._sub_seq, name, callback, timed))
-        self._sub_seq += 1
-        self._subscribers.sort(key=lambda entry: (entry[0], entry[1]))
-        self._dispatch = tuple(
-            self._timed_wrapper(entry[2], entry[3]) if entry[4] else entry[3]
-            for entry in self._subscribers
-        )
+        """Fix the delivery line: ``journal`` (a shard's record of what its
+        bus accepted), then the certifier, then the Fig. 9 deriver.  On an
+        instrumented run the certifier's delivery is timed into
+        ``stats.mechanism_seconds[certifier.name]``; the deriver's is not a
+        bucket of its own (its nested publications still time their
+        certifier deliveries)."""
+        certify = certifier.on_dependency
+        if self._metered:
+            certify = self._timed(certifier.name, certify)
+        line = [] if journal is None else [journal]
+        line.append(certify)
+        if deriver is not None:
+            line.append(deriver.on_dependency)
+        self._line = tuple(line)
 
-    def _timed_wrapper(self, name: str, callback: DeliverFn) -> DeliverFn:
+    def _timed(self, name: str, callback: DeliverFn) -> DeliverFn:
         state = self._state
 
         def deliver_timed(dep: Dependency) -> None:
@@ -135,15 +110,11 @@ class DependencyBus:
 
         return deliver_timed
 
-    def tap(self, fn: TapFn) -> None:
-        """Register a passive observer of every accepted dependency."""
-        self._taps.append(fn)
-
     # -- registry-backed counters ------------------------------------------
 
     def _count(self, metric: str, dep: Dependency) -> None:
-        """Bump ``bus.deps.<metric>{mechanism=...,type=...}``, caching the
-        counter handle per (metric, mechanism, type)."""
+        """Bump ``<metric>{mechanism=...,type=...}`` (instrumented runs
+        only), caching the counter handle per (metric, mechanism, type)."""
         key = (metric, id(dep.source), id(dep.dep_type))
         handle = self._handles.get(key)
         if handle is None:
@@ -151,31 +122,13 @@ class DependencyBus:
             handle = self._handles[key] = self.metrics.counter(
                 metric, mechanism=source, type=dep.dep_type.value
             )
-        handle.inc()
-
-    def _pair(self, dep: Dependency) -> Tuple[object, object]:
-        """``(accepted, delivered)`` counter handles for the dependency's
-        (mechanism, type) pair, created together on first sight."""
-        key = (id(dep.source), id(dep.dep_type))
-        pair = self._pair_handles.get(key)
-        if pair is None:
-            source = dep.source.value if dep.source is not None else "?"
-            dep_type = dep.dep_type.value
-            pair = self._pair_handles[key] = (
-                self.metrics.counter(
-                    "bus.deps.accepted", mechanism=source, type=dep_type
-                ),
-                self.metrics.counter(
-                    "bus.deps.delivered", mechanism=source, type=dep_type
-                ),
-            )
-        return pair
+        handle.value += 1
 
     @property
     def counts(self) -> Dict[str, Dict[str, int]]:
         """Accepted dependencies per producing mechanism and type, e.g.
-        ``counts["FUW"]["ww"] == 17`` -- a read-only view reconstructed
-        from the ``bus.deps.accepted`` registry counters."""
+        ``counts["FUW"]["ww"] == 17`` -- a read-only view over the run's
+        ``bus.deps.accepted`` counters (empty when not instrumented)."""
         nested: Dict[str, Dict[str, int]] = {}
         for key, value in self.metrics.counters_with_name(
             "bus.deps.accepted"
@@ -184,33 +137,15 @@ class DependencyBus:
             nested.setdefault(labels["mechanism"], {})[labels["type"]] = value
         return nested
 
-    @property
-    def accepted(self) -> int:
-        """Total dependencies that survived the garbage guard."""
-        return sum(
-            self.metrics.counters_with_name("bus.deps.accepted").values()
-        )
-
-    @property
-    def dropped(self) -> int:
-        """Total dependencies dropped by the garbage guard."""
-        return sum(
-            self.metrics.counters_with_name("bus.deps.dropped").values()
-        )
-
     # -- publication -------------------------------------------------------
 
     def publish(self, dep: Dependency) -> bool:
         """Publish one dependency with immediate (depth-first) delivery.
 
-        Re-entrant publications from inside a subscriber (e.g. the rw
+        Re-entrant publications from inside a delivery (e.g. the rw
         derivation reacting to a ww edge) are fully processed before the
         outer publication returns -- the exchange semantics of Section V-A.
         Returns whether the dependency survived the garbage guard.
-
-        Counters are bumped through the handle's ``value`` slot directly:
-        one publication per deduced dependency makes this the bus's
-        hottest entry point.
         """
         nodes = self._graph_nodes
         txns = self._txns
@@ -219,10 +154,11 @@ class DependencyBus:
         if (src not in nodes and src not in txns) or (
             dst not in nodes and dst not in txns
         ):
-            self._count("bus.deps.dropped", dep)
+            if self._metered:
+                self._count("bus.deps.dropped", dep)
             return False
-        dep_type = dep.dep_type
         if self._count_stats:
+            dep_type = dep.dep_type
             stats = self._state.stats
             if dep_type is DepType.WR:
                 stats.deps_wr += 1
@@ -232,16 +168,10 @@ class DependencyBus:
                 stats.deps_so += 1
             else:
                 stats.deps_rw += 1
-        pair = self._pair_handles.get((id(dep.source), id(dep_type)))
-        if pair is None:
-            pair = self._pair(dep)
-        pair[0].value += 1
-        pair[1].value += 1
-        if self._taps:
-            for fn in self._taps:
-                fn(dep)
-        for fn in self._dispatch:
-            fn(dep)
+        if self._metered:
+            self._count("bus.deps.accepted", dep)
+        for deliver in self._line:
+            deliver(dep)
         return True
 
     def publish_many(self, deps) -> int:
@@ -251,24 +181,20 @@ class DependencyBus:
         return sum(map(self.publish, deps))
 
 
-@register_mechanism("RW-DERIVE", order=30)
 class VersionOrderDeriver(MechanismVerifier):
     """Fig. 9: derive ``rw`` anti-dependencies from reads and ``ww`` edges.
 
-    Registered between FUW and CR so that newly confirmed version
+    Assembled between FUW and CR so that newly confirmed version
     adjacencies are materialised as anti-dependencies before the CR checks
     of the same terminal trace run -- the order the exchange of Section V-A
     prescribes.  The deriver is not one of the paper's four mechanisms; it
-    is the exchange rule connecting them, so it subscribes to the bus
-    (after the certifier) instead of owning verifier state.
+    is the exchange rule connecting them, so it sits on the bus's delivery
+    line (after the certifier) instead of owning verifier state, and its
+    time is not a ``stats.mechanism_seconds`` bucket of its own beyond the
+    drain of CR's matches.
     """
 
     name = "RW-DERIVE"
-    subscribes = True
-    subscribe_priority = 10
-    #: the serial verifier never timed the derivation as its own bucket;
-    #: nested emissions still time their certifier deliveries as "SC".
-    timed = False
 
     def __init__(self, state: "VerifierState", bus: DependencyBus):
         self._state = state
@@ -286,12 +212,6 @@ class VersionOrderDeriver(MechanismVerifier):
 
     def _live(self, txn_id: str) -> bool:
         return txn_id in self._graph_nodes or txn_id in self._txns
-
-    @classmethod
-    def build(cls, ctx: MechanismContext) -> "VersionOrderDeriver":
-        deriver = cls(ctx.state, ctx.bus)
-        ctx.shared["rw_deriver"] = deriver
-        return deriver
 
     # -- confirmation oracle ----------------------------------------------
 
@@ -359,8 +279,8 @@ class VersionOrderDeriver(MechanismVerifier):
         chain = self._state.chains.get(dep.key)
         if chain is None:
             return
-        # No subscriber or tap mutates a chain during a publication, so
-        # the adjacent pairs are walked in place.
+        # Nothing on the delivery line mutates a chain during a
+        # publication, so the adjacent pairs are walked in place.
         versions = chain.iter_committed()
         src = dep.src
         dst = dep.dst

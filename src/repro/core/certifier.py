@@ -22,24 +22,21 @@ from __future__ import annotations
 from typing import List, Optional, Set
 
 from .dependencies import Dependency, DepType
-from .mechanism import MechanismContext, MechanismVerifier, register_mechanism
+from .mechanism import MechanismVerifier
 from .report import Mechanism, Violation, ViolationKind
 from .spec import CertifierKind, IsolationSpec
 from .state import VerifierState
 
 
-@register_mechanism("SC", order=50)
 class SerializationCertifier(MechanismVerifier):
     """Mirrors the certifier of the DBMS under test.
 
     Unlike the other mechanisms the certifier consumes no traces directly:
-    it subscribes to the dependency bus (first in delivery order) and
-    certifies the graph the exchange builds.
+    it is first on the dependency bus's delivery line and certifies the
+    graph the exchange builds.
     """
 
     name = "SC"
-    subscribes = True
-    subscribe_priority = 0
 
     def __init__(self, state: VerifierState, spec: IsolationSpec, metrics=None):
         from .metrics import NULL_REGISTRY
@@ -59,10 +56,6 @@ class SerializationCertifier(MechanismVerifier):
         #: true even if the peer transaction is later pruned.
         self._in_crw: Set[str] = set()
         self._out_crw: Set[str] = set()
-
-    @classmethod
-    def build(cls, ctx: MechanismContext) -> "SerializationCertifier":
-        return cls(ctx.state, ctx.spec, metrics=ctx.metrics)
 
     # -- dependency intake ---------------------------------------------------------
 
@@ -199,6 +192,3 @@ class SerializationCertifier(MechanismVerifier):
     def on_gc(self, txn_id: str) -> None:
         self._in_crw.discard(txn_id)
         self._out_crw.discard(txn_id)
-
-    #: kept as an alias -- the GC layer historically called this name.
-    on_txn_pruned = on_gc

@@ -24,11 +24,10 @@ happened before the read even if their trace intervals overlap.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
-from .dependencies import Dependency
 from .intervals import Interval
-from .mechanism import MechanismContext, MechanismVerifier, register_mechanism
+from .mechanism import MechanismVerifier
 from .report import Mechanism, Violation, ViolationKind
 from .spec import CRLevel, IsolationSpec
 from .state import TxnState, VerifierState
@@ -39,10 +38,7 @@ from .trace import (
     is_tombstone,
 )
 
-EmitFn = Callable[[Dependency], None]
 
-
-@register_mechanism("CR", order=40)
 class ConsistentReadVerifier(MechanismVerifier):
     """Mirrors the consistent-read mechanism of the DBMS under test."""
 
@@ -52,7 +48,6 @@ class ConsistentReadVerifier(MechanismVerifier):
         self,
         state: VerifierState,
         spec: IsolationSpec,
-        emit: EmitFn,
         on_read_matches=None,
         minimal: bool = True,
         check_aborted_reads: bool = True,
@@ -62,7 +57,6 @@ class ConsistentReadVerifier(MechanismVerifier):
 
         self._state = state
         self._spec = spec
-        self._emit = emit
         #: stable per-state handles pre-bound for the read pass (the dict
         #: and stats objects live as long as the state).
         self._chains_get = state.chains.get
@@ -97,33 +91,11 @@ class ConsistentReadVerifier(MechanismVerifier):
         #: even to a transaction that later rolls back).
         self._check_aborted = check_aborted_reads
         #: the finished transaction's unique matches, awaiting delivery to
-        #: the deriver.  By default they are drained at the end of
-        #: :meth:`on_terminal`; the verifier flips
-        #: :meth:`enable_deferred_matches` so it can drain them *after*
-        #: CR's timed window closes -- the derivation (and the certifier
-        #: work it triggers) is then billed to the deriver instead of
-        #: inflating the CR bucket.  Delivery order and the position of the
-        #: drain relative to the certifier's terminal hook are unchanged,
-        #: so reports are byte-identical either way.
+        #: the deriver.  :meth:`on_terminal` only queues them; the verifier
+        #: calls :meth:`drain_matches` right after it, as a separate step,
+        #: so the derivation (and the certifier work it triggers) is billed
+        #: to the deriver instead of inflating the CR bucket.
         self._match_queue: list = []
-        self._defer_matches = False
-
-    @classmethod
-    def build(cls, ctx: MechanismContext) -> "ConsistentReadVerifier":
-        deriver = ctx.shared.get("rw_deriver")
-        return cls(
-            ctx.state,
-            ctx.spec,
-            ctx.bus.publish,
-            on_read_matches=(
-                deriver.on_read_matches
-                if deriver is not None
-                else ctx.options.get("on_read_matches")
-            ),
-            minimal=ctx.options.get("minimize_candidates", True),
-            check_aborted_reads=ctx.options.get("check_aborted_reads", True),
-            metrics=ctx.metrics,
-        )
 
     # -- trace handlers ---------------------------------------------------------
 
@@ -295,16 +267,6 @@ class ConsistentReadVerifier(MechanismVerifier):
             self._m_ambiguous.inc(ambiguous)
         for read, snapshot in scans:
             self._check_scan(txn, read, snapshot)
-        if queue and not self._defer_matches:
-            self.drain_matches()
-
-    def enable_deferred_matches(self):
-        """Switch unique-match delivery from inline (end of
-        :meth:`on_terminal`) to caller-drained, and hand back the drain
-        hook.  Used by the verifier's terminal dispatch to attribute
-        derivation time to the deriver rather than to CR."""
-        self._defer_matches = True
-        return self.drain_matches
 
     def drain_matches(self) -> None:
         """Hand the queued unique matches to the deriver as one batch, in

@@ -20,17 +20,16 @@ from typing import Callable, List
 
 from .dependencies import Dependency, DepType
 from .intervals import Interval
-from .mechanism import MechanismContext, MechanismVerifier, register_mechanism
+from .mechanism import MechanismVerifier
 from .report import Mechanism, Violation, ViolationKind
 from .spec import CertifierKind, IsolationSpec
 from .state import TxnState, VerifierState
 from .trace import INIT_TXN
 from .versions import Version
 
-EmitFn = Callable[[Dependency], None]
+EmitManyFn = Callable[[List[Dependency]], object]
 
 
-@register_mechanism("FUW", order=20)
 class FirstUpdaterWinsVerifier(MechanismVerifier):
     """Mirrors the write-conflict (first updater/committer wins) rule."""
 
@@ -40,15 +39,13 @@ class FirstUpdaterWinsVerifier(MechanismVerifier):
         self,
         state: VerifierState,
         spec: IsolationSpec,
-        emit: EmitFn,
+        emit_many: EmitManyFn,
         metrics=None,
-        emit_many=None,
     ):
         from .metrics import NULL_REGISTRY
 
         self._state = state
         self._spec = spec
-        self._emit = emit
         #: batch publication (``bus.publish_many``): ww deductions are
         #: collected across a commit's pair checks and delivered as one
         #: group -- the checks read only intervals and transaction
@@ -65,16 +62,6 @@ class FirstUpdaterWinsVerifier(MechanismVerifier):
         self._m_pairs = registry.counter("fuw.interval_pairs.checked")
         self._m_writes = registry.counter("fuw.writes.checked")
         self._m_deduced = registry.counter("fuw.ww.deduced")
-
-    @classmethod
-    def build(cls, ctx: MechanismContext) -> "FirstUpdaterWinsVerifier":
-        return cls(
-            ctx.state,
-            ctx.spec,
-            ctx.bus.publish,
-            metrics=ctx.metrics,
-            emit_many=ctx.bus.publish_many,
-        )
 
     def on_terminal(
         self, txn: TxnState, trace, installed: List[Version]
@@ -109,11 +96,7 @@ class FirstUpdaterWinsVerifier(MechanismVerifier):
             self._m_pairs.inc(stats.conflict_pairs - pairs_before)
             self._m_deduced.inc(len(batch))
         if batch:
-            if self._emit_many is not None:
-                self._emit_many(batch)
-            else:
-                for dep in batch:
-                    self._emit(dep)
+            self._emit_many(batch)
             batch.clear()
 
     # -- pair analysis -------------------------------------------------------------

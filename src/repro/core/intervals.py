@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
 
 #: Timestamp used for versions that exist before any traced operation
 #: (initial database population).  Using -inf keeps all comparison
@@ -96,11 +95,6 @@ class Interval:
         """
         return self.ts_bef < other.ts_aft
 
-    def must_precede(self, other: "Interval") -> bool:
-        """Whether every choice of hidden instants orders self first.
-        Equivalent to :meth:`precedes` for open intervals."""
-        return self.precedes(other)
-
     # -- convenience ------------------------------------------------------
 
     def union_span(self, other: "Interval") -> "Interval":
@@ -121,23 +115,3 @@ INITIAL_INTERVAL = Interval(NEG_INF, NEG_INF)
 
 #: The interval of an event that has not been observed yet.
 UNFINISHED_INTERVAL = Interval(POS_INF, POS_INF)
-
-
-def overlap_ratio(intervals: Iterable[Interval]) -> float:
-    """Fraction of adjacent (sorted by ``ts_bef``) interval pairs that
-    overlap.  Used by the Fig. 4 experiment as a cheap summary statistic."""
-    ordered = sorted(intervals)
-    if len(ordered) < 2:
-        return 0.0
-    overlapping = sum(
-        1 for a, b in zip(ordered, ordered[1:]) if a.overlaps(b)
-    )
-    return overlapping / (len(ordered) - 1)
-
-
-def merge_spans(intervals: Iterable[Interval]) -> Optional[Interval]:
-    """Smallest interval covering all operands, or ``None`` when empty."""
-    span: Optional[Interval] = None
-    for interval in intervals:
-        span = interval if span is None else span.union_span(interval)
-    return span

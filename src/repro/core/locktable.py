@@ -44,9 +44,6 @@ class LockMode(enum.Enum):
     SHARED = "S"
     EXCLUSIVE = "X"
 
-    def conflicts_with(self, other: "LockMode") -> bool:
-        return self is LockMode.EXCLUSIVE or other is LockMode.EXCLUSIVE
-
 
 class OrderOutcome(enum.Enum):
     """Result of enumerating the feasible orders for one lock pair."""
@@ -148,9 +145,6 @@ class LockTable:
 
     def live_entry_count(self) -> int:
         return sum(len(chain) for chain in self._by_key.values())
-
-    def locked_key_count(self) -> int:
-        return len(self._by_key)
 
     # -- mutation ---------------------------------------------------------------
 

@@ -11,20 +11,19 @@ one is, a ``ww`` dependency is deduced (Fig. 7b, Theorem 3).
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, List
 
 from .dependencies import Dependency, DepType
 from .locktable import LockEntry, LockMode, OrderOutcome, classify_pair
-from .mechanism import MechanismContext, MechanismVerifier, register_mechanism
+from .mechanism import MechanismVerifier
 from .report import Mechanism, Violation, ViolationKind
 from .spec import IsolationSpec
 from .state import TxnState, VerifierState
 from .trace import Trace
 
-EmitFn = Callable[[Dependency], None]
+EmitManyFn = Callable[[List[Dependency]], object]
 
 
-@register_mechanism("ME", order=10)
 class MutualExclusionVerifier(MechanismVerifier):
     """Mirrors the lock manager of the DBMS under test.
 
@@ -40,15 +39,13 @@ class MutualExclusionVerifier(MechanismVerifier):
         self,
         state: VerifierState,
         spec: IsolationSpec,
-        emit: EmitFn,
+        emit_many: EmitManyFn,
         metrics=None,
-        emit_many=None,
     ):
         from .metrics import NULL_REGISTRY
 
         self._state = state
         self._spec = spec
-        self._emit = emit
         #: batch publication (``bus.publish_many``): deduced ww edges are
         #: collected across a terminal's pair checks and handed to the bus
         #: as one group.  The pair checks read only lock intervals, so
@@ -66,16 +63,6 @@ class MutualExclusionVerifier(MechanismVerifier):
         self._m_pairs = registry.counter("me.lock_pairs.checked")
         self._m_locks = registry.counter("me.locks.acquired")
         self._m_deduced = registry.counter("me.ww.deduced")
-
-    @classmethod
-    def build(cls, ctx: MechanismContext) -> "MutualExclusionVerifier":
-        return cls(
-            ctx.state,
-            ctx.spec,
-            ctx.bus.publish,
-            metrics=ctx.metrics,
-            emit_many=ctx.bus.publish_many,
-        )
 
     # -- trace handlers ------------------------------------------------------
 
@@ -129,11 +116,7 @@ class MutualExclusionVerifier(MechanismVerifier):
             self._m_pairs.inc(stats.conflict_pairs - pairs_before)
             self._m_deduced.inc(len(batch))
         if batch:
-            if self._emit_many is not None:
-                self._emit_many(batch)
-            else:
-                for dep in batch:
-                    self._emit(dep)
+            self._emit_many(batch)
             batch.clear()
 
     # -- pair analysis ------------------------------------------------------------

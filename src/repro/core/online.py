@@ -69,8 +69,10 @@ class OnlineVerifier:
         **verifier_kwargs,
     ):
         """``verifier`` injects any verifier-shaped backend
-        (``process_batch`` / ``violations_so_far`` / ``finish``) -- the
-        parallel path plugs in a
+        (``process_batch`` / ``finish``, and the four names the operator
+        surfaces read: ``metrics``, ``violations_so_far()``,
+        ``live_structure_count()``, ``coordinator_pending_events()``) --
+        the parallel path plugs in a
         :class:`~repro.core.parallel.ParallelVerifier` this way.  When
         omitted, a serial :class:`Verifier` is built from the remaining
         arguments."""
@@ -83,10 +85,8 @@ class OnlineVerifier:
         )
         self._on_violation = on_violation
         #: interpreter-collector passes, counted into the backend's
-        #: registry until :meth:`finish` (nothing when it has none).
-        self._collector_watch = CollectorWatch(
-            getattr(self._verifier, "metrics", None)
-        )
+        #: registry until :meth:`finish` (nothing when it is disabled).
+        self._collector_watch = CollectorWatch(self._verifier.metrics)
         #: per-client stage (each client's stream is monotone).
         self._stages: Dict[int, _Stage] = {}
         #: clients evicted because the backend refused one of their traces
@@ -323,17 +323,13 @@ class OnlineVerifier:
         return self._verifier.violations_so_far()
 
     def live_structure_count(self) -> int:
-        counter = getattr(self._verifier, "live_structure_count", None)
-        if callable(counter):
-            return counter()
-        return self._verifier.state.live_structure_count()
+        return self._verifier.live_structure_count()
 
     def snapshot(self) -> Dict[str, object]:
         """Live operator view: streaming state plus the backend registry's
         instruments (empty maps when the backend is not instrumented).
         Safe to call at any time; it never advances the watermark.
         Documented in ``docs/observability.md``."""
-        registry = getattr(self._verifier, "metrics", None)
         watermark = self._watermark()
         return {
             "clients": len(self._stages),
@@ -349,11 +345,7 @@ class OnlineVerifier:
             "violations": len(self._verifier.violations_so_far()),
             "alerted": self._alerted,
             "live_structures": self.live_structure_count(),
-            "metrics": (
-                registry.snapshot()
-                if registry is not None and registry.enabled
-                else {"counters": {}, "gauges": {}, "histograms": {}}
-            ),
+            "metrics": self._verifier.metrics.snapshot(),
         }
 
     def finish(self) -> VerificationReport:

@@ -7,11 +7,13 @@ embarrassingly parallel.  Only the serialization certifier is global --
 dependency cycles cross keys -- so the parallel path splits the work:
 
 * each **shard worker** runs a full :class:`~repro.core.verifier.Verifier`
-  over its key partition, with the certifier swapped (through the
-  mechanism registry's override seam) for a :class:`GraphOnlyCertifier`
-  that maintains the local dependency graph -- the ww-order oracle CR and
-  the Fig. 9 derivation need -- but reports nothing;
-* every dependency a worker's bus accepts, and every violation its
+  over its key partition, whose certifier (:class:`ShardVerifier`
+  overrides the assembly's ``_build_certifier``) is a
+  :class:`GraphOnlyCertifier` that maintains the local dependency graph --
+  the ww-order oracle CR and the Fig. 9 derivation need -- but reports
+  nothing;
+* every dependency a worker's bus accepts (the journal is first on the
+  shard's delivery line: ``_connect_bus``), and every violation its
   mechanisms record, is **journaled** with the global index of the trace
   being processed and a per-shard sequence number;
 * the journals are merge-sorted by ``(trace index, shard, sequence)`` and
@@ -21,8 +23,7 @@ dependency cycles cross keys -- so the parallel path splits the work:
 
 The merge is **streamed**: workers flush journal *segments* back over
 their pipes during the run, each tagged with
-the coordinator watermark of the last message frame they fully applied
-(and the GC horizon the coordinator computed when it flushed that frame).
+the coordinator watermark of the last message frame they fully applied.
 Trace indices reach a shard in increasing order, so once a shard has
 applied the frame tagged ``W`` it can never again journal an event with
 index ``<= W``; the coordinator therefore replays the merged stream up to
@@ -89,7 +90,7 @@ from .codec import (
 from .dependencies import Dependency, DepType
 from .gc import GarbageCollector
 from .intervals import Interval
-from .mechanism import MechanismContext, MechanismVerifier
+from .mechanism import MechanismVerifier
 from .metrics import NULL_REGISTRY, MetricsRegistry
 from .report import (
     BugDescriptor,
@@ -130,7 +131,6 @@ MSG_TRACE = "t"
 _T_BEGIN = 0
 _T_TRACE = 1
 
-_DOUBLE = struct.Struct("<d")
 _DOUBLE_PAIR = struct.Struct("<dd")
 
 _DEPTYPE_TO_CODE = {
@@ -147,42 +147,27 @@ _MECH_TO_CODE = {
     Mechanism.SERIALIZATION_CERTIFIER: 3,
 }
 _CODE_TO_MECH = {code: mech for mech, code in _MECH_TO_CODE.items()}
-#: dependency ``source``/``key`` sentinel codes.
+#: dependency ``source`` sentinel code.
 _NO_SOURCE = 0xFF
-_KEY_VALUE = 0
-_KEY_PICKLE = 1
-
-
-def _is_wire_value(value) -> bool:
-    """Whether the codec's tagged value grammar covers ``value`` (record
-    keys from traces always qualify; exotic keys fall back to pickle)."""
-    if value is None or type(value) in (str, int, float, bool):
-        return True
-    if isinstance(value, tuple):
-        return all(_is_wire_value(part) for part in value)
-    return isinstance(value, (str, int, float, bool))
-
 
 #: sort key of the merged journal replay order.
 _EVENT_KEY = itemgetter(0, 1, 2)
 
 
 def encode_message_frame(
-    messages: Sequence[Tuple],
-    watermark: int = -1,
-    horizon: float = float("-inf"),
+    messages: Sequence[Tuple], watermark: int = -1
 ) -> bytes:
     """Encode one coordinator->worker batch of begin/trace messages.
 
     The header carries the coordinator's trace-index ``watermark`` (every
     message with a smaller-or-equal index routed to this shard is in this
-    frame or an earlier one) and the GC ``horizon`` (``S_e`` of
-    Definition 4 at the moment the frame was flushed); the worker echoes
-    both on the journal segments it flushes after applying the frame.
+    frame or an earlier one); the worker echoes it on the journal
+    segments it flushes after applying the frame.  A record key outside
+    the codec's value grammar is refused here (``CodecError``), on the way
+    to the worker, so no journaled dependency can carry one back.
     """
     encoder = PayloadEncoder()
     encoder.zigzag(watermark)
-    encoder.double(horizon)
     encoder.varint(len(messages))
     # Per-message loop: the codec's writers on the encoder's own buffers.
     body, index, strings = encoder.body, encoder.index, encoder.strings
@@ -200,9 +185,7 @@ def encode_message_frame(
     return encoder.finish()
 
 
-def apply_message_frame(
-    shard: "ShardVerifier", payload: bytes
-) -> Tuple[int, float]:
+def apply_message_frame(shard: "ShardVerifier", payload: bytes) -> int:
     """Decode one batch frame and feed it to a shard verifier.
 
     Decoding happens once, here in the worker, through the codec's
@@ -210,14 +193,12 @@ def apply_message_frame(
     each trace is stamped with its global trace index.  Runs of
     consecutive trace messages are handed to
     :meth:`ShardVerifier.ingest_batch` so the per-trace bookkeeping is
-    amortized across the run.  Returns the frame's ``(watermark,
-    horizon)`` header.
+    amortized across the run.  Returns the frame's ``watermark``.
     """
     data = bytes(payload)
     strings, pos = read_strings(data, 0)
     watermark, pos = read_zigzag(data, pos)
-    (horizon,) = _DOUBLE.unpack_from(data, pos)
-    count, pos = read_varint(data, pos + 8)
+    count, pos = read_varint(data, pos)
     pending: List[Tuple[int, Trace]] = []
     for _ in range(count):
         tag = data[pos]
@@ -236,7 +217,7 @@ def apply_message_frame(
         shard.begin(strings[txn_index], client_id, Interval(ts_bef, ts_aft))
     if pending:
         shard.ingest_batch(pending)
-    return watermark, horizon
+    return watermark
 
 
 def _encode_events(encoder: PayloadEncoder, events: Sequence[Tuple]) -> None:
@@ -251,13 +232,7 @@ def _encode_events(encoder: PayloadEncoder, events: Sequence[Tuple]) -> None:
             encoder.u8(_DEPTYPE_TO_CODE[payload.dep_type])
             source = payload.source
             encoder.u8(_NO_SOURCE if source is None else _MECH_TO_CODE[source])
-            key = payload.key
-            if _is_wire_value(key):
-                encoder.u8(_KEY_VALUE)
-                encoder.value(key)
-            else:
-                encoder.u8(_KEY_PICKLE)
-                encoder.raw(pickle.dumps(key, protocol=pickle.HIGHEST_PROTOCOL))
+            encoder.value(payload.key)
         else:
             encoder.u8(1)
             encoder.zigzag(index)
@@ -278,14 +253,10 @@ def _decode_events(decoder: PayloadDecoder) -> List[Tuple[int, int, str, object]
             dep_type = _CODE_TO_DEPTYPE[decoder.u8()]
             source_code = decoder.u8()
             source = None if source_code == _NO_SOURCE else _CODE_TO_MECH[source_code]
-            if decoder.u8() == _KEY_VALUE:
-                key = decoder.value()
-            else:
-                key = pickle.loads(decoder.raw())
             append(
                 (index, seq, _DEP,
-                 Dependency(src=src, dst=dst, dep_type=dep_type, key=key,
-                            source=source))
+                 Dependency(src=src, dst=dst, dep_type=dep_type,
+                            key=decoder.value(), source=source))
             )
         else:
             append((index, seq, _VIOLATION, pickle.loads(decoder.raw())))
@@ -308,23 +279,18 @@ def encode_shard_result(result: "ShardResult") -> bytes:
 def encode_segment_frame(
     shard_id: int,
     watermark: int,
-    horizon: float,
     events: Sequence[Tuple[int, int, str, object]],
 ) -> bytes:
     """Encode a mid-run journal segment.
 
-    ``watermark``/``horizon`` echo the header of the last message frame
-    the worker fully applied: after this segment the worker will never
-    journal another event with trace index ``<= watermark``, and
-    ``horizon`` was Definition 4's ``S_e`` at the coordinator when that
-    frame was flushed (so pruning the merged graph at it is no more
-    aggressive than a serial collector at the same stream position).
+    ``watermark`` echoes the header of the last message frame the worker
+    fully applied: after this segment the worker will never journal
+    another event with trace index ``<= watermark``.
     """
     encoder = PayloadEncoder()
     encoder.u8(2)  # segment
     encoder.varint(shard_id)
     encoder.zigzag(watermark)
-    encoder.double(horizon)
     _encode_events(encoder, events)
     return encoder.finish()
 
@@ -346,11 +312,9 @@ def decode_shard_reply(payload: bytes):
     if status == 2:
         shard_id = decoder.varint()
         watermark = decoder.zigzag()
-        horizon = decoder.double()
         return "segment", StreamSegment(
             shard_id=shard_id,
             watermark=watermark,
-            horizon=horizon,
             events=_decode_events(decoder),
         )
     shard_id = decoder.varint()
@@ -377,15 +341,9 @@ class GraphOnlyCertifier(MechanismVerifier):
     """
 
     name = "SC"
-    subscribes = True
-    subscribe_priority = 0
 
     def __init__(self, state: VerifierState):
         self._state = state
-
-    @classmethod
-    def build(cls, ctx: MechanismContext) -> "GraphOnlyCertifier":
-        return cls(ctx.state)
 
     def on_dependency(self, dep) -> None:
         self._state.graph.add_dependency(dep)
@@ -433,40 +391,41 @@ class StreamSegment:
     #: trace-index watermark: the shard will never journal another event
     #: with index ``<= watermark`` after this segment.
     watermark: int
-    #: GC horizon (``S_e``) the coordinator computed when it flushed the
-    #: message frame this watermark acknowledges.  The wired merger
-    #: prices collections off the coordinator's dispatch-time horizon
-    #: log instead (deterministic under any arrival schedule); the echo
-    #: is the fallback for a standalone merger with no log.
-    horizon: float
     events: List[Tuple[int, int, str, object]]
 
 
 class ShardVerifier(Verifier):
     """A serial verifier over one key partition, journaling its output.
 
-    The certifier is swapped for :class:`GraphOnlyCertifier`; a bus tap
-    journals each accepted dependency and a descriptor subclass journals
-    each recorded violation, both tagged with the global index of the
-    trace currently being ingested and a shared per-shard sequence number
-    (so the merged replay preserves their relative order).
+    The assembly differs from the serial one in its two overridable
+    steps: the certifier is a :class:`GraphOnlyCertifier`, and the bus's
+    delivery line starts with the journal.  A descriptor subclass journals
+    each recorded violation; dependencies and violations are both tagged
+    with the global index of the trace currently being ingested and a
+    shared per-shard sequence number (so the merged replay preserves their
+    relative order).
     """
 
     def __init__(self, shard_id: int = 0, **kwargs):
-        overrides = dict(kwargs.pop("mechanism_overrides", None) or {})
-        overrides.setdefault("SC", GraphOnlyCertifier.build)
         # Registries do not cross the process pipe, so the coordinator
         # ships a bool and each worker builds (and later snapshots) its own.
         if kwargs.pop("metrics_enabled", False) and "metrics" not in kwargs:
             kwargs["metrics"] = MetricsRegistry()
-        super().__init__(mechanism_overrides=overrides, **kwargs)
         self.shard_id = shard_id
         self.events: List[Tuple[int, int, str, object]] = []
         self._seq = 0
         self._trace_index = -1
         self._wall_seconds = 0.0
-        self.bus.tap(lambda dep: self._journal(_DEP, dep))
+        super().__init__(**kwargs)
         self.state.descriptor = _JournalingDescriptor(self._journal)
+
+    def _build_certifier(self) -> GraphOnlyCertifier:
+        return GraphOnlyCertifier(self.state)
+
+    def _connect_bus(self, certifier, deriver) -> None:
+        self.bus.connect(
+            certifier, deriver, journal=lambda dep: self._journal(_DEP, dep)
+        )
 
     def _journal(self, kind: str, payload) -> None:
         self.events.append((self._trace_index, self._seq, kind, payload))
@@ -523,8 +482,8 @@ def _shard_worker_main(conn, shard_id: int, spec, initial_part, options) -> None
     stream; the reply is an encoded result frame.
 
     The journal is flushed back as a segment frame whenever it grows past
-    the ``stream_segment_events`` budget, echoing the watermark/horizon of
-    the frame just applied; the final result frame then carries only the
+    the ``stream_segment_events`` budget, echoing the watermark of the
+    frame just applied; the final result frame then carries only the
     residue.
     """
     relax_collector()
@@ -539,12 +498,10 @@ def _shard_worker_main(conn, shard_id: int, spec, initial_part, options) -> None
                 frame = conn.recv_bytes()
                 if not frame:
                     break
-                watermark, horizon = apply_message_frame(shard, frame)
+                watermark = apply_message_frame(shard, frame)
                 if len(shard.events) >= segment_events:
                     conn.send_bytes(
-                        encode_segment_frame(
-                            shard_id, watermark, horizon, shard.events
-                        )
+                        encode_segment_frame(shard_id, watermark, shard.events)
                     )
                     shard.events.clear()
             result = shard.finish_shard()
@@ -615,7 +572,7 @@ class _StreamMerger:
         commits: List[Tuple[int, str, Interval]],
         gc_every: int,
         metrics: MetricsRegistry,
-        horizon_log: Optional["deque"] = None,
+        horizon_log: "deque",
     ):
         self._txns = txns
         self._commits = commits
@@ -627,9 +584,7 @@ class _StreamMerger:
         # dependencies) feeding the one place certification happens.
         self._bus = DependencyBus(state, count_stats=False)
         self._certifier = SerializationCertifier(state, spec, metrics=metrics)
-        self._bus.subscribe(
-            self._certifier.name, self._certifier.on_dependency, priority=0
-        )
+        self._bus.connect(self._certifier)
         self._gc = GarbageCollector(
             state,
             every=max(1, gc_every),
@@ -648,7 +603,6 @@ class _StreamMerger:
             [] for _ in range(shards)
         ]
         self._watermarks = [-1] * shards
-        self._horizons = [float("-inf")] * shards
         self._replayed_watermark = -1
         self.replayed = 0
         self._m_replayed = metrics.counter("parallel.stream.replayed")
@@ -667,16 +621,13 @@ class _StreamMerger:
         self,
         shard: int,
         watermark: int,
-        horizon: float,
         events: Sequence[Tuple[int, int, str, object]],
     ) -> None:
-        """Buffer one segment and advance the shard's watermark/horizon
-        (both monotone -- a late small ack never regresses them)."""
+        """Buffer one segment and advance the shard's watermark
+        (monotone -- a late small ack never regresses it)."""
         self._pending[shard].extend(events)
         if watermark > self._watermarks[shard]:
             self._watermarks[shard] = watermark
-        if horizon > self._horizons[shard]:
-            self._horizons[shard] = horizon
         self._note_lag()
 
     def add_residual(
@@ -713,30 +664,20 @@ class _StreamMerger:
         self.replayed += len(due)
         self._m_replayed.inc(len(due))
         self._note_lag()
-        self._trim_horizon_log(low)
+        # Consume the log up to the watermark, so it tracks only the
+        # dispatch-to-replay window.
+        self._gc_horizon(low)
         return len(due)
 
     def _gc_horizon(self, index: int) -> float:
         """Horizon for a collection fired right after replaying ``index``:
         the coordinator's dispatch-time ``S_e`` record for that trace
-        index (a pure function of the trace stream).  Without a wired log
-        (standalone merger, unit tests) falls back to the merged
-        flush-time shard horizons."""
+        index (a pure function of the trace stream).  Consumes the log's
+        entries up to ``index``."""
         log = self._horizon_log
-        if log is None:
-            return min(self._horizons)
         while log and log[0][0] <= index:
             self._log_horizon = log.popleft()[1]
         return self._log_horizon
-
-    def _trim_horizon_log(self, index: int) -> None:
-        """Drop consumed log entries so the log tracks only the
-        dispatch-to-replay window."""
-        log = self._horizon_log
-        if log is None:
-            return
-        while log and log[0][0] <= index:
-            self._log_horizon = log.popleft()[1]
 
     def _replay_with_gc(self, due: List[Tuple[int, int, int, str, object]]) -> None:
         """Replay a merged chunk, firing collections at exact
@@ -929,7 +870,7 @@ class ParallelVerifier:
         #: dispatch-order before-timestamp watermark and the active
         #: transactions' first-op pins -- together they reproduce the
         #: serial :meth:`VerifierState.earliest_unverified_snapshot` at
-        #: every frame flush, which is the horizon streamed GC prunes at.
+        #: every dispatched trace, which is the horizon streamed GC prunes at.
         self._ts_watermark = float("-inf")
         self._active_heap: List[Tuple[float, str]] = []
         #: per-trace ``(index, S_e)`` dispatch records; the merger prices
@@ -1058,9 +999,7 @@ class ParallelVerifier:
         return self._ts_watermark
 
     def _send_frame(self, shard: int, buffer: List) -> None:
-        frame = encode_message_frame(
-            buffer, self._trace_index - 1, self._horizon()
-        )
+        frame = encode_message_frame(buffer, self._trace_index - 1)
         try:
             self._conns[shard].send_bytes(frame)
         except (BrokenPipeError, OSError):
@@ -1101,9 +1040,7 @@ class ParallelVerifier:
             self._m_segments.inc()
             self._m_stream_bytes.inc(len(payload))
             merger = self._ensure_merger()
-            merger.offer(
-                value.shard_id, value.watermark, value.horizon, value.events
-            )
+            merger.offer(value.shard_id, value.watermark, value.events)
             with self._m_overlap.time():
                 merger.advance()
         elif status == "ok":
@@ -1134,11 +1071,10 @@ class ParallelVerifier:
         ):
             return
         watermark = self._trace_index - 1
-        horizon = self._horizon()
         merger = self._ensure_merger()
         for sv in self._inline:
             self._m_segments.inc()
-            merger.offer(sv.shard_id, watermark, horizon, list(sv.events))
+            merger.offer(sv.shard_id, watermark, list(sv.events))
             sv.events.clear()
         with self._m_overlap.time():
             merger.advance()

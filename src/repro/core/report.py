@@ -130,12 +130,6 @@ class BugDescriptor:
                 )
                 self._seen[dedup_key] += extra
 
-    def by_mechanism(self, mechanism: Mechanism) -> List[Violation]:
-        return [v for v in self._violations if v.mechanism is mechanism]
-
-    def by_kind(self, kind: ViolationKind) -> List[Violation]:
-        return [v for v in self._violations if v.kind is kind]
-
     def __len__(self) -> int:
         return len(self._violations)
 

@@ -189,12 +189,6 @@ class IncrementalTopology:
 
     # -- queries ---------------------------------------------------------------
 
-    def order_of(self, node: Node) -> int:
-        return self._ord[node]
-
-    def topological_order(self) -> List[Node]:
-        return sorted(self._ord, key=self._ord.__getitem__)
-
     def verify_invariant(self) -> bool:
         """Debug/property-test helper: every edge goes forward in the order."""
         return all(

@@ -306,10 +306,6 @@ class Trace:
         """Whether this trace ends its transaction."""
         return self.kind in (OpKind.COMMIT, OpKind.ABORT)
 
-    @property
-    def is_data_op(self) -> bool:
-        return self.kind in (OpKind.READ, OpKind.WRITE)
-
     def sort_key(self) -> Tuple[float, int]:
         """Pipeline ordering key: before-timestamp, tie-broken by id."""
         return (self.ts_bef, self.trace_id)

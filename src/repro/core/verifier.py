@@ -15,11 +15,13 @@ mechanism verifiers check the result:
   derived per Fig. 9) and fed to the certifier;
 * garbage structures are pruned periodically (Definition 4, Theorem 5).
 
-The Verifier itself is an *orchestrator*: the mechanism assembly is built
-from the :class:`~repro.core.spec.IsolationSpec` through the registry in
-:mod:`repro.core.mechanism`, so new mechanisms plug in without touching
-this module, and the parallel path (:mod:`repro.core.parallel`) swaps the
-certifier per shard through the same seam.
+The Verifier *is* the assembly (Section II-B, Fig. 3): it constructs ME,
+FUW, the Fig. 9 rw deriver, CR and the certifier, in that order, and
+connects the bus's delivery line to the last and the third.  What varies
+per isolation level is the :class:`~repro.core.spec.IsolationSpec` they
+read, not the wiring.  A subclass changes the assembly by overriding
+:meth:`Verifier._build_certifier` / :meth:`Verifier._connect_bus` -- the
+parallel path's shards (:mod:`repro.core.parallel`) do exactly that.
 """
 
 from __future__ import annotations
@@ -28,28 +30,20 @@ import time
 from itertools import islice
 from typing import Iterable, Iterator, List, Mapping, Optional
 
-from .bus import DependencyBus
+from .bus import DependencyBus, VersionOrderDeriver
+from .certifier import SerializationCertifier
+from .consistent_read import ConsistentReadVerifier
 from .dependencies import Dependency, DepType
+from .first_updater_wins import FirstUpdaterWinsVerifier
 from .gc import GarbageCollector
-from .mechanism import (
-    MechanismContext,
-    MechanismVerifier,
-    build_mechanisms,
-)
+from .mechanism import MechanismVerifier
 from .metrics import NULL_REGISTRY, MetricsRegistry
+from .mutual_exclusion import MutualExclusionVerifier
 from .report import Mechanism, VerificationReport, Violation
 from .spec import IsolationSpec, PG_SERIALIZABLE
 from .state import TxnState, TxnStatus, VerifierState
 from .trace import Key, OpKind, OpStatus, Trace
 from .versions import Version
-
-# The mechanism implementations register themselves on import; pulling the
-# modules in here guarantees the registry is populated before any Verifier
-# is constructed (bus brings the Fig. 9 deriver).
-from . import certifier as _certifier  # noqa: F401
-from . import consistent_read as _consistent_read  # noqa: F401
-from . import first_updater_wins as _first_updater_wins  # noqa: F401
-from . import mutual_exclusion as _mutual_exclusion  # noqa: F401
 
 
 _LOOP_CONSTANTS = (
@@ -103,11 +97,6 @@ class Verifier:
         Whether reads of aborted transactions are still CR-checked (they
         must be: an engine may not serve inconsistent data even to a
         transaction that later rolls back).
-    state:
-        Inject a pre-built :class:`VerifierState`; default builds one.
-    mechanism_overrides:
-        Per-name factory substitutions applied on top of the registry
-        (``{"SC": factory}`` swaps the certifier without re-registering).
     metrics:
         A :class:`~repro.core.metrics.MetricsRegistry` to instrument the
         run with (``docs/observability.md``).  ``None`` (the default)
@@ -125,8 +114,6 @@ class Verifier:
         check_aborted_reads: bool = True,
         incremental_graph: bool = True,
         session_order: bool = True,
-        state: Optional[VerifierState] = None,
-        mechanism_overrides=None,
         metrics: Optional[MetricsRegistry] = None,
     ):
         """``session_order`` adds same-client program-order edges to the
@@ -139,56 +126,46 @@ class Verifier:
         self._session_order = session_order
         self._session_tail: dict = {}
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
-        self.state = state if state is not None else VerifierState(
+        self.state = state = VerifierState(
             initial_db=initial_db, incremental_graph=incremental_graph
         )
-        self.bus = DependencyBus(self.state, metrics=self.metrics)
-        context = MechanismContext(
-            state=self.state,
-            spec=spec,
-            bus=self.bus,
-            options={
-                "minimize_candidates": minimize_candidates,
-                "check_aborted_reads": check_aborted_reads,
-            },
+        self.bus = bus = DependencyBus(state, metrics=self.metrics)
+        # The assembly (Fig. 3), in the order Algorithm 2 checks it at a
+        # terminal trace: ME and FUW deduce the ww edges that confirm
+        # version adjacency before the Fig. 9 derivation and the CR checks
+        # consume them; the certifier sees every dependency through the bus.
+        me = MutualExclusionVerifier(
+            state, spec, bus.publish_many, metrics=self.metrics
+        )
+        fuw = FirstUpdaterWinsVerifier(
+            state, spec, bus.publish_many, metrics=self.metrics
+        )
+        deriver = VersionOrderDeriver(state, bus)
+        cr = ConsistentReadVerifier(
+            state,
+            spec,
+            deriver.on_read_matches,
+            minimal=minimize_candidates,
+            check_aborted_reads=check_aborted_reads,
             metrics=self.metrics,
         )
-        self.mechanisms: List[MechanismVerifier] = build_mechanisms(
-            context, overrides=mechanism_overrides
+        certifier = self._build_certifier()
+        self._connect_bus(certifier, deriver)
+        self.mechanisms: List[MechanismVerifier] = [me, fuw, deriver, cr, certifier]
+        self._me, self._fuw, self._deriver, self._cr, self._certifier = (
+            self.mechanisms
         )
-        base = MechanismVerifier
-        self._gc_hooks = [
-            m for m in self.mechanisms if type(m).on_gc is not base.on_gc
-        ]
-        #: precompiled terminal dispatch: (mechanism, histogram, drain),
-        #: the histogram None for untimed mechanisms.  Computing this once
-        #: keeps the per-terminal loop free of closures and branches on
-        #: mechanism flags.  ``drain`` is the mechanism's deferred
-        #: dependency-delivery hook (CR's unique-match queue): it runs
-        #: right after the mechanism's timed window closes, before the next
-        #: mechanism's hook, so attribution improves while delivery order
-        #: is unchanged.
-        def _deferred_drain(m):
-            enable = getattr(m, "enable_deferred_matches", None)
-            return enable() if enable is not None else None
-
-        self._terminal_dispatch = tuple(
-            (
-                m,
-                self.metrics.histogram(
-                    "mechanism.terminal.seconds", mechanism=m.name
-                )
-                if m.timed
-                else None,
-                _deferred_drain(m),
-            )
-            for m in self.mechanisms
+        #: ``mechanism.terminal.seconds`` histograms of the four timed
+        #: terminal hooks (the deriver's time is the drain's).
+        self._terminal_hists = tuple(
+            self.metrics.histogram("mechanism.terminal.seconds", mechanism=m.name)
+            for m in (me, fuw, cr, certifier)
         )
         self._m_txns_pruned = self.metrics.counter("gc.txns.pruned")
         self._gc: Optional[GarbageCollector] = None
         if gc_every:
             self._gc = GarbageCollector(
-                self.state,
+                state,
                 every=gc_every,
                 on_txn_pruned=self._on_txn_pruned,
                 metrics=self.metrics,
@@ -196,32 +173,34 @@ class Verifier:
         self._finished = False
         #: what the dispatch loop binds on entry, as one unpack: a batch
         #: of one (``process``, an inline shard's ``ingest``) pays the
-        #: entry once per trace.  Hooks are the overridden ones only,
-        #: pre-bound; the common assemblies have exactly one read hook
-        #: (CR) and one write hook (ME), and a directly bound hook skips
-        #: the tuple iteration per operation.
-        reads = tuple(
-            m.on_read for m in self.mechanisms
-            if type(m).on_read is not base.on_read
-        )
-        writes = tuple(
-            m.on_write for m in self.mechanisms
-            if type(m).on_write is not base.on_write
-        )
+        #: entry once per trace.
         self._loop = (
-            self.state, self.state.stats, self.state.txns,
-            self.state.chains.get, self.state.chain,
-            reads[0] if len(reads) == 1 else None, reads,
-            writes[0] if len(writes) == 1 else None, writes,
+            state, state.stats, state.txns, state.chains.get, state.chain,
+            me.on_read, cr.on_read, me.on_write,
             self._on_commit, self._on_abort, self._gc,
         )
         if not exchange_dependencies:
             # Ablation: mechanisms stop sharing deduced ww orders, so CR's
             # candidate sets cannot be shrunk by other mechanisms' findings.
-            self.state.ww_order = lambda a, b: None  # type: ignore[method-assign]
+            state.ww_order = lambda a, b: None  # type: ignore[method-assign]
+
+    # -- the assembly's seam ----------------------------------------------------
+
+    def _build_certifier(self) -> MechanismVerifier:
+        """The fifth mechanism: what certifies the graph the exchange
+        builds.  A shard builds a graph-only one (certification is
+        global)."""
+        return SerializationCertifier(self.state, self.spec, metrics=self.metrics)
+
+    def _connect_bus(
+        self, certifier: MechanismVerifier, deriver: MechanismVerifier
+    ) -> None:
+        """Fix the bus's delivery line: certifier, then deriver.  A shard
+        puts its journal in front."""
+        self.bus.connect(certifier, deriver)
 
     def mechanism(self, name: str) -> MechanismVerifier:
-        """Look up an assembled mechanism by registry name."""
+        """Look up an assembled mechanism by name."""
         for m in self.mechanisms:
             if m.name == name:
                 return m
@@ -243,8 +222,8 @@ class Verifier:
 
     def _execute(self, traces: Iterable[Trace]) -> None:
         """The dispatch loop (Algorithm 2), the hottest code in the
-        verifier.  The loop invariants -- state tables, hook tuples, the
-        watermark, the GC countdown -- live in locals and are written back
+        verifier.  The loop invariants -- state tables, the three data
+        hooks, the watermark, the GC countdown -- live in locals and are written back
         when the loop leaves, by exhaustion or by a raise: a refused trace
         (:class:`RefusedTrace`) leaves the verifier exactly as feeding the
         traces in front of it alone would, so the caller may go on with
@@ -254,7 +233,7 @@ class Verifier:
             raise RuntimeError("verifier already finished")
         (
             state, stats, txns, chains_get, state_chain,
-            read_hook, read_hooks, write_hook, write_hooks,
+            me_on_read, cr_on_read, me_on_write,
             on_commit, on_abort, gc,
         ) = self._loop
         ok, read_kind, write_kind, commit_kind, active = _LOOP_CONSTANTS
@@ -286,18 +265,11 @@ class Verifier:
                 kind = trace.kind
                 if kind is read_kind:
                     if trace.status is ok:
-                        if read_hook is not None:
-                            read_hook(trace, txn)
-                        else:
-                            for hook in read_hooks:
-                                hook(trace, txn)
+                        me_on_read(trace, txn)
+                        cr_on_read(trace, txn)
                 elif kind is write_kind:
                     if trace.status is ok:
-                        if write_hook is not None:
-                            write_hook(trace, txn)
-                        else:
-                            for hook in write_hooks:
-                                hook(trace, txn)
+                        me_on_write(trace, txn)
                         staged = txn.staged_versions.append
                         for key, columns in trace.writes.items():
                             chain = chains_get(key)
@@ -332,46 +304,55 @@ class Verifier:
     def _dispatch_terminal(
         self, txn: TxnState, trace: Trace, installed: List[Version]
     ) -> None:
-        """Run every mechanism's terminal hook in registry order.  The
-        order is load-bearing: ME and FUW deduce the ww edges that confirm
-        version adjacency before the Fig. 9 rw derivation and the CR
-        checks consume them.
+        """Run the five terminal hooks in assembly order.  The order is
+        load-bearing: ME and FUW deduce the ww edges that confirm version
+        adjacency before the Fig. 9 rw derivation and the CR checks
+        consume them.
 
-        CR's unique-match deliveries (the Fig. 9 wr recording and rw
-        derivation, plus the certifier work those publications trigger)
-        are drained *between* CR's timed window and the certifier's hook
-        and billed to the ``RW-DERIVE`` bucket: same delivery order, same
-        reports, but the CR bucket now answers "how long did the CR checks
-        themselves run".  Other nesting (e.g. a commit-hook publication the
-        certifier consumes inline) still double-counts by design.
+        CR's unique matches (the Fig. 9 wr recording and rw derivation,
+        plus the certifier work those publications trigger) are drained
+        *between* CR's hook and the certifier's, as a step of its own
+        billed to the ``RW-DERIVE`` bucket: the CR bucket answers "how
+        long did the CR checks themselves run".  Other nesting (e.g. a
+        commit-hook publication the certifier consumes inline) still
+        double-counts by design.
 
         Timing (``stats.mechanism_seconds`` and the
         ``mechanism.terminal.seconds`` histograms) is an instrument: an
         uninstrumented run reads no clock here."""
+        cr = self._cr
         if not self.metrics.enabled:
-            for mechanism, _hist, drain in self._terminal_dispatch:
-                mechanism.on_terminal(txn, trace, installed)
-                if drain is not None:
-                    drain()
+            self._me.on_terminal(txn, trace, installed)
+            self._fuw.on_terminal(txn, trace, installed)
+            self._deriver.on_terminal(txn, trace, installed)
+            cr.on_terminal(txn, trace, installed)
+            cr.drain_matches()
+            self._certifier.on_terminal(txn, trace, installed)
             return
+        me_hist, fuw_hist, cr_hist, certifier_hist = self._terminal_hists
+        self._timed_terminal(self._me, me_hist, txn, trace, installed)
+        self._timed_terminal(self._fuw, fuw_hist, txn, trace, installed)
+        self._deriver.on_terminal(txn, trace, installed)
+        self._timed_terminal(cr, cr_hist, txn, trace, installed)
+        start = time.perf_counter()
+        cr.drain_matches()
+        elapsed = time.perf_counter() - start
         bucket = self.state.stats.mechanism_seconds
-        for mechanism, hist, drain in self._terminal_dispatch:
-            if hist is None:
-                mechanism.on_terminal(txn, trace, installed)
-            else:
-                start = time.perf_counter()
-                try:
-                    mechanism.on_terminal(txn, trace, installed)
-                finally:
-                    elapsed = time.perf_counter() - start
-                    name = mechanism.name
-                    bucket[name] = bucket.get(name, 0.0) + elapsed
-                    hist.observe(elapsed)
-            if drain is not None:
-                start = time.perf_counter()
-                drain()
-                elapsed = time.perf_counter() - start
-                bucket["RW-DERIVE"] = bucket.get("RW-DERIVE", 0.0) + elapsed
+        bucket["RW-DERIVE"] = bucket.get("RW-DERIVE", 0.0) + elapsed
+        self._timed_terminal(
+            self._certifier, certifier_hist, txn, trace, installed
+        )
+
+    def _timed_terminal(self, mechanism, hist, txn, trace, installed) -> None:
+        start = time.perf_counter()
+        try:
+            mechanism.on_terminal(txn, trace, installed)
+        finally:
+            elapsed = time.perf_counter() - start
+            bucket = self.state.stats.mechanism_seconds
+            name = mechanism.name
+            bucket[name] = bucket.get(name, 0.0) + elapsed
+            hist.observe(elapsed)
 
     def _on_commit(self, trace: Trace, txn: TxnState) -> None:
         state = self.state
@@ -415,13 +396,14 @@ class Verifier:
                     state.gc_version_candidates[key] = chain
         self._dispatch_terminal(txn, trace, [])
 
-    # -- garbage collection fan-out -------------------------------------------------
+    # -- garbage collection -------------------------------------------------
 
     def _on_txn_pruned(self, txn_id: str) -> None:
         if self.metrics.enabled:
             self._m_txns_pruned.inc()
-        for mechanism in self._gc_hooks:
-            mechanism.on_gc(txn_id)
+        # The certifier is the only mechanism that keeps per-transaction
+        # state of its own.
+        self._certifier.on_gc(txn_id)
 
     # -- completion -----------------------------------------------------------------
 
@@ -429,6 +411,17 @@ class Verifier:
         """Violations recorded up to now (an append-only list the report
         shares); the online layer alerts from it."""
         return self.state.descriptor.violations
+
+    def live_structure_count(self) -> int:
+        """Structures the mirrored state retains (the memory axis the
+        online layer reports)."""
+        return self.state.live_structure_count()
+
+    def coordinator_pending_events(self) -> int:
+        """Events buffered outside the mirrored state awaiting
+        verification: none -- a serial verifier checks as it is fed (the
+        parallel coordinator's answer is its unreplayed journal)."""
+        return 0
 
     def finish(self) -> VerificationReport:
         """Finalise the run and return the report.  Transactions still

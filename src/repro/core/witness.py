@@ -11,7 +11,7 @@ report or replayed against the real system.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Set
+from typing import List, Sequence, Set
 
 from .report import Violation
 from .trace import OpKind, Trace
@@ -68,18 +68,3 @@ def witness_summary(witness: Sequence[Trace]) -> str:
             f"c{trace.client_id}/{trace.txn_id:<10s} {body}"
         )
     return "\n".join(lines)
-
-
-def witnesses_for(
-    violations: Iterable[Violation],
-    traces: Sequence[Trace],
-    limit: Optional[int] = None,
-) -> List[tuple]:
-    """``(violation, witness)`` pairs for a batch of violations (first
-    ``limit``)."""
-    out: List[tuple] = []
-    for index, violation in enumerate(violations):
-        if limit is not None and index >= limit:
-            break
-        out.append((violation, extract_witness(violation, traces)))
-    return out

@@ -302,11 +302,7 @@ class IngestGateway:
         """The quantity the service-wide budget bounds: traces staged in
         the online layer plus journal events buffered coordinator-side by
         the parallel streamed merge."""
-        pending = self.online.pending
-        extra = getattr(self._backend, "coordinator_pending_events", None)
-        if callable(extra):
-            pending += extra()
-        return pending
+        return self.online.pending + self._backend.coordinator_pending_events()
 
     def watermark_lag(self) -> Optional[float]:
         """Seconds between the newest trace accepted and the watermark --

@@ -244,24 +244,21 @@ def check_pass(cr, on_terminal, txn, reads, args) -> Expected:
         for handle in (cr._m_reads, cr._m_unique, cr._m_ambiguous, cr._m_scans)
     ]
     samples = cr._m_candidates = _Samples(cr._m_candidates)
-    # Matches are compared before they are delivered, whoever drains them.
-    deferred, cr._defer_matches = cr._defer_matches, True
     queued = len(cr._match_queue)
     try:
         on_terminal(cr, txn, *args)
     finally:
         cr._m_candidates = samples.histogram
-        cr._defer_matches = deferred
     assert not txn.pending_reads
 
     decisions = want.decisions
     unique = [d for d in decisions if d.how == "unique"]
     delivered = txn.committed and cr._on_read_matches is not None
+    # The pass only queues its matches: the verifier drains them as its
+    # next step, so here they are compared before they are delivered.
     assert [(id(v), reader) for v, reader in cr._match_queue[queued:]] == [
         (id(d.match), txn.txn_id) for d in unique if delivered
     ]
-    if not deferred:
-        cr.drain_matches()
 
     assert _cr_witnesses(descriptor) - witnesses == Counter(want.findings)
     first_seen = list(dict.fromkeys(f for f in want.findings if f not in witnesses))

@@ -538,6 +538,45 @@ def test_each_layer_of_the_spine_has_one_loop_body():
         assert isinstance(statement, ast.Return) and _calls(statement) == ["_read"]
 
 
+def test_the_assembly_is_written_down_not_discovered():
+    """``core/verifier.py`` constructs its five mechanisms and calls their
+    hooks by name: nothing is found by reflection (``getattr``, comparing
+    ``type(m).on_x`` with the base class's), the dispatch loop iterates no
+    hook list, and no module under ``core/`` keeps a module-level
+    registry dict for mechanisms to add themselves to."""
+    verifier = _core_ast("verifier.py")
+    assert "getattr" not in _calls(verifier)
+    reflected = [
+        ast.unparse(node)
+        for node in ast.walk(verifier)
+        if isinstance(node, ast.Attribute)
+        and node.attr.startswith("on_")
+        and isinstance(node.value, ast.Call)
+        and ast.unparse(node.value.func) == "type"
+    ]
+    assert not reflected, reflected
+    loop = _method(verifier, "Verifier", "_execute")
+    over_hooks = [
+        ast.unparse(node.iter)
+        for node in ast.walk(loop)
+        if isinstance(node, ast.For) and "hook" in ast.unparse(node).split(":")[0]
+    ]
+    assert not over_hooks, over_hooks
+    called = _calls(loop)
+    for hook in ("me_on_read", "cr_on_read", "me_on_write"):
+        assert called.count(hook) == 1, hook
+    registries = [
+        f"{path.name}: {ast.unparse(target)}"
+        for path in sorted(pathlib.Path(SRC, "repro", "core").glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        and isinstance(node.value, (ast.Dict, ast.DictComp))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if "registry" in ast.unparse(target).lower()
+    ]
+    assert not registries, registries
+
+
 def test_consistent_reads_are_checked_in_one_pass():
     """CR has one matching body: the loop over a finished transaction's
     pending entries in ``on_terminal``.  It asks ``classify`` only about

@@ -161,19 +161,24 @@ class TestWireFormatPinned:
         assert_same_traces(decode_batch(payload), GOLDEN)
 
     def test_golden_message_frame_bytes(self):
+        """The shard pipe's message frame is internal (coordinator and
+        worker are one build), so its header may change where a capture's
+        bytes may not: these digests were re-pinned when the frame header
+        lost its GC-horizon double (8 bytes; the merger prices collections
+        off the coordinator's dispatch log, nothing read the echo).  The
+        records behind the header are the capture format's, unchanged."""
         messages = [(MSG_BEGIN, "t1", 0, Interval(1.0, 1.5))]
         for index, trace in enumerate(GOLDEN):
             if index == 3:
                 messages.append((MSG_BEGIN, "t2", -1, Interval(2.5, 2.75)))
             messages.append((MSG_TRACE, index * 100, trace))
-        frame = encode_message_frame(messages, watermark=600, horizon=0.5)
-        assert len(frame) == 354
+        frame = encode_message_frame(messages, watermark=600)
+        assert len(frame) == 354 - 8
         assert hashlib.sha256(frame).hexdigest() == (
-            "f018c6ad009e47c0bd1f0f44fc4854c9eefdabef4a5cb63bcb88dd677b28e61d"
+            "446a0e5f7bc61bd871636c9b6f2be755cbee7770cd01eee78ae9f87344d4ad5f"
         )
-        assert hashlib.sha256(encode_message_frame([])).hexdigest() == (
-            "c0d82235221e28832fcc34addb1c1baf4eba4c66d049ae7085649bbfb6cdf22a"
-        )
+        # Empty string table, watermark -1, no messages.
+        assert encode_message_frame([]) == b"\x00\x01\x00"
 
     def test_one_writer(self):
         """The encoder object and the batch function emit the same bytes

@@ -24,6 +24,8 @@ from repro import PG_SERIALIZABLE, Trace, Verifier
 from repro.core.bus import DependencyBus
 from repro.core.dependencies import Dependency, DepType
 from repro.core.intervals import Interval
+from repro.core.mechanism import MechanismVerifier
+from repro.core.metrics import MetricsRegistry
 from repro.core.online import OnlineVerifier
 from repro.core.parallel import ParallelVerifier, ShardVerifier
 from repro.core.pipeline import pipeline_from_client_streams, sorted_traces
@@ -261,16 +263,22 @@ class TestOnlineFrames:
 # -- DependencyBus.publish_many ------------------------------------------------------
 
 
+class _OnTheLine(MechanismVerifier):
+    def __init__(self, on_dependency):
+        self.on_dependency = on_dependency
+
+
 def bus_run(batches):
     """Publish ww edges over t0..t9 (t7 pruned: the guard drops its edges)
-    with a subscriber that re-publishes, depth first, an rw edge for every
+    with a certifier that re-publishes, depth first, an rw edge for every
     ww edge it sees; returns everything observable."""
     state = VerifierState()
     for i in range(10):
         if i != 7:
             state.ensure_txn(f"t{i}", 0, Interval(float(i), i + 0.5))
-    bus = DependencyBus(state)
-    delivered, tapped = [], []
+    metrics = MetricsRegistry()
+    bus = DependencyBus(state, metrics=metrics)
+    delivered, journaled = [], []
 
     def reentrant(dep):
         delivered.append(("first", dep.src, dep.dst, dep.dep_type))
@@ -279,18 +287,18 @@ def bus_run(batches):
                 Dependency(src=dep.dst, dst=dep.src, dep_type=DepType.RW, key="k")
             )
 
-    bus.subscribe("first", reentrant, priority=0)
-    bus.subscribe(
-        "second",
-        lambda dep: delivered.append(("second", dep.src, dep.dst, dep.dep_type)),
-        priority=10,
+    bus.connect(
+        _OnTheLine(reentrant),
+        _OnTheLine(
+            lambda dep: delivered.append(("second", dep.src, dep.dst, dep.dep_type))
+        ),
+        journal=lambda dep: journaled.append((dep.src, dep.dst, dep.dep_type)),
     )
-    bus.tap(lambda dep: tapped.append((dep.src, dep.dst, dep.dep_type)))
     survived = [bus.publish_many(batch) for batch in batches]
-    return (
-        sum(survived), delivered, tapped, bus.counts, bus.accepted, bus.dropped,
-        dataclasses.asdict(state.stats),
-    )
+    dropped = sum(metrics.counters_with_name("bus.deps.dropped").values())
+    stats = dataclasses.asdict(state.stats)
+    stats.pop("mechanism_seconds")  # the certifier's delivery is timed
+    return sum(survived), delivered, journaled, bus.counts, dropped, stats
 
 
 BUS_DEPS = [
@@ -303,8 +311,8 @@ class TestBusPublishMany:
     def test_equals_a_publish_loop(self):
         whole = bus_run([BUS_DEPS])
         survived, delivered, *_ = whole
-        assert survived == 8 and whole[5] == 2  # t7's two edges dropped
-        # depth first: each ww edge's rw echo reaches both subscribers
+        assert survived == 8 and whole[4] == 2  # t7's two edges dropped
+        # depth first: each ww edge's rw echo reaches both deliveries
         # before the ww edge itself reaches the second one.
         assert [d[0] for d in delivered[:4]] == ["first", "first", "second", "second"]
         assert delivered[1][3] is DepType.RW and delivered[3][3] is DepType.WW

@@ -26,7 +26,6 @@ def test_documented_operator_pages_exist():
         "architecture.md",
         "paper_mapping.md",
         "observability.md",
-        "plugins.md",
         "service.md",
     ):
         assert (docs / page).exists(), page

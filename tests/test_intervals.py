@@ -10,8 +10,6 @@ from repro.core.intervals import (
     NEG_INF,
     POS_INF,
     UNFINISHED_INTERVAL,
-    merge_spans,
-    overlap_ratio,
 )
 
 
@@ -91,10 +89,6 @@ class TestFeasibility:
         # a in (1,2), b in (0,1): a < b impossible.
         assert not iv(1, 2).can_precede(iv(0, 1))
 
-    def test_must_precede_equals_precedes(self):
-        assert iv(0, 1).must_precede(iv(1, 2))
-        assert not iv(0, 2).must_precede(iv(1, 3))
-
     def test_unfinished_cannot_precede_finished(self):
         assert not UNFINISHED_INTERVAL.can_precede(iv(0, 1))
         assert iv(0, 1).can_precede(UNFINISHED_INTERVAL)
@@ -106,18 +100,6 @@ class TestHelpers:
 
     def test_shift(self):
         assert iv(1, 2).shift(10) == iv(11, 12)
-
-    def test_merge_spans(self):
-        assert merge_spans([iv(3, 4), iv(0, 1)]) == iv(0, 4)
-        assert merge_spans([]) is None
-
-    def test_overlap_ratio_empty_and_single(self):
-        assert overlap_ratio([]) == 0.0
-        assert overlap_ratio([iv(0, 1)]) == 0.0
-
-    def test_overlap_ratio_mixed(self):
-        intervals = [iv(0, 2), iv(1, 3), iv(5, 6)]
-        assert overlap_ratio(intervals) == pytest.approx(0.5)
 
 
 _bounded = st.floats(

@@ -18,16 +18,6 @@ def entry(acquire, release=None, txn="t", mode=LockMode.EXCLUSIVE, committed=Tru
     return lock
 
 
-class TestLockMode:
-    def test_shared_compatible(self):
-        assert not LockMode.SHARED.conflicts_with(LockMode.SHARED)
-
-    def test_exclusive_conflicts(self):
-        assert LockMode.EXCLUSIVE.conflicts_with(LockMode.SHARED)
-        assert LockMode.SHARED.conflicts_with(LockMode.EXCLUSIVE)
-        assert LockMode.EXCLUSIVE.conflicts_with(LockMode.EXCLUSIVE)
-
-
 class TestClassifyPair:
     """The Fig. 7 case analysis."""
 
@@ -143,7 +133,6 @@ class TestPrune:
         table.release_all("a", Interval(2, 3), committed=True)
         assert table.drop_owner("a") == 1
         assert table.live_entry_count() == 0
-        assert table.locked_key_count() == 0
         assert table.entries_of("a") == []
 
     def test_keeps_active(self):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import PG_SERIALIZABLE, Trace, Verifier
+from repro.core.metrics import NULL_REGISTRY
 from repro.core.online import OnlineVerifier
 from repro.core.parallel import ParallelVerifier
 from repro.core.pipeline import sorted_traces
@@ -180,7 +181,10 @@ class TestOnlineWithRicherTraces:
 
 
 class _Recorder:
-    """A verifier-shaped backend that only records the dispatch order."""
+    """A verifier-shaped backend that only records the dispatch order
+    (and answers the four names the operator surfaces read)."""
+
+    metrics = NULL_REGISTRY
 
     def __init__(self):
         self.ids = []
@@ -193,6 +197,9 @@ class _Recorder:
         return self.violations
 
     def live_structure_count(self):
+        return 0
+
+    def coordinator_pending_events(self):
         return 0
 
     def finish(self):

@@ -22,11 +22,13 @@ The contract pinned here:
 
 from __future__ import annotations
 
+from collections import deque
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import PG_SERIALIZABLE, Verifier, pipeline_from_client_streams
+from repro import PG_SERIALIZABLE, Trace, Verifier, pipeline_from_client_streams
 from repro.core.codec import CodecError
 from repro.core.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.core.parallel import (
@@ -271,7 +273,9 @@ def dep(src, dst, key):
     return Dependency(src=src, dst=dst, dep_type=DepType.WW, key=key)
 
 
-def make_merger(shards):
+def make_merger(shards, horizon_log=()):
+    """A merger wired as the coordinator wires it: with the dispatch-time
+    ``(trace index, S_e)`` log its collections are priced off."""
     return _StreamMerger(
         spec=PG_SERIALIZABLE,
         shards=shards,
@@ -279,6 +283,7 @@ def make_merger(shards):
         commits=[],
         gc_every=10_000,
         metrics=NULL_REGISTRY,
+        horizon_log=deque(horizon_log),
     )
 
 
@@ -288,13 +293,12 @@ class TestSegmentEdgeCases:
             (0, 0, _DEP, dep("t1", "t2", "k0")),
             (3, 1, _DEP, dep("t2", "t3", ("range", 4))),
         ]
-        payload = encode_segment_frame(1, 7, 12.5, events)
+        payload = encode_segment_frame(1, 7, events)
         kind, segment = decode_shard_reply(payload)
         assert kind == "segment"
         assert isinstance(segment, StreamSegment)
         assert segment.shard_id == 1
         assert segment.watermark == 7
-        assert segment.horizon == 12.5
         assert segment.events == events
 
     def test_truncated_reply_is_a_codec_error(self):
@@ -304,19 +308,18 @@ class TestSegmentEdgeCases:
             (0, 0, _DEP, dep("t1", "t2", "k0")),
             (3, 1, _DEP, dep("t2", "t3", ("range", 4))),
         ]
-        payload = encode_segment_frame(1, 7, 12.5, events)
+        payload = encode_segment_frame(1, 7, events)
         for cut in range(len(payload)):
             with pytest.raises(CodecError):
                 decode_shard_reply(payload[:cut])
 
     def test_pre_first_flush_header_round_trips(self):
         # Before the first applied frame a worker echoes the sentinel
-        # header: watermark -1, horizon -inf.
-        payload = encode_segment_frame(0, -1, float("-inf"), [])
+        # header: watermark -1.
+        payload = encode_segment_frame(0, -1, [])
         kind, segment = decode_shard_reply(payload)
         assert kind == "segment"
         assert segment.watermark == -1
-        assert segment.horizon == float("-inf")
         assert segment.events == []
 
     def test_empty_segment_advances_watermark(self):
@@ -325,11 +328,11 @@ class TestSegmentEdgeCases:
         merger = make_merger(2)
         replayed = []
         merger._replay = lambda events: replayed.extend(events)
-        merger.offer(0, 5, 1.0, [(2, 0, _DEP, "a"), (7, 1, _DEP, "b")])
+        merger.offer(0, 5, [(2, 0, _DEP, "a"), (7, 1, _DEP, "b")])
         # Shard 1 has not acked anything yet: nothing is certain.
         assert merger.advance() == 0
         assert replayed == []
-        merger.offer(1, 5, 1.0, [])
+        merger.offer(1, 5, [])
         assert merger.advance() == 1
         assert [event[4] for event in replayed] == ["a"]
         # Index 7 is past the merged watermark and stays buffered.
@@ -341,8 +344,8 @@ class TestSegmentEdgeCases:
         merger = make_merger(2)
         replayed = []
         merger._replay = lambda events: replayed.extend(events)
-        merger.offer(1, 4, 1.0, [(4, 0, _DEP, "shard1-first")])
-        merger.offer(0, 4, 1.0, [(4, 0, _DEP, "shard0-first")])
+        merger.offer(1, 4, [(4, 0, _DEP, "shard1-first")])
+        merger.offer(0, 4, [(4, 0, _DEP, "shard0-first")])
         assert merger.advance() == 2
         assert [event[4] for event in replayed] == [
             "shard0-first",
@@ -352,10 +355,37 @@ class TestSegmentEdgeCases:
     def test_late_watermark_never_regresses(self):
         merger = make_merger(1)
         merger._replay = lambda events: None
-        merger.offer(0, 9, 3.0, [])
-        merger.offer(0, 4, 1.0, [])  # stale ack arrives late
+        merger.offer(0, 9, [])
+        merger.offer(0, 4, [])  # stale ack arrives late
         assert merger._watermarks[0] == 9
-        assert merger._horizons[0] == 3.0
+
+    def test_collections_are_priced_off_the_dispatch_log(self):
+        """The horizon of a collection fired after replaying trace index
+        ``i`` is the coordinator's dispatch-time record for ``i``, and the
+        log is consumed up to the replayed watermark."""
+        merger = make_merger(1, [(0, 1.0), (1, 1.5), (2, 2.5), (3, 4.0)])
+        assert merger._gc_horizon(1) == 1.5
+        assert list(merger._horizon_log) == [(2, 2.5), (3, 4.0)]
+        merger._replay = lambda events: None
+        merger.offer(0, 2, [(2, 0, _DEP, "a")])
+        assert merger.advance() == 1
+        assert list(merger._horizon_log) == [(3, 4.0)]
+        assert merger._gc_horizon(2) == 2.5  # nothing newer was dispatched
+
+    def test_exotic_key_is_refused_at_the_coordinator(self):
+        """Journaled dependency keys travel back as codec values, so a key
+        the grammar does not cover must never reach a worker: the
+        coordinator refuses the trace loudly when it encodes the frame."""
+        verifier = ParallelVerifier(
+            spec=PG_SERIALIZABLE, shards=1, backend="process", batch_size=1
+        )
+        try:
+            with pytest.raises(CodecError, match="unsupported value type"):
+                verifier.process(Trace.write(1.0, 2.0, "t1", {frozenset("k"): 1}))
+        finally:
+            # Reap the worker: the refused frame is still buffered.
+            verifier._buffers[0].clear()
+            verifier.finish()
 
     def test_worker_error_mid_stream_surfaces_at_finish(self, blindw_rw_run):
         verifier = ParallelVerifier(

@@ -40,13 +40,6 @@ class TestBugDescriptor:
         descriptor.record(violation(key="y"))
         assert len(descriptor) == 2
 
-    def test_filters(self):
-        descriptor = BugDescriptor()
-        descriptor.record(violation())
-        assert descriptor.by_mechanism(Mechanism.FIRST_UPDATER_WINS)
-        assert not descriptor.by_mechanism(Mechanism.CONSISTENT_READ)
-        assert descriptor.by_kind(ViolationKind.LOST_UPDATE)
-
     def test_iteration(self):
         descriptor = BugDescriptor()
         descriptor.record(violation())

@@ -31,7 +31,7 @@ class TestConstruction:
         assert trace.writes == {}
         assert trace.client_id == 3
         assert trace.op_index == 2
-        assert trace.is_data_op and not trace.is_terminal
+        assert not trace.is_terminal
 
     def test_write_trace(self):
         trace = Trace.write(1.0, 2.0, "t1", {"x": {"a": 1}})

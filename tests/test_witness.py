@@ -7,7 +7,6 @@ from repro.core.witness import (
     extract_witness,
     transactions_touching,
     witness_summary,
-    witnesses_for,
 )
 from repro.dbsim import FaultPlan
 from repro.workloads import LostUpdateWorkload, run_workload
@@ -74,12 +73,6 @@ class TestExtraction:
             v.kind is violation.kind and v.key == violation.key
             for v in replayed.violations
         )
-
-    def test_batch_extraction(self, buggy_run, buggy_report):
-        table = witnesses_for(
-            buggy_report.violations, buggy_run.all_traces_sorted(), limit=3
-        )
-        assert 1 <= len(table) <= 3
 
     def test_summary_rendering(self, buggy_run, buggy_report):
         violation = buggy_report.violations[0]
