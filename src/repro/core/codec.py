@@ -3,9 +3,10 @@
 JSONL (:mod:`repro.core.io`) is the friendly interchange format, but its
 per-trace cost -- dict building, JSON stringification, float repr parsing
 -- dominates ingestion once the verifier itself is fast.  This module
-defines the compact sibling format ``repro.traces/v1b``, built for the
-batch shapes the rest of the spine speaks (whole client batches through
-the pipeline, whole message batches over the shard pipes):
+defines the compact sibling format ``repro.traces/v1b`` -- what capture
+files and the service's ``TRACES`` frames are made of -- built for the
+batch shape the rest of the spine speaks (whole client batches through
+the pipeline):
 
 * **length-prefixed batch framing**: a file is the magic header followed
   by frames, each a little-endian ``u32`` payload length plus payload, so
@@ -24,12 +25,11 @@ Layout::
     payload := varint(n_strings) (varint(len) utf8)*   -- string table
                varint(n_records) record*
 
-The payload grammar is reusable: the module-level ``write_*`` /
-``read_*`` functions (varints, values, whole traces) and the
-:class:`PayloadEncoder` / :class:`PayloadDecoder` objects over them let
-other wire formats -- the parallel path's shard frames
-(:mod:`repro.core.parallel`) -- compose the same interning and packing
-without inventing another codec.
+The varint primitives (:func:`write_varint` / :func:`read_varint`) are
+also what the service's control frames are written with
+(:mod:`repro.service.protocol`).  The shard pipes of
+:mod:`repro.core.parallel` are not a wire format and use none of this:
+coordinator and workers are one process image and exchange pickles.
 
 ``trace_id`` is deliberately not serialised, exactly as in the JSONL
 format: it is assigned at decode, in stream order.  Every ingest path
@@ -98,9 +98,9 @@ class CodecError(ValueError):
 # Plain functions over ``(body, index, strings)`` -- the frame's record
 # bytes, its interning map and its string table -- mirroring the
 # ``read_*`` functions below, single-byte varint fast paths included.
-# Every frame this package emits (capture files, service ``TRACES`` frames,
-# the shard pipes' message, segment and result frames) is written through
-# them; :class:`PayloadEncoder` is the object that owns the three buffers.
+# Every trace frame this package emits (capture files, service ``TRACES``
+# frames) is written through them; :func:`encode_batch` owns the three
+# buffers and assembles ``string table + body``.
 
 
 def write_varint(body: bytearray, n: int) -> None:
@@ -222,95 +222,34 @@ def write_trace(body: bytearray, index: dict, strings: List[bytes], trace: Trace
         write_zigzag(body, predicate.hi)
 
 
-class PayloadEncoder:
-    """Accumulates records into one frame payload.
-
-    Owns the buffers the module-level writers fill: :attr:`body` (record
-    bytes), :attr:`strings` (the frame's table, interned on first write)
-    and :attr:`index` (string -> table position).  The methods delegate to
-    those writers; per-record loops call the writers on the three buffers
-    directly.  :meth:`finish` assembles ``table + body`` and resets the
-    encoder for the next frame.
-    """
-
-    __slots__ = ("body", "strings", "index")
-
-    def __init__(self) -> None:
-        self.body = bytearray()
-        self.strings: List[bytes] = []
-        self.index: dict = {}
-
-    # -- primitives --------------------------------------------------------
-
-    def varint(self, n: int) -> None:
-        write_varint(self.body, n)
-
-    def zigzag(self, n: int) -> None:
-        write_zigzag(self.body, n)
-
-    def u8(self, n: int) -> None:
-        self.body.append(n)
-
-    def double(self, value: float) -> None:
-        self.body += _D.pack(value)
-
-    def string(self, s: str) -> None:
-        """Write an interned string reference."""
-        write_string(self.body, self.index, self.strings, s)
-
-    def raw(self, data: bytes) -> None:
-        """Length-prefixed opaque bytes (no interning)."""
-        write_varint(self.body, len(data))
-        self.body += data
-
-    def value(self, value) -> None:
-        write_value(self.body, self.index, self.strings, value)
-
-    # -- records -----------------------------------------------------------
-
-    def trace(self, trace: Trace) -> None:
-        """Append one trace record."""
-        write_trace(self.body, self.index, self.strings, trace)
-
-    # -- assembly ----------------------------------------------------------
-
-    def finish(self) -> bytes:
-        """Assemble ``string table + body`` and reset for the next frame."""
-        head = bytearray()
-        strings = self.strings
-        write_varint(head, len(strings))
-        for encoded in strings:
-            write_varint(head, len(encoded))
-            head += encoded
-        head += self.body
-        self.body = bytearray()
-        self.strings = []
-        self.index = {}
-        return bytes(head)
-
-
 # -- batch API ------------------------------------------------------------------
 
 
 def encode_batch(traces: Sequence[Trace]) -> bytes:
     """Encode one batch of traces into a frame payload (no length prefix;
-    file framing is the writer's job, pipe framing is the transport's)."""
-    encoder = PayloadEncoder()
-    body, index, strings = encoder.body, encoder.index, encoder.strings
+    file framing is the writer's job, socket framing the protocol's)."""
+    body = bytearray()
+    strings: List[bytes] = []
+    index: dict = {}
     write_varint(body, len(traces))
     for trace in traces:
         write_trace(body, index, strings, trace)
-    return encoder.finish()
+    head = bytearray()
+    write_varint(head, len(strings))
+    for encoded in strings:
+        write_varint(head, len(encoded))
+        head += encoded
+    head += body
+    return bytes(head)
 
 
 # -- the one reader -----------------------------------------------------------------
 #
 # Plain functions over ``(data, strings, pos)`` that return ``(value,
 # next_pos)``; truncation surfaces as ``IndexError`` / ``struct.error`` for
-# the caller to name (:func:`_payload_error`).  Every frame this package
-# reads -- capture files, service ``TRACES`` frames, the shard pipes'
-# message, segment and result frames -- is read through them;
-# :class:`PayloadDecoder` is the object that owns the three values.
+# the caller to name (:func:`_payload_error`).  Every trace frame this
+# package reads -- capture files, service ``TRACES`` frames -- is read
+# through them, by :func:`decode_run`.
 
 def read_varint(data: bytes, pos: int):
     byte = data[pos]
@@ -467,27 +406,6 @@ def read_strings(data: bytes, pos: int):
     return strings, pos
 
 
-def _read_u8(data: bytes, pos: int):
-    return data[pos], pos + 1
-
-
-def _read_double(data: bytes, pos: int):
-    return _D.unpack_from(data, pos)[0], pos + 8
-
-
-def _read_string(data: bytes, strings: List[str], pos: int):
-    index, pos = read_varint(data, pos)
-    return strings[index], pos
-
-
-def _read_raw(data: bytes, pos: int):
-    length, pos = read_varint(data, pos)
-    end = pos + length
-    if end > len(data):
-        raise IndexError(end)
-    return data[pos:end], end
-
-
 def read_trace(data: bytes, strings: List[str], pos: int, trace_id: int):
     """One trace record (what :func:`write_trace` wrote), stamped with
     ``trace_id``."""
@@ -590,55 +508,6 @@ def _payload_error(exc: Exception) -> "CodecError":
         return CodecError("truncated batch payload")
     # Invalid UTF-8, or an interval / key range its constructor refuses.
     return CodecError(f"malformed batch payload: {exc}")
-
-
-class PayloadDecoder:
-    """Reads one frame payload field by field: the mirror of
-    :class:`PayloadEncoder`.
-
-    Owns what the module-level readers take and return: :attr:`data` (the
-    payload), :attr:`strings` (its table, read up front) and :attr:`pos`
-    (the next unread byte).  The methods delegate to those readers and
-    report a payload that ends early as :class:`CodecError`; per-record
-    loops call the readers on the three values directly.
-    """
-
-    __slots__ = ("data", "strings", "pos")
-
-    def __init__(self, data: Union[bytes, memoryview]) -> None:
-        self.data = bytes(data)
-        self.pos = 0
-        self.strings: List[str] = self._read(read_strings)
-
-    def _read(self, reader, *args):
-        try:
-            value, self.pos = reader(self.data, *args, self.pos)
-        except (IndexError, struct.error, ValueError) as exc:
-            raise _payload_error(exc) from None
-        return value
-
-    def varint(self) -> int:
-        return self._read(read_varint)
-
-    def zigzag(self) -> int:
-        return self._read(read_zigzag)
-
-    def u8(self) -> int:
-        return self._read(_read_u8)
-
-    def double(self) -> float:
-        return self._read(_read_double)
-
-    def string(self) -> str:
-        """An interned string reference, resolved."""
-        return self._read(_read_string, self.strings)
-
-    def raw(self) -> bytes:
-        """Length-prefixed opaque bytes."""
-        return self._read(_read_raw)
-
-    def value(self):
-        return self._read(read_value, self.strings)
 
 
 def _trace_ids(first_trace_id: Optional[int], count: int) -> Iterable[int]:

@@ -24,7 +24,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from .intervals import Interval
 from .report import Mechanism
-from .topo import IncrementalTopology, unlink
+from .topo import IncrementalTopology
 
 
 class DepType(enum.Enum):
@@ -61,11 +61,6 @@ class TxnNode:
 
     txn_id: str
     commit_interval: Optional[Interval] = None
-    committed: bool = True
-    #: incoming/outgoing rw edge presence, used by the SSI dangerous
-    #: structure check without scanning adjacency lists.
-    has_in_rw: bool = False
-    has_out_rw: bool = False
 
 
 class DependencyGraph:
@@ -75,18 +70,12 @@ class DependencyGraph:
     The graph deduplicates parallel edges of the same type (two conflicts on
     different keys between the same pair add one logical edge) but records
     all types present between a pair, since the certifier checks are
-    type-sensitive.
+    type-sensitive.  A dynamic topological order reports a cycle at the
+    edge insertion that would close it (Leopard's SC).
     """
 
-    def __init__(self, incremental: bool = True) -> None:
-        #: incremental mode keeps a dynamic topological order and reports
-        #: cycles at edge insertion (Leopard's SC).  Raw mode just stores
-        #: adjacency -- the representation the naive cycle-search baseline
-        #: re-scans after every commit.
-        self._incremental = incremental
+    def __init__(self) -> None:
         self._topo = IncrementalTopology()
-        self._raw_succ: Dict[str, Set[str]] = {}
-        self._raw_pred: Dict[str, Set[str]] = {}
         self._nodes: Dict[str, TxnNode] = {}
         #: (src, dst) -> set of DepType
         self._edge_types: Dict[Tuple[str, str], Set[DepType]] = {}
@@ -109,11 +98,7 @@ class DependencyGraph:
             node = TxnNode(txn_id=txn_id, commit_interval=commit_interval)
             self._nodes[txn_id] = node
             self._zero_in.add(txn_id)
-            if self._incremental:
-                self._topo.add_node(txn_id)
-            else:
-                self._raw_succ.setdefault(txn_id, set())
-                self._raw_pred.setdefault(txn_id, set())
+            self._topo.add_node(txn_id)
         elif commit_interval is not None and node.commit_interval is None:
             node.commit_interval = commit_interval
         return node
@@ -131,19 +116,13 @@ class DependencyGraph:
         return list(self._nodes)
 
     def in_degree(self, txn_id: str) -> int:
-        if self._incremental:
-            return self._topo.in_degree(txn_id)
-        return len(self._raw_pred.get(txn_id, ()))
+        return self._topo.in_degree(txn_id)
 
     def successors(self, txn_id: str) -> Set[str]:
-        if self._incremental:
-            return self._topo.successors(txn_id)
-        return set(self._raw_succ.get(txn_id, ()))
+        return self._topo.successors(txn_id)
 
     def predecessors(self, txn_id: str) -> Set[str]:
-        if self._incremental:
-            return self._topo.predecessors(txn_id)
-        return set(self._raw_pred.get(txn_id, ()))
+        return self._topo.predecessors(txn_id)
 
     def edge_types(self, src: str, dst: str) -> Set[DepType]:
         return set(self._edge_types.get((src, dst), ()))
@@ -175,17 +154,6 @@ class DependencyGraph:
         is_new_type = dep.dep_type not in types
         if is_new_type:
             types.add(dep.dep_type)
-        if dep.dep_type is DepType.RW and is_new_type:
-            self._nodes[dep.src].has_out_rw = True
-            self._nodes[dep.dst].has_in_rw = True
-        if not self._incremental:
-            if dep.dst not in self._raw_succ[dep.src]:
-                self._raw_succ[dep.src].add(dep.dst)
-                self._raw_pred[dep.dst].add(dep.src)
-                self._zero_in.discard(dep.dst)
-            if is_new_type:
-                self.edge_count += 1
-            return None
         if self._topo.has_edge(dep.src, dep.dst):
             if is_new_type:
                 self.edge_count += 1
@@ -209,12 +177,7 @@ class DependencyGraph:
         collector feeds straight back into its candidate worklist."""
         if txn_id not in self._nodes:
             return []
-        if self._incremental:
-            successors, predecessors, promoted = self._topo.remove_node(txn_id)
-        else:
-            successors, predecessors, promoted = unlink(
-                self._raw_succ, self._raw_pred, txn_id
-            )
+        successors, predecessors, promoted = self._topo.remove_node(txn_id)
         edge_types = self._edge_types
         for succ in successors:
             self.edge_count -= len(edge_types.pop((txn_id, succ), ()))
@@ -228,38 +191,3 @@ class DependencyGraph:
     def zero_in_degree_frontier(self) -> List[str]:
         """Snapshot of the zero-in-degree frontier (pruning candidates)."""
         return list(self._zero_in)
-
-    # -- whole-graph queries (used by baselines and tests) ----------------------
-
-    def find_cycle(self) -> Optional[List[str]]:
-        """Full DFS cycle search -- the expensive operation the incremental
-        oracle avoids; exposed for cross-checking in tests."""
-        WHITE, GREY, BLACK = 0, 1, 2
-        colour = {node: WHITE for node in self._nodes}
-        parent: Dict[str, Optional[str]] = {}
-        for root in self._nodes:
-            if colour[root] != WHITE:
-                continue
-            stack: List[Tuple[str, Any]] = [(root, iter(self.successors(root)))]
-            colour[root] = GREY
-            parent[root] = None
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for succ in it:
-                    if colour.get(succ, WHITE) == WHITE:
-                        colour[succ] = GREY
-                        parent[succ] = node
-                        stack.append((succ, iter(self.successors(succ))))
-                        advanced = True
-                        break
-                    if colour.get(succ) == GREY:
-                        path = [node]
-                        while path[-1] != succ:
-                            path.append(parent[path[-1]])
-                        path.reverse()
-                        return path
-                if not advanced:
-                    colour[node] = BLACK
-                    stack.pop()
-        return None

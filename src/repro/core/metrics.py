@@ -27,6 +27,7 @@ structures, not bytes.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from typing import Any, Dict, Mapping, Optional, Tuple
 
@@ -348,24 +349,8 @@ def run_stats(
         "ok": report.ok,
         "violations": len(report.descriptor),
         "witnesses": report.descriptor.raw_count,
-        "stats": {
-            "traces_processed": stats.traces_processed,
-            "txns_committed": stats.txns_committed,
-            "txns_aborted": stats.txns_aborted,
-            "reads_checked": stats.reads_checked,
-            "writes_checked": stats.writes_checked,
-            "deps_wr": stats.deps_wr,
-            "deps_ww": stats.deps_ww,
-            "deps_rw": stats.deps_rw,
-            "deps_so": stats.deps_so,
-            "conflict_pairs": stats.conflict_pairs,
-            "overlapped_pairs": stats.overlapped_pairs,
-            "deduced_overlapped_pairs": stats.deduced_overlapped_pairs,
-            "gc_versions_pruned": stats.gc_versions_pruned,
-            "gc_locks_pruned": stats.gc_locks_pruned,
-            "gc_txns_pruned": stats.gc_txns_pruned,
-            "mechanism_seconds": dict(stats.mechanism_seconds),
-        },
+        # Every field of ``VerificationStats``, in declaration order.
+        "stats": dataclasses.asdict(stats),
         "phases": phase_breakdown(
             stats.mechanism_seconds,
             pipeline_sort_seconds=pipeline_sort_seconds,

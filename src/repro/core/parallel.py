@@ -55,15 +55,20 @@ and the first trace of each transaction triggers a "begin" control message
 carrying the true first-operation interval, so every shard agrees on each
 transaction's snapshot-generation interval (Definition 2) regardless of
 which shard owned the keys of its first operation.
+
+The worker pipes are not a wire format: coordinator and workers are one
+process image, and what crosses a pipe is one ``pickle`` per flushed
+message buffer, journal segment or result ("wire frames" below says what
+may be unpickled, and why nothing from a file or a socket ever is).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import multiprocessing
 import pickle
 import queue
-import struct
 import threading
 import time
 import traceback
@@ -75,30 +80,11 @@ from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Seque
 
 from .bus import DependencyBus
 from .certifier import SerializationCertifier
-from .codec import (
-    PayloadDecoder,
-    PayloadEncoder,
-    read_strings,
-    read_trace,
-    read_varint,
-    read_zigzag,
-    write_string,
-    write_trace,
-    write_varint,
-    write_zigzag,
-)
-from .dependencies import Dependency, DepType
 from .gc import GarbageCollector
 from .intervals import Interval
 from .mechanism import MechanismVerifier
 from .metrics import NULL_REGISTRY, MetricsRegistry
-from .report import (
-    BugDescriptor,
-    Mechanism,
-    VerificationReport,
-    VerificationStats,
-    Violation,
-)
+from .report import BugDescriptor, VerificationReport, VerificationStats, Violation
 from .runtime import CollectorWatch, relax_collector
 from .sharding import ShardRouter
 from .spec import IsolationSpec, PG_SERIALIZABLE
@@ -111,6 +97,11 @@ from .verifier import RefusedTrace, Verifier, batches
 _DEP = "d"
 _VIOLATION = "v"
 
+#: the :class:`VerificationStats` fields the coordinator counts itself:
+#: broadcast traces and terminals are processed by several shards, so a sum
+#: over the shards would count them more than once.
+_COORDINATOR_OWNED = ("traces_processed", "txns_committed", "txns_aborted")
+
 #: coordinator -> worker message tags (named so dispatch sites do not
 #: compare anonymous string literals).
 MSG_BEGIN = "b"
@@ -118,218 +109,48 @@ MSG_TRACE = "t"
 
 # -- wire frames ------------------------------------------------------------------
 #
-# The worker pipes speak encoded batch frames built from the binary trace
-# codec's primitives (:mod:`repro.core.codec`) instead of pickled lists of
-# per-message tuples: one frame per flushed batch, transaction and key ids
-# interned once per frame, traces struct-packed.  ``send_bytes``/
-# ``recv_bytes`` skip the pickler entirely; an empty byte string ends the
-# stream.  Shard results travel back the same way -- dependencies are the
-# bulk of a journal and get a packed record; violations are rare and
-# structurally open (arbitrary evidence mappings), so they ride as pickled
-# blobs inside the frame.
-
-_T_BEGIN = 0
-_T_TRACE = 1
-
-_DOUBLE_PAIR = struct.Struct("<dd")
-
-_DEPTYPE_TO_CODE = {
-    DepType.WW: 0,
-    DepType.WR: 1,
-    DepType.RW: 2,
-    DepType.SO: 3,
-}
-_CODE_TO_DEPTYPE = {code: dep for dep, code in _DEPTYPE_TO_CODE.items()}
-_MECH_TO_CODE = {
-    Mechanism.CONSISTENT_READ: 0,
-    Mechanism.MUTUAL_EXCLUSION: 1,
-    Mechanism.FIRST_UPDATER_WINS: 2,
-    Mechanism.SERIALIZATION_CERTIFIER: 3,
-}
-_CODE_TO_MECH = {code: mech for mech, code in _MECH_TO_CODE.items()}
-#: dependency ``source`` sentinel code.
-_NO_SOURCE = 0xFF
+# One pickled object per frame, both ways, over ``send_bytes`` /
+# ``recv_bytes`` (so the byte counters see the payloads): the coordinator
+# sends ``(watermark, messages)`` per flushed buffer, a worker replies with
+# ``("segment", StreamSegment)`` frames, then one ``("ok", ShardResult)`` or
+# ``("error", traceback)``; an empty byte string ends the coordinator's
+# stream.  Trust boundary: the only bytes ever unpickled are the ones the
+# process at the other end of a pipe this coordinator created wrote to it
+# -- a worker it forked, or itself.  Nothing read from a file or a socket
+# comes near ``pickle.loads`` (those go through :mod:`repro.core.codec`).
 
 #: sort key of the merged journal replay order.
 _EVENT_KEY = itemgetter(0, 1, 2)
 
 
-def encode_message_frame(
-    messages: Sequence[Tuple], watermark: int = -1
-) -> bytes:
-    """Encode one coordinator->worker batch of begin/trace messages.
-
-    The header carries the coordinator's trace-index ``watermark`` (every
-    message with a smaller-or-equal index routed to this shard is in this
-    frame or an earlier one); the worker echoes it on the journal
-    segments it flushes after applying the frame.  A record key outside
-    the codec's value grammar is refused here (``CodecError``), on the way
-    to the worker, so no journaled dependency can carry one back.
-    """
-    encoder = PayloadEncoder()
-    encoder.zigzag(watermark)
-    encoder.varint(len(messages))
-    # Per-message loop: the codec's writers on the encoder's own buffers.
-    body, index, strings = encoder.body, encoder.index, encoder.strings
-    for message in messages:
-        if message[0] == MSG_BEGIN:
-            body.append(_T_BEGIN)
-            write_string(body, index, strings, message[1])
-            write_zigzag(body, message[2])
-            interval = message[3]
-            body += _DOUBLE_PAIR.pack(interval.ts_bef, interval.ts_aft)
-        else:
-            body.append(_T_TRACE)
-            write_varint(body, message[1])
-            write_trace(body, index, strings, message[2])
-    return encoder.finish()
+def _frame(obj) -> bytes:
+    return pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
 
 
 def apply_message_frame(shard: "ShardVerifier", payload: bytes) -> int:
-    """Decode one batch frame and feed it to a shard verifier.
+    """Feed one coordinator->worker frame to a shard verifier.
 
-    Decoding happens once, here in the worker, through the codec's
-    production readers (the same record decoder ``decode_batch`` runs);
-    each trace is stamped with its global trace index.  Runs of
-    consecutive trace messages are handed to
+    Runs of consecutive trace messages are handed to
     :meth:`ShardVerifier.ingest_batch` so the per-trace bookkeeping is
-    amortized across the run.  Returns the frame's ``watermark``.
+    amortized across the run; a begin control ends the run in front of it.
+    Returns the frame's ``watermark``: every message with a
+    smaller-or-equal trace index routed to this shard is in this frame or
+    an earlier one, and the worker echoes it on the journal segments it
+    flushes after applying the frame.
     """
-    data = bytes(payload)
-    strings, pos = read_strings(data, 0)
-    watermark, pos = read_zigzag(data, pos)
-    count, pos = read_varint(data, pos)
+    watermark, messages = pickle.loads(payload)
     pending: List[Tuple[int, Trace]] = []
-    for _ in range(count):
-        tag = data[pos]
-        if tag == _T_TRACE:
-            index, pos = read_varint(data, pos + 1)
-            trace, pos = read_trace(data, strings, pos, index)
-            pending.append((index, trace))
+    for message in messages:
+        if message[0] == MSG_TRACE:
+            pending.append(message[1:])
             continue
         if pending:
             shard.ingest_batch(pending)
             pending = []
-        txn_index, pos = read_varint(data, pos + 1)
-        client_id, pos = read_zigzag(data, pos)
-        ts_bef, ts_aft = _DOUBLE_PAIR.unpack_from(data, pos)
-        pos += 16
-        shard.begin(strings[txn_index], client_id, Interval(ts_bef, ts_aft))
+        shard.begin(*message[1:])
     if pending:
         shard.ingest_batch(pending)
     return watermark
-
-
-def _encode_events(encoder: PayloadEncoder, events: Sequence[Tuple]) -> None:
-    encoder.varint(len(events))
-    for index, seq, kind, payload in events:
-        if kind == _DEP:
-            encoder.u8(0)
-            encoder.zigzag(index)
-            encoder.varint(seq)
-            encoder.string(payload.src)
-            encoder.string(payload.dst)
-            encoder.u8(_DEPTYPE_TO_CODE[payload.dep_type])
-            source = payload.source
-            encoder.u8(_NO_SOURCE if source is None else _MECH_TO_CODE[source])
-            encoder.value(payload.key)
-        else:
-            encoder.u8(1)
-            encoder.zigzag(index)
-            encoder.varint(seq)
-            encoder.raw(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
-
-
-def _decode_events(decoder: PayloadDecoder) -> List[Tuple[int, int, str, object]]:
-    events: List[Tuple[int, int, str, object]] = []
-    append = events.append
-    for _ in range(decoder.varint()):
-        tag = decoder.u8()
-        index = decoder.zigzag()
-        seq = decoder.varint()
-        if tag == 0:
-            src = decoder.string()
-            dst = decoder.string()
-            dep_type = _CODE_TO_DEPTYPE[decoder.u8()]
-            source_code = decoder.u8()
-            source = None if source_code == _NO_SOURCE else _CODE_TO_MECH[source_code]
-            append(
-                (index, seq, _DEP,
-                 Dependency(src=src, dst=dst, dep_type=dep_type,
-                            key=decoder.value(), source=source))
-            )
-        else:
-            append((index, seq, _VIOLATION, pickle.loads(decoder.raw())))
-    return events
-
-
-def encode_shard_result(result: "ShardResult") -> bytes:
-    """Encode a worker's final journal + stats as one result frame."""
-    encoder = PayloadEncoder()
-    encoder.u8(0)  # ok
-    encoder.varint(result.shard_id)
-    encoder.double(result.wall_seconds)
-    encoder.varint(result.journal_total)
-    encoder.raw(pickle.dumps(result.stats, protocol=pickle.HIGHEST_PROTOCOL))
-    encoder.raw(pickle.dumps(result.metrics, protocol=pickle.HIGHEST_PROTOCOL))
-    _encode_events(encoder, result.events)
-    return encoder.finish()
-
-
-def encode_segment_frame(
-    shard_id: int,
-    watermark: int,
-    events: Sequence[Tuple[int, int, str, object]],
-) -> bytes:
-    """Encode a mid-run journal segment.
-
-    ``watermark`` echoes the header of the last message frame the worker
-    fully applied: after this segment the worker will never journal
-    another event with trace index ``<= watermark``.
-    """
-    encoder = PayloadEncoder()
-    encoder.u8(2)  # segment
-    encoder.varint(shard_id)
-    encoder.zigzag(watermark)
-    _encode_events(encoder, events)
-    return encoder.finish()
-
-
-def encode_shard_error(trace_back: str) -> bytes:
-    encoder = PayloadEncoder()
-    encoder.u8(1)  # error
-    encoder.raw(trace_back.encode("utf-8"))
-    return encoder.finish()
-
-
-def decode_shard_reply(payload: bytes):
-    """Decode a worker reply: ``("ok", ShardResult)``, ``("segment",
-    StreamSegment)`` or ``("error", tb)``."""
-    decoder = PayloadDecoder(payload)
-    status = decoder.u8()
-    if status == 1:
-        return "error", decoder.raw().decode("utf-8")
-    if status == 2:
-        shard_id = decoder.varint()
-        watermark = decoder.zigzag()
-        return "segment", StreamSegment(
-            shard_id=shard_id,
-            watermark=watermark,
-            events=_decode_events(decoder),
-        )
-    shard_id = decoder.varint()
-    wall_seconds = decoder.double()
-    journal_total = decoder.varint()
-    stats = pickle.loads(decoder.raw())
-    metrics = pickle.loads(decoder.raw())
-    return "ok", ShardResult(
-        shard_id=shard_id,
-        events=_decode_events(decoder),
-        stats=stats,
-        metrics=metrics,
-        wall_seconds=wall_seconds,
-        journal_total=journal_total,
-    )
 
 
 class GraphOnlyCertifier(MechanismVerifier):
@@ -385,9 +206,9 @@ class ShardResult:
 
 @dataclass
 class StreamSegment:
-    """A mid-run journal flush from one shard."""
+    """A mid-run journal flush from one shard (which one, the pipe it
+    arrives on says)."""
 
-    shard_id: int
     #: trace-index watermark: the shard will never journal another event
     #: with index ``<= watermark`` after this segment.
     watermark: int
@@ -474,17 +295,18 @@ class ShardVerifier(Verifier):
 
 
 def _shard_worker_main(conn, shard_id: int, spec, initial_part, options) -> None:
-    """Worker process entry point: drain batch frames, ship the result.
+    """Worker process entry point: drain message frames, ship the result.
 
-    Messages arrive as encoded byte frames (:func:`encode_message_frame`);
-    each frame interleaves begin controls and routed traces in stream
-    order and is decoded exactly once, here.  An empty frame ends the
-    stream; the reply is an encoded result frame.
+    Each frame interleaves begin controls and routed traces in stream
+    order (:func:`apply_message_frame`).  An empty frame ends the stream;
+    the reply is the shard's result, or the traceback of whatever stopped
+    it.
 
-    The journal is flushed back as a segment frame whenever it grows past
-    the ``stream_segment_events`` budget, echoing the watermark of the
-    frame just applied; the final result frame then carries only the
-    residue.
+    The journal is flushed back as a segment whenever it grows past the
+    ``stream_segment_events`` budget, echoing the watermark of the frame
+    just applied -- after this segment the worker will never journal
+    another event with trace index ``<= watermark``; the final result then
+    carries only the residue.
     """
     relax_collector()
     options = dict(options)
@@ -500,14 +322,13 @@ def _shard_worker_main(conn, shard_id: int, spec, initial_part, options) -> None
                     break
                 watermark = apply_message_frame(shard, frame)
                 if len(shard.events) >= segment_events:
-                    conn.send_bytes(
-                        encode_segment_frame(shard_id, watermark, shard.events)
-                    )
+                    segment = StreamSegment(watermark, shard.events)
+                    conn.send_bytes(_frame(("segment", segment)))
                     shard.events.clear()
             result = shard.finish_shard()
-        conn.send_bytes(encode_shard_result(result))
+        conn.send_bytes(_frame(("ok", result)))
     except BaseException:  # noqa: BLE001 - forwarded to the coordinator
-        conn.send_bytes(encode_shard_error(traceback.format_exc()))
+        conn.send_bytes(_frame(("error", traceback.format_exc())))
     finally:
         conn.close()
 
@@ -881,8 +702,9 @@ class ParallelVerifier:
         self._merger: Optional[_StreamMerger] = None
         self._rx_queue: Optional[queue.SimpleQueue] = None
         self._drainer: Optional[threading.Thread] = None
+        #: each shard's terminal reply: its result, or what went wrong.
         self._stream_results: Dict[int, ShardResult] = {}
-        self._stream_errors: List[str] = []
+        self._stream_errors: Dict[int, str] = {}
         self._m_segments = self.metrics.counter("parallel.stream.segments")
         self._m_stream_bytes = self.metrics.counter("parallel.stream.bytes")
         self._m_overlap = self.metrics.histogram("parallel.merge.overlap.seconds")
@@ -955,21 +777,26 @@ class ParallelVerifier:
 
     @staticmethod
     def _drain_main(conns: List, rx: "queue.SimpleQueue") -> None:
-        """Forward every worker payload into the coordinator queue.
+        """Forward every worker payload into the coordinator queue as
+        ``(shard, payload)``; ``(shard, None)`` marks the end of a pipe.
 
         The worker protocol is segments, then exactly one result/error
         frame, then EOF -- so the drainer needs no frame inspection: it
-        reads until each pipe closes.
+        reads until each pipe closes.  Every pipe gets its end mark, even
+        if this thread is stopped by something unforeseen, so whoever
+        waits on the queue for a shard's last word never waits forever.
         """
-        live = list(conns)
-        while live:
-            for conn in _mp_connection.wait(live):
-                try:
-                    payload = conn.recv_bytes()
-                except (EOFError, OSError):
-                    live.remove(conn)
-                    continue
-                rx.put(payload)
+        live = {conn: shard for shard, conn in enumerate(conns)}
+        try:
+            while live:
+                for conn in _mp_connection.wait(list(live)):
+                    try:
+                        rx.put((live[conn], conn.recv_bytes()))
+                    except (EOFError, OSError):
+                        rx.put((live.pop(conn), None))
+        finally:
+            for shard in live.values():
+                rx.put((shard, None))
 
     def _send(self, shard: int, message) -> None:
         if self._backend == "inline":
@@ -999,7 +826,9 @@ class ParallelVerifier:
         return self._ts_watermark
 
     def _send_frame(self, shard: int, buffer: List) -> None:
-        frame = encode_message_frame(buffer, self._trace_index - 1)
+        # A message that does not pickle is refused here, before any part
+        # of its frame reaches the worker.
+        frame = _frame((self._trace_index - 1, buffer))
         try:
             self._conns[shard].send_bytes(frame)
         except (BrokenPipeError, OSError):
@@ -1034,20 +863,32 @@ class ParallelVerifier:
             )
         return self._merger
 
-    def _handle_stream_payload(self, payload: bytes) -> None:
-        status, value = decode_shard_reply(payload)
+    def _handle_reply(self, shard: int, payload: Optional[bytes]) -> None:
+        """One item off the drainer's queue: a reply ``shard``'s worker
+        wrote to its pipe, or ``None`` for the end of that pipe."""
+        if payload is None:
+            if shard not in self._stream_results:
+                self._stream_errors.setdefault(shard, "exited without a reply")
+            return
+        try:
+            status, value = pickle.loads(payload)
+        except Exception as exc:  # noqa: BLE001 - whatever garbage raises
+            self._stream_errors[shard] = (
+                f"sent a reply that does not unpickle ({exc!r})"
+            )
+            return
         if status == "segment":
             self._m_segments.inc()
             self._m_stream_bytes.inc(len(payload))
             merger = self._ensure_merger()
-            merger.offer(value.shard_id, value.watermark, value.events)
+            merger.offer(shard, value.watermark, value.events)
             with self._m_overlap.time():
                 merger.advance()
         elif status == "ok":
-            self._stream_results[value.shard_id] = value
+            self._stream_results[shard] = value
             self._m_tx_result_bytes.inc(len(payload))
         else:
-            self._stream_errors.append(value)
+            self._stream_errors[shard] = "raised:\n" + value
 
     def _pump(self) -> None:
         """Drain whatever the segment drainer has queued (non-blocking);
@@ -1057,10 +898,10 @@ class ParallelVerifier:
             return
         while True:
             try:
-                payload = rx.get_nowait()
+                shard, payload = rx.get_nowait()
             except queue.Empty:
                 return
-            self._handle_stream_payload(payload)
+            self._handle_reply(shard, payload)
 
     def _maybe_flush_inline(self) -> None:
         """Inline backend: shard verifiers run synchronously, so
@@ -1155,44 +996,27 @@ class ParallelVerifier:
                 conn.send_bytes(b"")
             except (BrokenPipeError, OSError):
                 pass  # dead worker; its error frame surfaces below
-        results, errors = self._await_stream_replies()
+        # Every shard's last word is a result, a traceback or the end of
+        # its pipe (a killed worker closes it), so this wait is bounded by
+        # the work the live workers have left; segments still in flight
+        # are replayed along the way.
+        results, errors = self._stream_results, self._stream_errors
+        while len(results.keys() | errors.keys()) < self.router.shards:
+            self._handle_reply(*self._rx_queue.get())
         for proc in self._workers:
             proc.join()
-        if errors:
-            raise RuntimeError(
-                "shard worker failed:\n" + "\n".join(errors)
-            )
-        return results
-
-    def _await_stream_replies(self) -> Tuple[List[ShardResult], List[str]]:
-        """Block until every worker's terminal reply arrived, replaying
-        any segments that are still in flight along the way."""
-        rx = self._rx_queue
-        want = self.router.shards
-        while len(self._stream_results) + len(self._stream_errors) < want:
-            try:
-                payload = rx.get(timeout=0.1)
-            except queue.Empty:
-                if self._drainer is not None and not self._drainer.is_alive():
-                    # Every pipe hit EOF and the queue is dry: a worker
-                    # died without managing to send even an error frame.
-                    missing = want - len(self._stream_results) - len(
-                        self._stream_errors
-                    )
-                    raise RuntimeError(
-                        f"{missing} shard worker(s) exited without a reply"
-                    )
-                continue
-            self._handle_stream_payload(payload)
-        if self._drainer is not None:
-            self._drainer.join(timeout=5.0)
+        self._drainer.join()
         for conn in self._conns:
             conn.close()
-        results = [
-            self._stream_results[shard]
-            for shard in sorted(self._stream_results)
-        ]
-        return results, list(self._stream_errors)
+        if errors:
+            raise RuntimeError(
+                "shard worker failed:\n"
+                + "\n".join(
+                    f"shard worker {shard} {error}"
+                    for shard, error in sorted(errors.items())
+                )
+            )
+        return [results[shard] for shard in sorted(results)]
 
     def finish(self) -> VerificationReport:
         if self._report is not None:
@@ -1235,33 +1059,25 @@ class ParallelVerifier:
     def _merge_stats(
         self, shard_stats: List[VerificationStats]
     ) -> VerificationStats:
-        merged = VerificationStats()
-        summed = (
-            "reads_checked",
-            "writes_checked",
-            "deps_wr",
-            "deps_ww",
-            "deps_rw",
-            "deps_so",
-            "conflict_pairs",
-            "overlapped_pairs",
-            "deduced_overlapped_pairs",
-            "gc_versions_pruned",
-            "gc_locks_pruned",
-            "gc_txns_pruned",
+        """Every field of the dataclass is a per-key tally and sums over
+        the shards, except the :data:`_COORDINATOR_OWNED` three."""
+        merged = VerificationStats(
+            traces_processed=self._trace_index,
+            txns_committed=self._txns_committed,
+            txns_aborted=self._txns_aborted,
         )
         for stats in shard_stats:
-            for name in summed:
-                setattr(merged, name, getattr(merged, name) + getattr(stats, name))
-            for bucket, seconds in stats.mechanism_seconds.items():
-                merged.mechanism_seconds[bucket] = (
-                    merged.mechanism_seconds.get(bucket, 0.0) + seconds
-                )
-        # Broadcast traces and terminals are processed by several shards;
-        # the coordinator's tallies are the true stream-level counts.
-        merged.traces_processed = self._trace_index
-        merged.txns_committed = self._txns_committed
-        merged.txns_aborted = self._txns_aborted
+            for stat in dataclasses.fields(stats):
+                name = stat.name
+                if name in _COORDINATOR_OWNED:
+                    continue
+                value = getattr(stats, name)
+                if isinstance(value, dict):  # mechanism_seconds, per bucket
+                    sums = getattr(merged, name)
+                    for bucket, seconds in value.items():
+                        sums[bucket] = sums.get(bucket, 0.0) + seconds
+                else:
+                    setattr(merged, name, getattr(merged, name) + value)
         return merged
 
     # -- online-wrapper surface -----------------------------------------------------
@@ -1269,14 +1085,13 @@ class ParallelVerifier:
     def violations_so_far(self) -> List[Violation]:
         """Violations visible before :meth:`finish`.
 
-        The globally certified violations replayed so far -- an
-        append-only list that the final report extends in place, so online
-        alerting indexes stay stable across the finish boundary."""
-        if self._report is not None:
-            return self._report.violations
+        The globally certified violations replayed so far: the merged
+        descriptor's own append-only list (not a copy, and not the
+        caller's to change), which the final report extends in place, so
+        online alerting indexes stay stable across the finish boundary."""
         if self._merger is None:
             return []
-        return self._merger.descriptor.violations
+        return self._merger.descriptor._violations
 
     def coordinator_pending_events(self) -> int:
         """Journal events buffered coordinator-side awaiting replay: the

@@ -77,6 +77,8 @@ class BugDescriptor:
     """
 
     def __init__(self) -> None:
+        #: append-only; ``violations_so_far()`` hands this very list to
+        #: the online layer (read-only by convention, like every record).
         self._violations: List[Violation] = []
         self._seen: Dict[Tuple, int] = {}
         self.raw_count = 0
@@ -98,37 +100,6 @@ class BugDescriptor:
     @property
     def violations(self) -> List[Violation]:
         return list(self._violations)
-
-    def witness_count(self, violation: Violation) -> int:
-        """Raw witnesses recorded for a violation's dedup class."""
-        return self._seen.get(
-            (violation.mechanism, violation.kind, violation.txns, violation.key),
-            0,
-        )
-
-    def absorb(self, other: "BugDescriptor") -> None:
-        """Merge another descriptor's violations into this one.
-
-        The parallel path collects one descriptor per shard worker and one
-        from the global certification pass; absorbing re-runs the dedup so
-        a bug witnessed by two shards (e.g. a terminal-trace check that
-        broadcasts) still appears once, while ``raw_count`` keeps the true
-        total witness count across all descriptors.
-        """
-        for violation in other._violations:
-            witnesses = other.witness_count(violation)
-            self.record(violation)
-            # record() counted one witness; fold in the remainder.
-            extra = witnesses - 1
-            if extra > 0:
-                self.raw_count += extra
-                dedup_key = (
-                    violation.mechanism,
-                    violation.kind,
-                    violation.txns,
-                    violation.key,
-                )
-                self._seen[dedup_key] += extra
 
     def __len__(self) -> int:
         return len(self._violations)

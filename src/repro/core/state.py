@@ -84,11 +84,10 @@ class VerifierState:
     def __init__(
         self,
         initial_db: Optional[Mapping[Key, Mapping[str, object]]] = None,
-        incremental_graph: bool = True,
     ):
         self.chains: Dict[Key, VersionChain] = {}
         self.locks = LockTable()
-        self.graph = DependencyGraph(incremental=incremental_graph)
+        self.graph = DependencyGraph()
         self.txns: Dict[str, TxnState] = {}
         self.descriptor = BugDescriptor()
         self.stats = VerificationStats()

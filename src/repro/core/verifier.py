@@ -20,8 +20,10 @@ FUW, the Fig. 9 rw deriver, CR and the certifier, in that order, and
 connects the bus's delivery line to the last and the third.  What varies
 per isolation level is the :class:`~repro.core.spec.IsolationSpec` they
 read, not the wiring.  A subclass changes the assembly by overriding
-:meth:`Verifier._build_certifier` / :meth:`Verifier._connect_bus` -- the
-parallel path's shards (:mod:`repro.core.parallel`) do exactly that.
+:meth:`Verifier._build_state`, :meth:`Verifier._build_certifier` or
+:meth:`Verifier._connect_bus` -- the parallel path's shards
+(:mod:`repro.core.parallel`) override the last two, the naive
+cycle-search baseline (:mod:`repro.baselines.cyclesearch`) the first.
 """
 
 from __future__ import annotations
@@ -112,7 +114,6 @@ class Verifier:
         exchange_dependencies: bool = True,
         minimize_candidates: bool = True,
         check_aborted_reads: bool = True,
-        incremental_graph: bool = True,
         session_order: bool = True,
         metrics: Optional[MetricsRegistry] = None,
     ):
@@ -126,9 +127,7 @@ class Verifier:
         self._session_order = session_order
         self._session_tail: dict = {}
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
-        self.state = state = VerifierState(
-            initial_db=initial_db, incremental_graph=incremental_graph
-        )
+        self.state = state = self._build_state(initial_db)
         self.bus = bus = DependencyBus(state, metrics=self.metrics)
         # The assembly (Fig. 3), in the order Algorithm 2 checks it at a
         # terminal trace: ME and FUW deduce the ww edges that confirm
@@ -185,6 +184,11 @@ class Verifier:
             state.ww_order = lambda a, b: None  # type: ignore[method-assign]
 
     # -- the assembly's seam ----------------------------------------------------
+
+    def _build_state(self, initial_db) -> VerifierState:
+        """The mirrored state every mechanism is constructed over.  The
+        naive cycle-search baseline swaps its graph for plain adjacency."""
+        return VerifierState(initial_db=initial_db)
 
     def _build_certifier(self) -> MechanismVerifier:
         """The fifth mechanism: what certifies the graph the exchange
@@ -408,9 +412,10 @@ class Verifier:
     # -- completion -----------------------------------------------------------------
 
     def violations_so_far(self) -> List[Violation]:
-        """Violations recorded up to now (an append-only list the report
-        shares); the online layer alerts from it."""
-        return self.state.descriptor.violations
+        """Violations recorded up to now: the descriptor's own
+        append-only list, which the report shares -- not a copy, and not
+        the caller's to change.  The online layer alerts from it."""
+        return self.state.descriptor._violations
 
     def live_structure_count(self) -> int:
         """Structures the mirrored state retains (the memory axis the

@@ -25,6 +25,8 @@ from __future__ import annotations
 import struct
 from typing import Dict, Optional, Tuple
 
+from ..core.codec import read_varint, write_varint
+
 #: Versioned ingest-stream header; bump for incompatible frame changes.
 SERVICE_MAGIC = b"repro.service/v1\n"
 
@@ -97,30 +99,19 @@ class ServiceProtocolError(ValueError):
 
 
 # -- varint helpers -----------------------------------------------------------
-# Control bodies are tiny; these stand alone so the protocol module has no
-# dependency on the codec's stateful encoder classes.
+# The codec's varints, shaped for control bodies: a few of them per frame.
 
 
-def _varint(n: int) -> bytes:
+def _varints(*values: int) -> bytes:
     out = bytearray()
-    while n > 0x7F:
-        out.append((n & 0x7F) | 0x80)
-        n >>= 7
-    out.append(n)
+    for n in values:
+        write_varint(out, n)
     return bytes(out)
 
 
 def _read_varint(data: bytes, pos: int) -> Tuple[int, int]:
-    shift = 0
-    result = 0
     try:
-        while True:
-            byte = data[pos]
-            pos += 1
-            result |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                return result, pos
-            shift += 7
+        return read_varint(data, pos)
     except IndexError:
         raise ServiceProtocolError("truncated varint in control frame") from None
 
@@ -134,7 +125,7 @@ def encode_frame(tag: int, body: bytes = b"") -> bytes:
 
 
 def hello_frame(client_id: int) -> bytes:
-    return encode_frame(F_HELLO, _varint(client_id))
+    return encode_frame(F_HELLO, _varints(client_id))
 
 
 def traces_frame(batch_payload: bytes) -> bytes:
@@ -151,11 +142,11 @@ def bye_frame() -> bytes:
 
 
 def welcome_frame(session_id: int, credit: int) -> bytes:
-    return encode_frame(S_WELCOME, _varint(session_id) + _varint(credit))
+    return encode_frame(S_WELCOME, _varints(session_id, credit))
 
 
 def credit_frame(frames: int) -> bytes:
-    return encode_frame(S_CREDIT, _varint(frames))
+    return encode_frame(S_CREDIT, _varints(frames))
 
 
 def pause_frame() -> bytes:
@@ -168,17 +159,12 @@ def resume_frame() -> bytes:
 
 def error_frame(session_id: int, byte_offset: int, message: str) -> bytes:
     encoded = message.encode("utf-8")
-    body = (
-        _varint(session_id)
-        + _varint(byte_offset)
-        + _varint(len(encoded))
-        + encoded
-    )
+    body = _varints(session_id, byte_offset, len(encoded)) + encoded
     return encode_frame(S_ERROR, body)
 
 
 def bye_ack_frame(traces_accepted: int) -> bytes:
-    return encode_frame(S_BYE, _varint(traces_accepted))
+    return encode_frame(S_BYE, _varints(traces_accepted))
 
 
 # -- frame parsing ------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import PG_READ_COMMITTED, PG_SERIALIZABLE, Trace
+from repro import PG_READ_COMMITTED, PG_SERIALIZABLE, Trace, Verifier
 from repro.baselines import (
     CobraChecker,
     ElleChecker,
@@ -11,7 +11,10 @@ from repro.baselines import (
     history_from_traces,
     values_are_unique,
 )
+from repro.baselines.cyclesearch import RawDependencyGraph
 from repro.baselines.history import flatten_value, initial_history_txn
+from repro.core.dependencies import Dependency, DepType
+from repro.core.topo import IncrementalTopology
 from repro.dbsim import FaultPlan
 from repro.workloads import BlindW, run_workload
 
@@ -256,6 +259,82 @@ class TestNaiveCycleSearch:
     def test_check_every_validation(self):
         with pytest.raises(ValueError):
             NaiveCycleSearchChecker(check_every=0)
+
+    def test_deduces_what_leopard_deduces_without_the_incremental_oracle(
+        self, blindw_rw_run, monkeypatch
+    ):
+        """Fig. 11 compares certifiers, not deductions: over its raw graph
+        the checker deduces exactly what the serial assembly deduces (the
+        ww-order oracle still gets its ``has_edge_type`` answers), and it
+        never pays for a Pearce-Kelly insertion."""
+        traces = blindw_rw_run.all_traces_sorted()
+        leopard = Verifier(
+            spec=PG_SERIALIZABLE.without("SC"),
+            initial_db=blindw_rw_run.initial_db,
+            gc_every=0,
+        )
+        expected = leopard.process_all(traces).finish().stats
+
+        def refuse(self, u, v):
+            raise AssertionError("the naive checker ran the incremental oracle")
+
+        monkeypatch.setattr(IncrementalTopology, "add_edge", refuse)
+        checker = NaiveCycleSearchChecker(
+            spec=PG_SERIALIZABLE, initial_db=blindw_rw_run.initial_db
+        )
+        report = checker.process_all(traces).finish()
+        assert report.ok
+        assert isinstance(checker.graph, RawDependencyGraph)
+        assert expected.deps_ww and expected.deduced_overlapped_pairs
+        got, want = dict(vars(report.stats)), dict(vars(expected))
+        del got["mechanism_seconds"], want["mechanism_seconds"]
+        assert got == want
+
+
+def dep(src, dst, kind=DepType.WW, key=None):
+    return Dependency(src=src, dst=dst, dep_type=kind, key=key)
+
+
+class TestRawMode:
+    """:class:`RawDependencyGraph`, the naive checker's graph: typed edges
+    over plain adjacency, cycles welcome."""
+
+    def test_raw_mode_allows_cycles(self):
+        graph = RawDependencyGraph()
+        assert graph.add_dependency(dep("a", "b")) is None
+        assert graph.add_dependency(dep("b", "a")) is None
+        cycle = graph.find_cycle()
+        assert cycle is not None and set(cycle) == {"a", "b"}
+
+    def test_raw_mode_neighbours(self):
+        graph = RawDependencyGraph()
+        graph.add_dependency(dep("a", "b"))
+        graph.add_dependency(dep("a", "c"))
+        graph.add_dependency(dep("a", "c", DepType.WR))
+        graph.add_dependency(dep("c", "c"))  # not an inter-transaction edge
+        assert graph.succ["a"] == {"b", "c"}
+        assert graph.pred["b"] == {"a"}
+        assert len(graph) == 3 and "c" in graph and "d" not in graph
+        assert graph.edge_count == 3  # typed edges; two of them a -> c
+        assert graph.has_edge_type("a", "c", DepType.WR)
+        assert not graph.has_edge_type("a", "b", DepType.WR)
+        assert not graph.has_edge_type("c", "a", DepType.WW)
+
+
+class TestFindCycle:
+    def test_acyclic(self):
+        graph = RawDependencyGraph()
+        graph.add_dependency(dep("a", "b"))
+        graph.add_dependency(dep("b", "c"))
+        assert graph.find_cycle() is None
+
+    def test_long_cycle_raw(self):
+        graph = RawDependencyGraph()
+        for u, v in [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")]:
+            graph.add_dependency(dep(u, v))
+        cycle = graph.find_cycle()
+        assert cycle is not None
+        assert set(cycle) == {"a", "b", "c", "d"}
 
 
 class TestElleListAppend:

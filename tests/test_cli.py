@@ -511,8 +511,7 @@ def test_each_layer_of_the_spine_has_one_loop_body():
     assert "self.process(" not in parallel
 
     # codec.py: ``read_trace`` is the one site that builds a ``Trace`` and
-    # ``decode_run`` its one caller; ``PayloadDecoder`` reads fields only,
-    # each through a module-level reader.
+    # ``decode_run`` its one caller.
     codec = _core_ast("codec.py")
     assert _calls(codec).count("Trace") == 1
     callers = [
@@ -521,21 +520,6 @@ def test_each_layer_of_the_spine_has_one_loop_body():
         if isinstance(node, ast.FunctionDef) and "read_trace" in _calls(node)
     ]
     assert callers == ["decode_run"]
-    decoder = next(
-        node for node in ast.walk(codec)
-        if isinstance(node, ast.ClassDef) and node.name == "PayloadDecoder"
-    )
-    fields = [
-        item for item in decoder.body
-        if isinstance(item, ast.FunctionDef)
-        and item.name not in ("__init__", "_read")
-    ]
-    assert {item.name for item in fields} == {
-        "varint", "zigzag", "u8", "double", "string", "raw", "value",
-    }
-    for item in fields:
-        (statement,) = _statements(item)
-        assert isinstance(statement, ast.Return) and _calls(statement) == ["_read"]
 
 
 def test_the_assembly_is_written_down_not_discovered():
@@ -575,6 +559,54 @@ def test_the_assembly_is_written_down_not_discovered():
         if "registry" in ast.unparse(target).lower()
     ]
     assert not registries, registries
+
+
+def _imports(tree):
+    """``(module, name)`` for everything a module imports, at any depth
+    (``import x`` is ``("x", None)``)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(alias.name, None) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            found += [(module, alias.name) for alias in node.names]
+    return found
+
+
+def test_one_serializer_and_it_stays_on_the_shard_pipes():
+    """The trust boundary, written down: ``pickle`` is what the shard
+    pipes speak and nothing else under ``src/`` imports it, so no byte
+    read from a capture file or a socket can reach ``pickle.loads`` --
+    those are decoded by ``core/codec.py``, which ``core/parallel.py``
+    in turn has no use for.  The frame objects the pipes used to need are
+    gone from the codec."""
+    picklers = []
+    for path in sorted(pathlib.Path(SRC, "repro").rglob("*.py")):
+        imported = _imports(ast.parse(path.read_text()))
+        modules = {module.split(".")[0] for module, _ in imported}
+        if modules & {"pickle", "_pickle", "marshal", "shelve", "dill"}:
+            picklers.append(path.relative_to(SRC).as_posix())
+    assert picklers == ["repro/core/parallel.py"]
+    parallel = _core_ast("parallel.py")
+    assert not [
+        (module, name) for module, name in _imports(parallel)
+        if "codec" in module or name == "codec"
+    ]
+    # ``loads`` runs where a pipe's bytes arrive and nowhere else: in the
+    # worker on a coordinator frame, in the coordinator on a worker reply.
+    loaders = [
+        node.name
+        for node in ast.walk(parallel)
+        if isinstance(node, ast.FunctionDef) and "loads" in _calls(node)
+    ]
+    assert sorted(loaders) == ["_handle_reply", "apply_message_frame"]
+    defined = {
+        node.name
+        for node in ast.walk(_core_ast("codec.py"))
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+    }
+    assert not defined & {"PayloadEncoder", "PayloadDecoder"}
 
 
 def test_consistent_reads_are_checked_in_one_pass():

@@ -19,8 +19,6 @@ from repro.core.codec import (
     RUN,
     BinaryTraceWriter,
     CodecError,
-    PayloadDecoder,
-    PayloadEncoder,
     decode_batch,
     dump_traces_binary,
     encode_batch,
@@ -29,9 +27,7 @@ from repro.core.codec import (
     read_strings,
     read_varint,
 )
-from repro.core.intervals import Interval
 from repro.core.io import load_traces
-from repro.core.parallel import MSG_BEGIN, MSG_TRACE, encode_message_frame
 from repro.core.trace import KeyRange, OpStatus, Trace
 
 from tests.codec_oracle import decode_reference
@@ -149,8 +145,8 @@ GOLDEN = [
 
 class TestWireFormatPinned:
     """``repro.traces/v1b`` bytes are what captures, ``capture_sha256`` and
-    the shard pipes are made of: the digests below were produced by the
-    writer this format shipped with and must never move."""
+    the service's ``TRACES`` frames are made of: the digests below were
+    produced by the writer this format shipped with and must never move."""
 
     def test_golden_batch_bytes(self):
         payload = encode_batch(GOLDEN)
@@ -159,85 +155,6 @@ class TestWireFormatPinned:
             "deb03990495d090794abba3f6b96c2f3cde6c7956bc0082d27c89171ae8aec98"
         )
         assert_same_traces(decode_batch(payload), GOLDEN)
-
-    def test_golden_message_frame_bytes(self):
-        """The shard pipe's message frame is internal (coordinator and
-        worker are one build), so its header may change where a capture's
-        bytes may not: these digests were re-pinned when the frame header
-        lost its GC-horizon double (8 bytes; the merger prices collections
-        off the coordinator's dispatch log, nothing read the echo).  The
-        records behind the header are the capture format's, unchanged."""
-        messages = [(MSG_BEGIN, "t1", 0, Interval(1.0, 1.5))]
-        for index, trace in enumerate(GOLDEN):
-            if index == 3:
-                messages.append((MSG_BEGIN, "t2", -1, Interval(2.5, 2.75)))
-            messages.append((MSG_TRACE, index * 100, trace))
-        frame = encode_message_frame(messages, watermark=600)
-        assert len(frame) == 354 - 8
-        assert hashlib.sha256(frame).hexdigest() == (
-            "446a0e5f7bc61bd871636c9b6f2be755cbee7770cd01eee78ae9f87344d4ad5f"
-        )
-        # Empty string table, watermark -1, no messages.
-        assert encode_message_frame([]) == b"\x00\x01\x00"
-
-    def test_one_writer(self):
-        """The encoder object and the batch function emit the same bytes
-        (``PayloadEncoder.trace`` delegates to the module-level writer)."""
-        encoder = PayloadEncoder()
-        encoder.varint(len(GOLDEN))
-        for trace in GOLDEN:
-            encoder.trace(trace)
-        assert encoder.finish() == encode_batch(GOLDEN)
-
-
-class TestPayloadDecoder:
-    """The field-by-field reader the shard frames are read with."""
-
-    FIELDS = (
-        ("u8", 7),
-        ("varint", 300),
-        ("zigzag", -70_000),
-        ("double", -2.5),
-        ("string", "txn-1"),
-        ("raw", b"\x00opaque\xff"),
-        ("value", ("k", 1, None, True, 2.5, ("nested", ()))),
-        ("string", "txn-1"),
-    )
-
-    def _payload(self):
-        encoder = PayloadEncoder()
-        for name, value in self.FIELDS:
-            getattr(encoder, name)(value)
-        return encoder.finish()
-
-    def test_mirrors_the_encoder(self):
-        decoder = PayloadDecoder(memoryview(self._payload()))
-        assert decoder.strings == ["txn-1", "k", "nested"]
-        for name, value in self.FIELDS:
-            assert decoder.pos < len(decoder.data)
-            assert getattr(decoder, name)() == value
-        assert decoder.pos == len(decoder.data)
-
-    def test_a_payload_that_ends_early_is_a_codec_error(self):
-        payload = self._payload()
-        for cut in range(len(payload)):
-            with pytest.raises(CodecError):
-                decoder = PayloadDecoder(payload[:cut])
-                for name, _ in self.FIELDS:
-                    getattr(decoder, name)()
-
-    def test_bad_table_reference_and_unknown_tag(self):
-        encoder = PayloadEncoder()
-        encoder.varint(9)  # read back as a string reference: no such entry
-        encoder.u8(99)  # read back as a value: no such tag
-        payload = encoder.finish()
-        decoder = PayloadDecoder(payload)
-        with pytest.raises(CodecError):
-            decoder.string()
-        decoder = PayloadDecoder(payload)
-        decoder.varint()
-        with pytest.raises(CodecError, match="unknown value tag 99"):
-            decoder.value()
 
 
 class TestMalformedInput:
@@ -324,6 +241,14 @@ class TestMalformedInput:
         blob = MAGIC + len(payload).to_bytes(4, "little") + bytes(payload)
         with pytest.raises(CodecError, match="frame 0 at byte offset 17"):
             list(load_traces_binary(io.BytesIO(blob)))
+
+    def test_a_key_outside_the_value_grammar_is_refused_by_the_writer(self):
+        """A capture or a ``TRACES`` frame cannot carry a record key the
+        value grammar does not cover: the writer refuses it.  (The shard
+        pipes, which are no wire format, carry any key that pickles.)"""
+        trace = Trace.write(1.0, 2.0, "t1", {frozenset("k"): 1})
+        with pytest.raises(CodecError, match="unsupported value type"):
+            encode_batch([trace])
 
 
 class TestFileFraming:

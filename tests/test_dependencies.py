@@ -1,4 +1,4 @@
-"""Dependency graph: typed edges, cycles, pruning, raw mode."""
+"""Dependency graph: typed edges, cycles, pruning."""
 
 
 from repro.core.dependencies import Dependency, DependencyGraph, DepType
@@ -61,15 +61,9 @@ class TestEdges:
         graph.add_dependency(dep("a", "b"))
         cycle = graph.add_dependency(dep("b", "a"))
         assert cycle is not None and set(cycle) == {"a", "b"}
-        # Structural edge rejected: topology still acyclic.
-        assert graph.find_cycle() is None
-
-    def test_rw_flags(self):
-        graph = DependencyGraph()
-        graph.add_dependency(dep("a", "b", DepType.RW))
-        assert graph.node("a").has_out_rw
-        assert graph.node("b").has_in_rw
-        assert not graph.node("a").has_in_rw
+        # Structural edge rejected (topology still acyclic), type recorded.
+        assert graph.successors("b") == set()
+        assert graph.edge_types("b", "a") == {DepType.WW}
 
     def test_in_degree(self):
         graph = DependencyGraph()
@@ -93,44 +87,3 @@ class TestPruning:
     def test_remove_missing_is_noop(self):
         graph = DependencyGraph()
         graph.remove_txn("ghost")
-
-
-class TestRawMode:
-    def test_raw_mode_allows_cycles(self):
-        graph = DependencyGraph(incremental=False)
-        assert graph.add_dependency(dep("a", "b")) is None
-        assert graph.add_dependency(dep("b", "a")) is None
-        cycle = graph.find_cycle()
-        assert cycle is not None and set(cycle) == {"a", "b"}
-
-    def test_raw_mode_neighbours(self):
-        graph = DependencyGraph(incremental=False)
-        graph.add_dependency(dep("a", "b"))
-        graph.add_dependency(dep("a", "c"))
-        assert graph.successors("a") == {"b", "c"}
-        assert graph.predecessors("b") == {"a"}
-        assert graph.in_degree("b") == 1
-
-    def test_raw_mode_remove(self):
-        graph = DependencyGraph(incremental=False)
-        graph.add_dependency(dep("a", "b"))
-        graph.add_dependency(dep("b", "c"))
-        graph.remove_txn("b")
-        assert graph.successors("a") == set()
-        assert graph.in_degree("c") == 0
-
-
-class TestFindCycle:
-    def test_acyclic(self):
-        graph = DependencyGraph()
-        graph.add_dependency(dep("a", "b"))
-        graph.add_dependency(dep("b", "c"))
-        assert graph.find_cycle() is None
-
-    def test_long_cycle_raw(self):
-        graph = DependencyGraph(incremental=False)
-        for u, v in [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")]:
-            graph.add_dependency(dep(u, v))
-        cycle = graph.find_cycle()
-        assert cycle is not None
-        assert set(cycle) == {"a", "b", "c", "d"}

@@ -13,6 +13,8 @@ The load-bearing guarantees pinned here:
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro import (
@@ -224,6 +226,37 @@ class TestMultiShard:
                 (txn, violation.key) in flagged for txn in violation.txns
             ), f"serial violation not covered at shards=4: {violation}"
 
+    def test_merged_stats_are_shard_sums_except_the_coordinators_three(self):
+        """Every counter of ``VerificationStats`` is a per-key tally that
+        sums over the shards -- whatever fields the dataclass has -- except
+        the three the coordinator counts itself, which every shard sees
+        in full (terminals and begins broadcast)."""
+        run = fault_run("stale-read")
+        verifier = ParallelVerifier(
+            spec=PG_SERIALIZABLE,
+            initial_db=run.initial_db,
+            shards=2,
+            backend="inline",
+        )
+        merged = verifier.process_all(
+            pipeline_from_client_streams(run.client_streams)
+        ).finish().stats
+        shards = [shard.state.stats for shard in verifier._inline]
+        serial = serial_report(run).stats
+        counters = [
+            stat.name
+            for stat in dataclasses.fields(merged)
+            if isinstance(getattr(merged, stat.name), int)
+        ]
+        assert len(counters) == len(dataclasses.fields(merged)) - 1
+        for name in counters:
+            total = sum(getattr(stats, name) for stats in shards)
+            if name in ("traces_processed", "txns_committed", "txns_aborted"):
+                assert getattr(merged, name) == getattr(serial, name) < total
+            else:
+                assert getattr(merged, name) == total, name
+                assert total or name.startswith("gc_"), name
+
     def test_convenience_helper(self, blindw_rw_run):
         traces = list(
             pipeline_from_client_streams(blindw_rw_run.client_streams)
@@ -330,6 +363,41 @@ class TestOnlineIntegration:
         report = online.finish()
         assert not report.ok
         assert len(alerts) == len(report.violations)
+
+    @pytest.mark.parametrize("backend", ["serial", "inline", "process"])
+    def test_violations_so_far_is_one_list_across_finish(self, backend):
+        """``violations_so_far()`` hands out the descriptor's own
+        append-only list -- the same object on every call, before and
+        after ``finish()`` -- and the online layer, which indexes into it,
+        alerts each violation exactly once across that boundary."""
+        from repro import OnlineVerifier
+
+        run = fault_run("dirty-read")
+        if backend == "serial":
+            verifier = Verifier(spec=PG_SERIALIZABLE, initial_db=run.initial_db)
+        else:
+            verifier = ParallelVerifier(
+                spec=PG_SERIALIZABLE,
+                initial_db=run.initial_db,
+                shards=2,
+                backend=backend,
+                segment_events=16,
+            )
+        alerts = []
+        online = OnlineVerifier(verifier=verifier, on_violation=alerts.append)
+        traces = list(pipeline_from_client_streams(run.client_streams))
+        for trace in traces[:-1]:
+            online.feed(trace)
+        so_far = verifier.violations_so_far()
+        if backend != "process":  # worker timing decides what has arrived
+            assert so_far and alerts == so_far
+        online.feed(traces[-1])
+        report = online.finish()
+        if so_far:
+            assert verifier.violations_so_far() is so_far
+        assert verifier.violations_so_far() is verifier.violations_so_far()
+        assert verifier.violations_so_far() == report.violations
+        assert alerts == report.violations and len(alerts) > 1
 
     def test_injected_verifier_excludes_kwargs(self):
         from repro import OnlineVerifier

@@ -17,11 +17,20 @@ The contract pinned here:
   advances a shard's watermark, same-trace-index events from different
   shards replay in shard order (the global sort's tie-break), and a
   worker dying mid-stream surfaces its traceback at ``finish()``;
-* the coordinator's buffered journal stays within its budget.
+* the coordinator's buffered journal stays within its budget;
+* the shard pipes carry whatever the inline shards accept (a record key
+  outside the capture codec's grammar included) to the same report, and
+  their failures -- a killed worker, a reply that does not unpickle, a
+  message that does not pickle -- end in an error naming the shard, in
+  bounded time, with every worker reaped.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
+import threading
 from collections import deque
 
 import pytest
@@ -29,16 +38,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import PG_SERIALIZABLE, Trace, Verifier, pipeline_from_client_streams
-from repro.core.codec import CodecError
+from repro.core import parallel
+from repro.core import report as core_report
 from repro.core.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.core.parallel import (
     ParallelVerifier,
     StreamSegment,
     _DEP,
     _StreamMerger,
-    decode_shard_reply,
-    encode_segment_frame,
+    _frame,
 )
+from repro.core.trace import KeyRange
 from repro.dbsim.faults import FaultPlan
 from repro.workloads import BlindW, run_workload
 from tests.test_parallel import (
@@ -287,40 +297,49 @@ def make_merger(shards, horizon_log=()):
     )
 
 
-class TestSegmentEdgeCases:
-    def test_segment_codec_round_trip(self):
-        events = [
-            (0, 0, _DEP, dep("t1", "t2", "k0")),
-            (3, 1, _DEP, dep("t2", "t3", ("range", 4))),
-        ]
-        payload = encode_segment_frame(1, 7, events)
-        kind, segment = decode_shard_reply(payload)
-        assert kind == "segment"
-        assert isinstance(segment, StreamSegment)
-        assert segment.shard_id == 1
-        assert segment.watermark == 7
-        assert segment.events == events
+def idle_coordinator(shards=2):
+    """A process-backend coordinator that has forked nothing yet: replies
+    can be handed to it as the drainer would."""
+    return ParallelVerifier(spec=PG_SERIALIZABLE, shards=shards, backend="process")
 
-    def test_truncated_reply_is_a_codec_error(self):
-        """A worker reply cut anywhere is refused as malformed wire data,
-        never as a bare ``IndexError`` out of the reader."""
-        events = [
-            (0, 0, _DEP, dep("t1", "t2", "k0")),
-            (3, 1, _DEP, dep("t2", "t3", ("range", 4))),
-        ]
-        payload = encode_segment_frame(1, 7, events)
+
+class TestSegmentEdgeCases:
+    EVENTS = [
+        (0, 0, _DEP, dep("t1", "t2", "k0")),
+        (3, 1, _DEP, dep("t2", "t3", ("range", 4))),
+    ]
+
+    def test_segment_codec_round_trip(self):
+        """A worker's segment reply reaches the merger as the events and
+        the watermark that went into it."""
+        verifier = idle_coordinator()
+        verifier._handle_reply(
+            1, _frame(("segment", StreamSegment(7, self.EVENTS)))
+        )
+        merger = verifier._merger
+        assert merger._pending == [[], self.EVENTS]
+        assert merger._watermarks == [-1, 7]
+        assert not verifier._stream_errors and not verifier._stream_results
+
+    def test_truncated_reply_is_that_shards_error(self):
+        """A worker reply cut anywhere is recorded as that shard's
+        failure, never raised as whatever the unpickler made of it, and
+        nothing of it reaches the merger."""
+        payload = _frame(("segment", StreamSegment(7, self.EVENTS)))
         for cut in range(len(payload)):
-            with pytest.raises(CodecError):
-                decode_shard_reply(payload[:cut])
+            verifier = idle_coordinator()
+            verifier._handle_reply(1, payload[:cut])
+            assert list(verifier._stream_errors) == [1]
+            assert "does not unpickle" in verifier._stream_errors[1]
+            assert verifier._merger is None
 
     def test_pre_first_flush_header_round_trips(self):
         # Before the first applied frame a worker echoes the sentinel
-        # header: watermark -1.
-        payload = encode_segment_frame(0, -1, [])
-        kind, segment = decode_shard_reply(payload)
-        assert kind == "segment"
-        assert segment.watermark == -1
-        assert segment.events == []
+        # watermark, -1.
+        verifier = idle_coordinator()
+        verifier._handle_reply(0, _frame(("segment", StreamSegment(-1, []))))
+        assert verifier._merger._watermarks == [-1, -1]
+        assert verifier._merger.pending_events() == 0
 
     def test_empty_segment_advances_watermark(self):
         """A shard with nothing to journal still unblocks the merge: its
@@ -373,19 +392,22 @@ class TestSegmentEdgeCases:
         assert merger._gc_horizon(2) == 2.5  # nothing newer was dispatched
 
     def test_exotic_key_is_refused_at_the_coordinator(self):
-        """Journaled dependency keys travel back as codec values, so a key
-        the grammar does not cover must never reach a worker: the
-        coordinator refuses the trace loudly when it encodes the frame."""
+        """The one kind of key the process backend cannot take is one
+        that does not pickle (here: a lambda).  The coordinator refuses
+        the trace loudly when it builds the frame, before any of it
+        reaches the worker -- which goes on to a clean, empty result."""
         verifier = ParallelVerifier(
             spec=PG_SERIALIZABLE, shards=1, backend="process", batch_size=1
         )
         try:
-            with pytest.raises(CodecError, match="unsupported value type"):
-                verifier.process(Trace.write(1.0, 2.0, "t1", {frozenset("k"): 1}))
+            with pytest.raises((pickle.PicklingError, AttributeError, TypeError)):
+                verifier.process(Trace.write(1.0, 2.0, "t1", {lambda: None: 1}))
         finally:
             # Reap the worker: the refused frame is still buffered.
             verifier._buffers[0].clear()
-            verifier.finish()
+            report = verifier.finish()
+        assert report.stats.writes_checked == 0
+        assert not any(proc.is_alive() for proc in verifier._workers)
 
     def test_worker_error_mid_stream_surfaces_at_finish(self, blindw_rw_run):
         verifier = ParallelVerifier(
@@ -400,10 +422,143 @@ class TestSegmentEdgeCases:
         )
         for trace in traces[: len(traces) // 2]:
             verifier.process(trace)
-        # Inject a malformed frame: the worker's decoder raises, and the
-        # worker ships its traceback as an error frame before exiting.
+        # Inject a malformed frame: the worker's ``loads`` raises, and the
+        # worker ships its traceback as an error reply before exiting.
         verifier._conns[0].send_bytes(b"\xff\xff\xff")
         for trace in traces[len(traces) // 2 :]:
             verifier.process(trace)
-        with pytest.raises(RuntimeError, match="shard worker failed"):
+        with pytest.raises(RuntimeError, match="shard worker 0 raised") as err:
             verifier.finish()
+        assert "Traceback" in str(err.value) and "apply_message_frame" in str(err.value)
+        assert not any(proc.is_alive() for proc in verifier._workers)
+
+
+def exotic_history():
+    """The stale-read fault run (injected violations, aborted readers)
+    with a hand-written tail behind it: a write and a read that each span
+    several owners, a predicate scan, an aborted reader, and a record key
+    no capture could carry -- a ``frozenset`` -- that is written, read
+    back (a journaled wr dependency keyed by it) and read stale (a
+    journaled violation keyed by it)."""
+    run = fault_run("stale-read")
+    traces = list(pipeline_from_client_streams(run.client_streams))
+    t = max(trace.ts_aft for trace in traces) + 1.0
+    odd = frozenset("k")
+    rows = {("idx", n): n for n in range(1, 7)}
+    tail = [
+        Trace.write(t, t + 0.1, "x1", {**rows, odd: 10}, client_id=900),
+        Trace.commit(t + 0.2, t + 0.3, "x1", client_id=900, op_index=1),
+        Trace.read(
+            t + 0.4, t + 0.5, "x2", rows, client_id=901,
+            predicate=KeyRange(prefix=("idx",), lo=0, hi=10),
+        ),
+        Trace.read(
+            t + 0.6, t + 0.7, "x2", {**rows, odd: 10}, client_id=901, op_index=1,
+        ),
+        Trace.abort(t + 0.8, t + 0.9, "x2", client_id=901, op_index=2),
+        Trace.read(t + 1.0, t + 1.1, "x3", {odd: 10}, client_id=902),
+        Trace.commit(t + 1.2, t + 1.3, "x3", client_id=902, op_index=1),
+        Trace.read(t + 1.4, t + 1.5, "x4", {odd: 99}, client_id=903),
+        Trace.commit(t + 1.6, t + 1.7, "x4", client_id=903, op_index=1),
+    ]
+    return run, traces + tail, odd
+
+
+class TestProcessBackendAcceptsWhatInlineAccepts:
+    @pytest.mark.parametrize("shards", [2, 3])
+    def test_same_report_over_pipes_and_in_process(self, shards):
+        run, traces, odd = exotic_history()
+        reports = {}
+        for backend in ("inline", "process"):
+            verifier = ParallelVerifier(
+                spec=PG_SERIALIZABLE,
+                initial_db=run.initial_db,
+                shards=shards,
+                backend=backend,
+                segment_events=16,
+            )
+            # The tail is what it claims to be, at this shard count.
+            owners = [len(verifier.router.split(trace)) for trace in traces[-9:]]
+            assert owners[0] > 1 and owners[3] > 1
+            reports[backend] = verifier.process_all(traces).finish()
+        inline, process = reports["inline"], reports["process"]
+        assert core_report.report_fingerprint(process) == (
+            core_report.report_fingerprint(inline)
+        )
+        assert report_fingerprint(process) == report_fingerprint(inline)
+        assert [v.key for v in process.violations].count(odd) == 1
+        assert len(process.violations) > 1
+        assert process.stats.txns_aborted > 1
+
+
+def finish_within(verifier, seconds):
+    """``verifier.finish()`` on a thread of its own: what it returned or
+    raised, or a test failure if it is still running after ``seconds``."""
+    outcome = []
+
+    def run():
+        try:
+            outcome.append(verifier.finish())
+        except BaseException as exc:  # noqa: BLE001 - handed to the test
+            outcome.append(exc)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"finish() still running after {seconds} s"
+    return outcome[0]
+
+
+class TestWorkerFailure:
+    """The pipe's failure story: whatever happens to a worker, ``finish()``
+    returns in bounded time with a ``RuntimeError`` naming the shard, and
+    no worker process is left behind."""
+
+    def fed_half(self, run):
+        verifier = ParallelVerifier(
+            spec=PG_SERIALIZABLE,
+            initial_db=run.initial_db,
+            shards=2,
+            backend="process",
+            batch_size=32,
+            segment_events=8,
+        )
+        traces = list(pipeline_from_client_streams(run.client_streams))
+        half = len(traces) // 2
+        verifier.process_all(traces[:half])
+        return verifier, traces[half:]
+
+    def assert_fails_naming(self, verifier, message):
+        outcome = finish_within(verifier, 60)
+        assert isinstance(outcome, RuntimeError), outcome
+        assert message in str(outcome)
+        assert str(outcome).startswith("shard worker failed")
+        assert not any(proc.is_alive() for proc in verifier._workers)
+        assert not verifier._drainer.is_alive()
+
+    def test_sigkilled_worker(self, blindw_rw_run):
+        verifier, rest = self.fed_half(blindw_rw_run)
+        victim = verifier._workers[1]
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join(30)
+        verifier.process_all(rest)  # sends into the dead pipe are dropped
+        self.assert_fails_naming(verifier, "shard worker 1 exited without a reply")
+
+    def test_reply_that_does_not_unpickle(self, blindw_rw_run, monkeypatch):
+        worker_main = parallel._shard_worker_main
+
+        def garbling_main(conn, shard_id, *args):
+            if shard_id != 1:
+                return worker_main(conn, shard_id, *args)
+            conn.send_bytes(b"\x80\x05 not a pickle")
+            while conn.recv_bytes():
+                pass
+            conn.close()
+
+        # Workers are forked from this process, so they run the patch.
+        monkeypatch.setattr(parallel, "_shard_worker_main", garbling_main)
+        verifier, rest = self.fed_half(blindw_rw_run)
+        verifier.process_all(rest)
+        self.assert_fails_naming(
+            verifier, "shard worker 1 sent a reply that does not unpickle"
+        )
