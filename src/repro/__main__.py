@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from contextlib import closing
 from pathlib import Path
 from typing import Optional, Sequence
@@ -149,9 +150,26 @@ def cmd_verify(args) -> int:
         return 2
 
 
+class _TimedIterator:
+    """An iterator that sums the wall time spent inside its ``next()``."""
+
+    def __init__(self, iterator):
+        self._next = iterator.__next__
+        self.seconds = 0.0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        tick = time.perf_counter()
+        try:
+            return self._next()
+        finally:
+            self.seconds += time.perf_counter() - tick
+
+
 def _verify(args) -> int:
     import json
-    import time
 
     spec = _resolve_spec(args.dbms, args.level)
     capture = Path(args.capture)
@@ -185,6 +203,7 @@ def _verify(args) -> int:
     with CollectorWatch(metrics), closing(
         pipeline_from_client_streams(streams, metrics=metrics)
     ) as pipeline:
+        batches = pipeline.iter_batches()
         if instrumented:
             # Charge the pipeline's own sort/dispatch work (the time
             # spent inside the batch iterator, between batches -- capture
@@ -192,28 +211,19 @@ def _verify(args) -> int:
             # "pipeline-sort" phase; everything inside process_batch() is
             # the mechanisms' time.
             wall_start = time.perf_counter()
-            sort_seconds = 0.0
-            batches = pipeline.iter_batches()
-            while True:
-                tick = time.perf_counter()
-                batch = next(batches, None)
-                sort_seconds += time.perf_counter() - tick
-                if batch is None:
-                    break
-                verifier.process_batch(batch)
-            report = verifier.finish()
+            batches = _TimedIterator(batches)
+        for batch in batches:
+            verifier.process_batch(batch)
+        report = verifier.finish()
+        document = None
+        if instrumented:
             wall_seconds = time.perf_counter() - wall_start
             document = run_stats(
                 report,
                 metrics=metrics,
-                pipeline_sort_seconds=sort_seconds,
+                pipeline_sort_seconds=batches.seconds,
                 wall_seconds=wall_seconds,
             )
-        else:
-            for batch in pipeline.iter_batches():
-                verifier.process_batch(batch)
-            report = verifier.finish()
-            document = None
     print(report.summary())
     if document is not None:
         if args.stats:

@@ -6,27 +6,30 @@ deployment wants the opposite direction: clients *push* traces as they
 happen and the operator is alerted the moment a violation is detected
 (challenge C3: "bugs can be reported and fixed as soon as possible").
 
-:class:`OnlineVerifier` implements the push side of the two-level pipeline:
-each client feeds its own monotone stream; traces are staged per client,
-and whenever a client's progress mark -- the ``(ts_bef, trace_id)`` pair
-it vouched never to send anything below -- moves, everything the other
-clients' marks cover is dispatched to the verifier in the offline
-pipeline's order, through the same merge kernel.  New violations fire the
+:class:`OnlineVerifier` is the push driver of the two-level pipeline's
+:class:`~repro.core.pipeline.GlobalBuffer` -- the structure the offline
+pipeline pulls into, so the dispatch order is the pipeline's by
+construction.  Each client feeds its own monotone stream: a frame is
+validated and staged on the client's stage, the client's mark -- the
+``(ts_bef, trace_id)`` pair it vouches never to send anything below --
+moves to its last staged trace, and whatever now sorts below every other
+client's mark is dispatched to the verifier.  New violations fire the
 ``on_violation`` callback immediately after the dispatching call that
 detected them.
 
 A client that stops sending would freeze the watermark; deployments send
-periodic heartbeats (empty progress marks) for idle clients --
-:meth:`heartbeat` models exactly that.
+periodic heartbeats for idle clients -- :meth:`heartbeat` moves the mark
+to ``(now, -inf)``: the client may still send *any* id at exactly
+``now``.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from .intervals import POS_INF
-from .pipeline import merge_runs, prefix_below
+from .pipeline import GlobalBuffer
 from .report import VerificationReport, Violation
 from .runtime import CollectorWatch
 from .spec import IsolationSpec, PG_SERIALIZABLE
@@ -36,25 +39,6 @@ from .verifier import RefusedTrace, Verifier
 ViolationCallback = Callable[[Violation], None]
 
 _client_id = operator.attrgetter("client_id")
-
-#: a ``(ts_bef, trace_id)`` progress mark, the pipeline's sort key.
-Mark = Tuple[float, float]
-
-
-class _Stage:
-    """One client's staged (undispatched) traces with their parallel
-    ``ts_bef`` array, and its progress floor: the client will never send a
-    trace whose ``(ts_bef, trace_id)`` is below it.  A staged or dispatched
-    trace raises the floor to its own pair (a client's stream is monotone
-    and its ids ascend); a heartbeat at ``now`` raises it to ``(now,
-    -inf)`` -- the client may still send *any* id at exactly ``now``."""
-
-    __slots__ = ("items", "ts", "floor")
-
-    def __init__(self) -> None:
-        self.items: List[Trace] = []
-        self.ts: List[float] = []
-        self.floor: Mark = (-POS_INF, -POS_INF)
 
 
 class OnlineVerifier:
@@ -87,18 +71,14 @@ class OnlineVerifier:
         #: interpreter-collector passes, counted into the backend's
         #: registry until :meth:`finish` (nothing when it is disabled).
         self._collector_watch = CollectorWatch(self._verifier.metrics)
-        #: per-client stage (each client's stream is monotone).
-        self._stages: Dict[int, _Stage] = {}
+        #: one stage per client (each client's stream is monotone).
+        self._buffer = GlobalBuffer()
         #: clients evicted because the backend refused one of their traces
         #: (:class:`~repro.core.verifier.RefusedTrace`), with the reason,
         #: in eviction order; their streams never resume.
         self.refused: Dict[int, str] = {}
         self._alerted = 0
         self._dispatched = 0
-        #: timestamp of the newest trace already handed to the backend --
-        #: the point of no return: the dispatch stream is globally sorted,
-        #: so a trace behind it can never be merged soundly.
-        self._emitted = float("-inf")
         self._finished = False
 
     # -- client-facing ingestion --------------------------------------------------
@@ -109,14 +89,14 @@ class OnlineVerifier:
         feed)."""
         self._stage(client_id)
 
-    def _stage(self, client_id: int) -> _Stage:
-        stage = self._stages.get(client_id)
+    def _stage(self, client_id: int):
+        stage = self._buffer.stages.get(client_id)
         if stage is None:
             if client_id in self.refused:
                 raise ValueError(
                     f"client {client_id} was evicted: {self.refused[client_id]}"
                 )
-            stage = self._stages[client_id] = _Stage()
+            stage = self._buffer.join(client_id)
         return stage
 
     def feed(self, trace: Trace) -> int:
@@ -126,8 +106,8 @@ class OnlineVerifier:
     def feed_batch(self, client_id: int, traces: Sequence[Trace]) -> int:
         """Push a run of traces from one client -- the service gateway's
         per-frame entry point.  The run is validated and staged first and
-        the watermark advances once, so a thousand-trace frame costs one
-        dispatch pass.  Returns the number of traces the advance
+        the buffer released once, so a thousand-trace frame costs one
+        dispatch pass.  Returns the number of traces the release
         dispatched.
 
         The run is validated with C-level passes, as
@@ -139,27 +119,29 @@ class OnlineVerifier:
             return 0
         stage = self._stage(client_id)
         stamps = [trace.interval.ts_bef for trace in traces]
-        if stamps[0] < self._emitted:
+        first = (stamps[0], traces[0].trace_id)
+        emitted = self._buffer.emitted
+        if first < emitted:
             raise ValueError(
-                f"client {client_id} pushed trace at {stamps[0]} "
-                f"behind the dispatched watermark {self._emitted}; sessions "
-                f"must join before verification passes their first timestamp"
+                f"client {client_id} pushed (ts_bef, trace_id) {first}, "
+                f"behind the last dispatched {emitted}; sessions must join "
+                f"before verification passes their first timestamp"
             )
         if (
-            stamps[0] < stage.floor[0]
+            stamps[0] < stage.mark[0]
             or stamps != sorted(stamps)
             or set(map(_client_id, traces)) != {client_id}
         ):
             self._raise_invalid(client_id, traces, stage)
-        stage.items.extend(traces)
-        stage.ts.extend(stamps)
-        stage.floor = (stamps[-1], traces[-1].trace_id)
+        self._buffer.stage(
+            client_id, traces, stamps, (stamps[-1], traces[-1].trace_id)
+        )
         return self._advance()
 
     @staticmethod
-    def _raise_invalid(client_id: int, traces: Sequence[Trace], stage: _Stage) -> None:
-        floor = stage.floor[0]
-        last = stage.ts[-1] if stage.ts else floor
+    def _raise_invalid(client_id: int, traces: Sequence[Trace], stage) -> None:
+        mark = stage.mark[0]
+        last = stage.ts[-1] if stage.ts else mark
         for trace in traces:
             if trace.client_id != client_id:
                 raise ValueError(
@@ -167,10 +149,10 @@ class OnlineVerifier:
                     f"client {client_id}'s stream"
                 )
             ts = trace.ts_bef
-            if ts < floor:
+            if ts < mark:
                 raise ValueError(
                     f"client {client_id} pushed trace at {ts} "
-                    f"behind its progress mark {floor}"
+                    f"behind its progress mark {mark}"
                 )
             if ts < last:
                 raise ValueError(f"client {client_id} stream is not monotone")
@@ -184,9 +166,9 @@ class OnlineVerifier:
         watermark.  Returns the number of staged traces dropped; the
         eviction itself may advance the watermark and dispatch other
         clients' traces."""
-        stage = self._stages.pop(client_id, None)
+        stage = self._buffer.stages.pop(client_id, None)
         dropped = len(stage.items) if stage is not None else 0
-        if not self._finished and self._stages:
+        if not self._finished and self._buffer.stages:
             self._advance()
         return dropped
 
@@ -196,19 +178,10 @@ class OnlineVerifier:
         if self._finished:
             raise RuntimeError("online verifier already finished")
         stage = self._stage(client_id)
-        stage.floor = max(stage.floor, (now, -POS_INF))
+        stage.mark = max(stage.mark, (now, -POS_INF))
         return self._advance()
 
     # -- dispatch -------------------------------------------------------------------
-
-    def _watermark(self) -> float:
-        """Smallest timestamp any client could still produce: its staged
-        head if it has one, else its progress floor."""
-        marks = [
-            stage.ts[0] if stage.ts else stage.floor[0]
-            for stage in self._stages.values()
-        ]
-        return min(marks) if marks else float("-inf")
 
     def _dispatch(self, batch: List[Trace]) -> int:
         """Feed one dispatch batch to the backend, then alert on anything
@@ -228,60 +201,28 @@ class OnlineVerifier:
             except RefusedTrace as refusal:
                 offender = refusal.trace.client_id
                 self.refused[offender] = str(refusal)
-                self._stages.pop(offender, None)
+                self._buffer.stages.pop(offender, None)
                 at = next(
                     i for i, trace in enumerate(batch) if trace is refusal.trace
                 )
-                executed = batch[:at]
+                done += at
                 batch = [t for t in batch[at + 1 :] if t.client_id != offender]
             else:
-                executed, batch = batch, None
-            if executed:
-                done += len(executed)
-                self._emitted = executed[-1].ts_bef
+                done += len(batch)
+                batch = None
         self._dispatched += done
         self._alert_new()
         return done
 
     def _advance(self) -> int:
-        """Dispatch every staged trace the other clients' floors cover.
-
-        A trace may go once it sorts below every *other* client's floor
-        (its own client's later traces follow it anyway), so each stage's
-        bound is the smallest floor among the others: the smallest floor
-        overall, or the second smallest for the client that holds the
-        smallest.  That is the fixpoint of a k-way merge that stops at the
-        first idle client's mark, computed as the offline pipeline
-        computes a round: one :func:`prefix_below` per stage, one
-        :func:`merge_runs` over the eligible prefixes -- so the dispatch
-        order is the pipeline's ``(ts_bef, trace_id)`` order exactly,
-        timestamp ties with an idle client's floor included.
-        """
-        stages = self._stages
-        lowest = second = (POS_INF, POS_INF)
-        holder = None
-        for client_id, stage in stages.items():
-            floor = stage.floor
-            if floor < lowest:
-                second, lowest, holder = lowest, floor, client_id
-            elif floor < second:
-                second = floor
-        runs = []
-        for client_id, stage in stages.items():
-            items = stage.items
-            if not items:
-                continue
-            bound = second if client_id == holder else lowest
-            hi = prefix_below(items, stage.ts, 0, bound)
-            if hi:
-                runs.append((items[:hi], stage.ts[:hi]))
-                del items[:hi], stage.ts[:hi]
-        if not runs:
+        """Dispatch what the global buffer releases; an eviction on the
+        way takes a mark out, which may release more."""
+        batch, _ = self._buffer.release()
+        if not batch:
             return 0
         evicted = len(self.refused)
-        done = self._dispatch(runs[0][0] if len(runs) == 1 else merge_runs(runs))
+        done = self._dispatch(batch)
         if len(self.refused) > evicted:
-            # An evicted client's floor no longer holds anything back.
             done += self._advance()
         return done
 
@@ -298,7 +239,7 @@ class OnlineVerifier:
     @property
     def pending(self) -> int:
         """Traces staged but not yet dispatched (waiting on the watermark)."""
-        return sum(len(stage.items) for stage in self._stages.values())
+        return len(self._buffer)
 
     @property
     def dispatched(self) -> int:
@@ -307,16 +248,12 @@ class OnlineVerifier:
     @property
     def watermark(self) -> float:
         """The current dispatch bound (-inf before any client vouched)."""
-        return self._watermark()
+        return self._buffer.watermark()
 
     def client_mark(self, client_id: int) -> float:
-        """The smallest timestamp one client could still produce: its
-        staged head if any, else its progress floor (+inf for unknown
-        clients -- they cannot hold the watermark back)."""
-        stage = self._stages.get(client_id)
-        if stage is None:
-            return float("inf")
-        return stage.ts[0] if stage.ts else stage.floor[0]
+        """Timestamp of one client's mark (+inf for unknown clients --
+        they cannot hold the watermark back)."""
+        return self._buffer.client_mark(client_id)
 
     @property
     def violations_so_far(self) -> List[Violation]:
@@ -330,9 +267,9 @@ class OnlineVerifier:
         instruments (empty maps when the backend is not instrumented).
         Safe to call at any time; it never advances the watermark.
         Documented in ``docs/observability.md``."""
-        watermark = self._watermark()
+        watermark = self.watermark
         return {
-            "clients": len(self._stages),
+            "clients": len(self._buffer.stages),
             "pending": self.pending,
             "dispatched": self._dispatched,
             # Neither -inf (no client has vouched yet) nor +inf (every
@@ -349,18 +286,12 @@ class OnlineVerifier:
         }
 
     def finish(self) -> VerificationReport:
-        """Drain everything staged (all clients are declared done) and
-        return the final report."""
+        """Drain everything staged (all clients are declared done: every
+        mark goes to ``(inf, inf)``) and return the final report."""
         self._finished = True
-        runs = [
-            (stage.items, stage.ts)
-            for stage in self._stages.values()
-            if stage.items
-        ]
-        if runs:
-            self._dispatch(merge_runs(runs))
-            for stage in self._stages.values():
-                stage.items, stage.ts = [], []
+        for stage in self._buffer.stages.values():
+            stage.mark = (POS_INF, POS_INF)
+        self._advance()
         report = self._verifier.finish()
         # Backends that defer global certification to finish (the parallel
         # merge pass) surface their remaining violations only now.

@@ -5,10 +5,24 @@ sorted by before-timestamp, but the union is not.  The verifier needs the
 union in monotonically increasing ``ts_bef`` order (Theorem 1).  The paper's
 *two-level pipeline* achieves this with:
 
-* a **local buffer** per client that batches its stream asynchronously, and
-* a **global buffer** that fetches batches from the local buffers round by
-  round, dispatching every trace below the **watermark** -- the smallest
-  trace still sitting in any local buffer.
+* a **local buffer** per client -- the one-batch look-ahead a
+  :class:`ClientFeed` keeps -- and
+* a **global buffer** (:class:`GlobalBuffer`) that stages fetched batches
+  per client and releases every staged trace that sorts below every
+  *other* client's **mark**: the ``(ts_bef, trace_id)`` pair -- the
+  pipeline's sort key -- below which that client will stage nothing more.
+
+The global buffer is the one place the dispatch order is decided.
+:class:`TwoLevelPipeline` drives it by pulling: a client's mark is the
+head of its look-ahead, ``(inf, inf)`` once its feed is exhausted.
+:class:`~repro.core.online.OnlineVerifier` drives it by pushing: a
+client's mark is its last staged trace, or ``(now, -inf)`` after a
+heartbeat.  A release is one bisect per client (:func:`prefix_below`) and
+one merge over the eligible prefixes (:func:`merge_runs`); a single
+eligible prefix is released as it stands.  Because marks are pairs, a
+staged trace that ties another client's mark waits while that client could
+still stage a lower id at the same timestamp, so the output equals the
+global ``(ts_bef, trace_id)`` sort for every batch size.
 
 Two optimisations from the paper are implemented and individually
 switchable (they are compared in the Fig. 10 experiment):
@@ -18,20 +32,6 @@ switchable (they are compared in the Fig. 10 experiment):
    traces from fast clients pile up in the global buffer;
 2. *flow control*: fetch roughly as many traces into the global buffer as
    were dispatched out of it, keeping its size stable.
-
-The global buffer holds **sorted runs**: each client batch arrives already
-sorted (the paper's Tracer slices per-client streams, Section IV-C), so
-the fetch stage keeps whole batches as *runs* and every dispatch round
-splices the run prefixes below the watermark with one bisect per run and
-merges them in a single k-way pass.  When only one run has an eligible
-prefix -- the common case under flow control -- the spliced slice is
-dispatched wholesale with no comparison work at all.
-
-The watermark is a ``(ts_bef, trace_id)`` pair, the pipeline's sort key:
-a staged trace that ties the smallest buffered before-timestamp is held
-back while a lower-id trace with that timestamp still sits in a local
-buffer, so the output equals the global ``(ts_bef, trace_id)`` sort for
-every batch size.
 
 A :class:`NaiveGlobalSorter` baseline (collect everything, sort once) is
 provided for the same comparison.
@@ -53,6 +53,9 @@ from .trace import Trace
 
 _trace_id = operator.attrgetter("trace_id")
 
+#: a ``(ts_bef, trace_id)`` pair, the pipeline's sort key.
+Mark = Tuple[float, float]
+
 
 class ClientFeed:
     """Adapter exposing one client's trace stream batch by batch.
@@ -62,6 +65,10 @@ class ClientFeed:
     observes its own operations sequentially.  ``batch_size`` models the
     paper's slicing of each client stream into batches (the experiments use
     0.5 s windows; a count works identically for a simulator).
+
+    The feed is also the client's local buffer: :meth:`refill` pulls the
+    next batch ahead into :attr:`pending`, whose head is the client's
+    :attr:`mark`, and :meth:`take` hands it to the global buffer.
     """
 
     def __init__(
@@ -78,6 +85,8 @@ class ClientFeed:
         self._last_ts = -POS_INF
         self._client_id = client_id
         self._consumed = 0
+        self.pending: List[Trace] = []
+        self.pending_ts: List[float] = []
 
     @property
     def exhausted(self) -> bool:
@@ -107,6 +116,28 @@ class ClientFeed:
         self._last_ts = batch_ts[-1]
         self._consumed += len(batch)
         return batch, batch_ts
+
+    def refill(self) -> None:
+        """Pull the next batch into the look-ahead unless it still holds
+        one (or the stream is exhausted)."""
+        if not self.pending and not self._exhausted:
+            self.pending, self.pending_ts = self.next_batch_ts()
+
+    def take(self) -> Tuple[List[Trace], List[float]]:
+        """Hand out the look-ahead batch and pull the next one."""
+        batch = self.pending, self.pending_ts
+        self.pending, self.pending_ts = [], []
+        self.refill()
+        return batch
+
+    @property
+    def mark(self) -> Mark:
+        """``(ts_bef, trace_id)`` of the look-ahead's head -- nothing this
+        client has yet to hand out sorts below it -- or ``(inf, inf)``
+        once the stream is drained."""
+        if self.pending:
+            return self.pending_ts[0], self.pending[0].trace_id
+        return POS_INF, POS_INF
 
     def close(self) -> None:
         """Release the wrapped stream early (a lazy capture stream holds
@@ -142,8 +173,8 @@ class PipelineStats:
     peak_heap_size: int = 0
     peak_buffered: int = 0
     fetches: int = 0
-    #: runs that went through a k-way merge, and single-run fast-path
-    #: dispatches.
+    #: per-client slices that went through a merge, and releases served
+    #: by one client's slice as it stands.
     runs_merged: int = 0
     fastpath_runs: int = 0
 
@@ -152,61 +183,14 @@ class PipelineStats:
         self.peak_buffered = max(self.peak_buffered, heap_size + buffered)
 
 
-class _LocalBuffer:
-    """Per-client staging area between the client feed and the global
-    buffer."""
-
-    __slots__ = ("feed", "pending", "pending_ts")
-
-    def __init__(self, feed: ClientFeed):
-        self.feed = feed
-        self.pending: List[Trace] = []
-        self.pending_ts: List[float] = []
-
-    def refill(self) -> None:
-        if not self.pending and not self.feed.exhausted:
-            self.pending, self.pending_ts = self.feed.next_batch_ts()
-
-    @property
-    def head_ts(self) -> float:
-        """Before-timestamp of the oldest staged trace (+inf when drained)."""
-        if self.pending_ts:
-            return self.pending_ts[0]
-        return POS_INF
-
-    @property
-    def done(self) -> bool:
-        return not self.pending and self.feed.exhausted
-
-
-class _Run:
-    """One fetched client batch staged in the global buffer.  ``ts`` is
-    the parallel before-timestamp key array captured at batch time; ``lo``
-    is the consumed-prefix cursor: splicing advances it instead of copying
-    the tail, so a run is sliced at most once per dispatch round and
-    dropped when fully consumed."""
-
-    __slots__ = ("items", "ts", "lo")
-
-    def __init__(self, items: List[Trace], ts: List[float]):
-        self.items = items
-        self.ts = ts
-        self.lo = 0
-
-    def __len__(self) -> int:
-        return len(self.items) - self.lo
-
-
-def prefix_below(
-    items: List[Trace], ts: List[float], lo: int, bound: Tuple[float, float]
-) -> int:
-    """End of the prefix of a sorted run (from ``lo``) strictly below
-    ``bound``, a ``(ts_bef, trace_id)`` pair: one bisect finds the traces
-    below the bound's timestamp, and traces tied with it join while their
-    id is smaller."""
+def prefix_below(items: List[Trace], ts: List[float], bound: Mark) -> int:
+    """End of the prefix of a sorted run strictly below ``bound``, a
+    ``(ts_bef, trace_id)`` pair: one bisect finds the traces below the
+    bound's timestamp, and traces tied with it join while their id is
+    smaller."""
     bound_ts, bound_id = bound
     end = len(ts)
-    hi = bisect_left(ts, bound_ts, lo, end)
+    hi = bisect_left(ts, bound_ts)
     while hi < end and ts[hi] == bound_ts and items[hi].trace_id < bound_id:
         hi += 1
     return hi
@@ -233,14 +217,117 @@ def merge_runs(runs: List[Tuple[List[Trace], List[float]]]) -> List[Trace]:
     return [items[i] for i in sorted(range(len(items)), key=key)]
 
 
+class _Stage:
+    """One client's part of the global buffer: its staged traces in stream
+    order, their parallel ``ts_bef`` array, and its mark."""
+
+    __slots__ = ("items", "ts", "mark")
+
+    def __init__(self) -> None:
+        self.items: List[Trace] = []
+        self.ts: List[float] = []
+        self.mark: Mark = (-POS_INF, -POS_INF)
+
+
+class GlobalBuffer:
+    """Algorithm 1's global buffer, one stage per client, and the one
+    structure that decides the dispatch order.
+
+    A staged trace may go once it sorts below every *other* client's mark
+    (its own client's later traces follow it anyway), so each stage's
+    bound is the smallest mark among the others: the smallest mark
+    overall, or the second smallest for the stage that holds it.  The
+    drivers own everything else: where traces and marks come from, and
+    what happens to a released batch.  A client's traces must arrive in
+    ``(ts_bef, trace_id)`` order -- a stream is monotone and its ids
+    ascend (they are stamped ``client_id << SEQ_BITS | seq`` at decode) --
+    which the tie walk and the merge rely on.
+    """
+
+    def __init__(self) -> None:
+        self.stages: Dict[int, _Stage] = {}
+        #: ``(ts_bef, trace_id)`` of the last trace released: the point of
+        #: no return -- nothing below it can be merged soundly any more.
+        self.emitted: Mark = (-POS_INF, -POS_INF)
+
+    def __len__(self) -> int:
+        """Traces staged and not yet released."""
+        return sum(len(stage.items) for stage in self.stages.values())
+
+    def join(self, client: int) -> _Stage:
+        """Add a client at mark ``(-inf, -inf)``: it holds every other
+        client back until it stages a trace or vouches for progress."""
+        stage = self.stages[client] = _Stage()
+        return stage
+
+    def stage(
+        self, client: int, items: Sequence[Trace], ts: List[float], mark: Mark
+    ) -> None:
+        """Append a run of ``client``'s traces and move its mark."""
+        stage = self.stages[client]
+        stage.items += items
+        stage.ts += ts
+        stage.mark = mark
+
+    def watermark(self) -> float:
+        """Timestamp of the smallest mark -- the dispatch bound (-inf
+        while no client has joined)."""
+        return min(
+            (stage.mark[0] for stage in self.stages.values()), default=-POS_INF
+        )
+
+    def client_mark(self, client: int) -> float:
+        """Timestamp of one client's mark (+inf for a client that is not
+        staged -- it cannot hold the watermark back)."""
+        stage = self.stages.get(client)
+        return stage.mark[0] if stage is not None else POS_INF
+
+    def release(self) -> Tuple[List[Trace], int]:
+        """Take every staged trace the other clients' marks cover, merged
+        in ``(ts_bef, trace_id)`` order, with the number of clients the
+        release drew from (``([], 0)`` when nothing is covered).
+
+        One :func:`prefix_below` per stage finds its covered prefix; one
+        prefix is released as it stands, several go through
+        :func:`merge_runs`.  That is the fixpoint of a k-way merge that
+        stops at the first client it must wait for, so releasing again
+        without a mark moving releases nothing.
+        """
+        lowest = second = (POS_INF, POS_INF)
+        holder = None
+        for client, stage in self.stages.items():
+            mark = stage.mark
+            if mark < lowest:
+                second, lowest, holder = lowest, mark, client
+            elif mark < second:
+                second = mark
+        runs = []
+        for client, stage in self.stages.items():
+            items, ts = stage.items, stage.ts
+            hi = prefix_below(items, ts, second if client == holder else lowest)
+            if hi:
+                runs.append((items[:hi], ts[:hi]))
+                del items[:hi], ts[:hi]
+        if not runs:
+            return [], 0
+        out = runs[0][0] if len(runs) == 1 else merge_runs(runs)
+        if (out[0].ts_bef, out[0].trace_id) < self.emitted:
+            raise AssertionError(
+                "pipeline dispatched out of order"
+            )  # pragma: no cover - guarded by Theorem 1
+        self.emitted = out[-1].ts_bef, out[-1].trace_id
+        return out, len(runs)
+
+
 class TwoLevelPipeline:
-    """Round-by-round trace dispatcher (Algorithm 1).
+    """Round-by-round trace dispatcher (Algorithm 1): the pull driver of
+    a :class:`GlobalBuffer`.
 
     Iterating over the pipeline yields all client traces in ``(ts_bef,
     trace_id)`` order.  ``optimized=False`` disables the laggard-first
     fetching and flow control (the "w/o Opt" configuration of Fig. 10); the
-    watermark protocol itself is always on, since it is what makes the
-    output order correct.
+    marks themselves are always on, since they are what makes the output
+    order correct.
     """
 
     def __init__(
@@ -251,9 +338,11 @@ class TwoLevelPipeline:
     ):
         if not feeds:
             raise ValueError("pipeline needs at least one client feed")
-        self._locals = [_LocalBuffer(feed) for feed in feeds]
+        self._feeds = list(feeds)
+        self._buffer = GlobalBuffer()
+        for index in range(len(self._feeds)):
+            self._buffer.join(index)
         self._optimized = optimized
-        self._last_dispatched_ts = -POS_INF
         self._last_round_dispatched = 0
         self.stats = PipelineStats()
         self._metrics = metrics if metrics is not None else NULL_REGISTRY
@@ -268,44 +357,27 @@ class TwoLevelPipeline:
 
     # -- internals ---------------------------------------------------------
 
-    def _watermark(self) -> Tuple[float, float]:
-        """``(ts_bef, trace_id)`` of the smallest trace still in a local
-        buffer; ``(+inf, +inf)`` when every buffer is empty."""
-        ts = trace_id = POS_INF
-        for buf in self._locals:
-            if buf.pending_ts:
-                head_ts = buf.pending_ts[0]
-                if head_ts < ts or (
-                    head_ts == ts and buf.pending[0].trace_id < trace_id
-                ):
-                    ts = head_ts
-                    trace_id = buf.pending[0].trace_id
-        return ts, trace_id
-
     def _buffered(self) -> int:
-        return sum(len(buf.pending) for buf in self._locals)
+        return sum(len(feed.pending) for feed in self._feeds)
 
     def _observe_round(self, staged: int) -> None:
         """Per-round gauges/histograms (instrumented runs only): global
-        buffer size (staged run traces), per-client staged depth, and the
+        buffer size (staged traces), per-client look-ahead depth, and the
         watermark lag -- how far ahead of the watermark fetched traces have
         piled up while a laggard client holds dispatch back."""
         self._m_heap.observe(staged)
-        for index, buf in enumerate(self._locals):
+        for index, feed in enumerate(self._feeds):
             self._metrics.gauge(
                 "pipeline.client.depth", client=index
-            ).high_watermark(len(buf.pending))
+            ).high_watermark(len(feed.pending))
         if staged:
-            lag = self._max_pushed_ts - self._watermark()[0]
+            lag = self._max_pushed_ts - self._buffer.watermark()
             if lag > 0:
                 self._m_lag.high_watermark(lag)
 
-    def _all_done(self) -> bool:
-        return all(buf.done for buf in self._locals)
-
-    def _fetch_round(self, runs: List[_Run]) -> None:
-        """One fetch stage: stage each fetched batch as one sorted run and
-        restage its local buffer.
+    def _fetch_round(self) -> None:
+        """One fetch stage: move look-ahead batches into the global buffer,
+        each client's mark following its next head.
 
         The unoptimised variant drains every local buffer each round.  The
         optimised variant fetches laggard-first and stops once it has moved
@@ -316,115 +388,70 @@ class TwoLevelPipeline:
         instrumented = self._metrics.enabled
         if instrumented:
             fetch_start = time.perf_counter()
-        buffers = [buf for buf in self._locals if not buf.done]
-        for buf in buffers:
-            buf.refill()
-        buffers = [buf for buf in self._locals if buf.pending]
+        order = [index for index, feed in enumerate(self._feeds) if feed.pending]
         if self._optimized:
-            buffers.sort(key=lambda buf: buf.head_ts)
+            order.sort(key=lambda index: self._feeds[index].pending_ts[0])
             budget = max(self._last_round_dispatched, 1)
         else:
             budget = POS_INF
         fetched = 0
-        for buf in buffers:
-            take, take_ts = buf.pending, buf.pending_ts
-            buf.pending = []
-            buf.pending_ts = []
-            runs.append(_Run(take, take_ts))
+        for index in order:
+            feed = self._feeds[index]
+            take, take_ts = feed.take()
+            self._buffer.stage(index, take, take_ts, feed.mark)
             if take_ts[-1] > self._max_pushed_ts:
                 self._max_pushed_ts = take_ts[-1]
             fetched += len(take)
             self.stats.fetches += 1
-            buf.refill()
             if fetched >= budget:
                 break
-        staged = sum(len(run) for run in runs)
+        staged = len(self._buffer)
         self.stats.observe(staged, self._buffered())
         self._last_round_dispatched = 0
         if instrumented:
             self._m_fetch.observe(time.perf_counter() - fetch_start)
             self._observe_round(staged)
 
-    def _splice_runs(
-        self, runs: List[_Run], bound: Tuple[float, float]
-    ) -> List[Trace]:
-        """Dispatch every staged trace below ``bound``, a ``(ts_bef,
-        trace_id)`` pair: :func:`prefix_below` per run, a single-run fast
-        path that extends the output wholesale, and :func:`merge_runs` for
-        the k-way case.
-
-        Runs are sorted by that key because a client's batch is created in
-        stream order (ids are assigned monotonically at construction, and
-        stamped ``client_id << SEQ_BITS | seq`` at decode), which the tie
-        walk, the k-way merge and the fast path all rely on.
-        """
-        eligible: List[Tuple[_Run, int]] = []
-        for run in runs:
-            hi = prefix_below(run.items, run.ts, run.lo, bound)
-            if hi > run.lo:
-                eligible.append((run, hi))
-        if not eligible:
-            return []
-        if len(eligible) == 1:
-            run, hi = eligible[0]
-            out = run.items[run.lo : hi]
-            run.lo = hi
-            self.stats.fastpath_runs += 1
-            self._m_fastpath.inc()
-        else:
-            slices = []
-            for run, hi in eligible:
-                slices.append((run.items[run.lo : hi], run.ts[run.lo : hi]))
-                run.lo = hi
-            out = merge_runs(slices)
-            self.stats.runs_merged += len(eligible)
-            self._m_runs_merged.inc(len(eligible))
-        consumed = any(run.lo >= len(run.items) for run, _ in eligible)
-        if consumed:
-            runs[:] = [run for run in runs if run.lo < len(run.items)]
-        if out[0].ts_bef < self._last_dispatched_ts:
-            raise AssertionError(
-                "pipeline dispatched out of order"
-            )  # pragma: no cover - guarded by Theorem 1
-        self._last_dispatched_ts = out[-1].ts_bef
-        dispatched = len(out)
-        self.stats.dispatched += dispatched
-        self._last_round_dispatched += dispatched
-        self._m_dispatched.inc(dispatched)
-        self._m_splice.observe(dispatched)
-        return out
-
     # -- public API ---------------------------------------------------------
 
     def close(self) -> None:
         """Close every client feed: an abandoned or failed run must not
         leave capture files open behind it."""
-        for buf in self._locals:
-            buf.feed.close()
+        for feed in self._feeds:
+            feed.close()
 
     def __iter__(self) -> Iterator[Trace]:
         for batch in self.iter_batches():
             yield from batch
 
     def iter_batches(self) -> Iterator[List[Trace]]:
-        """Algorithm 1 over sorted runs: each yielded list is one dispatch
-        round's below-watermark splice, in dispatch order -- the natural
-        unit for :meth:`Verifier.process_batch` feeding."""
-        for buf in self._locals:
-            buf.refill()
-        runs: List[_Run] = []
+        """Algorithm 1: each yielded list is one round's release from the
+        global buffer, in dispatch order -- the natural unit for
+        :meth:`Verifier.process_batch` feeding.  Once every feed is
+        drained every mark is ``(inf, inf)``, so that round's release is
+        the rest of the buffer."""
+        for index, feed in enumerate(self._feeds):
+            feed.refill()
+            self._buffer.stage(index, (), [], feed.mark)
         self.stats.observe(0, self._buffered())
         while True:
-            batch = self._splice_runs(runs, self._watermark())
+            batch, slices = self._buffer.release()
             if batch:
+                if slices == 1:
+                    self.stats.fastpath_runs += 1
+                    self._m_fastpath.inc()
+                else:
+                    self.stats.runs_merged += slices
+                    self._m_runs_merged.inc(slices)
+                dispatched = len(batch)
+                self.stats.dispatched += dispatched
+                self._last_round_dispatched += dispatched
+                self._m_dispatched.inc(dispatched)
+                self._m_splice.observe(dispatched)
                 yield batch
-            if self._all_done():
-                # Drain: every feed is exhausted, merge whatever is staged.
-                batch = self._splice_runs(runs, (POS_INF, POS_INF))
-                if batch:
-                    yield batch
+            if not any(feed.pending for feed in self._feeds):
                 return
-            self._fetch_round(runs)
+            self._fetch_round()
 
 
 class NaiveGlobalSorter:

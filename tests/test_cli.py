@@ -609,6 +609,63 @@ def test_one_serializer_and_it_stays_on_the_shard_pipes():
     assert not defined & {"PayloadEncoder", "PayloadDecoder"}
 
 
+def _call_sites(tree, names, scope=()):
+    """``(name, "Class.method")`` for every call to one of ``names`` under
+    ``tree``, with the definitions that enclose it."""
+    found = []
+    for child in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+            inner = scope + (child.name,)
+        elif isinstance(child, ast.Call):
+            func = child.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in names:
+                found.append((name, ".".join(scope)))
+        found += _call_sites(child, names, inner)
+    return found
+
+
+def test_one_global_buffer_decides_the_dispatch_order():
+    """Algorithm 1's stage-bound-merge is written once: the merge kernel
+    is called from one place under ``src/``, ``GlobalBuffer.release``.
+    The offline pipeline (pull) and the online verifier (push) drive that
+    buffer and compute no watermark, bound or splice of their own -- a
+    method so named is a one-line delegate to the buffer -- and
+    ``core/online.py`` keeps no per-client stage class."""
+    sites = sorted(
+        (name, f"{path.name}:{where}")
+        for path in sorted(pathlib.Path(SRC, "repro").rglob("*.py"))
+        for name, where in _call_sites(
+            ast.parse(path.read_text()), {"prefix_below", "merge_runs"}
+        )
+    )
+    assert sites == [
+        ("merge_runs", "pipeline.py:GlobalBuffer.release"),
+        ("prefix_below", "pipeline.py:GlobalBuffer.release"),
+    ]
+    for module, cls in (("pipeline.py", "TwoLevelPipeline"), ("online.py", "OnlineVerifier")):
+        tree = _core_ast(module)
+        methods = [
+            item
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and node.name == cls
+            for item in node.body
+            if isinstance(item, ast.FunctionDef)
+        ]
+        assert methods, cls
+        for method in methods:
+            if not re.search("watermark|bound|splice|mark", method.name):
+                continue
+            body = _statements(method)
+            assert len(body) == 1 and isinstance(body[0], ast.Return), method.name
+            assert "self._buffer." in ast.unparse(body[0]), method.name
+    online = _core_ast("online.py")
+    assert [
+        node.name for node in ast.walk(online) if isinstance(node, ast.ClassDef)
+    ] == ["OnlineVerifier"]
+
+
 def test_consistent_reads_are_checked_in_one_pass():
     """CR has one matching body: the loop over a finished transaction's
     pending entries in ``on_terminal``.  It asks ``classify`` only about

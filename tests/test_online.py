@@ -277,6 +277,31 @@ class TestDispatchOrderIsThePipelines:
         assert online.pending == 0
         assert recorder.ids == sorted_ids(streams)
 
+    def test_late_joiner_tied_with_the_dispatched_trace_is_refused(self):
+        """The point of no return is a ``(ts_bef, trace_id)`` pair, not a
+        timestamp: once client 2 has dispatched ``(5.0, 2 << 40)``, client
+        1's ``(5.0, 1 << 40)`` sorts in front of it and can only be
+        refused.  A late trace that sorts behind it is still welcome."""
+        streams = {
+            c: make_stream(c, ts)
+            for c, ts in {1: [5.0], 2: [5.0, 6.0], 3: [4.9], 4: [5.0]}.items()
+        }
+        for client_id, stream in streams.items():
+            for seq, trace in enumerate(stream):
+                trace.trace_id = (client_id << SEQ_BITS) | seq
+        recorder = _Recorder()
+        online = OnlineVerifier(verifier=recorder)
+        assert online.feed_batch(2, streams[2][:1]) == 1
+        for late in (1, 3):
+            with pytest.raises(ValueError, match="behind the last dispatched"):
+                online.feed_batch(late, streams[late])
+            online.evict_client(late)  # what the gateway does with poison
+        assert online.feed_batch(4, streams[4]) == 0
+        online.feed_batch(2, streams[2][1:])
+        online.finish()
+        survivors = {2: streams[2], 4: streams[4]}
+        assert recorder.ids == sorted_ids(survivors)
+
     def test_one_timestamp_everywhere(self):
         streams = {c: make_stream(c, [7.0] * 9) for c in range(4)}
         assert fed_round_robin(streams, 4) == sorted_ids(streams)

@@ -643,6 +643,88 @@ class TestRefusedAtDispatch:
         assert gateway.fingerprint == report_fingerprint(offline.finish())
 
 
+class TestLateJoiner:
+    """A session whose first trace sorts in front of one already
+    dispatched cannot be merged soundly; a timestamp *tie* with the
+    dispatched trace is such a trace when its id is lower."""
+
+    def test_tie_with_the_dispatched_trace_is_poison(self, tmp_path):
+        db = {"x": {"v": 0}, "y": {"v": 0}, "z": {"v": 0}}
+        streams = {
+            1: [
+                Trace.write(5.0, 5.1, "a", {"x": 1}, client_id=1),
+                Trace.commit(7.0, 7.1, "a", client_id=1, op_index=1),
+            ],
+            2: [
+                Trace.write(5.0, 5.1, "b", {"y": 1}, client_id=2),
+                Trace.commit(6.0, 6.1, "b", client_id=2, op_index=1),
+            ],
+            3: [
+                Trace.write(5.0, 5.1, "c", {"z": 1}, client_id=3),
+                Trace.commit(6.5, 6.6, "c", client_id=3, op_index=1),
+            ],
+        }
+        frames = {
+            c: [protocol.traces_frame(encode_batch([t])) for t in stream]
+            for c, stream in streams.items()
+        }
+        reply = TestRefusedAtDispatch._reply
+
+        async def scenario():
+            gateway = IngestGateway(
+                ServiceConfig(
+                    spec=PG_SERIALIZABLE,
+                    initial_db=db,
+                    ingest_unix=os.path.join(str(tmp_path), "ingest.sock"),
+                    status_unix=os.path.join(str(tmp_path), "status.sock"),
+                    gc_every=2,
+                )
+            )
+            await gateway.start()
+            path = gateway.ingest_endpoint
+            try:
+                conns = {c: await TestRefusedAtDispatch._open(path, c) for c in (2, 3)}
+                # (5.0, 2 << 40) goes as soon as client 3 stages (5.0, 3 << 40).
+                for c in (2, 3):
+                    conns[c][1].write(frames[c][0])
+                    assert (await reply(conns[c][0]))[0] == protocol.S_CREDIT
+                assert gateway.online.dispatched == 1
+                # Client 1 joins late, tied at 5.0 with a lower id.
+                conns[1] = await TestRefusedAtDispatch._open(path, 1)
+                conns[1][1].write(frames[1][0])
+                error = await reply(conns[1][0])
+                assert await reply(conns[1][0]) == (None, None)  # closed
+                for c in (2, 3):
+                    conns[c][1].write(frames[c][1])
+                    assert (await reply(conns[c][0]))[0] == protocol.S_CREDIT
+                for c in (2, 3):
+                    conns[c][1].write(protocol.bye_frame())
+                    assert (await reply(conns[c][0]))[0] == protocol.S_BYE
+                for _, writer, _ in conns.values():
+                    writer.close()
+                report = await gateway.drain()
+            finally:
+                await gateway.aclose()
+            return gateway, conns[1][2], error, report
+
+        gateway, session, error, report = asyncio.run(scenario())
+        offset = len(protocol.SERVICE_MAGIC) + len(protocol.hello_frame(1))
+        tag, fields = error
+        assert tag == protocol.S_ERROR
+        assert (fields["session_id"], fields["byte_offset"]) == (session, offset)
+        assert "behind the last dispatched" in fields["message"]
+        assert gateway.evictions_total == 1
+        assert report.stats.traces_processed == gateway.online.dispatched == 4
+        survivors = {c: streams[c] for c in (2, 3)}
+        for client_id, stream in survivors.items():
+            for seq, trace in enumerate(stream):
+                trace.trace_id = (client_id << SEQ_BITS) | seq
+        offline = Verifier(spec=PG_SERIALIZABLE, initial_db=db, gc_every=2)
+        for batch in pipeline_from_client_streams(survivors).iter_batches():
+            offline.process_batch(batch)
+        assert gateway.fingerprint == report_fingerprint(offline.finish())
+
+
 # -- status endpoint -----------------------------------------------------------
 
 
