@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Mapping, Optional, Set, Tuple
 
-from ..core.dependencies import Dependency, DepType, TxnNode
-from ..core.intervals import Interval
+from ..core.dependencies import Dependency, DepType
 from ..core.report import (
     Mechanism,
     VerificationReport,
@@ -35,27 +34,21 @@ class RawDependencyGraph(_Graph):
 
     def __init__(self) -> None:
         super().__init__()
-        self._nodes: Dict[str, TxnNode] = {}
+        #: the node table the bus guard tests membership on -- with no
+        #: order to keep, the adjacency map itself.
+        self._ord = self.succ
         #: (src, dst) -> set of DepType
         self._edge_types: Dict[Tuple[str, str], Set[DepType]] = {}
         self.edge_count = 0
 
-    def add_txn(
-        self, txn_id: str, commit_interval: Optional[Interval] = None
-    ) -> TxnNode:
-        node = self._nodes.get(txn_id)
-        if node is None:
-            node = self._nodes[txn_id] = TxnNode(txn_id, commit_interval)
-            self.add_node(txn_id)
-        elif commit_interval is not None and node.commit_interval is None:
-            node.commit_interval = commit_interval
-        return node
+    def add_txn(self, txn_id: str) -> None:
+        self.add_node(txn_id)
 
     def __contains__(self, txn_id: str) -> bool:
-        return txn_id in self._nodes
+        return txn_id in self.succ
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return len(self.succ)
 
     def has_edge_type(self, src: str, dst: str, dep_type: DepType) -> bool:
         return dep_type in self._edge_types.get((src, dst), ())

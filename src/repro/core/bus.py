@@ -49,12 +49,13 @@ class DependencyBus:
         metrics: Optional[MetricsRegistry] = None,
     ):
         self._state = state
-        #: direct references to the graph's node table and the transaction
-        #: table: the garbage guard runs four membership tests per published
-        #: dependency, and dict containment is C-level where the graph's
-        #: ``__contains__`` is a Python call.  Both structures are mutated
-        #: in place only, so the references stay valid for the bus lifetime.
-        self._graph_nodes = state.graph._nodes
+        #: direct references to the graph's node table (its order map) and
+        #: the transaction table: the garbage guard runs four membership
+        #: tests per published dependency, and dict containment is C-level
+        #: where the graph's ``__contains__`` is a Python call.  Both
+        #: structures are mutated in place only, so the references stay
+        #: valid for the bus lifetime.
+        self._graph_nodes = state.graph._ord
         self._txns = state.txns
         #: whether accepted dependencies update ``state.stats.deps_*``
         #: (the merge path of the parallel verifier re-publishes already

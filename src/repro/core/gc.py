@@ -120,12 +120,16 @@ class GarbageCollector:
         horizon next collection.  Reaches the same fixpoint as a
         scan-to-fixpoint over every node without touching nodes that still
         have predecessors.
+
+        A node's commit interval is its transaction's terminal interval:
+        every node has a :class:`TxnState` (a node is only added for a
+        transaction the state holds, and metadata GC retires no
+        transaction that still has a node), so the lookup cannot miss.
         """
         state = self._state
         graph = state.graph
-        # The node and transaction tables themselves (both are mutated in
-        # place only): the loop body runs once per frontier member.
-        nodes = graph._nodes
+        # The transaction table itself (mutated in place only): the loop
+        # body runs once per frontier member.
         txns = state.txns
         on_pruned = self._on_txn_pruned
         active = TxnStatus.ACTIVE
@@ -135,13 +139,10 @@ class GarbageCollector:
         while worklist:
             txn_id = worklist.pop()
             scanned += 1
-            commit = nodes[txn_id].commit_interval
-            txn = txns.get(txn_id)
-            if txn is not None:
-                if txn.status is active:
-                    continue
-                if commit is None:
-                    commit = txn.terminal_interval
+            txn = txns[txn_id]
+            if txn.status is active:
+                continue
+            commit = txn.terminal_interval
             if commit is None or commit.ts_aft > horizon_ts:
                 continue
             worklist.extend(graph.remove_txn(txn_id))
@@ -172,7 +173,7 @@ class GarbageCollector:
         candidates = state.gc_version_candidates
         if not candidates:
             return
-        nodes = state.graph._nodes
+        nodes = state.graph._ord
         txns = state.txns
         active = TxnStatus.ACTIVE
         bound = (horizon_ts, horizon_ts)
@@ -239,7 +240,7 @@ class GarbageCollector:
         state = self._state
         heap = state.terminal_heap
         txns = state.txns
-        nodes = state.graph._nodes
+        nodes = state.graph._ord
         drop_locks = state.locks.drop_owner
         heappop = heapq.heappop
         retained: List = []

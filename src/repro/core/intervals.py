@@ -54,34 +54,26 @@ class Interval:
     ts_aft: float
 
     def __post_init__(self) -> None:
-        if self.ts_aft < self.ts_bef:
+        # Written as a negation so that NaN, which compares false with
+        # everything, is refused too: a NaN timestamp sorts nowhere, and
+        # the dispatch order would silently never release its trace.
+        if not self.ts_bef <= self.ts_aft:
             raise ValueError(
-                f"interval end {self.ts_aft} precedes start {self.ts_bef}"
+                f"interval ({self.ts_bef!r}, {self.ts_aft!r}) refused: end "
+                "precedes start, or a timestamp is not a number"
             )
 
     # -- basic predicates -------------------------------------------------
-
-    def contains(self, t: float) -> bool:
-        """Whether the hidden instant ``t`` could lie in this interval."""
-        return self.ts_bef < t < self.ts_aft
 
     def precedes(self, other: "Interval") -> bool:
         """Definitely-before: every point of self precedes every point of
         ``other``.  Open intervals make the boundary case unambiguous."""
         return self.ts_aft <= other.ts_bef
 
-    def follows(self, other: "Interval") -> bool:
-        """Definitely-after: every point of self follows every point of
-        ``other``."""
-        return other.precedes(self)
-
     def overlaps(self, other: "Interval") -> bool:
         """Whether the two intervals share at least one instant, i.e. the
         relative order of the hidden instants cannot be determined."""
         return not self.precedes(other) and not other.precedes(self)
-
-    def duration(self) -> float:
-        return self.ts_aft - self.ts_bef
 
     # -- feasibility ------------------------------------------------------
 
@@ -94,17 +86,6 @@ class Interval:
         happens-before constraint it imposes satisfies ``can_precede``.
         """
         return self.ts_bef < other.ts_aft
-
-    # -- convenience ------------------------------------------------------
-
-    def union_span(self, other: "Interval") -> "Interval":
-        """The smallest interval covering both operands."""
-        return Interval(
-            min(self.ts_bef, other.ts_bef), max(self.ts_aft, other.ts_aft)
-        )
-
-    def shift(self, delta: float) -> "Interval":
-        return Interval(self.ts_bef + delta, self.ts_aft + delta)
 
     def __str__(self) -> str:  # pragma: no cover - repr sugar
         return f"({self.ts_bef:.6f}, {self.ts_aft:.6f})"

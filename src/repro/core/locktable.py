@@ -16,21 +16,21 @@ feasible, the order is certain and a ``ww`` dependency is deduced
 happens only for near-identical intervals and is counted in the Fig. 13
 uncertainty statistics.
 
-Like the version chains, lock chains are index-maintained: each per-key
-chain keeps a parallel sorted key list (``(acquire.ts_aft, seq)`` -- the
-``seq`` tie-break makes the key a total order, so equal after-timestamps
-keep insertion order exactly as the historical insertion sort did) driving
-bisect insertion, plus per-key *finished* sublists in chain order so ME
-pair enumeration walks only genuine candidates instead of filtering the
-full chain, and a per-(key, txn) open-entry index so acquisition folding
-is a dict hit instead of a chain scan (Section V-B).
+The table keeps each entry in the structures a check reads and nowhere
+else: per transaction (release and retirement), per open (key, txn) pair
+(folding repeat acquisitions and S-to-X upgrades into a dict hit), and per
+key the *finished* entries ME pairs a releasing lock against, in
+:func:`lock_sort_key` order (``(acquire.ts_aft, seq)`` -- the ``seq``
+tie-break makes it a total order, so equal after-timestamps keep
+acquisition order).  Unfinished entries have no per-key list: no check
+pairs against a lock before its owner finishes (Section V-B).
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from bisect import bisect_left, insort
+from bisect import insort
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
@@ -75,8 +75,8 @@ class LockEntry:
     #: only applies between committed transactions).
     committed: bool = False
     finished: bool = False
-    #: process-wide acquisition sequence; breaks sort-key ties so chain
-    #: order is total and bisect-searchable.
+    #: process-wide acquisition sequence; breaks sort-key ties so the
+    #: finished lists' order is total.
     seq: int = field(default_factory=_lock_seq.__next__)
 
     def close(self, release: Interval, committed: bool) -> None:
@@ -86,9 +86,9 @@ class LockEntry:
 
 
 def lock_sort_key(entry: LockEntry) -> Tuple[float, int]:
-    """Chain order for lock entries: acquire after-timestamp, with the
+    """Per-key order for lock entries: acquire after-timestamp, with the
     acquisition sequence as a total-order tie-break (equal timestamps keep
-    acquisition order, matching the historical insertion sort)."""
+    acquisition order)."""
     return (entry.acquire.ts_aft, entry.seq)
 
 
@@ -114,7 +114,7 @@ def classify_pair(first: LockEntry, second: LockEntry) -> OrderOutcome:
 
 
 class LockTable:
-    """All lock intervals per record, with index-maintained chains.
+    """All lock intervals of the run, each held where a check reads it.
 
     The table retains finished locks until garbage collection decides they
     can no longer conflict with (or order against) anything still active,
@@ -122,29 +122,25 @@ class LockTable:
     """
 
     def __init__(self) -> None:
-        self._by_key: Dict[Key, List[LockEntry]] = {}
-        #: parallel sorted :func:`lock_sort_key` list per key chain.
-        self._key_sort: Dict[Key, List[Tuple[float, int]]] = {}
+        #: every live entry, per owner, in acquisition order.
         self._by_txn: Dict[str, List[LockEntry]] = {}
-        #: open (unfinished) entries per (key, txn) in chain order -- at
-        #: most two in practice (a shared entry plus its upgrade).
+        #: open (unfinished) entries per (key, txn) in :func:`lock_sort_key`
+        #: order -- at most two in practice (a shared entry plus its
+        #: upgrade).
         self._open: Dict[Tuple[Key, str], List[LockEntry]] = {}
-        #: finished entries per key in chain order -- the only candidates
-        #: ME pair enumeration has to walk.  Exclusive peers for a shared
-        #: entry are filtered from this list on release (shared locks only
-        #: exist under pure-2PL specs, so the filter rarely runs).
+        #: finished entries per key in :func:`lock_sort_key` order -- the
+        #: only candidates ME pair enumeration has to walk.  Exclusive peers
+        #: for a shared entry are filtered from this list on release (shared
+        #: locks only exist under pure-2PL specs, so the filter rarely runs).
         self._finished: Dict[Key, List[LockEntry]] = {}
 
     # -- structure -----------------------------------------------------------
-
-    def entries_for(self, key: Key) -> List[LockEntry]:
-        return list(self._by_key.get(key, ()))
 
     def entries_of(self, txn_id: str) -> List[LockEntry]:
         return list(self._by_txn.get(txn_id, ()))
 
     def live_entry_count(self) -> int:
-        return sum(len(chain) for chain in self._by_key.values())
+        return sum(len(entries) for entries in self._by_txn.values())
 
     # -- mutation ---------------------------------------------------------------
 
@@ -164,27 +160,13 @@ class LockTable:
         open_key = (key, txn_id)
         open_entries = self._open.get(open_key)
         if open_entries:
-            # Fold into the first open entry in chain order -- unless this
-            # is an S-to-X upgrade, which becomes its own exclusive entry.
+            # Fold into the first open entry in sort-key order -- unless
+            # this is an S-to-X upgrade, which becomes its own exclusive
+            # entry.
             first = open_entries[0]
             if not (mode is LockMode.EXCLUSIVE and first.mode is LockMode.SHARED):
                 return first
         entry = LockEntry(key=key, txn_id=txn_id, mode=mode, acquire=interval)
-        sort_key = (interval.ts_aft, entry.seq)
-        chain = self._by_key.get(key)
-        if chain is None:
-            chain = self._by_key[key] = []
-            keys = self._key_sort[key] = []
-        else:
-            keys = self._key_sort[key]
-        if not keys or sort_key > keys[-1]:
-            # Acquisitions arrive roughly in timestamp order: tail append.
-            keys.append(sort_key)
-            chain.append(entry)
-        else:
-            position = bisect_left(keys, sort_key)
-            keys.insert(position, sort_key)
-            chain.insert(position, entry)
         txn_entries = self._by_txn.get(txn_id)
         if txn_entries is None:
             self._by_txn[txn_id] = [entry]
@@ -223,9 +205,8 @@ class LockTable:
                 if remaining:
                     open_map[(key, txn_id)] = remaining
             # Only exclusive peers conflict with a shared lock; everything
-            # conflicts with an exclusive one.  The finished sublist is
-            # kept in chain order, so enumeration order matches a
-            # full-chain scan.
+            # conflicts with an exclusive one.  The finished list is kept
+            # in sort-key order, so pairs come out in acquisition order.
             peers = finished_map.get(key)
             if peers is None:
                 results.append((entry, []))
@@ -266,16 +247,13 @@ class LockTable:
         witness a violation again, and the ``ww`` edges it ordered are
         covered by the dependency-graph rule (Theorem 5).  Entries never
         released (specs without a lock manager mirror acquisitions only)
-        stay.  Each entry leaves by position -- one bisect on the chain's
-        sort keys; the finished sublist has none, but a retired entry is
-        among its oldest, so that identity scan stops near the front -- and
-        a chain it empties goes whole.
+        stay.  A retired entry is among the oldest of its key's finished
+        list, so the identity scan that removes it stops near the front,
+        and a list it empties goes whole.
         """
         entries = self._by_txn.pop(txn_id, None)
         if not entries:
             return 0
-        by_key = self._by_key
-        key_sort = self._key_sort
         finished_map = self._finished
         dropped = 0
         for entry in entries:
@@ -283,13 +261,6 @@ class LockTable:
                 continue
             dropped += 1
             key = entry.key
-            chain = by_key[key]
-            if len(chain) == 1:
-                del by_key[key], key_sort[key], finished_map[key]
-                continue
-            keys = key_sort[key]
-            position = bisect_left(keys, (entry.acquire.ts_aft, entry.seq))
-            del chain[position], keys[position]
             finished = finished_map[key]
             if len(finished) == 1:
                 del finished_map[key]
@@ -301,7 +272,7 @@ class LockTable:
 
 
 def _insert_open(open_entries: List[LockEntry], entry: LockEntry) -> None:
-    """Keep the (at most two-element) open list in chain order."""
+    """Keep the (at most two-element) open list in sort-key order."""
     sort_key = lock_sort_key(entry)
     for idx, existing in enumerate(open_entries):
         if sort_key < lock_sort_key(existing):

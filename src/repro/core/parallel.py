@@ -390,7 +390,7 @@ class _StreamMerger:
         spec: IsolationSpec,
         shards: int,
         txns: Dict[str, _TxnRecord],
-        commits: List[Tuple[int, str, Interval]],
+        commits: List[Tuple[int, str]],
         gc_every: int,
         metrics: MetricsRegistry,
         horizon_log: "deque",
@@ -556,9 +556,9 @@ class _StreamMerger:
         state = self.state
         commits = self._commits
         while self._commit_pos < len(commits):
-            _, txn_id, interval = commits[self._commit_pos]
+            _, txn_id = commits[self._commit_pos]
             self._ensure_txn(txn_id)
-            state.graph.add_txn(txn_id, interval)
+            state.graph.add_txn(txn_id)
             self._commit_pos += 1
         self._m_lag.set(0)
         return self.descriptor
@@ -599,9 +599,9 @@ class _StreamMerger:
                     bus.publish_many(batch)
                     batch.clear()
                 while pos < n_commits and commits[pos][0] <= index:
-                    _, txn_id, interval = commits[pos]
+                    _, txn_id = commits[pos]
                     ensure(txn_id)
-                    state.graph.add_txn(txn_id, interval)
+                    state.graph.add_txn(txn_id)
                     pos += 1
             if kind == _VIOLATION:
                 if batch:
@@ -677,8 +677,8 @@ class ParallelVerifier:
         self._options["gc_every"] = gc_every
         self._session_order = session_order
         self._txns: Dict[str, _TxnRecord] = {}
-        #: committed transactions in stream order: (trace_index, txn, interval)
-        self._commits: List[Tuple[int, str, Interval]] = []
+        #: committed transactions in stream order: (trace_index, txn)
+        self._commits: List[Tuple[int, str]] = []
         self._trace_index = 0
         self._txns_committed = 0
         self._txns_aborted = 0
@@ -966,7 +966,7 @@ class ParallelVerifier:
                     if trace.kind is commit_kind:
                         record.status = TxnStatus.COMMITTED
                         self._txns_committed += 1
-                        self._commits.append((index, txn_id, trace.interval))
+                        self._commits.append((index, txn_id))
                     else:
                         record.status = TxnStatus.ABORTED
                         self._txns_aborted += 1

@@ -50,6 +50,9 @@ class TxnState:
     client_id: int
     first_interval: Optional[Interval] = None
     status: TxnStatus = TxnStatus.ACTIVE
+    #: the commit or abort trace's interval -- for a committed transaction
+    #: also its dependency-graph node's commit interval (the collector
+    #: reads it here).
     terminal_interval: Optional[Interval] = None
     pending_reads: List[PendingRead] = field(default_factory=list)
     #: keys written, with the staged Version objects.
@@ -59,7 +62,6 @@ class TxnState:
     #: versions whose ``readers`` set holds this transaction's id (one per
     #: uniquely matched read): metadata GC takes the id back out of them.
     matched_versions: List[Version] = field(default_factory=list)
-    op_count: int = 0
 
     @property
     def finished(self) -> bool:

@@ -265,7 +265,6 @@ class Verifier:
                     watermark = ts_bef
                 if txn.first_interval is None:
                     txn.first_interval = interval
-                txn.op_count += 1
                 kind = trace.kind
                 if kind is read_kind:
                     if trace.status is ok:
@@ -364,7 +363,7 @@ class Verifier:
         txn.terminal_interval = trace.interval
         state.note_terminal(txn.txn_id, trace.interval.ts_aft)
         state.stats.txns_committed += 1
-        state.graph.add_txn(txn.txn_id, trace.interval)
+        state.graph.add_txn(txn.txn_id)
         if self._session_order:
             predecessor = self._session_tail.get(trace.client_id)
             if predecessor is not None and predecessor in state.graph:

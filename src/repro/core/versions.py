@@ -95,7 +95,6 @@ class Version:
     image: Dict[str, object] = field(default_factory=dict)
     #: commit interval of the installing transaction (None while pending).
     commit: Optional[Interval] = None
-    committed: bool = False
     #: transactions observed (via CR wr deduction) to have read this version.
     readers: Set[str] = field(default_factory=set)
     seq: int = field(default_factory=_version_seq.__next__)
@@ -184,7 +183,6 @@ class VersionChain:
                 columns=image,
                 image=image,
                 commit=INITIAL_INTERVAL,
-                committed=True,
             )
             self._chain.append(initial)
             self._keys.append(chain_sort_key(initial))
@@ -260,7 +258,6 @@ class VersionChain:
         installed: List[Version] = []
         for version in staged:
             version.commit = commit_interval
-            version.committed = True
             self._insert_sorted(version)
             installed.append(version)
         return installed

@@ -20,6 +20,18 @@ def verify_run(run, spec, **kwargs):
     return verifier.finish()
 
 
+def with_nan_timestamps(trace):
+    """``trace`` re-timed to ``(nan, nan)`` -- what a capture or a wire
+    frame can carry, but ``Interval`` refuses to construct -- by filling
+    an interval's slots without its constructor."""
+    from repro.core.intervals import Interval
+
+    interval = object.__new__(Interval)
+    interval.ts_bef = interval.ts_aft = float("nan")
+    trace.interval = interval
+    return trace
+
+
 def run_and_verify(workload, spec, clients=8, txns=300, seed=3, faults=None, **kwargs):
     run = run_workload(
         workload, spec, clients=clients, txns=txns, seed=seed, faults=faults, **kwargs

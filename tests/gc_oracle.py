@@ -5,8 +5,9 @@ These are the collector's original steps -- the scan-to-fixpoint graph
 pruner, the sweep over every finished lock entry, the set-building version
 prune over the Fig. 6 scan and the sweep over the transaction table --
 moved here when ``core/gc.py`` became one horizon-driven, indexed pass.
-They read every structure through its accessors, visit all of live state
-and use no frontier, heap, candidate set or sort key, so they cannot share
+They read every structure's contents (the graph's adjacency, the lock
+table's per-owner lists, the chains), visit all of live state and use no
+frontier, heap, candidate set or sort key, so they cannot share
 a defect with the code under test.  Each is a pure function of the state:
 it says what a collection at ``horizon_ts`` must retire and removes
 nothing.
@@ -31,17 +32,11 @@ from tests import fig6_oracle
 
 
 def _definition4(state: VerifierState, txn_id: str, horizon_ts: float) -> bool:
-    """Definition 4 body checks for an in-degree-zero node."""
-    node = state.graph.node(txn_id)
+    """Definition 4 body checks for an in-degree-zero node: finished, with
+    its commit (terminal) interval behind the horizon."""
     txn = state.get_txn(txn_id)
-    commit = node.commit_interval
-    if commit is None and txn is not None:
-        commit = txn.terminal_interval
-    if commit is None or commit.ts_aft > horizon_ts:
-        return False
-    if txn is not None and not txn.finished:
-        return False
-    return True
+    commit = txn.terminal_interval
+    return txn.finished and commit is not None and commit.ts_aft <= horizon_ts
 
 
 def garbage_txns(state: VerifierState, horizon_ts: float) -> Set[str]:
@@ -49,7 +44,7 @@ def garbage_txns(state: VerifierState, horizon_ts: float) -> Set[str]:
     node to a fixpoint: removing a garbage node deletes its outgoing edges,
     which can turn successors into garbage."""
     graph = state.graph
-    preds = {txn_id: graph.predecessors(txn_id) for txn_id in graph.nodes()}
+    preds = {txn_id: set(graph._in[txn_id]) for txn_id in graph.nodes()}
     gone: Set[str] = set()
     changed = True
     while changed:
@@ -59,7 +54,7 @@ def garbage_txns(state: VerifierState, horizon_ts: float) -> Set[str]:
                 continue
             if not _definition4(state, txn_id, horizon_ts):
                 continue
-            for succ in graph.successors(txn_id):
+            for succ in graph._out[txn_id]:
                 preds[succ].discard(txn_id)
             gone.add(txn_id)
             changed = True
@@ -80,7 +75,7 @@ def releasable(state: VerifierState, gone: Set[str]) -> Callable[[str], bool]:
 
 
 def all_locks(state: VerifierState) -> List:
-    return [e for chain in state.locks._by_key.values() for e in chain]
+    return [e for entries in state.locks._by_txn.values() for e in entries]
 
 
 def garbage_locks(state: VerifierState, horizon_ts: float, can_prune) -> List:
@@ -138,7 +133,7 @@ def recount(state: VerifierState) -> int:
         + sum(
             len(graph.edge_types(src, dst))
             for src in graph.nodes()
-            for dst in graph.successors(src)
+            for dst in graph._out[src]
         )
         + len(state.txns)
     )
@@ -175,6 +170,7 @@ def check_collection(collector: GarbageCollector, collect, horizon_ts=None) -> R
     if horizon == float("-inf"):
         collect(collector, horizon_ts)
         return Retired()
+    check_nodes_have_metadata(state)
     gone = garbage_txns(state, horizon)
     can_prune = releasable(state, gone)
     want_locks = _by_id(garbage_locks(state, horizon, can_prune))
@@ -204,40 +200,54 @@ def check_collection(collector: GarbageCollector, collect, horizon_ts=None) -> R
     ) == (len(gone), len(want_locks), len(want_versions))
     assert state.live_structure_count() == recount(state)
     # What the indexed steps lean on: the frontier is exactly the
-    # zero-in-degree set, and every index of the lock table still mirrors
-    # its chains.
+    # zero-in-degree set, every node still has the transaction state its
+    # commit interval is read from, and every index of the lock table
+    # still mirrors its per-owner lists.
     graph = state.graph
     assert set(graph.zero_in_degree_frontier()) == {
-        n for n in graph.nodes() if graph.in_degree(n) == 0
+        n for n in graph.nodes() if not graph._in[n]
     }
+    check_nodes_have_metadata(state)
     check_lock_indexes(state)
     return Retired(
         len(gone), len(want_locks), len(want_versions), len(want_metadata), 1
     )
 
 
+def check_nodes_have_metadata(state: VerifierState) -> None:
+    """Every dependency-graph node has a :class:`TxnState`: the collector
+    reads a node's commit interval as its ``terminal_interval``."""
+    orphans = [n for n in state.graph.nodes() if n not in state.txns]
+    assert not orphans, f"graph nodes without a TxnState: {orphans}"
+
+
 def check_lock_indexes(state: VerifierState) -> None:
-    """The lock table's sort keys, finished sublists and ownership index
-    re-derived from its chains."""
+    """The lock table's finished lists and open index re-derived from its
+    per-owner lists, which hold every live entry in acquisition order."""
     from repro.core.locktable import lock_sort_key
 
     table = state.locks
-    assert table._key_sort.keys() == table._by_key.keys()
-    by_txn: Dict[str, List] = {}
-    for key, chain in table._by_key.items():
-        assert chain, key
-        assert table._key_sort[key] == [lock_sort_key(e) for e in chain]
-        finished = [e for e in chain if e.finished]
-        assert [id(e) for e in table._finished.get(key, [])] == [
-            id(e) for e in finished
-        ]
-    assert all(table._finished.values())
-    for entry in sorted(all_locks(state), key=lambda e: e.seq):
-        by_txn.setdefault(entry.txn_id, []).append(id(entry))
-    assert {
-        txn_id: [id(e) for e in entries]
-        for txn_id, entries in table._by_txn.items()
-    } == by_txn
+    finished: Dict[object, List] = {}
+    open_: Dict[object, List] = {}
+    for txn_id, entries in table._by_txn.items():
+        assert entries, txn_id
+        assert all(e.txn_id == txn_id for e in entries)
+        assert [e.seq for e in entries] == sorted(e.seq for e in entries)
+        for entry in entries:
+            if entry.finished:
+                finished.setdefault(entry.key, []).append(entry)
+            else:
+                open_.setdefault((entry.key, txn_id), []).append(entry)
+    for index in (finished, open_):
+        for entries in index.values():
+            entries.sort(key=lock_sort_key)
+
+    def ids(index):
+        return {k: [id(e) for e in v] for k, v in index.items()}
+
+    assert ids(table._finished) == ids(finished)
+    assert ids(table._open) == ids(open_)
+    assert table.live_entry_count() == len(all_locks(state))
 
 
 @contextmanager

@@ -13,8 +13,7 @@ from repro.baselines import (
 )
 from repro.baselines.cyclesearch import RawDependencyGraph
 from repro.baselines.history import flatten_value, initial_history_txn
-from repro.core.dependencies import Dependency, DepType
-from repro.core.topo import IncrementalTopology
+from repro.core.dependencies import Dependency, DependencyGraph, DepType
 from repro.dbsim import FaultPlan
 from repro.workloads import BlindW, run_workload
 
@@ -278,7 +277,7 @@ class TestNaiveCycleSearch:
         def refuse(self, u, v):
             raise AssertionError("the naive checker ran the incremental oracle")
 
-        monkeypatch.setattr(IncrementalTopology, "add_edge", refuse)
+        monkeypatch.setattr(DependencyGraph, "_insert_edge", refuse)
         checker = NaiveCycleSearchChecker(
             spec=PG_SERIALIZABLE, initial_db=blindw_rw_run.initial_db
         )

@@ -21,7 +21,9 @@ from repro.core.codec import (
     read_strings,
 )
 from repro.core.io import dump_initial_db, dump_traces
+from repro.core.trace import Trace
 from repro.service.load import LoadConfig, initial_db, synthetic_stream
+from tests.conftest import with_nan_timestamps
 
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
@@ -360,6 +362,35 @@ class TestDamagedCapture:
         assert out == "" and err.count("\n") == 1
         assert str(capture) in err and "client 2 stream is not sorted" in err
         assert "trace index 41" in err
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "binary"])
+    def test_nan_timestamps_are_refused(self, tmp_path, capsys, fmt):
+        """``json`` reads ``NaN`` and the binary codec carries any double;
+        a NaN pair sorts nowhere, so it must stop the run at decode -- not
+        be staged and silently never dispatched."""
+        capture = tmp_path / "cap"
+        capture.mkdir()
+        streams = {
+            0: [Trace.write(1.0, 1.1, "t1", {"x": {"v": 1}}),
+                Trace.commit(1.2, 1.3, "t1", op_index=1)],
+            1: [Trace.read(2.0, 2.1, "t2", {"x": {"v": 1}}, client_id=1),
+                Trace.commit(2.2, 2.3, "t2", client_id=1, op_index=1)],
+            2: [with_nan_timestamps(Trace.write(3.0, 3.1, "t3", {"x": {"v": 3}}, client_id=2)),
+                with_nan_timestamps(Trace.commit(3.2, 3.3, "t3", client_id=2, op_index=1))],
+        }
+        for client, traces in streams.items():
+            suffix = "rtb" if fmt == "binary" else "jsonl"
+            dump_traces(traces, capture / f"client-{client}.{suffix}")
+        dump_initial_db({"x": {"v": 0}}, capture / "initial_db.json")
+        victim = sorted(capture.glob("client-2.*"))[0]
+        where = (
+            f"frame 0 at byte offset {len(MAGIC)}" if fmt == "binary" else "line 1"
+        )
+        assert main(["verify", str(capture)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("repro verify: ")
+        assert str(victim) in err and where in err and "nan" in err
 
     def test_process_backend_workers_are_reaped(self, tmp_path):
         """The forked shard workers must not outlive a run that dies on
@@ -711,6 +742,75 @@ def test_consistent_reads_are_checked_in_one_pass():
 
     scalar = _statements(_method(_core_ast("bus.py"), "VersionOrderDeriver", "on_read_match"))
     assert len(scalar) <= 3 and "on_read_matches" in _calls(ast.Module(scalar, []))
+
+
+def _assigned_attributes(function):
+    return sorted(
+        target.attr
+        for node in ast.walk(function)
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Attribute)
+    )
+
+
+def test_mirrored_state_is_stored_once():
+    """Each fact of the mirrored state has one home.  The lock table keeps
+    its entries per owner, per open (key, owner) and, once finished, per
+    key -- no per-key chain of every entry.  The dependency graph is one
+    class over one node table (the Pearce-Kelly order map): no per-node
+    record type, no separate topology module, and ``add_txn`` takes no
+    commit interval, which is the transaction state's terminal interval.
+    No field is written that nothing reads: no per-transaction operation
+    count, no ``Version.committed`` beside ``Version.commit``."""
+    locks = _method(_core_ast("locktable.py"), "LockTable", "__init__")
+    assert _assigned_attributes(locks) == ["_by_txn", "_finished", "_open"]
+    graph = _method(_core_ast("dependencies.py"), "DependencyGraph", "__init__")
+    assert "_nodes" not in _assigned_attributes(graph)
+    assert not pathlib.Path(SRC, "repro", "core", "topo.py").exists()
+    trees = {
+        path.relative_to(SRC).as_posix(): ast.parse(path.read_text())
+        for path in sorted(pathlib.Path(SRC, "repro").rglob("*.py"))
+    }
+    named = [
+        f"{name}: {ast.unparse(node)}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "TxnNode")
+        or (isinstance(node, ast.ClassDef) and node.name == "TxnNode")
+        or (isinstance(node, ast.Attribute) and node.attr == "op_count")
+        or (isinstance(node, ast.AnnAssign) and ast.unparse(node.target) == "op_count")
+    ]
+    assert not named, named
+    topo = [
+        (name, module, alias)
+        for name, tree in trees.items()
+        for module, alias in _imports(tree)
+        if module.split(".")[-1] == "topo" or alias == "topo"
+    ]
+    assert not topo, topo
+    version = next(
+        node for node in ast.walk(trees["repro/core/versions.py"])
+        if isinstance(node, ast.ClassDef) and node.name == "Version"
+    )
+    fields = [ast.unparse(item.target) for item in version.body if isinstance(item, ast.AnnAssign)]
+    assert "commit" in fields and "committed" not in fields
+    for module, cls in (
+        ("repro/core/dependencies.py", "DependencyGraph"),
+        ("repro/baselines/cyclesearch.py", "RawDependencyGraph"),
+    ):
+        add_txn = _method(trees[module], cls, "add_txn")
+        assert [arg.arg for arg in add_txn.args.args] == ["self", "txn_id"], cls
+    wide = [
+        f"{name}: {ast.unparse(node)}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "add_txn"
+        and (len(node.args) != 1 or node.keywords)
+    ]
+    assert not wide, wide
 
 
 class TestFlatMemory:

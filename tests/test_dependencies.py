@@ -2,7 +2,6 @@
 
 
 from repro.core.dependencies import Dependency, DependencyGraph, DepType
-from repro.core.intervals import Interval
 
 
 def dep(src, dst, kind=DepType.WW, key=None):
@@ -12,16 +11,9 @@ def dep(src, dst, kind=DepType.WW, key=None):
 class TestNodes:
     def test_add_and_lookup(self):
         graph = DependencyGraph()
-        node = graph.add_txn("t1", Interval(0, 1))
-        assert "t1" in graph
-        assert node.commit_interval == Interval(0, 1)
-
-    def test_commit_interval_backfilled(self):
-        graph = DependencyGraph()
         graph.add_txn("t1")
-        assert graph.node("t1").commit_interval is None
-        graph.add_txn("t1", Interval(0, 1))
-        assert graph.node("t1").commit_interval == Interval(0, 1)
+        assert "t1" in graph and "t2" not in graph
+        assert graph.nodes() == ["t1"]
 
     def test_len(self):
         graph = DependencyGraph()
@@ -48,7 +40,7 @@ class TestEdges:
         graph.add_dependency(dep("a", "b", DepType.WR))
         assert graph.edge_types("a", "b") == {DepType.WW, DepType.WR}
         assert graph.edge_count == 2
-        assert graph.successors("a") == {"b"}
+        assert graph._out["a"] == {"b"}
 
     def test_duplicate_type_not_recounted(self):
         graph = DependencyGraph()
@@ -62,15 +54,16 @@ class TestEdges:
         cycle = graph.add_dependency(dep("b", "a"))
         assert cycle is not None and set(cycle) == {"a", "b"}
         # Structural edge rejected (topology still acyclic), type recorded.
-        assert graph.successors("b") == set()
+        assert graph._out["b"] == set()
         assert graph.edge_types("b", "a") == {DepType.WW}
 
     def test_in_degree(self):
         graph = DependencyGraph()
         graph.add_dependency(dep("a", "c"))
         graph.add_dependency(dep("b", "c"))
-        assert graph.in_degree("c") == 2
-        assert graph.in_degree("a") == 0
+        assert graph._in["c"] == {"a", "b"}
+        assert graph._in["a"] == set()
+        assert sorted(graph.zero_in_degree_frontier()) == ["a", "b"]
 
 
 class TestPruning:
@@ -80,7 +73,8 @@ class TestPruning:
         graph.add_dependency(dep("b", "c"))
         graph.remove_txn("b")
         assert "b" not in graph
-        assert graph.in_degree("c") == 0
+        assert graph._in["c"] == set()
+        assert sorted(graph.zero_in_degree_frontier()) == ["a", "c"]
         assert graph.edge_types("a", "b") == set()
         assert graph.edge_count == 0
 

@@ -1,6 +1,8 @@
 """Interval algebra: the foundation of every mechanism theorem."""
 
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -24,11 +26,22 @@ class TestConstruction:
         assert interval.ts_aft == 2.0
 
     def test_degenerate_allowed(self):
-        assert iv(1.0, 1.0).duration() == 0.0
+        assert iv(1.0, 1.0).ts_bef == iv(1.0, 1.0).ts_aft
+        # Infinite ends are ordered values, not refusals.
+        assert iv(NEG_INF, POS_INF).overlaps(iv(0.0, 1.0))
 
     def test_reversed_rejected(self):
         with pytest.raises(ValueError):
             iv(2.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "pair", [(math.nan, 1.0), (0.0, math.nan), (math.nan, math.nan)]
+    )
+    def test_nan_rejected(self, pair):
+        """NaN compares false with everything, so a reversed-pair test
+        alone lets it through; the refusal names the pair."""
+        with pytest.raises(ValueError, match="nan"):
+            iv(*pair)
 
     def test_initial_and_unfinished_sentinels(self):
         assert INITIAL_INTERVAL.ts_aft == NEG_INF
@@ -61,14 +74,6 @@ class TestPredicates:
     def test_no_overlap_when_ordered(self):
         assert not iv(0, 1).overlaps(iv(1, 2))
 
-    def test_follows(self):
-        assert iv(2, 3).follows(iv(0, 1))
-
-    def test_contains_point(self):
-        assert iv(0, 1).contains(0.5)
-        assert not iv(0, 1).contains(0.0)  # open interval
-        assert not iv(0, 1).contains(1.0)
-
     def test_initial_precedes_everything(self):
         assert INITIAL_INTERVAL.precedes(iv(-1e12, 0))
 
@@ -92,14 +97,6 @@ class TestFeasibility:
     def test_unfinished_cannot_precede_finished(self):
         assert not UNFINISHED_INTERVAL.can_precede(iv(0, 1))
         assert iv(0, 1).can_precede(UNFINISHED_INTERVAL)
-
-
-class TestHelpers:
-    def test_union_span(self):
-        assert iv(0, 1).union_span(iv(5, 6)) == iv(0, 6)
-
-    def test_shift(self):
-        assert iv(1, 2).shift(10) == iv(11, 12)
 
 
 _bounded = st.floats(
@@ -131,16 +128,10 @@ class TestProperties:
 
     @given(intervals(), intervals())
     def test_precedes_implies_can_precede(self, a, b):
-        if a.precedes(b) and a.duration() + b.duration() > 0:
+        if a.precedes(b) and (a.ts_aft - a.ts_bef) + (b.ts_aft - b.ts_bef) > 0:
             assert a.can_precede(b)
 
     @given(intervals(), intervals())
     def test_overlap_implies_both_orders_feasible(self, a, b):
         if a.overlaps(b):
             assert a.can_precede(b) and b.can_precede(a)
-
-    @given(intervals(), intervals())
-    def test_union_span_covers_both(self, a, b):
-        span = a.union_span(b)
-        assert span.ts_bef <= min(a.ts_bef, b.ts_bef)
-        assert span.ts_aft >= max(a.ts_aft, b.ts_aft)

@@ -11,6 +11,16 @@ from repro.core.locktable import (
 )
 
 
+def finished(table, key):
+    """The finished list ME pairs a releasing lock against, in order."""
+    return [e.txn_id for e in table._finished.get(key, ())]
+
+
+def brute_count(table, txn_ids):
+    """Live entries counted owner by owner."""
+    return sum(len(table.entries_of(t)) for t in txn_ids)
+
+
 def entry(acquire, release=None, txn="t", mode=LockMode.EXCLUSIVE, committed=True):
     lock = LockEntry(key="x", txn_id=txn, mode=mode, acquire=Interval(*acquire))
     if release is not None:
@@ -62,18 +72,27 @@ class TestClassifyPair:
 
 class TestAcquire:
     def test_insertion_sorted_by_acquire_end(self):
+        """The finished list is in acquire-end order whatever order the
+        owners finish in, and ME enumerates a releasing lock's peers in
+        that order."""
         table = LockTable()
+        table.acquire("c", "x", LockMode.EXCLUSIVE, Interval(9, 10))
         table.acquire("b", "x", LockMode.EXCLUSIVE, Interval(5, 6))
         table.acquire("a", "x", LockMode.EXCLUSIVE, Interval(0, 1))
-        chain = table.entries_for("x")
-        assert [e.txn_id for e in chain] == ["a", "b"]
+        table.release_all("b", Interval(7, 8), committed=True)
+        table.release_all("a", Interval(2, 3), committed=True)
+        assert finished(table, "x") == ["a", "b"]
+        ((_, peers),) = table.release_all("c", Interval(11, 12), committed=True)
+        assert [e.txn_id for e in peers] == ["a", "b"]
+        assert finished(table, "x") == ["a", "b", "c"]
 
     def test_reacquire_same_mode_folds(self):
         table = LockTable()
         first = table.acquire("a", "x", LockMode.SHARED, Interval(0, 1))
         second = table.acquire("a", "x", LockMode.SHARED, Interval(2, 3))
         assert first is second
-        assert len(table.entries_for("x")) == 1
+        assert table.entries_of("a") == [first]
+        assert table.live_entry_count() == brute_count(table, "a") == 1
 
     def test_upgrade_creates_second_entry(self):
         """S -> X upgrades must anchor the exclusive claim to the upgrading
@@ -87,12 +106,13 @@ class TestAcquire:
         assert modes == {LockMode.SHARED, LockMode.EXCLUSIVE}
         exclusive = next(e for e in entries if e.mode is LockMode.EXCLUSIVE)
         assert exclusive.acquire == Interval(5, 6)
+        assert table.live_entry_count() == brute_count(table, "a") == 2
 
     def test_x_then_s_folds(self):
         table = LockTable()
         table.acquire("a", "x", LockMode.EXCLUSIVE, Interval(0, 1))
         table.acquire("a", "x", LockMode.SHARED, Interval(2, 3))
-        assert len(table.entries_for("x")) == 1
+        assert table.live_entry_count() == brute_count(table, "a") == 1
 
 
 class TestRelease:
@@ -139,8 +159,8 @@ class TestPrune:
         table = LockTable()
         table.acquire("a", "x", LockMode.EXCLUSIVE, Interval(0, 1))
         assert table.drop_owner("a") == 0
-        assert [e.txn_id for e in table.entries_for("x")] == ["a"]
-        assert len(table.entries_of("a")) == 1
+        assert [e.key for e in table.entries_of("a")] == ["x"]
+        assert table.live_entry_count() == 1 and finished(table, "x") == []
 
     def test_drops_only_the_owners_entries(self):
         table = LockTable()
@@ -150,9 +170,10 @@ class TestPrune:
         table.acquire("a", "y", LockMode.EXCLUSIVE, Interval(2, 3))
         table.release_all("a", Interval(3, 4), committed=True)
         table.release_all("b", Interval(6, 7), committed=True)
+        assert table.live_entry_count() == brute_count(table, "ab") == 4
         assert table.drop_owner("a") == 3
-        assert [e.txn_id for e in table.entries_for("x")] == ["b"]
-        assert table.entries_for("y") == []
+        assert finished(table, "x") == ["b"] and finished(table, "y") == []
+        assert table.live_entry_count() == brute_count(table, "ab") == 1
         assert table.drop_owner("a") == 0
         assert table.drop_owner("b") == 1
         assert table.live_entry_count() == 0

@@ -155,7 +155,7 @@ class _HandInterval:
     def __init__(self, ts_bef, ts_aft):
         self.ts_bef = ts_bef
         self.ts_aft = ts_aft
-        if ts_aft < ts_bef:
+        if not ts_bef <= ts_aft:
             raise ValueError("interval end precedes start")
 
 

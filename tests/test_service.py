@@ -33,6 +33,7 @@ from repro.service.load import (
     run_load_sync,
     synthetic_stream,
 )
+from tests.conftest import with_nan_timestamps
 from tests.test_online import REFUSAL, REFUSAL_DB, refusal_streams
 
 
@@ -505,6 +506,53 @@ class TestPoisonFrames:
         # report is still byte-identical to the offline run.
         from repro.core.report import report_fingerprint
 
+        assert report_fingerprint(report) == offline_fingerprint(cfg)
+
+    def test_nan_timestamps_are_poison(self, tmp_path):
+        """A ``TRACES`` frame whose timestamps are NaN is refused at
+        decode, to its own session at its own offset, instead of being
+        staged where the dispatch order never releases it; the other
+        sessions drain to the offline report."""
+        cfg = _quick_cfg(tmp_path, sessions=2)
+        poison = with_nan_timestamps(
+            Trace.write(1.0, 1.1, "tnan", {("acct", 0): {"v": 1}}, client_id=99)
+        )
+        open_, reply = TestRefusedAtDispatch._open, TestRefusedAtDispatch._reply
+
+        async def scenario():
+            gateway = _gateway(cfg, tmp_path)
+            await gateway.start()
+            ingest = gateway.ingest_endpoint
+            try:
+                reader, writer, session = await open_(ingest, 99)
+                writer.write(protocol.traces_frame(encode_batch([poison])))
+                await writer.drain()
+                error = await reply(reader)
+                writer.close()
+                await writer.wait_closed()
+                stats = await asyncio.wait_for(
+                    asyncio.gather(
+                        *(
+                            drive_client(ingest, c, iter_frames(cfg, c))
+                            for c in range(cfg.sessions)
+                        )
+                    ),
+                    timeout=30,
+                )
+                report = await gateway.drain()
+            finally:
+                await gateway.aclose()
+            return session, error, stats, report
+
+        session, (tag, error), stats, report = asyncio.run(scenario())
+        assert tag == protocol.S_ERROR
+        assert error["session_id"] == session
+        assert error["byte_offset"] == len(protocol.SERVICE_MAGIC) + len(
+            protocol.hello_frame(99)
+        )
+        assert "nan" in error["message"]
+        per_client = cfg.actual_traces // cfg.sessions
+        assert [s["acked"] for s in stats] == [per_client] * cfg.sessions
         assert report_fingerprint(report) == offline_fingerprint(cfg)
 
     def test_evicted_client_cannot_rejoin(self, tmp_path):

@@ -27,7 +27,6 @@ class TestStaging:
         assert chain.pending_count() == 1
         installed = chain.commit_txn("t1", Interval(2, 3))
         assert len(installed) == 1
-        assert installed[0].committed
         assert installed[0].commit == Interval(2, 3)
         assert chain.pending_count() == 0
 
