@@ -84,30 +84,29 @@ class DependencyBus:
         """Fix the delivery line: ``journal`` (a shard's record of what its
         bus accepted), then the certifier, then the Fig. 9 deriver.  On an
         instrumented run the certifier's delivery is timed into
-        ``stats.mechanism_seconds[certifier.name]``; the deriver's is not a
-        bucket of its own (its nested publications still time their
+        ``mechanism.seconds{mechanism=<certifier.name>}``; the deriver's is
+        not timed on its own (its nested publications still time their
         certifier deliveries)."""
         certify = certifier.on_dependency
         if self._metered:
-            certify = self._timed(certifier.name, certify)
+            certify = self._timed(
+                self.metrics.histogram("mechanism.seconds", mechanism=certifier.name),
+                certify,
+            )
         line = [] if journal is None else [journal]
         line.append(certify)
         if deriver is not None:
             line.append(deriver.on_dependency)
         self._line = tuple(line)
 
-    def _timed(self, name: str, callback: DeliverFn) -> DeliverFn:
-        state = self._state
-
+    @staticmethod
+    def _timed(hist, callback: DeliverFn) -> DeliverFn:
         def deliver_timed(dep: Dependency) -> None:
             start = time.perf_counter()
             try:
                 callback(dep)
             finally:
-                bucket = state.stats.mechanism_seconds
-                bucket[name] = bucket.get(name, 0.0) + (
-                    time.perf_counter() - start
-                )
+                hist.observe(time.perf_counter() - start)
 
         return deliver_timed
 
@@ -191,8 +190,8 @@ class VersionOrderDeriver(MechanismVerifier):
     prescribes.  The deriver is not one of the paper's four mechanisms; it
     is the exchange rule connecting them, so it sits on the bus's delivery
     line (after the certifier) instead of owning verifier state, and its
-    time is not a ``stats.mechanism_seconds`` bucket of its own beyond the
-    drain of CR's matches.
+    only timed section is the drain of CR's matches
+    (``mechanism.seconds{mechanism=RW-DERIVE}``).
     """
 
     name = "RW-DERIVE"

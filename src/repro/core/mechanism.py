@@ -36,7 +36,7 @@ class MechanismVerifier:
     transaction node.
     """
 
-    #: short mechanism tag; keys ``stats.mechanism_seconds`` buckets.
+    #: short mechanism tag; labels the ``mechanism.seconds`` histograms.
     name: str = "?"
 
     def on_read(self, trace: "Trace", txn: "TxnState") -> None:

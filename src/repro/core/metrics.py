@@ -307,17 +307,17 @@ PHASES = ("pipeline-sort", "ME", "FUW", "RW-DERIVE", "CR", "SC", "merge")
 
 
 def phase_breakdown(
-    mechanism_seconds: Mapping[str, float],
+    mechanism_totals: Mapping[str, float],
     pipeline_sort_seconds: float = 0.0,
     merge_seconds: float = 0.0,
 ) -> Dict[str, float]:
     """Attribute total wall time across pipeline-sort, the mechanism
-    verifiers and the parallel merge (absent phases report 0.0)."""
+    verifiers (seconds per mechanism tag) and the parallel merge (absent
+    phases report 0.0)."""
     breakdown = {phase: 0.0 for phase in PHASES}
     breakdown["pipeline-sort"] = pipeline_sort_seconds
     breakdown["merge"] = merge_seconds
-    for name, seconds in mechanism_seconds.items():
-        breakdown[name] = breakdown.get(name, 0.0) + seconds
+    breakdown.update(mechanism_totals)
     return breakdown
 
 
@@ -332,17 +332,20 @@ def run_stats(
 
     ``report`` is a :class:`~repro.core.report.VerificationReport`;
     ``metrics`` the registry the run was instrumented with (omitted or
-    disabled -> empty instrument maps).  ``merge_seconds`` defaults to the
-    registry's ``parallel.merge.seconds`` histogram total, so parallel runs
-    need not thread the value through by hand.
+    disabled -> empty instrument maps).  The mechanism phases are the
+    registry's ``mechanism.seconds{mechanism=}`` histogram totals, and
+    ``merge_seconds`` defaults to its ``parallel.merge.seconds`` total, so
+    parallel runs need not thread the value through by hand.
     """
-    stats = report.stats
+    histograms = metrics._histograms if metrics is not None else {}
+    mechanism_totals: Dict[str, float] = {}
+    for key, hist in histograms.items():
+        name, labels = parse_metric_key(key)
+        if name == "mechanism.seconds":
+            mechanism_totals[labels["mechanism"]] = hist.total
     if merge_seconds is None:
-        merge_seconds = 0.0
-        if metrics is not None and metrics.enabled:
-            hist = metrics._histograms.get("parallel.merge.seconds")
-            if hist is not None:
-                merge_seconds = hist.total
+        hist = histograms.get("parallel.merge.seconds")
+        merge_seconds = hist.total if hist is not None else 0.0
     document: Dict[str, Any] = {
         "schema": "repro.stats/v1",
         "isolation_level": report.isolation_level,
@@ -350,9 +353,9 @@ def run_stats(
         "violations": len(report.descriptor),
         "witnesses": report.descriptor.raw_count,
         # Every field of ``VerificationStats``, in declaration order.
-        "stats": dataclasses.asdict(stats),
+        "stats": dataclasses.asdict(report.stats),
         "phases": phase_breakdown(
-            stats.mechanism_seconds,
+            mechanism_totals,
             pipeline_sort_seconds=pipeline_sort_seconds,
             merge_seconds=merge_seconds,
         ),

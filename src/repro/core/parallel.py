@@ -396,8 +396,9 @@ class _StreamMerger:
         horizon_log: "deque",
     ):
         self._txns = txns
+        #: the coordinator's commit log, shared: replay consumes it front
+        #: to back and drops what it consumed, in place.
         self._commits = commits
-        self._commit_pos = 0
         state = VerifierState()
         self.state = state
         self.descriptor = state.descriptor
@@ -425,7 +426,6 @@ class _StreamMerger:
         ]
         self._watermarks = [-1] * shards
         self._replayed_watermark = -1
-        self.replayed = 0
         self._m_replayed = metrics.counter("parallel.stream.replayed")
         self._m_lag = metrics.gauge("parallel.stream.lag")
         self._m_lag_peak = metrics.gauge("parallel.stream.lag.peak")
@@ -482,7 +482,6 @@ class _StreamMerger:
             return 0
         due.sort(key=_EVENT_KEY)
         self._replay_with_gc(due)
-        self.replayed += len(due)
         self._m_replayed.inc(len(due))
         self._note_lag()
         # Consume the log up to the watermark, so it tracks only the
@@ -554,12 +553,10 @@ class _StreamMerger:
         due.sort(key=_EVENT_KEY)
         self._replay_with_gc(due)
         state = self.state
-        commits = self._commits
-        while self._commit_pos < len(commits):
-            _, txn_id = commits[self._commit_pos]
+        for _, txn_id in self._commits:
             self._ensure_txn(txn_id)
             state.graph.add_txn(txn_id)
-            self._commit_pos += 1
+        self._commits.clear()
         self._m_lag.set(0)
         return self.descriptor
 
@@ -590,7 +587,7 @@ class _StreamMerger:
         descriptor = self.descriptor
         ensure = self._ensure_txn
         commits = self._commits
-        pos = self._commit_pos
+        pos = 0
         n_commits = len(commits)
         batch: List = []
         for index, _shard, _seq, kind, payload in events:
@@ -614,7 +611,7 @@ class _StreamMerger:
                 batch.append(payload)
         if batch:
             bus.publish_many(batch)
-        self._commit_pos = pos
+        del commits[:pos]
 
 
 class ParallelVerifier:
@@ -677,7 +674,8 @@ class ParallelVerifier:
         self._options["gc_every"] = gc_every
         self._session_order = session_order
         self._txns: Dict[str, _TxnRecord] = {}
-        #: committed transactions in stream order: (trace_index, txn)
+        #: committed transactions in stream order, (trace_index, txn), that
+        #: the merger has not replayed yet
         self._commits: List[Tuple[int, str]] = []
         self._trace_index = 0
         self._txns_committed = 0
@@ -1071,13 +1069,7 @@ class ParallelVerifier:
                 name = stat.name
                 if name in _COORDINATOR_OWNED:
                     continue
-                value = getattr(stats, name)
-                if isinstance(value, dict):  # mechanism_seconds, per bucket
-                    sums = getattr(merged, name)
-                    for bucket, seconds in value.items():
-                        sums[bucket] = sums.get(bucket, 0.0) + seconds
-                else:
-                    setattr(merged, name, getattr(merged, name) + value)
+                setattr(merged, name, getattr(merged, name) + getattr(stats, name))
         return merged
 
     # -- online-wrapper surface -----------------------------------------------------

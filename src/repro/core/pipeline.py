@@ -166,21 +166,16 @@ class ClientFeed:
 
 @dataclass
 class PipelineStats:
-    """Bookkeeping for the Fig. 10 experiment."""
+    """Fig. 10's memory axis: the peak of traces held at once, staged in
+    the global buffer plus looked ahead in the client feeds.  What the
+    pipeline dispatched, merged and staged per round is counted by the
+    ``pipeline.*`` instruments of an instrumented run."""
 
-    dispatched: int = 0
-    rounds: int = 0
-    peak_heap_size: int = 0
     peak_buffered: int = 0
-    fetches: int = 0
-    #: per-client slices that went through a merge, and releases served
-    #: by one client's slice as it stands.
-    runs_merged: int = 0
-    fastpath_runs: int = 0
 
-    def observe(self, heap_size: int, buffered: int) -> None:
-        self.peak_heap_size = max(self.peak_heap_size, heap_size)
-        self.peak_buffered = max(self.peak_buffered, heap_size + buffered)
+    def observe(self, held: int) -> None:
+        if held > self.peak_buffered:
+            self.peak_buffered = held
 
 
 def prefix_below(items: List[Trace], ts: List[float], bound: Mark) -> int:
@@ -384,7 +379,6 @@ class TwoLevelPipeline:
         roughly as many traces as the previous round dispatched, keeping
         the global buffer bounded by the dispatch rate.
         """
-        self.stats.rounds += 1
         instrumented = self._metrics.enabled
         if instrumented:
             fetch_start = time.perf_counter()
@@ -402,11 +396,10 @@ class TwoLevelPipeline:
             if take_ts[-1] > self._max_pushed_ts:
                 self._max_pushed_ts = take_ts[-1]
             fetched += len(take)
-            self.stats.fetches += 1
             if fetched >= budget:
                 break
         staged = len(self._buffer)
-        self.stats.observe(staged, self._buffered())
+        self.stats.observe(staged + self._buffered())
         self._last_round_dispatched = 0
         if instrumented:
             self._m_fetch.observe(time.perf_counter() - fetch_start)
@@ -433,18 +426,15 @@ class TwoLevelPipeline:
         for index, feed in enumerate(self._feeds):
             feed.refill()
             self._buffer.stage(index, (), [], feed.mark)
-        self.stats.observe(0, self._buffered())
+        self.stats.observe(self._buffered())
         while True:
             batch, slices = self._buffer.release()
             if batch:
                 if slices == 1:
-                    self.stats.fastpath_runs += 1
                     self._m_fastpath.inc()
                 else:
-                    self.stats.runs_merged += slices
                     self._m_runs_merged.inc(slices)
                 dispatched = len(batch)
-                self.stats.dispatched += dispatched
                 self._last_round_dispatched += dispatched
                 self._m_dispatched.inc(dispatched)
                 self._m_splice.observe(dispatched)
@@ -471,14 +461,9 @@ class NaiveGlobalSorter:
         for feed in self._feeds:
             while not feed.exhausted:
                 everything.extend(feed.next_batch())
-                self.stats.fetches += 1
-        self.stats.peak_heap_size = len(everything)
-        self.stats.peak_buffered = len(everything)
+        self.stats.observe(len(everything))
         everything.sort(key=Trace.sort_key)
-        self.stats.rounds = 1
-        for trace in everything:
-            self.stats.dispatched += 1
-            yield trace
+        yield from everything
 
 
 def pipeline_from_client_streams(

@@ -133,9 +133,6 @@ class VerificationStats:
     gc_versions_pruned: int = 0
     gc_locks_pruned: int = 0
     gc_txns_pruned: int = 0
-    #: wall-clock seconds spent per mechanism ("CR", "ME", "FUW", "SC"),
-    #: for the time-breakdown experiment.
-    mechanism_seconds: Dict[str, float] = field(default_factory=dict)
 
     @property
     def deps_total(self) -> int:
@@ -194,19 +191,17 @@ def report_fingerprint(report: VerificationReport) -> str:
     identically no matter how the traces were delivered -- offline files,
     the online service, any arrival interleaving -- which is the
     equivalence the service's drain contract and the offline-vs-online
-    tests pin down.  Timing (``mechanism_seconds``) is excluded: it
-    measures the run, not the history.  Violations are compared by their
+    tests pin down.  The stats are counts of the history only (timings
+    live in the run's metrics registry).  Violations are compared by their
     rendered form and sorted, so backend-dependent discovery order does
     not leak into the digest.
     """
-    stats = dataclasses.asdict(report.stats)
-    stats.pop("mechanism_seconds", None)
     doc = {
         "isolation_level": report.isolation_level,
         "ok": report.ok,
         "violations": sorted(str(v) for v in report.violations),
         "witnesses": report.descriptor.raw_count,
-        "stats": stats,
+        "stats": dataclasses.asdict(report.stats),
     }
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

@@ -154,11 +154,11 @@ class Verifier:
         self._me, self._fuw, self._deriver, self._cr, self._certifier = (
             self.mechanisms
         )
-        #: ``mechanism.terminal.seconds`` histograms of the four timed
-        #: terminal hooks (the deriver's time is the drain's).
+        #: ``mechanism.seconds`` histograms of the four timed terminal
+        #: hooks and of CR's match drain (the deriver's time is the drain's).
         self._terminal_hists = tuple(
-            self.metrics.histogram("mechanism.terminal.seconds", mechanism=m.name)
-            for m in (me, fuw, cr, certifier)
+            self.metrics.histogram("mechanism.seconds", mechanism=m.name)
+            for m in (me, fuw, cr, deriver, certifier)
         )
         self._m_txns_pruned = self.metrics.counter("gc.txns.pruned")
         self._gc: Optional[GarbageCollector] = None
@@ -315,14 +315,13 @@ class Verifier:
         CR's unique matches (the Fig. 9 wr recording and rw derivation,
         plus the certifier work those publications trigger) are drained
         *between* CR's hook and the certifier's, as a step of its own
-        billed to the ``RW-DERIVE`` bucket: the CR bucket answers "how
-        long did the CR checks themselves run".  Other nesting (e.g. a
-        commit-hook publication the certifier consumes inline) still
-        double-counts by design.
+        timed under ``RW-DERIVE``: CR's time answers "how long did the CR
+        checks themselves run".  Other nesting (e.g. a commit-hook
+        publication the certifier consumes inline) still double-counts by
+        design.
 
-        Timing (``stats.mechanism_seconds`` and the
-        ``mechanism.terminal.seconds`` histograms) is an instrument: an
-        uninstrumented run reads no clock here."""
+        Timing (the ``mechanism.seconds`` histograms) is an instrument:
+        an uninstrumented run reads no clock here."""
         cr = self._cr
         if not self.metrics.enabled:
             self._me.on_terminal(txn, trace, installed)
@@ -332,16 +331,16 @@ class Verifier:
             cr.drain_matches()
             self._certifier.on_terminal(txn, trace, installed)
             return
-        me_hist, fuw_hist, cr_hist, certifier_hist = self._terminal_hists
+        me_hist, fuw_hist, cr_hist, drain_hist, certifier_hist = (
+            self._terminal_hists
+        )
         self._timed_terminal(self._me, me_hist, txn, trace, installed)
         self._timed_terminal(self._fuw, fuw_hist, txn, trace, installed)
         self._deriver.on_terminal(txn, trace, installed)
         self._timed_terminal(cr, cr_hist, txn, trace, installed)
         start = time.perf_counter()
         cr.drain_matches()
-        elapsed = time.perf_counter() - start
-        bucket = self.state.stats.mechanism_seconds
-        bucket["RW-DERIVE"] = bucket.get("RW-DERIVE", 0.0) + elapsed
+        drain_hist.observe(time.perf_counter() - start)
         self._timed_terminal(
             self._certifier, certifier_hist, txn, trace, installed
         )
@@ -351,11 +350,7 @@ class Verifier:
         try:
             mechanism.on_terminal(txn, trace, installed)
         finally:
-            elapsed = time.perf_counter() - start
-            bucket = self.state.stats.mechanism_seconds
-            name = mechanism.name
-            bucket[name] = bucket.get(name, 0.0) + elapsed
-            hist.observe(elapsed)
+            hist.observe(time.perf_counter() - start)
 
     def _on_commit(self, trace: Trace, txn: TxnState) -> None:
         state = self.state

@@ -147,8 +147,8 @@ class IngestGateway:
         self.online = OnlineVerifier(verifier=self._backend)
         self.registry = SessionRegistry()
 
-        # Plain-int service counters (always on; the registry mirrors them
-        # as service.* instruments when metrics are enabled).
+        # The service's counters: plain ints, always on, served by the
+        # ``status`` query (the registry holds the verifier's instruments).
         self.frames_total = 0
         self.traces_total = 0
         self.bytes_total = 0
@@ -164,21 +164,6 @@ class IngestGateway:
         self.max_ts_seen: Optional[float] = None
         #: last protocol errors, newest last (status endpoint shows them).
         self.errors: List[Dict[str, object]] = []
-
-        self._m_active = self.metrics.gauge("service.sessions.active")
-        self._m_opened = self.metrics.counter("service.sessions.opened")
-        self._m_closed = self.metrics.counter("service.sessions.closed")
-        self._m_frames = self.metrics.counter("service.frames")
-        self._m_traces = self.metrics.counter("service.traces")
-        self._m_bytes = self.metrics.counter("service.bytes")
-        self._m_heartbeats = self.metrics.counter("service.heartbeats")
-        self._m_errors = self.metrics.counter("service.errors")
-        self._m_evictions = self.metrics.counter("service.evictions")
-        self._m_credits = self.metrics.counter("service.credit.granted")
-        self._m_stalls = self.metrics.counter("service.budget.stalls")
-        self._m_pending = self.metrics.gauge("service.pending")
-        self._m_pending_peak = self.metrics.gauge("service.pending.peak")
-        self._m_lag = self.metrics.gauge("service.watermark.lag")
 
         self._ingest_server: Optional[asyncio.base_events.Server] = None
         self._status_server: Optional[asyncio.base_events.Server] = None
@@ -318,11 +303,6 @@ class IngestGateway:
         pending = self.pending_events()
         if pending > self.pending_peak:
             self.pending_peak = pending
-        self._m_pending.set(pending)
-        self._m_pending_peak.high_watermark(pending)
-        lag = self.watermark_lag()
-        if lag is not None:
-            self._m_lag.set(lag)
 
     async def _notify_dispatch(self) -> None:
         async with self._dispatch_cond:
@@ -334,8 +314,6 @@ class IngestGateway:
         task = asyncio.current_task()
         self._tasks.add(task)
         session = self.registry.open()
-        self._m_opened.inc()
-        self._m_active.set(self.registry.active)
         try:
             if self._draining:
                 raise ServiceProtocolError(
@@ -357,8 +335,6 @@ class IngestGateway:
         finally:
             self._live.pop(session.client_id, None)
             self.registry.close(session)
-            self._m_closed.inc()
-            self._m_active.set(self.registry.active)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -405,8 +381,6 @@ class IngestGateway:
             session.bytes += size
             self.frames_total += 1
             self.bytes_total += size
-            self._m_frames.inc()
-            self._m_bytes.inc(size)
             tag, body = protocol.split_frame(payload)
 
             if tag == protocol.F_TRACES:
@@ -421,12 +395,10 @@ class IngestGateway:
                 await self._budget_gate(session, client_id, writer)
                 writer.write(protocol.credit_frame(1))
                 self.credits_total += 1
-                self._m_credits.inc()
                 await writer.drain()
             elif tag == protocol.F_HEARTBEAT:
                 now = protocol.parse_control(tag, body)["now"]
                 self.heartbeats_total += 1
-                self._m_heartbeats.inc()
                 dispatched = self.online.heartbeat(client_id, now)
                 self._settle_refusals(session)
                 if dispatched:
@@ -464,7 +436,6 @@ class IngestGateway:
             self.frame_traces_max = count
         session.traces += count
         self.traces_total += count
-        self._m_traces.inc(count)
         if count:
             newest = traces[-1].ts_bef
             if self.max_ts_seen is None or newest > self.max_ts_seen:
@@ -499,7 +470,6 @@ class IngestGateway:
         if self.online.client_mark(client_id) <= self.online.watermark:
             return
         self.stalls_total += 1
-        self._m_stalls.inc()
         writer.write(protocol.pause_frame())
         await writer.drain()
         while not self._draining:
@@ -535,10 +505,7 @@ class IngestGateway:
                 session_id=session.session_id if session is not None else None,
                 byte_offset=session.frame_offset if session is not None else None,
             )
-        if session is not None:
-            session.error = str(err)
         self.errors_total += 1
-        self._m_errors.inc()
         self.errors.append(
             {
                 "session": err.session_id,
@@ -552,7 +519,6 @@ class IngestGateway:
             self.registry.evict(client_id)
             self.online.evict_client(client_id)
             self.evictions_total += 1
-            self._m_evictions.inc()
             self._note_pending()
         if writer is not None:
             try:

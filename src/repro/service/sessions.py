@@ -34,8 +34,6 @@ class ClientRecord:
 
     client_id: int
     next_seq: int = 0
-    traces: int = 0
-    sessions: int = 0
     #: session id currently attached to this client (None between
     #: connections); a client may only be driven by one session at a time.
     active_session: Optional[int] = None
@@ -60,7 +58,6 @@ class Session:
     #: processed (error reports point here).
     frame_offset: int = 0
     closed: bool = False
-    error: Optional[str] = None
 
     @property
     def client_id(self) -> Optional[int]:
@@ -75,7 +72,6 @@ class SessionRegistry:
         self._clients: Dict[int, ClientRecord] = {}
         self._next_session = 1
         self.opened = 0
-        self.closed = 0
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -103,7 +99,6 @@ class SessionRegistry:
                 f"session {record.active_session}"
             )
         record.active_session = session.session_id
-        record.sessions += 1
         session.client = record
         return record
 
@@ -111,7 +106,6 @@ class SessionRegistry:
         if session.closed:
             return
         session.closed = True
-        self.closed += 1
         if session.client is not None:
             if session.client.active_session == session.session_id:
                 session.client.active_session = None
@@ -135,7 +129,6 @@ class SessionRegistry:
         if record is None:
             raise ValueError("session has no bound client")
         record.next_seq += count
-        record.traces += count
 
     # -- introspection -----------------------------------------------------
 

@@ -929,3 +929,66 @@ class TestFlatMemory:
         code, seen, _ = self.run_cli(monkeypatch, capture, extra)
         assert code == 2
         assert 0 < seen["dispatched"] < seen["decoded"]
+
+
+def _fields(tree, cls):
+    """Annotated class-level fields of ``cls``: ``{name: annotation}``."""
+    node = next(
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name == cls
+    )
+    return {
+        ast.unparse(item.target): item
+        for item in node.body
+        if isinstance(item, ast.AnnAssign)
+    }
+
+
+def test_each_measurement_has_one_home():
+    """Counts stay in the objects that own them -- the report, the
+    service's ``status`` document, Fig. 10's pipeline peak -- and timings
+    and optional instruments go only in the metrics registry.  The report
+    holds no timing (no dict of per-mechanism seconds to strip before a
+    comparison), the pipeline keeps only the peak no instrument holds, the
+    gateway copies none of its counters into the registry, and nothing is
+    written that nothing reads."""
+    sources = {
+        path.relative_to(SRC).as_posix(): path.read_text()
+        for path in sorted(pathlib.Path(SRC, "repro").rglob("*.py"))
+    }
+    for retired in ("mechanism_seconds", "mechanism.terminal.seconds"):
+        named = [name for name, text in sources.items() if retired in text]
+        assert not named, (retired, named)
+    stats = _fields(_core_ast("report.py"), "VerificationStats")
+    assert "traces_processed" in stats
+    dict_valued = [
+        name
+        for name, item in stats.items()
+        if re.search(r"dict|Dict|Mapping", ast.unparse(item.annotation))
+        or (item.value is not None and "default_factory" in ast.unparse(item.value))
+    ]
+    assert not dict_valued, dict_valued
+    assert list(_fields(_core_ast("pipeline.py"), "PipelineStats")) == ["peak_buffered"]
+    gateway = ast.parse(sources["repro/service/gateway.py"])
+    mirrored = [
+        ast.unparse(node)
+        for node in ast.walk(gateway)
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and node.attr.startswith("_m_")
+        )
+        or (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and node.value.startswith("service.")
+        )
+    ]
+    assert not mirrored, mirrored
+    sessions = ast.parse(sources["repro/service/sessions.py"])
+    assert not {"traces", "sessions"} & set(_fields(sessions, "ClientRecord"))
+    assert "error" not in _fields(sessions, "Session")
+    registry = _assigned_attributes(_method(sessions, "SessionRegistry", "__init__"))
+    assert "closed" not in registry
+    merger = _assigned_attributes(_method(_core_ast("parallel.py"), "_StreamMerger", "__init__"))
+    assert "replayed" not in merger

@@ -219,9 +219,15 @@ class TestYcsbVariants:
         )
         from repro.core.metrics import MetricsRegistry
 
-        report = verify_run(run, PG_SERIALIZABLE, metrics=MetricsRegistry())
-        buckets = report.stats.mechanism_seconds
-        assert set(buckets) >= {"CR", "ME", "FUW"}
-        assert all(v >= 0 for v in buckets.values())
-        # The timers are an instrument: off without a registry.
-        assert verify_run(run, PG_SERIALIZABLE).stats.mechanism_seconds == {}
+        metrics = MetricsRegistry()
+        report = verify_run(run, PG_SERIALIZABLE, metrics=metrics)
+        timers = {
+            key: summary
+            for key, summary in metrics.snapshot()["histograms"].items()
+            if key.startswith("mechanism.seconds{")
+        }
+        assert {f"mechanism.seconds{{mechanism={m}}}" for m in ("CR", "ME", "FUW")} <= set(timers)
+        assert all(summary["min"] >= 0 for summary in timers.values())
+        # The timers are an instrument: the report holds no timing, and
+        # an uninstrumented run's report equals the instrumented one.
+        assert verify_run(run, PG_SERIALIZABLE).stats == report.stats

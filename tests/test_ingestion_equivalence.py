@@ -20,9 +20,8 @@ from repro.core.io import (
 
 
 def report_fingerprint(report):
-    """Everything observable about a report except timing."""
+    """Everything observable about a report (it holds no timing)."""
     stats = dataclasses.asdict(report.stats)
-    stats.pop("mechanism_seconds", None)
     return {
         "summary": report.summary(),
         "ok": report.ok,

@@ -249,6 +249,44 @@ class TestMidRunSurfacing:
         assert counters["parallel.stream.replayed"] > 0
         assert counters["parallel.stream.gc.frontier.scanned"] > 0
 
+    @pytest.mark.parametrize("backend", ["inline", "process"])
+    def test_commit_log_holds_only_unreplayed_commits(
+        self, blindw_rw_run, backend, monkeypatch
+    ):
+        """The coordinator's commit log is what the merger still has to
+        install: replay drops the prefix it consumed, so at every batch
+        boundary every commit held lies past the last replayed event, and
+        after ``finish()`` none is left -- the log does not grow with the
+        history."""
+        replayed = [-1]
+        plain = _StreamMerger._replay
+
+        def replay(self, events):
+            plain(self, events)
+            if events:
+                replayed[0] = max(replayed[0], events[-1][0])
+
+        monkeypatch.setattr(_StreamMerger, "_replay", replay)
+        verifier = ParallelVerifier(
+            spec=PG_SERIALIZABLE,
+            initial_db=blindw_rw_run.initial_db,
+            shards=2,
+            backend=backend,
+            segment_events=64,
+        )
+        held_peak = 0
+        for batch in pipeline_from_client_streams(
+            blindw_rw_run.client_streams
+        ).iter_batches():
+            verifier.process_batch(batch)
+            held = verifier._commits
+            assert all(index > replayed[0] for index, _ in held)
+            held_peak = max(held_peak, len(held))
+        assert replayed[0] > 0  # replay ran mid-run
+        report = verifier.finish()
+        assert verifier._commits == []
+        assert held_peak < report.stats.txns_committed
+
     def test_buffered_journal_stays_within_budget(self):
         """A shard flushes at ``segment_events``, segments from every
         shard can sit buffered between merge advances, and the merged

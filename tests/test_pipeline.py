@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.metrics import MetricsRegistry
 from repro.core.pipeline import (
     ClientFeed,
     NaiveGlobalSorter,
@@ -105,11 +106,15 @@ class TestTwoLevelPipeline:
 
     def test_stats_counted(self):
         streams = interleaved_streams()
-        pipeline = pipeline_from_client_streams(streams, batch_size=10)
+        metrics = MetricsRegistry()
+        pipeline = pipeline_from_client_streams(
+            streams, batch_size=10, metrics=metrics
+        )
         total = sum(1 for _ in pipeline)
-        assert pipeline.stats.dispatched == total
-        assert pipeline.stats.rounds > 0
-        assert pipeline.stats.peak_heap_size > 0
+        assert metrics.counter_value("pipeline.traces.dispatched") == total
+        heap = metrics.snapshot()["histograms"]["pipeline.heap.size"]
+        assert heap["count"] > 0 and heap["max"] > 0
+        assert pipeline.stats.peak_buffered >= heap["max"]
 
     def test_laggard_client_bounds_heap(self):
         """A very slow client should not make the optimized pipeline buffer
@@ -117,13 +122,16 @@ class TestTwoLevelPipeline:
         fast = make_stream(0, [i * 0.001 for i in range(400)])
         slow = make_stream(1, [i * 0.4 for i in range(400)])
         streams = {0: fast, 1: slow}
-        optimized = pipeline_from_client_streams(streams, batch_size=16)
-        list(optimized)
-        unoptimized = pipeline_from_client_streams(
-            streams, batch_size=16, optimized=False
-        )
-        list(unoptimized)
-        assert optimized.stats.peak_heap_size <= unoptimized.stats.peak_heap_size
+        peaks = []
+        for optimized in (True, False):
+            metrics = MetricsRegistry()
+            list(
+                pipeline_from_client_streams(
+                    streams, batch_size=16, optimized=optimized, metrics=metrics
+                )
+            )
+            peaks.append(metrics.snapshot()["histograms"]["pipeline.heap.size"]["max"])
+        assert peaks[0] <= peaks[1]
 
 
 class TestNaiveSorter:
@@ -241,10 +249,15 @@ class TestRunMerge:
 
     def test_run_stats_counted(self):
         streams = interleaved_streams(n_clients=6, seed=17)
-        pipeline = pipeline_from_client_streams(streams, batch_size=8)
+        metrics = MetricsRegistry()
+        pipeline = pipeline_from_client_streams(streams, batch_size=8, metrics=metrics)
         total = sum(len(b) for b in pipeline.iter_batches())
-        assert pipeline.stats.dispatched == total
-        assert pipeline.stats.runs_merged + pipeline.stats.fastpath_runs > 0
+        assert metrics.counter_value("pipeline.traces.dispatched") == total
+        assert (
+            metrics.counter_value("pipeline.run.merged")
+            + metrics.counter_value("pipeline.run.fastpath")
+            > 0
+        )
 
 
 @settings(max_examples=60, deadline=None)
@@ -309,13 +322,14 @@ class TestRandomizedEquivalence:
                 continue
             batch_size = rng.choice([1, 2, 7, 64])
             expected = sorted_traces(streams)
+            metrics = MetricsRegistry()
             pipeline = pipeline_from_client_streams(
-                streams, batch_size=batch_size, optimized=optimized
+                streams, batch_size=batch_size, optimized=optimized, metrics=metrics
             )
             dispatched = list(pipeline)
             assert [t.trace_id for t in dispatched] == [
                 t.trace_id for t in expected
             ]
-            assert pipeline.stats.dispatched == sum(
+            assert metrics.counter_value("pipeline.traces.dispatched") == sum(
                 len(s) for s in streams.values()
             )

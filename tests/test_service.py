@@ -1074,3 +1074,163 @@ class TestOneLoop:
                 main(argv)
             assert refusal.value.code == 2
             assert told in capsys.readouterr().err
+
+
+class TestDamagedStreams:
+    """A stream damaged anywhere ends its session in bounded time, and
+    only its session: truncated at every byte offset, or with any byte
+    outside the ``TRACES`` bodies flipped (magic, length prefixes, tags,
+    control bodies -- the codec tests cover body damage).  Each variant
+    runs on its own session and client id and closes its write side
+    after sending; it ends in an ``ERROR`` naming its own session at an
+    offset no later than the damaged byte, in a close with no reply, or
+    -- for a flip that still decodes to a legal frame -- in acceptance.
+    A clean client registered before them and fed after them has every
+    trace accepted, and the gateway still answers ``status`` and
+    drains."""
+
+    #: two-byte varint client ids, so every variant's stream has one layout
+    FIRST_CLIENT = 200
+
+    @staticmethod
+    def _stream(client_id):
+        """magic, HELLO, two TRACES, HEARTBEAT, BYE -- and the byte ranges
+        of the two TRACES bodies."""
+        txn = f"t{client_id:05d}"
+        frames = [
+            protocol.hello_frame(client_id),
+            protocol.traces_frame(
+                encode_batch(
+                    [
+                        Trace.write(
+                            1.0, 1.1, txn, {("dmg", client_id): {"v": 1}},
+                            client_id=client_id,
+                        ),
+                    ]
+                )
+            ),
+            protocol.traces_frame(
+                encode_batch([Trace.commit(2.0, 2.1, txn, client_id=client_id)])
+            ),
+            protocol.heartbeat_frame(3.0),
+            protocol.bye_frame(),
+        ]
+        stream = bytearray(protocol.SERVICE_MAGIC)
+        bodies = []
+        for frame in frames:
+            if frame[protocol.PREFIX_SIZE] == protocol.F_TRACES:
+                start = len(stream) + protocol.PREFIX_SIZE + 1
+                bodies.append(range(start, len(stream) + len(frame)))
+            stream += frame
+        heartbeat = len(stream) - len(frames[-1]) - 8
+        return bytes(stream), bodies, range(heartbeat, heartbeat + 8)
+
+    @staticmethod
+    async def _send(path, data):
+        """Send ``data``, close the write side, read every reply until
+        the server closes."""
+        reader, writer = await asyncio.open_unix_connection(path)
+        try:
+            writer.write(data)
+            await writer.drain()
+            writer.write_eof()
+            replies = []
+            while True:
+                try:
+                    payload = await protocol.read_frame(reader)
+                except (ServiceProtocolError, ConnectionError):
+                    break
+                if payload is None:
+                    break
+                tag, body = protocol.split_frame(payload)
+                replies.append((tag, protocol.parse_control(tag, body)))
+            return replies
+        finally:
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (ConnectionError, OSError):
+                pass
+
+    def test_damaged_streams_end_in_bounded_time(self, tmp_path):
+        template, bodies, heartbeat = self._stream(self.FIRST_CLIENT)
+        damages = [("cut", offset) for offset in range(len(template))]
+        damages += [
+            ("flip", offset)
+            for offset in range(len(template))
+            if not any(offset in body for body in bodies)
+        ]
+        cfg = _quick_cfg(tmp_path, sessions=1, shards=0)
+        clean_frames = list(iter_frames(cfg, 0))
+
+        async def scenario():
+            gateway = _gateway(cfg, tmp_path)
+            await gateway.start()
+            ingest = gateway.ingest_endpoint
+            try:
+                # The clean client joins first and holds the watermark
+                # until every variant has had its say: no variant's
+                # traces can fall behind a dispatched one.
+                clean = await TestRefusedAtDispatch._open(ingest, 0)
+                outcomes = []
+                for number, (kind, offset) in enumerate(damages):
+                    client = self.FIRST_CLIENT + number
+                    stream, _, _ = self._stream(client)
+                    assert len(stream) == len(template)
+                    if kind == "cut":
+                        data = stream[:offset]
+                    else:
+                        data = bytearray(stream)
+                        data[offset] ^= 0xFF
+                        data = bytes(data)
+                    replies = await asyncio.wait_for(
+                        self._send(ingest, data), timeout=10
+                    )
+                    outcomes.append((kind, offset, number + 2, replies))
+                reader, writer, _ = clean
+                for frame in clean_frames:
+                    writer.write(frame)
+                writer.write(protocol.bye_frame())
+                await writer.drain()
+                acked = None
+                while acked is None:
+                    tag, body = await TestRefusedAtDispatch._reply(reader)
+                    assert tag in (protocol.S_CREDIT, protocol.S_BYE), tag
+                    if tag == protocol.S_BYE:
+                        acked = body["traces_accepted"]
+                writer.close()
+                await writer.wait_closed()
+                status = await query_status(gateway.status_endpoint, "status")
+                drained = await asyncio.wait_for(
+                    query_status(gateway.status_endpoint, "drain"), timeout=30
+                )
+            finally:
+                await gateway.aclose()
+            return outcomes, acked, status, drained
+
+        outcomes, acked, status, drained = asyncio.run(scenario())
+        for kind, offset, session, replies in outcomes:
+            tags = [tag for tag, _ in replies]
+            errors = [body for tag, body in replies if tag == protocol.S_ERROR]
+            case = (kind, offset, replies)
+            if errors:
+                (error,) = errors
+                assert tags[-1] == protocol.S_ERROR, case
+                assert error["session_id"] == session, case
+                assert error["byte_offset"] <= offset, case
+            elif protocol.S_BYE in tags:
+                assert kind == "flip" and offset in heartbeat, case
+                assert replies[-1] == (protocol.S_BYE, {"traces_accepted": 2}), case
+            else:
+                # Closed with no reply to the damage: nothing but the
+                # handshake and the credit for frames that were whole.
+                assert set(tags) <= {protocol.S_WELCOME, protocol.S_CREDIT}, case
+                assert kind == "cut", case
+        assert acked == cfg.actual_traces
+        assert status["ok"]
+        assert status["service"]["sessions_total"] == len(damages) + 1
+        assert status["service"]["errors"] == sum(
+            protocol.S_ERROR in (tag for tag, _ in replies)
+            for _, _, _, replies in outcomes
+        )
+        assert drained["ok"]
