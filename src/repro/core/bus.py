@@ -239,7 +239,11 @@ class VersionOrderDeriver(MechanismVerifier):
         wr = DepType.WR
         deduced_by = Mechanism.CONSISTENT_READ
         for version, reader in matches:
-            version.readers.add(reader)
+            readers = version.readers
+            if readers is None:
+                version.readers = {reader}
+            else:
+                readers.add(reader)
             txns[reader].matched_versions.append(version)
             installer = version.txn_id
             key = version.key
@@ -288,7 +292,7 @@ class VersionOrderDeriver(MechanismVerifier):
             version = versions[idx]
             if version.txn_id != src or versions[idx + 1].txn_id != dst:
                 continue
-            for reader in version.readers:
+            for reader in version.readers or ():
                 if reader == dst or reader == src:
                     continue
                 self._bus.publish(
@@ -313,8 +317,10 @@ class VersionOrderDeriver(MechanismVerifier):
             if chain is None:
                 continue
             predecessor = chain.predecessor_of(version)
-            if predecessor is None or not self._order_confirmed(
-                predecessor, version
+            if (
+                predecessor is None
+                or predecessor.readers is None
+                or not self._order_confirmed(predecessor, version)
             ):
                 continue
             for reader in predecessor.readers:

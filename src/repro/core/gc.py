@@ -181,8 +181,7 @@ class GarbageCollector:
         pruned = 0
         for key in list(candidates):
             chain = candidates[key]
-            if chain._aborted:
-                chain._aborted.clear()
+            chain._aborted = None
             keys = chain._keys
             if len(keys) < 2:
                 # Back to a single version: out of the candidate set until
@@ -258,9 +257,15 @@ class GarbageCollector:
             del txns[txn_id]
             locks_pruned += drop_locks(txn_id)
             # From here on the bus guard drops every edge that names the
-            # transaction, so the reader sets it joined let go of it too.
+            # transaction, so the reader sets it joined let go of it too
+            # (a set left empty goes: a reader set exists only while
+            # someone is in it).
             for version in txn.matched_versions:
-                version.readers.discard(txn_id)
+                readers = version.readers
+                if readers is not None:
+                    readers.discard(txn_id)
+                    if not readers:
+                        version.readers = None
         for entry in retained:
             heapq.heappush(heap, entry)
         state.stats.gc_locks_pruned += locks_pruned

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
@@ -204,4 +203,9 @@ def report_fingerprint(report: VerificationReport) -> str:
         "stats": dataclasses.asdict(report.stats),
     }
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    # Imported here, not at module top: only fingerprints hash, and
+    # hashlib maps OpenSSL (~3.6 MB resident) into every process that
+    # imports it -- ``repro verify`` and its shard workers need none of it.
+    import hashlib
+
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

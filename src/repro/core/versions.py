@@ -9,9 +9,12 @@ record, reconstructed purely from traces:
   their installation interval, with a parallel list of sort keys so
   insertion and position lookup are binary searches and classification
   reads plain floats instead of ``Version`` attributes;
-* every version carries the *cumulative record image* at that point in the
-  chain, so partial-column writes (TPC-C style) can be matched against
-  reads that observe different column subsets.
+* every committed version carries the *cumulative record image* at that
+  point in the chain, so partial-column writes (TPC-C style) can be
+  matched against reads that observe different column subsets.  Neither
+  a delta nor an image is ever mutated in place, so a version whose
+  delta covers every column of the previous image (and carries no
+  tombstone) holds the delta itself as its image.
 
 Given a read's snapshot-generation interval (Definition 2), the chain
 classifies versions into the five categories of Fig. 6 -- future, overlap,
@@ -49,7 +52,14 @@ from typing import (
 )
 
 from .intervals import INITIAL_INTERVAL, Interval
-from .trace import ColumnMap, INIT_TXN, Key, apply_delta, reads_match
+from .trace import (
+    ColumnMap,
+    INIT_TXN,
+    Key,
+    TOMBSTONE_COLUMN,
+    apply_delta,
+    reads_match,
+)
 
 _version_seq = itertools.count()
 
@@ -66,6 +76,23 @@ def chain_sort_key(version: "Version") -> Tuple[float, float, float, int]:
     the key can drive binary searches)."""
     effective = version.effective_install
     return (effective.ts_aft, effective.ts_bef, version.install.ts_aft, version.seq)
+
+
+def fold_image(
+    previous: Mapping[str, object], delta: Dict[str, object]
+) -> Dict[str, object]:
+    """The record image after ``delta`` lands on the image ``previous``.
+
+    When the delta carries no tombstone and sets every column of
+    ``previous`` (so that image is no tombstone either), the new image
+    *is* the delta, and the delta itself is returned -- no copy (the
+    steady state of full-row writes).  Otherwise a new dict.  Sharing is
+    safe because nothing mutates a delta or an image in place."""
+    if not delta.get(TOMBSTONE_COLUMN) and previous.keys() <= delta.keys():
+        return delta
+    image = dict(previous)
+    apply_delta(image, delta)
+    return image
 
 
 #: candidate tuples are ordered by staging sequence.
@@ -91,12 +118,14 @@ class Version:
     #: columns this write set (the delta).
     columns: Dict[str, object]
     #: cumulative record image up to and including this version, under the
-    #: chain's current order.
-    image: Dict[str, object] = field(default_factory=dict)
+    #: chain's current order (None while staged).  It *is* ``columns`` when
+    #: the delta covers the previous image (:func:`fold_image`).
+    image: Optional[Dict[str, object]] = None
     #: commit interval of the installing transaction (None while pending).
     commit: Optional[Interval] = None
-    #: transactions observed (via CR wr deduction) to have read this version.
-    readers: Set[str] = field(default_factory=set)
+    #: transactions observed (via CR wr deduction) to have read this
+    #: version; None until the first one.
+    readers: Optional[Set[str]] = None
     seq: int = field(default_factory=_version_seq.__next__)
 
     @property
@@ -148,7 +177,9 @@ class VersionChain:
     :func:`chain_sort_key`, with the keys themselves in the parallel list
     ``self._keys``; uncommitted writes are staged per transaction until
     the commit trace arrives (mirroring how an MVCC engine installs
-    versions at commit).
+    versions at commit).  The staging table ``_pending`` and the aborted
+    residue ``_aborted`` exist only while non-empty (None otherwise): most
+    chains hold neither most of the time.
     """
 
     __slots__ = (
@@ -166,8 +197,8 @@ class VersionChain:
     ):
         self.key = key
         self._chain: List[Version] = []
-        self._pending: Dict[str, List[Version]] = {}
-        self._aborted: List[Version] = []
+        self._pending: Optional[Dict[str, List[Version]]] = None
+        self._aborted: Optional[List[Version]] = None
         #: ``chain_sort_key`` of every committed version, in chain order:
         #: ``(eff.ts_aft, eff.ts_bef, install.ts_aft, seq)``.
         self._keys: List[Tuple[float, float, float, int]] = []
@@ -202,10 +233,19 @@ class VersionChain:
         return self._chain
 
     def aborted_versions(self) -> List[Version]:
-        return list(self._aborted)
+        return list(self._aborted or ())
+
+    def pending_versions(self) -> List[Version]:
+        """Every staged (uncommitted) version, per transaction in staging
+        order."""
+        pending = self._pending
+        if pending is None:
+            return []
+        return [v for versions in pending.values() for v in versions]
 
     def pending_count(self) -> int:
-        return sum(len(v) for v in self._pending.values())
+        pending = self._pending
+        return sum(map(len, pending.values())) if pending is not None else 0
 
     def _position(self, version: Version) -> int:
         """Chain index of ``version`` (by identity): a binary search on
@@ -247,24 +287,40 @@ class VersionChain:
             install=interval,
             columns=columns,
         )
-        self._pending.setdefault(txn_id, []).append(version)
+        pending = self._pending
+        if pending is None:
+            self._pending = {txn_id: [version]}
+        else:
+            pending.setdefault(txn_id, []).append(version)
         return version
+
+    def _unstage(self, txn_id: str) -> List[Version]:
+        """Take a transaction's staged versions off the staging table."""
+        pending = self._pending
+        if pending is None:
+            return []
+        staged = pending.pop(txn_id, [])
+        if not pending:
+            self._pending = None
+        return staged
 
     def commit_txn(self, txn_id: str, commit_interval: Interval) -> List[Version]:
         """Install a transaction's staged versions into the committed chain
         (sorted by :func:`chain_sort_key`).  Returns the versions that
         became visible."""
-        staged = self._pending.pop(txn_id, [])
-        installed: List[Version] = []
+        staged = self._unstage(txn_id)
         for version in staged:
             version.commit = commit_interval
             self._insert_sorted(version)
-            installed.append(version)
-        return installed
+        return staged
 
     def abort_txn(self, txn_id: str) -> List[Version]:
-        dropped = self._pending.pop(txn_id, [])
-        self._aborted.extend(dropped)
+        dropped = self._unstage(txn_id)
+        if dropped:
+            if self._aborted is None:
+                self._aborted = dropped
+            else:
+                self._aborted.extend(dropped)
         return dropped
 
     def _insert_sorted(self, version: Version) -> None:
@@ -273,11 +329,11 @@ class VersionChain:
         chain = self._chain
         if not keys or sort_key > keys[-1]:
             # Commits arrive roughly in timestamp order, so the common
-            # case is an append at the tail: one image, built on a copy of
-            # the predecessor's.
-            image = dict(chain[-1].image) if chain else {}
-            apply_delta(image, version.columns)
-            version.image = image
+            # case is an append at the tail: one image, folded onto the
+            # predecessor's.
+            version.image = fold_image(
+                chain[-1].image if chain else {}, version.columns
+            )
             keys.append(sort_key)
             chain.append(version)
             return
@@ -288,13 +344,12 @@ class VersionChain:
 
     def _recompute_images(self, start: int) -> None:
         """Rebuild cumulative images from ``start`` to the tail (deletion
-        deltas replace; re-inserts start from an empty row)."""
-        base: Dict[str, object] = (
-            dict(self._chain[start - 1].image) if start > 0 else {}
-        )
-        for version in self._chain[start:]:
-            apply_delta(base, version.columns)
-            version.image = dict(base)
+        deltas replace; re-inserts start from an empty row).  Each image
+        is replaced, never updated: an image may be its version's delta."""
+        chain = self._chain
+        image: Mapping[str, object] = chain[start - 1].image if start > 0 else {}
+        for version in chain[start:]:
+            image = version.image = fold_image(image, version.columns)
 
     # -- candidate version set (Fig. 6 / Theorem 2) -----------------------------
 
@@ -450,13 +505,20 @@ class VersionChain:
         return [v for v in self._chain if v.matches(observed)]
 
     def find_matching_pending(self, observed: ColumnMap) -> List[Version]:
-        matches: List[Version] = []
-        for versions in self._pending.values():
-            matches.extend(v for v in versions if reads_match(observed, v.columns))
-        matches.extend(
-            v for v in self._aborted if reads_match(observed, v.columns)
-        )
-        return matches
+        """The staged, then the aborted, versions a read observing
+        ``observed`` may have seen: it agrees with the columns the version
+        wrote, and its other columns are consistent with a committed image
+        the write could have landed on, or with no row at all (a
+        partial-row write leaves the rest of the row as it was)."""
+        bases = [{}] + [v.image for v in self._chain]
+        return [
+            v
+            for v in self.pending_versions() + self.aborted_versions()
+            if any(
+                reads_match(observed, fold_image(base, v.columns))
+                for base in bases
+            )
+        ]
 
     # -- garbage collection ----------------------------------------------------------
 
@@ -487,8 +549,7 @@ class VersionChain:
         :meth:`drop_prefix` (:meth:`GarbageCollector._prune_versions`) -- and comes here for
         pivot-overlap chains, tied pivots and pinned installers.
         """
-        if self._aborted:
-            self._aborted.clear()
+        self._aborted = None
         # Garbage needs at least two versions definitely before the horizon
         # (a pivot and something it overwrote); most chains fail this cheap
         # test and are skipped without a classification.  The key index

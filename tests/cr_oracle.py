@@ -84,10 +84,21 @@ def diagnose(cr, txn, key, observed, snapshot, chain) -> Optional[Finding]:
             else ViolationKind.STALE_READ
         )
         return _finding(kind, txn, key, version.txn_id)
-    uncommitted = [
-        v for versions in chain._pending.values() for v in versions
-    ] + chain.aborted_versions()
-    dirty = [v for v in uncommitted if reads_match(observed, v.columns)]
+    uncommitted = chain.pending_versions() + chain.aborted_versions()
+    # A dirty read agrees with the columns the write set; the rest of the
+    # row is what some committed image (or no row at all) held under it.
+    rows = [{}] + [v.image for v in chain.committed_versions()]
+
+    def landed(delta, row):
+        image = dict(row)
+        apply_delta(image, delta)
+        return image
+
+    dirty = [
+        v
+        for v in uncommitted
+        if any(reads_match(observed, landed(v.columns, row)) for row in rows)
+    ]
     if dirty:
         return _finding(ViolationKind.DIRTY_READ, txn, key, dirty[0].txn_id)
     return _finding(ViolationKind.UNKNOWN_VERSION, txn, key)

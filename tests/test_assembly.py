@@ -340,8 +340,9 @@ class TestFig9Deriver:
             chain.stage_write(txn_id, {"v": txn_id}, Interval(at, at + 1))
             chain.commit_txn(txn_id, Interval(10 + at, 20 + at))
         by_a, by_b, _ = chain.committed_versions()
-        by_a.readers.update(("r1", "r2", "b"))
-        by_b.readers.add("r3")
+        # A version's reader set is created by its first reader.
+        by_a.readers = {"r1", "r2", "b"}
+        by_b.readers = {"r3"}
         derived = []
         bus.connect(
             _Sink("certifier", []),

@@ -419,22 +419,18 @@ class TestDamagedCapture:
 
 def test_verify_path_imports_stay_lean(tmp_path):
     """``repro verify`` (serial) must not pay for multiprocessing, the
-    simulated DBMS, the online/parallel layers or the shard router --
+    simulated DBMS, the online/parallel layers, the shard router or
+    OpenSSL (``hashlib`` / ``ssl``: only report fingerprints hash) --
     neither at import nor by the end of a serial verify; the lazy
-    re-exports still resolve on demand.
-
-    (``hashlib`` is deliberately not on the list although only report
-    fingerprints hash: dropping OpenSSL takes ~3 MB off the process, which
-    puts a smoke-scale ``repro verify`` below the resident size of the
-    ledger benchmark that spawns it and trips that benchmark's "peak RSS
-    is the benchmark's own" validity check.)"""
+    re-exports still resolve on demand."""
     capture = tmp_path / "cap"
     main(["run", "--workload", "blindw-rw", "--txns", "40", "--clients", "2",
           "--seed", "5", "--out", str(capture), "--format", "binary"])
     script = (
         "import sys, repro.__main__\n"
         "heavy = ['multiprocessing', 'repro.dbsim', 'repro.core.parallel',\n"
-        "         'repro.core.online', 'repro.core.sharding']\n"
+        "         'repro.core.online', 'repro.core.sharding',\n"
+        "         'hashlib', '_hashlib', 'ssl']\n"
         "assert not [m for m in heavy if m in sys.modules], sys.modules.keys()\n"
         "assert repro.__main__.main(['verify', sys.argv[1]]) == 0\n"
         "assert not [m for m in heavy if m in sys.modules], sys.modules.keys()\n"

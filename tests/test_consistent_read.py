@@ -1,5 +1,6 @@
 """CR mechanism on hand-crafted interval histories (Algorithm 2, 1-9)."""
 
+import pytest
 
 from repro import (
     PG_READ_COMMITTED,
@@ -10,6 +11,7 @@ from repro import (
     verify_traces,
 )
 from repro.core.spec import profile, IsolationLevel
+from tests import cr_oracle
 
 INIT = {"x": {"v": 0}, "y": {"v": 0}}
 
@@ -128,6 +130,35 @@ class TestViolations:
         report = verify(traces)
         assert not report.ok
         assert report.violations[0].kind is ViolationKind.DIRTY_READ
+
+    @pytest.mark.parametrize("abort_at", [0.35, 0.6], ids=["aborted", "pending"])
+    @pytest.mark.parametrize(
+        "observed, kind",
+        [
+            ({"a": 1, "b": 2}, ViolationKind.DIRTY_READ),
+            ({"b": 2}, ViolationKind.DIRTY_READ),
+            ({"a": 5, "b": 2}, ViolationKind.UNKNOWN_VERSION),
+            ({"a": 1, "b": 3}, ViolationKind.UNKNOWN_VERSION),
+        ],
+    )
+    def test_dirty_read_of_a_partial_row_write(self, abort_at, observed, kind):
+        """A write that sets one column of a row leaves the rest as it
+        was: a read seeing that column next to the committed rest of the
+        row read the write, whether it was still pending or had aborted
+        when the reader finished.  A column no image held stays unknown."""
+        traces = [
+            Trace.write(0.0, 0.1, "t1", {"k": {"b": 2}}, client_id=0),
+            Trace.read(0.2, 0.3, "t2", {"k": observed}, client_id=1),
+            Trace.commit(0.4, 0.5, "t2", client_id=1),
+            Trace.abort(abort_at, abort_at + 0.01, "t1", client_id=0),
+        ]
+        with cr_oracle.checked():
+            report = verify_traces(
+                sorted(traces, key=Trace.sort_key),
+                spec=PG_SERIALIZABLE,
+                initial_db={"k": {"a": 1, "b": 1}},
+            )
+        assert [v.kind for v in report.violations] == [kind]
 
     def test_unknown_version(self):
         traces = [

@@ -6,6 +6,8 @@ import pytest
 
 from repro import PG_SERIALIZABLE, Trace, Verifier, pipeline_from_client_streams
 from repro.core.gc import GarbageCollector
+from repro.core.online import OnlineVerifier
+from repro.core.parallel import ParallelVerifier
 from repro.core.state import VerifierState
 from repro.workloads import BlindW, run_workload
 from tests import gc_oracle
@@ -95,6 +97,83 @@ class TestDetectionUnaffected:
             v.kind for v in without_gc.violations
         }
 
+    @staticmethod
+    def _named(backend, traces, gc_every):
+        """``(mechanism, kind, txns, key)`` of each violation one backend
+        reports over ``traces`` (initial row ``k = {a: 1, b: 1}``)."""
+        options = dict(
+            spec=PG_SERIALIZABLE,
+            initial_db={"k": {"a": 1, "b": 1}},
+            gc_every=gc_every,
+        )
+        if backend == "online":
+            verifier = OnlineVerifier(**options)
+            for client_id in sorted({t.client_id for t in traces}):
+                verifier.register_client(client_id)
+            for trace in traces:
+                verifier.feed_batch(trace.client_id, [trace])
+        else:
+            if backend == "serial":
+                verifier = Verifier(**options)
+            else:
+                verifier = ParallelVerifier(
+                    **options, shards=2, backend="inline", segment_events=4
+                )
+            verifier.process_batch(traces)
+        return sorted(
+            (v.mechanism.name, v.kind.name, tuple(v.txns), v.key)
+            for v in verifier.finish().violations
+        )
+
+    @pytest.mark.parametrize("overwritten", [False, True], ids=["latest", "older"])
+    @pytest.mark.parametrize("abort_at", [0.35, 0.6], ids=["aborted", "pending"])
+    def test_partial_row_dirty_read_is_named_alike_at_every_period(
+        self, abort_at, overwritten
+    ):
+        """t1 sets column b of k and aborts; t2 reads b = 2 next to the
+        committed a = 1.  Under every GC period and backend that read is
+        named as the same read of a full-row write (t1 setting a = 1 and
+        b = 2): a column the write left alone adds no dependence on what
+        the collector kept.  With "older", a committed a = 7 lies between,
+        so a = 1 is only in an overwritten image; the pending writer pins
+        the horizon below it.  Only the aborted residue depends on the
+        period: a collection between the abort and t2's commit drops it,
+        for either write (ROADMAP item 3)."""
+
+        def history(delta):
+            traces = [Trace.write(0.0, 0.1, "t1", {"k": delta}, client_id=0)]
+            if overwritten:
+                traces += [
+                    Trace.write(0.12, 0.13, "t3", {"k": {"a": 7}}, client_id=2),
+                    Trace.commit(0.14, 0.15, "t3", client_id=2, op_index=1),
+                ]
+            traces += [
+                Trace.read(0.2, 0.3, "t2", {"k": {"a": 1, "b": 2}}, client_id=1),
+                Trace.commit(0.4, 0.5, "t2", client_id=1, op_index=1),
+                Trace.abort(abort_at, abort_at + 0.01, "t1", client_id=0, op_index=1),
+            ]
+            # Later, unrelated traffic: collections after the abort.
+            for i in range(6):
+                t = 1.0 + i
+                traces += [
+                    Trace.write(t, t + 0.1, f"f{i}", {f"z{i % 3}": i}, client_id=5),
+                    Trace.commit(t + 0.2, t + 0.3, f"f{i}", client_id=5, op_index=1),
+                ]
+            return sorted(traces, key=Trace.sort_key)
+
+        partial, full = history({"b": 2}), history({"a": 1, "b": 2})
+        named = {}
+        for backend in ("serial", "inline-2", "online"):
+            for gc_every in (0, 1, 2, 64, 512):
+                named[backend, gc_every] = self._named(backend, partial, gc_every)
+                assert named[backend, gc_every] == self._named(
+                    backend, full, gc_every
+                ), (backend, gc_every)
+        dirty = ("CONSISTENT_READ", "DIRTY_READ", ("t1", "t2"), "k")
+        assert dirty in named["serial", 0]
+        if abort_at > 0.5:
+            assert all(names == named["serial", 0] for names in named.values())
+
     def test_clean_run_stays_clean_with_aggressive_gc(self):
         run = run_workload(
             BlindW.rw(keys=64), PG_SERIALIZABLE, clients=8, txns=300, seed=5
@@ -123,7 +202,7 @@ class TestMemoryBoundedness:
             reader
             for chain in state.chains.values()
             for version in chain.committed_versions()
-            for reader in version.readers
+            for reader in version.readers or ()
         ]
 
     def test_reader_sets_do_not_grow_on_keys_never_overwritten(self):
@@ -162,6 +241,12 @@ class TestMemoryBoundedness:
         assert all(
             reader in state.txns or reader in state.graph
             for reader in self._reader_ids(state)
+        )
+        # A reader set the collection emptied is gone, not kept empty.
+        assert all(
+            version.readers is None or version.readers
+            for chain in state.chains.values()
+            for version in chain.committed_versions()
         )
 
 

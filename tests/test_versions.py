@@ -4,7 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import PG_REPEATABLE_READ, PG_SERIALIZABLE
+from repro.core.bus import DependencyBus, VersionOrderDeriver
 from repro.core.intervals import Interval
+from repro.core.state import VerifierState
+from repro.core.trace import TOMBSTONE_COLUMN, tombstone
 from repro.core.versions import VersionChain, chain_sort_key
 from repro.workloads import BlindW, SmallBank, run_workload
 from tests import cr_oracle, fig6_oracle, gc_oracle
@@ -555,3 +558,108 @@ class TestWorkloadScan:
         run = WORKLOADS["blindw-rw"]()
         assert verify_run(run, PG_REPEATABLE_READ, gc_every=64).ok
         assert checked_chains["classify"] + checked_chains["one_version"] > 200
+
+
+# -- images may be deltas; per-version containers exist on need --------------
+
+_COLUMNS = st.dictionaries(st.sampled_from("abc"), st.integers(0, 2), min_size=1)
+_DELTA = st.one_of(
+    _COLUMNS,  # a partial or a full-row write
+    st.just(tombstone()),  # a delete
+    _COLUMNS.map(lambda cols: {TOMBSTONE_COLUMN: True, **cols}),  # squashed
+)
+_TXN = st.tuples(
+    st.just("txn"),
+    st.lists(_DELTA, min_size=1, max_size=2),
+    st.sampled_from(["commit", "commit", "abort", "pending"]),
+    _grid,  # commit start: commits arrive out of chain order
+    _width,
+)
+_READ = st.tuples(st.just("read"), st.integers(0, 20))
+
+
+def _land(row, delta):
+    """Test-side fold: the row after ``delta`` is written over ``row``."""
+    written = {col: val for col, val in delta.items() if col != TOMBSTONE_COLUMN}
+    if delta.get(TOMBSTONE_COLUMN):  # a delete, or a delete + re-insert
+        return written or {TOMBSTONE_COLUMN: True}
+    if row.get(TOMBSTONE_COLUMN):  # a re-insert starts from an empty row
+        return written
+    return {**row, **written}
+
+
+def _covers(row, delta):
+    """Whether ``delta`` sets every column of ``row``, neither dead."""
+    return (
+        not delta.get(TOMBSTONE_COLUMN)
+        and not row.get(TOMBSTONE_COLUMN)
+        and set(row) <= set(delta)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(st.none(), st.just({"a": 0, "b": 0})),
+    st.lists(st.one_of(_TXN, _READ), min_size=1, max_size=16),
+)
+def test_images_alias_deltas_and_containers_exist_on_need(initial, steps):
+    """A committed image equals a from-scratch fold of the chain's deltas;
+    it *is* its version's delta exactly when that delta covers the
+    previous image; no image or delta dict ever changes, and a commit
+    leaves the images before it alone.  A staged version has no image, a
+    version nobody read no reader set, and a chain with nothing staged
+    (aborted) no staging table (aborted residue)."""
+    state = VerifierState({"x": initial} if initial is not None else None)
+    deriver = VersionOrderDeriver(state, DependencyBus(state))
+    chain = state.chain("x")
+    seen = {}  # id -> (dict, its contents when first seen)
+    read_by = {}
+    staged_left = []
+
+    def check():
+        row = {}
+        for version in chain.committed_versions():
+            expected = _land(row, version.columns)
+            assert version.image == expected
+            assert (version.image is version.columns) is _covers(row, version.columns)
+            row = expected
+            for mapping in (version.image, version.columns):
+                seen.setdefault(id(mapping), (mapping, dict(mapping)))
+            assert version.readers == read_by.get(version)
+        for mapping, contents in seen.values():
+            assert mapping == contents
+        assert all(version.image is None for version in staged_left)
+        assert (chain._pending is None) is (chain.pending_count() == 0)
+        assert (chain._aborted is None) is (not chain.aborted_versions())
+
+    check()
+    for number, step in enumerate(steps):
+        if step[0] == "read":
+            committed = chain.committed_versions()
+            if committed:
+                version = committed[step[1] % len(committed)]
+                reader = f"r{number}"
+                state.ensure_txn(reader, 0)
+                deriver.on_read_matches(((version, reader),))
+                read_by.setdefault(version, set()).add(reader)
+            check()
+            continue
+        _, deltas, fate, start, width = step
+        txn_id = f"t{number}"
+        staged = [
+            chain.stage_write(txn_id, delta, Interval(start / 2, (start + 1) / 2))
+            for delta in deltas
+        ]
+        assert all(version.image is None for version in staged)
+        before = [(version, version.image) for version in chain.committed_versions()]
+        if fate == "commit":
+            commit = Interval((start + 1) / 2, (start + 1 + width) / 2)
+            chain.commit_txn(txn_id, commit)
+            first = min(chain.committed_versions().index(v) for v in staged)
+            for version, image in before[:first]:
+                assert version.image is image
+        elif fate == "abort":
+            chain.abort_txn(txn_id)
+        else:
+            staged_left.extend(staged)
+        check()
