@@ -31,7 +31,7 @@ from .mvto import MvtoValidator
 from .occ import FirstCommitterValidator, OccValidator
 from .snapshots import SnapshotManager
 from .ssi import SsiTracker
-from .storage import INITIAL_TS, MultiVersionStore
+from .storage import INITIAL_TS, MultiVersionStore, StoredVersion
 
 Key = Hashable
 ResultCallback = Callable[["OpResult"], None]
@@ -397,7 +397,8 @@ class SimulatedDBMS:
         self, txn: EngineTxn, key: Key, snapshot_ts: float
     ) -> Tuple[Optional[Dict[str, object]], Optional[str]]:
         plan = self.faults
-        version = self.store.version_at(key, snapshot_ts)
+        versions, index = self.store.chain_at(key, snapshot_ts)
+        visible = version = versions[index] if index >= 0 else None
         # -- fault injections on the chosen base version -------------------
         if version is not None and self._dice.fires(plan.stale_read_prob):
             older = self.store.version_before(key, version.commit_ts)
@@ -423,10 +424,13 @@ class SimulatedDBMS:
         if image is not None and is_tombstone(image):
             image = None  # deleted rows read as absent
         txn.read_versions[key] = seen_ts
-        self.store.note_read(key, snapshot_ts)
+        if visible is not None:
+            visible.note_read(snapshot_ts)
         if self.ssi is not None:
             self.ssi.register_read(txn, key)
-            reason = self.ssi.on_read(txn, key, self._newer_writers(txn, key, snapshot_ts))
+            reason = self.ssi.on_read(
+                txn, key, self._newer_writers(txn, key, versions[index + 1:])
+            )
             if reason is not None and not self.faults.disable_ssi:
                 self.stats.serialization_failures += 1
                 return image, f"serialization failure: {reason}"
@@ -470,15 +474,14 @@ class SimulatedDBMS:
         return None
 
     def _newer_writers(
-        self, txn: EngineTxn, key: Key, snapshot_ts: float
+        self, txn: EngineTxn, key: Key, newer: Sequence[StoredVersion]
     ) -> List[EngineTxn]:
-        """Transactions that have overwritten (committed) or are overwriting
-        (staged) the version the reader saw -- PostgreSQL's conflict-out
-        check considers both."""
+        """Transactions that have overwritten (``newer``: the versions
+        committed after the reader's snapshot) or are overwriting (staged)
+        the version the reader saw -- PostgreSQL's conflict-out check
+        considers both."""
         writers: List[EngineTxn] = []
-        for version in self.store.versions(key):
-            if version.commit_ts <= snapshot_ts:
-                continue
+        for version in newer:
             writer = self._txns.get(version.txn_id)
             if writer is not None and writer is not txn:
                 writers.append(writer)

@@ -10,6 +10,7 @@ realism of the whole trace substrate, not just for correctness.
 from __future__ import annotations
 
 import enum
+import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, Hashable, List, Optional, Set
@@ -34,6 +35,8 @@ class _Waiter:
 
 @dataclass
 class _KeyLock:
+    #: creation rank: orders keys as the lock table's insertion order does.
+    rank: int
     owners: Dict[str, EngineLockMode] = field(default_factory=dict)
     queue: Deque[_Waiter] = field(default_factory=deque)
 
@@ -67,6 +70,10 @@ class EngineLockManager:
         # (PYTHONHASHSEED), or seeded workload runs stop being
         # reproducible across interpreters.
         self._held: Dict[str, Dict[Key, None]] = {}
+        #: waiter -> {key: queue entries of it there}, so a release visits
+        #: only the queues its transaction sits in.
+        self._queued: Dict[str, Dict[Key, int]] = {}
+        self._ranks = itertools.count()
 
     # -- acquisition -----------------------------------------------------------
 
@@ -77,7 +84,9 @@ class EngineLockManager:
         mode: EngineLockMode,
         on_grant: Callable[[], None],
     ) -> bool:
-        lock = self._locks.setdefault(key, _KeyLock())
+        lock = self._locks.get(key)
+        if lock is None:
+            lock = self._locks[key] = _KeyLock(next(self._ranks))
         if self._grantable(lock, txn_id, mode):
             self._grant(lock, txn_id, mode, key)
             return True
@@ -87,6 +96,8 @@ class EngineLockManager:
             raise DeadlockError(txn_id, cycle)
         self._waits_for[txn_id] = blockers
         lock.queue.append(_Waiter(txn_id, mode, on_grant))
+        queued = self._queued.setdefault(txn_id, {})
+        queued[key] = queued.get(key, 0) + 1
         return False
 
     def _grantable(self, lock: _KeyLock, txn_id: str, mode: EngineLockMode) -> bool:
@@ -172,11 +183,12 @@ class EngineLockManager:
         """Remove a transaction from all wait queues; returns the keys whose
         queues changed (their heads may have become grantable), in lock-table
         insertion order (deterministic across hash seeds)."""
-        affected: List[Key] = []
-        for key, lock in self._locks.items():
-            if any(w.txn_id == txn_id for w in lock.queue):
-                lock.queue = deque(w for w in lock.queue if w.txn_id != txn_id)
-                affected.append(key)
+        affected = sorted(
+            self._queued.pop(txn_id, ()), key=lambda key: self._locks[key].rank
+        )
+        for key in affected:
+            lock = self._locks[key]
+            lock.queue = deque(w for w in lock.queue if w.txn_id != txn_id)
         return affected
 
     def _drain_queue(self, lock: _KeyLock, key: Key) -> List[Callable[[], None]]:
@@ -194,11 +206,21 @@ class EngineLockManager:
             if not compatible:
                 break
             lock.queue.popleft()
+            self._dequeued(waiter.txn_id, key)
             self._grant(lock, waiter.txn_id, waiter.mode, key)
             granted.append(waiter.on_grant)
             if waiter.mode is EngineLockMode.EXCLUSIVE:
                 break
         return granted
+
+    def _dequeued(self, txn_id: str, key: Key) -> None:
+        queued = self._queued[txn_id]
+        if queued[key] > 1:
+            queued[key] -= 1
+        elif len(queued) > 1:
+            del queued[key]
+        else:
+            del self._queued[txn_id]
 
     # -- introspection --------------------------------------------------------------
 

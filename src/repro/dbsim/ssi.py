@@ -11,23 +11,30 @@ violation, which is exactly the conservatism the real engine also accepts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, Hashable, List, Optional
 
 Key = Hashable
 
 
-@dataclass
-class _SiRead:
-    txn: object  # EngineTxn (duck-typed to avoid an import cycle)
-    snapshot_ts: float
-
-
 class SsiTracker:
-    """SIREAD table plus rw-conflict flags."""
+    """SIREAD table plus rw-conflict flags.
+
+    Each SIREAD is filed twice, as PostgreSQL links a SIREAD lock into
+    both its target's and its owner's lists: under the key (the readers a
+    writer must flag, in registration order) and under the reader (the
+    keys its abort or retirement frees).  So a read and an abort cost
+    what they touch; only the periodic :meth:`prune` walks the readers
+    still filed.  Transactions are indexed by identity (``id``),
+    which is what the SIREAD table compares by, and every index entry
+    keeps its transaction alive, so an ``id`` is never reused while filed.
+    """
 
     def __init__(self) -> None:
-        self._readers: Dict[Key, List[_SiRead]] = {}
+        #: key -> {id(reader): reader}, in registration order.
+        self._readers: Dict[Key, Dict[int, object]] = {}
+        #: id(reader) -> (reader, {key: None}) over the keys it read.
+        self._reads_of: Dict[int, tuple] = {}
         #: predicate SIREADs: scans conflict with later writers *creating*
         #: matching rows (phantom-protection, as PostgreSQL's predicate
         #: locks provide).
@@ -36,9 +43,13 @@ class SsiTracker:
     # -- reads ----------------------------------------------------------------
 
     def register_read(self, txn, key: Key) -> None:
-        entries = self._readers.setdefault(key, [])
-        if not any(entry.txn is txn for entry in entries):
-            entries.append(_SiRead(txn=txn, snapshot_ts=txn.snapshot_ts))
+        filed = self._reads_of.get(id(txn))
+        if filed is None:
+            filed = self._reads_of[id(txn)] = (txn, {})
+        keys = filed[1]
+        if key not in keys:
+            keys[key] = None
+            self._readers.setdefault(key, {})[id(txn)] = txn
 
     def on_read(self, txn, key: Key, newer_writers: List[object]) -> Optional[str]:
         """The reader observed a version that ``newer_writers`` have already
@@ -67,14 +78,14 @@ class SsiTracker:
         """The writer is creating a newer version of a record somebody
         read: record ``reader --rw--> txn`` edges.  Predicate SIREADs
         conflict when the written key matches a scanned range."""
-        readers = list(self._readers.get(key, ()))
-        readers.extend(
-            _SiRead(txn=scanner, snapshot_ts=scanner.snapshot_ts)
+        readers = self._readers.get(key)
+        scanners = [
+            scanner
             for scanner, predicate in self._predicates
             if predicate.matches(key)
-        )
-        for entry in readers:  # includes committed readers
-            reader = entry.txn
+        ]
+        # includes committed readers
+        for reader in chain(readers.values() if readers else (), scanners):
             if reader is txn or reader.aborted:
                 continue
             if not self._concurrent(reader, txn):
@@ -105,50 +116,48 @@ class SsiTracker:
 
     def forget(self, txn) -> None:
         """Drop the SIREAD entries of an aborted transaction."""
-        for key in list(self._readers):
-            entries = [e for e in self._readers[key] if e.txn is not txn]
-            if entries:
-                self._readers[key] = entries
-            else:
-                del self._readers[key]
+        filed = self._reads_of.pop(id(txn), None)
+        if filed is not None:
+            self._unfile(txn, filed[1])
         self._predicates = [
             (scanner, predicate)
             for scanner, predicate in self._predicates
             if scanner is not txn
         ]
 
+    def _unfile(self, txn, keys) -> None:
+        for key in keys:
+            readers = self._readers[key]
+            del readers[id(txn)]
+            if not readers:
+                del self._readers[key]
+
     def prune(self, oldest_active_begin: float) -> int:
         """Release SIREAD entries of transactions that committed before any
         active transaction began (they can no longer be concurrent with
         anything)."""
         pruned = 0
-        for key in list(self._readers):
-            kept = [
-                entry
-                for entry in self._readers[key]
-                if not (
-                    entry.txn.committed
-                    and entry.txn.commit_ts is not None
-                    and entry.txn.commit_ts < oldest_active_begin
-                )
-            ]
-            pruned += len(self._readers[key]) - len(kept)
-            if kept:
-                self._readers[key] = kept
-            else:
-                del self._readers[key]
+        for ident, (reader, keys) in list(self._reads_of.items()):
+            if self._retired(reader, oldest_active_begin):
+                del self._reads_of[ident]
+                self._unfile(reader, keys)
+                pruned += len(keys)
         before = len(self._predicates)
         self._predicates = [
             (scanner, predicate)
             for scanner, predicate in self._predicates
-            if not (
-                scanner.committed
-                and scanner.commit_ts is not None
-                and scanner.commit_ts < oldest_active_begin
-            )
+            if not self._retired(scanner, oldest_active_begin)
         ]
         pruned += before - len(self._predicates)
         return pruned
+
+    @staticmethod
+    def _retired(txn, oldest_active_begin: float) -> bool:
+        return (
+            txn.committed
+            and txn.commit_ts is not None
+            and txn.commit_ts < oldest_active_begin
+        )
 
     def siread_count(self) -> int:
         return sum(len(v) for v in self._readers.values())

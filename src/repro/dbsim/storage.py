@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Mapping, Optional
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 Key = Hashable
 
@@ -29,6 +29,9 @@ class StoredVersion:
     image: Dict[str, object]
     #: largest snapshot timestamp that has read this version (MVTO/OCC aid).
     max_read_ts: float = INITIAL_TS
+
+    def note_read(self, snapshot_ts: float) -> None:
+        self.max_read_ts = max(self.max_read_ts, snapshot_ts)
 
 
 class MultiVersionStore:
@@ -50,15 +53,22 @@ class MultiVersionStore:
 
     # -- reads -----------------------------------------------------------------
 
-    def version_at(self, key: Key, snapshot_ts: float) -> Optional[StoredVersion]:
-        """Latest version committed at or before ``snapshot_ts``."""
+    def chain_at(
+        self, key: Key, snapshot_ts: float
+    ) -> Tuple[Sequence[StoredVersion], int]:
+        """The key's versions (oldest first; not a copy, do not mutate) and
+        the index of the latest one committed at or before ``snapshot_ts``
+        (-1 when none is): one lookup answers what a read sees and which
+        versions overwrote it (``versions[index + 1:]``)."""
         versions = self._records.get(key)
         if not versions:
-            return None
-        idx = bisect.bisect_right(self._commit_keys[key], snapshot_ts) - 1
-        if idx < 0:
-            return None
-        return versions[idx]
+            return (), -1
+        return versions, bisect.bisect_right(self._commit_keys[key], snapshot_ts) - 1
+
+    def version_at(self, key: Key, snapshot_ts: float) -> Optional[StoredVersion]:
+        """Latest version committed at or before ``snapshot_ts``."""
+        versions, index = self.chain_at(key, snapshot_ts)
+        return versions[index] if index >= 0 else None
 
     def image_at(self, key: Key, snapshot_ts: float) -> Optional[Dict[str, object]]:
         version = self.version_at(key, snapshot_ts)
@@ -71,9 +81,6 @@ class MultiVersionStore:
     def latest_commit_ts(self, key: Key) -> float:
         version = self.latest(key)
         return INITIAL_TS if version is None else version.commit_ts
-
-    def versions(self, key: Key) -> List[StoredVersion]:
-        return list(self._records.get(key, ()))
 
     def version_before(self, key: Key, commit_ts: float) -> Optional[StoredVersion]:
         """Latest version strictly older than ``commit_ts`` (used by the
@@ -113,11 +120,6 @@ class MultiVersionStore:
         versions.append(version)
         keys.append(commit_ts)
         return version
-
-    def note_read(self, key: Key, snapshot_ts: float) -> None:
-        version = self.version_at(key, snapshot_ts)
-        if version is not None:
-            version.max_read_ts = max(version.max_read_ts, snapshot_ts)
 
     # -- bookkeeping -----------------------------------------------------------------
 

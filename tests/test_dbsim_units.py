@@ -103,6 +103,34 @@ class TestSsiTracker:
         tracker.register_read(reader, "x")
         assert tracker.siread_count() == 1
 
+    def test_forget_frees_only_its_own_sireads(self):
+        tracker = SsiTracker()
+        gone = txn(txn_id="gone", snapshot_ts=1.0, begin_ts=0.5)
+        kept = txn(txn_id="kept", snapshot_ts=1.0, begin_ts=0.5)
+        for key in ("x", "y"):
+            tracker.register_read(gone, key)
+        tracker.register_read(kept, "y")
+        tracker.forget(gone)
+        assert tracker.siread_count() == 1
+        writer = txn(txn_id="w", snapshot_ts=2.0, begin_ts=1.5)
+        assert tracker.on_write(writer, "x") is None
+        assert not writer.in_conflict
+        assert tracker.on_write(writer, "y") is None
+        assert kept.out_conflict and writer.in_conflict
+
+    def test_predicate_scanner_conflicts_with_matching_insert(self):
+        from repro.core.trace import KeyRange
+
+        tracker = SsiTracker()
+        scanner = txn(txn_id="s", snapshot_ts=1.0, begin_ts=0.5)
+        tracker.register_predicate(scanner, KeyRange(("row",), 0, 10))
+        writer = txn(txn_id="w", snapshot_ts=1.2, begin_ts=0.6)
+        assert tracker.on_write(writer, ("row", 42)) is None
+        assert not writer.in_conflict
+        assert tracker.on_write(writer, ("row", 3)) is None
+        assert scanner.out_conflict and writer.in_conflict
+        assert tracker.siread_count() == 0  # predicate SIREADs are not keyed
+
 
 class TestOccValidator:
     def test_unchanged_reads_pass(self):

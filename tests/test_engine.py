@@ -301,7 +301,7 @@ class TestMvtoProtocol:
         from repro.dbsim import MultiVersionStore, MvtoValidator
 
         store = MultiVersionStore({"x": {"v": 0}})
-        store.note_read("x", 10.0)
+        store.version_at("x", 10.0).note_read(10.0)
         slow_writer = SimpleNamespace(snapshot_ts=5.0)
         reason = MvtoValidator().check_write(slow_writer, "x", store)
         assert reason is not None and "timestamp order" in reason

@@ -38,7 +38,7 @@ class TestInstallAndRead:
         store.install("r", "t1", {"a": 1}, commit_ts=1.0)
         store.install("r", "t2", {"b": 2}, commit_ts=2.0)
         assert store.image_at("r", 3.0) == {"a": 1, "b": 2}
-        assert store.versions("r")[-1].columns == {"b": 2}
+        assert store.latest("r").columns == {"b": 2}
 
     def test_out_of_order_install_rejected(self):
         store = MultiVersionStore()
@@ -56,7 +56,8 @@ class TestInstallAndRead:
     def test_note_read_tracks_max(self):
         store = MultiVersionStore({"x": {"v": 0}})
         store.install("x", "t1", {"v": 1}, commit_ts=1.0)
-        store.note_read("x", 5.0)
+        store.version_at("x", 5.0).note_read(5.0)
+        store.version_at("x", 3.0).note_read(3.0)
         assert store.latest("x").max_read_ts == 5.0
 
     def test_counters(self):
