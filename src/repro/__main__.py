@@ -255,8 +255,6 @@ def cmd_serve(args) -> int:
         status_port=args.status_port,
         ingest_unix=args.unix,
         status_unix=args.status_unix,
-        shards=args.parallel,
-        backend=args.parallel_backend,
         gc_every=args.gc_every,
         session_credit=args.credit,
         pending_budget=args.budget,
@@ -409,13 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--initial-db", default=None, metavar="PATH",
         help="initial database image (initial_db.json from `run`)",
     )
-    serve_p.add_argument(
-        "--parallel", type=int, default=0, metavar="N",
-        help="verify with N key-partitioned shards (0 = serial verifier)",
-    )
-    serve_p.add_argument(
-        "--parallel-backend", choices=["process", "inline"], default="process"
-    )
     serve_p.add_argument("--gc-every", type=int, default=512)
     serve_p.add_argument(
         "--credit", type=int, default=8,
@@ -423,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_p.add_argument(
         "--budget", type=int, default=200_000,
-        help="service-wide pending-event ceiling",
+        help="service-wide ceiling on staged traces",
     )
     # Leftover of the retired multi-loop tier: the ledger driver still
     # passes `--workers 1` (benchmarks/ledger/service.py:142), so the

@@ -53,13 +53,11 @@ class OnlineVerifier:
         **verifier_kwargs,
     ):
         """``verifier`` injects any verifier-shaped backend
-        (``process_batch`` / ``finish``, and the four names the operator
+        (``process_batch`` / ``finish``, and the three names the operator
         surfaces read: ``metrics``, ``violations_so_far()``,
-        ``live_structure_count()``, ``coordinator_pending_events()``) --
-        the parallel path plugs in a
-        :class:`~repro.core.parallel.ParallelVerifier` this way.  When
-        omitted, a serial :class:`Verifier` is built from the remaining
-        arguments."""
+        ``live_structure_count()``) -- the tests plug recorders in this
+        way.  When omitted, a serial :class:`Verifier` is built from the
+        remaining arguments."""
         if verifier is not None and verifier_kwargs:
             raise ValueError(
                 "pass construction kwargs or an injected verifier, not both"
@@ -293,8 +291,7 @@ class OnlineVerifier:
             stage.mark = (POS_INF, POS_INF)
         self._advance()
         report = self._verifier.finish()
-        # Backends that defer global certification to finish (the parallel
-        # merge pass) surface their remaining violations only now.
+        # Violations found by the finish pass surface only now.
         self._alert_new()
         self._collector_watch.close()
         return report

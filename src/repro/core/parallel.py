@@ -619,7 +619,7 @@ class ParallelVerifier:
 
     Public surface mirrors :class:`~repro.core.verifier.Verifier`
     (``process`` / ``process_all`` / ``finish``), so it drops into the
-    pipeline, the online wrapper and the CLI unchanged.
+    pipeline and the CLI unchanged.
 
     Parameters
     ----------
@@ -1072,26 +1072,7 @@ class ParallelVerifier:
                 setattr(merged, name, getattr(merged, name) + getattr(stats, name))
         return merged
 
-    # -- online-wrapper surface -----------------------------------------------------
-
-    def violations_so_far(self) -> List[Violation]:
-        """Violations visible before :meth:`finish`.
-
-        The globally certified violations replayed so far: the merged
-        descriptor's own append-only list (not a copy, and not the
-        caller's to change), which the final report extends in place, so
-        online alerting indexes stay stable across the finish boundary."""
-        if self._merger is None:
-            return []
-        return self._merger.descriptor._violations
-
-    def coordinator_pending_events(self) -> int:
-        """Journal events buffered coordinator-side awaiting replay: the
-        component of the service-wide memory budget this verifier owns
-        beyond the staged traces."""
-        if self._merger is None:
-            return 0
-        return self._merger.pending_events()
+    # -- memory surface ---------------------------------------------------------------
 
     def live_structure_count(self) -> int:
         """Total retained structures across shard states (inline backend;

@@ -416,12 +416,6 @@ class Verifier:
         online layer reports)."""
         return self.state.live_structure_count()
 
-    def coordinator_pending_events(self) -> int:
-        """Events buffered outside the mirrored state awaiting
-        verification: none -- a serial verifier checks as it is fed (the
-        parallel coordinator's answer is its unreplayed journal)."""
-        return 0
-
     def finish(self) -> VerificationReport:
         """Finalise the run and return the report.  Transactions still
         active when the stream ends stay unverified, exactly as a real

@@ -37,7 +37,7 @@ disable_write_locks        systematic dirty writes (ME violation).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -70,16 +70,6 @@ class FaultPlan:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be a probability, got {value}")
-
-    @property
-    def is_clean(self) -> bool:
-        """Whether every fault switch is off (the seed is not a fault)."""
-        return not any(
-            getattr(self, f.name) for f in fields(self) if f.name != "seed"
-        )
-
-    def with_seed(self, seed: int) -> "FaultPlan":
-        return replace(self, seed=seed)
 
 
 CLEAN = FaultPlan()

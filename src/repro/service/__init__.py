@@ -2,8 +2,7 @@
 
 The package composes the existing pieces -- the ``repro.traces/v1b``
 codec, the two-level pipeline's watermark protocol (:class:`~repro.core.
-online.OnlineVerifier`) and the streamed parallel merge -- into a
-long-running service that thousands of clients push traces into while an
+online.OnlineVerifier`) and the serial verifier -- into a long-running service that thousands of clients push traces into while an
 operator watches live status and mid-run violations.
 
 Wire protocol and operations guide: ``docs/service.md``.

@@ -6,9 +6,7 @@ Each connection pushes length-prefixed frames (``protocol``); accepted
 deterministic trace ids from the client's cursor (``sessions``) -- and
 staged into the
 :class:`~repro.core.online.OnlineVerifier`, whose watermark dispatches
-them to the verifier backend -- the serial :class:`~repro.core.verifier.
-Verifier` or a sharded :class:`~repro.core.parallel.ParallelVerifier`
-with the streamed certifier merge.
+them to its serial :class:`~repro.core.verifier.Verifier`.
 
 Backpressure is two-layered (documented in ``docs/service.md``):
 
@@ -16,13 +14,12 @@ Backpressure is two-layered (documented in ``docs/service.md``):
   ``TRACES`` frames that may be in flight; the server returns one credit
   per drained frame, so a session can never buffer more than
   ``session_credit`` undecoded frames server-side;
-* the **service-wide memory budget** bounds pending events (staged
-  traces + the parallel coordinator's journal backlog).  While over
-  budget, credit is withheld from every session that is *ahead of* the
-  watermark (an advisory ``PAUSE`` is sent); the laggard sessions -- the
-  ones whose next frame can advance the watermark and therefore *shrink*
-  the backlog -- are always admitted, so the gate throttles without
-  deadlocking.
+* the **service-wide memory budget** bounds the traces staged in the
+  online layer.  While over budget, credit is withheld from every
+  session that is *ahead of* the watermark (an advisory ``PAUSE`` is
+  sent); the laggard sessions -- the ones whose next frame can advance
+  the watermark and therefore *shrink* the backlog -- are always
+  admitted, so the gate throttles without deadlocking.
 
 A poison frame (malformed bytes, unsorted stream, wrong client id) kills
 only its own session: the client is evicted from watermark accounting so
@@ -74,15 +71,11 @@ class ServiceConfig:
     #: ... or Unix sockets, which take precedence when set.
     ingest_unix: Optional[str] = None
     status_unix: Optional[str] = None
-    #: 0 = serial verifier; N > 0 = N key-partitioned shards.
-    shards: int = 0
-    backend: str = "process"
     gc_every: int = 512
     #: TRACES frames a session may have in flight (the hard per-session
     #: buffer cap; WELCOME announces it).
     session_credit: int = 8
-    #: service-wide pending-event ceiling: staged traces plus the
-    #: parallel coordinator's buffered journal events.
+    #: service-wide ceiling on traces staged in the online layer.
     pending_budget: int = 200_000
     #: listen(2) backlog for both listeners.  Hundreds of sessions
     #: connecting at once (a soak start, a fleet reconnect) overflow the
@@ -96,30 +89,6 @@ class ServiceConfig:
     #: refuses any other value.
     acceptor_workers: int = 1
     metrics: Optional[MetricsRegistry] = None
-
-
-def build_backend(config: ServiceConfig):
-    """The verifier backend a gateway feeds: serial below ``shards=1``,
-    the sharded parallel verifier with the streamed merge otherwise."""
-    if config.shards > 0:
-        from ..core.parallel import ParallelVerifier
-
-        return ParallelVerifier(
-            spec=config.spec,
-            initial_db=config.initial_db,
-            shards=config.shards,
-            backend=config.backend,
-            gc_every=config.gc_every,
-            metrics=config.metrics,
-        )
-    from ..core.verifier import Verifier
-
-    return Verifier(
-        spec=config.spec,
-        initial_db=config.initial_db,
-        gc_every=config.gc_every,
-        metrics=config.metrics,
-    )
 
 
 #: What ``acceptor_workers != 1`` and ``serve --workers N`` are told.
@@ -143,8 +112,12 @@ class IngestGateway:
     def __init__(self, config: ServiceConfig):
         self.config = config
         self.metrics = config.metrics if config.metrics is not None else NULL_REGISTRY
-        self._backend = build_backend(config)
-        self.online = OnlineVerifier(verifier=self._backend)
+        self.online = OnlineVerifier(
+            spec=config.spec,
+            initial_db=config.initial_db,
+            gc_every=config.gc_every,
+            metrics=config.metrics,
+        )
         self.registry = SessionRegistry()
 
         # The service's counters: plain ints, always on, served by the
@@ -283,12 +256,6 @@ class IngestGateway:
     def draining(self) -> bool:
         return self._draining
 
-    def pending_events(self) -> int:
-        """The quantity the service-wide budget bounds: traces staged in
-        the online layer plus journal events buffered coordinator-side by
-        the parallel streamed merge."""
-        return self.online.pending + self._backend.coordinator_pending_events()
-
     def watermark_lag(self) -> Optional[float]:
         """Seconds between the newest trace accepted and the watermark --
         how far the slowest client holds dispatch back."""
@@ -300,7 +267,7 @@ class IngestGateway:
         return max(0.0, self.max_ts_seen - watermark)
 
     def _note_pending(self) -> None:
-        pending = self.pending_events()
+        pending = self.online.pending
         if pending > self.pending_peak:
             self.pending_peak = pending
 
@@ -457,7 +424,7 @@ class IngestGateway:
 
     def over_budget(self) -> bool:
         return (
-            self.pending_events() + self.inflight_capacity()
+            self.online.pending + self.inflight_capacity()
             > self.config.pending_budget
         )
 

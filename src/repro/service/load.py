@@ -34,6 +34,7 @@ from ..core.pipeline import pipeline_from_client_streams
 from ..core.report import report_fingerprint
 from ..core.spec import PG_SERIALIZABLE, IsolationSpec
 from ..core.trace import Trace
+from ..core.verifier import Verifier
 from . import protocol
 from .gateway import ServiceConfig, create_gateway
 from .sessions import SEQ_BITS
@@ -53,8 +54,6 @@ class LoadConfig:
 
     traces: int = 100_000
     sessions: int = 16
-    shards: int = 0
-    backend: str = "process"
     frame_traces: int = 512
     session_credit: int = 8
     pending_budget: int = 200_000
@@ -284,24 +283,11 @@ def _latency_summary(values: List[float]) -> Optional[Dict[str, object]]:
 
 
 def offline_fingerprint(cfg: LoadConfig) -> str:
-    """Verify the identical streams through the offline batch path (same
-    shard configuration) and fingerprint the report."""
-    if cfg.shards > 0:
-        from ..core.parallel import ParallelVerifier
-
-        verifier = ParallelVerifier(
-            spec=cfg.spec,
-            initial_db=initial_db(cfg),
-            shards=cfg.shards,
-            backend=cfg.backend,
-            gc_every=cfg.gc_every,
-        )
-    else:
-        from ..core.verifier import Verifier
-
-        verifier = Verifier(
-            spec=cfg.spec, initial_db=initial_db(cfg), gc_every=cfg.gc_every
-        )
+    """Verify the identical streams through the offline batch path and
+    fingerprint the report."""
+    verifier = Verifier(
+        spec=cfg.spec, initial_db=initial_db(cfg), gc_every=cfg.gc_every
+    )
     streams = {
         client_id: _stamped_stream(cfg, client_id)
         for client_id in range(cfg.sessions)
@@ -327,8 +313,6 @@ async def run_load(cfg: LoadConfig) -> Dict[str, object]:
             initial_db=initial_db(cfg),
             ingest_unix=ingest_path,
             status_unix=status_path,
-            shards=cfg.shards,
-            backend=cfg.backend,
             gc_every=cfg.gc_every,
             session_credit=cfg.session_credit,
             pending_budget=cfg.pending_budget,
@@ -395,11 +379,10 @@ async def run_load(cfg: LoadConfig) -> Dict[str, object]:
     offline_seconds = time.perf_counter() - offline_start
     all_latencies = [lat for s in client_stats for lat in s["latencies"]]
     return {
-        "schema": "repro.service-load/v2",
+        "schema": "repro.service-load/v3",
         "traces": total,
         "traces_accepted": accepted,
         "sessions": cfg.sessions,
-        "shards": cfg.shards,
         "ingest_latency": _latency_summary(all_latencies),
         "session_latency": [
             {"client": s["client"], **(_latency_summary(s["latencies"]) or {})}

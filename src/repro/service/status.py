@@ -50,8 +50,6 @@ def status_document(gateway) -> Dict[str, object]:
     """The ``status`` response body (schema: ``docs/service.md``)."""
     cfg = gateway.config
     snapshot = gateway.online.snapshot()
-    pending = gateway.pending_events()
-    coordinator = pending - gateway.online.pending
     return {
         "service": {
             "draining": gateway.draining,
@@ -72,9 +70,8 @@ def status_document(gateway) -> Dict[str, object]:
         "budget": {
             "pending_budget": cfg.pending_budget,
             "session_credit": cfg.session_credit,
-            "pending": pending,
+            "pending": gateway.online.pending,
             "pending_peak": gateway.pending_peak,
-            "coordinator_pending": coordinator,
             "inflight_capacity": gateway.inflight_capacity(),
             "stalls": gateway.stalls_total,
         },

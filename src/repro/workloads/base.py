@@ -96,9 +96,6 @@ class Workload(abc.ABC):
     def transaction(self, rng: random.Random) -> Program:
         """Build one transaction program."""
 
-    def fresh_value(self) -> object:  # pragma: no cover - default hook
-        raise NotImplementedError
-
 
 class UniqueValues:
     """Monotone unique value generator shared by the key-value workloads.

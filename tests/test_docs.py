@@ -104,7 +104,9 @@ def test_service_doc_matches_the_wire_protocol():
     # load-bearing operational promises -- keep them on the page.
     for promise in ("Laggards", "byte-identical"):
         assert promise in text
-    # The status schema: section 4 names every field a gateway serves.
+    # The status schema: section 4 names every field a gateway serves,
+    # and its `service` / `budget` / `lag` bullets name nothing else, so
+    # a retired field cannot linger in the spec.
     from repro.service import ServiceConfig, create_gateway
 
     document = status.status_document(create_gateway(ServiceConfig()))
@@ -113,3 +115,8 @@ def test_service_doc_matches_the_wire_protocol():
     for section in ("service", "budget", "lag"):
         for field in document[section]:
             assert f"`{field}`" in schema, f"status field {section}.{field}"
+        bullet = re.search(
+            rf"^\* `{section}` —(.*?)(?=^\* |\Z)", schema, re.M | re.S
+        ).group(1)
+        stale = set(re.findall(r"`([a-z_]+)`", bullet)) - set(document[section])
+        assert not stale, f"{section} documents fields it does not serve: {stale}"

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from repro import PG_SERIALIZABLE, Trace, Verifier
 from repro.core.metrics import NULL_REGISTRY
 from repro.core.online import OnlineVerifier
-from repro.core.parallel import ParallelVerifier
 from repro.core.pipeline import sorted_traces
 from repro.core.report import report_fingerprint
 from repro.core.trace import SEQ_BITS
@@ -182,7 +181,7 @@ class TestOnlineWithRicherTraces:
 
 class _Recorder:
     """A verifier-shaped backend that only records the dispatch order
-    (and answers the four names the operator surfaces read)."""
+    (and answers the three names the operator surfaces read)."""
 
     metrics = NULL_REGISTRY
 
@@ -197,9 +196,6 @@ class _Recorder:
         return self.violations
 
     def live_structure_count(self):
-        return 0
-
-    def coordinator_pending_events(self):
         return 0
 
     def finish(self):
@@ -404,21 +400,17 @@ REFUSAL_DB = {"x": {"v": 0}, "y": {"v": 0}}
 REFUSAL = "trace for already-terminated transaction a"
 
 
-def refusal_backend(kind):
-    if kind == "serial":
-        return Verifier(spec=PG_SERIALIZABLE, initial_db=REFUSAL_DB, gc_every=2)
-    return ParallelVerifier(
-        spec=PG_SERIALIZABLE, initial_db=REFUSAL_DB, shards=2,
-        backend="inline", gc_every=2, segment_events=1,
-    )
+def refusal_verifier():
+    return Verifier(spec=PG_SERIALIZABLE, initial_db=REFUSAL_DB, gc_every=2)
 
 
 class TestRefusedTrace:
-    @pytest.mark.parametrize("order", [(2, 1), (1, 2)], ids=["c2-c1", "c1-c2"])
-    @pytest.mark.parametrize("kind", ["serial", "inline-2"])
-    def test_offender_evicted_batch_mates_unaffected(self, kind, order):
+    @pytest.mark.parametrize(
+        "order", [(2, 1), (1, 2)], ids=["serial-c2-c1", "serial-c1-c2"]
+    )
+    def test_offender_evicted_batch_mates_unaffected(self, order):
         streams = refusal_streams()
-        backend = refusal_backend(kind)
+        backend = refusal_verifier()
         online = OnlineVerifier(verifier=backend)
         for client_id in streams:
             online.register_client(client_id)
@@ -430,12 +422,11 @@ class TestRefusedTrace:
             assert online.refused == {1: REFUSAL}
             assert online.dispatched == 6 and online.pending == 0
             assert online.watermark == 10.0  # client 2's floor alone
-            if kind == "serial":
-                stats = backend.state.stats
-                assert stats.traces_processed == 6
-                # ``b`` committed with its read checked; ``a``'s is not.
-                assert (stats.txns_committed, stats.reads_checked) == (2, 1)
-                assert backend.state.watermark == 10.0
+            stats = backend.state.stats
+            assert stats.traces_processed == 6
+            # ``b`` committed with its read checked; ``a``'s is not.
+            assert (stats.txns_committed, stats.reads_checked) == (2, 1)
+            assert backend.state.watermark == 10.0
             # The stream is gone for good; everyone else carries on.
             with pytest.raises(ValueError, match="client 1 was evicted"):
                 online.feed_batch(1, streams[1][3:])
@@ -445,7 +436,7 @@ class TestRefusedTrace:
             report = online.finish()
         assert report.stats.traces_processed == online.dispatched == 7
         assert report.stats.txns_committed == 3  # a, b, b2 -- not a2
-        reference = refusal_backend(kind)
+        reference = refusal_verifier()
         survivors = refusal_streams()
         reference.process_batch(
             sorted_traces({1: survivors[1][:2], 2: survivors[2]})

@@ -327,46 +327,7 @@ class TestShardVerifier:
 
 
 class TestOnlineIntegration:
-    def test_online_with_parallel_backend(self, blindw_rw_run):
-        from repro import OnlineVerifier
-
-        backend = ParallelVerifier(
-            spec=PG_SERIALIZABLE,
-            initial_db=blindw_rw_run.initial_db,
-            shards=2,
-            backend="inline",
-        )
-        online = OnlineVerifier(verifier=backend)
-        fed = 0
-        for trace in pipeline_from_client_streams(blindw_rw_run.client_streams):
-            online.feed(trace)
-            fed += 1
-        report = online.finish()
-        assert report.ok
-        assert report.stats.traces_processed == fed
-
-    def test_online_alerts_merge_pass_violations(self):
-        from repro import OnlineVerifier
-
-        run = fault_run("dirty-read")
-        alerts = []
-        backend = ParallelVerifier(
-            spec=PG_SERIALIZABLE,
-            initial_db=run.initial_db,
-            shards=2,
-            backend="inline",
-        )
-        online = OnlineVerifier(
-            verifier=backend, on_violation=alerts.append
-        )
-        for trace in pipeline_from_client_streams(run.client_streams):
-            online.feed(trace)
-        report = online.finish()
-        assert not report.ok
-        assert len(alerts) == len(report.violations)
-
-    @pytest.mark.parametrize("backend", ["serial", "inline", "process"])
-    def test_violations_so_far_is_one_list_across_finish(self, backend):
+    def test_violations_so_far_is_one_list_across_finish(self):
         """``violations_so_far()`` hands out the descriptor's own
         append-only list -- the same object on every call, before and
         after ``finish()`` -- and the online layer, which indexes into it,
@@ -374,29 +335,17 @@ class TestOnlineIntegration:
         from repro import OnlineVerifier
 
         run = fault_run("dirty-read")
-        if backend == "serial":
-            verifier = Verifier(spec=PG_SERIALIZABLE, initial_db=run.initial_db)
-        else:
-            verifier = ParallelVerifier(
-                spec=PG_SERIALIZABLE,
-                initial_db=run.initial_db,
-                shards=2,
-                backend=backend,
-                segment_events=16,
-            )
+        verifier = Verifier(spec=PG_SERIALIZABLE, initial_db=run.initial_db)
         alerts = []
         online = OnlineVerifier(verifier=verifier, on_violation=alerts.append)
         traces = list(pipeline_from_client_streams(run.client_streams))
         for trace in traces[:-1]:
             online.feed(trace)
         so_far = verifier.violations_so_far()
-        if backend != "process":  # worker timing decides what has arrived
-            assert so_far and alerts == so_far
+        assert so_far and alerts == so_far
         online.feed(traces[-1])
         report = online.finish()
-        if so_far:
-            assert verifier.violations_so_far() is so_far
-        assert verifier.violations_so_far() is verifier.violations_so_far()
+        assert verifier.violations_so_far() is so_far
         assert verifier.violations_so_far() == report.violations
         assert alerts == report.violations and len(alerts) > 1
 
@@ -405,6 +354,6 @@ class TestOnlineIntegration:
 
         with pytest.raises(ValueError):
             OnlineVerifier(
-                verifier=ParallelVerifier(shards=1, backend="inline"),
+                verifier=Verifier(),
                 gc_every=64,
             )

@@ -10,9 +10,6 @@ The contract pinned here:
   deferred schedule), on clean and fault-injected histories, for both
   backends and at 1 and 4 shards; one shard is identical to the serial
   verifier;
-* violations certified by the global replay surface *during* the run via
-  ``violations_so_far()`` (and through :class:`OnlineVerifier` alerts),
-  and the mid-run list is a stable prefix of the final report;
 * the segment protocol's edge cases hold: an empty segment still
   advances a shard's watermark, same-trace-index events from different
   shards replay in shard order (the global sort's tie-break), and a
@@ -84,16 +81,6 @@ def stream_report(
     for trace in pipeline_from_client_streams(run.client_streams):
         verifier.process(trace)
     return verifier.finish()
-
-
-def violation_key(violation):
-    return (
-        violation.mechanism,
-        violation.kind,
-        violation.txns,
-        violation.key,
-        violation.details,
-    )
 
 
 def mechanism_counters(registry):
@@ -188,56 +175,6 @@ class TestStreamedEqualsDeferred:
 
 
 class TestMidRunSurfacing:
-    def test_violations_surface_before_finish(self):
-        run = fault_run("dirty-read")
-        verifier = ParallelVerifier(
-            spec=PG_SERIALIZABLE,
-            initial_db=run.initial_db,
-            shards=2,
-            backend="inline",
-            segment_events=4,
-            gc_every=32,
-        )
-        counts = []
-        mid_run = []
-        for trace in pipeline_from_client_streams(run.client_streams):
-            verifier.process(trace)
-            seen = verifier.violations_so_far()
-            counts.append(len(seen))
-            mid_run = [violation_key(v) for v in seen]
-        report = verifier.finish()
-        assert not report.ok
-        # The streamed replay certified real findings mid-run.
-        assert counts[-1] > 0
-        # Monotone: the certified list only ever grows.
-        assert all(a <= b for a, b in zip(counts, counts[1:]))
-        # Stable prefix: finish() extends the same list, never reorders.
-        final = [violation_key(v) for v in report.violations]
-        assert final[: len(mid_run)] == mid_run
-        assert len(final) >= len(mid_run)
-
-    def test_online_alerts_fire_before_finish(self):
-        from repro import OnlineVerifier
-
-        run = fault_run("dirty-read")
-        backend = ParallelVerifier(
-            spec=PG_SERIALIZABLE,
-            initial_db=run.initial_db,
-            shards=2,
-            backend="inline",
-            segment_events=4,
-        )
-        alerts = []
-        online = OnlineVerifier(verifier=backend, on_violation=alerts.append)
-        alerts_before_finish = 0
-        for trace in pipeline_from_client_streams(run.client_streams):
-            online.feed(trace)
-            alerts_before_finish = len(alerts)
-        report = online.finish()
-        assert not report.ok
-        assert alerts_before_finish > 0
-        assert len(alerts) == len(report.violations)
-
     def test_stream_metrics_populated(self):
         run = fault_run("dirty-read")
         metrics = MetricsRegistry()

@@ -2,6 +2,7 @@
 poison isolation, and online/offline report identity."""
 
 import asyncio
+import dataclasses
 import os
 import subprocess
 import sys
@@ -13,7 +14,6 @@ from repro import pipeline_from_client_streams
 from repro.__main__ import main
 from repro.core.codec import encode_batch
 from repro.core.io import dump_client_streams, load_client_streams
-from repro.core.parallel import ParallelVerifier
 from repro.core.report import report_fingerprint
 from repro.core.trace import SEQ_BITS, Trace
 from repro.service import (
@@ -162,8 +162,6 @@ def _quick_cfg(tmp_path, **overrides) -> LoadConfig:
     defaults = dict(
         traces=640,
         sessions=4,
-        shards=2,
-        backend="inline",
         frame_traces=16,
         session_credit=4,
         pending_budget=5_000,
@@ -181,8 +179,6 @@ def _gateway(cfg: LoadConfig, tmp_path) -> IngestGateway:
             initial_db=initial_db(cfg),
             ingest_unix=os.path.join(str(tmp_path), "ingest.sock"),
             status_unix=os.path.join(str(tmp_path), "status.sock"),
-            shards=cfg.shards,
-            backend=cfg.backend,
             gc_every=cfg.gc_every,
             session_credit=cfg.session_credit,
             pending_budget=cfg.pending_budget,
@@ -600,9 +596,8 @@ class TestRefusedAtDispatch:
         tag, body = protocol.split_frame(payload)
         return tag, protocol.parse_control(tag, body)
 
-    @pytest.mark.parametrize("first", [2, 1], ids=["c2-c1", "c1-c2"])
-    @pytest.mark.parametrize("shards", [0, 2], ids=["serial", "inline-2"])
-    def test_offender_evicted_feeder_unharmed(self, tmp_path, shards, first):
+    @pytest.mark.parametrize("first", [2, 1], ids=["serial-c2-c1", "serial-c1-c2"])
+    def test_offender_evicted_feeder_unharmed(self, tmp_path, first):
         streams = refusal_streams()
         frames = {
             c: protocol.traces_frame(encode_batch(streams[c])) for c in streams
@@ -615,8 +610,6 @@ class TestRefusedAtDispatch:
                     initial_db=REFUSAL_DB,
                     ingest_unix=os.path.join(str(tmp_path), "ingest.sock"),
                     status_unix=os.path.join(str(tmp_path), "status.sock"),
-                    shards=shards,
-                    backend="inline",
                     gc_every=2,
                 )
             )
@@ -677,15 +670,7 @@ class TestRefusedAtDispatch:
 
         survivors = refusal_streams()
         survivors[1] = survivors[1][:2]
-        if shards:
-            offline = ParallelVerifier(
-                spec=PG_SERIALIZABLE, initial_db=REFUSAL_DB, shards=shards,
-                backend="inline", gc_every=2,
-            )
-        else:
-            offline = Verifier(
-                spec=PG_SERIALIZABLE, initial_db=REFUSAL_DB, gc_every=2
-            )
+        offline = Verifier(spec=PG_SERIALIZABLE, initial_db=REFUSAL_DB, gc_every=2)
         for batch in pipeline_from_client_streams(survivors).iter_batches():
             offline.process_batch(batch)
         assert gateway.fingerprint == report_fingerprint(offline.finish())
@@ -978,8 +963,8 @@ class TestOneIdScheme:
 
 # -- one loop: drain identity, lean imports, the refused tier ------------------
 
-#: A serial gateway that starts, ingests one TRACES frame and drains must
-#: not have loaded what only ``--parallel`` needs.
+#: A gateway that starts, ingests one TRACES frame and drains must not
+#: have loaded what only the offline ``verify --parallel`` needs.
 _LEAN_SERVE_SCRIPT = r"""
 import asyncio, sys, tempfile
 from repro.core.codec import encode_batch
@@ -1020,8 +1005,8 @@ class TestOneLoop:
     def test_drain_equals_offline_and_capture_files(self, tmp_path):
         """The drained gateway, the offline run over the same streams
         and the run over the same streams read back from capture files
-        fingerprint identically (2 inline shards): all three stamp their
-        trace ids at decode."""
+        fingerprint identically: all three stamp their trace ids at
+        decode."""
         cfg = _quick_cfg(tmp_path, poll_interval=0.1)
         doc = run_load_sync(cfg)
         assert doc["fingerprints_match"], doc
@@ -1033,12 +1018,8 @@ class TestOneLoop:
             tmp_path / "capture",
             fmt="binary",
         )
-        verifier = ParallelVerifier(
-            spec=cfg.spec,
-            initial_db=initial_db(cfg),
-            shards=cfg.shards,
-            backend=cfg.backend,
-            gc_every=cfg.gc_every,
+        verifier = Verifier(
+            spec=cfg.spec, initial_db=initial_db(cfg), gc_every=cfg.gc_every
         )
         pipeline = pipeline_from_client_streams(
             load_client_streams(tmp_path / "capture"), batch_size=cfg.frame_traces
@@ -1074,6 +1055,19 @@ class TestOneLoop:
                 main(argv)
             assert refusal.value.code == 2
             assert told in capsys.readouterr().err
+
+    def test_no_sharded_backend(self, capsys):
+        """The service runs one serial verifier: the sharded backend, its
+        flags and its config fields were retired (docs/service.md
+        section 8); argparse refuses the flags like any unknown one."""
+        assert not {"shards", "backend"} & {
+            field.name for field in dataclasses.fields(ServiceConfig)
+        }
+        for flag in ("--parallel", "--parallel-backend"):
+            with pytest.raises(SystemExit) as refusal:
+                main(["serve", flag, "2"])
+            assert refusal.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestDamagedStreams:
@@ -1160,7 +1154,7 @@ class TestDamagedStreams:
             for offset in range(len(template))
             if not any(offset in body for body in bodies)
         ]
-        cfg = _quick_cfg(tmp_path, sessions=1, shards=0)
+        cfg = _quick_cfg(tmp_path, sessions=1)
         clean_frames = list(iter_frames(cfg, 0))
 
         async def scenario():

@@ -6,7 +6,7 @@ concurrent protocol sessions pushing a deterministic synthetic workload,
 polls the status endpoint while the run is hot, drains, and re-verifies
 the identical streams offline -- asserting the online/offline report
 fingerprints match and that peak pending-event memory stayed under the
-configured budget.  The resulting ``repro.service-load/v2`` JSON document
+configured budget.  The resulting ``repro.service-load/v3`` JSON document
 records the measured ingest ceiling in traces/sec plus per-session
 ingest-latency percentiles (the soak-run playbook lives in
 ``docs/service.md``).
@@ -15,7 +15,7 @@ Usage::
 
     PYTHONPATH=src python tools/service_load.py --quick         # CI smoke
     PYTHONPATH=src python tools/service_load.py \
-        --traces 1000000 --sessions 200 --shards 2              # soak
+        --traces 1000000 --sessions 200                         # soak
     PYTHONPATH=src python tools/service_load.py --quick --out SERVICE.json
 
 Exit status is non-zero when the fingerprints diverge, the budget is
@@ -38,16 +38,10 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="CI smoke preset: a few thousand traces, 2 shards",
+        help="CI smoke preset: a few thousand traces",
     )
     parser.add_argument("--traces", type=int, default=100_000)
     parser.add_argument("--sessions", type=int, default=16)
-    parser.add_argument(
-        "--shards", type=int, default=0, help="0 = serial verifier"
-    )
-    parser.add_argument(
-        "--backend", choices=["process", "inline"], default="process"
-    )
     parser.add_argument("--frame-traces", type=int, default=512)
     parser.add_argument("--credit", type=int, default=8)
     parser.add_argument("--budget", type=int, default=200_000)
@@ -59,16 +53,12 @@ def main(argv=None) -> int:
     if args.quick:
         args.traces = min(args.traces, 4_000)
         args.sessions = min(args.sessions, 8)
-        if args.shards == 0:
-            args.shards = 2
         args.budget = min(args.budget, 20_000)
 
     with tempfile.TemporaryDirectory(prefix="repro-service-") as socket_dir:
         config = LoadConfig(
             traces=args.traces,
             sessions=args.sessions,
-            shards=args.shards,
-            backend=args.backend,
             frame_traces=args.frame_traces,
             session_credit=args.credit,
             pending_budget=args.budget,
