@@ -187,8 +187,6 @@ def _verify(args) -> int:
             shards=args.parallel,
             backend=args.parallel_backend,
             gc_every=args.gc_every,
-            exchange_dependencies=not args.no_exchange,
-            minimize_candidates=not args.naive_candidates,
             metrics=metrics,
         )
     else:
@@ -196,8 +194,6 @@ def _verify(args) -> int:
             spec=spec,
             initial_db=initial_db,
             gc_every=args.gc_every,
-            exchange_dependencies=not args.no_exchange,
-            minimize_candidates=not args.naive_candidates,
             metrics=metrics,
         )
     with CollectorWatch(metrics), closing(
@@ -359,8 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify_p.add_argument("--dbms", default="postgresql", choices=supported_dbms())
     verify_p.add_argument("--level", default="SR")
     verify_p.add_argument("--gc-every", type=int, default=512)
-    verify_p.add_argument("--no-exchange", action="store_true")
-    verify_p.add_argument("--naive-candidates", action="store_true")
     verify_p.add_argument(
         "--parallel",
         type=int,

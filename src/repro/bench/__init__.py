@@ -1,7 +1,7 @@
 """Benchmark harness reproducing the paper's tables and figures."""
 
 from .harness import EXPERIMENTS, ExperimentTable, experiment, run_experiment
-from .metrics import MemorySeries, Timer, TracemallocMeter, time_call
+from .metrics import MemorySeries
 
 __all__ = [
     "EXPERIMENTS",
@@ -9,7 +9,4 @@ __all__ = [
     "experiment",
     "run_experiment",
     "MemorySeries",
-    "Timer",
-    "TracemallocMeter",
-    "time_call",
 ]

@@ -4,38 +4,13 @@ The paper measures wall-clock verification time and process memory.  We
 measure wall-clock time of the Python implementation directly, and for
 memory we count *live verifier structures* (versions, locks, graph nodes
 and edges, buffered traces) -- the quantity Leopard's garbage collection
-controls, and the one whose growth curve Figs. 10 and 14 plot.  An
-optional tracemalloc-based byte meter is provided for absolute numbers.
+controls, and the one whose growth curve Figs. 10 and 14 plot.
 """
 
 from __future__ import annotations
 
-import time
-import tracemalloc
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
-
-
-class Timer:
-    """Context manager measuring wall-clock seconds."""
-
-    def __init__(self) -> None:
-        self.elapsed = 0.0
-        self._start: Optional[float] = None
-
-    def __enter__(self) -> "Timer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.elapsed = time.perf_counter() - self._start
-
-    def start(self) -> None:
-        self._start = time.perf_counter()
-
-    def stop(self) -> float:
-        self.elapsed = time.perf_counter() - self._start
-        return self.elapsed
+from typing import Callable, List
 
 
 @dataclass
@@ -62,22 +37,3 @@ class MemorySeries:
     @property
     def final(self) -> int:
         return self.samples[-1] if self.samples else 0
-
-
-class TracemallocMeter:
-    """Optional absolute-bytes meter (slower; off by default in benches)."""
-
-    def __enter__(self) -> "TracemallocMeter":
-        tracemalloc.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        _, self.peak_bytes = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-
-
-def time_call(fn: Callable[[], object]) -> tuple:
-    """Run ``fn`` and return ``(elapsed_seconds, result)``."""
-    start = time.perf_counter()
-    result = fn()
-    return time.perf_counter() - start, result

@@ -40,14 +40,12 @@ decoding falls back to the process-local counter.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import struct
 from pathlib import Path
-from typing import IO, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import IO, Iterable, Iterator, List, Optional, Sequence, Union
 
 from .intervals import Interval
-from .metrics import NULL_REGISTRY, MetricsRegistry
 from .trace import (
     CODE_TO_KIND,
     CODE_TO_STATUS,
@@ -227,7 +225,8 @@ def write_trace(body: bytearray, index: dict, strings: List[bytes], trace: Trace
 
 def encode_batch(traces: Sequence[Trace]) -> bytes:
     """Encode one batch of traces into a frame payload (no length prefix;
-    file framing is the writer's job, socket framing the protocol's)."""
+    file framing is :func:`dump_traces_binary`'s job, socket framing the
+    protocol's)."""
     body = bytearray()
     strings: List[bytes] = []
     index: dict = {}
@@ -547,73 +546,34 @@ def decode_batch(
 # -- streaming file surface -----------------------------------------------------
 
 
-class BinaryTraceWriter:
-    """Streaming writer: magic header, then one frame per ``batch_size``
-    traces (or per explicit :meth:`flush`).  Usable as a context manager.
-    """
-
-    def __init__(
-        self,
-        sink: Union[str, Path, IO[bytes]],
-        batch_size: int = 512,
-        metrics: Optional[MetricsRegistry] = None,
-    ):
-        if batch_size < 1:
-            raise ValueError("batch_size must be positive")
-        self._own = isinstance(sink, (str, Path))
-        self._stream = open(sink, "wb") if self._own else sink
-        self._batch: List[Trace] = []
-        self._batch_size = batch_size
-        self.count = 0
-        metrics = metrics or NULL_REGISTRY
-        self._m_frames = metrics.counter("codec.encode.frames")
-        self._m_traces = metrics.counter("codec.encode.traces")
-        self._m_bytes = metrics.counter("codec.encode.bytes")
-        self._stream.write(MAGIC)
-
-    def write(self, trace: Trace) -> None:
-        self._batch.append(trace)
-        if len(self._batch) >= self._batch_size:
-            self.flush()
-
-    def write_batch(self, traces: Iterable[Trace]) -> None:
-        for trace in traces:
-            self.write(trace)
-
-    def flush(self) -> None:
-        if self._batch:
-            payload = encode_batch(self._batch)
-            self._stream.write(_U32.pack(len(payload)))
-            self._stream.write(payload)
-            self.count += len(self._batch)
-            self._m_frames.inc()
-            self._m_traces.inc(len(self._batch))
-            self._m_bytes.inc(_U32.size + len(payload))
-            self._batch.clear()
-
-    def close(self) -> None:
-        self.flush()
-        if self._own:
-            self._stream.close()
-
-    def __enter__(self) -> "BinaryTraceWriter":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
 def dump_traces_binary(
     traces: Iterable[Trace],
     sink: Union[str, Path, IO[bytes]],
     batch_size: int = 512,
-    metrics: Optional[MetricsRegistry] = None,
 ) -> int:
-    """Binary counterpart of :func:`repro.core.io.dump_traces`."""
-    with BinaryTraceWriter(sink, batch_size=batch_size, metrics=metrics) as writer:
-        writer.write_batch(traces)
-        writer.flush()
-        return writer.count
+    """Binary counterpart of :func:`repro.core.io.dump_traces`: the magic
+    header, then one frame per ``batch_size`` traces (the last may hold
+    fewer); returns the number written.  A path is opened here and closed
+    on return or error; a stream is left open."""
+    if batch_size < 1:
+        raise ValueError("batch_size must be positive")
+    own = isinstance(sink, (str, Path))
+    stream = open(sink, "wb") if own else sink
+    traces = iter(traces)
+    count = 0
+    try:
+        stream.write(MAGIC)
+        while True:
+            batch = list(itertools.islice(traces, batch_size))
+            if not batch:
+                return count
+            payload = encode_batch(batch)
+            stream.write(_U32.pack(len(payload)))
+            stream.write(payload)
+            count += len(batch)
+    finally:
+        if own:
+            stream.close()
 
 
 #: Records the capture reader decodes per step: the pipeline's client
@@ -623,26 +583,25 @@ def dump_traces_binary(
 RUN = 64
 
 
-def _iter_runs(
+def load_traces_binary(
     source: Union[str, Path, IO[bytes]],
-    metrics: Optional[MetricsRegistry],
-    first_trace_id: Optional[int],
-) -> Iterator[Tuple[List[Trace], bool]]:
-    """The reader behind :func:`iter_binary_frames` and
-    :func:`load_traces_binary`: ``(run, last)`` pairs, where ``run`` is
-    the next :data:`RUN` records of the current frame (fewer at its end;
-    an empty frame is one empty run) and ``last`` says the frame ends with
-    it.  A frame is read when the one before is used up and held as bytes
-    plus string table; one run is decoded per ``next()``.  The frame-level
+    first_trace_id: Optional[int] = None,
+) -> Iterator[Trace]:
+    """Binary counterpart of :func:`repro.core.io.load_traces`: the traces
+    of a ``repro.traces/v1b`` file, decoded on demand.  A frame is read
+    when the one before is used up and held as bytes plus string table;
+    its records are decoded :data:`RUN` at a time as the consumer reaches
+    them, so the decoded look-ahead is at most one run.  The frame-level
     checks (record count, trailing bytes) run before a frame's last run is
-    handed out."""
+    handed out.  A path is opened by the first ``next()`` and closed on
+    exhaustion, error or ``close()``.  ``first_trace_id`` stamps the
+    stream's ids contiguously across frames (see :func:`decode_batch`).
+    Damaged input raises a :class:`CodecError` naming the file, frame
+    index and byte offset, after the runs in front of the damage were
+    yielded."""
     own = isinstance(source, (str, Path))
     stream = open(source, "rb") if own else source
     name = source if own else getattr(source, "name", "<stream>")
-    metrics = metrics or NULL_REGISTRY
-    m_frames = metrics.counter("codec.decode.frames")
-    m_traces = metrics.counter("codec.decode.traces")
-    m_bytes = metrics.counter("codec.decode.bytes")
     try:
         header = stream.read(len(MAGIC))
         if header != MAGIC:
@@ -673,60 +632,18 @@ def _iter_runs(
                         data, strings, pos, _trace_ids(next_id, count)
                     )
                     remaining -= count
-                    last = not remaining
-                    if last:
+                    if not remaining:
                         _check_consumed(data, pos)
                     if next_id is not None:
                         next_id += count
-                    m_traces.inc(count)
-                    yield run, last
-                    if last:
+                    yield from run
+                    if not remaining:
                         break
             except CodecError as exc:
                 raise CodecError(
                     f"{name}: frame {index} at byte offset {offset}: {exc}"
                 ) from None
             offset += _U32.size + length
-            m_frames.inc()
-            m_bytes.inc(_U32.size + length)
     finally:
         if own:
             stream.close()
-
-
-def iter_binary_frames(
-    source: Union[str, Path, IO[bytes]],
-    metrics: Optional[MetricsRegistry] = None,
-    first_trace_id: Optional[int] = None,
-) -> Iterator[List[Trace]]:
-    """Stream decoded batches from a ``repro.traces/v1b`` file: the frame
-    granularity is preserved, so batch consumers (``process_batch``) skip
-    the per-trace hop entirely.  One frame is read and decoded per
-    ``next()``; a path is opened on the first and closed on exhaustion or
-    error.  ``first_trace_id`` stamps the stream's ids contiguously across
-    frames (see :func:`decode_batch`).  Damaged input raises a
-    :class:`CodecError` naming the file, frame index and byte offset."""
-    frame: List[Trace] = []
-    with contextlib.closing(_iter_runs(source, metrics, first_trace_id)) as runs:
-        for run, last in runs:
-            frame += run
-            if last:
-                yield frame
-                frame = []
-
-
-def load_traces_binary(
-    source: Union[str, Path, IO[bytes]],
-    metrics: Optional[MetricsRegistry] = None,
-    first_trace_id: Optional[int] = None,
-) -> Iterator[Trace]:
-    """Binary counterpart of :func:`repro.core.io.load_traces`: the traces
-    of :func:`iter_binary_frames` one by one, decoded on demand.  What is
-    held of the current frame is its bytes and string table; its records
-    are decoded :data:`RUN` at a time as the consumer reaches them, so the
-    decoded look-ahead is at most one run.  Damage anywhere in a frame
-    raises the same located :class:`CodecError`, after the runs in front
-    of it were yielded."""
-    with contextlib.closing(_iter_runs(source, metrics, first_trace_id)) as runs:
-        for run, _ in runs:
-            yield from run

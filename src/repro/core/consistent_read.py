@@ -50,7 +50,6 @@ class ConsistentReadVerifier(MechanismVerifier):
         spec: IsolationSpec,
         on_read_matches=None,
         minimal: bool = True,
-        check_aborted_reads: bool = True,
         metrics=None,
     ):
         from .metrics import NULL_REGISTRY
@@ -86,10 +85,6 @@ class ConsistentReadVerifier(MechanismVerifier):
         #: stale/future reads are violations only when the spec claims CR;
         #: dirty reads and reads of never-written values are always bugs.
         self._flag_stale = spec.uses_cr
-        #: whether reads of aborted transactions are still checked (they
-        #: must be by default: an engine may not serve inconsistent data
-        #: even to a transaction that later rolls back).
-        self._check_aborted = check_aborted_reads
         #: the finished transaction's unique matches, awaiting delivery to
         #: the deriver.  :meth:`on_terminal` only queues them; the verifier
         #: calls :meth:`drain_matches` right after it, as a separate step,
@@ -121,10 +116,6 @@ class ConsistentReadVerifier(MechanismVerifier):
         longer chains are classified (Fig. 6)."""
         pending = txn.pending_reads
         if not pending:
-            return
-        if not txn.committed and not self._check_aborted:
-            # Ablation: aborted transactions' reads go unchecked.
-            pending.clear()
             return
         state = self._state
         chains_get = self._chains_get

@@ -5,8 +5,8 @@ ships traces to the verifier as an append-only stream.  This module defines
 the self-describing text format -- one JSON object per line, ordered per
 client (each client appends to its own file or stream) -- and routes to the
 compact binary sibling (:mod:`repro.core.codec`, ``repro.traces/v1b``)
-when a path carries the :data:`BINARY_SUFFIX` extension or the caller asks
-for ``fmt="binary"`` explicitly.
+when a path carries the :data:`BINARY_SUFFIX` extension: the file name
+alone picks the format, and file objects are always JSONL.
 
 Format (one line per trace)::
 
@@ -35,24 +35,6 @@ BINARY_SUFFIX = ".rtb"
 
 #: Recognised trace serialisation formats.
 FORMATS = ("jsonl", "binary")
-
-
-def resolve_format(
-    target: Union[str, Path, IO, None], fmt: Optional[str] = None
-) -> str:
-    """Pick the serialisation format for ``target``.
-
-    An explicit ``fmt`` always wins; otherwise paths ending in
-    :data:`BINARY_SUFFIX` select the binary codec and everything else
-    (including bare file objects) stays JSONL.
-    """
-    if fmt is not None:
-        if fmt not in FORMATS:
-            raise ValueError(f"unknown trace format {fmt!r}; expected {FORMATS}")
-        return fmt
-    if isinstance(target, (str, Path)) and str(target).endswith(BINARY_SUFFIX):
-        return "binary"
-    return "jsonl"
 
 _TUPLE_TAG = "\u0000t"
 
@@ -134,18 +116,17 @@ def trace_from_dict(payload: Mapping, trace_id: Optional[int] = None) -> Trace:
     )
 
 
-def dump_traces(
-    traces: Iterable[Trace],
-    sink: Union[str, Path, IO],
-    fmt: Optional[str] = None,
-) -> int:
-    """Write traces in the resolved format; returns the number written.
+def _is_binary(target: Union[str, Path, IO]) -> bool:
+    return isinstance(target, (str, Path)) and str(target).endswith(BINARY_SUFFIX)
 
-    Paths ending in :data:`BINARY_SUFFIX` (or an explicit
-    ``fmt="binary"``) use the length-prefixed binary codec; everything
-    else writes JSON lines.
+
+def dump_traces(traces: Iterable[Trace], sink: Union[str, Path, IO]) -> int:
+    """Write traces; returns the number written.
+
+    Paths ending in :data:`BINARY_SUFFIX` use the length-prefixed binary
+    codec; everything else, file objects included, writes JSON lines.
     """
-    if resolve_format(sink, fmt) == "binary":
+    if _is_binary(sink):
         from .codec import dump_traces_binary
 
         return dump_traces_binary(traces, sink)
@@ -165,17 +146,16 @@ def dump_traces(
 
 def load_traces(
     source: Union[str, Path, IO],
-    fmt: Optional[str] = None,
     first_trace_id: Optional[int] = None,
 ) -> Iterator[Trace]:
-    """Stream traces back from a JSONL or binary file (resolved like
+    """Stream traces back from a JSONL or binary file (picked by name like
     :func:`dump_traces`), decoding on demand: a path is opened by the
     first ``next()`` and closed on exhaustion or error.  With
     ``first_trace_id`` trace ``i`` of the stream is stamped
     ``first_trace_id + i``.  Damaged input raises a :class:`ValueError`
     naming the file and the line (JSONL) or frame and byte offset
     (binary)."""
-    if resolve_format(source, fmt) == "binary":
+    if _is_binary(source):
         from .codec import load_traces_binary
 
         yield from load_traces_binary(source, first_trace_id=first_trace_id)
@@ -219,7 +199,7 @@ def dump_client_streams(
     paths = []
     for client_id, traces in sorted(streams.items()):
         path = directory / f"{prefix}-{client_id}{suffix}"
-        dump_traces(traces, path, fmt=fmt)
+        dump_traces(traces, path)
         paths.append(path)
     return paths
 

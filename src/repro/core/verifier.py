@@ -95,10 +95,6 @@ class Verifier:
     minimize_candidates:
         Whether CR uses the Fig. 6 minimal candidate set (``False`` checks
         reads against every committed version -- the naive ablation).
-    check_aborted_reads:
-        Whether reads of aborted transactions are still CR-checked (they
-        must be: an engine may not serve inconsistent data even to a
-        transaction that later rolls back).
     metrics:
         A :class:`~repro.core.metrics.MetricsRegistry` to instrument the
         run with (``docs/observability.md``).  ``None`` (the default)
@@ -113,7 +109,6 @@ class Verifier:
         gc_every: int = 512,
         exchange_dependencies: bool = True,
         minimize_candidates: bool = True,
-        check_aborted_reads: bool = True,
         session_order: bool = True,
         metrics: Optional[MetricsRegistry] = None,
     ):
@@ -145,7 +140,6 @@ class Verifier:
             spec,
             deriver.on_read_matches,
             minimal=minimize_candidates,
-            check_aborted_reads=check_aborted_reads,
             metrics=self.metrics,
         )
         certifier = self._build_certifier()

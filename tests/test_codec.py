@@ -13,21 +13,17 @@ import io
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import MetricsRegistry
 from repro.core.codec import (
     MAGIC,
     RUN,
-    BinaryTraceWriter,
     CodecError,
     decode_batch,
     dump_traces_binary,
     encode_batch,
-    iter_binary_frames,
     load_traces_binary,
     read_strings,
     read_varint,
 )
-from repro.core.io import load_traces
 from repro.core.trace import KeyRange, OpStatus, Trace
 
 from tests.codec_oracle import decode_reference
@@ -55,6 +51,23 @@ def assert_same_traces(decoded, originals):
     assert len(decoded) == len(originals)
     for got, want in zip(decoded, originals):
         assert trace_fields(got) == trace_fields(want)
+
+
+def frame_payloads(blob):
+    """The payload of every frame of a ``repro.traces/v1b`` blob."""
+    payloads, pos = [], len(MAGIC)
+    while pos < len(blob):
+        size = int.from_bytes(blob[pos : pos + 4], "little")
+        payloads.append(blob[pos + 4 : pos + 4 + size])
+        pos += 4 + size
+    return payloads
+
+
+def frame_sizes(blob):
+    """How many traces each frame of a ``repro.traces/v1b`` blob holds,
+    split here and decoded by :func:`decode_batch` -- independent of the
+    file reader under test."""
+    return [len(decode_batch(payload)) for payload in frame_payloads(blob)]
 
 
 SAMPLE = [
@@ -192,10 +205,10 @@ class TestMalformedInput:
         blob = path.read_bytes()
         second = len(MAGIC) + 4 + int.from_bytes(blob[len(MAGIC):][:4], "little")
         path.write_bytes(blob[: second + 4 + 5])
-        frames = iter_binary_frames(path)
-        assert len(next(frames)) == 3
+        reader = load_traces_binary(path)
+        assert_same_traces([next(reader) for _ in range(3)], SAMPLE[:3])
         with pytest.raises(CodecError) as err:
-            next(frames)
+            next(reader)
         message = str(err.value)
         assert str(path) in message
         assert f"frame 1 at byte offset {second}" in message
@@ -263,18 +276,17 @@ class TestFileFraming:
     def test_frame_granularity_preserved(self):
         sink = io.BytesIO()
         dump_traces_binary(SAMPLE, sink, batch_size=3)
-        batches = list(iter_binary_frames(io.BytesIO(sink.getvalue())))
-        assert [len(b) for b in batches] == [3, 3, 2]
+        assert frame_sizes(sink.getvalue()) == [3, 3, 2]
 
     def test_writer_flushes_on_batch_size(self):
-        sink = io.BytesIO()
-        with BinaryTraceWriter(sink, batch_size=2) as writer:
-            writer.write(SAMPLE[0])
-            assert writer.count == 0  # buffered
-            writer.write(SAMPLE[1])
-            assert writer.count == 2  # flushed one frame
-        decoded = list(load_traces_binary(io.BytesIO(sink.getvalue())))
-        assert_same_traces(decoded, SAMPLE[:2])
+        """One frame per ``batch_size`` traces, a short last frame for the
+        rest, and no empty frame when the count divides evenly."""
+        for batch_size, sizes in ((2, [2, 2, 2, 2]), (8, [8]), (512, [8])):
+            sink = io.BytesIO()
+            assert dump_traces_binary(SAMPLE, sink, batch_size=batch_size) == 8
+            assert frame_sizes(sink.getvalue()) == sizes
+            decoded = list(load_traces_binary(io.BytesIO(sink.getvalue())))
+            assert_same_traces(decoded, SAMPLE)
 
     def test_first_trace_id_stamps_contiguously_across_frames(self):
         sink = io.BytesIO()
@@ -294,27 +306,10 @@ class TestFileFraming:
         assert list(load_traces_binary(io.BytesIO(sink.getvalue()))) == []
 
     def test_rejects_bad_batch_size(self):
-        with pytest.raises(ValueError):
-            BinaryTraceWriter(io.BytesIO(), batch_size=0)
-
-    def test_metrics_counters(self):
-        metrics = MetricsRegistry()
         sink = io.BytesIO()
-        dump_traces_binary(SAMPLE, sink, batch_size=3, metrics=metrics)
-        list(load_traces_binary(io.BytesIO(sink.getvalue()), metrics=metrics))
-        counters = {
-            name: sum(metrics.counters_with_name(name).values())
-            for name in (
-                "codec.encode.frames",
-                "codec.encode.traces",
-                "codec.decode.frames",
-                "codec.decode.traces",
-            )
-        }
-        assert counters["codec.encode.frames"] == 3
-        assert counters["codec.encode.traces"] == len(SAMPLE)
-        assert counters["codec.decode.frames"] == 3
-        assert counters["codec.decode.traces"] == len(SAMPLE)
+        with pytest.raises(ValueError):
+            dump_traces_binary(SAMPLE, sink, batch_size=0)
+        assert sink.getvalue() == b""
 
 
 # -- fuzz ---------------------------------------------------------------------
@@ -399,16 +394,6 @@ def test_fuzz_file_round_trip(batch, batch_size):
     assert_same_traces(decoded, batch)
 
 
-def _frame_payloads(blob):
-    """The payload of every frame of a ``repro.traces/v1b`` blob."""
-    payloads, pos = [], len(MAGIC)
-    while pos < len(blob):
-        size = int.from_bytes(blob[pos : pos + 4], "little")
-        payloads.append(blob[pos + 4 : pos + 4 + size])
-        pos += 4 + size
-    return payloads
-
-
 #: frame sizes below, equal to, between multiples of and far above the run.
 _FRAME_SIZES = (1, RUN - 1, RUN, RUN + 1, 2 * RUN + RUN // 2, 512)
 
@@ -423,20 +408,18 @@ _FRAME_SIZES = (1, RUN - 1, RUN, RUN + 1, 2 * RUN + RUN // 2, 512)
 def test_run_granular_reader_equals_frame_by_frame_decode(
     seed_traces, count, frame_size, first_trace_id
 ):
-    """``load_traces`` -- records decoded RUN at a time as they are pulled
-    -- yields what eager per-frame ``decode_batch`` yields: same order,
-    same fields, same ids, wherever the frame boundaries fall relative to
-    the run; ids from the process-local counter (``None``) are handed out
-    in the same stream order."""
+    """``load_traces_binary`` -- records decoded RUN at a time as they are
+    pulled -- yields what eager per-frame ``decode_batch`` yields: same
+    order, same fields, same ids, wherever the frame boundaries fall
+    relative to the run; ids from the process-local counter (``None``) are
+    handed out in the same stream order."""
     batch = (seed_traces * (count // len(seed_traces) + 1))[:count]
     sink = io.BytesIO()
     dump_traces_binary(batch, sink, batch_size=frame_size)
     blob = sink.getvalue()
-    lazy = list(
-        load_traces(io.BytesIO(blob), fmt="binary", first_trace_id=first_trace_id)
-    )
+    lazy = list(load_traces_binary(io.BytesIO(blob), first_trace_id=first_trace_id))
     eager = []
-    for payload in _frame_payloads(blob):
+    for payload in frame_payloads(blob):
         eager += decode_batch(
             payload,
             first_trace_id=(
@@ -456,6 +439,6 @@ def test_run_granular_reader_equals_frame_by_frame_decode(
         assert [t.trace_id for t in lazy] == list(
             range(first_trace_id, first_trace_id + count)
         )
-    assert [len(b) for b in iter_binary_frames(io.BytesIO(blob))] == [
+    assert frame_sizes(blob) == [
         min(frame_size, count - start) for start in range(0, count, frame_size)
     ]

@@ -187,14 +187,6 @@ class TestViolations:
         report = verify(traces)
         assert not report.ok
 
-    def test_aborted_reader_skippable(self):
-        traces = writer("t1", "x", 1, 0.0) + [
-            Trace.read(1.0, 1.1, "t2", {"x": 0}, client_id=1),
-            Trace.abort(1.2, 1.3, "t2", client_id=1),
-        ]
-        report = verify(traces, check_aborted_reads=False)
-        assert report.ok
-
 
 class TestColumnReads:
     COLS = {"r": {"a": 1, "b": 2}}

@@ -242,18 +242,16 @@ class TestEveryBranch:
         assert report.stats.deduced_overlapped_pairs == 0
         assert registry.counter_value("cr.reads.ambiguous") == 1
 
-    @pytest.mark.parametrize("check_aborted", [True, False])
-    def test_aborted_reader(self, check_aborted):
+    def test_aborted_reader(self):
+        """Reads of a transaction that rolls back are checked like any
+        other: an engine may not serve inconsistent data even to it."""
         report, decided = check_traces(
             reader("r1", {"x": 41}, 1.0, end=Trace.abort)
             + reader("r2", {"x": 0}, 2.0, end=Trace.abort),
-            initial_db=INIT, check_aborted_reads=check_aborted,
+            initial_db=INIT,
         )
-        if check_aborted:
-            assert kinds(report) == ["unknown-version"] and decided["unique"] == 1
-        else:
-            assert report.ok and not decided["unique"] and not decided["miss"]
-        assert report.stats.reads_checked == (2 if check_aborted else 0)
+        assert kinds(report) == ["unknown-version"] and decided["unique"] == 1
+        assert report.stats.reads_checked == 2
         assert report.stats.deps_wr == 0
 
     def test_naive_candidates_keep_no_visibility_filter(self):
@@ -382,7 +380,6 @@ def grid_streams(draw):
 OPTIONS = [
     {},
     {"minimize_candidates": False},
-    {"check_aborted_reads": False},
     {"exchange_dependencies": False},
 ]
 

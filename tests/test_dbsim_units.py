@@ -4,7 +4,7 @@ first-committer) and the bench metrics utilities."""
 from types import SimpleNamespace
 
 
-from repro.bench.metrics import MemorySeries, Timer, time_call
+from repro.bench.metrics import MemorySeries
 from repro.core.spec import CRLevel
 from repro.dbsim.occ import FirstCommitterValidator, OccValidator
 from repro.dbsim.snapshots import SnapshotManager
@@ -164,15 +164,6 @@ class TestFirstCommitter:
 
 
 class TestMetrics:
-    def test_timer(self):
-        with Timer() as timer:
-            sum(range(1000))
-        assert timer.elapsed >= 0
-
-    def test_time_call(self):
-        elapsed, result = time_call(lambda: 42)
-        assert result == 42 and elapsed >= 0
-
     def test_memory_series(self):
         series = MemorySeries(sample_every=2)
         values = iter([10, 20, 5])

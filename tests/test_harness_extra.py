@@ -3,7 +3,6 @@
 import pytest
 
 from repro.bench.harness import ExperimentTable, main
-from repro.bench.metrics import TracemallocMeter
 
 
 class TestTableRendering:
@@ -38,14 +37,6 @@ class TestCliErrors:
     def test_main_default_lists(self, capsys):
         assert main([]) == 0
         assert "fig4" in capsys.readouterr().out
-
-
-class TestTracemalloc:
-    def test_meter_measures(self):
-        with TracemallocMeter() as meter:
-            blob = [list(range(100)) for _ in range(100)]
-            del blob
-        assert meter.peak_bytes > 0
 
 
 class TestCsvExport:

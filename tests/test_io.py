@@ -89,6 +89,24 @@ class TestStreamRoundTrip:
         with pytest.raises(ValueError, match="line 2"):
             list(load_traces(buffer))
 
+    def test_the_file_name_alone_picks_the_format(self, tmp_path):
+        """A path ending in ``.rtb`` is ``repro.traces/v1b`` frames;
+        any other path, and every file object, is JSON lines."""
+        from repro.core.codec import MAGIC
+
+        binary, text = tmp_path / "client-0.rtb", tmp_path / "client-0.log"
+        assert dump_traces(sample_traces(), binary) == 6
+        assert dump_traces(sample_traces(), text) == 6
+        assert binary.read_bytes().startswith(MAGIC)
+        assert text.read_text().splitlines()[0].startswith("{")
+        buffer = io.StringIO()
+        dump_traces(sample_traces(), buffer)
+        assert buffer.getvalue() == text.read_text()
+        for path in (binary, text):
+            loaded = list(load_traces(path))
+            assert len(loaded) == 6
+            assert all(map(equivalent, sample_traces(), loaded))
+
     def test_malformed_line_names_the_file(self, tmp_path):
         path = tmp_path / "client-4.jsonl"
         path.write_text('{"k":"commit","t":"t1","b":0,"a":1}\n{"k":"comm')
