@@ -123,6 +123,5 @@ __all__ = [
     "supported_dbms",
     "run_stats",
     "verify_traces",
-    "verify_traces_parallel",
     "__version__",
 ]

@@ -294,6 +294,22 @@ def _workers(text: str) -> int:
     return count
 
 
+def _at_least(minimum: int):
+    """An argparse ``type=``: an integer no smaller than ``minimum``, so a
+    bad value ends in one usage error that names the flag."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}"
+            )
+        return value
+
+    parse.__name__ = "int"  # argparse's "invalid int value" for non-integers
+    return parse
+
+
 def cmd_profiles(args) -> int:
     from .bench.experiments import fig1_profiles
 
@@ -354,10 +370,10 @@ def build_parser() -> argparse.ArgumentParser:
     verify_p.add_argument("capture", help="directory written by `run`")
     verify_p.add_argument("--dbms", default="postgresql", choices=supported_dbms())
     verify_p.add_argument("--level", default="SR")
-    verify_p.add_argument("--gc-every", type=int, default=512)
+    verify_p.add_argument("--gc-every", type=_at_least(0), default=512)
     verify_p.add_argument(
         "--parallel",
-        type=int,
+        type=_at_least(0),
         default=0,
         metavar="N",
         help="verify with N key-partitioned shards (0 = serial verifier)",
@@ -401,9 +417,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--initial-db", default=None, metavar="PATH",
         help="initial database image (initial_db.json from `run`)",
     )
-    serve_p.add_argument("--gc-every", type=int, default=512)
+    serve_p.add_argument("--gc-every", type=_at_least(0), default=512)
     serve_p.add_argument(
-        "--credit", type=int, default=8,
+        "--credit", type=_at_least(1), default=8,
         help="TRACES frames a session may have in flight",
     )
     serve_p.add_argument(

@@ -84,18 +84,13 @@ class NaiveCycleSearchChecker:
         self,
         spec: IsolationSpec = PG_SERIALIZABLE,
         initial_db: Optional[Mapping[Key, Mapping[str, object]]] = None,
-        check_every: int = 1,
     ):
-        if check_every < 1:
-            raise ValueError("check_every must be positive")
         # The certifier is stripped: this checker supplies its own SC step.
         # Garbage collection is disabled -- the naive approach retains the
         # complete graph, which is also what makes it slow.
         self._verifier = _RawGraphVerifier(
             spec=spec.without("SC"), initial_db=initial_db, gc_every=0
         )
-        self._check_every = check_every
-        self._commits_since_check = 0
         self._cycle_found = False
 
     @property
@@ -107,7 +102,7 @@ class NaiveCycleSearchChecker:
 
     def process_batch(self, traces: Iterable[Trace]) -> None:
         """Feed the deduction in runs that end at a commit, searching the
-        whole graph after each (every ``check_every``-th) one."""
+        whole graph after each one."""
         run = []
         for trace in traces:
             run.append(trace)
@@ -120,10 +115,6 @@ class NaiveCycleSearchChecker:
     def _after_commit(self) -> None:
         if self._cycle_found:
             return
-        self._commits_since_check += 1
-        if self._commits_since_check < self._check_every:
-            return
-        self._commits_since_check = 0
         cycle = self.graph.find_cycle()
         if cycle is not None:
             self._cycle_found = True

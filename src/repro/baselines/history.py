@@ -48,12 +48,10 @@ class HistoryTxn:
     commit_ts: float = 0.0
 
 
-def history_from_traces(
-    traces: Iterable[Trace],
-    include_aborted: bool = False,
-) -> List[HistoryTxn]:
+def history_from_traces(traces: Iterable[Trace]) -> List[HistoryTxn]:
     """Lower a (sorted or unsorted) trace stream into commit-ordered
-    history transactions."""
+    history transactions; aborted transactions take a place in the order
+    but are left out."""
     building: Dict[str, HistoryTxn] = {}
     finished: List[Tuple[float, HistoryTxn]] = []
     for trace in sorted(traces, key=Trace.sort_key):
@@ -86,7 +84,7 @@ def history_from_traces(
     history: List[HistoryTxn] = []
     for order, (_, txn) in enumerate(finished):
         txn.commit_order = order
-        if txn.committed or include_aborted:
+        if txn.committed:
             history.append(txn)
     return history
 

@@ -82,7 +82,6 @@ _LAZY = {
     "ShardResult": "parallel",
     "ShardVerifier": "parallel",
     "StreamSegment": "parallel",
-    "verify_traces_parallel": "parallel",
     "ShardRouter": "sharding",
     "stable_hash": "sharding",
 }
@@ -131,7 +130,6 @@ __all__ = [
     "ShardResult",
     "ShardVerifier",
     "StreamSegment",
-    "verify_traces_parallel",
     "ShardRouter",
     "stable_hash",
     "OnlineVerifier",

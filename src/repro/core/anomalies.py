@@ -58,7 +58,6 @@ VIOLATION_ANOMALIES: Dict[ViolationKind, Tuple[Anomaly, ...]] = {
     ViolationKind.DIRTY_READ: (Anomaly.DIRTY_READ,),
     ViolationKind.OWN_WRITE_LOST: (Anomaly.INTERMEDIATE_READ,),
     ViolationKind.UNKNOWN_VERSION: (Anomaly.DIRTY_READ,),
-    ViolationKind.NON_MONOTONIC_READ: (Anomaly.NON_REPEATABLE_READ,),
     ViolationKind.PHANTOM: (Anomaly.PHANTOM,),
     ViolationKind.INCOMPATIBLE_LOCKS: (Anomaly.DIRTY_WRITE,),
     ViolationKind.LOST_UPDATE: (Anomaly.LOST_UPDATE,),
@@ -67,7 +66,6 @@ VIOLATION_ANOMALIES: Dict[ViolationKind, Tuple[Anomaly, ...]] = {
         Anomaly.WRITE_SKEW,
         Anomaly.SERIALIZATION_FAILURE,
     ),
-    ViolationKind.TIMESTAMP_INVERSION: (Anomaly.SERIALIZATION_FAILURE,),
     ViolationKind.CONTRADICTORY_DEPENDENCIES: (Anomaly.CIRCULAR_INFO_FLOW,),
 }
 

@@ -1,9 +1,9 @@
-"""Online verification: push-based tracing with immediate alerting.
+"""Online verification: push-based tracing with mid-run violations.
 
 The batch path (:class:`~repro.core.pipeline.TwoLevelPipeline` +
 :class:`~repro.core.verifier.Verifier`) pulls complete client streams.  A
 deployment wants the opposite direction: clients *push* traces as they
-happen and the operator is alerted the moment a violation is detected
+happen and a violation is listed the moment it is detected
 (challenge C3: "bugs can be reported and fixed as soon as possible").
 
 :class:`OnlineVerifier` is the push driver of the two-level pipeline's
@@ -13,9 +13,9 @@ construction.  Each client feeds its own monotone stream: a frame is
 validated and staged on the client's stage, the client's mark -- the
 ``(ts_bef, trace_id)`` pair it vouches never to send anything below --
 moves to its last staged trace, and whatever now sorts below every other
-client's mark is dispatched to the verifier.  New violations fire the
-``on_violation`` callback immediately after the dispatching call that
-detected them.
+client's mark is dispatched to the verifier.  A violation the dispatch
+inside a ``feed`` / ``feed_batch`` / ``heartbeat`` call detects is in
+:attr:`OnlineVerifier.violations_so_far` when that call returns.
 
 A client that stops sending would freeze the watermark; deployments send
 periodic heartbeats for idle clients -- :meth:`heartbeat` moves the mark
@@ -26,7 +26,7 @@ to ``(now, -inf)``: the client may still send *any* id at exactly
 from __future__ import annotations
 
 import operator
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from .intervals import POS_INF
 from .pipeline import GlobalBuffer
@@ -36,19 +36,16 @@ from .spec import IsolationSpec, PG_SERIALIZABLE
 from .trace import Trace
 from .verifier import RefusedTrace, Verifier
 
-ViolationCallback = Callable[[Violation], None]
-
 _client_id = operator.attrgetter("client_id")
 
 
 class OnlineVerifier:
-    """Streaming verification facade with at-dispatch alerting."""
+    """Streaming verification facade: violations listed at dispatch."""
 
     def __init__(
         self,
         spec: IsolationSpec = PG_SERIALIZABLE,
         initial_db=None,
-        on_violation: Optional[ViolationCallback] = None,
         verifier=None,
         **verifier_kwargs,
     ):
@@ -65,7 +62,6 @@ class OnlineVerifier:
         self._verifier = verifier if verifier is not None else Verifier(
             spec=spec, initial_db=initial_db, **verifier_kwargs
         )
-        self._on_violation = on_violation
         #: interpreter-collector passes, counted into the backend's
         #: registry until :meth:`finish` (nothing when it is disabled).
         self._collector_watch = CollectorWatch(self._verifier.metrics)
@@ -75,7 +71,6 @@ class OnlineVerifier:
         #: (:class:`~repro.core.verifier.RefusedTrace`), with the reason,
         #: in eviction order; their streams never resume.
         self.refused: Dict[int, str] = {}
-        self._alerted = 0
         self._dispatched = 0
         self._finished = False
 
@@ -182,10 +177,8 @@ class OnlineVerifier:
     # -- dispatch -------------------------------------------------------------------
 
     def _dispatch(self, batch: List[Trace]) -> int:
-        """Feed one dispatch batch to the backend, then alert on anything
-        new; returns how many traces the backend executed.  Alerts keep
-        their documented granularity -- they fire inside the ``feed`` /
-        ``heartbeat`` call whose watermark advance detected them.
+        """Feed one dispatch batch to the backend; returns how many traces
+        the backend executed.
 
         A trace the backend refuses costs its own client its stream and
         nothing else: the client is evicted (:attr:`refused`), what it had
@@ -209,7 +202,6 @@ class OnlineVerifier:
                 done += len(batch)
                 batch = None
         self._dispatched += done
-        self._alert_new()
         return done
 
     def _advance(self) -> int:
@@ -223,14 +215,6 @@ class OnlineVerifier:
         if len(self.refused) > evicted:
             done += self._advance()
         return done
-
-    def _alert_new(self) -> None:
-        violations = self._verifier.violations_so_far()
-        while self._alerted < len(violations):
-            violation = violations[self._alerted]
-            self._alerted += 1
-            if self._on_violation is not None:
-                self._on_violation(violation)
 
     # -- introspection / completion ----------------------------------------------------
 
@@ -278,7 +262,6 @@ class OnlineVerifier:
                 else None
             ),
             "violations": len(self._verifier.violations_so_far()),
-            "alerted": self._alerted,
             "live_structures": self.live_structure_count(),
             "metrics": self._verifier.metrics.snapshot(),
         }
@@ -291,7 +274,5 @@ class OnlineVerifier:
             stage.mark = (POS_INF, POS_INF)
         self._advance()
         report = self._verifier.finish()
-        # Violations found by the finish pass surface only now.
-        self._alert_new()
         self._collector_watch.close()
         return report

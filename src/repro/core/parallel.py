@@ -238,6 +238,10 @@ class ShardVerifier(Verifier):
         self._trace_index = -1
         self._wall_seconds = 0.0
         super().__init__(**kwargs)
+        # Session-order edges are global facts; emitting them from every
+        # shard would multiply them in the merged graph, so shard 0 owns
+        # them (every shard sees every terminal, so its view is complete).
+        self._session_order = shard_id == 0
         self.state.descriptor = _JournalingDescriptor(self._journal)
 
     def _build_certifier(self) -> GraphOnlyCertifier:
@@ -656,7 +660,6 @@ class ParallelVerifier:
         backend: str = "process",
         batch_size: int = 256,
         gc_every: int = 512,
-        session_order: bool = True,
         segment_events: int = 1024,
         metrics: Optional[MetricsRegistry] = None,
         **verifier_kwargs,
@@ -672,7 +675,6 @@ class ParallelVerifier:
         self._initial_parts = self.router.partition_initial_db(initial_db)
         self._options = dict(verifier_kwargs)
         self._options["gc_every"] = gc_every
-        self._session_order = session_order
         self._txns: Dict[str, _TxnRecord] = {}
         #: committed transactions in stream order, (trace_index, txn), that
         #: the merger has not replayed yet
@@ -719,10 +721,6 @@ class ParallelVerifier:
 
     def _shard_options(self, shard: int) -> Dict:
         options = dict(self._options)
-        # Session-order edges are global facts; emitting them from every
-        # shard would multiply them in the merged graph, so shard 0 owns
-        # them (every shard sees every terminal, so its view is complete).
-        options["session_order"] = self._session_order and shard == 0
         options["metrics_enabled"] = self.metrics.enabled
         return options
 
@@ -1090,20 +1088,3 @@ class ParallelVerifier:
             total += self._merger.state.live_structure_count()
             total += self._merger.pending_events()
         return total
-
-
-def verify_traces_parallel(
-    traces: Iterable[Trace],
-    spec: IsolationSpec = PG_SERIALIZABLE,
-    initial_db: Optional[Mapping[Key, Mapping[str, object]]] = None,
-    shards: int = 4,
-    backend: str = "process",
-    **kwargs,
-) -> VerificationReport:
-    """One-shot parallel counterpart of
-    :func:`~repro.core.verifier.verify_traces`."""
-    verifier = ParallelVerifier(
-        spec=spec, initial_db=initial_db, shards=shards, backend=backend, **kwargs
-    )
-    verifier.process_all(traces)
-    return verifier.finish()

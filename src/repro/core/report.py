@@ -34,7 +34,6 @@ class ViolationKind(enum.Enum):
     DIRTY_READ = "dirty-read"          # read an uncommitted/aborted version
     OWN_WRITE_LOST = "own-write-lost"  # failed to see an earlier write of the same txn
     UNKNOWN_VERSION = "unknown-version"  # read a value no write ever produced
-    NON_MONOTONIC_READ = "non-monotonic-read"  # consecutive reads went backwards
     PHANTOM = "phantom"                # a scan missed a definitely-visible row
     # ME
     INCOMPATIBLE_LOCKS = "incompatible-locks"
@@ -43,7 +42,6 @@ class ViolationKind(enum.Enum):
     # SC
     DEPENDENCY_CYCLE = "dependency-cycle"
     DANGEROUS_STRUCTURE = "dangerous-structure"  # SSI: two consecutive rw edges
-    TIMESTAMP_INVERSION = "timestamp-inversion"  # MVTO: dep from newer to older
     CONTRADICTORY_DEPENDENCIES = "contradictory-dependencies"
 
 

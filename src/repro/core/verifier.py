@@ -109,17 +109,12 @@ class Verifier:
         gc_every: int = 512,
         exchange_dependencies: bool = True,
         minimize_candidates: bool = True,
-        session_order: bool = True,
         metrics: Optional[MetricsRegistry] = None,
     ):
-        """``session_order`` adds same-client program-order edges to the
-        dependency graph (strong-session guarantee).  Sound for every
-        snapshot-based engine -- a transaction beginning after its session
-        predecessor committed always sees its effects -- and it lets the
-        certifier catch "time-travel" bugs where a session's later
-        transaction serialises before its earlier one."""
         self.spec = spec
-        self._session_order = session_order
+        #: whether commits publish session-order edges (a shard of the
+        #: parallel backend turns them off unless it owns them).
+        self._session_order = True
         self._session_tail: dict = {}
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         self.state = state = self._build_state(initial_db)
@@ -353,6 +348,11 @@ class Verifier:
         state.note_terminal(txn.txn_id, trace.interval.ts_aft)
         state.stats.txns_committed += 1
         state.graph.add_txn(txn.txn_id)
+        # Same-client program-order edges (strong-session guarantee).
+        # Sound for every snapshot-based engine -- a transaction beginning
+        # after its session predecessor committed always sees its effects
+        # -- and they let the certifier catch "time-travel" bugs where a
+        # session's later transaction serialises before its earlier one.
         if self._session_order:
             predecessor = self._session_tail.get(trace.client_id)
             if predecessor is not None and predecessor in state.graph:
@@ -402,7 +402,7 @@ class Verifier:
     def violations_so_far(self) -> List[Violation]:
         """Violations recorded up to now: the descriptor's own
         append-only list, which the report shares -- not a copy, and not
-        the caller's to change.  The online layer alerts from it."""
+        the caller's to change.  The online layer serves it mid-run."""
         return self.state.descriptor._violations
 
     def live_structure_count(self) -> int:

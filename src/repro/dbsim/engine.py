@@ -120,9 +120,7 @@ class SimulatedDBMS:
         self,
         spec: IsolationSpec = PG_SERIALIZABLE,
         seed: int = 0,
-        latency: Optional[LatencyModel] = None,
         faults: FaultPlan = CLEAN,
-        loop: Optional[EventLoop] = None,
         cc_protocol: str = "occ",
     ):
         """``cc_protocol`` selects the concrete engine protocol behind a
@@ -133,8 +131,8 @@ class SimulatedDBMS:
             raise ValueError(f"unknown cc_protocol {cc_protocol!r}")
         self.cc_protocol = cc_protocol
         self.spec = spec
-        self.loop = loop or EventLoop()
-        self.latency = latency or LatencyModel()
+        self.loop = EventLoop()
+        self.latency = LatencyModel()
         self.rng = random.Random(seed)
         self.faults = faults
         self._dice = FaultDice(faults)

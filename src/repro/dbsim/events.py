@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 Callback = Callable[[], None]
 
@@ -43,16 +43,13 @@ class EventLoop:
         """Request the loop to stop before the next event."""
         self._stopped = True
 
-    def run(self, until: Optional[float] = None, max_events: int = 50_000_000) -> int:
-        """Process events until the queue drains, ``until`` is reached, or
-        :meth:`stop` is called.  Returns the number of events processed."""
+    def run(self, max_events: int = 50_000_000) -> int:
+        """Process events until the queue drains or :meth:`stop` is
+        called.  Returns the number of events processed."""
         processed = 0
         self._stopped = False
         while self._queue and not self._stopped:
-            time, _, callback = self._queue[0]
-            if until is not None and time > until:
-                break
-            heapq.heappop(self._queue)
+            time, _, callback = heapq.heappop(self._queue)
             self.now = time
             callback()
             processed += 1
@@ -60,8 +57,6 @@ class EventLoop:
                 raise RuntimeError(
                     f"event budget exceeded ({max_events}); likely a livelock"
                 )
-        if until is not None and (not self._queue or self._queue[0][0] > until):
-            self.now = max(self.now, until)
         return processed
 
     @property

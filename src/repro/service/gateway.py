@@ -16,10 +16,10 @@ Backpressure is two-layered (documented in ``docs/service.md``):
   ``session_credit`` undecoded frames server-side;
 * the **service-wide memory budget** bounds the traces staged in the
   online layer.  While over budget, credit is withheld from every
-  session that is *ahead of* the watermark (an advisory ``PAUSE`` is
-  sent); the laggard sessions -- the ones whose next frame can advance
-  the watermark and therefore *shrink* the backlog -- are always
-  admitted, so the gate throttles without deadlocking.
+  session that is *ahead of* the watermark; the laggard sessions -- the
+  ones whose next frame can advance the watermark and therefore *shrink*
+  the backlog -- are always admitted, so the gate throttles without
+  deadlocking.
 
 A poison frame (malformed bytes, unsorted stream, wrong client id) kills
 only its own session: the client is evicted from watermark accounting so
@@ -102,6 +102,11 @@ def create_gateway(config: ServiceConfig) -> "IngestGateway":
     """Gateway factory: the one :class:`IngestGateway`."""
     if config.acceptor_workers != 1:
         raise ValueError(ONE_LOOP_ONLY)
+    if config.session_credit < 1:
+        raise ValueError(
+            f"session_credit must be at least 1, got {config.session_credit}: "
+            f"a session without credit can never send"
+        )
     return IngestGateway(config)
 
 
@@ -359,7 +364,7 @@ class IngestGateway:
                 if dispatched:
                     await self._notify_dispatch()
                 self._note_pending()
-                await self._budget_gate(session, client_id, writer)
+                await self._budget_gate(client_id)
                 writer.write(protocol.credit_frame(1))
                 self.credits_total += 1
                 await writer.drain()
@@ -428,7 +433,7 @@ class IngestGateway:
             > self.config.pending_budget
         )
 
-    async def _budget_gate(self, session: Session, client_id: int, writer) -> None:
+    async def _budget_gate(self, client_id: int) -> None:
         """Hold this session's credit while the service is over budget --
         unless the session is a laggard (at the watermark), whose next
         frame is the only thing that can shrink the backlog."""
@@ -437,8 +442,6 @@ class IngestGateway:
         if self.online.client_mark(client_id) <= self.online.watermark:
             return
         self.stalls_total += 1
-        writer.write(protocol.pause_frame())
-        await writer.drain()
         while not self._draining:
             if not self.over_budget():
                 break
@@ -449,8 +452,6 @@ class IngestGateway:
                     await asyncio.wait_for(self._dispatch_cond.wait(), timeout=0.25)
                 except asyncio.TimeoutError:
                     pass
-        writer.write(protocol.resume_frame())
-        await writer.drain()
 
     def _evict(
         self,

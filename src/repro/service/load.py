@@ -137,8 +137,8 @@ async def drive_client(
     frames: Iterator[bytes],
     start_gate: Optional["asyncio.Barrier"] = None,
 ) -> Dict[str, object]:
-    """One well-behaved session: honour credit and advisory pause, send
-    every frame, say BYE, wait for the ack.
+    """One well-behaved session: honour credit, send every frame, say
+    BYE, wait for the ack.
 
     ``start_gate`` synchronises session start-up: every participant
     registers (HELLO/WELCOME) before any of them streams data.  Without
@@ -149,7 +149,6 @@ async def drive_client(
     stats: Dict[str, object] = {
         "client": client_id,
         "frames": 0,
-        "paused": 0,
         "errors": [],
         "acked": None,
         "latencies": [],
@@ -172,8 +171,6 @@ async def drive_client(
         if start_gate is not None:
             await start_gate.wait()
         credit = asyncio.Semaphore(int(welcome["credit"]))
-        resume = asyncio.Event()
-        resume.set()
         finished = asyncio.Event()
 
         async def read_loop() -> None:
@@ -181,7 +178,6 @@ async def drive_client(
                 payload = await protocol.read_frame(reader)
                 if payload is None:
                     # Server went away: unblock the sender so it can exit.
-                    resume.set()
                     credit.release()
                     finished.set()
                     return
@@ -192,14 +188,8 @@ async def drive_client(
                         if sent_at:
                             latencies.append(now - sent_at.popleft())
                         credit.release()
-                elif tag == protocol.S_PAUSE:
-                    stats["paused"] += 1
-                    resume.clear()
-                elif tag == protocol.S_RESUME:
-                    resume.set()
                 elif tag == protocol.S_ERROR:
                     stats["errors"].append(protocol.parse_control(tag, body))
-                    resume.set()
                     credit.release()
                     finished.set()
                     return
@@ -213,7 +203,6 @@ async def drive_client(
         reader_task = asyncio.ensure_future(read_loop())
         try:
             for frame in frames:
-                await resume.wait()
                 await credit.acquire()
                 if finished.is_set():
                     break

@@ -50,8 +50,7 @@ F_BYE = 0x04        # body: empty
 # Server -> client.
 S_WELCOME = 0x11    # body: varint(session_id) varint(credit)
 S_CREDIT = 0x12     # body: varint(frames)
-S_PAUSE = 0x13      # body: empty (advisory; credit is the hard gate)
-S_RESUME = 0x14     # body: empty
+# 0x13 and 0x14 are retired (the advisory PAUSE / RESUME): never reassign them.
 S_ERROR = 0x15      # body: varint(session_id) varint(byte_offset)
                     #       varint(len) utf8(message)
 S_BYE = 0x16        # body: varint(traces accepted on this session)
@@ -64,8 +63,6 @@ TAG_NAMES: Dict[int, str] = {
     F_BYE: "BYE",
     S_WELCOME: "WELCOME",
     S_CREDIT: "CREDIT",
-    S_PAUSE: "PAUSE",
-    S_RESUME: "RESUME",
     S_ERROR: "ERROR",
     S_BYE: "BYE_ACK",
 }
@@ -149,14 +146,6 @@ def credit_frame(frames: int) -> bytes:
     return encode_frame(S_CREDIT, _varints(frames))
 
 
-def pause_frame() -> bytes:
-    return encode_frame(S_PAUSE)
-
-
-def resume_frame() -> bytes:
-    return encode_frame(S_RESUME)
-
-
 def error_frame(session_id: int, byte_offset: int, message: str) -> bytes:
     encoded = message.encode("utf-8")
     body = _varints(session_id, byte_offset, len(encoded)) + encoded
@@ -202,9 +191,6 @@ def parse_control(tag: int, body: bytes) -> Dict[str, object]:
         frames, pos = _read_varint(body, 0)
         _expect_end(body, pos, "CREDIT")
         return {"frames": frames}
-    if tag in (S_PAUSE, S_RESUME):
-        _expect_end(body, 0, TAG_NAMES[tag])
-        return {}
     if tag == S_ERROR:
         session_id, pos = _read_varint(body, 0)
         byte_offset, pos = _read_varint(body, pos)

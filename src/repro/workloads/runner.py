@@ -14,6 +14,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional
 
+from ..core.pipeline import sorted_traces
 from ..core.trace import Trace
 from ..dbsim.clock import make_client_clocks
 from ..dbsim.engine import EngineStats, SimulatedDBMS
@@ -51,11 +52,7 @@ class RunResult:
         return self.committed / self.sim_duration
 
     def all_traces_sorted(self) -> List[Trace]:
-        merged: List[Trace] = []
-        for stream in self.client_streams.values():
-            merged.extend(stream)
-        merged.sort(key=Trace.sort_key)
-        return merged
+        return sorted_traces(self.client_streams)
 
 
 class WorkloadRunner:

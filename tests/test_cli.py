@@ -170,6 +170,42 @@ class TestOtherCommands:
         assert "fig14" in out
 
 
+class TestOutOfRangeFlags:
+    """A numeric flag out of range ends in one usage error (exit 2) that
+    names the flag -- before any capture is read or socket bound."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["verify", "CAP", "--gc-every", "-1"], "--gc-every"),
+            (["verify", "CAP", "--parallel", "2", "--gc-every", "-3"], "--gc-every"),
+            (["verify", "CAP", "--parallel", "-2"], "--parallel"),
+            (["serve", "--gc-every", "-1"], "--gc-every"),
+            (["serve", "--credit", "0"], "--credit"),
+        ],
+    )
+    def test_exit_2_naming_the_flag(self, tmp_path, capsys, argv, flag):
+        argv = [str(tmp_path) if arg == "CAP" else arg for arg in argv]
+        with pytest.raises(SystemExit) as refusal:
+            main(argv)
+        assert refusal.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be at least" in err
+        assert "Traceback" not in err
+
+    def test_zero_stays_a_value(self, tmp_path, capsys):
+        """``--gc-every 0`` (no collection) and ``--parallel 0`` (serial)
+        are values, not errors; a non-integer keeps argparse's wording."""
+        capture = tmp_path / "capture"
+        main(["run", "--workload", "blindw-rw", "--txns", "40", "--clients", "2",
+              "--seed", "1", "--out", str(capture)])
+        capsys.readouterr()
+        assert main(["verify", str(capture), "--gc-every", "0", "--parallel", "0"]) == 0
+        with pytest.raises(SystemExit):
+            main(["verify", str(capture), "--parallel", "two"])
+        assert "invalid int value: 'two'" in capsys.readouterr().err
+
+
 class TestNewWorkloadsAndFaults:
     def test_insert_scan_with_phantom_fault(self, tmp_path, capsys):
         capture = tmp_path / "capture"

@@ -93,6 +93,12 @@ def test_service_doc_matches_the_wire_protocol():
     assert protocol.SERVICE_MAGIC.decode().strip() in text
     for name in protocol.TAG_NAMES.values():
         assert name in text, f"frame {name} undocumented"
+    # ... and the wire tables list no frame the code does not speak, so a
+    # retired frame cannot linger in the spec.
+    tabled = re.findall(r"^\| `0x[0-9a-f]{2}` \| `([A-Z_]+)` \|", text, re.M)
+    assert tabled, "wire tables not found"
+    stale = set(tabled) - set(protocol.TAG_NAMES.values())
+    assert not stale, f"wire table documents frames the code lacks: {stale}"
     for query in status.KNOWN_QUERIES:
         assert f"`{query}`" in text, f"status query {query} undocumented"
     # The gateway's counts live in the status document only: its metrics

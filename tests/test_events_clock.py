@@ -53,16 +53,6 @@ class TestEventLoop:
         with pytest.raises(ValueError):
             EventLoop().schedule_after(-1.0, lambda: None)
 
-    def test_run_until(self):
-        loop = EventLoop()
-        seen = []
-        loop.schedule_at(1.0, lambda: seen.append(1))
-        loop.schedule_at(10.0, lambda: seen.append(10))
-        loop.run(until=5.0)
-        assert seen == [1]
-        assert loop.pending == 1
-        assert loop.now == 5.0
-
     def test_stop(self):
         loop = EventLoop()
         loop.schedule_at(1.0, loop.stop)

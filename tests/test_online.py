@@ -73,37 +73,55 @@ class TestFeeding:
 
 
 class TestAlerting:
-    def test_violation_callback_fires_during_stream(self):
-        alerts = []
-        online = OnlineVerifier(
-            spec=PG_SERIALIZABLE,
-            initial_db=INIT,
-            on_violation=alerts.append,
-        )
-        # Stale read: t2 reads the overwritten initial value.
-        for trace in [
-            Trace.write(0.0, 0.1, "t1", {"x": 1}, client_id=0),
-            Trace.commit(0.2, 0.3, "t1", client_id=0),
-            Trace.read(1.0, 1.1, "t2", {"x": 0}, client_id=0),
-            Trace.commit(1.2, 1.3, "t2", client_id=0),
-        ]:
+    """A violation the dispatch inside a ``feed`` / ``feed_batch`` /
+    ``heartbeat`` call detects is in ``violations_so_far`` when that call
+    returns, and no violation is listed twice."""
+
+    # Stale read: t2 reads the overwritten initial value.
+    STALE = [
+        Trace.write(0.0, 0.1, "t1", {"x": 1}, client_id=0),
+        Trace.commit(0.2, 0.3, "t1", client_id=0),
+        Trace.read(1.0, 1.1, "t2", {"x": 0}, client_id=0),
+        Trace.commit(1.2, 1.3, "t2", client_id=0),
+    ]
+
+    def test_violation_listed_during_stream(self):
+        online = OnlineVerifier(spec=PG_SERIALIZABLE, initial_db=INIT)
+        for trace in self.STALE:
             online.feed(trace)
         online.heartbeat(0, 100.0)
-        assert alerts, "violation should be alerted before finish()"
+        listed = list(online.violations_so_far)
+        assert listed, "violation should be listed before finish()"
         report = online.finish()
         assert not report.ok
-        assert len(alerts) == len(report.violations)
+        assert online.violations_so_far[: len(listed)] == listed
+        assert len(online.violations_so_far) == len(report.violations)
+
+    def test_listed_by_the_call_whose_dispatch_found_it(self):
+        """Client 0's run waits on client 1's mark; client 1's heartbeat
+        dispatches it, so the violation is listed when that call returns
+        -- not at the feed that staged it, and not at finish."""
+        online = OnlineVerifier(spec=PG_SERIALIZABLE, initial_db=INIT)
+        online.register_client(0)
+        online.register_client(1)
+        assert online.feed_batch(0, self.STALE) == 0
+        assert online.violations_so_far == []
+        assert online.heartbeat(1, 100.0) == len(self.STALE)
+        listed = list(online.violations_so_far)
+        assert listed
+        online.finish()
+        assert online.violations_so_far == listed
 
     def test_no_duplicate_alerts(self):
-        alerts = []
-        online = OnlineVerifier(
-            spec=PG_SERIALIZABLE, initial_db=INIT, on_violation=alerts.append
-        )
+        online = OnlineVerifier(spec=PG_SERIALIZABLE, initial_db=INIT)
         online.feed(Trace.read(0.0, 0.1, "t1", {"x": 999}, client_id=0))
         online.feed(Trace.commit(0.2, 0.3, "t1", client_id=0))
         online.heartbeat(0, 10.0)
-        online.finish()
-        assert len(alerts) == len(set(id(a) for a in alerts))
+        report = online.finish()
+        listed = online.violations_so_far
+        assert listed
+        assert len(listed) == len(set(id(v) for v in listed))
+        assert len(listed) == len(report.violations)
 
 
 class TestAgainstBatchPath:

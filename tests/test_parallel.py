@@ -26,7 +26,6 @@ from repro.core.parallel import (
     GraphOnlyCertifier,
     ParallelVerifier,
     ShardVerifier,
-    verify_traces_parallel,
 )
 from repro.core.sharding import ShardRouter, stable_hash
 from repro.core.trace import KeyRange, Trace
@@ -258,19 +257,6 @@ class TestMultiShard:
                 assert getattr(merged, name) == total, name
                 assert total or name.startswith("gc_"), name
 
-    def test_convenience_helper(self, blindw_rw_run):
-        traces = list(
-            pipeline_from_client_streams(blindw_rw_run.client_streams)
-        )
-        report = verify_traces_parallel(
-            traces,
-            spec=PG_SERIALIZABLE,
-            initial_db=blindw_rw_run.initial_db,
-            shards=2,
-            backend="inline",
-        )
-        assert report.ok
-
 
 class TestCoordinatorGuards:
     def test_duplicate_terminal_rejected(self):
@@ -330,24 +316,23 @@ class TestOnlineIntegration:
     def test_violations_so_far_is_one_list_across_finish(self):
         """``violations_so_far()`` hands out the descriptor's own
         append-only list -- the same object on every call, before and
-        after ``finish()`` -- and the online layer, which indexes into it,
-        alerts each violation exactly once across that boundary."""
+        after ``finish()`` -- so the online layer lists each violation
+        exactly once across that boundary."""
         from repro import OnlineVerifier
 
         run = fault_run("dirty-read")
         verifier = Verifier(spec=PG_SERIALIZABLE, initial_db=run.initial_db)
-        alerts = []
-        online = OnlineVerifier(verifier=verifier, on_violation=alerts.append)
+        online = OnlineVerifier(verifier=verifier)
         traces = list(pipeline_from_client_streams(run.client_streams))
         for trace in traces[:-1]:
             online.feed(trace)
         so_far = verifier.violations_so_far()
-        assert so_far and alerts == so_far
+        assert so_far and online.violations_so_far is so_far
         online.feed(traces[-1])
         report = online.finish()
         assert verifier.violations_so_far() is so_far
         assert verifier.violations_so_far() == report.violations
-        assert alerts == report.violations and len(alerts) > 1
+        assert online.violations_so_far is so_far and len(so_far) > 1
 
     def test_injected_verifier_excludes_kwargs(self):
         from repro import OnlineVerifier

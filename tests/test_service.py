@@ -56,8 +56,6 @@ class TestProtocolFrames:
                 {"session_id": 7, "credit": 8},
             ),
             (protocol.credit_frame(3), protocol.S_CREDIT, {"frames": 3}),
-            (protocol.pause_frame(), protocol.S_PAUSE, {}),
-            (protocol.resume_frame(), protocol.S_RESUME, {}),
             (
                 protocol.error_frame(9, 1234, "bad frame"),
                 protocol.S_ERROR,
@@ -83,8 +81,6 @@ class TestProtocolFrames:
             protocol.F_BYE,
             protocol.S_WELCOME,
             protocol.S_CREDIT,
-            protocol.S_PAUSE,
-            protocol.S_RESUME,
             protocol.S_ERROR,
             protocol.S_BYE,
         ):
@@ -1055,6 +1051,12 @@ class TestOneLoop:
                 main(argv)
             assert refusal.value.code == 2
             assert told in capsys.readouterr().err
+
+    def test_a_session_without_credit_is_refused(self):
+        """``session_credit=0`` would start a service whose sessions can
+        never send; the factory refuses it as ``serve --credit 0`` does."""
+        with pytest.raises(ValueError, match="session_credit must be at least 1"):
+            create_gateway(ServiceConfig(session_credit=0))
 
     def test_no_sharded_backend(self, capsys):
         """The service runs one serial verifier: the sharded backend, its

@@ -35,11 +35,6 @@ class TestSessionOrderEdges:
         assert DepType.SO in verifier.state.graph.edge_types("t1", "t2")
         assert report.stats.deps_so == 1
 
-    def test_so_disabled(self):
-        verifier = run(self.same_client_pair(), session_order=False)
-        verifier.finish()
-        assert DepType.SO not in verifier.state.graph.edge_types("t1", "t2")
-
     def test_aborted_txn_breaks_no_chain(self):
         traces = [
             Trace.write(0.0, 0.1, "t1", {"x": 1}, client_id=0),
