@@ -13,7 +13,10 @@ the pipeline):
   readers stream batch by batch without scanning for delimiters;
 * **interned string table** per frame: transaction ids, record-key parts
   and column names repeat heavily inside a batch; each frame carries every
-  distinct string once and the records reference table indices;
+  distinct string once and the records reference table indices.  Across
+  frames the reader hands out one object per text, from a canonical
+  table bounded by frame size, not by history length
+  (:func:`read_strings`);
 * **struct-packed records**: timestamps are raw doubles, small ints are
   LEB128 varints (zigzag for signed), enum fields are single bytes
   (:data:`repro.core.trace.KIND_TO_CODE`).
@@ -389,10 +392,43 @@ def read_sets(data: bytes, strings: List[str], pos: int):
     return out, pos
 
 
+#: The canonical string table of :func:`read_strings`: two generations,
+#: each mapping a decoded text to the one object every frame hands out for
+#: it, and the size at which the current one retires.
+_canon_current: dict = {}
+_canon_previous: dict = {}
+_canon_limit = 0
+
+
 def read_strings(data: bytes, pos: int):
-    """The string table every payload opens with."""
+    """The string table every payload opens with, canonicalised: equal
+    text decoded from any frame -- another client's capture file, another
+    service session -- is handed out as one object while it is in the
+    table, so the verifier's state holds one copy of a key, column or
+    value however many streams carry it.
+
+    Each text is looked up in the current generation, then the previous
+    one, and filed in the current one.  A generation holds at most twice
+    the largest frame table it has taken in: a miss that finds it full
+    retires it first (previous <- current, current <- empty), and a
+    retired generation frees what nothing else holds.  The two together
+    hold at most four times the largest frame table -- the bound follows
+    the frames, not the length of the history, and has no setting.  The
+    limit is kept only once the whole table decoded, so a damaged frame
+    that claims more strings than it carries cannot raise it.  The table
+    decides only which object a text is handed out as, never its value:
+    two threads decoding at once can at worst miss a share.
+
+    Not :func:`sys.intern`: since Python 3.12 interned strings are
+    immortal, so every transaction id and written value ever decoded
+    would stay resident for the life of the process."""
+    global _canon_current, _canon_previous, _canon_limit
     n_strings, pos = read_varint(data, pos)
+    current = _canon_current
+    previous = _canon_previous
+    limit = max(_canon_limit, 2 * n_strings)
     strings = []
+    append = strings.append
     for _ in range(n_strings):
         length = data[pos]
         if length < 0x80:
@@ -400,8 +436,18 @@ def read_strings(data: bytes, pos: int):
         else:
             length, pos = read_varint(data, pos)
         end = pos + length
-        strings.append(data[pos:end].decode("utf-8"))
+        text = data[pos:end].decode("utf-8")
+        canonical = current.get(text)
+        if canonical is None:
+            canonical = previous.get(text, text)
+            if len(current) >= limit:
+                _canon_previous = previous = current
+                _canon_current = current = {}
+                limit = 2 * n_strings
+            current[text] = canonical
+        append(canonical)
         pos = end
+    _canon_limit = limit
     return strings, pos
 
 

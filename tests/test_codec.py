@@ -9,6 +9,11 @@ on whatever it is given.
 
 import hashlib
 import io
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -310,6 +315,83 @@ class TestFileFraming:
         with pytest.raises(ValueError):
             dump_traces_binary(SAMPLE, sink, batch_size=0)
         assert sink.getvalue() == b""
+
+
+def shared_text_traces(client_id, n):
+    """A writer and a reader of the same keys, columns and values: the
+    texts are built at run time, so no two are one object before decode."""
+    txn = f"c{client_id}-t"
+    key, column, value = f"acct-{n}", f"bal-{n}", f"value-{n}"
+    return [
+        Trace.read(1.0 + client_id, 1.5 + client_id, txn,
+                   {(key, n): {column: value}}, client_id=client_id),
+        Trace.write(2.0 + client_id, 2.5 + client_id, txn,
+                    {key: {column: value}}, client_id=client_id),
+    ]
+
+
+def texts_of(traces):
+    """Every key part, column and value string the traces hold, in order."""
+    out = []
+    for trace in traces:
+        for sets in (trace.reads, trace.writes):
+            for key, columns in sets.items():
+                out += key if isinstance(key, tuple) else (key,)
+                for column, value in columns.items():
+                    out += (column, value)
+    return [text for text in out if isinstance(text, str)]
+
+
+class TestCanonicalStrings:
+    """Equal text decoded from different frames is one object, and what
+    the table keeps is bounded by frame size (``read_strings``)."""
+
+    def test_two_clients_readers_share_one_object_per_text(self, tmp_path):
+        from repro.core.io import dump_client_streams, load_client_streams
+
+        dump_client_streams(
+            {c: shared_text_traces(c, 7) for c in (0, 1)}, tmp_path, fmt="binary"
+        )
+        streams = load_client_streams(tmp_path)
+        first, second = (texts_of(list(streams[c])) for c in (0, 1))
+        assert first == second and len(first) == 6
+        assert all(a is b for a, b in zip(first, second))
+
+    def test_service_frames_share_one_object_per_text(self):
+        frames = [encode_batch(shared_text_traces(c, 11)) for c in (0, 1)]
+        first, second = (texts_of(decode_batch(frame)) for frame in frames)
+        assert first == second and len(first) == 6
+        assert all(a is b for a, b in zip(first, second))
+        # Distinct text stays distinct: each client's own transaction id.
+        assert decode_batch(frames[0])[0].txn_id == "c0-t"
+
+    def test_a_damaged_table_cannot_raise_the_limit(self):
+        from repro.core import codec
+
+        decode_batch(encode_batch(SAMPLE))
+        limit = codec._canon_limit
+        claim = bytearray()
+        codec.write_varint(claim, 10**9)  # a billion strings, no bytes
+        with pytest.raises(CodecError, match="truncated"):
+            decode_batch(bytes(claim))
+        assert codec._canon_limit == limit
+
+    def test_table_is_bounded_by_frame_size(self):
+        """200 000 distinct strings in 512-trace frames: the generations
+        never hold more than four frame tables, and the decode leaves
+        under 1 MB behind -- in a fresh interpreter, as ``tests/canon_bound.py``
+        runs anywhere."""
+        root = Path(__file__).resolve().parents[1]
+        run = subprocess.run(
+            [sys.executable, "-m", "tests.canon_bound"],
+            cwd=root,
+            env=dict(os.environ, PYTHONPATH=str(root / "src")),
+            capture_output=True, text=True, timeout=300,
+        )
+        assert run.returncode == 0, run.stdout + run.stderr
+        result = json.loads(run.stdout)
+        assert result["table_over_largest_max"] <= 4
+        assert result["retained_bytes"] < 1 << 20
 
 
 # -- fuzz ---------------------------------------------------------------------

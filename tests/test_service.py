@@ -1058,6 +1058,31 @@ class TestOneLoop:
         with pytest.raises(ValueError, match="session_credit must be at least 1"):
             create_gateway(ServiceConfig(session_credit=0))
 
+    @pytest.mark.parametrize("flag, value, bound", [
+        ("--credit", "0", 1),
+        ("--sessions", "0", 1),
+        ("--frame-traces", "0", 1),
+        ("--traces", "0", 1),
+        ("--budget", "-1", 0),
+        ("--gc-every", "-1", 0),
+    ])
+    def test_load_driver_refuses_out_of_range_flags(self, flag, value, bound):
+        """``tools/service_load.py`` range-checks its numeric flags as
+        ``repro serve`` does: a usage error naming the flag, exit 2, and
+        no gateway started."""
+        root = os.path.join(os.path.dirname(__file__), os.pardir)
+        child = subprocess.run(
+            [sys.executable, os.path.join(root, "tools", "service_load.py"),
+             "--quick", flag, value],
+            env=dict(os.environ, PYTHONPATH=os.path.abspath(os.path.join(root, "src"))),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert child.returncode == 2, child.stderr
+        assert f"argument {flag}: must be at least {bound}" in child.stderr
+        assert "Traceback" not in child.stderr and child.stdout == ""
+
     def test_no_sharded_backend(self, capsys):
         """The service runs one serial verifier: the sharded backend, its
         flags and its config fields were retired (docs/service.md

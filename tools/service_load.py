@@ -30,6 +30,7 @@ import json
 import sys
 import tempfile
 
+from repro.__main__ import _at_least
 from repro.service.load import LoadConfig, run_load_sync
 
 
@@ -40,12 +41,14 @@ def main(argv=None) -> int:
         action="store_true",
         help="CI smoke preset: a few thousand traces",
     )
-    parser.add_argument("--traces", type=int, default=100_000)
-    parser.add_argument("--sessions", type=int, default=16)
-    parser.add_argument("--frame-traces", type=int, default=512)
-    parser.add_argument("--credit", type=int, default=8)
-    parser.add_argument("--budget", type=int, default=200_000)
-    parser.add_argument("--gc-every", type=int, default=512)
+    # The bounds `repro serve` and `create_gateway` enforce, and what a
+    # load run needs: a bad value exits 2 naming the flag.
+    parser.add_argument("--traces", type=_at_least(1), default=100_000)
+    parser.add_argument("--sessions", type=_at_least(1), default=16)
+    parser.add_argument("--frame-traces", type=_at_least(1), default=512)
+    parser.add_argument("--credit", type=_at_least(1), default=8)
+    parser.add_argument("--budget", type=_at_least(0), default=200_000)
+    parser.add_argument("--gc-every", type=_at_least(0), default=512)
     parser.add_argument("--poll-interval", type=float, default=0.25)
     parser.add_argument("--out", default=None, metavar="PATH")
     args = parser.parse_args(argv)
