@@ -423,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="TRACES frames a session may have in flight",
     )
     serve_p.add_argument(
-        "--budget", type=int, default=200_000,
+        "--budget", type=_at_least(0), default=200_000,
         help="service-wide ceiling on staged traces",
     )
     # Leftover of the retired multi-loop tier: the ledger driver still

@@ -10,7 +10,10 @@ mechanisms deduce and mirrors the *certifier* the DBMS claims to run:
 * ``CYCLE`` (OCC validation, timestamp ordering): committed histories are
   conflict-serializable by construction, so any cycle is a violation.
 * ``FIRST_COMMITTER`` (Percolator-style SI): concurrent committed writers
-  on the same record are prohibited.
+  on the same record are prohibited.  That rule has one home, FUW's pair
+  check, which reports it under this mechanism
+  (:mod:`repro.core.first_updater_wins`); the certifier itself then
+  judges cycles as under ``NONE``.
 * ``NONE``: no serializability claim; only *time-contradictory* cycles are
   flagged -- a cycle whose every edge is ww or wr asserts a circular
   happens-before order of real events, which no bug-free engine of any
@@ -68,8 +71,6 @@ class SerializationCertifier(MechanismVerifier):
             self._report_cycle(dep, cycle)
         if dep.dep_type is DepType.RW:
             self._check_dangerous_structure(dep)
-        elif dep.dep_type is DepType.WW and self._kind is CertifierKind.FIRST_COMMITTER:
-            self._check_first_committer(dep)
 
     # -- cycles ---------------------------------------------------------------------
 
@@ -147,24 +148,6 @@ class SerializationCertifier(MechanismVerifier):
                 ),
             )
         )
-
-    # -- first committer wins --------------------------------------------------------------
-
-    def _check_first_committer(self, dep: Dependency) -> None:
-        if self._necessarily_concurrent(dep.src, dep.dst):
-            self._state.descriptor.record(
-                Violation(
-                    mechanism=Mechanism.SERIALIZATION_CERTIFIER,
-                    kind=ViolationKind.LOST_UPDATE,
-                    txns=tuple(sorted((dep.src, dep.dst))),
-                    key=dep.key,
-                    details=(
-                        f"concurrent committed writers {dep.src} and "
-                        f"{dep.dst}: the first-committer-wins certifier must "
-                        "have aborted the later one"
-                    ),
-                )
-            )
 
     # -- helpers --------------------------------------------------------------------------------
 

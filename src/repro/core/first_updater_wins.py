@@ -12,6 +12,12 @@ when the spec claims no FUW (so lost updates are legal and never flagged),
 the deduced ``ww`` edges feed the other mechanisms -- this is how engines
 verified through CR+SC alone (CockroachDB, FoundationDB) obtain their write
 ordering.
+
+It is also the one home of the first-committer-wins rule (Percolator-style
+SI, ``CertifierKind.FIRST_COMMITTER``): the same pair check reports a lost
+update under the SC mechanism.  The certifier keeps no second copy -- a ww
+edge is deduced only when exactly one order is feasible, which is the
+opposite of "necessarily concurrent".
 """
 
 from __future__ import annotations

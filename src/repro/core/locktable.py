@@ -1,9 +1,11 @@
 """Verifier-side interval lock table for mutual-exclusion verification.
 
-ME treats every traced write as acquiring an exclusive lock on each written
-record during the write's trace interval (Definition 3), released during
-the transaction's commit/abort interval.  Engines that run reads under pure
-two-phase locking additionally take shared locks for reads.
+Under a spec that claims a lock manager, ME treats every traced write as
+acquiring an exclusive lock on each written record during the write's
+trace interval (Definition 3), released during the transaction's
+commit/abort interval.  Engines that run reads under pure two-phase locking
+additionally take shared locks for reads.  A spec without a lock manager
+mirrors nothing here.
 
 Because the exact acquire/release instants are hidden, the table reasons
 over *feasible orders*: for two conflicting locks there are (at most) two
@@ -74,15 +76,9 @@ class LockEntry:
     #: whether the owning transaction eventually committed (ww deduction
     #: only applies between committed transactions).
     committed: bool = False
-    finished: bool = False
     #: process-wide acquisition sequence; breaks sort-key ties so the
     #: finished lists' order is total.
     seq: int = field(default_factory=_lock_seq.__next__)
-
-    def close(self, release: Interval, committed: bool) -> None:
-        self.release = release
-        self.committed = committed
-        self.finished = True
 
 
 def lock_sort_key(entry: LockEntry) -> Tuple[float, int]:
@@ -116,9 +112,10 @@ def classify_pair(first: LockEntry, second: LockEntry) -> OrderOutcome:
 class LockTable:
     """All lock intervals of the run, each held where a check reads it.
 
-    The table retains finished locks until garbage collection decides they
-    can no longer conflict with (or order against) anything still active,
-    mirroring the pruning discussion of Section V-B.
+    Every entry is released at its owner's terminal.  The table retains
+    finished locks until garbage collection decides they can no longer
+    conflict with (or order against) anything still active, mirroring the
+    pruning discussion of Section V-B.
     """
 
     def __init__(self) -> None:
@@ -193,11 +190,8 @@ class LockTable:
         finished_map = self._finished
         exclusive = LockMode.EXCLUSIVE
         for entry in self._by_txn.get(txn_id, ()):  # preserves acquire order
-            if entry.finished:
-                continue
             entry.release = release
             entry.committed = committed
-            entry.finished = True
             key = entry.key
             open_entries = open_map.pop((key, txn_id), None)
             if open_entries is not None and len(open_entries) > 1:
@@ -236,8 +230,8 @@ class LockTable:
     # -- garbage collection ---------------------------------------------------------
 
     def drop_owner(self, txn_id: str) -> int:
-        """Drop the finished locks of a transaction the collector retires;
-        returns how many went.
+        """Drop the locks of a transaction the collector retires (all of
+        them released at its terminal); returns how many went.
 
         A lock is released in its owner's terminal interval, so "released
         definitely before the horizon by a releasable owner" is exactly the
@@ -245,30 +239,23 @@ class LockTable:
         can only produce FIRST_BEFORE_SECOND outcomes against any future
         lock (its release precedes every future acquire), so it can never
         witness a violation again, and the ``ww`` edges it ordered are
-        covered by the dependency-graph rule (Theorem 5).  Entries never
-        released (specs without a lock manager mirror acquisitions only)
-        stay.  A retired entry is among the oldest of its key's finished
-        list, so the identity scan that removes it stops near the front,
-        and a list it empties goes whole.
+        covered by the dependency-graph rule (Theorem 5).  A retired entry
+        is among the oldest of its key's finished list, so the identity
+        scan that removes it stops near the front, and a list it empties
+        goes whole.
         """
         entries = self._by_txn.pop(txn_id, None)
         if not entries:
             return 0
         finished_map = self._finished
-        dropped = 0
         for entry in entries:
-            if not entry.finished:
-                continue
-            dropped += 1
             key = entry.key
             finished = finished_map[key]
             if len(finished) == 1:
                 del finished_map[key]
             else:
                 finished.remove(entry)
-        if dropped != len(entries):
-            self._by_txn[txn_id] = [e for e in entries if not e.finished]
-        return dropped
+        return len(entries)
 
 
 def _insert_open(open_entries: List[LockEntry], entry: LockEntry) -> None:

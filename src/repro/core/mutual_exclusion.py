@@ -1,12 +1,13 @@
 """Mutual-exclusion verification (Algorithm 2, lines 10-17).
 
-Writes acquire exclusive locks during their trace intervals; under pure-2PL
-specs reads additionally acquire shared locks.  All locks are released
-during the transaction's commit/abort interval.  When a transaction
-finishes, each of its locks is compared against the conflicting locks of
-other already-finished transactions: if no serial order of the hidden lock
-instants is feasible, mutual exclusion was violated (Fig. 7a); if exactly
-one is, a ``ww`` dependency is deduced (Fig. 7b, Theorem 3).
+Under a spec that claims a lock manager, writes acquire exclusive locks
+during their trace intervals; under pure-2PL specs reads additionally
+acquire shared locks.  All locks are released during the transaction's
+commit/abort interval.  When a transaction finishes, each of its locks is
+compared against the conflicting locks of other already-finished
+transactions: if no serial order of the hidden lock instants is feasible,
+mutual exclusion was violated (Fig. 7a); if exactly one is, a ``ww``
+dependency is deduced (Fig. 7b, Theorem 3).
 """
 
 from __future__ import annotations
@@ -27,10 +28,11 @@ EmitManyFn = Callable[[List[Dependency]], object]
 class MutualExclusionVerifier(MechanismVerifier):
     """Mirrors the lock manager of the DBMS under test.
 
-    Lock acquisition is mirrored under every spec (``FOR UPDATE`` claims
-    exclusive locks regardless of the level, and the lock table feeds the
-    memory accounting); the terminal pair checks and their ww deductions
-    only run when the spec claims mutual exclusion.
+    The spec decides once, where :class:`~repro.core.verifier.Verifier`
+    binds the dispatch loop, whether ME runs: a Fig. 1 row that claims no
+    lock manager gets none of ME's data hooks, so no lock is mirrored and
+    the terminal hook finds nothing to release or check.  Every mirrored
+    lock is released at its owner's terminal.
     """
 
     name = "ME"
@@ -96,10 +98,6 @@ class MutualExclusionVerifier(MechanismVerifier):
         """Close the transaction's locks and check each against conflicting
         finished locks (each conflicting pair is examined exactly once, by
         whichever transaction finishes second)."""
-        if not self._spec.me:
-            # The spec claims no lock manager: nothing to verify, and the
-            # deduced orders would duplicate what FUW already provides.
-            return
         released = self._state.locks.release_all(
             txn.txn_id, trace.interval, committed=txn.committed
         )

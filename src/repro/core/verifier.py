@@ -64,6 +64,10 @@ def batches(traces: Iterable[Trace], size: int = BATCH) -> Iterator[List[Trace]]
         yield batch
 
 
+def _mirror_nothing(trace: Trace, txn: TxnState) -> None:
+    """ME's data hooks under a spec that claims no lock manager."""
+
+
 class RefusedTrace(ValueError):
     """A trace for a transaction that already terminated.  Carries the
     trace, so a caller feeding many clients' traces at once (the online
@@ -159,12 +163,20 @@ class Verifier:
                 metrics=self.metrics,
             )
         self._finished = False
+        # ME mirrors the lock manager only where the spec claims one
+        # (Fig. 1): a lock-free row binds no data hook, so its lock table
+        # stays empty and ME's terminal hook finds nothing to check, while
+        # an ME row's loop pays no per-trace test.
+        if spec.me:
+            me_on_read, me_on_write = me.on_read, me.on_write
+        else:
+            me_on_read = me_on_write = _mirror_nothing
         #: what the dispatch loop binds on entry, as one unpack: a batch
         #: of one (``process``, an inline shard's ``ingest``) pays the
         #: entry once per trace.
         self._loop = (
             state, state.stats, state.txns, state.chains.get, state.chain,
-            me.on_read, cr.on_read, me.on_write,
+            me_on_read, cr.on_read, me_on_write,
             self._on_commit, self._on_abort, self._gc,
         )
         if not exchange_dependencies:

@@ -22,7 +22,7 @@ from contextlib import contextmanager
 from typing import Callable, Dict, List, NamedTuple, Set
 
 from repro.core.gc import GarbageCollector
-from repro.core.intervals import Interval
+from repro.core.intervals import UNFINISHED_INTERVAL, Interval
 from repro.core.state import VerifierState
 
 from tests import fig6_oracle
@@ -85,7 +85,7 @@ def garbage_locks(state: VerifierState, horizon_ts: float, can_prune) -> List:
     return [
         entry
         for entry in all_locks(state)
-        if entry.finished
+        if entry.release is not UNFINISHED_INTERVAL
         and entry.release.ts_aft < horizon_ts
         and can_prune(entry.txn_id)
     ]
@@ -234,7 +234,7 @@ def check_lock_indexes(state: VerifierState) -> None:
         assert all(e.txn_id == txn_id for e in entries)
         assert [e.seq for e in entries] == sorted(e.seq for e in entries)
         for entry in entries:
-            if entry.finished:
+            if entry.release is not UNFINISHED_INTERVAL:
                 finished.setdefault(entry.key, []).append(entry)
             else:
                 open_.setdefault((entry.key, txn_id), []).append(entry)

@@ -42,11 +42,14 @@ def make_lock(rng, base: float, txn: str) -> LockEntry:
     a1 = a0 + rng.uniform(0.01, 2)
     r0 = a1 + rng.uniform(0.01, 3)
     r1 = r0 + rng.uniform(0.01, 2)
-    entry = LockEntry(
-        key="x", txn_id=txn, mode=LockMode.EXCLUSIVE, acquire=Interval(a0, a1)
+    return LockEntry(
+        key="x",
+        txn_id=txn,
+        mode=LockMode.EXCLUSIVE,
+        acquire=Interval(a0, a1),
+        release=Interval(r0, r1),
+        committed=True,
     )
-    entry.close(Interval(r0, r1), committed=True)
-    return entry
 
 
 def sampled_orders(rng, first: LockEntry, second: LockEntry, samples=SAMPLES):

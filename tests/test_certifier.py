@@ -8,7 +8,14 @@ from repro import (
     ViolationKind,
     verify_traces,
 )
-from repro.core.spec import IsolationLevel, IsolationSpec, profile
+from repro.core.report import Mechanism
+from repro.core.spec import (
+    CertifierKind,
+    CRLevel,
+    IsolationLevel,
+    IsolationSpec,
+    profile,
+)
 
 INIT = {"x": {"v": 0}, "y": {"v": 0}}
 
@@ -122,6 +129,32 @@ class TestFirstCommitterCertifier:
         assert not report.ok
         kinds = {v.kind for v in report.violations}
         assert ViolationKind.LOST_UPDATE in kinds
+
+    def test_the_rule_is_witnessed_once(self):
+        """FUW's pair check is the rule's one home: a ww edge that ME
+        deduces between two necessarily concurrent writers (a spec that
+        claims both, not a Fig. 1 row) does not make the certifier
+        witness the same lost update a second time."""
+        spec = IsolationSpec(
+            name="locking-fcw/SI",
+            level=IsolationLevel.SNAPSHOT_ISOLATION,
+            cr=CRLevel.TRANSACTION,
+            me=True,
+            certifier=CertifierKind.FIRST_COMMITTER,
+        )
+        traces = [
+            Trace.read(0.00, 0.01, "t0", {"x": 0}, client_id=0),
+            Trace.read(0.00, 0.01, "t1", {"y": 0}, client_id=1),
+            Trace.write(0.02, 0.03, "t0", {"x": 1}, client_id=0),
+            Trace.commit(0.04, 0.05, "t0", client_id=0),
+            Trace.write(0.06, 0.07, "t1", {"x": 2}, client_id=1),
+            Trace.commit(0.08, 0.09, "t1", client_id=1),
+        ]
+        report = verify(traces, spec)
+        assert [(v.mechanism, v.kind) for v in report.violations] == [
+            (Mechanism.SERIALIZATION_CERTIFIER, ViolationKind.LOST_UPDATE)
+        ]
+        assert report.descriptor.raw_count == 1
 
     def test_serial_writers_clean(self):
         spec = profile("tidb", IsolationLevel.SNAPSHOT_ISOLATION)

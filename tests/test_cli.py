@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from repro.__main__ import main
+from repro.__main__ import build_parser, main
 from repro.core.codec import (
     MAGIC,
     RUN,
@@ -192,6 +192,15 @@ class TestOutOfRangeFlags:
         err = capsys.readouterr().err
         assert f"argument {flag}: must be at least" in err
         assert "Traceback" not in err
+
+    def test_negative_budget_is_refused_while_parsing(self, capsys):
+        """A negative ``serve --budget`` would start a gateway that is over
+        budget from its first trace; parsing alone refuses it, so nothing
+        binds a socket."""
+        with pytest.raises(SystemExit) as refusal:
+            build_parser().parse_args(["serve", "--budget", "-5"])
+        assert refusal.value.code == 2
+        assert "argument --budget: must be at least 0" in capsys.readouterr().err
 
     def test_zero_stays_a_value(self, tmp_path, capsys):
         """``--gc-every 0`` (no collection) and ``--parallel 0`` (serial)

@@ -1,5 +1,6 @@
 """Garbage collection: Definition 4, Theorem 5, and memory boundedness."""
 
+import functools
 import sys
 
 import pytest
@@ -8,6 +9,7 @@ from repro import PG_SERIALIZABLE, Trace, Verifier, pipeline_from_client_streams
 from repro.core.gc import GarbageCollector
 from repro.core.online import OnlineVerifier
 from repro.core.parallel import ParallelVerifier
+from repro.core.spec import DBMS_PROFILES
 from repro.core.state import VerifierState
 from repro.workloads import BlindW, run_workload
 from tests import gc_oracle
@@ -27,6 +29,16 @@ def serial_history(n, key_count=4):
 
 
 INIT = {f"k{i}": {"v": -1} for i in range(4)}
+
+
+@functools.lru_cache(maxsize=None)
+def _blindw_runs():
+    """One clean BlindW-RW history per size, simulated once and verified
+    under every Fig. 1 row."""
+    return {
+        n: run_workload(BlindW.rw(keys=64), PG_SERIALIZABLE, clients=8, txns=n, seed=5)
+        for n in (300, 900)
+    }
 
 
 class TestDefinition4:
@@ -195,6 +207,23 @@ class TestMemoryBoundedness:
                 verifier.process(trace)
             sizes[n] = verifier.state.live_structure_count()
         assert sizes[1600] < sizes[400] * 2
+
+    @pytest.mark.parametrize(
+        "spec", DBMS_PROFILES.values(), ids=lambda spec: spec.name
+    )
+    def test_flat_memory_on_every_fig1_row(self, spec):
+        """What a run retains after its last collection does not grow
+        with the history under any Fig. 1 row: 3x the transactions keep
+        at most 2x the structures.  A row that claims no lock manager
+        mirrors no lock, so it has none left over to grow."""
+        sizes = {}
+        for n, run in _blindw_runs().items():
+            verifier = Verifier(spec=spec, initial_db=run.initial_db)
+            for batch in pipeline_from_client_streams(run.client_streams).iter_batches():
+                verifier.process_batch(batch)
+            verifier.finish()
+            sizes[n] = verifier.live_structure_count()
+        assert sizes[900] <= 2 * sizes[300], sizes
 
     @staticmethod
     def _reader_ids(state):

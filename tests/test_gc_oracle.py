@@ -38,7 +38,7 @@ from tests import gc_oracle
 #: pure two-phase locking: reads take shared locks, so read-then-write is
 #: an S-to-X upgrade (two entries of one owner on one key).
 INNODB_SR = profile("innodb", IsolationLevel.SERIALIZABLE)
-#: no lock manager claimed: acquisitions are mirrored, never released.
+#: no lock manager claimed: no lock is mirrored.
 NO_LOCKS = PG_SERIALIZABLE.without("ME")
 SPECS = [PG_SERIALIZABLE, PG_REPEATABLE_READ, PG_READ_COMMITTED, INNODB_SR, NO_LOCKS]
 
@@ -335,15 +335,24 @@ class TestSpecialCases:
         assert totals[0].locks >= 3
         assert [e for e in gc_oracle.all_locks(verifier.state) if e.key == "x"] == []
 
-    def test_unreleased_locks_stay_when_the_owner_goes(self, monkeypatch):
-        """A spec that claims no lock manager mirrors acquisitions only:
-        the entries are never released, so never garbage."""
-        traces = writer("t1", "x", (0, 1), (2, 3)) + advance(100)
+    def test_no_lock_is_mirrored_without_a_lock_manager(self, monkeypatch):
+        """A spec that claims no lock manager mirrors no lock: writes,
+        ``FOR UPDATE`` reads and a transaction still open leave the table
+        empty, and the owners retire without one."""
+        traces = (
+            writer("t1", "x", (0, 1), (2, 3))
+            + [
+                Trace.read(4, 5, "t2", {"x": "t1"}, client_id=1, for_update=True),
+                Trace.commit(6, 7, "t2", client_id=1, op_index=1),
+                Trace.write(8, 9, "open", {"y": 1}, client_id=2),
+            ]
+            + advance(100)
+        )
         verifier, retired, _ = collect_serially(monkeypatch, traces, spec=NO_LOCKS)
         state = verifier.state
-        assert "t1" not in state.txns and retired.metadata
-        assert [e.txn_id for e in gc_oracle.all_locks(state) if e.key == "x"] == ["t1"]
-        assert state.locks.entries_of("t1") and retired.locks == 0
+        assert "t1" not in state.txns and "t2" not in state.txns
+        assert retired.metadata and retired.locks == 0
+        assert gc_oracle.all_locks(state) == [] and state.locks.live_entry_count() == 0
 
 
 # -- the comparison has teeth ----------------------------------------------------------

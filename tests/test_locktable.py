@@ -1,6 +1,7 @@
 """Verifier-side lock table: Theorem 3 order enumeration and pruning."""
 
 
+from repro import PG_SERIALIZABLE, Trace, Verifier
 from repro.core.intervals import Interval
 from repro.core.locktable import (
     LockEntry,
@@ -24,7 +25,7 @@ def brute_count(table, txn_ids):
 def entry(acquire, release=None, txn="t", mode=LockMode.EXCLUSIVE, committed=True):
     lock = LockEntry(key="x", txn_id=txn, mode=mode, acquire=Interval(*acquire))
     if release is not None:
-        lock.close(Interval(*release), committed)
+        lock.release, lock.committed = Interval(*release), committed
     return lock
 
 
@@ -135,12 +136,6 @@ class TestRelease:
         results = table.release_all("b", Interval(2, 3), committed=True)
         assert results[0][1] == []
 
-    def test_release_idempotent(self):
-        table = LockTable()
-        table.acquire("a", "x", LockMode.EXCLUSIVE, Interval(0, 1))
-        table.release_all("a", Interval(2, 3), committed=True)
-        assert table.release_all("a", Interval(4, 5), committed=True) == []
-
 
 class TestPrune:
     """Locks leave with their owner: ``drop_owner`` is the table's half,
@@ -156,11 +151,23 @@ class TestPrune:
         assert table.entries_of("a") == []
 
     def test_keeps_active(self):
-        table = LockTable()
-        table.acquire("a", "x", LockMode.EXCLUSIVE, Interval(0, 1))
-        assert table.drop_owner("a") == 0
+        """An owner leaves only once finished: the collector never hands
+        ``drop_owner`` an open transaction, so its locks outlive a
+        collection that retires its finished peers."""
+        verifier = Verifier(spec=PG_SERIALIZABLE, gc_every=10**9)
+        for trace in [
+            Trace.write(0, 1, "done", {"x": 1}, client_id=0),
+            Trace.commit(2, 3, "done", client_id=0, op_index=1),
+            Trace.write(4, 5, "a", {"x": 2}, client_id=1),
+            Trace.write(50, 51, "late", {"y": 1}, client_id=2),
+        ]:
+            verifier.process(trace)
+        verifier.finish()
+        table = verifier.state.locks
+        assert verifier.state.stats.gc_locks_pruned == 1
+        assert table.entries_of("done") == []
         assert [e.key for e in table.entries_of("a")] == ["x"]
-        assert table.live_entry_count() == 1 and finished(table, "x") == []
+        assert finished(table, "x") == []
 
     def test_drops_only_the_owners_entries(self):
         table = LockTable()
