@@ -9,16 +9,20 @@ exchange:
 * **guard** -- dependencies whose endpoints were already pruned as garbage
   (Definition 4) are dropped at publication: by Theorem 5 they cannot join
   any future cycle, and inserting them would resurrect zombie graph nodes;
+* **one delivery per edge** -- a dependency whose ``(src, dst)`` pair
+  already carries its type in the graph is a repeat (ME and FUW deduce the
+  same ww edges on a spec claiming both; the Fig. 9 triggers meet on the
+  same rw edges) and is dropped too: the graph's edge-type table, which
+  the certifier fills, answers "is this a new dependency?";
 * **counters** -- accepted dependencies are tallied per type in the
   ``deps_*`` fields of :class:`~repro.core.report.VerificationStats`, and,
   on an instrumented run only, per producing mechanism and edge type in the
   run's :class:`~repro.core.metrics.MetricsRegistry` (``bus.deps.accepted``
-  / ``bus.deps.dropped``; :attr:`DependencyBus.counts` is a view over the
-  former);
+  / ``bus.deps.dropped``), so both count distinct typed edges;
 * **one delivery line** -- fixed once, at assembly
   (:meth:`DependencyBus.connect`): a shard's journal (if any), then the
-  certifier, then the Fig. 9 rw derivation.  A re-entrant publication from
-  inside a delivery is fully processed before the outer one returns.
+  certifier.  A re-entrant publication from inside a delivery is fully
+  processed before the outer one returns.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 from .dependencies import Dependency, DepType
 from .mechanism import MechanismVerifier
-from .metrics import NULL_REGISTRY, MetricsRegistry, parse_metric_key
+from .metrics import NULL_REGISTRY, MetricsRegistry
 from .report import Mechanism
 from .trace import INIT_TXN
 from .versions import Version
@@ -37,6 +41,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .state import VerifierState
 
 DeliverFn = Callable[[Dependency], None]
+
+
+def _deliver_nowhere(dep: Dependency) -> None:
+    """The delivery line of a bus nothing was connected to."""
 
 
 class DependencyBus:
@@ -57,12 +65,16 @@ class DependencyBus:
         #: valid for the bus lifetime.
         self._graph_nodes = state.graph._ord
         self._txns = state.txns
+        #: the graph's ``(src, dst) -> {types}`` table (same lifetime): a
+        #: dependency already in it is a repeat.  GC prunes it with the
+        #: graph, so the test costs no memory of its own.
+        self._edge_types = state.graph._edge_types
         #: whether accepted dependencies update ``state.stats.deps_*``
         #: (the merge path of the parallel verifier re-publishes already
         #: counted dependencies and disables this).
         self._count_stats = count_stats
-        #: the delivery line, in delivery order (:meth:`connect`).
-        self._line: Tuple[DeliverFn, ...] = ()
+        #: the delivery line (:meth:`connect`).
+        self._deliver: DeliverFn = _deliver_nowhere
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         #: whether the run is instrumented: only then does a publication
         #: touch a counter or the certifier's delivery read a clock.
@@ -76,28 +88,27 @@ class DependencyBus:
     # -- wiring ------------------------------------------------------------
 
     def connect(
-        self,
-        certifier: MechanismVerifier,
-        deriver: Optional[MechanismVerifier] = None,
-        journal: Optional[DeliverFn] = None,
+        self, certifier: MechanismVerifier, journal: Optional[DeliverFn] = None
     ) -> None:
         """Fix the delivery line: ``journal`` (a shard's record of what its
-        bus accepted), then the certifier, then the Fig. 9 deriver.  On an
-        instrumented run the certifier's delivery is timed into
-        ``mechanism.seconds{mechanism=<certifier.name>}``; the deriver's is
-        not timed on its own (its nested publications still time their
-        certifier deliveries)."""
+        bus accepted), then the certifier.  On an instrumented run the
+        certifier's delivery is timed into
+        ``mechanism.seconds{mechanism=<certifier.name>}``."""
         certify = certifier.on_dependency
         if self._metered:
             certify = self._timed(
                 self.metrics.histogram("mechanism.seconds", mechanism=certifier.name),
                 certify,
             )
-        line = [] if journal is None else [journal]
-        line.append(certify)
-        if deriver is not None:
-            line.append(deriver.on_dependency)
-        self._line = tuple(line)
+        if journal is None:
+            self._deliver = certify
+            return
+
+        def journal_then_certify(dep: Dependency) -> None:
+            journal(dep)
+            certify(dep)
+
+        self._deliver = journal_then_certify
 
     @staticmethod
     def _timed(hist, callback: DeliverFn) -> DeliverFn:
@@ -124,28 +135,16 @@ class DependencyBus:
             )
         handle.value += 1
 
-    @property
-    def counts(self) -> Dict[str, Dict[str, int]]:
-        """Accepted dependencies per producing mechanism and type, e.g.
-        ``counts["FUW"]["ww"] == 17`` -- a read-only view over the run's
-        ``bus.deps.accepted`` counters (empty when not instrumented)."""
-        nested: Dict[str, Dict[str, int]] = {}
-        for key, value in self.metrics.counters_with_name(
-            "bus.deps.accepted"
-        ).items():
-            _, labels = parse_metric_key(key)
-            nested.setdefault(labels["mechanism"], {})[labels["type"]] = value
-        return nested
-
     # -- publication -------------------------------------------------------
 
     def publish(self, dep: Dependency) -> bool:
         """Publish one dependency with immediate (depth-first) delivery.
 
-        Re-entrant publications from inside a delivery (e.g. the rw
-        derivation reacting to a ww edge) are fully processed before the
-        outer publication returns -- the exchange semantics of Section V-A.
-        Returns whether the dependency survived the garbage guard.
+        Re-entrant publications from inside a delivery are fully
+        processed before the outer publication returns -- the exchange
+        semantics of Section V-A.  Returns whether the dependency was
+        delivered: it survived the garbage guard and is not a repeat of a
+        typed edge the graph already holds.
         """
         nodes = self._graph_nodes
         txns = self._txns
@@ -157,8 +156,11 @@ class DependencyBus:
             if self._metered:
                 self._count("bus.deps.dropped", dep)
             return False
+        dep_type = dep.dep_type
+        types = self._edge_types.get((src, dst))
+        if types is not None and dep_type in types:
+            return False
         if self._count_stats:
-            dep_type = dep.dep_type
             stats = self._state.stats
             if dep_type is DepType.WR:
                 stats.deps_wr += 1
@@ -170,28 +172,37 @@ class DependencyBus:
                 stats.deps_rw += 1
         if self._metered:
             self._count("bus.deps.accepted", dep)
-        for deliver in self._line:
-            deliver(dep)
+        self._deliver(dep)
         return True
 
     def publish_many(self, deps) -> int:
         """Publish dependencies in order (the parallel merge replay hands
-        over whole deduction groups); returns how many survived the
-        garbage guard."""
+        over whole deduction groups); returns how many were delivered."""
         return sum(map(self.publish, deps))
 
 
 class VersionOrderDeriver(MechanismVerifier):
     """Fig. 9: derive ``rw`` anti-dependencies from reads and ``ww`` edges.
 
+    Two triggers derive every rw edge: a reader uniquely matched to a
+    version anti-depends on the version's confirmed successor
+    (:meth:`on_read_matches`, fed by CR), and a commit that installs a
+    version whose predecessor is now confirmed makes the predecessor's
+    readers anti-depend on it (:meth:`on_terminal`).  A deduced ww edge
+    needs no trigger of its own.  ME and FUW publish it at the terminal of
+    the later of its two transactions, before this hook runs.  If that
+    transaction wrote the later version, the terminal hook derives the
+    edge's rw edges from the now-confirmed predecessor.  Otherwise the
+    earlier version was installed by this very terminal: it has no readers
+    yet, and its later readers derive their rw edges on matching.
+
     Assembled between FUW and CR so that newly confirmed version
     adjacencies are materialised as anti-dependencies before the CR checks
     of the same terminal trace run -- the order the exchange of Section V-A
     prescribes.  The deriver is not one of the paper's four mechanisms; it
-    is the exchange rule connecting them, so it sits on the bus's delivery
-    line (after the certifier) instead of owning verifier state, and its
-    only timed section is the drain of CR's matches
-    (``mechanism.seconds{mechanism=RW-DERIVE}``).
+    is the exchange rule connecting them, so it owns no verifier state and
+    is not on the bus's delivery line, and its only timed section is the
+    drain of CR's matches (``mechanism.seconds{mechanism=RW-DERIVE}``).
     """
 
     name = "RW-DERIVE"
@@ -272,38 +283,6 @@ class VersionOrderDeriver(MechanismVerifier):
     def on_read_match(self, version: Version, reader: str) -> None:
         """One unique match: a batch of one."""
         self.on_read_matches(((version, reader),))
-
-    # -- bus hook: a deduced ww edge confirms version adjacency --------------
-
-    def on_dependency(self, dep: Dependency) -> None:
-        if dep.dep_type is not DepType.WW:
-            return
-        if dep.key is None:
-            return
-        chain = self._state.chains.get(dep.key)
-        if chain is None:
-            return
-        # Nothing on the delivery line mutates a chain during a
-        # publication, so the adjacent pairs are walked in place.
-        versions = chain.iter_committed()
-        src = dep.src
-        dst = dep.dst
-        for idx in range(len(versions) - 1):
-            version = versions[idx]
-            if version.txn_id != src or versions[idx + 1].txn_id != dst:
-                continue
-            for reader in version.readers or ():
-                if reader == dst or reader == src:
-                    continue
-                self._bus.publish(
-                    Dependency(
-                        src=reader,
-                        dst=dst,
-                        dep_type=DepType.RW,
-                        key=dep.key,
-                        source=Mechanism.SERIALIZATION_CERTIFIER,
-                    )
-                )
 
     # -- terminal hook: versions installed by a commit -----------------------
 

@@ -35,7 +35,7 @@ class SerializationCertifier(MechanismVerifier):
     """Mirrors the certifier of the DBMS under test.
 
     Unlike the other mechanisms the certifier consumes no traces directly:
-    it is first on the dependency bus's delivery line and certifies the
+    it is alone on the dependency bus's delivery line and certifies the
     graph the exchange builds.
     """
 

@@ -52,8 +52,8 @@ class MechanismVerifier:
         holds the versions its commit installed (empty on abort)."""
 
     def on_dependency(self, dep) -> None:
-        """A dependency survived the bus guard (the certifier and the
-        Fig. 9 deriver are on the delivery line)."""
+        """A new typed edge survived the bus guard (the certifier alone is
+        on the delivery line, and sees each edge once)."""
 
     def on_gc(self, txn_id: str) -> None:
         """Transaction ``txn_id`` was pruned as garbage (Definition 4)."""

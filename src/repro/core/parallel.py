@@ -247,10 +247,8 @@ class ShardVerifier(Verifier):
     def _build_certifier(self) -> GraphOnlyCertifier:
         return GraphOnlyCertifier(self.state)
 
-    def _connect_bus(self, certifier, deriver) -> None:
-        self.bus.connect(
-            certifier, deriver, journal=lambda dep: self._journal(_DEP, dep)
-        )
+    def _connect_bus(self, certifier) -> None:
+        self.bus.connect(certifier, journal=lambda dep: self._journal(_DEP, dep))
 
     def _journal(self, kind: str, payload) -> None:
         self.events.append((self._trace_index, self._seq, kind, payload))

@@ -12,12 +12,12 @@ mechanism verifiers check the result:
   those checks has already arrived);
 * deduced dependencies are exchanged between mechanisms over the
   :class:`~repro.core.bus.DependencyBus` (wr from CR, ww from ME/FUW, rw
-  derived per Fig. 9) and fed to the certifier;
+  derived per Fig. 9) and fed to the certifier, each typed edge once;
 * garbage structures are pruned periodically (Definition 4, Theorem 5).
 
 The Verifier *is* the assembly (Section II-B, Fig. 3): it constructs ME,
 FUW, the Fig. 9 rw deriver, CR and the certifier, in that order, and
-connects the bus's delivery line to the last and the third.  What varies
+connects the bus's delivery line to the last.  What varies
 per isolation level is the :class:`~repro.core.spec.IsolationSpec` they
 read, not the wiring.  A subclass changes the assembly by overriding
 :meth:`Verifier._build_state`, :meth:`Verifier._build_certifier` or
@@ -142,7 +142,7 @@ class Verifier:
             metrics=self.metrics,
         )
         certifier = self._build_certifier()
-        self._connect_bus(certifier, deriver)
+        self._connect_bus(certifier)
         self.mechanisms: List[MechanismVerifier] = [me, fuw, deriver, cr, certifier]
         self._me, self._fuw, self._deriver, self._cr, self._certifier = (
             self.mechanisms
@@ -197,19 +197,10 @@ class Verifier:
         global)."""
         return SerializationCertifier(self.state, self.spec, metrics=self.metrics)
 
-    def _connect_bus(
-        self, certifier: MechanismVerifier, deriver: MechanismVerifier
-    ) -> None:
-        """Fix the bus's delivery line: certifier, then deriver.  A shard
-        puts its journal in front."""
-        self.bus.connect(certifier, deriver)
-
-    def mechanism(self, name: str) -> MechanismVerifier:
-        """Look up an assembled mechanism by name."""
-        for m in self.mechanisms:
-            if m.name == name:
-                return m
-        raise KeyError(name)
+    def _connect_bus(self, certifier: MechanismVerifier) -> None:
+        """Fix the bus's delivery line: the certifier.  A shard puts its
+        journal in front."""
+        self.bus.connect(certifier)
 
     # -- trace intake -----------------------------------------------------------
 

@@ -267,9 +267,11 @@ class _OnTheLine(MechanismVerifier):
 
 
 def bus_run(batches):
-    """Publish ww edges over t0..t9 (t7 pruned: the guard drops its edges)
-    with a certifier that re-publishes, depth first, an rw edge for every
-    ww edge it sees; returns everything observable."""
+    """Publish ww edges over t0..t9 (t7 pruned: the guard drops its edges;
+    the last edge repeats the first on another key: the bus drops it) to a
+    certifier that records each edge in the graph and re-publishes, depth
+    first, an rw edge for every ww edge it sees; returns everything
+    observable."""
     state = VerifierState()
     for i in range(10):
         if i != 7:
@@ -278,40 +280,42 @@ def bus_run(batches):
     bus = DependencyBus(state, metrics=metrics)
     delivered, journaled = [], []
 
-    def reentrant(dep):
-        delivered.append(("first", dep.src, dep.dst, dep.dep_type))
+    def certify(dep):
+        state.graph.add_dependency(dep)
+        delivered.append(("in", dep.src, dep.dst, dep.dep_type))
         if dep.dep_type is DepType.WW:
             bus.publish(
                 Dependency(src=dep.dst, dst=dep.src, dep_type=DepType.RW, key="k")
             )
+        delivered.append(("out", dep.src, dep.dst, dep.dep_type))
 
     bus.connect(
-        _OnTheLine(reentrant),
-        _OnTheLine(
-            lambda dep: delivered.append(("second", dep.src, dep.dst, dep.dep_type))
-        ),
+        _OnTheLine(certify),
         journal=lambda dep: journaled.append((dep.src, dep.dst, dep.dep_type)),
     )
     survived = [bus.publish_many(batch) for batch in batches]
+    accepted = metrics.counters_with_name("bus.deps.accepted")
     dropped = sum(metrics.counters_with_name("bus.deps.dropped").values())
     stats = dataclasses.asdict(state.stats)
-    return sum(survived), delivered, journaled, bus.counts, dropped, stats
+    return sum(survived), delivered, journaled, accepted, dropped, stats
 
 
 BUS_DEPS = [
     Dependency(src=f"t{i}", dst=f"t{(i * 3 + 1) % 10}", dep_type=DepType.WW, key="k")
     for i in range(10)
-]
+] + [Dependency(src="t0", dst="t1", dep_type=DepType.WW, key="k2")]
 
 
 class TestBusPublishMany:
     def test_equals_a_publish_loop(self):
         whole = bus_run([BUS_DEPS])
         survived, delivered, *_ = whole
-        assert survived == 8 and whole[4] == 2  # t7's two edges dropped
-        # depth first: each ww edge's rw echo reaches both deliveries
-        # before the ww edge itself reaches the second one.
-        assert [d[0] for d in delivered[:4]] == ["first", "first", "second", "second"]
+        # t7's two edges dropped by the guard, the repeat by the bus.
+        assert survived == 8 and whole[4] == 2
+        assert len(whole[2]) == 16 == len(set(whole[2]))
+        # depth first: each ww edge's rw echo is certified before the
+        # ww edge's own delivery returns.
+        assert [d[0] for d in delivered[:4]] == ["in", "in", "out", "out"]
         assert delivered[1][3] is DepType.RW and delivered[3][3] is DepType.WW
         for size in (1, 3):
             assert bus_run(cut(BUS_DEPS, size)) == whole

@@ -3,9 +3,10 @@
 Metamorphic relations over a recorded history: settings that must not
 matter -- here, how the capture is written to disk -- are varied and the
 report compared under one key, :func:`report_key`.  Each relation runs
-over the clean BlindW-RW history and the four fault cases of
+over the clean BlindW-RW history and the six fault cases of
 ``tests/test_parallel.py``, so a relation is checked against reports that
-hold violations of every mechanism, not only against "no violations".
+hold violations of every mechanism, not only against "no violations" --
+:func:`test_each_fault_case_plants_what_it_names` keeps them so.
 
 * **Capture format.** The per-client directory written as JSONL and as
   ``.rtb`` frames verifies to the same report.
@@ -63,17 +64,38 @@ def report_key(report):
     return violations, counts
 
 
-@pytest.fixture(scope="module", params=CASES)
-def case(request):
-    """``(name, run)``: the clean history or one fault case, with the
-    workload parameters ``fault_run`` uses."""
-    if request.param == "clean":
-        run = run_workload(
+def case_run(name):
+    """The clean history or one fault case, with the workload parameters
+    ``fault_run`` uses."""
+    if name == "clean":
+        return run_workload(
             BlindW.rw(keys=64), PG_SERIALIZABLE, clients=8, txns=300, seed=7
         )
-    else:
-        run = fault_run(request.param)
-    return request.param, run
+    return fault_run(name)
+
+
+@pytest.fixture(scope="module", params=CASES)
+def case(request):
+    """``(name, run)`` of one case."""
+    return request.param, case_run(request.param)
+
+
+def test_each_fault_case_plants_what_it_names():
+    """Every fault case reports a violation of the mechanism it names,
+    and no two cases (the clean one included) verify to the same report:
+    a fault that fires nowhere would duplicate another case's report."""
+    keys = {}
+    for name in CASES:
+        run = case_run(name)
+        verifier = Verifier(spec=PG_SERIALIZABLE, initial_db=run.initial_db)
+        report = verifier.process_all(
+            pipeline_from_client_streams(run.client_streams)
+        ).finish()
+        if name != "clean":
+            mechanism = FAULT_CASES[name].mechanism
+            assert any(v.mechanism is mechanism for v in report.violations), name
+        keys[name] = report_key(report)
+    assert len({repr(key) for key in keys.values()}) == len(CASES), keys
 
 
 def verify_directory(directory, run):

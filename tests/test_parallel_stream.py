@@ -156,7 +156,7 @@ class TestStreamedEqualsDeferred:
     def test_workload_shuffles_identical(self, seed, fault, segment_events):
         """Hypothesis shuffles the interleaving (workload seed) and the
         flush cadence; every combination must stream byte-identically."""
-        plan = FAULT_CASES[fault] if fault else None
+        plan = FAULT_CASES[fault].plan if fault else None
         run = run_workload(
             BlindW.rw(keys=32),
             PG_SERIALIZABLE,
